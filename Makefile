@@ -1,6 +1,6 @@
 # Canonical workflows for the reproduction.
 
-.PHONY: install test test-fast test-pipelined test-mp chaos chaos-mp chaos-mp-san lint bench bench-pytest bench-gate report examples trace-demo pipeline-demo profile-demo critpath-demo clean
+.PHONY: install test test-fast test-pipelined test-mp chaos chaos-mp chaos-mp-san lint bench bench-pytest bench-gate perf-smoke report examples trace-demo pipeline-demo profile-demo critpath-demo clean
 
 install:
 	python setup.py develop
@@ -56,6 +56,16 @@ bench:
 # Noise-aware regression gate + trajectory table; exits 1 on regression.
 bench-gate: bench
 	python -m repro bench --compare BENCH_BASELINE.json BENCH_PR6.json
+
+# The repo's benchmark (BENCHMARK.json, benchmarks/perf/README.md) at
+# smoke size: the harness's own tests, then one traced two-file
+# web_serial run whose last stdout line must say the output was correct
+# and no operation failed.
+perf-smoke:
+	PYTHONPATH=src python -m pytest benchmarks/perf -q
+	python3 benchmarks/perf/run.py --workload web_serial --seed 1 --smoke --trace 1 \
+		| tail -n 1 \
+		| python3 -c 'import json, sys; r = json.loads(sys.stdin.read()); print({k: r[k] for k in ("correct", "attempted", "failed")}); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)'
 
 # The original pytest-benchmark path (free-text reports per script).
 bench-pytest:

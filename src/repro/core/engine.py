@@ -63,7 +63,7 @@ from repro.parsing.regroup import ParsedBatch
 from repro.postings.compression import get_codec
 from repro.postings.lists import PostingsList
 from repro.postings.doctable import DocTable
-from repro.postings.output import DocRangeMap, RunWriter
+from repro.postings.output import DocRangeMap, RunFile, RunWriter
 from repro.robustness import faults
 from repro.robustness.checkpoint import (
     BuildManifest,
@@ -269,15 +269,15 @@ class IndexingEngine:
                 "rebuild from scratch"
             )
 
+        # The trie table is a pure function of its height.
+        trie = TrieTable(height=cfg.trie_height)
         if state is not None:
-            # ---- resume: restore the run-boundary state graph --------- #
-            trie = state["trie"]
+            # ---- resume: restore the run-boundary state --------------- #
             assignment = state["assignment"]
-            cpu_indexers = state["cpu_indexers"]
-            gpu_indexers = state["gpu_indexers"]
+            cpu_indexers = state["indexers"][: cfg.num_cpu_indexers]
+            gpu_indexers = state["indexers"][cfg.num_cpu_indexers :]
             doc_table = state["doc_table"]
             file_works = state["file_works"]
-            range_map = state["range_map"]
             robustness = state["robustness"]
             doc_offset = state["doc_offset"]
             token_count = state["token_count"]
@@ -285,11 +285,28 @@ class IndexingEngine:
             run_count = state["run_count"]
             start_file = state["next_file_index"]
             robustness.resumed_runs = run_count
-            # A crash between manifest append and checkpoint replace
-            # leaves one orphan record; drop it and re-index that run.
-            manifest.truncate_runs(run_count)
+            # A crash between (or during) manifest append and journal
+            # append leaves one orphan record; drop it and re-index that
+            # run.  The kept records locate the durable runs.
+            records = manifest.truncate_runs(run_count)
+            if len(records) != run_count:
+                raise ValueError(
+                    f"{manifest.path} records {len(records)} runs, the "
+                    f"checkpoint {run_count}; rebuild from scratch"
+                )
+            range_map = DocRangeMap()
+            for rec in records:
+                range_map.add(
+                    RunFile(
+                        path=os.path.join(output_dir, rec.path),
+                        run_id=rec.run_id,
+                        min_doc=rec.min_doc,
+                        max_doc=rec.max_doc,
+                        entry_count=rec.entry_count,
+                        byte_size=rec.byte_size,
+                    )
+                )
         else:
-            trie = TrieTable(height=cfg.trie_height)
             robustness = RobustnessReport(on_error=cfg.on_error)
 
             # ---- 1. sampling + assignment (Section III.E) ------------- #
@@ -343,6 +360,9 @@ class IndexingEngine:
             posting_count = 0
             run_count = 0
             start_file = 0
+            # The journal is append-only: a previous build's must go, and
+            # go first, so no crash pairs it with the new manifest.
+            clear_checkpoint(output_dir)
             manifest.start(fingerprint, collection.name, len(collection.files))
 
         popular_set = set(assignment.popular)
@@ -411,7 +431,7 @@ class IndexingEngine:
 
             Engine-thread only.  Concurrent backends quiesce their
             in-flight window first, so the drain and the checkpoint
-            pickle see settled indexer state with empty queues; the
+            record see settled indexer state with empty queues; the
             multiprocess backend's ``drain_run_postings`` additionally
             pulls refreshed indexer objects out of its workers so the
             checkpoint and the dictionary epilogue stay authoritative.
@@ -438,7 +458,7 @@ class IndexingEngine:
             metrics.observe("run.bytes", run_file.byte_size)
             metrics.observe("run.postings", run_postings)
             # Durability order: run file → manifest append →
-            # checkpoint replace.  A crash at any point leaves a
+            # checkpoint append.  A crash at any point leaves a
             # resumable directory (see repro.robustness.checkpoint).
             with tel.tracer.span(
                 "checkpoint", cat="robustness", run=run_id,
@@ -467,13 +487,9 @@ class IndexingEngine:
                     output_dir,
                     {
                         "fingerprint": fingerprint,
-                        "trie": trie,
                         "assignment": assignment,
-                        "cpu_indexers": cpu_indexers,
-                        "gpu_indexers": gpu_indexers,
                         "doc_table": doc_table,
                         "file_works": file_works,
-                        "range_map": range_map,
                         "robustness": robustness,
                         "doc_offset": doc_offset,
                         "token_count": token_count,
@@ -481,6 +497,7 @@ class IndexingEngine:
                         "run_count": run_count,
                         "next_file_index": k + 1,
                     },
+                    [*cpu_indexers, *gpu_indexers],
                 )
             run_file_indices = []
             run_first_doc = doc_offset

@@ -394,9 +394,12 @@ class MultiprocessBackend(ExecutionBackend):
                     cmd = self._collect_control(slot, tid, "boundary", tag)
                     if cmd is None:
                         continue
-                    _, _, postings_blob, state_blob, fc, fe, md, sp, pf = cmd
+                    _, _, postings_blob, log, state_blob, fc, fe, md, sp, pf = cmd
                     self._merge_delta(fc, fe, md, sp, pf)
                     self._install_state(slot, state_blob)
+                    # close_run's checkpoint takes the run's log off the
+                    # installed object, as it does under every backend.
+                    self.hooks.indexer_for(slot.kind, slot.idx).shard.mutation_log += log
                     return pickle.loads(postings_blob)
         return self.hooks.indexer_for(slot.kind, slot.idx).drain_postings()
 

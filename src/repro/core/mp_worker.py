@@ -18,7 +18,7 @@ Protocol, indexer workers (slot keys ``cpu-<i>`` / ``gpu-<j>``)::
 
     ("state", state_pickle)                      -> (no reply)
     ("index", tid, tag, doc_offset, batch_bytes) -> ("done", tid, result, delta)
-    ("boundary", tid)     -> ("boundary", tid, postings_pickle, state_pickle, delta)
+    ("boundary", tid)     -> ("boundary", tid, postings_pickle, mutation_log, state_pickle, delta)
     ("snapshot", tid)     -> ("snapshot", tid, state_pickle, delta)
     ("stop",)                                    -> (worker exits)
 
@@ -257,11 +257,15 @@ def _indexer_loop(
             else:
                 reply(("done", tid, result, *delta.take()))
         elif op == "boundary":
+            # The log travels beside the state, not in it: the state blob
+            # becomes the engine's replay snapshot, and entries already
+            # journalled must not be replayed into the next record.
             reply(
                 (
                     "boundary",
                     cmd[1],
                     pickle.dumps(indexer.drain_postings()),
+                    indexer.shard.take_mutation_log(),
                     pickle.dumps(indexer),
                     *delta.take(),
                 )

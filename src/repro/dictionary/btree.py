@@ -147,6 +147,12 @@ class BTree:
     use_string_cache:
         Disable to reproduce the "no cache" ablation — every comparison then
         dereferences the full string.
+    on_mutation:
+        Called with the suffix of every :meth:`insert` that changed the
+        tree — a new term, or a repeated term whose descent split a full
+        node.  Re-inserting exactly those suffixes, in order, into an
+        empty tree rebuilds this one node for node (the checkpoint
+        journal's replay, see :class:`~repro.dictionary.dictionary.DictionaryShard`).
     """
 
     def __init__(
@@ -155,6 +161,7 @@ class BTree:
         term_id_allocator: Callable[[], int] | None = None,
         degree: int = DEFAULT_DEGREE,
         use_string_cache: bool = True,
+        on_mutation: Callable[[bytes], None] | None = None,
     ) -> None:
         if degree < 2:
             raise ValueError(f"B-tree degree must be >= 2, got {degree}")
@@ -169,6 +176,7 @@ class BTree:
         #: receives ``(tree, query, query4, node)`` and returns
         #: ``(slot, found)`` with the same contract as ``_find_slot``.
         self.find_slot_hook = None
+        self.on_mutation = on_mutation
         self.root = BTreeNode(leaf=True)
         self.node_count = 1
         self.term_count = 0
@@ -269,12 +277,16 @@ class BTree:
         if 0 in suffix:
             raise ValueError("term suffixes may not contain NUL bytes")
         query4 = _pad4(suffix)
+        # Preemptive splits fire on the way down even when the suffix
+        # turns out to be present, so a duplicate hit can mutate too.
+        split = False
         if self.root.nkeys == self.max_keys:
             old_root = self.root
             self.root = BTreeNode(leaf=False)
             self.root.children.append(old_root)
             self.node_count += 1
             self._split_child(self.root, 0)
+            split = True
         node = self.root
         depth = 0
         while True:
@@ -283,6 +295,8 @@ class BTree:
             if found:
                 self.stats.duplicate_hits += 1
                 self.stats.depth_sum += depth
+                if split and self.on_mutation is not None:
+                    self.on_mutation(suffix)
                 return node.postings_ptrs[slot], False
             if node.leaf:
                 term_id = self._alloc()
@@ -295,14 +309,19 @@ class BTree:
                 self.stats.inserts += 1
                 self.stats.depth_sum += depth
                 self.term_count += 1
+                if self.on_mutation is not None:
+                    self.on_mutation(suffix)
                 return term_id, True
             child = node.children[slot]
             if child.nkeys == self.max_keys:
                 self._split_child(node, slot)
+                split = True
                 cmp = self._compare(suffix, query4, node, slot)
                 if cmp == 0:
                     self.stats.duplicate_hits += 1
                     self.stats.depth_sum += depth
+                    if self.on_mutation is not None:
+                        self.on_mutation(suffix)
                     return node.postings_ptrs[slot], False
                 if cmp > 0:
                     slot += 1

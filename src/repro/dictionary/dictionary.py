@@ -12,10 +12,20 @@ Term identifiers double as the paper's "pointers to postings lists":
 globally unique integers allocated per shard from disjoint id spaces, so a
 combine never needs to renumber anything — exactly why the paper's combine
 step costs ~2.5 seconds on a terabyte-scale build.
+
+Each shard also keeps a *mutation log*: the ``(collection, suffix)`` of
+every insert that changed its forest, in order, as packed bytes.  The
+run-boundary checkpoint (:mod:`repro.robustness.checkpoint`) journals the
+log and empties it, so a boundary costs the run's new terms, not the
+dictionary so far; :meth:`DictionaryShard.rebuild` replays the logs into
+an identical forest with identical term ids.
 """
 
 from __future__ import annotations
 
+import copy
+import struct
+from functools import partial
 from typing import Iterable, Iterator
 
 from repro.dictionary.btree import BTree, BTreeStats
@@ -27,6 +37,10 @@ __all__ = ["Dictionary", "DictionaryShard", "SHARD_ID_SPACE_BITS"]
 
 #: Each shard allocates term ids in ``[shard_id << 40, (shard_id+1) << 40)``.
 SHARD_ID_SPACE_BITS = 40
+
+#: Mutation-log entry header: collection index, suffix length; the suffix
+#: bytes follow.
+_LOG_ENTRY = struct.Struct("<IH")
 
 
 class DictionaryShard:
@@ -63,6 +77,8 @@ class DictionaryShard:
         self.trees: dict[int, BTree] = {}
         self._next_id = shard_id << SHARD_ID_SPACE_BITS
         self._id_limit = (shard_id + 1) << SHARD_ID_SPACE_BITS
+        #: Forest-changing inserts since the last :meth:`take_mutation_log`.
+        self.mutation_log = bytearray()
 
     # ------------------------------------------------------------------ #
     # Term-id allocation
@@ -93,9 +109,63 @@ class DictionaryShard:
                 term_id_allocator=self._alloc_id,
                 degree=self.degree,
                 use_string_cache=self.use_string_cache,
+                on_mutation=partial(self._log_mutation, collection_index),
             )
             self.trees[collection_index] = tree
         return tree
+
+    # ------------------------------------------------------------------ #
+    # Mutation log (checkpoint journal)
+    # ------------------------------------------------------------------ #
+
+    def _log_mutation(self, collection_index: int, suffix: bytes) -> None:
+        self.mutation_log += _LOG_ENTRY.pack(collection_index, len(suffix)) + suffix
+
+    def take_mutation_log(self) -> bytes:
+        """Hand over the log and start an empty one (one run boundary)."""
+        log = bytes(self.mutation_log)
+        self.mutation_log.clear()
+        return log
+
+    def without_forest(self) -> "DictionaryShard":
+        """A copy with this shard's identity and id cursor but no trees.
+
+        What a checkpoint record pickles in place of the shard: the
+        forest itself is in the journalled mutation logs.
+        """
+        stub = copy.copy(self)
+        stub.trees = {}
+        stub.mutation_log = bytearray()
+        return stub
+
+    def rebuild(self, logs: Iterable[bytes]) -> None:
+        """Regrow a :meth:`without_forest` copy's trees from its logs.
+
+        Replays every journalled insert in order.  An insert that is not
+        in the logs left its tree untouched, so the replayed forest is
+        node-for-node the original and hands out the same term ids; the
+        id cursor must therefore land exactly where the copy recorded it.
+        (The trees' work counters restart from the replay — every
+        consumer reads them as per-batch deltas.)
+        """
+        base = self.shard_id << SHARD_ID_SPACE_BITS
+        expected = self._next_id
+        self.trees = {}
+        self._next_id = base
+        for log in logs:
+            pos, end = 0, len(log)
+            while pos < end:
+                cidx, length = _LOG_ENTRY.unpack_from(log, pos)
+                pos += _LOG_ENTRY.size
+                self.tree_for(cidx).insert(log[pos : pos + length])
+                pos += length
+        self.mutation_log.clear()
+        if self._next_id != expected:
+            raise ValueError(
+                f"shard {self.shard_id}: mutation logs rebuild "
+                f"{self._next_id - base} terms, the checkpoint recorded "
+                f"{expected - base}"
+            )
 
     # ------------------------------------------------------------------ #
     # Insertion / lookup

@@ -92,7 +92,6 @@ class GPUIndexer(BaseIndexer):
             raise ValueError(f"fidelity must be 'fast' or 'warp', got {fidelity!r}")
         self.fidelity = fidelity
         self.warp_counters = WarpCounters()
-        self.batch_reports: list[GPUBatchReport] = []
 
     @property
     def lane(self) -> str:
@@ -197,15 +196,13 @@ class GPUIndexer(BaseIndexer):
         d2h_seconds = self.device.transfer_from_device(d2h_bytes) if d2h_bytes else 0.0
 
         self.total.merge(report)
-        out = GPUBatchReport(
+        return GPUBatchReport(
             report=report,
             kernel=kernel,
             h2d_seconds=h2d_seconds,
             d2h_seconds=d2h_seconds,
             work_items=items,
         )
-        self.batch_reports.append(out)
-        return out
 
     def _emit_metrics(self, out: GPUBatchReport) -> None:
         """Deterministic per-batch counters/gauges (simulated quantities)."""

@@ -1,9 +1,9 @@
-"""Run-level checkpointing: the build manifest and the resume snapshot.
+"""Run-level checkpointing: the build manifest and the resume journal.
 
 A run file is only useful after a crash if three things survived
 together: the run's bytes, the metadata locating it, and the in-memory
 indexing state needed to continue *exactly* where the run ended.  Two
-artifacts provide that, both written at every run boundary (Fig 8's
+artifacts provide that, both appended to at every run boundary (Fig 8's
 natural barrier — all accumulators are drained, so the only live state is
 the dictionary forest, the doc table, and a handful of counters):
 
@@ -12,26 +12,55 @@ the dictionary forest, the doc table, and a handful of counters):
   completed run carrying the file list it covered, the document-ID range,
   and the run file's CRC32.  Appends are flushed and fsynced, so the
   manifest never claims a run the disk does not hold.
-- ``checkpoint.bin`` — an atomically-replaced pickle of the engine state
-  (trie, dictionary shards, doc table, assignment, counters).  Pickling
-  one object graph preserves the shared-trie aliasing, which is why a
-  resumed build allocates the same term ids and produces byte-identical
-  output.
+- ``checkpoint.bin`` — an append-only journal, one fsynced record per run
+  boundary.  The paper keeps the dictionary resident across runs so that
+  a boundary costs only the run's own output; the journal keeps that
+  property: a record holds what the run *added*, never the forest so far.
 
-Write order per run: run file → manifest append → checkpoint replace.  A
-crash between the last two leaves an extra manifest record; resume
-truncates the manifest back to the checkpoint's run count and re-indexes
-that run deterministically.  ``checkpoint.bin`` is deleted when a build
-completes — it is crash-recovery state, not part of the index.
+Record layout (little-endian)::
+
+    u32 length | u32 crc32(payload) | payload
+    payload = u32 N | N x (u32 log length | shard mutation log) | state pickle
+
+The N mutation logs (one per indexer, CPU slots then GPU slots) are the
+``(collection, suffix)`` of every insert that changed that indexer's
+dictionary shard since the previous boundary, in order — see
+:class:`~repro.dictionary.dictionary.DictionaryShard`.  The state pickle
+is everything else the engine hands over (counters, assignment, per-file
+work, doc table, robustness report) plus the indexer objects with their
+shards' trees left out.
+
+Resume replays every record's logs, in order, into empty shards.  B-tree
+insertion is deterministic and an insert that is not in the log left its
+tree untouched, so the replayed forest is node-for-node the crashed
+build's and allocates the same term ids — which is why a resumed build's
+output is byte-identical.  Every prefix of the journal is a complete
+checkpoint of an earlier boundary.
+
+Write order per run: run file → manifest append → journal append + fsync.
+A crash between the last two leaves an extra manifest record; resume
+truncates the manifest back to the journal's run count and re-indexes
+that run deterministically.  A crash *during* the journal append leaves a
+torn last record — short, or failing its CRC, and reaching the end of the
+file; :func:`load_checkpoint` drops it (from the file too, so the next
+append starts on a record boundary) and resume continues from the
+boundary before, the same path as the orphan manifest record.  A bad
+record with more bytes after it is not a torn append but damage:
+:class:`~repro.robustness.errors.ChecksumError`.  ``checkpoint.bin`` is
+deleted when a build completes — it is crash-recovery state, not part of
+the index.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import pickle
+import struct
 import zlib
 from dataclasses import asdict, dataclass, field
+from typing import Any, Sequence
 
 from repro.obs import runtime as obs
 from repro.robustness.errors import ChecksumError
@@ -150,12 +179,17 @@ class BuildManifest:
             fh.flush()
             os.fsync(fh.fileno())
 
-    def truncate_runs(self, keep: int) -> None:
-        """Drop run records beyond the first ``keep`` (crash cleanup)."""
+    def truncate_runs(self, keep: int) -> list[RunRecord]:
+        """Drop run records beyond the first ``keep`` (crash cleanup).
+
+        Returns the records kept.
+        """
         header, runs = self.load()
+        kept = runs[:keep]
         lines = [json.dumps({**header, "type": "header"}, sort_keys=True)]
-        lines.extend(r.to_json() for r in runs[:keep])
+        lines.extend(r.to_json() for r in kept)
         self._write_lines(lines)
+        return kept
 
     def _write_lines(self, lines: list[str]) -> None:
         tmp = self.path + ".tmp"
@@ -189,37 +223,120 @@ class BuildManifest:
 
 
 # ---------------------------------------------------------------------- #
-# The resume snapshot
+# The resume journal
 # ---------------------------------------------------------------------- #
 
+_FRAME = struct.Struct("<II")  # payload length, crc32(payload)
+_U32 = struct.Struct("<I")
 
-def save_checkpoint(output_dir: str, payload: dict) -> str:
-    """Atomically replace ``checkpoint.bin`` with a pickled payload."""
+
+def save_checkpoint(output_dir: str, state: dict, indexers: Sequence[Any]) -> str:
+    """Append one run boundary's record to the journal; returns its path.
+
+    Takes (and thereby empties) each indexer's shard mutation log, so the
+    record carries exactly the dictionary growth since the previous call.
+    ``state`` is pickled as is; the indexers are pickled beside it with
+    their forests left out.
+    """
+    parts = [_U32.pack(len(indexers))]
+    stubs = []
+    for indexer in indexers:
+        log = indexer.shard.take_mutation_log()
+        parts += (_U32.pack(len(log)), log)
+        stub = copy.copy(indexer)
+        stub.shard = indexer.shard.without_forest()
+        stubs.append(stub)
+    parts.append(pickle.dumps((state, stubs), protocol=pickle.HIGHEST_PROTOCOL))
+    payload = b"".join(parts)
+    header = _FRAME.pack(len(payload), zlib.crc32(payload))
     path = os.path.join(output_dir, CHECKPOINT_FILENAME)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
+    with open(path, "ab") as fh:
+        fh.write(header)
+        fh.write(payload)
         fh.flush()
         os.fsync(fh.fileno())
-    os.replace(tmp, path)
     obs.count("robustness.checkpoint_saves")
-    obs.observe("checkpoint.bytes", os.path.getsize(path))
+    obs.observe("checkpoint.bytes", len(header) + len(payload))
     return path
 
 
+def _read_records(path: str) -> tuple[list[bytes], int]:
+    """The journal's intact record payloads and the offset they end at.
+
+    Stops at a torn tail (a bad record reaching the end of the file);
+    raises :class:`ChecksumError` for a bad record followed by more bytes.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    payloads = []
+    pos = 0
+    while pos < len(data):
+        body = pos + _FRAME.size
+        if body > len(data):
+            break
+        length, stored = _FRAME.unpack_from(data, pos)
+        end = body + length
+        if end > len(data):
+            break
+        payload = data[body:end]
+        actual = zlib.crc32(payload)
+        if actual != stored:
+            if end == len(data):
+                break
+            raise ChecksumError(path, stored, actual)
+        payloads.append(payload)
+        pos = end
+    return payloads, pos
+
+
+def _split_record(payload: bytes) -> tuple[list[bytes], memoryview]:
+    """One record's per-indexer mutation logs and its state pickle."""
+    (count,) = _U32.unpack_from(payload, 0)
+    pos = _U32.size
+    logs = []
+    for _ in range(count):
+        (length,) = _U32.unpack_from(payload, pos)
+        pos += _U32.size
+        logs.append(payload[pos : pos + length])
+        pos += length
+    return logs, memoryview(payload)[pos:]
+
+
 def load_checkpoint(output_dir: str) -> dict | None:
-    """The last durable checkpoint, or ``None`` when there is none."""
+    """The state at the last durable run boundary, or ``None``.
+
+    Returns the ``state`` dict of the last intact record plus
+    ``"indexers"``: the recorded indexer objects with their dictionary
+    shards rebuilt by replaying every record's mutation logs.  A torn
+    last record is cut off the file and counted
+    (``robustness.checkpoint_torn_tails``); a journal left with no intact
+    record is no checkpoint.
+    """
     path = os.path.join(output_dir, CHECKPOINT_FILENAME)
     if not os.path.exists(path):
         return None
-    with open(path, "rb") as fh:
-        payload = pickle.load(fh)
+    payloads, valid_end = _read_records(path)
+    if valid_end < os.path.getsize(path):
+        obs.count("robustness.checkpoint_torn_tails")
+        with open(path, "r+b") as fh:
+            fh.truncate(valid_end)
+            fh.flush()
+            os.fsync(fh.fileno())
+    if not payloads:
+        return None
+    records = [_split_record(payload) for payload in payloads]
+    # Only the last record's pickle is needed: each is the full small state.
+    state, indexers = pickle.loads(records[-1][1])
+    # Transpose to one list of logs per indexer, oldest record first.
+    logs = zip(*(record_logs for record_logs, _ in records))
+    for indexer, shard_logs in zip(indexers, logs, strict=True):
+        indexer.shard.rebuild(shard_logs)
     obs.count("robustness.checkpoint_loads")
-    return payload
+    return {**state, "indexers": indexers}
 
 
 def clear_checkpoint(output_dir: str) -> None:
-    """Remove the crash-recovery snapshot after a successful build."""
+    """Remove the crash-recovery journal (build finished, or starting over)."""
     path = os.path.join(output_dir, CHECKPOINT_FILENAME)
     if os.path.exists(path):
         os.remove(path)
