@@ -1,6 +1,6 @@
 # Canonical workflows for the reproduction.
 
-.PHONY: install test test-fast test-pipelined test-mp chaos chaos-mp chaos-mp-san lint bench bench-pytest bench-gate perf-smoke report examples trace-demo pipeline-demo profile-demo critpath-demo clean
+.PHONY: install test test-fast test-pipelined test-mp chaos chaos-mp chaos-mp-san lint bench-pytest perf-smoke report examples trace-demo pipeline-demo profile-demo critpath-demo clean
 
 install:
 	python setup.py develop
@@ -42,20 +42,10 @@ chaos-mp-san:
 # typing gate + protocol model checker (docs/STATIC_ANALYSIS.md).
 # mypy runs when installed (dev extra).  The second pass holds
 # benchmarks/ to the RPR008 clock fence: bench timing flows through
-# the `repro bench` harness / util/timing.py.
+# util/timing.py.
 lint:
 	python -m repro lint src --protocol
 	python -m repro lint benchmarks --select RPR008
-
-# The declared benchmark suite under the pinned protocol
-# (docs/OBSERVABILITY.md, "Benchmark protocol") → BENCH_PR6.json at the
-# repo root, one point in the perf trajectory.
-bench:
-	python -m repro bench
-
-# Noise-aware regression gate + trajectory table; exits 1 on regression.
-bench-gate: bench
-	python -m repro bench --compare BENCH_BASELINE.json BENCH_PR6.json
 
 # The repo's benchmark (BENCHMARK.json, benchmarks/perf/README.md) at
 # smoke size: the harness's own tests, then one traced two-file
@@ -67,7 +57,9 @@ perf-smoke:
 		| tail -n 1 \
 		| python3 -c 'import json, sys; r = json.loads(sys.stdin.read()); print({k: r[k] for k in ("correct", "attempted", "failed")}); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)'
 
-# The original pytest-benchmark path (free-text reports per script).
+# The paper-reproduction scripts under pytest-benchmark: each regenerates
+# one table/figure into benchmarks/reports/<name>.txt.  Not a perf gate —
+# "did this PR make it faster" is BENCHMARK.json's question.
 bench-pytest:
 	pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
@@ -140,5 +132,5 @@ examples:
 	python examples/baseline_comparison.py /tmp/repro_example_bc
 
 clean:
-	rm -rf .bench_data benchmarks/reports .pytest_cache
+	rm -rf .bench_data .pytest_cache
 	find . -name __pycache__ -type d -exec rm -rf {} +

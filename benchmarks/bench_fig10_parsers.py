@@ -13,19 +13,8 @@ from conftest import report
 
 from repro.analysis.figures import fig10_parser_sweep
 from repro.core.workload import WorkloadModel
-from repro.obs.bench import BenchOp, scenario
 from repro.util.ascii_chart import line_chart
 from repro.util.fmt import render_table
-
-
-@scenario("fig10_parser_sweep", group="simulation")
-def bench_fig10(ctx):
-    """Fig 10 regeneration: the 7-point parser sweep over paper scale."""
-    works = WorkloadModel.paper_scale("clueweb09").files()
-    return BenchOp(
-        op=lambda: fig10_parser_sweep(works),
-        stage_timings=ctx.simulated_stage_timings(works),
-    )
 
 
 def test_fig10_report(benchmark):
@@ -55,7 +44,6 @@ def test_fig10_report(benchmark):
     report(
         "fig10_parsers",
         render_table(headers, rows) + "\n\nMB/s vs parsers:\n" + chart,
-        data=series,
     )
 
     no_gpu = series["M parsers + (8-M) CPU indexers"]

@@ -23,19 +23,9 @@ from conftest import report
 from repro.analysis.figures import fig11_per_file_series
 from repro.core.config import PlatformConfig
 from repro.core.engine import IndexingEngine
-from repro.obs.bench import BenchOp, scenario
 from repro.robustness.faults import FaultPlan, FaultSpec, inject
 from repro.util.ascii_chart import line_chart
 from repro.util.fmt import render_table
-
-
-@scenario("fig11_per_file_series", group="simulation", sample_points=16)
-def bench_fig11(ctx):
-    """Fig 11 regeneration: per-file throughput series, 16 sample points."""
-    return BenchOp(
-        op=lambda: fig11_per_file_series(sample_points=16),
-        stage_timings=ctx.simulated_stage_timings(),
-    )
 
 
 def test_fig11_report(benchmark):

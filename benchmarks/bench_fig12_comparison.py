@@ -19,18 +19,8 @@ from repro.baselines.cluster import (
     IVORY_PLATFORM,
     ClusterModel,
 )
-from repro.obs.bench import BenchOp, scenario
 from repro.util.ascii_chart import bar_chart
 from repro.util.fmt import render_table
-
-
-@scenario("fig12_comparison", group="simulation")
-def bench_fig12(ctx):
-    """Fig 12 regeneration: throughput bars vs the cluster baselines."""
-    return BenchOp(
-        op=fig12_comparison,
-        stage_timings=ctx.simulated_stage_timings(),
-    )
 
 
 def test_table7_report(benchmark):
@@ -55,7 +45,6 @@ def test_fig12_report(benchmark):
             ["System", "Dataset", "Nodes", "Cores", "MB/s", "MB/s/core"], rows
         )
         + "\n\n" + chart,
-        data={b.system: b.throughput_mbps for b in bars},
     )
     thpt = [b.throughput_mbps for b in bars]
     assert thpt == sorted(thpt, reverse=True)  # ours-GPU > ours > Ivory > SP-MR

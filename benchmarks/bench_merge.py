@@ -1,9 +1,9 @@
-"""Merge-phase throughput (§III.F) as a first-class bench scenario.
+"""Merge-phase throughput (§III.F): one timed merge with its stats table.
 
 The ablation suite checks the *claim* (merge < 10% of build time); this
-module times the merge itself under the ``repro bench`` protocol so the
-perf trajectory tracks it per PR — the streaming splice introduced in
-PR 4 is exactly the kind of change this scenario exists to gate.
+script reports what one merge of the mini-ClueWeb build read, wrote and
+kept resident.  Merge speed across PRs is gated by the ``merge_read``
+workload in ``BENCHMARK.json``, not here.
 """
 
 from __future__ import annotations
@@ -13,38 +13,13 @@ import shutil
 
 from conftest import report
 
-from repro.obs.bench import BenchOp, scenario
 from repro.postings.merge import merge_index
 from repro.util.fmt import render_table
 from repro.util.timing import Timer
 
 
-@scenario("merge_index_mini", group="merge")
-def bench_merge(ctx):
-    """Full merge of the cached mini-ClueWeb build's run files.
-
-    Each timed call merges into a fresh directory (the rmtree is part of
-    the op, a constant cost dwarfed by the splice).  ``bytes_processed``
-    is the merger's input-run byte count, so the result file carries a
-    merge MB/s figure comparable across PRs.
-    """
-    result = ctx.engine_build()
-    merged_dir = os.path.join(ctx.fresh_dir("merge_scratch"), "out")
-    probe = merge_index(result.output_dir, merged_dir)
-
-    def op():
-        shutil.rmtree(merged_dir, ignore_errors=True)
-        return merge_index(result.output_dir, merged_dir)
-
-    return BenchOp(
-        op=op,
-        bytes_processed=probe["input_bytes"],
-        stage_timings=ctx.build_stage_timings(result),
-    )
-
-
 def test_merge_throughput(benchmark, engine_result, data_dir):
-    """Standalone pytest path: one timed merge with the stats table."""
+    """One timed merge of the cached build's run files."""
     merged_dir = os.path.join(data_dir, "bench_merge_out")
 
     def do_merge():
@@ -65,9 +40,5 @@ def test_merge_throughput(benchmark, engine_result, data_dir):
         ["wall seconds", f"{merge_wall:.3f}"],
         ["MB/s", f"{mbps:.1f}"],
     ]
-    report(
-        "merge_throughput",
-        render_table(["Metric", "Value"], rows),
-        data={**stats, "wall_seconds": merge_wall, "throughput_mbps": mbps},
-    )
+    report("merge_throughput", render_table(["Metric", "Value"], rows))
     assert stats["terms"] > 0 and stats["postings"] > 0

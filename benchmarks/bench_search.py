@@ -9,27 +9,9 @@ from __future__ import annotations
 
 from conftest import report
 
-from repro.obs.bench import BenchOp, scenario
 from repro.search.query import SearchEngine
 from repro.util.fmt import render_table
 from repro.util.timing import Timer
-
-
-@scenario("search_ranked_top10", group="search", terms=3, k=10)
-def bench_ranked_query(ctx):
-    """TF-IDF top-10 retrieval over the cached mini-ClueWeb build.
-
-    The stage summary attached is the *build's* run.metrics.json
-    timings: a query-latency regression usually traces back to what the
-    build wrote (codec choice, run layout), not the query code itself.
-    """
-    result = ctx.engine_build()
-    engine = SearchEngine(result.output_dir, num_docs=result.document_count)
-    query = " ".join(_query_terms(engine)[:3])
-    return BenchOp(
-        op=lambda: engine.ranked(query, k=10),
-        stage_timings=ctx.build_stage_timings(result),
-    )
 
 
 def _query_terms(engine: SearchEngine, n: int = 8) -> list[str]:

@@ -12,9 +12,7 @@ the repository root to keep repeated benchmark runs fast.
 
 from __future__ import annotations
 
-import json
 import os
-from typing import Any, Mapping
 
 import pytest
 
@@ -27,25 +25,13 @@ DATA_DIR = os.path.join(os.path.dirname(BENCH_ROOT), ".bench_data")
 REPORTS_DIR = os.path.join(BENCH_ROOT, "reports")
 
 
-def report(name: str, text: str, data: Mapping[str, Any] | None = None) -> None:
-    """Print a report block and persist it under benchmarks/reports/.
-
-    ``data``, when given, is the machine-readable twin of the text table:
-    it lands in ``benchmarks/reports/<name>.json`` so tooling (and the
-    ``repro bench`` trajectory work) can consume bench output without
-    scraping ASCII.  The text path is unchanged — both always coexist.
-    """
+def report(name: str, text: str) -> None:
+    """Print a report block and persist it under benchmarks/reports/."""
     os.makedirs(REPORTS_DIR, exist_ok=True)
     banner = f"\n=== {name} ===\n{text}\n"
     print(banner)
     with open(os.path.join(REPORTS_DIR, f"{name}.txt"), "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
-    if data is not None:
-        with open(
-            os.path.join(REPORTS_DIR, f"{name}.json"), "w", encoding="utf-8"
-        ) as fh:
-            json.dump(dict(data), fh, indent=2, sort_keys=True, default=str)
-            fh.write("\n")
 
 
 @pytest.fixture(scope="session")

@@ -26,17 +26,17 @@ Commands mirror the library's workflow:
   numbers without touching a terabyte);
 - ``lint`` — the paper-invariant static-analysis pack
   (docs/STATIC_ANALYSIS.md): AST rules, race analyzer, typing gate;
-- ``bench`` — run the declared benchmark suite under the pinned
-  protocol (docs/OBSERVABILITY.md, "Benchmark protocol") and write
-  ``BENCH_PR6.json``; ``--compare OLD NEW`` is the noise-aware
-  regression gate plus the perf-trajectory table; ``--profile``
-  additionally samples each scenario so the gate can localize a
-  regression to a function;
 - ``profile`` — report on a ``run.profile.json`` written by ``build
   --profile`` (top-N self/cumulative table + the shm codec hot-path
   section); ``--diff A B`` ranks regressed/improved functions between
   two profiles, ``--folded`` / ``--speedscope`` export flamegraph
-  formats.
+  formats;
+- ``critpath`` — critical-path analysis of a build's ``trace.json``
+  (docs/OBSERVABILITY.md, "Critical-path analysis"): per-resource blame
+  table and ranked what-if projections, written to
+  ``run.critpath.json``; ``--what-if RESOURCE=FACTOR`` adds a
+  projection, ``--diff A B`` compares two results, ``--chrome`` exports
+  the trace with a highlighted critical-path lane.
 """
 
 from __future__ import annotations
@@ -91,8 +91,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     stats.add_argument(
         "--fail-on-regress", type=float, default=None, metavar="PCT",
         help="with --diff: exit 1 when a stage timing or pipeline.* "
-             "stall counter worsens by more than PCT percent (same "
-             "noise-aware gate as `repro bench --compare`)",
+             "stall counter worsens by more than PCT percent (timings "
+             "must also clear a 10 ms noise floor)",
     )
 
     build = sub.add_parser("build", help="build inverted files")
@@ -195,50 +195,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--parsers", type=int, default=6)
     simulate.add_argument("--cpu-indexers", type=int, default=2)
     simulate.add_argument("--gpus", type=int, default=2)
-
-    bench = sub.add_parser(
-        "bench",
-        help="run the declared benchmark suite under the pinned protocol, "
-             "or gate one BENCH_*.json against another",
-    )
-    bench.add_argument(
-        "--compare", nargs=2, metavar=("OLD", "NEW"), default=None,
-        help="noise-aware regression gate between two BENCH_*.json files "
-             "(native or pytest-benchmark format); exits 1 on regression "
-             "and prints the perf trajectory over the repo's BENCH_*.json",
-    )
-    bench.add_argument("--suite-dir", default="benchmarks",
-                       help="directory holding the bench_*.py suite")
-    bench.add_argument("--out", default=None,
-                       help="result file to write (default: BENCH_PR6.json "
-                            "in the current directory)")
-    bench.add_argument("--data-dir", default=".bench_data",
-                       help="cache for generated corpora and builds")
-    bench.add_argument("--only", action="append", default=None, metavar="NAME",
-                       help="run only this scenario (repeatable)")
-    bench.add_argument("--list", action="store_true",
-                       help="list registered scenarios and exit")
-    bench.add_argument("--repetitions", type=int, default=None,
-                       help="timed repetitions per scenario (default 5, min 3)")
-    bench.add_argument("--warmup", type=int, default=None,
-                       help="discarded warmup calls per scenario (default 1)")
-    bench.add_argument("--seed", type=int, default=None,
-                       help="protocol seed for corpus generation (default 1234)")
-    bench.add_argument("--scale", type=float, default=None,
-                       help="mini-corpus scale factor (default 0.25)")
-    bench.add_argument("--rel-threshold", type=float, default=None,
-                       help="--compare: relative slowdown bar "
-                            "(fraction, default 0.10)")
-    bench.add_argument("--noise-mult", type=float, default=None,
-                       help="--compare: IQR multiplier for the noise floor "
-                            "(default 1.5)")
-    bench.add_argument("--trajectory-root", default=".",
-                       help="--compare: where BENCH_*.json history lives")
-    bench.add_argument("--profile", action="store_true",
-                       help="sample each scenario's timed repetitions; "
-                            "per-scenario self-time tables land in the "
-                            "result file and --compare localizes "
-                            "regressions to functions")
 
     profile = sub.add_parser(
         "profile",
@@ -643,62 +599,6 @@ def _cmd_lint(args) -> int:
     return run(args)
 
 
-def _cmd_bench(args) -> int:
-    import os
-
-    from repro.obs import bench
-    from repro.obs.bench_schema import BENCH_FILENAME
-
-    if args.compare is not None:
-        old_path, new_path = args.compare
-        comparison = bench.compare_results(
-            bench.load_results(old_path),
-            bench.load_results(new_path),
-            rel_threshold=(args.rel_threshold
-                           if args.rel_threshold is not None
-                           else bench.DEFAULT_REL_THRESHOLD),
-            noise_mult=(args.noise_mult
-                        if args.noise_mult is not None
-                        else bench.DEFAULT_NOISE_MULT),
-        )
-        print(comparison.text)
-        print()
-        print(bench.render_trajectory(args.trajectory_root))
-        return 0 if comparison.ok else 1
-
-    bench.load_scenario_modules(args.suite_dir)
-    registry = bench.registered_scenarios()
-    if args.list:
-        for name, sc in registry.items():
-            extra = f"  [{sc.group}]" if sc.group else ""
-            print(f"{name}{extra}")
-        return 0
-
-    payload = bench.run_suite(
-        registry,
-        data_dir=args.data_dir,
-        repetitions=(args.repetitions if args.repetitions is not None
-                     else bench.DEFAULT_REPETITIONS),
-        warmup=args.warmup if args.warmup is not None else bench.DEFAULT_WARMUP,
-        seed=args.seed if args.seed is not None else bench.DEFAULT_SEED,
-        scale=args.scale if args.scale is not None else bench.DEFAULT_SCALE,
-        only=args.only,
-        progress=print,
-        profile=args.profile,
-    )
-    out = args.out or os.path.join(os.curdir, BENCH_FILENAME)
-    bench.write_results(out, payload)
-    for entry in payload["scenarios"]:
-        stats = entry["stats"]
-        thpt = (f"  {entry['throughput_mbps']:8.1f} MB/s"
-                if "throughput_mbps" in entry else "")
-        print(f"{entry['name']:<28} median {stats['median'] * 1e3:9.3f} ms  "
-              f"min {stats['min'] * 1e3:9.3f} ms  "
-              f"IQR {stats['iqr'] * 1e3:8.3f} ms{thpt}")
-    print(f"\nwrote {len(payload['scenarios'])} scenario(s) to {out}")
-    return 0
-
-
 def _profile_path_of(target: str) -> str:
     """Resolve a profile target: an index directory or the file itself."""
     import os
@@ -830,7 +730,6 @@ def main(argv: list[str] | None = None) -> int:
         "report": _cmd_report,
         "simulate": _cmd_simulate,
         "lint": _cmd_lint,
-        "bench": _cmd_bench,
         "profile": _cmd_profile,
         "critpath": _cmd_critpath,
     }[args.command]

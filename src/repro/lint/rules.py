@@ -426,9 +426,9 @@ def check_adhoc_clocks(sf: SourceFile) -> Iterator[Finding]:
     The fence also covers ``timeit.default_timer`` — the clock benchmark
     scripts habitually reach for — because the rule runs over
     ``benchmarks/`` too (``make lint`` / CI select RPR008 there):
-    benchmark timing must flow through the ``repro bench`` harness or
-    ``util/timing.py`` so every number in a ``BENCH_*.json`` comes from
-    the same clock the protocol documents.
+    benchmark timing must flow through ``util/timing.py`` so every
+    number a bench script reports comes from the same clock the
+    telemetry uses.
     """
     if sf.path.endswith(("util/timing.py", "obs/profile.py")) or sf.in_part("obs"):
         return
@@ -452,7 +452,7 @@ def check_adhoc_clocks(sf: SourceFile) -> Iterator[Finding]:
                     "RPR008",
                     node,
                     "imports default_timer from timeit; benchmark clocks go "
-                    "through the repro bench harness / repro.util.timing",
+                    "through repro.util.timing",
                 )
         if not isinstance(node, ast.Call):
             continue
@@ -480,7 +480,7 @@ def check_adhoc_clocks(sf: SourceFile) -> Iterator[Finding]:
                 "RPR008",
                 node,
                 "ad-hoc timeit.default_timer() call; benchmark clocks go "
-                "through the repro bench harness / repro.util.timing",
+                "through repro.util.timing",
             )
 
 

@@ -77,7 +77,6 @@ __all__ = [
     "default_projections",
     "project",
     "parse_what_if",
-    "summarize_for_bench",
     "render_critpath_report",
     "render_critpath_diff",
     "to_chrome_overlay",
@@ -596,26 +595,6 @@ def build_critpath_payload(
     if meta:
         payload["meta"] = dict(meta)
     return payload
-
-
-def summarize_for_bench(
-    trace_path: str, metrics_path: str | None = None
-) -> dict[str, Any]:
-    """The compact per-scenario ``critical_path`` block for bench results.
-
-    Small on purpose (wall, path, blame, top resource): enough for the
-    regression gate to localize a slowdown to a resource, small enough
-    that ``BENCH_*.json`` stays a diff-able artifact.
-    """
-    cp = analyze_trace_file(trace_path)
-    top = cp.top_resource()
-    return {
-        "backend": cp.backend,
-        "wall_s": cp.wall_seconds,
-        "path_s": cp.path_seconds,
-        "blame_s": {r: s for r, s in sorted(cp.blame().items())},
-        "top_resource": top if top is not None else "engine",
-    }
 
 
 # ---------------------------------------------------------------------- #

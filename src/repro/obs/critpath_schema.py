@@ -36,8 +36,8 @@ artifacts (docs/OBSERVABILITY.md, "Critical-path analysis").  Sections:
     Ranked what-if predictions: scale factors per resource, the
     recomputed path length, and the implied speedup.
 
-Validation is hand-rolled (no jsonschema in the container), mirroring
-:mod:`repro.obs.profile_schema`: :func:`validate_critpath` returns a
+Validation is hand-rolled (no jsonschema in the container) on the
+kernel in :mod:`repro.obs.artifact`: :func:`validate_critpath` returns a
 list of human-readable problems — empty means valid.  ``repro
 critpath`` refuses to write an invalid payload and CI fails on a
 non-empty list.
@@ -45,8 +45,14 @@ non-empty list.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Mapping
+
+from repro.obs.artifact import (
+    is_number,
+    load_artifact,
+    validate_artifact,
+    write_artifact,
+)
 
 __all__ = [
     "CRITPATH_SCHEMA_VERSION",
@@ -102,10 +108,6 @@ EDGE_KEYS = ("src", "dst", "start_s", "end_s", "seconds", "resource", "detail")
 _SUM_TOL = 1e-6
 
 
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _check_edges(edges: list, problems: list[str]) -> float:
     total = 0.0
     for i, edge in enumerate(edges):
@@ -121,9 +123,9 @@ def _check_edges(edges: list, problems: list[str]) -> float:
             if not isinstance(edge[key], str):
                 problems.append(f"{where}.{key}: {edge[key]!r} is not a string")
         for key in ("start_s", "end_s", "seconds"):
-            if not _is_number(edge[key]):
+            if not is_number(edge[key]):
                 problems.append(f"{where}.{key}: {edge[key]!r} is not a number")
-        if _is_number(edge["seconds"]):
+        if is_number(edge["seconds"]):
             if edge["seconds"] < 0:
                 problems.append(f"{where}: negative seconds {edge['seconds']!r}")
             else:
@@ -134,8 +136,8 @@ def _check_edges(edges: list, problems: list[str]) -> float:
                 f"(expected one of {', '.join(CRITPATH_RESOURCES)})"
             )
         if (
-            _is_number(edge["start_s"])
-            and _is_number(edge["end_s"])
+            is_number(edge["start_s"])
+            and is_number(edge["end_s"])
             and edge["end_s"] < edge["start_s"]
         ):
             problems.append(f"{where}: end_s precedes start_s")
@@ -152,13 +154,13 @@ def _check_blame(
                 f"blame: unknown resource {resource!r} "
                 f"(expected one of {', '.join(CRITPATH_RESOURCES)})"
             )
-        if not _is_number(seconds) or seconds < 0:
+        if not is_number(seconds) or seconds < 0:
             problems.append(
                 f"blame[{resource!r}]: {seconds!r} is not a non-negative number"
             )
         else:
             total += seconds
-    if _is_number(path_seconds) and abs(total - path_seconds) > max(
+    if is_number(path_seconds) and abs(total - path_seconds) > max(
         _SUM_TOL, _SUM_TOL * abs(path_seconds)
     ):
         problems.append(
@@ -184,61 +186,21 @@ def _check_projections(projections: list, problems: list[str]) -> None:
                     problems.append(
                         f"{where}: scales has unknown resource {resource!r}"
                     )
-                if not _is_number(factor) or factor < 0:
+                if not is_number(factor) or factor < 0:
                     problems.append(
                         f"{where}: scales[{resource!r}] {factor!r} "
                         "is not a non-negative number"
                     )
         for key in ("predicted_wall_s", "speedup"):
-            if not _is_number(proj.get(key)) or proj.get(key) < 0:
+            if not is_number(proj.get(key)) or proj.get(key) < 0:
                 problems.append(
                     f"{where}: {key} {proj.get(key)!r} is not a "
                     "non-negative number"
                 )
 
 
-def validate_critpath(payload: Any) -> list[str]:
-    """Structural + semantic validation; returns problems (empty = valid)."""
-    problems: list[str] = []
-    if not isinstance(payload, dict):
-        return [f"payload is {type(payload).__name__}, expected an object"]
-
-    for key, (required, expected) in CRITPATH_SCHEMA.items():
-        if key not in payload:
-            if required:
-                problems.append(f"missing required section {key!r}")
-            continue
-        value = payload[key]
-        if not isinstance(value, expected) or isinstance(value, bool):
-            expected_name = (
-                "/".join(t.__name__ for t in expected)
-                if isinstance(expected, tuple)
-                else expected.__name__
-            )
-            problems.append(
-                f"section {key!r} is {type(value).__name__}, "
-                f"expected {expected_name}"
-            )
-    for key in payload:
-        if key not in CRITPATH_SCHEMA:
-            problems.append(f"unknown section {key!r}")
-    if problems:
-        return problems
-
-    version = payload["schema"]
-    major = version.rsplit("/", 1)[0]
-    if major != CRITPATH_SCHEMA_VERSION.rsplit("/", 1)[0]:
-        problems.append(
-            f"schema {version!r} is not a "
-            f"{CRITPATH_SCHEMA_VERSION.rsplit('/', 1)[0]} payload"
-        )
-        return problems
-    if version != CRITPATH_SCHEMA_VERSION:
-        problems.append(
-            f"schema version {version!r} != supported {CRITPATH_SCHEMA_VERSION!r}"
-        )
-        return problems
-
+def _check_critpath(payload: dict[str, Any], problems: list[str]) -> None:
+    """Non-negative totals; edges and blame each sum to the path length."""
     for key in ("wall_seconds", "path_seconds", "coverage"):
         if payload[key] < 0:
             problems.append(f"{key} is negative")
@@ -256,38 +218,26 @@ def validate_critpath(payload: Any) -> list[str]:
     for lane, busy in payload["lanes"].items():
         if not isinstance(lane, str):
             problems.append(f"lanes: non-string lane name {lane!r}")
-        if not _is_number(busy) or busy < 0:
+        if not is_number(busy) or busy < 0:
             problems.append(
                 f"lanes[{lane!r}]: {busy!r} is not a non-negative number"
             )
 
     _check_projections(payload["projections"], problems)
-    return problems
+
+
+def validate_critpath(payload: Any) -> list[str]:
+    """Structural + semantic validation; returns problems (empty = valid)."""
+    return validate_artifact(
+        payload, CRITPATH_SCHEMA, CRITPATH_SCHEMA_VERSION, _check_critpath
+    )
 
 
 def write_critpath(path: str, payload: Mapping[str, Any]) -> str:
-    """Validate and write a critpath payload; returns ``path``.
-
-    Writing an invalid payload is a programming error, not an input
-    error — fail loudly rather than persist a lie.
-    """
-    problems = validate_critpath(payload)
-    if problems:
-        raise ValueError(
-            f"refusing to write invalid critpath result to {path}: "
-            f"{'; '.join(problems)}"
-        )
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    """Validate and write a critpath payload; returns ``path``."""
+    return write_artifact(path, payload, validate_critpath)
 
 
 def load_critpath(path: str) -> dict[str, Any]:
     """Load and validate a ``repro.run.critpath`` file; raises on problems."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    problems = validate_critpath(payload)
-    if problems:
-        raise ValueError(f"{path}: {'; '.join(problems)}")
-    return payload
+    return load_artifact(path, validate_critpath)

@@ -35,9 +35,8 @@ Report/export helpers
     :func:`render_profile_report` (top-N self/cumulative table plus
     the "shm codec hot path" section ranking encode/decode/chunk-copy
     frames against ring-wait time from ``shm.ring.*`` metrics), and
-    :func:`render_profile_diff` / :func:`top_regressed` (shared by
-    ``repro profile --diff`` and the bench gate's function-level
-    regression localization).
+    :func:`render_profile_diff` / :func:`top_regressed` (behind
+    ``repro profile --diff``).
 
 Frame identity is ``path:function:first_lineno`` — a pure function of
 the source tree, which is what makes profile *structure* (the call-site
@@ -310,8 +309,7 @@ def top_regressed(
     old: Mapping[str, float], new: Mapping[str, float], n: int = 5
 ) -> list[tuple[str, float, float, float]]:
     """Frames whose attributed time grew: (frame, old_s, new_s, delta)
-    sorted by delta descending.  Shared by ``repro profile --diff`` and
-    the bench gate's localization hints."""
+    sorted by delta descending (``repro profile --diff``)."""
     rows = []
     for frame, new_s in new.items():
         old_s = old.get(frame, 0.0)

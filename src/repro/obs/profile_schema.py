@@ -31,16 +31,17 @@ seeded builds share is structure — frame ids are
 which is exactly what :func:`validate_profile` pins and what the
 determinism test compares (call-site sets, never counts).
 
-Validation is hand-rolled (the container has no jsonschema), mirroring
-:mod:`repro.obs.schema`: :func:`validate_profile` returns a list of
-human-readable problems — empty means valid.  ``repro profile`` and the
-CI profile smoke job fail on a non-empty list.
+Validation is hand-rolled (the container has no jsonschema) on the
+kernel in :mod:`repro.obs.artifact`: :func:`validate_profile` returns a
+list of human-readable problems — empty means valid.  ``repro profile``
+and the CI profile smoke job fail on a non-empty list.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any, Mapping
+
+from repro.obs.artifact import load_artifact, validate_artifact, write_artifact
 
 __all__ = [
     "PROFILE_FILENAME",
@@ -63,8 +64,6 @@ PROFILE_SCHEMA: dict[str, tuple[bool, Any]] = {
     "lanes": (True, dict),
     "stacks": (True, list),
 }
-
-_NUMBER = (int, float)
 
 
 def _is_count(value: Any) -> bool:
@@ -112,46 +111,8 @@ def build_profile_payload(
     }
 
 
-def validate_profile(payload: Any) -> list[str]:
-    """Structural validation; returns problems (empty list = valid)."""
-    problems: list[str] = []
-    if not isinstance(payload, dict):
-        return [f"payload is {type(payload).__name__}, expected an object"]
-
-    for key, (required, expected) in PROFILE_SCHEMA.items():
-        if key not in payload:
-            if required:
-                problems.append(f"missing required section {key!r}")
-            continue
-        value = payload[key]
-        if isinstance(expected, tuple):
-            if not isinstance(value, expected) or isinstance(value, bool):
-                problems.append(
-                    f"section {key!r} is {type(value).__name__}, expected a number"
-                )
-        elif not isinstance(value, expected):
-            problems.append(
-                f"section {key!r} is {type(value).__name__}, "
-                f"expected {expected.__name__}"
-            )
-    for key in payload:
-        if key not in PROFILE_SCHEMA:
-            problems.append(f"unknown section {key!r}")
-    if problems:
-        return problems
-
-    version = payload["schema"]
-    major = version.rsplit("/", 1)[0]
-    if major != PROFILE_SCHEMA_VERSION.rsplit("/", 1)[0]:
-        problems.append(
-            f"schema {version!r} is not a "
-            f"{PROFILE_SCHEMA_VERSION.rsplit('/', 1)[0]} payload"
-        )
-    elif version != PROFILE_SCHEMA_VERSION:
-        problems.append(
-            f"schema version {version!r} != supported {PROFILE_SCHEMA_VERSION!r}"
-        )
-
+def _check_profile(payload: dict[str, Any], problems: list[str]) -> None:
+    """Positive tick; well-formed lanes and stacks; per-lane stack sums."""
     if payload["interval_s"] <= 0:
         problems.append(f"interval_s: {payload['interval_s']!r} is not positive")
 
@@ -223,31 +184,20 @@ def validate_profile(payload: Any) -> list[str]:
                 f"lanes[{lane!r}]: declares {declared} sample(s) but its "
                 f"stacks sum to {counted}"
             )
-    return problems
+
+
+def validate_profile(payload: Any) -> list[str]:
+    """Structural validation; returns problems (empty list = valid)."""
+    return validate_artifact(
+        payload, PROFILE_SCHEMA, PROFILE_SCHEMA_VERSION, _check_profile
+    )
 
 
 def write_profile(path: str, payload: Mapping[str, Any]) -> str:
-    """Validate and write a profile payload; returns ``path``.
-
-    Writing an invalid payload is a programming error, not an input
-    error — fail loudly rather than persist a lie.
-    """
-    problems = validate_profile(payload)
-    if problems:
-        raise ValueError(
-            f"refusing to write invalid profile to {path}: {'; '.join(problems)}"
-        )
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    """Validate and write a profile payload; returns ``path``."""
+    return write_artifact(path, payload, validate_profile)
 
 
 def load_profile(path: str) -> dict[str, Any]:
     """Load and validate a ``run.profile.json``; raises on problems."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    problems = validate_profile(payload)
-    if problems:
-        raise ValueError(f"{path}: {'; '.join(problems)}")
-    return payload
+    return load_artifact(path, validate_profile)

@@ -19,15 +19,22 @@ Every telemetry-enabled build writes one ``run.metrics.json`` next to
     *only* section allowed to differ between identical seeded builds.
 
 Validation is hand-rolled (the container has no jsonschema): the
-:data:`METRICS_SCHEMA` table drives structural checks and
+:data:`METRICS_SCHEMA` table drives the structural checks shared with
+the other artifacts (:mod:`repro.obs.artifact`) and
 :func:`validate_metrics` returns a list of human-readable problems —
 empty means valid.  ``repro verify`` and CI fail on a non-empty list.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any, Mapping
+
+from repro.obs.artifact import (
+    is_number,
+    load_artifact,
+    validate_artifact,
+    write_artifact,
+)
 
 __all__ = [
     "METRICS_FILENAME",
@@ -54,9 +61,6 @@ METRICS_SCHEMA: dict[str, tuple[bool, type]] = {
     "timings": (True, dict),
 }
 
-_NUMBER = (int, float)
-
-
 def build_payload(
     snapshot: Mapping[str, dict[str, Any]],
     timings: Mapping[str, float],
@@ -75,44 +79,13 @@ def build_payload(
     }
 
 
-def validate_metrics(payload: Any) -> list[str]:
-    """Structural validation; returns problems (empty list = valid)."""
-    problems: list[str] = []
-    if not isinstance(payload, dict):
-        return [f"payload is {type(payload).__name__}, expected an object"]
-
-    for key, (required, expected) in METRICS_SCHEMA.items():
-        if key not in payload:
-            if required:
-                problems.append(f"missing required section {key!r}")
-            continue
-        if not isinstance(payload[key], expected):
-            problems.append(
-                f"section {key!r} is {type(payload[key]).__name__}, "
-                f"expected {expected.__name__}"
-            )
-    for key in payload:
-        if key not in METRICS_SCHEMA:
-            problems.append(f"unknown section {key!r}")
-    if problems:
-        return problems
-
-    version = payload["schema"]
-    major = version.rsplit("/", 1)[0]
-    if major != METRICS_SCHEMA_VERSION.rsplit("/", 1)[0]:
-        problems.append(
-            f"schema {version!r} is not a {METRICS_SCHEMA_VERSION.rsplit('/', 1)[0]} payload"
-        )
-    elif version != METRICS_SCHEMA_VERSION:
-        problems.append(
-            f"schema version {version!r} != supported {METRICS_SCHEMA_VERSION!r}"
-        )
-
+def _check_metrics(payload: dict[str, Any], problems: list[str]) -> None:
+    """Metric values are numbers; histogram buckets and counts add up."""
     for section in ("counters", "gauges", "timings"):
         for name, value in payload[section].items():
             if not isinstance(name, str):
                 problems.append(f"{section}: non-string metric name {name!r}")
-            if not isinstance(value, _NUMBER) or isinstance(value, bool):
+            if not is_number(value):
                 problems.append(
                     f"{section}.{name}: value {value!r} is not a number"
                 )
@@ -129,9 +102,7 @@ def validate_metrics(payload: Any) -> list[str]:
             problems.append(f"{where}: missing key(s) {sorted(missing)}")
             continue
         buckets, counts = hist["buckets"], hist["counts"]
-        if not isinstance(buckets, list) or not all(
-            isinstance(b, _NUMBER) and not isinstance(b, bool) for b in buckets
-        ):
+        if not isinstance(buckets, list) or not all(map(is_number, buckets)):
             problems.append(f"{where}: buckets must be a list of numbers")
             continue
         if sorted(buckets) != buckets or len(set(buckets)) != len(buckets):
@@ -150,31 +121,20 @@ def validate_metrics(payload: Any) -> list[str]:
             problems.append(
                 f"{where}: count {hist['count']} != sum of bucket counts {sum(counts)}"
             )
-    return problems
+
+
+def validate_metrics(payload: Any) -> list[str]:
+    """Structural validation; returns problems (empty list = valid)."""
+    return validate_artifact(
+        payload, METRICS_SCHEMA, METRICS_SCHEMA_VERSION, _check_metrics
+    )
 
 
 def write_metrics(path: str, payload: Mapping[str, Any]) -> str:
-    """Validate and write a metrics payload; returns ``path``.
-
-    Writing an invalid payload is a programming error, not an input
-    error — fail loudly rather than persist a lie.
-    """
-    problems = validate_metrics(payload)
-    if problems:
-        raise ValueError(
-            f"refusing to write invalid metrics to {path}: {'; '.join(problems)}"
-        )
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    """Validate and write a metrics payload; returns ``path``."""
+    return write_artifact(path, payload, validate_metrics)
 
 
 def load_metrics(path: str) -> dict[str, Any]:
     """Load and validate a ``run.metrics.json``; raises on problems."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    problems = validate_metrics(payload)
-    if problems:
-        raise ValueError(f"{path}: {'; '.join(problems)}")
-    return payload
+    return load_artifact(path, validate_metrics)

@@ -13,8 +13,7 @@ Pure functions from telemetry artifacts to numbers and ASCII renderings:
 - :func:`render_metrics_summary` / :func:`render_metrics_diff` — the
   ``repro stats`` report and the two-run regression-triage diff;
 - :func:`metrics_regressions` — the ``--fail-on-regress`` gate behind
-  ``repro stats --diff``, sharing
-  :func:`repro.obs.bench.regression_gate` with ``repro bench --compare``.
+  ``repro stats --diff``, built on :func:`regression_gate`.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ __all__ = [
     "render_trace_summary",
     "render_metrics_summary",
     "render_metrics_diff",
+    "regression_gate",
     "metrics_regressions",
 ]
 
@@ -274,6 +274,18 @@ def render_metrics_diff(
     return "\n".join(lines)
 
 
+def regression_gate(
+    old: float, new: float, rel_threshold: float = 0.10, noise_floor: float = 0.0
+) -> bool:
+    """Did ``new`` worsen past ``max(rel_threshold · old, noise_floor)``?
+
+    A slowdown must clear a *relative* bar (small regressions on big
+    numbers matter) **and** the noise floor (so jitter can never fail a
+    build on its own).  Values are "lower is better" seconds/counts.
+    """
+    return (new - old) > max(rel_threshold * old, noise_floor)
+
+
 def metrics_regressions(
     before: Mapping[str, Any],
     after: Mapping[str, Any],
@@ -282,8 +294,7 @@ def metrics_regressions(
 ) -> list[str]:
     """Timing / stall regressions between two ``run.metrics.json`` payloads.
 
-    The decision rule is :func:`repro.obs.bench.regression_gate` — the
-    same primitive behind ``repro bench --compare`` — applied to:
+    The decision rule is :func:`regression_gate`, applied to:
 
     - every name the two ``timings`` sections share (``stage.*``,
       ``wall_seconds``, ``pipeline.stall.*``, ``pipeline.idle.*``), with
@@ -296,8 +307,6 @@ def metrics_regressions(
     a shape change for the human-readable diff, not a slowdown).
     Returns human-readable lines, empty when nothing worsened.
     """
-    from repro.obs.bench import regression_gate
-
     out: list[str] = []
     t_before = before.get("timings") or {}
     t_after = after.get("timings") or {}

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-__all__ = ["bar_chart", "line_chart", "sparkline"]
+__all__ = ["bar_chart", "line_chart"]
 
 _BLOCKS = "▏▎▍▌▋▊▉█"
-_SPARKS = "▁▂▃▄▅▆▇█"
 
 
 def bar_chart(
@@ -34,15 +33,6 @@ def bar_chart(
         bar = "█" * whole + (_BLOCKS[rem] if rem and whole < width else "")
         lines.append(f"{label.ljust(label_w)} │{bar.ljust(width)}│ {value:.2f}{unit}")
     return "\n".join(lines)
-
-
-def sparkline(series: Sequence[float]) -> str:
-    """One-line sparkline of a series."""
-    if not series:
-        return ""
-    lo, hi = min(series), max(series)
-    span = hi - lo or 1.0
-    return "".join(_SPARKS[int((v - lo) / span * (len(_SPARKS) - 1))] for v in series)
 
 
 def line_chart(

@@ -1,7 +1,7 @@
-"""RPR008 fixture: benchmark-style timeit clocks outside the harness.
+"""RPR008 fixture: benchmark-style timeit clocks outside the fence.
 
 Models the clock misuse a ``benchmarks/bench_*.py`` script would commit:
-timing must flow through the ``repro bench`` harness / util/timing.py,
+timing must flow through ``repro.util.timing`` (now / Timer / Stopwatch),
 not a private ``timeit.default_timer`` read.
 """
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.ascii_chart import bar_chart, line_chart, sparkline
+from repro.util.ascii_chart import bar_chart, line_chart
 
 
 class TestBarChart:
@@ -25,18 +25,6 @@ class TestBarChart:
     def test_zero_values(self):
         out = bar_chart({"a": 0.0, "b": 0.0})
         assert "a" in out  # no division crash
-
-
-class TestSparkline:
-    def test_monotone_shape(self):
-        out = sparkline([1, 2, 3, 4, 5, 6, 7, 8])
-        assert out == "▁▂▃▄▅▆▇█"
-
-    def test_flat_series(self):
-        assert sparkline([5, 5, 5]) == "▁▁▁"
-
-    def test_empty(self):
-        assert sparkline([]) == ""
 
 
 class TestLineChart:
@@ -60,7 +48,6 @@ class TestLineChart:
         xs = list(range(len(ys)))
         out = line_chart(xs, {"s": ys})
         assert isinstance(out, str) and out
-        assert sparkline(ys)
 
 
 class TestTraceRendererDegenerate:

@@ -30,7 +30,6 @@ from repro.obs.critpath import (
     project,
     render_critpath_diff,
     render_critpath_report,
-    summarize_for_bench,
 )
 from repro.obs.critpath_schema import (
     CRITPATH_FILENAME,
@@ -359,19 +358,6 @@ class TestCli:
             os.path.join(built_index, TRACE_FILENAME)
         )
         assert len(events) == len(original) + 1 + len(cp_events)
-
-
-class TestBenchBlock:
-    def test_summarize_for_bench_shape(self, built_index):
-        block = summarize_for_bench(
-            os.path.join(built_index, TRACE_FILENAME)
-        )
-        assert set(block) == {
-            "backend", "wall_s", "path_s", "blame_s", "top_resource",
-        }
-        assert block["backend"] == "serial"
-        assert 0 < block["path_s"] <= block["wall_s"] + 1e-9
-        assert block["top_resource"] in block["blame_s"]
 
 
 # ---------------------------------------------------------------------------

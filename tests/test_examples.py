@@ -8,13 +8,16 @@ preset supports).
 
 from __future__ import annotations
 
+import glob
 import importlib.util
 import os
+import subprocess
 import sys
 
 import pytest
 
 EXAMPLES_DIR = os.path.join(os.path.dirname(__file__), "..", "examples")
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _load(name: str):
@@ -77,3 +80,25 @@ class TestExamples:
         module.main(str(tmp_path))
         out = capsys.readouterr().out
         assert "identical to engine: True" in out
+
+
+def test_every_benchmark_script_imports():
+    """Nothing else in tier-1 imports ``benchmarks/bench_*.py``; a rename
+    in ``src/`` must not leave one of them with a dead import.  A fresh
+    interpreter with ``benchmarks/`` first on ``sys.path`` resolves their
+    ``from conftest import report`` the way pytest's rootdir does."""
+    bench_dir = os.path.join(REPO, "benchmarks")
+    names = sorted(
+        os.path.basename(path)[: -len(".py")]
+        for path in glob.glob(os.path.join(bench_dir, "bench_*.py"))
+    )
+    assert names, bench_dir
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [bench_dir, os.path.join(REPO, "src"), env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", "".join(f"import {name}\n" for name in names)],
+        capture_output=True, text=True, cwd=REPO, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -173,8 +173,8 @@ class TestSelfCheck:
 
     def test_benchmarks_clock_fence_clean(self):
         """``benchmarks/`` honors the RPR008 clock fence (the bench
-        scripts time through util/timing or the ``repro bench`` harness,
-        never ad-hoc time/timeit clocks)."""
+        scripts time through util/timing, never ad-hoc time/timeit
+        clocks)."""
         run = lint_paths([os.path.join(REPO, "benchmarks")], select=["RPR008"])
         assert run.findings == []
 

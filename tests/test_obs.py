@@ -12,6 +12,7 @@ import threading
 
 import pytest
 
+from repro.cli import main
 from repro.obs import runtime
 from repro.obs.metrics import (
     DEFAULT_BYTE_BUCKETS,
@@ -311,3 +312,107 @@ class TestStatsHelpers:
         # union inside root: [1,6] + [9,10] = 6s of 10s
         assert span_coverage(spans, "build") == pytest.approx(0.6)
         assert span_coverage(spans, "missing-root") == 0.0
+
+
+class TestMetricsGate:
+    """``repro stats --diff --fail-on-regress`` and its decision rule."""
+
+    @staticmethod
+    def _metrics(stage_parse: float, stall_events: float = 0.0) -> dict:
+        return {
+            "schema": "repro.run.metrics/1",
+            "meta": {},
+            "counters": {"parse.uncompressed_bytes": 1_000_000},
+            "gauges": {"pipeline.depth": 4},
+            "histograms": {},
+            "timings": {
+                "stage.parse": stage_parse,
+                "wall_seconds": stage_parse * 2,
+                "pipeline.stall.backpressure.events": stall_events,
+            },
+        }
+
+    def test_regression_gate_truth_table(self):
+        from repro.obs.stats import regression_gate
+
+        # 10% bar: a 5% slip holds, a 20% slip gates.
+        assert not regression_gate(1.0, 1.05, rel_threshold=0.10)
+        assert regression_gate(1.0, 1.20, rel_threshold=0.10)
+        # the noise floor absorbs what the relative bar would flag
+        assert not regression_gate(1.0, 1.20, rel_threshold=0.10, noise_floor=0.5)
+        # improvements never gate
+        assert not regression_gate(1.0, 0.5)
+
+    def test_metrics_regressions_fires_on_stage_slowdown(self):
+        from repro.obs.stats import metrics_regressions
+
+        lines = metrics_regressions(self._metrics(1.0), self._metrics(1.5))
+        assert any("stage.parse" in ln for ln in lines)
+
+    def test_metrics_regressions_noise_floor(self):
+        from repro.obs.stats import metrics_regressions
+
+        # +50% on a microsecond stage sits under the absolute floor.
+        assert metrics_regressions(self._metrics(1e-4), self._metrics(1.5e-4)) == []
+
+    def test_metrics_regressions_stall_counter(self):
+        from repro.obs.stats import metrics_regressions
+
+        lines = metrics_regressions(
+            self._metrics(1.0, stall_events=0.0),
+            self._metrics(1.0, stall_events=12.0),
+        )
+        assert any("pipeline.stall.backpressure" in ln for ln in lines)
+
+    def test_cli_fail_on_regress_exit_codes(self, tmp_path, capsys):
+        before = tmp_path / "before.json"
+        after = tmp_path / "after.json"
+        before.write_text(json.dumps(self._metrics(1.0)))
+        after.write_text(json.dumps(self._metrics(2.0)))
+        assert main(["stats", "--diff", str(before), str(after),
+                     "--fail-on-regress", "10"]) == 1
+        assert "regression(s) past 10%" in capsys.readouterr().out
+        assert main(["stats", "--diff", str(before), str(before),
+                     "--fail-on-regress", "10"]) == 0
+        assert "no regressions past 10%" in capsys.readouterr().out
+
+    def test_cli_fail_on_regress_requires_diff(self, tmp_path, capsys):
+        assert main(["stats", str(tmp_path), "--fail-on-regress", "10"]) == 2
+        assert "--diff" in capsys.readouterr().err
+
+
+class TestEmptyCollectionBuild:
+    """Satellite bugfix pin: a zero-document build must degrade cleanly."""
+
+    def test_zero_wall_throughput_and_summary(self, tmp_path):
+        from repro.core.config import PlatformConfig
+        from repro.core.engine import IndexingEngine
+        from repro.corpus.collection import Collection
+        from repro.obs.schema import load_metrics
+        from repro.obs.stats import render_metrics_summary
+
+        coll_dir = tmp_path / "empty"
+        coll_dir.mkdir()
+        coll = Collection(name="empty", directory=str(coll_dir), files=[])
+        coll.save_manifest()
+
+        result = IndexingEngine(PlatformConfig(sample_fraction=0.5)).build(
+            Collection.load("empty", str(coll_dir)), str(tmp_path / "out")
+        )
+        assert result.document_count == 0
+        assert result.measured_throughput_mbps == 0.0  # never a division error
+
+        assert result.metrics_path is not None
+        summary = render_metrics_summary(load_metrics(result.metrics_path))
+        assert "derived measured throughput: 0.00 MB/s" in summary
+        assert "empty or zero-wall build" in summary
+
+    def test_summary_tolerates_sparse_payload(self):
+        from repro.obs.stats import render_metrics_summary
+
+        # Histogram entries missing keys, no timings, no counters.
+        out = render_metrics_summary({
+            "schema": "repro.run.metrics/1",
+            "histograms": {"h": {}},
+        })
+        assert "n=0" in out
