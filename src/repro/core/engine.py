@@ -433,8 +433,11 @@ class IndexingEngine:
             in-flight window first, so the drain and the checkpoint
             record see settled indexer state with empty queues; the
             multiprocess backend's ``drain_run_postings`` additionally
-            pulls refreshed indexer objects out of its workers so the
-            checkpoint and the dictionary epilogue stay authoritative.
+            pulls what the run added out of its workers — postings, each
+            shard's mutation log, a forest-free indexer state — and
+            replays the logs into the engine-side shards, so the
+            checkpoint (which takes those logs) and the dictionary
+            epilogue stay authoritative.
             """
             nonlocal posting_count, run_count, run_file_indices, run_first_doc, run_docs
             with watch.measure("write_runs"), tel.tracer.span(

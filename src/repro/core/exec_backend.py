@@ -159,10 +159,11 @@ class ExecutionBackend:
 
         Called from the engine's ``close_run`` at a quiesced run boundary.
         The base implementation drains the engine-resident indexer
-        objects; the multiprocess backend overrides it to pull postings
-        and refreshed indexer state out of its worker processes (so the
-        checkpoint pickle and the dictionary epilogue keep seeing
-        authoritative objects).
+        objects; the multiprocess backend overrides it to pull the
+        run's postings, mutation logs and forest-free indexer state out
+        of its worker processes and replay the logs engine-side (so the
+        checkpoint and the dictionary epilogue keep seeing authoritative
+        objects).
         """
         run_lists: "dict[int, PostingsList]" = {}
         for indexer in [*self.hooks.cpu_indexers, *self.hooks.gpu_indexers]:

@@ -20,16 +20,20 @@ Ordering contract (byte-identity with serial/threaded):
 - sub-batches are split and dispatched on the engine thread in file
   order, per-slot FIFO rings preserve that order per indexer, and the
   drain window always collects the oldest file first;
-- run boundaries quiesce the window, then pull postings *and refreshed
-  indexer state* out of every worker, so ``close_run``'s checkpoint and
-  the dictionary epilogue operate on authoritative objects.
+- run boundaries quiesce the window, then pull what the run added out
+  of every worker — its postings, its shard's mutation log and a
+  forest-free indexer state — and replay the log into the engine's own
+  copy of the shard, so ``close_run``'s checkpoint and the dictionary
+  epilogue operate on authoritative objects while the bytes on the ring
+  stay proportional to the run, not to the dictionary so far.
 
 Supervision (:mod:`repro.robustness.supervise`) is passive: every
 blocking ring wait doubles as the supervision tick.  A dead or silent
 worker is recovered by restart (fresh rings — a SIGKILL mid-frame
-poisons a ring — state snapshot pushed, journal replayed, already-
-collected replies discarded by task id) or, when budgets or poison say
-stop, by degrading the slot to inline execution on the engine thread.
+poisons a ring — the engine-side indexer, which *is* the state at the
+last install, pickled and pushed, journal replayed, already-collected
+replies discarded by task id) or, when budgets or poison say stop, by
+degrading the slot to inline execution on that same object.
 Worker-side fault-injection counts and metric emissions return as reply
 deltas and are folded into the engine's injector/registry, keeping
 chaos assertions and ``run.metrics.json`` backend-agnostic.
@@ -124,9 +128,8 @@ class _IndexerSlot(_Slot):
         super().__init__(key)
         self.kind = kind
         self.idx = idx
-        #: Pickled indexer state at the last run boundary (or start).
-        self.snapshot = b""
-        #: Every sub-batch dispatched since the snapshot, in order.
+        #: Every sub-batch dispatched since the engine-side indexer was
+        #: last installed (start, run boundary, snapshot), in order.
         self.journal: list[_Journal] = []
         self.by_tid: dict[int, _Journal] = {}
         #: Replayed-task ids whose duplicate "done" replies to skip.
@@ -378,58 +381,68 @@ class MultiprocessBackend(ExecutionBackend):
         return run_lists
 
     def _drain_slot(self, slot: _IndexerSlot) -> "dict[int, PostingsList]":
-        if slot.mode == "process":
-            # The boundary roundtrip ships pickled postings + state over
-            # the result ring — transport `repro critpath` must see as
-            # its own causal edge (ring-wait, not flush).
-            with self.hooks.tel.tracer.span(
-                "drain.wait", cat="pipeline", worker=slot.key,
-                cp=f"boundary:{slot.key}", cp_from=f"index:{slot.key}",
-            ):
-                while slot.mode == "process":
-                    tid = self._next_tid()
-                    tag = f"<boundary::{slot.key}>"
-                    if not self._put(slot, ("boundary", tid), tag=tag):
-                        continue
-                    cmd = self._collect_control(slot, tid, "boundary", tag)
-                    if cmd is None:
-                        continue
-                    _, _, postings_blob, log, state_blob, fc, fe, md, sp, pf = cmd
-                    self._merge_delta(fc, fe, md, sp, pf)
-                    self._install_state(slot, state_blob)
-                    # close_run's checkpoint takes the run's log off the
-                    # installed object, as it does under every backend.
-                    self.hooks.indexer_for(slot.kind, slot.idx).shard.mutation_log += log
-                    return pickle.loads(postings_blob)
-        return self.hooks.indexer_for(slot.kind, slot.idx).drain_postings()
+        cmd = self._control_roundtrip(slot, "boundary")
+        if cmd is None:
+            return self.hooks.indexer_for(slot.kind, slot.idx).drain_postings()
+        # Engine compute from here on, outside ``drain.wait`` — `repro
+        # critpath` blames that span on transport, not on this work.
+        _, _, postings_blob, log, state_blob, fc, fe, md, sp, pf = cmd
+        # Payload only: the telemetry delta on the same frame carries
+        # wall-clock ring counters, and the registry is deterministic.
+        self.hooks.tel.metrics.observe(
+            "mp.boundary.bytes", len(postings_blob) + len(log) + len(state_blob)
+        )
+        self._merge_delta(fc, fe, md, sp, pf)
+        # The forest stays on this side: replay the run's log into it
+        # and put the worker's small state around it.  Replay re-emits
+        # the entries into the shard's own log, where close_run's
+        # checkpoint takes them as under every backend.  A mid-run
+        # snapshot leaves its unjournalled entries in that log already,
+        # and the worker's log then starts with them: skip, not re-apply.
+        obj = pickle.loads(state_blob)
+        shard = self.hooks.indexer_for(slot.kind, slot.idx).shard
+        shard.apply_log(log[len(shard.mutation_log):], recorded=obj.shard)
+        obj.shard = shard
+        self._install(slot, obj)
+        return pickle.loads(postings_blob)
 
     def _refresh_state(self, slot: _IndexerSlot) -> None:
-        """Pull current state out of a worker without draining postings."""
-        if slot.mode != "process":
+        """Pull current state out of a worker without draining postings:
+        the whole indexer, its forest and unjournalled log included."""
+        cmd = self._control_roundtrip(slot, "snapshot")
+        if cmd is None:
             return
+        _, _, state_blob, fc, fe, md, sp, pf = cmd
+        self._merge_delta(fc, fe, md, sp, pf)
+        self._install(slot, pickle.loads(state_blob))
+
+    def _control_roundtrip(self, slot: _IndexerSlot, opname: str) -> tuple | None:
+        """Issue a boundary/snapshot op until its reply arrives; ``None``
+        once the slot runs inline.  The roundtrip is transport `repro
+        critpath` must see as its own causal edge (ring-wait, not flush)."""
+        if slot.mode != "process":
+            return None
         with self.hooks.tel.tracer.span(
             "drain.wait", cat="pipeline", worker=slot.key,
-            cp=f"snapshot:{slot.key}", cp_from=f"index:{slot.key}",
+            cp=f"{opname}:{slot.key}", cp_from=f"index:{slot.key}",
         ):
             while slot.mode == "process":
                 tid = self._next_tid()
-                tag = f"<snapshot::{slot.key}>"
-                if not self._put(slot, ("snapshot", tid), tag=tag):
+                tag = f"<{opname}::{slot.key}>"
+                if not self._put(slot, (opname, tid), tag=tag):
                     continue
-                cmd = self._collect_control(slot, tid, "snapshot", tag)
-                if cmd is None:
-                    continue
-                _, _, state_blob, fc, fe, md, sp, pf = cmd
-                self._merge_delta(fc, fe, md, sp, pf)
-                self._install_state(slot, state_blob)
-                return
+                cmd = self._collect_control(slot, tid, opname, tag)
+                if cmd is not None:
+                    return cmd
+        return None
 
-    def _install_state(self, slot: _IndexerSlot, state_blob: bytes) -> None:
-        """The worker's pickled state becomes the engine's authoritative
-        object and the slot's new replay snapshot; the journal resets."""
+    def _install(self, slot: _IndexerSlot, obj: Any) -> None:
+        """``obj`` is the worker's state as of its last reply: it becomes
+        the engine's authoritative object — which is also what a
+        restarted worker is seeded from and what a degraded slot
+        continues on — and the journal resets."""
         lst = self.hooks.cpu_indexers if slot.kind == "cpu" else self.hooks.gpu_indexers
-        lst[slot.idx] = pickle.loads(state_blob)
-        slot.snapshot = state_blob
+        lst[slot.idx] = obj
         slot.journal.clear()
         slot.by_tid.clear()
         slot.discard.clear()
@@ -445,8 +458,8 @@ class MultiprocessBackend(ExecutionBackend):
             self._refresh_state(slot)
             self.hooks.fail_gpu(ordinal, k)
             if slot.mode == "process":
-                slot.snapshot = pickle.dumps(self.hooks.gpu_indexers[ordinal])
-                self._put(slot, ("state", slot.snapshot))
+                state = pickle.dumps(self.hooks.gpu_indexers[ordinal])
+                self._put(slot, ("state", state))
 
     # ------------------------------------------------------------------ #
     # Parsed stream (parser slots)
@@ -615,7 +628,10 @@ class MultiprocessBackend(ExecutionBackend):
             # Replies for already-collected tasks were consumed once;
             # the fresh incarnation will re-emit them — skip by id.
             slot.discard = {e.tid for e in slot.journal if e.collected}
-            if not self._put(slot, ("state", slot.snapshot), gen=gen):
+            # The engine-side object is the state at the last install —
+            # pickled here, on the fault path, not at every boundary.
+            state = pickle.dumps(self.hooks.indexer_for(slot.kind, slot.idx))
+            if not self._put(slot, ("state", state), gen=gen):
                 return
             for e in list(slot.journal):
                 msg = ("index", e.tid, e.tag, e.doc_offset, e.payload)
@@ -635,21 +651,17 @@ class MultiprocessBackend(ExecutionBackend):
         slot.mode = "inline"
         self.sup.record_degraded(slot.key, requeued=requeued)
         if isinstance(slot, _IndexerSlot):
-            # Rebuild the object from the last boundary snapshot and
-            # replay the journal inline; results the engine never got to
-            # collect become inline results, everything else was already
-            # consumed once and is simply re-applied to reach the same
-            # post-journal state the worker would have had.
-            obj = pickle.loads(slot.snapshot)
+            # The engine-side object is the state at the last install:
+            # replay the journal into it inline; results the engine
+            # never got to collect become inline results, everything
+            # else was already consumed once and is simply re-applied to
+            # reach the same post-journal state the worker would have
+            # had.
+            obj = self.hooks.indexer_for(slot.kind, slot.idx)
             for e in slot.journal:
                 res = obj.index_batch(decode_batch(e.payload), e.doc_offset)
                 if not e.collected:
                     slot.inline_results[e.tid] = res
-            lst = (
-                self.hooks.cpu_indexers if slot.kind == "cpu"
-                else self.hooks.gpu_indexers
-            )
-            lst[slot.idx] = obj
             slot.journal.clear()
             slot.by_tid.clear()
             slot.discard.clear()
@@ -662,9 +674,9 @@ class MultiprocessBackend(ExecutionBackend):
     def _start_workers(self) -> None:
         h = self.hooks
         for slot in self._islots:
-            slot.snapshot = pickle.dumps(h.indexer_for(slot.kind, slot.idx))
             self._spawn(slot)
-            self._put(slot, ("state", slot.snapshot))
+            state = pickle.dumps(h.indexer_for(slot.kind, slot.idx))
+            self._put(slot, ("state", state))
         for slot in self._pslots:
             self._spawn(slot)
         self.sup.report.workers = len(self._islots) + len(self._pslots)

@@ -22,6 +22,15 @@ Protocol, indexer workers (slot keys ``cpu-<i>`` / ``gpu-<j>``)::
     ("snapshot", tid)     -> ("snapshot", tid, state_pickle, delta)
     ("stop",)                                    -> (worker exits)
 
+A ``boundary`` reply is O(run): ``postings_pickle`` is the drained
+accumulator, ``mutation_log`` the shard's forest-changing inserts since
+the previous boundary, and ``state_pickle`` the indexer with its shard's
+forest left out (``BaseIndexer.without_forest`` — counters, device
+state, the id cursor).  The engine replays the log into its own copy of
+the shard; the dictionary so far never crosses the ring again after the
+initial ``state`` push.  ``snapshot`` (mid-run, GPU failover only) and
+``state`` carry the whole indexer, forest and unjournalled log included.
+
 Protocol, parse workers (slot keys ``parser-<w>``)::
 
     ("parse", k, path, tag) -> ("parsed", k, file_bytes, attempts, backoff_s, delta)
@@ -257,19 +266,14 @@ def _indexer_loop(
             else:
                 reply(("done", tid, result, *delta.take()))
         elif op == "boundary":
-            # The log travels beside the state, not in it: the state blob
-            # becomes the engine's replay snapshot, and entries already
-            # journalled must not be replayed into the next record.
-            reply(
-                (
-                    "boundary",
-                    cmd[1],
-                    pickle.dumps(indexer.drain_postings()),
-                    indexer.shard.take_mutation_log(),
-                    pickle.dumps(indexer),
-                    *delta.take(),
-                )
-            )
+            # What the run added, never the dictionary so far: the
+            # engine replays the log into its own copy of the shard, so
+            # the state travels without the forest (the stub a
+            # checkpoint record pickles) and the reply is O(run).
+            postings = pickle.dumps(indexer.drain_postings())
+            log = indexer.shard.take_mutation_log()
+            state = pickle.dumps(indexer.without_forest())
+            reply(("boundary", cmd[1], postings, log, state, *delta.take()))
         elif op == "snapshot":
             reply(("snapshot", cmd[1], pickle.dumps(indexer), *delta.take()))
         else:

@@ -18,7 +18,9 @@ every insert that changed its forest, in order, as packed bytes.  The
 run-boundary checkpoint (:mod:`repro.robustness.checkpoint`) journals the
 log and empties it, so a boundary costs the run's new terms, not the
 dictionary so far; :meth:`DictionaryShard.rebuild` replays the logs into
-an identical forest with identical term ids.
+an identical forest with identical term ids.  The multiprocess backend
+moves a run's dictionary growth between processes the same way
+(:meth:`DictionaryShard.apply_log`).
 """
 
 from __future__ import annotations
@@ -138,32 +140,52 @@ class DictionaryShard:
         stub.mutation_log = bytearray()
         return stub
 
+    def apply_log(
+        self, log: bytes, recorded: "DictionaryShard | None" = None
+    ) -> None:
+        """Replay one mutation log into this forest.
+
+        An insert that is not in a log left its tree untouched, so a
+        forest that holds every earlier log becomes node-for-node the
+        forest the log was taken from, and hands out the same term ids.
+        Replayed inserts change trees, so they are logged again: the
+        applied bytes reappear, unchanged, at the end of
+        :attr:`mutation_log`.  ``recorded`` is a :meth:`without_forest`
+        copy taken where the log was: the id cursor must land exactly
+        where it recorded.  (The trees' work counters count the replay,
+        not the original inserts — every consumer reads them as
+        per-batch deltas.)
+        """
+        pos, end = 0, len(log)
+        while pos < end:
+            cidx, length = _LOG_ENTRY.unpack_from(log, pos)
+            pos += _LOG_ENTRY.size
+            self.tree_for(cidx).insert(log[pos : pos + length])
+            pos += length
+        if recorded is not None:
+            self._check_cursor(recorded._next_id)
+
     def rebuild(self, logs: Iterable[bytes]) -> None:
         """Regrow a :meth:`without_forest` copy's trees from its logs.
 
-        Replays every journalled insert in order.  An insert that is not
-        in the logs left its tree untouched, so the replayed forest is
-        node-for-node the original and hands out the same term ids; the
-        id cursor must therefore land exactly where the copy recorded it.
-        (The trees' work counters restart from the replay — every
-        consumer reads them as per-batch deltas.)
+        Replays every journalled log in order (:meth:`apply_log`) into
+        an empty forest; the id cursor must land where the copy
+        recorded it.
         """
-        base = self.shard_id << SHARD_ID_SPACE_BITS
         expected = self._next_id
         self.trees = {}
-        self._next_id = base
+        self._next_id = self.shard_id << SHARD_ID_SPACE_BITS
         for log in logs:
-            pos, end = 0, len(log)
-            while pos < end:
-                cidx, length = _LOG_ENTRY.unpack_from(log, pos)
-                pos += _LOG_ENTRY.size
-                self.tree_for(cidx).insert(log[pos : pos + length])
-                pos += length
+            self.apply_log(log)
         self.mutation_log.clear()
+        self._check_cursor(expected)
+
+    def _check_cursor(self, expected: int) -> None:
         if self._next_id != expected:
+            base = self.shard_id << SHARD_ID_SPACE_BITS
             raise ValueError(
                 f"shard {self.shard_id}: mutation logs rebuild "
-                f"{self._next_id - base} terms, the checkpoint recorded "
+                f"{self._next_id - base} terms, the log's source recorded "
                 f"{expected - base}"
             )
 

@@ -13,6 +13,7 @@ models consume.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 from repro.dictionary.btree import BTreeStats
@@ -147,3 +148,15 @@ class BaseIndexer:
     def drain_postings(self):
         """End-of-run handoff of accumulated postings (Fig 8)."""
         return self.accumulator.drain()
+
+    def without_forest(self) -> "BaseIndexer":
+        """A shallow copy around :meth:`DictionaryShard.without_forest`.
+
+        The indexer's small state — totals, device counters, the shard's
+        identity and id cursor — without the dictionary: what a
+        checkpoint record pickles, and what a worker process sends home
+        at a run boundary.  The forest travels as mutation logs.
+        """
+        stub = copy.copy(self)
+        stub.shard = self.shard.without_forest()
+        return stub

@@ -330,10 +330,11 @@ def _refine_flush(
     """Split a ``write_run`` span into drain transport vs flush work.
 
     The multiprocess backend's run boundary ships every worker's pickled
-    postings + state over the result rings (the nested ``drain.wait``
-    spans); that is transport the serial build never pays, so it belongs
-    to ring-wait — only the remainder (run-file write, manifest append)
-    is genuine flush.
+    postings, mutation log and forest-free state over the result rings
+    (the nested ``drain.wait`` spans); that is transport the serial build
+    never pays, so it belongs to ring-wait — only the remainder
+    (unpickling and replaying what arrived, run-file write, manifest
+    append) is genuine flush.
     """
     window = [(span.start_s, span.end_s)]
     pieces: list[tuple[str, str, list[Interval]]] = []

@@ -53,7 +53,6 @@ the index.
 
 from __future__ import annotations
 
-import copy
 import json
 import os
 import pickle
@@ -243,9 +242,7 @@ def save_checkpoint(output_dir: str, state: dict, indexers: Sequence[Any]) -> st
     for indexer in indexers:
         log = indexer.shard.take_mutation_log()
         parts += (_U32.pack(len(log)), log)
-        stub = copy.copy(indexer)
-        stub.shard = indexer.shard.without_forest()
-        stubs.append(stub)
+        stubs.append(indexer.without_forest())
     parts.append(pickle.dumps((state, stubs), protocol=pickle.HIGHEST_PROTOCOL))
     payload = b"".join(parts)
     header = _FRAME.pack(len(payload), zlib.crc32(payload))

@@ -1,10 +1,10 @@
 """Worker supervision for the multiprocess execution backend.
 
 :mod:`repro.core.mp_backend` owns the *mechanism* — processes, rings,
-state snapshots, journal replay.  This module owns the *policy* and the
-*bookkeeping*: when is a worker considered crashed or hung, how many
-restarts does it get, when does a sub-batch count as poison, and what
-does the build report about all of it.
+the engine-side indexer state, journal replay.  This module owns the
+*policy* and the *bookkeeping*: when is a worker considered crashed or
+hung, how many restarts does it get, when does a sub-batch count as
+poison, and what does the build report about all of it.
 
 Failure taxonomy (docs/ROBUSTNESS.md, "Process supervision"):
 
@@ -28,7 +28,8 @@ Recovery ladder, in order:
 1. **Restart + requeue** — up to ``max_restarts`` per worker, paced by
    the PR 1 retry/backoff policy.  The engine replays the slot's journal
    (every sub-batch since the last run boundary) into a fresh process
-   seeded with the last state snapshot; side effects stay at-most-once
+   seeded with the engine-side indexer (the worker's state at that
+   boundary, pickled on demand); side effects stay at-most-once
    because all durable writes (run files, manifest, checkpoint) happen
    on the engine, never in workers.
 2. **Degrade** — restart budget exhausted or poison detected: the slot

@@ -56,10 +56,14 @@ def _digest(out_dir: str) -> str:
 
 
 @pytest.fixture(scope="module")
-def serial_reference(tiny_collection, tmp_path_factory):
+def serial_build(tiny_collection, tmp_path_factory):
     out = str(tmp_path_factory.mktemp("chaos_ref") / "idx")
-    IndexingEngine(_cfg(exec_backend="serial")).build(tiny_collection, out)
-    return out
+    return IndexingEngine(_cfg(exec_backend="serial")).build(tiny_collection, out), out
+
+
+@pytest.fixture(scope="module")
+def serial_reference(serial_build):
+    return serial_build[1]
 
 
 def _chaos_build(spec: FaultSpec, tiny_collection, out: str):
@@ -72,6 +76,17 @@ def _assert_recovered(out: str, serial_reference: str) -> dict:
     assert verify_index(out).ok
     assert list_repro_segments() == []
     return load_metrics(os.path.join(out, METRICS_FILENAME))["counters"]
+
+
+def _assert_same_work(result, serial_build) -> None:
+    """Recovery after a run boundary continues from a forest the engine
+    *replayed*; equal bytes do not show it is node-for-node the worker's,
+    equal node visits and splits do."""
+    serial = serial_build[0]
+    assert result.file_works == serial.file_works
+    assert result.indexer_reports == serial.indexer_reports
+    assert result.term_count == serial.term_count
+    assert result.report.total_s == serial.report.total_s  # simulated seconds
 
 
 class TestWorkerCrash:
@@ -92,7 +107,7 @@ class TestWorkerCrash:
         assert counters["supervisor.restarts"] == 1
         assert counters["supervisor.requeued"] >= 1
 
-    def test_sigkilled_gpu_worker_recovers(self, tiny_collection,
+    def test_sigkilled_gpu_worker_recovers(self, tiny_collection, serial_build,
                                            serial_reference, tmp_path):
         out = str(tmp_path / "idx")
         result = _chaos_build(
@@ -102,6 +117,9 @@ class TestWorkerCrash:
         )
         assert result.supervisor.restarts == 1
         _assert_recovered(out, serial_reference)
+        # file_00002 opens the second run: the fresh incarnation was
+        # seeded from the engine-side indexer after one boundary.
+        _assert_same_work(result, serial_build)
 
     def test_sigkilled_parser_requeues_its_files(self, tiny_collection,
                                                  serial_reference, tmp_path):
@@ -146,7 +164,7 @@ class TestWorkerStall:
 
 class TestPoison:
     def test_repeat_killer_task_degrades_the_slot(
-            self, tiny_collection, serial_reference, tmp_path):
+            self, tiny_collection, serial_build, serial_reference, tmp_path):
         """A sub-batch that kills every incarnation must not loop forever:
         after ``poison_threshold`` kills the slot finishes inline."""
         out = str(tmp_path / "idx")
@@ -163,6 +181,9 @@ class TestPoison:
         counters = _assert_recovered(out, serial_reference)
         assert counters["supervisor.degraded"] == 1
         assert counters["supervisor.poisoned"] == 1
+        # file_00004 opens the third run: the slot went inline on the
+        # engine-side indexer after two boundaries.
+        _assert_same_work(result, serial_build)
 
     def test_restart_budget_exhaustion_degrades(
             self, tiny_collection, serial_reference, tmp_path):

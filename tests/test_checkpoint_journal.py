@@ -12,7 +12,11 @@ properties that design rests on:
 * every forest-changing insert is journalled exactly once, however many
   runs the build is cut into (no clock involved: byte counts only);
 * a GPU failover before the crash survives the journal;
-* every backend leaves the shard logs empty after every boundary.
+* every backend leaves the shard logs empty after every boundary;
+* the multiprocess backend moves a run's dictionary growth the same way:
+  its workers' boundary replies, summed, grow with the index and not
+  with the number of runs, and the engine replays each log into its own
+  forest (``DictionaryShard.apply_log``).
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from repro.obs.schema import METRICS_FILENAME, TRACE_FILENAME
 from repro.robustness.checkpoint import (
     CHECKPOINT_FILENAME,
     MANIFEST_FILENAME,
+    BuildManifest,
     _read_records,
     _split_record,
     load_checkpoint,
@@ -303,6 +308,51 @@ def test_journal_grows_with_the_index_not_with_runs(
     assert counters["histograms"]["checkpoint.bytes"]["sum"] == size
 
 
+#: What one more ``PostingsList`` costs a postings pickle beyond its
+#: postings: the 8-byte term-id key, 24 bytes of NEWOBJ / BUILD / state-
+#: dict scaffolding, four memo references of up to 5 bytes, and up to 2
+#: list-opcode bytes for each of ``doc_ids`` and ``tfs``.  A term whose
+#: postings span two runs pays it twice.
+_PER_LIST_PICKLE_BYTES = 48
+#: A postings pickle's fixed part: protocol header, class and attribute
+#: names (≈ 80 bytes), paid once per reply.
+_PICKLE_FIXED_BYTES = 128
+
+
+def test_boundary_replies_grow_with_the_run_not_with_the_dictionary(
+        tiny_collection, tmp_path, keep_journal):
+    """The journal test's twin on the result rings: what the indexer
+    workers ship at run boundaries, summed over a build, is the build's
+    postings + mutation logs + one forest-free stub per reply — cutting
+    the same collection into R runs instead of one adds stubs and
+    per-list pickle overhead, never the dictionary so far."""
+    slots = 4
+    measured = {}
+    for files_per_run in (1, NUM_FILES):
+        out = str(tmp_path / f"idx{files_per_run}")
+        result = IndexingEngine(
+            _cfg(exec_backend="multiprocess", files_per_run=files_per_run)
+        ).build(tiny_collection, out)
+        replies = result.telemetry.metrics.snapshot()["histograms"]["mp.boundary.bytes"]
+        assert replies["count"] == result.run_count * slots
+        _, runs = BuildManifest(out).load()
+        # The last record's stubs are the build's largest (a GPU stub
+        # keeps its device's transfer records).
+        _, stubs = pickle.loads(_split_record(_read_records(_journal(out))[0][-1])[1])
+        measured[files_per_run] = (
+            replies["sum"],
+            sum(run.entry_count for run in runs),
+            max(len(pickle.dumps(stub)) for stub in stubs),
+        )
+    many_bytes, many_lists, stub_bytes = measured[1]
+    one_bytes, one_lists, _ = measured[NUM_FILES]
+    assert many_lists > one_lists
+    assert many_bytes - one_bytes <= (
+        (NUM_FILES - 1) * slots * (stub_bytes + _PICKLE_FIXED_BYTES)
+        + (many_lists - one_lists) * _PER_LIST_PICKLE_BYTES
+    )
+
+
 def test_restarted_worker_does_not_rejournal(tiny_collection, tmp_path,
                                              keep_journal, one_run_journal):
     """A worker SIGKILLed after a boundary is re-seeded from the boundary
@@ -316,6 +366,11 @@ def test_restarted_worker_does_not_rejournal(tiny_collection, tmp_path,
         )
     assert result.supervisor.restarts == 1
     assert _journal_accounting(out)[0] == one_run_journal[0]
+
+
+def _shape(node):
+    """A B-tree node and everything below it, as comparable tuples."""
+    return (node.string_ptrs, node.postings_ptrs, [_shape(c) for c in node.children])
 
 
 def test_replay_rebuilds_the_forest_node_for_node():
@@ -334,16 +389,13 @@ def test_replay_rebuilds_the_forest_node_for_node():
             logs.append(shard.take_mutation_log())
     logs.append(shard.take_mutation_log())
 
-    def shape(node):
-        return (node.string_ptrs, node.postings_ptrs, [shape(c) for c in node.children])
-
     replayed = shard.without_forest()
     assert not replayed.trees
     replayed.rebuild(logs)
     assert not replayed.mutation_log
     assert sorted(replayed.trees) == sorted(shard.trees)
     for cidx, tree in shard.trees.items():
-        assert shape(replayed.trees[cidx].root) == shape(tree.root)
+        assert _shape(replayed.trees[cidx].root) == _shape(tree.root)
         assert replayed.trees[cidx].node_count == tree.node_count
     assert list(replayed.terms()) == list(shard.terms())
     # New terms keep allocating from the same cursor.
@@ -351,6 +403,44 @@ def test_replay_rebuilds_the_forest_node_for_node():
 
     with pytest.raises(ValueError, match="mutation logs rebuild"):
         shard.without_forest().rebuild(logs[:-1])
+
+
+def test_apply_log_extends_a_forest_by_one_run():
+    """The multiprocess boundary in miniature: a forest that holds the
+    first k logs, given log k + 1, is the forest ``rebuild`` grows from
+    all k + 1 — shape, ids, cursor — and the replay logs exactly the
+    bytes it applied, which is what the engine's checkpoint then takes."""
+    import random
+
+    rng = random.Random(5)
+    words = [bytes(rng.choices(b"abcdefgh", k=rng.randint(1, 5))) for _ in range(3000)]
+    worker = DictionaryShard(shard_id=3, degree=2)
+    engine = worker.without_forest()
+
+    def forest(shard):
+        return {cidx: _shape(tree.root) for cidx, tree in shard.trees.items()}
+
+    logs = []
+    for start in range(0, len(words), 600):
+        for i, word in enumerate(words[start : start + 600], start):
+            worker.insert_suffix(7 + i % 2, word)
+        logs.append(worker.take_mutation_log())
+        engine.apply_log(logs[-1], recorded=worker.without_forest())
+        assert engine.take_mutation_log() == logs[-1]
+        rebuilt = worker.without_forest()
+        rebuilt.rebuild(logs)
+        assert forest(engine) == forest(rebuilt) == forest(worker)
+        assert list(engine.terms()) == list(worker.terms())
+    assert engine.insert_suffix(7, b"zzzz") == worker.insert_suffix(7, b"zzzz")
+
+    # A log applied to a forest that missed the one before it lands on
+    # the wrong id cursor.
+    assert worker.take_mutation_log() == engine.take_mutation_log()
+    worker.insert_suffix(8, b"yyyy")
+    worker.take_mutation_log()  # never reaches the engine
+    worker.insert_suffix(8, b"xxxx")
+    with pytest.raises(ValueError, match="mutation logs rebuild"):
+        engine.apply_log(worker.take_mutation_log(), recorded=worker.without_forest())
 
 
 # ---------------------------------------------------------------------- #
@@ -378,3 +468,28 @@ def test_gpu_failover_survives_the_journal(tiny_collection, tmp_path, backend):
     assert failover.gpu_ordinal == 0 and failover.file_index == 1
     assert result.split == expected.split
     assert _digest(out) == _digest(whole)
+
+
+def test_midrun_gpu_failover_is_journalled_once(tiny_collection, tmp_path,
+                                                keep_journal):
+    """With two files per run the GPU dies mid-run: file 0's inserts are
+    in the worker's shard log but in no record yet.  The multiprocess
+    backend's ``snapshot`` brings them to the engine with the forest, so
+    the next boundary's log starts with entries the engine already
+    holds — it must neither drop them nor replay them.  Few, deep,
+    narrow trees make a second replay visible: repeated terms split
+    nodes on the way down, and every split is one more log entry."""
+    gpu_dies = FaultSpec(kind="gpu_fail", gpu_index=0, file_index=1)
+    built = {}
+    for backend in ("serial", "multiprocess"):
+        out = str(tmp_path / backend)
+        cfg = _cfg(exec_backend=backend, files_per_run=2,
+                   btree_degree=2, trie_height=1)
+        with inject(FaultPlan(specs=(gpu_dies,))):
+            built[backend] = IndexingEngine(cfg).build(tiny_collection, out), out
+    (serial, serial_out), (mp, mp_out) = built["serial"], built["multiprocess"]
+    assert len(mp.robustness.gpu_failovers) == 1
+    assert _journal_accounting(mp_out)[0] == _journal_accounting(serial_out)[0]
+    assert mp.indexer_reports == serial.indexer_reports
+    assert mp.file_works == serial.file_works
+    assert _digest(mp_out) == _digest(serial_out)

@@ -116,6 +116,23 @@ class TestAttribution:
         assert len(drains) == 1 and drains[0].resource == "ring-wait"
         assert drains[0].seconds == pytest.approx(2.0)
 
+    def test_write_run_past_a_short_drain_is_flush(self):
+        # The engine unpickles a boundary reply and replays its mutation
+        # log *after* drain.wait closes: engine compute, not transport,
+        # so it must not read as ring-wait.
+        spans = [
+            S("drain.wait", "engine", 6, 6.5, cp="boundary:cpu-0")
+            if s.name == "drain.wait" else s
+            for s in _mp_spans()
+        ]
+        cp = analyze_spans(spans)
+        (drain,) = [e for e in cp.edges if e.detail == "run-drain"]
+        assert drain.seconds == pytest.approx(0.5)
+        blame = cp.blame()
+        assert blame["ring-wait"] == pytest.approx(3.5)
+        assert blame["flush"] == pytest.approx(2.5)  # 6.5-9 of write_run
+        assert sum(blame.values()) == pytest.approx(cp.path_seconds)
+
     def test_same_waits_without_workers_are_stall_in_threaded(self):
         spans = [
             S("build", "engine", 0, 4),

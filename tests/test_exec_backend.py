@@ -53,7 +53,8 @@ def _metric_sections(index_dir: str) -> dict:
     """Deterministic metric sections, with the backend-specific extras cut.
 
     ``pipeline.*`` and ``supervisor.*`` only exist for the concurrent
-    backends, ``shm_san.*`` only when ``REPRO_SANITIZE=ring`` arms the
+    backends, ``mp.*`` (run-boundary frame sizes) only for the
+    multiprocess one, ``shm_san.*`` only when ``REPRO_SANITIZE=ring`` arms the
     ring sanitizer, ``shm.ring.*`` is wall-clock ring telemetry (wait
     polls and occupancy vary run to run), and ``checkpoint.bytes``
     tracks the output directory's path length; everything else must
@@ -65,7 +66,7 @@ def _metric_sections(index_dir: str) -> dict:
         sections[section] = {
             k: v for k, v in payload[section].items()
             if not k.startswith(("pipeline.", "supervisor.", "shm_san.",
-                                 "shm.ring."))
+                                 "shm.ring.", "mp."))
         }
     sections["histograms"].pop("checkpoint.bytes", None)
     return sections

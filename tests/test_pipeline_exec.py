@@ -60,10 +60,11 @@ def _metric_sections(index_dir: str) -> dict:
     ``checkpoint.bytes`` tracks the output directory's path length (the
     checkpoint pickle embeds absolute run paths), so neither is
     comparable across modes; everything else must match exactly.
-    ``supervisor.*`` / ``shm.ring.*`` / ``shm_san.*`` only appear when
-    the CI matrix forces ``REPRO_EXEC_BACKEND=multiprocess`` onto both
-    builds, and are wall-clock or path-length dependent (ring result
-    frames pickle the run paths) — same cut as ``test_exec_backend``.
+    ``supervisor.*`` / ``shm.ring.*`` / ``shm_san.*`` / ``mp.*`` only
+    appear when the CI matrix forces ``REPRO_EXEC_BACKEND=multiprocess``
+    onto both builds, and are wall-clock or path-length dependent (ring
+    result frames pickle the run paths) — same cut as
+    ``test_exec_backend``.
     """
     payload = load_metrics(os.path.join(index_dir, METRICS_FILENAME))
     sections = {}
@@ -71,7 +72,7 @@ def _metric_sections(index_dir: str) -> dict:
         sections[section] = {
             k: v for k, v in payload[section].items()
             if not k.startswith(("pipeline.", "supervisor.", "shm_san.",
-                                 "shm.ring."))
+                                 "shm.ring.", "mp."))
         }
     sections["histograms"].pop("checkpoint.bytes", None)
     return sections
