@@ -36,6 +36,7 @@ inverse of B-tree depth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterator
 
 from repro.dictionary.layout import (
@@ -78,8 +79,20 @@ class BTreeStats:
 
     def merge(self, other: "BTreeStats") -> None:
         """Fold another tree's counters into this one."""
-        for name in self.__dataclass_fields__:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
+        self.searches += other.searches
+        self.inserts += other.inserts
+        self.duplicate_hits += other.duplicate_hits
+        self.node_visits += other.node_visits
+        self.key_comparisons += other.key_comparisons
+        self.cache_resolved += other.cache_resolved
+        self.full_string_fetches += other.full_string_fetches
+        self.splits += other.splits
+        self.shifts += other.shifts
+        self.depth_sum += other.depth_sum
+
+    def snapshot(self) -> tuple[int, ...]:
+        """The counters in field order; subtract two to get a delta."""
+        return _COUNTERS(self)
 
     @property
     def operations(self) -> int:
@@ -98,6 +111,9 @@ class BTreeStats:
         if not self.key_comparisons:
             return 0.0
         return self.cache_resolved / self.key_comparisons
+
+
+_COUNTERS = attrgetter(*BTreeStats.__dataclass_fields__)
 
 
 class BTreeNode:

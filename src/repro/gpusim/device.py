@@ -9,21 +9,12 @@ performance), and launches indexing kernels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.gpusim.costmodel import GPUSpec, TESLA_C1060
 from repro.gpusim.kernel import KernelLaunch, KernelResult, WorkItem
 
-__all__ = ["Device", "TransferRecord"]
-
-
-@dataclass(frozen=True)
-class TransferRecord:
-    """One host↔device copy."""
-
-    direction: str  # "h2d" or "d2h"
-    nbytes: int
-    seconds: float
+__all__ = ["Device"]
 
 
 @dataclass
@@ -33,7 +24,11 @@ class Device:
     device_id: int = 0
     spec: GPUSpec = TESLA_C1060
     allocated_bytes: int = 0
-    transfers: list[TransferRecord] = field(default_factory=list)
+    #: Running host↔device copy totals — O(1) however many batches ran,
+    #: because the device rides in every checkpoint record.
+    h2d_bytes: int = 0
+    d2h_bytes: int = 0
+    transfer_seconds_total: float = 0.0
     kernel_seconds: float = 0.0
     launches: int = 0
 
@@ -63,31 +58,24 @@ class Device:
         """Pre-processing copy (parsed streams → device); returns seconds."""
         self.alloc(nbytes)
         seconds = self.spec.transfer_seconds(nbytes)
-        self.transfers.append(TransferRecord("h2d", nbytes, seconds))
+        self.h2d_bytes += nbytes
+        self.transfer_seconds_total += seconds
         return seconds
 
     def transfer_from_device(self, nbytes: int) -> float:
         """Post-processing copy (postings → host); returns seconds."""
         seconds = self.spec.transfer_seconds(nbytes)
-        self.transfers.append(TransferRecord("d2h", nbytes, seconds))
+        self.d2h_bytes += nbytes
+        self.transfer_seconds_total += seconds
         return seconds
 
     # ------------------------------------------------------------------ #
     # Kernels
     # ------------------------------------------------------------------ #
 
-    def launch(
-        self,
-        items: list[WorkItem],
-        num_blocks: int = 480,
-        schedule: str = "dynamic",
-    ) -> KernelResult:
-        """Run one indexing kernel over the given trie-collection work."""
-        result = KernelLaunch(self.spec, num_blocks=num_blocks, schedule=schedule).run(items)
+    def launch(self, items: list[WorkItem], kernel: KernelLaunch | None = None) -> KernelResult:
+        """Run one indexing kernel (default grid: the paper's 480 dynamic blocks)."""
+        result = (kernel if kernel is not None else KernelLaunch(self.spec)).run(items)
         self.kernel_seconds += result.elapsed_seconds
         self.launches += 1
         return result
-
-    @property
-    def transfer_seconds_total(self) -> float:
-        return sum(t.seconds for t in self.transfers)

@@ -122,7 +122,7 @@ class KernelLaunch:
     def run(self, items: list[WorkItem]) -> KernelResult:
         """Simulate the launch; returns elapsed time and balance stats."""
         spec = self.spec
-        compute, stall, bus, count = self._assign(list(items))
+        compute, stall, bus, count = self._assign(items)
 
         # Hardware residency: how many of an SM's blocks overlap stalls.
         blocks_per_sm = -(-self.num_blocks // spec.num_sms)
@@ -133,12 +133,12 @@ class KernelLaunch:
             for c, s, b in zip(compute, stall, bus)
         ]
         # Blocks map round-robin onto SMs; an SM's elapsed time is the sum
-        # of its blocks' effective cycles (issue slots are serial), with a
-        # fill/drain factor that shrinks as the backlog per SM grows.
+        # of its blocks' effective cycles (issue slots are serial) — idle
+        # blocks still pay their overhead — with a fill/drain factor that
+        # shrinks as the backlog per SM grows.
         sm_cycles = [0.0] * spec.num_sms
         for b, cycles in enumerate(block_cycles):
-            if count[b] or True:  # idle blocks still pay their overhead
-                sm_cycles[b % spec.num_sms] += cycles
+            sm_cycles[b % spec.num_sms] += cycles
         fill_drain = 1.0 + 0.5 / max(1.0, self.num_blocks / spec.num_sms)
         sm_cycles = [c * fill_drain for c in sm_cycles]
 

@@ -58,9 +58,20 @@ class WarpCounters:
     splits: int = 0
     divergent_branches: int = 0
 
-    def merge(self, other: "WarpCounters") -> None:
-        for name in self.__dataclass_fields__:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
+    def merge(self, other: "WarpCounters", times: int = 1) -> None:
+        """Fold ``other`` in ``times`` times over (every charge is linear)."""
+        self.compute_cycles += other.compute_cycles * times
+        self.memory_stall_cycles += other.memory_stall_cycles * times
+        self.bus_cycles += other.bus_cycles * times
+        self.node_loads += other.node_loads * times
+        self.node_writebacks += other.node_writebacks * times
+        self.string_chunk_loads += other.string_chunk_loads * times
+        self.full_string_fetches += other.full_string_fetches * times
+        self.parallel_compares += other.parallel_compares * times
+        self.reductions += other.reductions * times
+        self.shifts += other.shifts * times
+        self.splits += other.splits * times
+        self.divergent_branches += other.divergent_branches * times
 
     @property
     def total_cycles(self) -> float:

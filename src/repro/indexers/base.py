@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from operator import sub
 
 from repro.dictionary.btree import BTreeStats
 from repro.dictionary.dictionary import DictionaryShard
@@ -92,52 +93,47 @@ class BaseIndexer:
         return self.shard.owned is None or collection_index in self.shard.owned
 
     def _owned_collections(self, batch: ParsedBatch) -> list[int]:
-        return [cidx for cidx in batch.collections if self.owns(cidx)]
+        owned = self.shard.owned
+        return [cidx for cidx in batch.collections if owned is None or cidx in owned]
 
-    def _index_collection(
-        self,
-        cidx: int,
-        stream: list[tuple[int, list[bytes]]],
-        doc_offset: int,
-        positions: list[list[int]] | None = None,
-    ) -> IndexerReport:
+    def _index_collection(self, batch: ParsedBatch, cidx: int, doc_offset: int) -> IndexerReport:
         """Consume one trie collection's stream; returns the work report.
 
         This is the inner loop of Fig 4: every suffix is inserted into the
         collection's B-tree (getting the postings pointer) and the
         occurrence appended under the *global* document ID.  When the
-        parser supplied ``positions`` (parallel to ``stream``), each
-        occurrence also records its in-document token position.
+        parser supplied positions (parallel to the stream), each
+        occurrence also records its in-document token position.  Tokens
+        and characters are the parser's per-collection counts.
         """
+        stream = batch.collections[cidx]
         tree = self.shard.tree_for(cidx)
-        before = BTreeStats()
-        before.merge(tree.stats)
+        before = tree.stats.snapshot()
         terms_before = tree.term_count
 
         add_occurrence = self.accumulator.add_occurrence
         insert = tree.insert
-        report = IndexerReport(collections=1)
-        for i, (local_doc, suffixes) in enumerate(stream):
-            global_doc = doc_offset + local_doc
-            report.documents += 1
-            doc_positions = positions[i] if positions is not None else None
-            for j, suffix in enumerate(suffixes):
-                term_id, _ = insert(suffix)
-                add_occurrence(
-                    term_id,
-                    global_doc,
-                    doc_positions[j] if doc_positions is not None else None,
-                )
-                report.characters += len(suffix)
-            report.tokens += len(suffixes)
+        if batch.positions is None:
+            for local_doc, suffixes in stream:
+                global_doc = doc_offset + local_doc
+                for suffix in suffixes:
+                    add_occurrence(insert(suffix)[0], global_doc)
+        else:
+            for (local_doc, suffixes), doc_positions in zip(
+                stream, batch.positions[cidx], strict=True
+            ):
+                global_doc = doc_offset + local_doc
+                for suffix, position in zip(suffixes, doc_positions, strict=True):
+                    add_occurrence(insert(suffix)[0], global_doc, position)
 
-        report.new_terms = tree.term_count - terms_before
-        delta = BTreeStats()
-        delta.merge(tree.stats)
-        for name in BTreeStats.__dataclass_fields__:
-            setattr(delta, name, getattr(delta, name) - getattr(before, name))
-        report.btree = delta
-        return report
+        return IndexerReport(
+            tokens=batch.tokens_per_collection[cidx],
+            new_terms=tree.term_count - terms_before,
+            characters=batch.chars_per_collection[cidx],
+            documents=len(stream),
+            collections=1,
+            btree=BTreeStats(*map(sub, tree.stats.snapshot(), before)),
+        )
 
     def index_batch(self, batch: ParsedBatch, doc_offset: int) -> IndexerReport:
         """Consume all owned collections of one parsed buffer."""

@@ -99,10 +99,7 @@ class CPUIndexer(BaseIndexer):
                 report.merge(self._index_ungrouped(batch, doc_offset))
             else:
                 for cidx in self._owned_collections(batch):
-                    positions = batch.positions.get(cidx) if batch.positions else None
-                    sub = self._index_collection(
-                        cidx, batch.collections[cidx], doc_offset, positions
-                    )
+                    sub = self._index_collection(batch, cidx, doc_offset)
                     sub.modeled_seconds = self._model_collection_seconds(cidx, sub)
                     report.merge(sub)
             tags["tokens"] = report.tokens

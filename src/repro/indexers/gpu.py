@@ -24,6 +24,14 @@ charges**:
   :func:`~repro.gpusim.reduction.warp_find_slot` on every node visit, for
   tests and demonstrations.
 
+Cycles are charged per batch from B-tree op deltas: every
+:class:`~repro.gpusim.warp.WarpExecutor` charge is linear in its event
+count, so the cost of *one* of each event is derived once per
+:class:`~repro.gpusim.costmodel.GPUSpec` by driving the executor's own
+primitives (``_unit_costs``), the collections' cycles are their six
+event counts times those unit costs (one integer matrix product), and
+``warp_counters`` is folded once from the batch's summed counts.
+
 The per-collection cycle totals become :class:`~repro.gpusim.kernel.WorkItem`
 entries; a simulated kernel launch (dynamic round-robin over 480 blocks)
 turns them into elapsed seconds, and PCIe transfers for input streams and
@@ -34,11 +42,15 @@ multi-GPU scaling.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
-from repro.dictionary.btree import BTree, BTreeNode, BTreeStats
+import numpy as np
+
+from repro.dictionary.btree import BTree, BTreeNode
+from repro.gpusim.costmodel import GPUSpec
 from repro.gpusim.device import Device
-from repro.gpusim.kernel import KernelResult, WorkItem
+from repro.gpusim.kernel import KernelLaunch, KernelResult, WorkItem
 from repro.gpusim.reduction import warp_find_slot
 from repro.gpusim.warp import WarpCounters, WarpExecutor
 from repro.dictionary.layout import DEVICE_CHUNK_BYTES
@@ -86,8 +98,7 @@ class GPUIndexer(BaseIndexer):
     ) -> None:
         super().__init__(indexer_id, shard)
         self.device = device if device is not None else Device(device_id=indexer_id)
-        self.num_blocks = num_blocks
-        self.schedule = schedule
+        self.grid = KernelLaunch(self.device.spec, num_blocks, schedule)
         if fidelity not in ("fast", "warp"):
             raise ValueError(f"fidelity must be 'fast' or 'warp', got {fidelity!r}")
         self.fidelity = fidelity
@@ -149,47 +160,54 @@ class GPUIndexer(BaseIndexer):
     def _index_batch_traced(self, batch: ParsedBatch, doc_offset: int) -> GPUBatchReport:
         owned = self._owned_collections(batch)
         report = IndexerReport()
-        items: list[WorkItem] = []
 
         # Pre-processing: ship this batch's owned streams to device memory
-        # in the Fig 6 length-prefixed layout.
-        h2d_bytes = 0
-        for cidx in owned:
-            for _, suffixes in batch.collections[cidx]:
-                h2d_bytes += sum(len(s) + 1 for s in suffixes) + 8  # +docID header
+        # in the Fig 6 length-prefixed layout (+ a docID header per entry),
+        # sized from the parser's per-collection counts.  The device-memory
+        # check fires here, before any tree is touched.
+        h2d_bytes = sum(
+            batch.chars_per_collection[cidx] + batch.tokens_per_collection[cidx]
+            + 8 * len(batch.collections[cidx])
+            for cidx in owned
+        )
         self.device.free_all()
         h2d_seconds = self.device.transfer_to_device(h2d_bytes) if h2d_bytes else 0.0
 
-        for cidx in owned:
-            warp = WarpExecutor(self.device.spec)
-            tree = self.shard.tree_for(cidx)
-            if self.fidelity == "warp":
-                tree.find_slot_hook = self._warp_hook
-            try:
-                positions = batch.positions.get(cidx) if batch.positions else None
-                sub = self._index_collection(
-                    cidx, batch.collections[cidx], doc_offset, positions
-                )
-            finally:
+        # Warp fidelity swaps the slot search of this batch's trees only.
+        hooked = [self.shard.tree_for(cidx) for cidx in owned] if self.fidelity == "warp" else []
+        for tree in hooked:
+            tree.find_slot_hook = self._warp_hook
+        events: list[tuple[int, ...]] = []
+        try:
+            for cidx in owned:
+                sub = self._index_collection(batch, cidx, doc_offset)
+                delta = sub.btree
+                events.append((
+                    # Term strings (+ length prefixes) stage through shared
+                    # memory in 512B coalesced chunks.
+                    -(-(sub.characters + sub.tokens) // DEVICE_CHUNK_BYTES),
+                    delta.node_visits, delta.full_string_fetches,
+                    delta.inserts, delta.splits, sub.tokens,
+                ))
+                report.merge(sub)
+        finally:
+            for tree in hooked:
                 tree.find_slot_hook = None
-            self._charge_collection(warp, sub.btree, sub.characters, sub.tokens)
-            sub.modeled_seconds = self.device.spec.seconds(warp.counters.total_cycles)
-            report.merge(sub)
-            self.warp_counters.merge(warp.counters)
-            items.append(
-                WorkItem(
-                    key=cidx,
-                    compute_cycles=warp.counters.compute_cycles,
-                    memory_stall_cycles=warp.counters.memory_stall_cycles,
-                    bus_cycles=warp.counters.bus_cycles,
-                )
-            )
 
-        kernel = (
-            self.device.launch(items, num_blocks=self.num_blocks, schedule=self.schedule)
-            if items
-            else None
-        )
+        # Every charge is linear in its event count: a collection's cycles
+        # are its event counts times the unit costs, and the batch's summed
+        # counts give the totals of charging collection by collection.
+        spec = self.device.spec
+        units, unit_cycles = _unit_costs(spec)
+        counts = np.array(events, dtype=np.int64).reshape(-1, len(units))
+        cycles = (counts @ unit_cycles).astype(float).tolist()
+        items = [WorkItem(cidx, *charged) for cidx, charged in zip(owned, cycles)]
+        for item in items:  # in collection order: float addition is not associative
+            report.modeled_seconds += spec.seconds(item.total_cycles)
+        for unit, count in zip(units, counts.sum(axis=0).tolist()):
+            self.warp_counters.merge(unit, count)
+
+        kernel = self.device.launch(items, self.grid) if items else None
         # Post-processing: postings generated this batch flow back to the
         # host for the run writer.
         d2h_bytes = report.tokens * _POSTING_BYTES
@@ -226,33 +244,32 @@ class GPUIndexer(BaseIndexer):
             )
             reg.set_gauge(f"gpu.{dev}.load_imbalance", out.kernel.load_imbalance)
 
-    def _charge_collection(
-        self, warp: WarpExecutor, delta: BTreeStats, characters: int, tokens: int
-    ) -> None:
-        """Charge warp cycles for one collection's B-tree op deltas.
 
-        Identical totals in both fidelity modes: events, not wall time,
-        drive the charges.
-        """
-        # Stage the collection's term strings through shared memory in
-        # 512B coalesced chunks.
-        stream_bytes = characters + tokens  # + length prefixes
-        if stream_bytes:
-            warp.load_string_chunk(count=-(-stream_bytes // DEVICE_CHUNK_BYTES))
-        # Per node visit: coalesced node load + one SIMD compare step
-        # against the 4-byte caches + the Fig 7 reduction.
-        if delta.node_visits:
-            warp.load_node(count=delta.node_visits)
-            warp.parallel_compare(count=delta.node_visits)
-            warp.reduce(count=delta.node_visits)
-        # Cache ties dereference the full string (uncoalesced).
-        if delta.full_string_fetches:
-            warp.fetch_full_string(_AVG_FETCH_BYTES, count=delta.full_string_fetches)
-        # Inserts shift larger keys right and dirty the node.
-        if delta.inserts:
-            warp.shift(0, count=delta.inserts)
-            warp.writeback_node(count=delta.inserts)
-        if delta.splits:
-            warp.split(count=delta.splits)
-        # Scalar bookkeeping: doc-ID handling, postings append per token.
-        warp.scalar_op(steps=2 * tokens)
+@functools.lru_cache(maxsize=None)
+def _unit_costs(spec: GPUSpec) -> tuple[tuple[WarpCounters, ...], np.ndarray]:
+    """What one of each charged event costs on ``spec`` (shared: read-only).
+
+    In the order a collection's charges are laid out: a staged 512B string
+    chunk, a node visit, a cache tie, an insert, a split, a token.  Returns
+    the six unit counters and their (compute, stall, bus) cycles as an
+    integer matrix — every cycle charge is a whole number, so counts times
+    units is exact.
+    """
+    chunk, visit, tie, insert, split, token = (WarpExecutor(spec) for _ in range(6))
+    chunk.load_string_chunk()
+    # Per node visit: coalesced node load + one SIMD compare step against
+    # the 4-byte caches + the Fig 7 reduction.
+    visit.load_node()
+    visit.parallel_compare()
+    visit.reduce()
+    # Cache ties dereference the full string (uncoalesced).
+    tie.fetch_full_string(_AVG_FETCH_BYTES)
+    # Inserts shift larger keys right and dirty the node.
+    insert.shift(0)
+    insert.writeback_node()
+    split.split()
+    # Scalar bookkeeping: doc-ID handling, postings append per token.
+    token.scalar_op(steps=2)
+    units = tuple(w.counters for w in (chunk, visit, tie, insert, split, token))
+    cycles = [(u.compute_cycles, u.memory_stall_cycles, u.bus_cycles) for u in units]
+    return units, np.array(cycles, dtype=np.int64)

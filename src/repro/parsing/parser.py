@@ -45,8 +45,16 @@ class ParseMetrics:
     collections_touched: int = 0
 
     def merge(self, other: "ParseMetrics") -> None:
-        for name in self.__dataclass_fields__:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
+        self.compressed_bytes += other.compressed_bytes
+        self.uncompressed_bytes += other.uncompressed_bytes
+        self.num_docs += other.num_docs
+        self.chars_scanned += other.chars_scanned
+        self.tokens_raw += other.tokens_raw
+        self.tokens_stopped += other.tokens_stopped
+        self.tokens_emitted += other.tokens_emitted
+        self.suffix_chars += other.suffix_chars
+        self.stem_cache_misses += other.stem_cache_misses
+        self.collections_touched += other.collections_touched
 
 
 @dataclass

@@ -33,7 +33,10 @@ from repro.core import engine as engine_module
 from repro.core.config import PlatformConfig
 from repro.core.engine import IndexingEngine
 from repro.dictionary.dictionary import DictionaryShard
+from repro.indexers.cpu import CPUIndexer
+from repro.indexers.gpu import GPUIndexer
 from repro.obs.schema import METRICS_FILENAME, TRACE_FILENAME
+from repro.parsing.parser import Parser
 from repro.robustness.checkpoint import (
     CHECKPOINT_FILENAME,
     MANIFEST_FILENAME,
@@ -336,8 +339,8 @@ def test_boundary_replies_grow_with_the_run_not_with_the_dictionary(
         replies = result.telemetry.metrics.snapshot()["histograms"]["mp.boundary.bytes"]
         assert replies["count"] == result.run_count * slots
         _, runs = BuildManifest(out).load()
-        # The last record's stubs are the build's largest (a GPU stub
-        # keeps its device's transfer records).
+        # The last record's stubs are the build's largest (their
+        # counters' integers only widen).
         _, stubs = pickle.loads(_split_record(_read_records(_journal(out))[0][-1])[1])
         measured[files_per_run] = (
             replies["sum"],
@@ -351,6 +354,24 @@ def test_boundary_replies_grow_with_the_run_not_with_the_dictionary(
         (NUM_FILES - 1) * slots * (stub_bytes + _PICKLE_FIXED_BYTES)
         + (many_lists - one_lists) * _PER_LIST_PICKLE_BYTES
     )
+
+
+@pytest.mark.parametrize("kind", [CPUIndexer, GPUIndexer])
+def test_indexer_stub_size_does_not_grow_with_batches(kind):
+    """A stub rides in every checkpoint record and every multiprocess
+    boundary reply, so nothing in it may keep a per-batch history (the
+    device's transfer list did): after 200 batches only the counters'
+    integers are wider than after 2."""
+    parser = Parser(strip_html=False)
+    batch, _ = parser.parse_texts(["parallel indexers build inverted files",
+                                   "quickly on heterogeneous platforms"])
+    indexer = kind(0, DictionaryShard(parser.trie))
+    sizes = {}
+    for n in range(1, 201):
+        indexer.index_batch(batch, doc_offset=n * batch.num_docs)
+        indexer.drain_postings()  # what a run boundary does before it pickles
+        sizes[n] = len(pickle.dumps(indexer.without_forest()))
+    assert 0 <= sizes[200] - sizes[2] <= 32
 
 
 def test_restarted_worker_does_not_rejournal(tiny_collection, tmp_path,

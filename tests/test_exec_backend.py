@@ -18,9 +18,10 @@ from repro.core.config import EXEC_BACKEND_ENV, PlatformConfig
 from repro.core.engine import IndexingEngine
 from repro.core.exec_backend import resolve_backend_name
 from repro.core.shm_ring import list_repro_segments
-from repro.obs.schema import METRICS_FILENAME, TRACE_FILENAME, load_metrics
+from repro.obs.schema import METRICS_FILENAME, TRACE_FILENAME
 from repro.robustness.checkpoint import CHECKPOINT_FILENAME, MANIFEST_FILENAME
 from repro.robustness.supervise import SupervisorPolicy
+from tests.conftest import deterministic_metric_sections
 
 _BUILD_LOGS = {MANIFEST_FILENAME, CHECKPOINT_FILENAME,
                METRICS_FILENAME, TRACE_FILENAME}
@@ -47,29 +48,6 @@ def _digest(out_dir: str) -> str:
         with open(os.path.join(out_dir, name), "rb") as fh:
             h.update(fh.read())
     return h.hexdigest()
-
-
-def _metric_sections(index_dir: str) -> dict:
-    """Deterministic metric sections, with the backend-specific extras cut.
-
-    ``pipeline.*`` and ``supervisor.*`` only exist for the concurrent
-    backends, ``mp.*`` (run-boundary frame sizes) only for the
-    multiprocess one, ``shm_san.*`` only when ``REPRO_SANITIZE=ring`` arms the
-    ring sanitizer, ``shm.ring.*`` is wall-clock ring telemetry (wait
-    polls and occupancy vary run to run), and ``checkpoint.bytes``
-    tracks the output directory's path length; everything else must
-    match exactly across backends.
-    """
-    payload = load_metrics(os.path.join(index_dir, METRICS_FILENAME))
-    sections = {}
-    for section in ("counters", "gauges", "histograms"):
-        sections[section] = {
-            k: v for k, v in payload[section].items()
-            if not k.startswith(("pipeline.", "supervisor.", "shm_san.",
-                                 "shm.ring.", "mp."))
-        }
-    sections["histograms"].pop("checkpoint.bytes", None)
-    return sections
 
 
 class TestResolution:
@@ -128,7 +106,7 @@ class TestByteIdentity:
             tiny_collection, out
         )
         assert _digest(out) == _digest(reference)
-        assert _metric_sections(out) == _metric_sections(reference)
+        assert deterministic_metric_sections(out) == deterministic_metric_sections(reference)
         if backend == "multiprocess":
             assert result.supervisor is not None
             assert result.supervisor.clean

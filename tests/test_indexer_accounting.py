@@ -1,0 +1,313 @@
+"""Indexer accounting: work counters are outputs, so they are pinned.
+
+B-tree node visits, splits and warp cycles feed ``FileWork``,
+``IndexerReport`` and the discrete-event replay, so the paper's simulated
+figures move if the bookkeeping around the indexing loop drops or
+reorders a charge.  The golden digests below were recorded at the commit
+*before* the indexers switched to per-batch accounting (PR 19) and must
+not change when the bookkeeping is restructured.  The parent's
+per-collection accounting and inner loop are kept here as oracles for the
+closed-form cycle charges and the restructured loop.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.core.config import PlatformConfig
+from repro.core.engine import IndexingEngine
+from repro.corpus.synthetic import CollectionSpec, SegmentSpec, generate_collection
+from repro.dictionary.btree import BTreeStats
+from repro.dictionary.dictionary import DictionaryShard
+from repro.dictionary.layout import DEVICE_CHUNK_BYTES
+from repro.dictionary.trie import TrieTable
+from repro.gpusim.costmodel import TESLA_C1060, GPUSpec
+from repro.gpusim.device import Device
+from repro.gpusim.kernel import KernelLaunch, WorkItem
+from repro.gpusim.warp import WarpCounters, WarpExecutor
+from repro.indexers.base import IndexerReport
+from repro.indexers.cpu import CPUIndexer
+from repro.indexers.gpu import GPUIndexer
+from repro.parsing.parser import ParseMetrics, Parser
+from repro.parsing.regroup import ParsedBatch
+
+_PINNED_SPEC = CollectionSpec(
+    name="pinned",
+    seed=19,
+    segments=(
+        SegmentSpec(
+            name="main", num_files=3, docs_per_file=40, tokens_per_doc_mean=150,
+            vocab_size=30000, zipf_s=1.0, html=True,
+        ),
+        SegmentSpec(
+            name="tail", num_files=2, docs_per_file=25, tokens_per_doc_mean=80,
+            vocab_size=9000, zipf_s=0.9, html=True,
+        ),
+    ),
+)
+
+
+#: Recorded at b7544de (the parent of PR 19), before any source file changed.
+_PINNED_AT_PARENT = {
+    "indexer_reports": "d58226db962e69ef",
+    "file_works": "bf470239952f35ca",
+    "report": "2b15ced4050481fe",
+    "warp_counters": "30e17b2e319c8c10",
+    "device": "51a8468ea4c59ec8",
+    "batches": "42b1030197910dd9",
+}
+
+
+def _digest(value: object) -> str:
+    """``repr`` keeps every float bit: equal digests mean bit-equal floats."""
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def test_work_counters_are_pinned(tmp_path, monkeypatch):
+    collection = generate_collection(_PINNED_SPEC, str(tmp_path / "corpus"))
+    batches: list[tuple[GPUIndexer, object]] = []
+    index_batch = GPUIndexer.index_batch
+
+    def recording(self, batch, doc_offset):
+        out = index_batch(self, batch, doc_offset)
+        batches.append((self, out))
+        return out
+
+    monkeypatch.setattr(GPUIndexer, "index_batch", recording)
+    config = PlatformConfig(
+        num_parsers=2, num_cpu_indexers=1, num_gpus=1, files_per_run=1,
+        exec_backend="serial", pipeline_depth=0, telemetry=False,
+    )
+    result = IndexingEngine(config).build(collection, str(tmp_path / "index"))
+
+    gpus = list({id(ix): ix for ix, _ in batches}.values())
+    assert len(gpus) == 1 and len(batches) == 5
+    # The pin is only worth something if every charged event occurs.
+    gpu_stats = result.indexer_reports["gpu100"].btree
+    assert gpu_stats.splits and gpu_stats.full_string_fetches and gpu_stats.inserts
+
+    report = result.report
+    digests = {
+        "indexer_reports": _digest(sorted(result.indexer_reports.items())),
+        "file_works": _digest(result.file_works),
+        # The config echoes every knob; the simulated seconds are the output.
+        "report": _digest(
+            (dataclasses.replace(report.pipeline, config=None),
+             report.sampling_s, report.dict_combine_s, report.dict_write_s,
+             report.total_terms, report.total_s)
+        ),
+        "warp_counters": _digest([ix.warp_counters for ix in gpus]),
+        "device": _digest(
+            [(ix.device.kernel_seconds, ix.device.launches,
+              ix.device.transfer_seconds_total) for ix in gpus]
+        ),
+        "batches": _digest(
+            [
+                (
+                    [(w.key, w.compute_cycles, w.memory_stall_cycles, w.bus_cycles)
+                     for w in out.work_items],
+                    out.kernel.elapsed_cycles, out.kernel.elapsed_seconds,
+                    out.kernel.block_cycles, out.kernel.items_per_block,
+                    out.h2d_seconds, out.d2h_seconds,
+                    out.report,
+                )
+                for _, out in batches
+            ]
+        ),
+    }
+    assert digests == _PINNED_AT_PARENT
+
+
+# --------------------------------------------------------------------------- #
+# The parent's accounting, kept verbatim as the oracle
+# --------------------------------------------------------------------------- #
+
+
+def _charge_collection(warp: WarpExecutor, delta: BTreeStats, characters: int, tokens: int) -> None:
+    """``GPUIndexer._charge_collection`` as it was before PR 19."""
+    stream_bytes = characters + tokens  # + length prefixes
+    if stream_bytes:
+        warp.load_string_chunk(count=-(-stream_bytes // DEVICE_CHUNK_BYTES))
+    if delta.node_visits:
+        warp.load_node(count=delta.node_visits)
+        warp.parallel_compare(count=delta.node_visits)
+        warp.reduce(count=delta.node_visits)
+    if delta.full_string_fetches:
+        warp.fetch_full_string(8, count=delta.full_string_fetches)
+    if delta.inserts:
+        warp.shift(0, count=delta.inserts)
+        warp.writeback_node(count=delta.inserts)
+    if delta.splits:
+        warp.split(count=delta.splits)
+    warp.scalar_op(steps=2 * tokens)
+
+
+def _index_collection(indexer, cidx, stream, doc_offset, positions=None) -> IndexerReport:
+    """``BaseIndexer._index_collection`` as it was before PR 19."""
+    tree = indexer.shard.tree_for(cidx)
+    before = BTreeStats()
+    before.merge(tree.stats)
+    terms_before = tree.term_count
+    report = IndexerReport(collections=1)
+    for i, (local_doc, suffixes) in enumerate(stream):
+        report.documents += 1
+        doc_positions = positions[i] if positions is not None else None
+        for j, suffix in enumerate(suffixes):
+            term_id, _ = tree.insert(suffix)
+            indexer.accumulator.add_occurrence(
+                term_id, doc_offset + local_doc,
+                doc_positions[j] if doc_positions is not None else None,
+            )
+            report.characters += len(suffix)
+        report.tokens += len(suffixes)
+    report.new_terms = tree.term_count - terms_before
+    for name in BTreeStats.__dataclass_fields__:
+        setattr(report.btree, name, getattr(tree.stats, name) - getattr(before, name))
+    return report
+
+
+class _ScriptedGPU(GPUIndexer):
+    """A GPU indexer whose collection ``i`` 'does' exactly ``script[i]``."""
+
+    def __init__(self, spec: GPUSpec, script) -> None:
+        super().__init__(0, DictionaryShard(TrieTable()), device=Device(spec=spec))
+        self.script = script
+
+    def _index_collection(self, batch, cidx, doc_offset):
+        characters, tokens = self.script[cidx][:2]
+        return IndexerReport(
+            tokens=tokens, characters=characters, collections=1,
+            btree=_delta(self.script[cidx]),
+        )
+
+
+def _delta(work) -> BTreeStats:
+    _, _, visits, fetches, inserts, splits = work
+    return BTreeStats(node_visits=visits, full_string_fetches=fetches,
+                      inserts=inserts, splits=splits)
+
+
+_OTHER_SPEC = GPUSpec(
+    name="not a C1060", num_sms=14, clock_hz=1.15e9, mem_latency_cycles=437,
+    coalesced_line_bytes=128, peak_bandwidth_bytes=77e9,
+)
+#: characters, tokens, node visits, cache ties, inserts, splits — zeros
+#: included, because the parent skipped a charge whose count was zero.
+_collection_work = st.tuples(
+    st.integers(0, 10**7), st.integers(0, 10**6), st.integers(0, 10**8),
+    st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**5),
+)
+
+
+@pytest.mark.parametrize("spec", [TESLA_C1060, _OTHER_SPEC], ids=["c1060", "other"])
+@given(script=st.lists(_collection_work, min_size=1, max_size=8))
+def test_closed_form_equals_the_warp_executor(spec, script):
+    gpu = _ScriptedGPU(spec, script)
+    batch = ParsedBatch(
+        parser_id=0, sequence=0, source_file="f",
+        collections={cidx: [] for cidx in range(len(script))},
+        tokens_per_collection={cidx: work[1] for cidx, work in enumerate(script)},
+        chars_per_collection={cidx: work[0] for cidx, work in enumerate(script)},
+    )
+    out = gpu.index_batch(batch, 0)
+
+    counters, items, modeled = WarpCounters(), [], 0.0
+    for cidx, work in enumerate(script):
+        warp = WarpExecutor(spec)
+        _charge_collection(warp, _delta(work), characters=work[0], tokens=work[1])
+        modeled += spec.seconds(warp.counters.total_cycles)
+        counters.merge(warp.counters)
+        items.append(WorkItem(
+            key=cidx,
+            compute_cycles=warp.counters.compute_cycles,
+            memory_stall_cycles=warp.counters.memory_stall_cycles,
+            bus_cycles=warp.counters.bus_cycles,
+        ))
+    # ``repr``: 5 == 5.0, but a cycle count that turned from float to int
+    # would change every pickled checkpoint and printed report.
+    assert repr(out.work_items) == repr(items)
+    assert repr(gpu.warp_counters) == repr(counters)
+    assert repr(out.report.modeled_seconds) == repr(modeled)
+    assert out.kernel.elapsed_cycles == KernelLaunch(spec).run(items).elapsed_cycles
+
+
+# --------------------------------------------------------------------------- #
+# The functional loop: same trees, postings and reports as the parent's
+# --------------------------------------------------------------------------- #
+
+_TEXTS = [
+    "parallel indexers build inverted files quickly on heterogeneous platforms",
+    "the indexers consume parsed streams while parsers produce them parallel parallel",
+    "parallel parsing with trie collections groups terms for cache locality",
+]
+
+
+def _postings(indexer):
+    return {
+        term_id: (plist.doc_ids, plist.tfs, plist.positions)
+        for term_id, plist in indexer.accumulator.lists.items()
+    }
+
+
+@pytest.mark.parametrize("positional", [False, True])
+@pytest.mark.parametrize("kind", [CPUIndexer, GPUIndexer])
+def test_index_collection_matches_the_parent_loop(kind, positional):
+    parser = Parser(strip_html=False, positional=positional)
+    batch, _ = parser.parse_texts(_TEXTS)
+    assert (batch.positions is not None) == positional
+    new = kind(0, DictionaryShard(parser.trie))
+    old = kind(0, DictionaryShard(parser.trie))
+    for cidx, stream in batch.collections.items():
+        positions = batch.positions[cidx] if positional else None
+        # The parent counted tokens and characters itself; the parser's
+        # per-collection counts, used now, must say the same.
+        assert new._index_collection(batch, cidx, 7) == _index_collection(
+            old, cidx, stream, 7, positions
+        )
+    assert _postings(new) == _postings(old)
+    assert any(positions for _, _, positions in _postings(new).values()) == positional
+    assert list(new.shard.terms()) == list(old.shard.terms())
+
+
+def test_misaligned_positions_are_rejected():
+    parser = Parser(strip_html=False, positional=True)
+    batch, _ = parser.parse_texts(_TEXTS)
+    cidx = max(batch.collections, key=lambda c: len(batch.collections[c]))
+    batch.positions[cidx].pop()
+    indexer = CPUIndexer(0, DictionaryShard(parser.trie))
+    with pytest.raises(ValueError):
+        indexer._index_collection(batch, cidx, 0)
+
+
+def test_device_memory_check_fires_before_any_tree_changes():
+    parser = Parser(strip_html=False)
+    batch, _ = parser.parse_texts(_TEXTS)
+    tiny = GPUSpec(device_memory_bytes=16)
+    gpu = GPUIndexer(0, DictionaryShard(parser.trie), device=Device(spec=tiny))
+    with pytest.raises(MemoryError):
+        gpu.index_batch(batch, 0)
+    assert not gpu.shard.trees and not gpu.accumulator.lists
+    assert gpu.warp_counters == WarpCounters() and gpu.total == IndexerReport()
+
+
+@pytest.mark.parametrize("cls", [BTreeStats, WarpCounters, ParseMetrics])
+def test_unrolled_merges_cover_every_field(cls):
+    """An explicit field list can forget a field; a reflective loop could not."""
+    n = len(cls.__dataclass_fields__)
+    total = cls(*range(1, n + 1))
+    total.merge(cls(*range(100, 100 + n)))
+    assert total == cls(*(101 + 2 * i for i in range(n)))
+
+
+def test_snapshot_and_scaled_merge():
+    stats = BTreeStats(*range(5, 15))
+    assert stats.snapshot() == tuple(range(5, 15))
+    assert BTreeStats(*stats.snapshot()) == stats
+    folded = WarpCounters()
+    folded.merge(WarpCounters(*range(1, 13)), 7)
+    assert folded == WarpCounters(*range(7, 91, 7))

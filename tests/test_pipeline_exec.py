@@ -27,6 +27,7 @@ from repro.robustness.checkpoint import (
 )
 from repro.robustness.errors import FatalFault
 from repro.robustness.faults import FaultPlan, FaultSpec, inject
+from tests.conftest import deterministic_metric_sections
 
 _BUILD_LOGS = {MANIFEST_FILENAME, CHECKPOINT_FILENAME,
                METRICS_FILENAME, TRACE_FILENAME}
@@ -53,31 +54,6 @@ def _digest(out_dir: str) -> str:
     return h.hexdigest()
 
 
-def _metric_sections(index_dir: str) -> dict:
-    """Deterministic metric sections, with the pipelined-only extras cut.
-
-    ``pipeline.*`` gauges/histograms only exist in pipelined builds and
-    ``checkpoint.bytes`` tracks the output directory's path length (the
-    checkpoint pickle embeds absolute run paths), so neither is
-    comparable across modes; everything else must match exactly.
-    ``supervisor.*`` / ``shm.ring.*`` / ``shm_san.*`` / ``mp.*`` only
-    appear when the CI matrix forces ``REPRO_EXEC_BACKEND=multiprocess``
-    onto both builds, and are wall-clock or path-length dependent (ring
-    result frames pickle the run paths) — same cut as
-    ``test_exec_backend``.
-    """
-    payload = load_metrics(os.path.join(index_dir, METRICS_FILENAME))
-    sections = {}
-    for section in ("counters", "gauges", "histograms"):
-        sections[section] = {
-            k: v for k, v in payload[section].items()
-            if not k.startswith(("pipeline.", "supervisor.", "shm_san.",
-                                 "shm.ring.", "mp."))
-        }
-    sections["histograms"].pop("checkpoint.bytes", None)
-    return sections
-
-
 class TestByteIdentical:
     @pytest.mark.parametrize("depth", [1, 2, 4])
     def test_pipelined_build_matches_serial(self, depth, tiny_collection, tmp_path):
@@ -99,7 +75,7 @@ class TestByteIdentical:
                 os.path.join(piped_dir, name),
                 shallow=False,
             ), name
-        assert _metric_sections(serial_dir) == _metric_sections(piped_dir)
+        assert deterministic_metric_sections(serial_dir) == deterministic_metric_sections(piped_dir)
 
     def test_pipelined_with_prefetch_and_positions(self, tiny_collection, tmp_path):
         serial_dir = str(tmp_path / "serial")

@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.config import PlatformConfig
 from repro.core.engine import IndexingEngine
+from tests.conftest import deterministic_metric_sections
 
 
 def _cfg(**overrides) -> PlatformConfig:
@@ -32,7 +33,7 @@ class TestPrefetch:
         # The telemetry artifacts carry wall-clock data and the same
         # config fingerprint; their deterministic metric sections are
         # compared structurally below instead (docs/OBSERVABILITY.md).
-        from repro.obs.schema import METRICS_FILENAME, TRACE_FILENAME, load_metrics
+        from repro.obs.schema import METRICS_FILENAME, TRACE_FILENAME
 
         excluded = {"build.manifest", METRICS_FILENAME, TRACE_FILENAME}
         names = sorted(n for n in os.listdir(serial_dir) if n not in excluded)
@@ -46,16 +47,9 @@ class TestPrefetch:
                 shallow=False,
             ), name
         # Prefetching must not change what work was done, only when.
-        # checkpoint.bytes is excluded: the checkpoint pickle embeds the
-        # range map's absolute run paths, so its size tracks the output
-        # directory's name length ("serial" vs "threaded" here) — it is
-        # only comparable between builds into identically-named dirs.
-        serial_m = load_metrics(os.path.join(serial_dir, METRICS_FILENAME))
-        threaded_m = load_metrics(os.path.join(threaded_dir, METRICS_FILENAME))
-        for payload in (serial_m, threaded_m):
-            payload["histograms"].pop("checkpoint.bytes", None)
-        for section in ("counters", "gauges", "histograms"):
-            assert serial_m[section] == threaded_m[section], section
+        assert deterministic_metric_sections(serial_dir) == deterministic_metric_sections(
+            threaded_dir
+        )
 
     def test_prefetch_with_positions_and_grouped_runs(self, tiny_collection, tmp_path):
         out = str(tmp_path / "combo")
