@@ -49,9 +49,11 @@ lint:
 
 # The repo's benchmark (BENCHMARK.json, benchmarks/perf/README.md) at
 # smoke size: the harness's own tests, then one traced two-file
-# web_serial run and one untraced two-file web_mp run (output check
-# against the serial reference, survivor scan, /dev/shm leak scan), each
-# of whose last stdout line must say the output was correct and no
+# web_serial run, one untraced two-file web_mp run (output check
+# against the serial reference, survivor scan, /dev/shm leak scan) and
+# one two-run merge_read run (both merged directories identical, the
+# check terms decode the same before and after the merge), each of
+# whose last stdout line must say the output was correct and no
 # operation failed.
 PERF_SMOKE_CHECK = tail -n 1 | python3 -c 'import json, sys; r = json.loads(sys.stdin.read()); print({k: r[k] for k in ("correct", "attempted", "failed")}); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)'
 
@@ -59,6 +61,7 @@ perf-smoke:
 	PYTHONPATH=src python -m pytest benchmarks/perf -q
 	python3 benchmarks/perf/run.py --workload web_serial --seed 1 --smoke --trace 1 | $(PERF_SMOKE_CHECK)
 	python3 benchmarks/perf/run.py --workload web_mp --seed 1 --smoke | $(PERF_SMOKE_CHECK)
+	python3 benchmarks/perf/run.py --workload merge_read --seed 1 --smoke | $(PERF_SMOKE_CHECK)
 
 # The paper-reproduction scripts under pytest-benchmark: each regenerates
 # one table/figure into benchmarks/reports/<name>.txt.  Not a perf gate —

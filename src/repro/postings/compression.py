@@ -15,7 +15,10 @@ inverted-file literature cited in Section II.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import Sequence
+
+import numpy as np
 
 from repro.util.bitio import BitReader, BitWriter
 
@@ -31,6 +34,8 @@ __all__ = [
     "from_gaps",
     "encode_uvarint",
     "decode_uvarint",
+    "decode_uvarints",
+    "skip_uvarints",
 ]
 
 Posting = tuple[int, int]
@@ -70,6 +75,79 @@ def decode_uvarint(data: bytes, pos: int) -> tuple[int, int]:
         if not byte & 0x80:
             return value, pos
         shift += 7
+
+
+#: Longest varint :func:`decode_uvarints` accepts: 9 × 7 = 63 value bits,
+#: the most a non-negative ``int64`` holds.
+MAX_UVARINT_BYTES = 9
+
+#: Bytes :func:`decode_uvarints` decodes in one step.  Its temporaries are
+#: a few ``int64`` per *byte*; at this size each stays well below the
+#: allocator's mmap threshold, so a large buffer leaves no large hole behind.
+_KERNEL_BLOCK_BYTES = 1 << 13
+
+
+def decode_uvarints(buf: bytes | bytearray | memoryview) -> np.ndarray:
+    """Decode a buffer that is nothing but varints, all at once.
+
+    The vectorised form of calling :func:`decode_uvarint` until ``buf`` is
+    used up (Pibiri & Venturini's mask-and-prefix-sum decode for
+    byte-aligned codes): a byte ``< 128`` terminates a varint, every byte
+    contributes its low seven bits shifted by seven times its distance
+    from the varint's first byte, and ``np.add.reduceat`` sums each
+    varint's bytes.  Returns the values as an ``int64`` array.
+
+    Raises ``EOFError`` when the buffer does not end on a terminator (a
+    truncated tail) and ``ValueError`` for a varint longer than nine
+    bytes, which would not fit an ``int64``.
+    """
+    data = np.frombuffer(buf, dtype=np.uint8)
+    if data.size and data[-1] >= 0x80:
+        raise EOFError("truncated uvarint")
+    values = np.empty(np.count_nonzero(data < 0x80), dtype=np.int64)
+    done = 0
+    lo = 0
+    while lo < data.size:
+        # A block ends on the first terminator at or after its nominal end.
+        hi = min(lo + _KERNEL_BLOCK_BYTES, data.size) - 1
+        hi += int(np.argmax(data[hi : hi + MAX_UVARINT_BYTES] < 0x80)) + 1
+        block = data[lo:hi]
+        ends = np.flatnonzero(block < 0x80)
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        lengths = ends - starts + 1
+        if block[-1] >= 0x80 or int(lengths.max()) > MAX_UVARINT_BYTES:
+            raise ValueError(
+                f"uvarint longer than {MAX_UVARINT_BYTES} bytes does not fit 64 bits"
+            )
+        shifts = (np.arange(block.size) - np.repeat(starts, lengths)) * 7
+        np.add.reduceat(
+            (block & 0x7F).astype(np.int64) << shifts,
+            starts,
+            out=values[done : done + ends.size],
+        )
+        done += ends.size
+        lo = hi
+    return values
+
+
+def skip_uvarints(data: bytes, pos: int, count: int) -> int:
+    """Position just past the ``count`` varints that start at ``pos``.
+
+    ``EOFError`` when ``data`` ends first.  Looks at bounded blocks, so
+    what lies beyond the varints (a payload, say) costs nothing.
+    """
+    while count:
+        block = np.frombuffer(
+            data, dtype=np.uint8, count=min(_KERNEL_BLOCK_BYTES, len(data) - pos), offset=pos
+        )
+        if not block.size:
+            raise EOFError("truncated uvarint sequence")
+        ends = np.flatnonzero(block < 0x80)
+        if ends.size >= count:
+            return pos + int(ends[count - 1]) + 1
+        count -= ends.size
+        pos += block.size
+    return pos
 
 
 # ---------------------------------------------------------------------- #
@@ -142,14 +220,48 @@ class VarByteCodec(PostingsCodec):
         return bytes(out)
 
     def decode(self, data: bytes) -> list[Posting]:
-        count, pos = decode_uvarint(data, 0)
-        postings: list[Posting] = []
-        prev = -1
-        for _ in range(count):
-            gap, pos = decode_uvarint(data, pos)
-            tf, pos = decode_uvarint(data, pos)
-            prev += gap
-            postings.append((prev, tf))
+        """Inverse of :meth:`encode`, strict about what it is handed.
+
+        ``data`` must be exactly one encoded list: ``EOFError`` when it
+        ends inside a varint, ``ValueError`` when the count disagrees
+        with the bytes present or a gap / term frequency is zero.
+        """
+        try:
+            count, pos = data[0], 1
+            if count & 0x80:
+                count, pos = decode_uvarint(data, 0)
+            # The encoder never writes a zero byte after the count (a
+            # varint ends on its most significant group), so one memchr
+            # rules out every zero gap and zero tf -- and non-canonical
+            # padding with them.
+            if data.find(0, pos) != -1:
+                raise ValueError("postings list holds a zero gap or term frequency")
+            if count:
+                first, body = decode_uvarint(data, pos)
+                rest = data[body:]
+                if len(rest) == 2 * count - 1 and rest.isascii():
+                    # Every tf and every later gap is one byte: the usual case.
+                    return list(zip(accumulate(rest[1::2], initial=first - 1), rest[::2]))
+            postings: list[Posting] = []
+            append = postings.append
+            prev = -1
+            for _ in range(count):
+                gap = data[pos]
+                pos += 1
+                if gap & 0x80:
+                    gap, pos = decode_uvarint(data, pos - 1)
+                tf = data[pos]
+                pos += 1
+                if tf & 0x80:
+                    tf, pos = decode_uvarint(data, pos - 1)
+                prev += gap
+                append((prev, tf))
+        except IndexError:
+            raise EOFError("truncated postings list") from None
+        if pos != len(data):
+            raise ValueError(
+                f"postings list of {count} postings ends at byte {pos} of {len(data)}"
+            )
         return postings
 
 

@@ -32,14 +32,19 @@ from __future__ import annotations
 
 import os
 import zlib
+from array import array
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TypeVar
+
+import numpy as np
 
 from repro.postings.compression import (
     PostingsCodec,
     VarByteCodec,
     decode_uvarint,
+    decode_uvarints,
     encode_uvarint,
+    skip_uvarints,
 )
 from repro.postings.lists import PostingsList
 from repro.robustness.errors import ChecksumError
@@ -54,6 +59,7 @@ __all__ = [
     "verify_run_bytes",
     "verify_run_file",
     "read_run_header_from_file",
+    "read_run_table_from_file",
 ]
 
 RUN_MAGIC = b"RPRORUN1"
@@ -62,6 +68,10 @@ MAP_FILENAME = "runs.map"
 RUN_CRC_BYTES = 4
 #: Chunk size for streaming CRC verification / payload copying.
 _STREAM_CHUNK = 1 << 16
+#: Mapping-table rows decoded in one step when a header is parsed.
+_TABLE_BLOCK_ROWS = 1 << 10
+
+_T = TypeVar("_T")
 
 
 def run_filename(run_id: int) -> str:
@@ -69,13 +79,36 @@ def run_filename(run_id: int) -> str:
     return f"run_{run_id:05d}.post"
 
 
-@dataclass(frozen=True)
-class RunEntry:
-    """One mapping-table row: where a term's partial list lives."""
+#: A stretch of already-encoded lists for
+#: :meth:`RunWriter.write_encoded_run`: ``(term ids, each list's byte
+#: length, the lists' bytes back to back, lowest doc, highest doc)``.
+EncodedBlock = tuple[Sequence[int], Sequence[int], bytes, int, int]
 
-    term_id: int
-    offset: int
-    length: int
+
+def _encode_header(
+    codec_name: str,
+    run_id: int,
+    min_doc: int | None,
+    max_doc: int | None,
+    term_ids: Sequence[int],
+    lengths: Sequence[int],
+) -> bytearray:
+    """Everything before the payload; lists lie back to back from offset 0."""
+    header = bytearray(RUN_MAGIC)
+    encode_uvarint(run_id, header)
+    name_bytes = codec_name.encode("ascii")
+    encode_uvarint(len(name_bytes), header)
+    header.extend(name_bytes)
+    encode_uvarint(0 if min_doc is None else min_doc + 1, header)
+    encode_uvarint(0 if max_doc is None else max_doc + 1, header)
+    encode_uvarint(len(term_ids), header)
+    offset = 0
+    for term_id, length in zip(term_ids, lengths):
+        encode_uvarint(term_id, header)
+        encode_uvarint(offset, header)
+        encode_uvarint(length, header)
+        offset += length
+    return header
 
 
 class RunWriter:
@@ -112,39 +145,33 @@ class RunWriter:
         """Directory ("disk") that run ``run_id`` lands on."""
         return self._stripe_dirs[run_id % self.num_stripes]
 
+    def _encode(self, plist: PostingsList) -> bytes:
+        if self.codec.positional:
+            return self.codec.encode(plist.positional_postings())
+        return self.codec.encode(plist.postings())
+
     def write_run(self, run_id: int, lists: dict[int, PostingsList]) -> "RunFile":
         """Compress and write all lists of a run; return its descriptor."""
         payload = bytearray()
-        entries: list[RunEntry] = []
+        term_ids = array("q")
+        lengths = array("q")
         min_doc: int | None = None
         max_doc: int | None = None
         for term_id in sorted(lists):
             plist = lists[term_id]
             if not plist.doc_ids:
                 continue
-            if self.codec.positional:
-                encoded = self.codec.encode(plist.positional_postings())
-            else:
-                encoded = self.codec.encode(plist.postings())
-            entries.append(RunEntry(term_id, len(payload), len(encoded)))
+            encoded = self._encode(plist)
+            term_ids.append(term_id)
+            lengths.append(len(encoded))
             payload.extend(encoded)
             lo, hi = plist.doc_ids[0], plist.doc_ids[-1]
             min_doc = lo if min_doc is None else min(min_doc, lo)
             max_doc = hi if max_doc is None else max(max_doc, hi)
 
-        header = bytearray(RUN_MAGIC)
-        encode_uvarint(run_id, header)
-        name_bytes = self.codec.name.encode("ascii")
-        encode_uvarint(len(name_bytes), header)
-        header.extend(name_bytes)
-        encode_uvarint(0 if min_doc is None else min_doc + 1, header)
-        encode_uvarint(0 if max_doc is None else max_doc + 1, header)
-        encode_uvarint(len(entries), header)
-        for entry in entries:
-            encode_uvarint(entry.term_id, header)
-            encode_uvarint(entry.offset, header)
-            encode_uvarint(entry.length, header)
-
+        header = _encode_header(
+            self.codec.name, run_id, min_doc, max_doc, term_ids, lengths
+        )
         filename = run_filename(run_id)
         path = os.path.join(self.stripe_dir(run_id), filename)
         crc = zlib.crc32(payload, zlib.crc32(header)) & 0xFFFFFFFF
@@ -157,10 +184,9 @@ class RunWriter:
             run_id=run_id,
             min_doc=min_doc,
             max_doc=max_doc,
-            entry_count=len(entries),
+            entry_count=len(term_ids),
             byte_size=len(header) + len(payload) + RUN_CRC_BYTES,
         )
-
 
     def write_run_streaming(
         self, run_id: int, lists: Iterable[tuple[int, PostingsList]]
@@ -168,58 +194,65 @@ class RunWriter:
         """Write a run from a ``(term_id, list)`` stream, bounded memory.
 
         Byte-identical to :meth:`write_run` over the same content, but
-        only one term's encoded postings are resident at a time: the
-        payload streams into a sibling temp file while the mapping table
-        accumulates, then header, payload copy and trailing CRC are
-        written in one pass.  Offsets are payload-relative (see the
-        module docstring), which is what makes the two-pass layout
-        possible without back-patching.
+        only one term's encoded postings are resident at a time (see
+        :meth:`write_encoded_run`, which does the writing).
 
         ``lists`` must yield term ids in strictly ascending order — the
         same order ``write_run`` gets from sorting — so readers can rely
         on table order.  Empty lists are skipped, as in ``write_run``.
         """
+        return self.write_encoded_run(run_id, self._encoded(lists))
+
+    def _encoded(
+        self, lists: Iterable[tuple[int, PostingsList]]
+    ) -> Iterator[EncodedBlock]:
+        """Each non-empty list of the stream as a one-list block."""
+        for term_id, plist in lists:
+            if not plist.doc_ids:
+                continue
+            encoded = self._encode(plist)
+            yield (term_id,), (len(encoded),), encoded, plist.doc_ids[0], plist.doc_ids[-1]
+
+    def write_encoded_run(
+        self, run_id: int, blocks: Iterable[EncodedBlock]
+    ) -> "RunFile":
+        """Write a run from blocks of lists already in this writer's codec.
+
+        The payload streams into a sibling temp file while the mapping
+        table accumulates as two integer columns, then header, payload
+        copy and trailing CRC are written in one pass.  Offsets are
+        payload-relative (see the module docstring), which is what makes
+        the two-pass layout possible without back-patching.
+
+        Term ids must ascend strictly within a block and from one block
+        to the next; only the latter is checked here.
+        """
         filename = run_filename(run_id)
         path = os.path.join(self.stripe_dir(run_id), filename)
         tmp_path = path + ".payload.tmp"
-        entries: list[RunEntry] = []
+        term_ids = array("q")
+        lengths = array("q")
         min_doc: int | None = None
         max_doc: int | None = None
         payload_len = 0
         try:
             with open(tmp_path, "wb") as payload_fh:
-                for term_id, plist in lists:
-                    if entries and term_id <= entries[-1].term_id:
+                for block_ids, block_lengths, payload, lo, hi in blocks:
+                    if term_ids and block_ids[0] <= term_ids[-1]:
                         raise ValueError(
-                            f"write_run_streaming needs strictly ascending term "
-                            f"ids, got {term_id} after {entries[-1].term_id}"
+                            f"a run file needs strictly ascending term ids, "
+                            f"got {block_ids[0]} after {term_ids[-1]}"
                         )
-                    if not plist.doc_ids:
-                        continue
-                    if self.codec.positional:
-                        encoded = self.codec.encode(plist.positional_postings())
-                    else:
-                        encoded = self.codec.encode(plist.postings())
-                    entries.append(RunEntry(term_id, payload_len, len(encoded)))
-                    payload_fh.write(encoded)
-                    payload_len += len(encoded)
-                    lo, hi = plist.doc_ids[0], plist.doc_ids[-1]
+                    term_ids.extend(block_ids)
+                    lengths.extend(block_lengths)
+                    payload_fh.write(payload)
+                    payload_len += len(payload)
                     min_doc = lo if min_doc is None else min(min_doc, lo)
                     max_doc = hi if max_doc is None else max(max_doc, hi)
 
-            header = bytearray(RUN_MAGIC)
-            encode_uvarint(run_id, header)
-            name_bytes = self.codec.name.encode("ascii")
-            encode_uvarint(len(name_bytes), header)
-            header.extend(name_bytes)
-            encode_uvarint(0 if min_doc is None else min_doc + 1, header)
-            encode_uvarint(0 if max_doc is None else max_doc + 1, header)
-            encode_uvarint(len(entries), header)
-            for entry in entries:
-                encode_uvarint(entry.term_id, header)
-                encode_uvarint(entry.offset, header)
-                encode_uvarint(entry.length, header)
-
+            header = _encode_header(
+                self.codec.name, run_id, min_doc, max_doc, term_ids, lengths
+            )
             crc = zlib.crc32(header)
             with open(path, "wb") as fh:
                 fh.write(header)
@@ -239,7 +272,7 @@ class RunWriter:
             run_id=run_id,
             min_doc=min_doc,
             max_doc=max_doc,
-            entry_count=len(entries),
+            entry_count=len(term_ids),
             byte_size=len(header) + payload_len + RUN_CRC_BYTES,
         )
 
@@ -253,7 +286,7 @@ def verify_run_bytes(path: str, data: bytes) -> None:
     if len(data) < len(RUN_MAGIC) + RUN_CRC_BYTES:
         raise ValueError(f"{path} is too short to be a run file ({len(data)} bytes)")
     stored = int.from_bytes(data[-RUN_CRC_BYTES:], "little")
-    actual = zlib.crc32(data[:-RUN_CRC_BYTES]) & 0xFFFFFFFF
+    actual = zlib.crc32(memoryview(data)[:-RUN_CRC_BYTES]) & 0xFFFFFFFF
     if stored != actual:
         raise ChecksumError(path, stored, actual)
 
@@ -284,16 +317,17 @@ def verify_run_file(path: str) -> int:
     return size
 
 
-def read_run_header_from_file(
-    fh: BinaryIO,
-) -> tuple[int, str, int | None, int | None, dict[int, tuple[int, int]], int]:
-    """Parse a run header from an open file without loading the payload.
+RunHeader = tuple[int, str, int | None, int | None, dict[int, tuple[int, int]], int]
+#: :data:`RunHeader` with the mapping table as an array; see :func:`read_run_table`.
+RunTable = tuple[int, str, int | None, int | None, np.ndarray, int]
+
+
+def _read_from_file(fh: BinaryIO, parse: Callable[[bytes], _T]) -> _T:
+    """``parse`` the header of an open run file without loading the payload.
 
     Reads the file in growing chunks until the header (whose length is
     only known once its entry table is decoded) parses completely; the
-    payload itself is never read.  Returns the same tuple as
-    :func:`read_run_header`, with absolute offsets usable for
-    ``seek``/``read`` splicing.
+    payload itself is never read.
     """
     data = bytearray()
     while True:
@@ -303,12 +337,25 @@ def read_run_header_from_file(
             if len(data) < len(RUN_MAGIC):
                 continue  # too short to even check the magic yet
         try:
-            return read_run_header(bytes(data))
+            return parse(bytes(data))
         except (IndexError, EOFError):
             # Header extends past what we buffered so far (a byte index
             # past the buffer or a uvarint cut mid-sequence).
             if not piece:
                 raise ValueError("truncated run file header") from None
+
+
+def read_run_header_from_file(fh: BinaryIO) -> RunHeader:
+    """:func:`read_run_header` of an open file, the payload never read.
+
+    Offsets are absolute, usable for ``seek``/``read`` splicing.
+    """
+    return _read_from_file(fh, read_run_header)
+
+
+def read_run_table_from_file(fh: BinaryIO) -> RunTable:
+    """:func:`read_run_table` of an open file, the payload never read."""
+    return _read_from_file(fh, read_run_table)
 
 
 @dataclass
@@ -406,12 +453,10 @@ class DocRangeMap:
         return mapping
 
 
-def read_run_header(data: bytes) -> tuple[int, str, int | None, int | None, dict[int, tuple[int, int]], int]:
-    """Parse a run file's header.
-
-    Returns ``(run_id, codec name, min_doc, max_doc, {term_id: (absolute
-    offset, length)}, payload start)``.
-    """
+def _read_head(
+    data: bytes, collect: Callable[[Iterator[np.ndarray]], _T]
+) -> tuple[int, str, int | None, int | None, _T, int]:
+    """Parse a run header; ``collect`` makes the table from blocks of rows."""
     if data[: len(RUN_MAGIC)] != RUN_MAGIC:
         raise ValueError("not a run file (bad magic)")
     pos = len(RUN_MAGIC)
@@ -422,20 +467,63 @@ def read_run_header(data: bytes) -> tuple[int, str, int | None, int | None, dict
     min_plus, pos = decode_uvarint(data, pos)
     max_plus, pos = decode_uvarint(data, pos)
     n_entries, pos = decode_uvarint(data, pos)
-    table: dict[int, tuple[int, int]] = {}
-    for _ in range(n_entries):
-        term_id, pos = decode_uvarint(data, pos)
-        offset, pos = decode_uvarint(data, pos)
-        length, pos = decode_uvarint(data, pos)
-        table[term_id] = (offset, length)
-    payload_start = pos
-    for term_id, (offset, length) in table.items():
-        table[term_id] = (payload_start + offset, length)
+    payload_start = skip_uvarints(data, pos, 3 * n_entries)
     return (
         run_id,
         codec_name,
         min_plus - 1 if min_plus else None,
         max_plus - 1 if max_plus else None,
-        table,
+        collect(_table_blocks(data, pos, n_entries, payload_start)),
         payload_start,
     )
+
+
+def _table_blocks(
+    data: bytes, pos: int, n_entries: int, payload_start: int
+) -> Iterator[np.ndarray]:
+    """The mapping table at ``pos`` as ``(rows, 3)`` arrays of bounded size.
+
+    Rows are ``(term_id, absolute offset, length)``.  Blocks keep every
+    temporary small however long the table is.
+    """
+    while n_entries:
+        rows = min(n_entries, _TABLE_BLOCK_ROWS)
+        end = skip_uvarints(data, pos, 3 * rows)
+        block = decode_uvarints(memoryview(data)[pos:end]).reshape(rows, 3)
+        block[:, 1] += payload_start
+        yield block
+        pos = end
+        n_entries -= rows
+
+
+def _table_array(blocks: Iterator[np.ndarray]) -> np.ndarray:
+    return np.concatenate([np.empty((0, 3), dtype=np.int64), *blocks])
+
+
+def _table_dict(blocks: Iterator[np.ndarray]) -> dict[int, tuple[int, int]]:
+    table: dict[int, tuple[int, int]] = {}
+    for block in blocks:
+        term_ids, offsets, lengths = block.T.tolist()
+        table.update(zip(term_ids, zip(offsets, lengths)))
+    return table
+
+
+def read_run_table(data: bytes) -> RunTable:
+    """Parse a run file's header, the mapping table as an integer array.
+
+    Returns ``(run_id, codec name, min_doc, max_doc, table, payload
+    start)``; ``table`` is an ``(n_entries, 3)`` ``int64`` array of
+    ``(term_id, absolute offset, length)`` rows in file order.  Raises
+    ``EOFError`` when ``data`` ends before the table does.
+    """
+    return _read_head(data, _table_array)
+
+
+def read_run_header(data: bytes) -> RunHeader:
+    """Parse a run file's header.
+
+    Returns ``(run_id, codec name, min_doc, max_doc, {term_id: (absolute
+    offset, length)}, payload start)``.  Raises ``EOFError`` when ``data``
+    ends before the mapping table does.
+    """
+    return _read_head(data, _table_dict)

@@ -101,6 +101,8 @@ class PostingsReader:
         self.use_mmap = use_mmap
         self.range_map = DocRangeMap.load(output_dir)
         self._open_runs: dict[int, _OpenRun] = {}
+        #: Every run, opened, in run order (filled by the first full lookup).
+        self._all_runs: list[_OpenRun] | None = None
         self._term_ids: dict[str, int] | None = None
         #: Number of partial-list fetch operations performed (observability
         #: for the range-narrowing benefit).
@@ -148,6 +150,7 @@ class PostingsReader:
         for opened in self._open_runs.values():
             opened.close()
         self._open_runs.clear()
+        self._all_runs = None
 
     def __enter__(self) -> "PostingsReader":
         return self
@@ -160,9 +163,11 @@ class PostingsReader:
         term_id = self._resolve(term)
         if term_id is None:
             return []
+        if self._all_runs is None:
+            self._all_runs = [self._run(run) for run in self.range_map.runs]
         merged: list = []
-        for run in self.range_map.runs:
-            partial = self._run(run).fetch(term_id)
+        for opened in self._all_runs:
+            partial = opened.fetch(term_id)
             if partial:
                 self.partial_fetches += 1
                 if merged and partial[0][0] <= merged[-1][0]:
@@ -180,7 +185,10 @@ class PostingsReader:
         monolithic for the entire document collection".  Positions (if the
         index is positional) are stripped; use :meth:`positional_postings`.
         """
-        return [(e[0], e[1]) for e in self._postings_raw(term)]
+        entries = self._postings_raw(term)
+        if self.is_positional:
+            return [(e[0], e[1]) for e in entries]
+        return entries  # already (doc, tf) pairs, in a list nobody else holds
 
     def positional_postings(
         self, term: str | int

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import math
+import re
 from dataclasses import dataclass
 
 from repro.parsing.porter import PorterStemmer
@@ -13,6 +16,7 @@ __all__ = ["SearchEngine", "QueryResult", "normalize_query"]
 
 _stemmer = PorterStemmer()
 _stop = StopWordFilter()
+_TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
 
 
 def normalize_query(query: str, keep_stop_words: bool = False) -> list[str]:
@@ -23,10 +27,8 @@ def normalize_query(query: str, keep_stop_words: bool = False) -> list[str]:
     them, so phrase matching must too — see
     :meth:`SearchEngine.phrase`).
     """
-    import re
-
     terms = []
-    for token in re.findall(r"[^\W_]+", query.lower(), re.UNICODE):
+    for token in _TOKEN.findall(query.lower()):
         term = _stemmer.stem(token)
         if not term:
             continue
@@ -42,6 +44,12 @@ class QueryResult:
 
     doc_id: int
     score: float
+
+
+def _top_k(scores: dict[int, float], k: int) -> list[QueryResult]:
+    """The ``k`` best hits: highest score first, ties by lowest doc id."""
+    best = heapq.nsmallest(k, scores.items(), key=lambda kv: (-kv[1], kv[0]))
+    return [QueryResult(doc, score) for doc, score in best]
 
 
 class SearchEngine:
@@ -80,8 +88,6 @@ class SearchEngine:
         of O(s+l), which matters when one term is rare and the other is a
         near-stop word.
         """
-        import bisect
-
         out: list[int] = []
         lo = 0
         n = len(long)
@@ -157,8 +163,7 @@ class SearchEngine:
                 continue
             for doc, tf in postings:
                 scores[doc] = scores.get(doc, 0.0) + (1.0 + math.log(tf)) * idf
-        ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
-        return [QueryResult(doc, score) for doc, score in ranked]
+        return _top_k(scores, k)
 
     def ranked_bm25(
         self,
@@ -188,8 +193,7 @@ class SearchEngine:
                 dl = lengths.get(doc, avg_len)
                 denom = tf + k1 * (1.0 - b + b * dl / avg_len)
                 scores[doc] = scores.get(doc, 0.0) + idf * tf * (k1 + 1.0) / denom
-        ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
-        return [QueryResult(doc, score) for doc, score in ranked]
+        return _top_k(scores, k)
 
     def _doc_lengths(self) -> dict[int, int]:
         """Emitted-token counts per document (computed once, cached)."""
@@ -219,8 +223,7 @@ class SearchEngine:
             idf = math.log((self.num_docs + 1) / (len(postings) + 0.5))
             for doc, tf in postings:
                 scores[doc] = scores.get(doc, 0.0) + (1.0 + math.log(tf)) * max(idf, 0.1)
-        ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
-        return [QueryResult(doc, score) for doc, score in ranked]
+        return _top_k(scores, k)
 
     # ------------------------------------------------------------------ #
     # Phrase retrieval (positional indexes)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,9 +14,11 @@ from repro.postings.compression import (
     GolombCodec,
     VarByteCodec,
     decode_uvarint,
+    decode_uvarints,
     encode_uvarint,
     from_gaps,
     get_codec,
+    skip_uvarints,
     to_gaps,
 )
 from repro.util.bitio import BitReader, BitWriter
@@ -52,6 +56,96 @@ class TestVarint:
         buf = bytearray()
         encode_uvarint(127, buf)
         assert len(buf) == 1
+
+
+def _loop_decode(buf: bytes) -> list[int]:
+    """The reference: ``decode_uvarint`` until the buffer is used up."""
+    values, pos = [], 0
+    while pos < len(buf):
+        value, pos = decode_uvarint(buf, pos)
+        values.append(value)
+    return values
+
+
+def _random_varints(rng: random.Random, count: int) -> tuple[list[int], bytes]:
+    """``count`` values whose encodings are 1 to 9 bytes long, encoded."""
+    values = [rng.getrandbits(7 * rng.randint(1, 9)) for _ in range(count)]
+    buf = bytearray()
+    for value in values:
+        encode_uvarint(value, buf)
+    return values, bytes(buf)
+
+
+class TestVectorisedVarints:
+    """``decode_uvarints`` against the one-at-a-time loop it replaces."""
+
+    @pytest.fixture(params=[1, 2, 7, 64, 1 << 13])
+    def block_bytes(self, request, monkeypatch):
+        from repro.postings import compression
+
+        monkeypatch.setattr(compression, "_KERNEL_BLOCK_BYTES", request.param)
+        return request.param
+
+    def test_random_buffers_match_the_loop(self, block_bytes):
+        rng = random.Random(block_bytes)
+        lengths_seen = set()
+        for _ in range(60):
+            values, buf = _random_varints(rng, rng.randint(1, 80))
+            decoded = decode_uvarints(buf)
+            assert decoded.dtype.name == "int64"
+            assert decoded.tolist() == values == _loop_decode(buf)
+            for value in values:
+                one = bytearray()
+                encode_uvarint(value, one)
+                lengths_seen.add(len(one))
+        assert lengths_seen == set(range(1, 10))
+
+    def test_accepts_any_buffer(self):
+        _, buf = _random_varints(random.Random(3), 20)
+        expected = decode_uvarints(buf).tolist()
+        assert decode_uvarints(bytearray(buf)).tolist() == expected
+        assert decode_uvarints(memoryview(buf)).tolist() == expected
+
+    def test_empty_buffer(self, block_bytes):
+        assert decode_uvarints(b"").tolist() == []
+
+    def test_largest_value(self, block_bytes):
+        buf = bytearray()
+        encode_uvarint(2**63 - 1, buf)
+        assert len(buf) == 9
+        assert decode_uvarints(bytes(buf)).tolist() == [2**63 - 1]
+
+    @pytest.mark.parametrize("tail", [b"\x80", b"\xff\xff", b"\x81" * 12])
+    def test_truncated_tail(self, block_bytes, tail):
+        _, buf = _random_varints(random.Random(5), 9)
+        with pytest.raises(EOFError):
+            decode_uvarints(buf + tail)
+        with pytest.raises(EOFError):
+            _loop_decode(buf + tail)
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_ten_byte_varint_rejected(self, block_bytes, where):
+        _, buf = _random_varints(random.Random(7), 12)
+        too_long = b"\x80" * 9 + b"\x01"
+        bad = {"first": too_long + buf, "middle": buf + too_long + buf, "last": buf + too_long}
+        with pytest.raises(ValueError, match="64 bits"):
+            decode_uvarints(bad[where])
+
+    def test_skip_matches_decode_positions(self, block_bytes):
+        rng = random.Random(11)
+        _, buf = _random_varints(rng, 50)
+        payload = bytes(rng.getrandbits(8) for _ in range(40))
+        pos, ends = 0, [0]
+        for _ in range(50):
+            _, pos = decode_uvarint(buf, pos)
+            ends.append(pos)
+        for count in (0, 1, 2, 17, 50):
+            assert skip_uvarints(buf + payload, 0, count) == ends[count]
+            assert skip_uvarints(buf + payload, ends[3], max(count - 3, 0)) == ends[max(count, 3)]
+        with pytest.raises(EOFError):
+            skip_uvarints(buf, 0, 51)
+        with pytest.raises(EOFError):
+            skip_uvarints(buf + b"\x80", ends[50], 1)
 
 
 class TestGaps:
@@ -114,6 +208,60 @@ class TestCodecs:
         # Absolute 2-byte+ ids would need >2 bytes per posting; gaps of 2
         # need 1 byte for the gap + 1 for tf.
         assert len(encoded) < len(dense) * 2.5
+
+
+class TestVarByteDecodeIsStrict:
+    """A list that is not exactly what ``encode`` writes never decodes."""
+
+    codec = VarByteCodec()
+
+    def test_fast_and_general_path_agree_with_encode(self):
+        rng = random.Random(13)
+        for _ in range(300):
+            doc, postings = -1, []
+            for _ in range(rng.randint(1, 40)):
+                # Gaps and tfs on both sides of the one-byte boundary.
+                doc += rng.choice([1, 2, 90, 127, 128, 129, 16383, 16384, 70000])
+                postings.append((doc, rng.choice([1, 1, 1, 3, 127, 128, 300])))
+            encoded = self.codec.encode(postings)
+            decoded = self.codec.decode(encoded)
+            assert decoded == postings
+            assert all(type(d) is int and type(tf) is int for d, tf in decoded)
+
+    def test_all_single_byte_list(self):
+        postings = [(0, 1), (1, 2), (5, 1), (126, 127)]
+        assert self.codec.decode(self.codec.encode(postings)) == postings
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"",  # not even a count
+            b"\x02\x05\x01",  # two postings promised, one present
+            b"\x02\x05\x01\x03",  # ends where a tf should be
+            b"\x01\x85",  # ends inside the gap
+            b"\x02\x05\x01\x03\x81",  # ends inside the last tf
+            b"\x81",  # ends inside the count
+        ],
+    )
+    def test_truncated(self, data):
+        with pytest.raises(EOFError):
+            self.codec.decode(data)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"\x01\x05\x01\x03\x01",  # one posting promised, two present
+            b"\x00\x05\x01",  # none promised, one present
+            b"\x01\x85\x01\x01\x07",  # trailing byte after a multi-byte gap
+            b"\x02\x05\x01\x00\x01",  # zero gap
+            b"\x02\x05\x00\x03\x01",  # zero tf
+            b"\x01\x00\x01",  # first gap zero (doc id -1)
+            b"\x01\x85\x00\x01",  # non-canonical padding
+        ],
+    )
+    def test_malformed(self, data):
+        with pytest.raises(ValueError):
+            self.codec.decode(data)
 
 
 class TestGamma:

@@ -87,6 +87,18 @@ class TestRanked:
         results = handmade_index.ranked_in_range("parallel indexing", 0, 1, k=5)
         assert {r.doc_id for r in results} == {0, 1}
 
+    @pytest.mark.parametrize("k", [0, 1, 3, 10, 50, 500])
+    def test_top_k_is_the_head_of_the_full_sort(self, k):
+        """Ties included: equal scores rank by ascending doc id."""
+        import random
+
+        from repro.search.query import QueryResult, _top_k
+
+        rng = random.Random(k)
+        scores = {doc: rng.choice([0.5, 1.25, 1.25, 2.0, 7.5]) for doc in rng.sample(range(1000), 200)}
+        full = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+        assert _top_k(scores, k) == [QueryResult(doc, score) for doc, score in full[:k]]
+
 
 class TestBM25:
     def test_bm25_orders_by_relevance(self, handmade_index):
