@@ -126,25 +126,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
     build.add_argument("--profile-interval", type=float, default=None,
                        metavar="SECONDS",
                        help="sampler tick for --profile (default 0.01)")
-    build.add_argument("--pipeline-depth", type=int, default=None,
-                       help="run parse and indexing concurrently with up to "
-                            "N parsed files in flight to per-indexer worker "
-                            "threads; output stays byte-identical to serial "
-                            "(default: REPRO_PIPELINE_DEPTH env or 0)")
-    build.add_argument("--serial", action="store_true",
-                       help="force the classic inline engine loop, "
-                            "overriding --pipeline-depth and "
-                            "REPRO_PIPELINE_DEPTH")
     build.add_argument("--exec", dest="exec_backend",
-                       choices=["auto", "serial", "threaded", "multiprocess"],
-                       default=None,
-                       help="execution backend: serial (inline loop), "
-                            "threaded (worker threads), multiprocess "
-                            "(parser/indexer worker processes over "
-                            "shared-memory rings, supervised with "
+                       choices=["serial", "multiprocess"], default=None,
+                       help="execution backend: serial (inline loop) or "
+                            "multiprocess (parser/indexer worker processes "
+                            "over shared-memory rings, supervised with "
                             "restart/degrade recovery); output is "
-                            "byte-identical across all three (default: "
-                            "REPRO_EXEC_BACKEND env or auto)")
+                            "byte-identical (default: REPRO_EXEC_BACKEND "
+                            "env or serial)")
     build.add_argument("--files-per-run", type=int, default=None,
                        help="container files per output run (run boundaries "
                             "quiesce the pipeline, so larger runs overlap "
@@ -397,11 +386,6 @@ def _cmd_build(args) -> int:
     from repro.core.engine import IndexingEngine
 
     overrides = {}
-    if args.serial:
-        overrides["pipeline_depth"] = 0
-        overrides["exec_backend"] = "serial"
-    elif args.pipeline_depth is not None:
-        overrides["pipeline_depth"] = args.pipeline_depth
     if args.exec_backend is not None:
         overrides["exec_backend"] = args.exec_backend
     if args.files_per_run is not None:
@@ -435,7 +419,7 @@ def _cmd_build(args) -> int:
     print(f"CPU/GPU token split: {result.split.cpu_tokens:,} / {result.split.gpu_tokens:,}")
     if result.pipeline is not None:
         p = result.pipeline
-        print(f"pipelined ({p.backend}): depth {p.depth}, "
+        print(f"multiprocess: depth {p.depth}, "
               f"{p.workers} indexer workers, "
               f"{p.tasks} sub-batches over {p.files} files "
               f"(max {p.max_inflight} in flight)")

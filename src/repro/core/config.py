@@ -22,46 +22,25 @@ from repro.robustness.supervise import SupervisorPolicy
 
 __all__ = [
     "PlatformConfig",
-    "PIPELINE_DEPTH_ENV",
     "EXEC_BACKEND_ENV",
     "EXEC_BACKENDS",
 ]
 
-#: Environment override for :attr:`PlatformConfig.pipeline_depth` — lets
-#: CI force the pipelined engine on for the whole tier-1 suite without
-#: touching any test's config construction.  Explicit constructor
-#: arguments and ``--serial`` still win over the environment.
-PIPELINE_DEPTH_ENV = "REPRO_PIPELINE_DEPTH"
-
 #: Environment override for :attr:`PlatformConfig.exec_backend` — CI's
-#: backend matrix forces the whole tier-1 suite through one backend the
-#: same way ``REPRO_PIPELINE_DEPTH`` forces pipelining.  Explicit
+#: backend matrix forces the whole tier-1 suite through one backend
+#: without touching any test's config construction.  Explicit
 #: constructor arguments still win over the environment.
 EXEC_BACKEND_ENV = "REPRO_EXEC_BACKEND"
 
-#: Valid values of :attr:`PlatformConfig.exec_backend`.  ``auto``
-#: resolves to ``threaded`` when ``pipeline_depth > 0`` and ``serial``
-#: otherwise (the pre-seam behavior); see
-#: :func:`repro.core.exec_backend.resolve_backend_name`.
-EXEC_BACKENDS = ("auto", "serial", "threaded", "multiprocess")
-
-
-def _default_pipeline_depth() -> int:
-    raw = os.environ.get(PIPELINE_DEPTH_ENV, "").strip()
-    if not raw:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{PIPELINE_DEPTH_ENV} must be an integer, got {raw!r}"
-        ) from None
+#: Valid values of :attr:`PlatformConfig.exec_backend`; the first is the
+#: default.
+EXEC_BACKENDS = ("serial", "multiprocess")
 
 
 def _default_exec_backend() -> str:
     raw = os.environ.get(EXEC_BACKEND_ENV, "").strip().lower()
     if not raw:
-        return "auto"
+        return EXEC_BACKENDS[0]
     if raw not in EXEC_BACKENDS:
         raise ValueError(
             f"{EXEC_BACKEND_ENV} must be one of {EXEC_BACKENDS}, got {raw!r}"
@@ -94,36 +73,25 @@ class PlatformConfig:
     # --- parsing (Section III.C) --------------------------------------- #
     strip_html: bool = True
     regroup: bool = True
-    #: Real thread-pool lookahead for the functional build: up to this
-    #: many files are read/decompressed/parsed ahead of the indexers on
-    #: worker threads.  Output is byte-identical to a serial build.  Only
-    #: the I/O and gzip portions release the GIL, so this pays off when
-    #: reads dominate (big compressed files, slow storage) and can *cost*
-    #: a little on small hot-cache corpora where Python-bound stemming
-    #: dominates.  ``0`` (default) keeps the build strictly serial.
+    #: The serial loop's read-ahead: up to this many files are
+    #: read/decompressed/parsed ahead of the indexers on a thread pool.
+    #: Output is byte-identical to a build without it.  Only the I/O and
+    #: gzip portions release the GIL, so this pays off when reads
+    #: dominate (big compressed files, slow storage) and can *cost* a
+    #: little on small hot-cache corpora where Python-bound stemming
+    #: dominates.  ``0`` (default) parses on the engine thread.
     parse_prefetch: int = 0
-    #: Pipelined execution (Fig 8/9, executed for real): with a depth of
-    #: N the engine dispatches parsed files to per-indexer worker threads
-    #: through bounded queues and keeps at most N files in flight, so
-    #: parsing, CPU indexing and (simulated) GPU indexing overlap while
-    #: run-boundary bookkeeping stays on the engine thread and output
-    #: stays byte-identical to a serial build.  ``0`` (default) keeps the
-    #: classic inline loop.  The default can be raised fleet-wide via the
-    #: ``REPRO_PIPELINE_DEPTH`` environment variable (CI's pipelined
-    #: matrix leg); when ``parse_prefetch`` is 0, pipelined builds reuse
-    #: the depth as their parse lookahead so both stages actually overlap.
-    #: Like ``parse_prefetch``, the wall-clock win under the GIL comes
-    #: from hiding I/O latency (slow or remote storage); on small
-    #: hot-cache corpora the build is Python-bound and serial is as fast.
-    pipeline_depth: int = field(default_factory=_default_pipeline_depth)
+    #: The multiprocess backend's in-flight window: at most this many
+    #: parsed files dispatched to the indexer workers but not yet
+    #: drained (``0``, the default, means ``DEFAULT_CONCURRENT_DEPTH``).
+    #: The serial loop ignores it.
+    pipeline_depth: int = 0
     #: Which execution backend runs the build (docs/ARCHITECTURE.md,
-    #: "Execution backends"): ``"serial"`` (inline reference loop),
-    #: ``"threaded"`` (worker-thread pool), ``"multiprocess"``
-    #: (supervised OS processes over shared-memory rings — the only mode
-    #: that escapes the GIL), or ``"auto"`` (default: ``threaded`` when
-    #: ``pipeline_depth > 0``, else ``serial``).  All backends produce
-    #: byte-identical output.  Overridable fleet-wide via
-    #: ``REPRO_EXEC_BACKEND``; explicit values win over the environment.
+    #: "Execution backends"): ``"serial"`` (default — the inline
+    #: reference loop) or ``"multiprocess"`` (supervised OS processes
+    #: over shared-memory rings).  Both produce byte-identical output.
+    #: Overridable fleet-wide via ``REPRO_EXEC_BACKEND``; explicit
+    #: values win over the environment.
     exec_backend: str = field(default_factory=_default_exec_backend)
     #: Supervision knobs for the multiprocess backend: restart budgets,
     #: heartbeat timeout, poison threshold, ring sizing (see
@@ -199,7 +167,7 @@ class PlatformConfig:
         if self.parse_prefetch < 0:
             raise ValueError("parse_prefetch must be >= 0")
         if self.pipeline_depth < 0:
-            raise ValueError("pipeline_depth must be >= 0 (0 = serial)")
+            raise ValueError("pipeline_depth must be >= 0")
         if self.exec_backend not in EXEC_BACKENDS:
             raise ValueError(
                 f"exec_backend must be one of {EXEC_BACKENDS}, "
@@ -243,15 +211,12 @@ class PlatformConfig:
             if self.num_gpus
             else "no GPU"
         )
-        pipeline = (
-            f" / pipelined (depth {self.pipeline_depth})"
-            if self.pipeline_depth
-            else ""
-        )
         backend = (
-            f" / exec {self.exec_backend}" if self.exec_backend != "auto" else ""
+            f" / exec {self.exec_backend}"
+            if self.exec_backend != EXEC_BACKENDS[0]
+            else ""
         )
         return (
             f"{self.num_parsers} parsers / {self.num_cpu_indexers} CPU "
-            f"indexers / {gpu}{pipeline}{backend}"
+            f"indexers / {gpu}{backend}"
         )

@@ -1,7 +1,9 @@
 """:class:`IndexingEngine` — the public facade of the reproduction.
 
 ``engine.build(collection, output_dir)`` executes the paper's whole
-system functionally, in file order:
+system functionally, in file order, as three phases over one
+:class:`RunBoundaryState` — open (steps 1 or a resume), run loop (2),
+finalise (3–4):
 
 1. **Sampling** (Section III.E): parse ~0.1% of documents, classify trie
    collections into popular/unpopular, split popular across CPU indexers
@@ -35,13 +37,12 @@ from typing import Any, Iterator
 from repro.core.config import PlatformConfig
 from repro.core.costs import CostConstants, StageCosts
 from repro.core.exec_backend import (
-    BuildHooks,
     ExecutionBackend,
+    PipelineStats,
+    Tasks,
     create_backend,
-    resolve_backend_name,
 )
 from repro.core.pipeline import BuildReport, simulate_full_build
-from repro.core.pipeline_exec import PipelineStats
 from repro.core.workload import FileWork, GroupWork
 from repro.corpus.collection import Collection
 from repro.corpus.warc import CorruptContainerError
@@ -79,7 +80,7 @@ from repro.robustness.retry import RetryOutcome, retry_call
 from repro.robustness.supervise import SupervisorReport
 from repro.util.timing import Stopwatch, now
 
-__all__ = ["IndexingEngine", "EngineResult", "WorkSplit"]
+__all__ = ["IndexingEngine", "EngineResult", "RunBoundaryState", "WorkSplit"]
 
 #: Errors that mark a container permanently unreadable — the retry layer
 #: has already given up (or declined to try) by the time these surface, so
@@ -133,12 +134,12 @@ class EngineResult:
     #: Merged cross-process ``run.profile.json`` (``None`` unless the
     #: build ran with ``config.profile``).
     profile_path: str | None = None
-    #: Pipelined-mode execution summary (``None`` for serial builds):
-    #: dispatch counts, backpressure/quiesce stalls, per-worker idle time.
+    #: The multiprocess backend's execution summary (``None`` for serial
+    #: builds): dispatch counts, backpressure/quiesce stalls.
     pipeline: PipelineStats | None = None
     #: What the multiprocess backend's supervisor saw: worker restarts,
     #: requeued sub-batches, heartbeat misses, degraded slots (``None``
-    #: for serial/threaded builds, which have no processes to supervise).
+    #: for serial builds, which have no processes to supervise).
     supervisor: SupervisorReport | None = None
 
     @property
@@ -162,6 +163,522 @@ class EngineResult:
             return 0.0
         total = sum(w.uncompressed_bytes for w in self.file_works)
         return total / 1e6 / self.wall_seconds
+
+
+@dataclass
+class RunBoundaryState:
+    """What a build carries across a run boundary — declared once.
+
+    The fresh path constructs it, ``resume`` loads it from the journal,
+    ``close_run`` journals it and the epilogue reads it.  Between
+    boundaries it is the live state the per-file bookkeeping advances.
+    The first ten fields are the journal record's state pickle, under
+    these names; the indexers travel beside it, their forests as
+    mutation logs (see :mod:`repro.robustness.checkpoint`).
+    """
+
+    fingerprint: str
+    assignment: WorkAssignment
+    doc_table: DocTable
+    file_works: list[FileWork]
+    robustness: RobustnessReport
+    doc_offset: int = 0
+    token_count: int = 0
+    posting_count: int = 0
+    run_count: int = 0
+    next_file_index: int = 0
+    #: Indexer slots.  A backend may replace an entry (GPU failover, a
+    #: multiprocess worker's state coming home), so these lists are the
+    #: one place that says which object owns a slot.
+    cpu_indexers: list = field(default_factory=list)
+    gpu_indexers: list = field(default_factory=list)
+
+    @property
+    def indexers(self) -> list:
+        """Every slot in the journal's order: CPU slots, then GPU slots."""
+        return [*self.cpu_indexers, *self.gpu_indexers]
+
+    def journal(self, output_dir: str) -> None:
+        """Append this boundary's record to ``checkpoint.bin``."""
+        payload = dict(vars(self))
+        del payload["cpu_indexers"], payload["gpu_indexers"]
+        save_checkpoint(output_dir, payload, self.indexers)
+
+    @classmethod
+    def load(cls, output_dir: str, num_cpu_indexers: int) -> "RunBoundaryState | None":
+        """The last durable boundary in ``output_dir``'s journal, if any."""
+        record = load_checkpoint(output_dir)
+        if record is None:
+            return None
+        indexers = record.pop("indexers")
+        return cls(
+            **record,
+            cpu_indexers=indexers[:num_cpu_indexers],
+            gpu_indexers=indexers[num_cpu_indexers:],
+        )
+
+
+def _parse_under_retry(
+    parser: Parser, path: str, k: int, config: PlatformConfig
+) -> tuple[ParsedFile | None, Exception | None, RetryOutcome | None]:
+    """Parse file ``k`` under the retry policy; classify the outcome.
+
+    ``(parsed, None, outcome)`` on success, ``(None, error, None)`` for
+    a container that stays unreadable (a fatal injected fault propagates
+    — that *is* the crash).  Touches nothing shared, so the prefetch
+    pool's threads call it too; merging ``outcome`` into the robustness
+    report is left to the engine thread.
+    """
+
+    def call() -> ParsedFile:
+        # The paper's parser-array slot for this file: stamped on the
+        # batch (and the parse_file span) for round-robin accounting,
+        # while the trace lane stays per-thread.
+        parser.parser_id = k % config.num_parsers
+        return parser.parse_file(path, sequence=k)
+
+    try:
+        parsed, outcome = retry_call(call, config.retry, path)
+    except _PERMANENT_READ_ERRORS as exc:
+        return None, exc, None
+    return parsed, None, outcome
+
+
+@dataclass
+class _Build:
+    """One build in progress: what open → run loop → finalise share.
+
+    It is also the :class:`~repro.core.exec_backend.BuildHooks` a backend
+    drives the build through — the methods below are engine-thread only,
+    called in file order.
+    """
+
+    config: PlatformConfig
+    collection: Collection
+    output_dir: str
+    tel: Telemetry
+    watch: Stopwatch
+    trie: TrieTable
+    state: RunBoundaryState
+    range_map: DocRangeMap
+    manifest: BuildManifest
+
+    def __post_init__(self) -> None:
+        state, cfg = self.state, self.config
+        self.injector = faults.active()
+        self.start_file = state.next_file_index
+        self.popular_set = set(state.assignment.popular)
+        self.writer = RunWriter(
+            self.output_dir, codec=get_codec(cfg.codec), num_stripes=cfg.output_stripes
+        )
+        # The open run: files indexed since the last boundary.
+        self.run_file_indices: list[int] = []
+        self.run_first_doc = state.doc_offset
+        self.run_docs = 0
+        # Set by the run loop.
+        self.backend: ExecutionBackend | None = None
+        self.pipeline_stats: PipelineStats | None = None
+        self.supervisor_report: SupervisorReport | None = None
+        self._inline_parser: Parser | None = None
+
+    def indexer_for(self, kind: str, idx: int) -> Any:
+        st = self.state
+        return (st.cpu_indexers if kind == "cpu" else st.gpu_indexers)[idx]
+
+    # ---- per-file bookkeeping and run boundaries ----------------------- #
+
+    def record_file(
+        self,
+        k: int,
+        parsed: ParsedFile,
+        outcome: RetryOutcome | None,
+        pop_work: GroupWork,
+        unpop_work: GroupWork,
+    ) -> None:
+        """Post-index bookkeeping for one file.
+
+        Both backends call this strictly in file order — it advances the
+        global doc-ID cursor and the doc table, which is what keeps
+        their output byte-identical.
+        """
+        st = self.state
+        metrics = self.tel.metrics
+        batch = parsed.batch
+        metrics.count("build.files_indexed")
+        metrics.count("build.docs", batch.num_docs)
+        metrics.count("build.tokens", batch.total_tokens)
+        metrics.observe("file.uncompressed_bytes", parsed.metrics.uncompressed_bytes)
+        st.file_works.append(
+            FileWork(
+                file_index=k,
+                compressed_bytes=parsed.metrics.compressed_bytes,
+                uncompressed_bytes=parsed.metrics.uncompressed_bytes,
+                num_docs=batch.num_docs,
+                raw_tokens=parsed.metrics.tokens_raw,
+                popular=pop_work,
+                unpopular=unpop_work,
+                segment=self.collection.segment_of(k),
+                fault_delay_s=outcome.backoff_s if outcome else 0.0,
+            )
+        )
+        for entry in parsed.doc_table:
+            st.doc_table.add(entry.source_file, entry.uri, entry.offset)
+        st.token_count += batch.total_tokens
+        st.doc_offset += batch.num_docs
+        self.run_docs += batch.num_docs
+        self.run_file_indices.append(k)
+
+    def is_run_boundary(self, k: int) -> bool:
+        # A run closes after `files_per_run` files (the paper's
+        # fixed-total-size batches) or at the end of the collection —
+        # on file *position*, so run numbering survives skipped files.
+        return (
+            (k + 1) % self.config.files_per_run == 0
+            or k == len(self.collection.files) - 1
+        )
+
+    def close_run(self, k: int) -> None:
+        """Drain accumulators → run file → manifest → checkpoint.
+
+        The multiprocess backend quiesces its in-flight window first,
+        so the drain and the checkpoint record see settled indexer state
+        with empty queues; its ``drain_run_postings`` additionally pulls
+        what the run added out of its workers — postings, each shard's
+        mutation log, a forest-free indexer state — and replays the logs
+        into the engine-side shards, so the checkpoint (which takes
+        those logs) and the dictionary epilogue stay authoritative.
+        """
+        st = self.state
+        cfg = self.config
+        metrics = self.tel.metrics
+        assert self.backend is not None
+        with self.watch.measure("write_runs"), self.tel.tracer.span(
+            "write_run", cat="output"
+        ) as run_tags:
+            run_lists: dict[int, PostingsList] = self.backend.drain_run_postings()
+            run_postings = sum(len(p) for p in run_lists.values())
+            st.posting_count += run_postings
+            run_id = k // cfg.files_per_run
+            run_file = self.writer.write_run(run_id, run_lists)
+            self.range_map.add(run_file)
+            st.run_count += 1
+            run_tags["run"] = run_id
+            run_tags["postings"] = run_postings
+            run_tags["bytes"] = run_file.byte_size
+            run_tags["cp"] = f"flush:{run_id}"
+            run_tags["cp_from"] = f"drain:{k}"
+        metrics.count("runs.written")
+        metrics.count("postings.entries", run_postings)
+        metrics.count(f"postings.bytes.{cfg.codec}", run_file.byte_size)
+        metrics.observe("run.bytes", run_file.byte_size)
+        metrics.observe("run.postings", run_postings)
+        # Durability order: run file → manifest append → checkpoint
+        # append.  A crash at any point leaves a resumable directory
+        # (see repro.robustness.checkpoint).
+        with self.tel.tracer.span(
+            "checkpoint", cat="robustness", run=run_id,
+            cp=f"checkpoint:{run_id}", cp_from=f"flush:{run_id}",
+        ):
+            self.manifest.append_run(
+                RunRecord(
+                    run_id=run_id,
+                    path=os.path.relpath(run_file.path, self.output_dir),
+                    crc32=crc32_of_file(run_file.path),
+                    min_doc=run_file.min_doc,
+                    max_doc=run_file.max_doc,
+                    entry_count=run_file.entry_count,
+                    byte_size=run_file.byte_size,
+                    first_doc=self.run_first_doc,
+                    docs=self.run_docs,
+                    postings=run_postings,
+                    file_indices=tuple(self.run_file_indices),
+                    files=tuple(
+                        os.path.basename(self.collection.files[i])
+                        for i in self.run_file_indices
+                    ),
+                )
+            )
+            st.next_file_index = k + 1
+            st.journal(self.output_dir)
+        self.run_file_indices = []
+        self.run_first_doc = st.doc_offset
+        self.run_docs = 0
+
+    # ---- error policy -------------------------------------------------- #
+
+    def handle_read_failure(self, file_index: int, error: Exception) -> None:
+        """Apply the ``on_error`` policy to a permanently unreadable file."""
+        cfg = self.config
+        if cfg.on_error == "strict":
+            raise error
+        skipped = self.state.robustness.skipped
+        path = self.collection.files[file_index]
+        reason = f"{type(error).__name__}: {error}"
+        if cfg.on_error == "quarantine":
+            dest = self.collection.quarantine_file(
+                file_index, reason, quarantine_dir=cfg.quarantine_dir
+            )
+            skipped.append(
+                SkippedFile(
+                    file_index=file_index,
+                    path=path,
+                    reason=reason,
+                    action="quarantine",
+                    quarantined_to=dest,
+                )
+            )
+            obs.count("robustness.quarantined")
+        else:
+            skipped.append(SkippedFile(file_index=file_index, path=path, reason=reason))
+            obs.count("robustness.skipped")
+
+    def fail_gpu(self, ordinal: int, file_index: int) -> None:
+        """Replace a dead GPU indexer with a CPU fallback, mid-build.
+
+        The fallback adopts the failed indexer's dictionary shard and
+        postings accumulator *objects*, so term ids, accumulated postings
+        and run output are exactly what the GPU would have produced — the
+        index stays correct; only the (simulated) speed degrades.
+        """
+        st = self.state
+        if not 0 <= ordinal < len(st.gpu_indexers):
+            return
+        failed = st.gpu_indexers[ordinal]
+        if failed.kind != "gpu":
+            return  # this ordinal already failed over
+        replacement = CPUIndexer(failed.indexer_id, failed.shard)
+        replacement.accumulator = failed.accumulator
+        replacement.total = failed.total
+        st.gpu_indexers[ordinal] = replacement
+        st.assignment.mark_gpu_failed(ordinal)
+        st.robustness.gpu_failovers.append(
+            GpuFailover(
+                gpu_ordinal=ordinal,
+                indexer_id=failed.indexer_id,
+                file_index=file_index,
+                collections=len(st.assignment.gpu_sets[ordinal]),
+                tokens_before_failure=failed.total.tokens,
+            )
+        )
+        obs.count("robustness.gpu_failovers")
+        self.tel.tracer.instant(
+            "gpu_failover", cat="robustness", gpu=ordinal, file=file_index
+        )
+
+    # ---- parsing ------------------------------------------------------- #
+
+    def _new_parser(self) -> Parser:
+        cfg = self.config
+        return Parser(
+            parser_id=0,
+            trie=self.trie,
+            strip_html=cfg.strip_html,
+            regroup=cfg.regroup,
+            positional=cfg.positional,
+        )
+
+    def _merge_outcome(self, outcome: RetryOutcome | None) -> None:
+        if outcome is not None:
+            self.state.robustness.merge_outcome(outcome.retries, outcome.backoff_s)
+
+    def parse_file_inline(
+        self, k: int
+    ) -> tuple[int, ParsedFile | None, Exception | None, RetryOutcome | None]:
+        if self._inline_parser is None:
+            self._inline_parser = self._new_parser()
+        parsed, error, outcome = _parse_under_retry(
+            self._inline_parser, self.collection.files[k], k, self.config
+        )
+        self._merge_outcome(outcome)
+        return k, parsed, error, outcome
+
+    def make_parsed_stream(
+        self,
+    ) -> Iterator[tuple[int, ParsedFile | None, Exception | None, RetryOutcome | None]]:
+        """Yield ``(file_index, parsed, error, retry_outcome)`` in order.
+
+        Every container read runs under the config's retry policy; a file
+        that stays unreadable yields ``parsed=None`` with the permanent
+        ``error`` for the caller's ``on_error`` policy.  Files a resumed
+        build already indexed are skipped.
+
+        With ``config.parse_prefetch`` > 0 a thread pool reads,
+        decompresses and parses up to that many files ahead — gzip
+        inflation and the regex scan release the GIL, so the lookahead
+        genuinely overlaps with indexing (the paper's parser/indexer
+        pipeline, executed for real).  Results are always consumed in
+        file order, so indexes are byte-identical to a build without it.
+
+        Each worker *thread* owns one stable trace lane (``parser-w<n>``):
+        spans on a lane never overlap, which is what Perfetto-style
+        timeline rows require.  The paper's round-robin parser slot for
+        file ``k`` (``k % num_parsers``) is recorded as the ``parser``
+        span attribute instead of rotating the lane per file.
+        """
+        cfg = self.config
+        files = self.collection.files
+        watch, tracer = self.watch, self.tel.tracer
+        indices = range(self.start_file, len(files))
+        window = cfg.parse_prefetch
+
+        if window <= 0:
+            for k in indices:
+                with watch.measure("parse"), tracer.span(
+                    "parse", cat="parse", file=k, cp=f"parse:{k}"
+                ):
+                    result = self.parse_file_inline(k)
+                yield result
+            return
+
+        import itertools
+        import threading
+        from concurrent.futures import ThreadPoolExecutor
+
+        local = threading.local()
+        lane_ids = itertools.count()
+        lane_lock = threading.Lock()
+
+        def parse_one(
+            k: int,
+        ) -> tuple[ParsedFile | None, Exception | None, RetryOutcome | None]:
+            parser = getattr(local, "parser", None)
+            if parser is None:
+                parser = self._new_parser()
+                with lane_lock:
+                    worker = next(lane_ids)
+                parser.lane_override = f"parser-w{worker}"
+                local.parser = parser
+            return _parse_under_retry(parser, files[k], k, cfg)
+
+        with ThreadPoolExecutor(max_workers=window) as pool:
+            pending = deque()
+            ahead = iter(indices)
+            for k in itertools.islice(ahead, window):
+                pending.append((k, pool.submit(parse_one, k)))
+            while pending:
+                k, future = pending.popleft()
+                # Worker threads trace their own "parse" spans on the
+                # parser lanes; the engine lane records only the wait.
+                with watch.measure("parse"), tracer.span(
+                    "parse.wait", cat="parse", file=k,
+                    cp=f"collect:{k}", cp_from=f"parse:{k}",
+                ):
+                    parsed, error, outcome = future.result()
+                self._merge_outcome(outcome)
+                nxt = next(ahead, None)
+                if nxt is not None:
+                    pending.append((nxt, pool.submit(parse_one, nxt)))
+                yield k, parsed, error, outcome
+
+    # ---- indexing ------------------------------------------------------ #
+
+    def index_batch(
+        self, batch: ParsedBatch, doc_offset: int
+    ) -> tuple[GroupWork, GroupWork]:
+        """Route one buffer's collections to their bound indexers, inline.
+
+        The serial path: split the buffer per (indexer, group), index
+        each sub-batch on the engine thread in deterministic order, and
+        aggregate the group work.  The multiprocess backend runs the
+        *same* split and aggregation around its dispatch to worker
+        processes, which is what keeps the two modes byte-identical.
+        """
+        tasks = self.split_batch(batch)
+        results = [
+            self.indexer_for(kind, idx).index_batch(sub, doc_offset)
+            for kind, idx, _is_popular, sub in tasks
+        ]
+        return self.aggregate_group_work(batch, tasks, results)
+
+    def split_batch(self, batch: ParsedBatch) -> Tasks:
+        """Partition one buffer into per-(indexer, group) sub-batches.
+
+        Returns ``(kind, indexer_index, is_popular, sub_batch)`` tuples
+        sorted into the serial loop's historical consumption order (CPU
+        slots before GPU slots, then by index) — term-id allocation order
+        depends on it.  Runs on the engine thread under both backends:
+        ``bind_unseen`` mutates the assignment and must see collections
+        in file order.  Sub-batches are built per (indexer, group) so
+        group-level work attribution stays exact even on CPU-only
+        configurations.
+        """
+        if batch.ungrouped is not None:
+            # Regrouping disabled (ablation): the whole document-order
+            # stream goes through one CPU indexer — the paper's ~15×
+            # comparison is against a *serial* indexer, and splitting an
+            # ungrouped stream would duplicate collections across shards.
+            return [("cpu", 0, False, batch)]
+
+        assignment = self.state.assignment
+        subs: dict[tuple[str, int, bool], ParsedBatch] = {}
+        for cidx, stream in batch.collections.items():
+            kind, idx = assignment.bind_unseen(cidx)
+            is_popular = cidx in self.popular_set
+            key = (kind, idx, is_popular)
+            sub = subs.get(key)
+            if sub is None:
+                sub = ParsedBatch(
+                    parser_id=batch.parser_id,
+                    sequence=batch.sequence,
+                    source_file=batch.source_file,
+                    num_docs=batch.num_docs,
+                )
+                subs[key] = sub
+            sub.collections[cidx] = stream
+            if batch.positions is not None:
+                if sub.positions is None:
+                    sub.positions = {}
+                sub.positions[cidx] = batch.positions[cidx]
+            sub.tokens_per_collection[cidx] = batch.tokens_per_collection[cidx]
+            sub.chars_per_collection[cidx] = batch.chars_per_collection[cidx]
+        return [
+            (kind, idx, is_popular, sub)
+            for (kind, idx, is_popular), sub in sorted(
+                subs.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])
+            )
+        ]
+
+    @staticmethod
+    def aggregate_group_work(
+        batch: ParsedBatch, tasks: Tasks, results: list[Any]
+    ) -> tuple[GroupWork, GroupWork]:
+        """Fold per-sub-batch indexer reports into (popular, unpopular) work.
+
+        ``results`` is parallel to ``tasks``; entries are
+        :class:`~repro.indexers.base.IndexerReport` or GPU batch reports
+        carrying one.  Pure aggregation — safe to run on the engine
+        thread after out-of-order worker completion.
+        """
+        if batch.ungrouped is not None:
+            report = GroupWork()
+            rep = getattr(results[0], "report", results[0])
+            report.tokens = rep.tokens
+            report.new_terms = rep.new_terms
+            report.node_visits = rep.btree.node_visits
+            report.hot_visit_fraction = 0.0
+            return GroupWork(), report
+
+        groups = {True: GroupWork(), False: GroupWork()}
+        hot_fractions = {True: 0.95, False: 0.35}
+        for (kind, idx, is_popular, sub), res in zip(tasks, results):
+            # A GPU slot can hold a CPU fallback after a failover, so
+            # normalize on the report attribute GPU batches carry.
+            rep = getattr(res, "report", res)
+            g = groups[is_popular]
+            g.tokens += rep.tokens
+            g.new_terms += rep.new_terms
+            g.node_visits += rep.btree.node_visits
+            g.full_string_fetches += rep.btree.full_string_fetches
+            g.splits += rep.btree.splits
+            g.stream_chars += rep.characters
+            g.dict_chars += rep.characters  # refined below
+            g.hot_visit_fraction = hot_fractions[is_popular]
+            largest = max(sub.tokens_per_collection.values(), default=0)
+            g.largest_collection_tokens = max(g.largest_collection_tokens, largest)
+        for g in groups.values():
+            if g.tokens:
+                g.visits_per_token = g.node_visits / g.tokens
+        return groups[True], groups[False]
 
 
 class IndexingEngine:
@@ -217,7 +734,10 @@ class IndexingEngine:
             if profiler is not None:
                 profiler.start()
             try:
-                result = self._build(collection, output_dir, resume, tel)
+                # The three phases, each callable on its own.
+                build = self._open(collection, output_dir, resume, tel)
+                self._run_loop(build)
+                result = self._finalise(build)
             finally:
                 if profiler is not None:
                     profiler.stop()
@@ -244,57 +764,48 @@ class IndexingEngine:
             )
         return result
 
-    def _build(
-        self,
-        collection: Collection,
-        output_dir: str,
-        resume: bool,
-        tel: Telemetry,
-    ) -> EngineResult:
-        """The instrumented build body; runs inside the root ``build`` span."""
+    # ------------------------------------------------------------------ #
+    # Phase 1: open — a fresh build's boundary zero, or the journal's last
+    # ------------------------------------------------------------------ #
+
+    def _open(
+        self, collection: Collection, output_dir: str, resume: bool, tel: Telemetry
+    ) -> _Build:
         cfg = self.config
         watch = Stopwatch()
-        metrics = tel.metrics
         os.makedirs(output_dir, exist_ok=True)
-
-        injector = faults.active()
         manifest = BuildManifest(output_dir)
         fingerprint = self._fingerprint(collection)
-
-        state = load_checkpoint(output_dir) if resume else None
-        if state is not None and state.get("fingerprint") != fingerprint:
-            raise ValueError(
-                f"checkpoint in {output_dir} was written for a different "
-                "configuration or collection; delete checkpoint.bin or "
-                "rebuild from scratch"
-            )
-
         # The trie table is a pure function of its height.
         trie = TrieTable(height=cfg.trie_height)
-        if state is not None:
-            # ---- resume: restore the run-boundary state --------------- #
-            assignment = state["assignment"]
-            cpu_indexers = state["indexers"][: cfg.num_cpu_indexers]
-            gpu_indexers = state["indexers"][cfg.num_cpu_indexers :]
-            doc_table = state["doc_table"]
-            file_works = state["file_works"]
-            robustness = state["robustness"]
-            doc_offset = state["doc_offset"]
-            token_count = state["token_count"]
-            posting_count = state["posting_count"]
-            run_count = state["run_count"]
-            start_file = state["next_file_index"]
-            robustness.resumed_runs = run_count
+        range_map = DocRangeMap()
+
+        state = (
+            RunBoundaryState.load(output_dir, cfg.num_cpu_indexers) if resume else None
+        )
+        if state is None:
+            state = self._fresh_state(collection, fingerprint, trie, watch, tel)
+            # The journal is append-only: a previous build's must go, and
+            # go first, so no crash pairs it with the new manifest.
+            clear_checkpoint(output_dir)
+            manifest.start(fingerprint, collection.name, len(collection.files))
+        else:
+            if state.fingerprint != fingerprint:
+                raise ValueError(
+                    f"checkpoint in {output_dir} was written for a different "
+                    "configuration or collection; delete checkpoint.bin or "
+                    "rebuild from scratch"
+                )
+            state.robustness.resumed_runs = state.run_count
             # A crash between (or during) manifest append and journal
             # append leaves one orphan record; drop it and re-index that
             # run.  The kept records locate the durable runs.
-            records = manifest.truncate_runs(run_count)
-            if len(records) != run_count:
+            records = manifest.truncate_runs(state.run_count)
+            if len(records) != state.run_count:
                 raise ValueError(
                     f"{manifest.path} records {len(records)} runs, the "
-                    f"checkpoint {run_count}; rebuild from scratch"
+                    f"checkpoint {state.run_count}; rebuild from scratch"
                 )
-            range_map = DocRangeMap()
             for rec in records:
                 range_map.add(
                     RunFile(
@@ -306,337 +817,146 @@ class IndexingEngine:
                         byte_size=rec.byte_size,
                     )
                 )
-        else:
-            robustness = RobustnessReport(on_error=cfg.on_error)
 
-            # ---- 1. sampling + assignment (Section III.E) ------------- #
-            with watch.measure("sampling"), tel.tracer.span("sampling"):
-                faults.set_stage("sampling")
-                try:
-                    sampled = sample_collection(
-                        collection,
-                        sample_fraction=cfg.sample_fraction,
-                        strip_html=cfg.strip_html,
-                        retry=cfg.retry,
-                        on_error=cfg.on_error,
-                        report=robustness,
-                    )
-                finally:
-                    faults.set_stage("build")
-                assignment = build_assignment(
-                    sampled, cfg.num_cpu_indexers, cfg.num_gpus, cfg.popularity
-                )
+        assignment = state.assignment
+        metrics = tel.metrics
+        metrics.set_gauge("assignment.popular_collections", len(assignment.popular))
+        metrics.set_gauge(
+            "assignment.gpu_collections", sum(len(s) for s in assignment.gpu_sets)
+        )
+        metrics.set_gauge("robustness.resumed_runs", state.robustness.resumed_runs)
+        return _Build(
+            cfg, collection, output_dir, tel, watch, trie, state, range_map, manifest
+        )
 
-            # ---- 2. indexers ------------------------------------------ #
-            cpu_indexers = [
-                CPUIndexer(
-                    i,
-                    DictionaryShard(
-                        trie, shard_id=i, degree=cfg.btree_degree,
-                        use_string_cache=cfg.use_string_cache,
-                    ),
+    def _fresh_state(
+        self,
+        collection: Collection,
+        fingerprint: str,
+        trie: TrieTable,
+        watch: Stopwatch,
+        tel: Telemetry,
+    ) -> RunBoundaryState:
+        """Boundary zero: sampled assignment (Section III.E), empty indexers."""
+        cfg = self.config
+        robustness = RobustnessReport(on_error=cfg.on_error)
+        with watch.measure("sampling"), tel.tracer.span("sampling"):
+            faults.set_stage("sampling")
+            try:
+                sampled = sample_collection(
+                    collection,
+                    sample_fraction=cfg.sample_fraction,
+                    strip_html=cfg.strip_html,
+                    retry=cfg.retry,
+                    on_error=cfg.on_error,
+                    report=robustness,
                 )
-                for i in range(cfg.num_cpu_indexers)
-            ]
-            gpu_indexers: list = [
+            finally:
+                faults.set_stage("build")
+            assignment = build_assignment(
+                sampled, cfg.num_cpu_indexers, cfg.num_gpus, cfg.popularity
+            )
+
+        def shard(shard_id: int) -> DictionaryShard:
+            return DictionaryShard(
+                trie, shard_id=shard_id, degree=cfg.btree_degree,
+                use_string_cache=cfg.use_string_cache,
+            )
+
+        return RunBoundaryState(
+            fingerprint=fingerprint,
+            assignment=assignment,
+            doc_table=DocTable(),
+            file_works=[],
+            robustness=robustness,
+            cpu_indexers=[CPUIndexer(i, shard(i)) for i in range(cfg.num_cpu_indexers)],
+            gpu_indexers=[
                 GPUIndexer(
                     100 + j,
-                    DictionaryShard(
-                        trie, shard_id=100 + j, degree=cfg.btree_degree,
-                        use_string_cache=cfg.use_string_cache,
-                    ),
+                    shard(100 + j),
                     device=Device(device_id=j, spec=cfg.gpu_spec),
                     num_blocks=cfg.thread_blocks_per_gpu,
                     schedule=cfg.gpu_schedule,
                     fidelity=cfg.gpu_fidelity,
                 )
                 for j in range(cfg.num_gpus)
-            ]
-            doc_table = DocTable()
-            range_map = DocRangeMap()
-            file_works = []
-            doc_offset = 0
-            token_count = 0
-            posting_count = 0
-            run_count = 0
-            start_file = 0
-            # The journal is append-only: a previous build's must go, and
-            # go first, so no crash pairs it with the new manifest.
-            clear_checkpoint(output_dir)
-            manifest.start(fingerprint, collection.name, len(collection.files))
-
-        popular_set = set(assignment.popular)
-        split = WorkSplit()
-        metrics.set_gauge("assignment.popular_collections", len(assignment.popular))
-        metrics.set_gauge(
-            "assignment.gpu_collections", sum(len(s) for s in assignment.gpu_sets)
+            ],
         )
-        metrics.set_gauge("robustness.resumed_runs", robustness.resumed_runs)
 
-        # ---- 3. parse + index + write runs (Fig 8) -------------------- #
-        writer = RunWriter(output_dir, codec=get_codec(cfg.codec), num_stripes=cfg.output_stripes)
-        run_file_indices: list[int] = []
-        run_first_doc = doc_offset
-        run_docs = 0
-        pipeline_stats: PipelineStats | None = None
+    # ------------------------------------------------------------------ #
+    # Phase 2: run loop — parse + index + write runs (Fig 8)
+    # ------------------------------------------------------------------ #
 
-        def record_file(
-            k: int,
-            parsed: ParsedFile,
-            outcome: RetryOutcome | None,
-            pop_work: GroupWork,
-            unpop_work: GroupWork,
-        ) -> None:
-            """Post-index bookkeeping for one file, on the engine thread.
-
-            Both execution modes call this strictly in file order — it
-            advances the global doc-ID cursor and the doc table, which is
-            what keeps serial and pipelined output byte-identical.
-            """
-            nonlocal doc_offset, token_count, run_docs
-            batch = parsed.batch
-            metrics.count("build.files_indexed")
-            metrics.count("build.docs", batch.num_docs)
-            metrics.count("build.tokens", batch.total_tokens)
-            metrics.observe("file.uncompressed_bytes",
-                            parsed.metrics.uncompressed_bytes)
-            file_works.append(
-                FileWork(
-                    file_index=k,
-                    compressed_bytes=parsed.metrics.compressed_bytes,
-                    uncompressed_bytes=parsed.metrics.uncompressed_bytes,
-                    num_docs=batch.num_docs,
-                    raw_tokens=parsed.metrics.tokens_raw,
-                    popular=pop_work,
-                    unpopular=unpop_work,
-                    segment=collection.segment_of(k),
-                    fault_delay_s=outcome.backoff_s if outcome else 0.0,
-                )
-            )
-            for entry in parsed.doc_table:
-                doc_table.add(entry.source_file, entry.uri, entry.offset)
-            token_count += batch.total_tokens
-            doc_offset += batch.num_docs
-            run_docs += batch.num_docs
-            run_file_indices.append(k)
-
-        def is_run_boundary(k: int) -> bool:
-            # A run closes after `files_per_run` files (the paper's
-            # fixed-total-size batches) or at the end of the collection —
-            # on file *position*, so run numbering survives skipped files.
-            return (k + 1) % cfg.files_per_run == 0 or k == len(collection.files) - 1
-
-        def close_run(k: int) -> None:
-            """Drain accumulators → run file → manifest → checkpoint.
-
-            Engine-thread only.  Concurrent backends quiesce their
-            in-flight window first, so the drain and the checkpoint
-            record see settled indexer state with empty queues; the
-            multiprocess backend's ``drain_run_postings`` additionally
-            pulls what the run added out of its workers — postings, each
-            shard's mutation log, a forest-free indexer state — and
-            replays the logs into the engine-side shards, so the
-            checkpoint (which takes those logs) and the dictionary
-            epilogue stay authoritative.
-            """
-            nonlocal posting_count, run_count, run_file_indices, run_first_doc, run_docs
-            with watch.measure("write_runs"), tel.tracer.span(
-                "write_run", cat="output"
-            ) as run_tags:
-                run_lists: dict[int, PostingsList] = backend.drain_run_postings()
-                run_postings = sum(len(p) for p in run_lists.values())
-                posting_count += run_postings
-                run_id = k // cfg.files_per_run
-                run_file = writer.write_run(run_id, run_lists)
-                range_map.add(run_file)
-                run_count += 1
-                run_tags["run"] = run_id
-                run_tags["postings"] = run_postings
-                run_tags["bytes"] = run_file.byte_size
-                run_tags["cp"] = f"flush:{run_id}"
-                run_tags["cp_from"] = f"drain:{k}"
-            metrics.count("runs.written")
-            metrics.count("postings.entries", run_postings)
-            metrics.count(f"postings.bytes.{cfg.codec}", run_file.byte_size)
-            metrics.observe("run.bytes", run_file.byte_size)
-            metrics.observe("run.postings", run_postings)
-            # Durability order: run file → manifest append →
-            # checkpoint append.  A crash at any point leaves a
-            # resumable directory (see repro.robustness.checkpoint).
-            with tel.tracer.span(
-                "checkpoint", cat="robustness", run=run_id,
-                cp=f"checkpoint:{run_id}", cp_from=f"flush:{run_id}",
-            ):
-                manifest.append_run(
-                    RunRecord(
-                        run_id=run_id,
-                        path=os.path.relpath(run_file.path, output_dir),
-                        crc32=crc32_of_file(run_file.path),
-                        min_doc=run_file.min_doc,
-                        max_doc=run_file.max_doc,
-                        entry_count=run_file.entry_count,
-                        byte_size=run_file.byte_size,
-                        first_doc=run_first_doc,
-                        docs=run_docs,
-                        postings=run_postings,
-                        file_indices=tuple(run_file_indices),
-                        files=tuple(
-                            os.path.basename(collection.files[i])
-                            for i in run_file_indices
-                        ),
-                    )
-                )
-                save_checkpoint(
-                    output_dir,
-                    {
-                        "fingerprint": fingerprint,
-                        "assignment": assignment,
-                        "doc_table": doc_table,
-                        "file_works": file_works,
-                        "robustness": robustness,
-                        "doc_offset": doc_offset,
-                        "token_count": token_count,
-                        "posting_count": posting_count,
-                        "run_count": run_count,
-                        "next_file_index": k + 1,
-                    },
-                    [*cpu_indexers, *gpu_indexers],
-                )
-            run_file_indices = []
-            run_first_doc = doc_offset
-            run_docs = 0
-
-        inline_parser: list[Parser] = []
-
-        def parse_file_inline(
-            k: int,
-        ) -> tuple[int, ParsedFile | None, Exception | None, RetryOutcome | None]:
-            """Parse one file on the engine thread (mp degraded-slot path)."""
-            if not inline_parser:
-                inline_parser.append(
-                    Parser(
-                        parser_id=0, trie=trie, strip_html=cfg.strip_html,
-                        regroup=cfg.regroup, positional=cfg.positional,
-                    )
-                )
-            parser = inline_parser[0]
-            path = collection.files[k]
-
-            def call() -> ParsedFile:
-                parser.parser_id = k % cfg.num_parsers
-                return parser.parse_file(path, sequence=k)
-
-            try:
-                parsed, outcome = retry_call(call, cfg.retry, path)
-            except _PERMANENT_READ_ERRORS as exc:
-                return k, None, exc, None
-            robustness.merge_outcome(outcome.retries, outcome.backoff_s)
-            return k, parsed, None, outcome
-
-        hooks = BuildHooks(
-            config=cfg,
-            collection=collection,
-            assignment=assignment,
-            popular_set=popular_set,
-            cpu_indexers=cpu_indexers,
-            gpu_indexers=gpu_indexers,
-            trie=trie,
-            robustness=robustness,
-            injector=injector,
-            watch=watch,
-            tel=tel,
-            start_file=start_file,
-            doc_offset=doc_offset,
-            split_batch=lambda batch: self._split_batch(
-                batch, assignment, popular_set
-            ),
-            index_batch=lambda batch, offset: self._index_batch(
-                batch, offset, assignment, popular_set, cpu_indexers, gpu_indexers
-            ),
-            aggregate_group_work=self._aggregate_group_work,
-            record_file=record_file,
-            close_run=close_run,
-            is_run_boundary=is_run_boundary,
-            handle_read_failure=lambda k, err: self._handle_read_failure(
-                collection, k, err, robustness
-            ),
-            fail_gpu=lambda ordinal, k: self._fail_gpu(
-                ordinal, k, gpu_indexers, assignment, robustness
-            ),
-            make_parsed_stream=lambda prefetch: self._parsed_files(
-                collection, trie, watch, tel,
-                start=start_file, robustness=robustness, prefetch=prefetch,
-            ),
-            parse_file_inline=parse_file_inline,
-        )
-        # close_run above late-binds this name: by the time any backend
-        # reaches a run boundary, the backend exists.
-        backend: ExecutionBackend = create_backend(resolve_backend_name(cfg), hooks)
-        supervisor_report: SupervisorReport | None = None
-        with tel.tracer.span(
-            "run_loop", start_file=start_file, backend=backend.name
+    def _run_loop(self, build: _Build) -> None:
+        backend = build.backend = create_backend(self.config.exec_backend, build)
+        with build.tel.tracer.span(
+            "run_loop", start_file=build.start_file, backend=backend.name
         ):
             try:
-                pipeline_stats = backend.run()
+                build.pipeline_stats = backend.run()
             finally:
-                supervisor_report = backend.supervisor_report()
+                build.supervisor_report = backend.supervisor_report()
                 backend.close()
 
-        # ---- 4. dictionary epilogue (Table VI) ------------------------ #
+    # ------------------------------------------------------------------ #
+    # Phase 3: finalise — dictionary epilogue (Table VI), Table V split,
+    # simulated timing
+    # ------------------------------------------------------------------ #
+
+    def _finalise(self, build: _Build) -> EngineResult:
+        st = build.state
+        watch, tel, output_dir = build.watch, build.tel, build.output_dir
+        indexers = st.indexers
         with watch.measure("dict_combine"), tel.tracer.span("dict.combine"):
-            dictionary = Dictionary.combine(
-                [ix.shard for ix in [*cpu_indexers, *gpu_indexers]]
-            )
+            dictionary = Dictionary.combine([ix.shard for ix in indexers])
         with watch.measure("dict_write"), tel.tracer.span("dict.write"):
             save_dictionary(dictionary, os.path.join(output_dir, "dictionary.bin"))
-            range_map.save(output_dir)
-            doc_table.save(output_dir)
+            build.range_map.save(output_dir)
+            st.doc_table.save(output_dir)
         clear_checkpoint(output_dir)  # the build is durable without it now
 
-        # ---- 5. Table V split + simulated timing ----------------------- #
         # Bucket by the indexer's *kind*: after a GPU failover, the slot in
         # gpu_indexers holds a CPU fallback whose work (including what the
         # dead GPU indexed first — see GpuFailover.tokens_before_failure)
         # counts on the CPU side.
-        for ix in [*cpu_indexers, *gpu_indexers]:
+        split = WorkSplit()
+        for ix in indexers:
+            characters = ix.shard.string_bytes() - ix.total.new_terms
             if ix.kind == "cpu":
                 split.cpu_tokens += ix.total.tokens
                 split.cpu_terms += ix.total.new_terms
-                split.cpu_characters += ix.shard.string_bytes() - ix.total.new_terms
+                split.cpu_characters += characters
             else:
                 split.gpu_tokens += ix.total.tokens
                 split.gpu_terms += ix.total.new_terms
-                split.gpu_characters += ix.shard.string_bytes() - ix.total.new_terms
+                split.gpu_characters += characters
 
+        metrics = tel.metrics
         metrics.set_gauge("dictionary.terms", dictionary.term_count())
         metrics.set_gauge("dictionary.string_heap_bytes", dictionary.string_bytes())
         metrics.set_gauge("split.cpu_tokens", split.cpu_tokens)
         metrics.set_gauge("split.gpu_tokens", split.gpu_tokens)
         with tel.tracer.span("simulate", cat="model"):
-            report = simulate_full_build(file_works, cfg, self.costs)
+            report = simulate_full_build(st.file_works, self.config, self.costs)
 
-        result = EngineResult(
+        return EngineResult(
             output_dir=output_dir,
             dictionary=dictionary,
-            assignment=assignment,
-            file_works=file_works,
+            assignment=st.assignment,
+            file_works=st.file_works,
             report=report,
             split=split,
             term_count=dictionary.term_count(),
-            token_count=token_count,
-            posting_count=posting_count,
-            document_count=doc_offset,
-            run_count=run_count,
+            token_count=st.token_count,
+            posting_count=st.posting_count,
+            document_count=st.doc_offset,
+            run_count=st.run_count,
             stopwatch=watch,
-            indexer_reports={
-                f"{ix.kind}{ix.indexer_id}": ix.total
-                for ix in [*cpu_indexers, *gpu_indexers]
-            },
-            robustness=robustness,
-            pipeline=pipeline_stats,
-            supervisor=supervisor_report,
+            indexer_reports={f"{ix.kind}{ix.indexer_id}": ix.total for ix in indexers},
+            robustness=st.robustness,
+            pipeline=build.pipeline_stats,
+            supervisor=build.supervisor_report,
         )
-        return result
 
     # ------------------------------------------------------------------ #
     # Telemetry artifacts
@@ -661,7 +981,7 @@ class IndexingEngine:
         timings["cpu_seconds"] = result.cpu_seconds
         timings["measured_union_seconds"] = watch.wall()
         if result.pipeline is not None:
-            # Pipelined stall/idle wall-clock: quarantined with the other
+            # Multiprocess stall wall-clock: quarantined with the other
             # timings; the registry only sees deterministic pipeline.*.
             timings.update(result.pipeline.timings())
         payload = build_payload(
@@ -680,10 +1000,6 @@ class IndexingEngine:
         trace_path = tel.tracer.write(os.path.join(output_dir, TRACE_FILENAME))
         return metrics_path, trace_path
 
-    # ------------------------------------------------------------------ #
-    # Robustness plumbing
-    # ------------------------------------------------------------------ #
-
     def _fingerprint(self, collection: Collection) -> str:
         """Identity of (config, collection) a checkpoint must match."""
         basis = (
@@ -691,321 +1007,3 @@ class IndexingEngine:
             f"{collection.seed}"
         )
         return hashlib.sha256(basis.encode("utf-8")).hexdigest()[:16]
-
-    def _handle_read_failure(
-        self,
-        collection: Collection,
-        file_index: int,
-        error: Exception,
-        robustness: RobustnessReport,
-    ) -> None:
-        """Apply the ``on_error`` policy to a permanently unreadable file."""
-        cfg = self.config
-        if cfg.on_error == "strict":
-            raise error
-        path = collection.files[file_index]
-        reason = f"{type(error).__name__}: {error}"
-        if cfg.on_error == "quarantine":
-            dest = collection.quarantine_file(
-                file_index, reason, quarantine_dir=cfg.quarantine_dir
-            )
-            robustness.skipped.append(
-                SkippedFile(
-                    file_index=file_index,
-                    path=path,
-                    reason=reason,
-                    action="quarantine",
-                    quarantined_to=dest,
-                )
-            )
-            obs.count("robustness.quarantined")
-        else:
-            robustness.skipped.append(
-                SkippedFile(file_index=file_index, path=path, reason=reason)
-            )
-            obs.count("robustness.skipped")
-
-    def _fail_gpu(
-        self,
-        ordinal: int,
-        file_index: int,
-        gpu_indexers: list,
-        assignment: WorkAssignment,
-        robustness: RobustnessReport,
-    ) -> None:
-        """Replace a dead GPU indexer with a CPU fallback, mid-build.
-
-        The fallback adopts the failed indexer's dictionary shard and
-        postings accumulator *objects*, so term ids, accumulated postings
-        and run output are exactly what the GPU would have produced — the
-        index stays correct; only the (simulated) speed degrades.
-        """
-        if not 0 <= ordinal < len(gpu_indexers):
-            return
-        failed = gpu_indexers[ordinal]
-        if failed.kind != "gpu":
-            return  # this ordinal already failed over
-        replacement = CPUIndexer(failed.indexer_id, failed.shard)
-        replacement.accumulator = failed.accumulator
-        replacement.total = failed.total
-        gpu_indexers[ordinal] = replacement
-        assignment.mark_gpu_failed(ordinal)
-        robustness.gpu_failovers.append(
-            GpuFailover(
-                gpu_ordinal=ordinal,
-                indexer_id=failed.indexer_id,
-                file_index=file_index,
-                collections=len(assignment.gpu_sets[ordinal]),
-                tokens_before_failure=failed.total.tokens,
-            )
-        )
-        obs.count("robustness.gpu_failovers")
-        t = obs.current()
-        if t is not None:
-            t.tracer.instant(
-                "gpu_failover", cat="robustness", gpu=ordinal, file=file_index
-            )
-
-    # ------------------------------------------------------------------ #
-
-    def _parsed_files(
-        self,
-        collection: Collection,
-        trie: TrieTable,
-        watch: Stopwatch,
-        tel: Telemetry,
-        start: int = 0,
-        robustness: RobustnessReport | None = None,
-        prefetch: int | None = None,
-    ) -> Iterator[tuple[int, ParsedFile | None, Exception | None, RetryOutcome | None]]:
-        """Yield ``(file_index, parsed, error, retry_outcome)`` in order.
-
-        Every container read runs under the config's retry policy; a file
-        that stays unreadable yields ``parsed=None`` with the permanent
-        ``error`` for the caller's ``on_error`` policy (a fatal injected
-        fault propagates — that *is* the crash).  ``start`` skips files a
-        resumed build already indexed.
-
-        With a positive lookahead (``prefetch`` argument, defaulting to
-        ``config.parse_prefetch``) a thread pool reads, decompresses and
-        parses up to that many files ahead — gzip inflation and the regex
-        scan release the GIL, so the lookahead genuinely overlaps with
-        indexing (the paper's parser/indexer pipeline, executed for real).
-        Results are always consumed in file order, so indexes are
-        byte-identical to a serial build.
-
-        Each worker *thread* owns one stable trace lane (``parser-w<n>``):
-        spans on a lane never overlap, which is what Perfetto-style
-        timeline rows require.  The paper's round-robin parser slot for
-        file ``k`` (``k % num_parsers``) is recorded as the ``parser``
-        span attribute instead of rotating the lane per file.
-        """
-        cfg = self.config
-
-        def make_parser() -> Parser:
-            return Parser(
-                parser_id=0,
-                trie=trie,
-                strip_html=cfg.strip_html,
-                regroup=cfg.regroup,
-                positional=cfg.positional,
-            )
-
-        def attempt(
-            parser: Parser, k: int, path: str
-        ) -> tuple[ParsedFile | None, Exception | None, RetryOutcome | None]:
-            """Parse under retry; classify the outcome for the caller."""
-            def call() -> ParsedFile:
-                # The paper's parser-array slot for this file: stamped on
-                # the batch (and the parse_file span) for round-robin
-                # accounting, while the trace lane stays per-thread.
-                parser.parser_id = k % cfg.num_parsers
-                return parser.parse_file(path, sequence=k)
-
-            try:
-                parsed, outcome = retry_call(call, cfg.retry, path)
-                return parsed, None, outcome
-            except _PERMANENT_READ_ERRORS as exc:
-                return None, exc, None
-
-        def merge(outcome: RetryOutcome | None) -> None:
-            if outcome is not None and robustness is not None:
-                robustness.merge_outcome(outcome.retries, outcome.backoff_s)
-
-        indices = range(start, len(collection.files))
-        window = cfg.parse_prefetch if prefetch is None else prefetch
-
-        if window <= 0:
-            parser = make_parser()
-            for k in indices:
-                path = collection.files[k]
-                with watch.measure("parse"), tel.tracer.span(
-                    "parse", cat="parse", file=k, cp=f"parse:{k}"
-                ):
-                    parsed, error, outcome = attempt(parser, k, path)
-                merge(outcome)
-                yield k, parsed, error, outcome
-            return
-
-        import itertools
-        import threading
-        from concurrent.futures import ThreadPoolExecutor
-
-        local = threading.local()
-        lane_ids = itertools.count()
-        lane_lock = threading.Lock()
-
-        def parse_one(
-            k: int,
-        ) -> tuple[ParsedFile | None, Exception | None, RetryOutcome | None]:
-            parser = getattr(local, "parser", None)
-            if parser is None:
-                parser = make_parser()
-                with lane_lock:
-                    worker = next(lane_ids)
-                parser.lane_override = f"parser-w{worker}"
-                local.parser = parser
-            return attempt(parser, k, collection.files[k])
-
-        with ThreadPoolExecutor(max_workers=window) as pool:
-            pending = deque()
-            files = iter(indices)
-            for k in itertools.islice(files, window):
-                pending.append((k, pool.submit(parse_one, k)))
-            while pending:
-                k, future = pending.popleft()
-                # Worker threads trace their own "parse" spans on the
-                # parser lanes; the engine lane records only the wait.
-                with watch.measure("parse"), tel.tracer.span(
-                    "parse.wait", cat="parse", file=k,
-                    cp=f"collect:{k}", cp_from=f"parse:{k}",
-                ):
-                    parsed, error, outcome = future.result()
-                merge(outcome)
-                nxt = next(files, None)
-                if nxt is not None:
-                    pending.append((nxt, pool.submit(parse_one, nxt)))
-                yield k, parsed, error, outcome
-
-    def _index_batch(
-        self,
-        batch: ParsedBatch,
-        doc_offset: int,
-        assignment: WorkAssignment,
-        popular_set: set[int],
-        cpu_indexers: list[CPUIndexer],
-        gpu_indexers: list[GPUIndexer],
-    ) -> tuple[GroupWork, GroupWork]:
-        """Route one buffer's collections to their bound indexers, inline.
-
-        The serial path: split the buffer per (indexer, group), index
-        each sub-batch on the engine thread in deterministic order, and
-        aggregate the group work.  The pipelined path runs the *same*
-        split and aggregation around worker-pool dispatch
-        (``_run_pipelined``), which is what keeps the two modes
-        byte-identical.
-        """
-        tasks = self._split_batch(batch, assignment, popular_set)
-        results = [
-            (cpu_indexers[idx] if kind == "cpu" else gpu_indexers[idx]).index_batch(
-                sub, doc_offset
-            )
-            for kind, idx, _is_popular, sub in tasks
-        ]
-        return self._aggregate_group_work(batch, tasks, results)
-
-    def _split_batch(
-        self,
-        batch: ParsedBatch,
-        assignment: WorkAssignment,
-        popular_set: set[int],
-    ) -> list[tuple[str, int, bool, ParsedBatch]]:
-        """Partition one buffer into per-(indexer, group) sub-batches.
-
-        Returns ``(kind, indexer_index, is_popular, sub_batch)`` tuples
-        sorted into the serial loop's historical consumption order (CPU
-        slots before GPU slots, then by index) — term-id allocation order
-        depends on it.  Runs on the engine thread in both modes:
-        ``bind_unseen`` mutates the assignment and must see collections
-        in file order.  Sub-batches are built per (indexer, group) so
-        group-level work attribution stays exact even on CPU-only
-        configurations.
-        """
-        if batch.ungrouped is not None:
-            # Regrouping disabled (ablation): the whole document-order
-            # stream goes through one CPU indexer — the paper's ~15×
-            # comparison is against a *serial* indexer, and splitting an
-            # ungrouped stream would duplicate collections across shards.
-            return [("cpu", 0, False, batch)]
-
-        subs: dict[tuple[str, int, bool], ParsedBatch] = {}
-        for cidx, stream in batch.collections.items():
-            kind, idx = assignment.bind_unseen(cidx)
-            is_popular = cidx in popular_set
-            key = (kind, idx, is_popular)
-            sub = subs.get(key)
-            if sub is None:
-                sub = ParsedBatch(
-                    parser_id=batch.parser_id,
-                    sequence=batch.sequence,
-                    source_file=batch.source_file,
-                    num_docs=batch.num_docs,
-                )
-                subs[key] = sub
-            sub.collections[cidx] = stream
-            if batch.positions is not None:
-                if sub.positions is None:
-                    sub.positions = {}
-                sub.positions[cidx] = batch.positions[cidx]
-            sub.tokens_per_collection[cidx] = batch.tokens_per_collection[cidx]
-            sub.chars_per_collection[cidx] = batch.chars_per_collection[cidx]
-        return [
-            (kind, idx, is_popular, sub)
-            for (kind, idx, is_popular), sub in sorted(
-                subs.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])
-            )
-        ]
-
-    def _aggregate_group_work(
-        self,
-        batch: ParsedBatch,
-        tasks: list[tuple[str, int, bool, ParsedBatch]],
-        results: list[Any],
-    ) -> tuple[GroupWork, GroupWork]:
-        """Fold per-sub-batch indexer reports into (popular, unpopular) work.
-
-        ``results`` is parallel to ``tasks``; entries are
-        :class:`~repro.indexers.base.IndexerReport` or GPU batch reports
-        carrying one.  Pure aggregation — safe to run on the engine
-        thread after out-of-order worker completion.
-        """
-        if batch.ungrouped is not None:
-            report = GroupWork()
-            rep = getattr(results[0], "report", results[0])
-            report.tokens = rep.tokens
-            report.new_terms = rep.new_terms
-            report.node_visits = rep.btree.node_visits
-            report.hot_visit_fraction = 0.0
-            return GroupWork(), report
-
-        groups = {True: GroupWork(), False: GroupWork()}
-        hot_fractions = {True: 0.95, False: 0.35}
-        for (kind, idx, is_popular, sub), res in zip(tasks, results):
-            # A GPU slot can hold a CPU fallback after a failover, so
-            # normalize on the report attribute GPU batches carry.
-            rep = getattr(res, "report", res)
-            g = groups[is_popular]
-            g.tokens += rep.tokens
-            g.new_terms += rep.new_terms
-            g.node_visits += rep.btree.node_visits
-            g.full_string_fetches += rep.btree.full_string_fetches
-            g.splits += rep.btree.splits
-            g.stream_chars += rep.characters
-            g.dict_chars += rep.characters  # refined below
-            g.hot_visit_fraction = hot_fractions[is_popular]
-            largest = max(sub.tokens_per_collection.values(), default=0)
-            g.largest_collection_tokens = max(g.largest_collection_tokens, largest)
-        for g in groups.values():
-            if g.tokens:
-                g.visits_per_token = g.node_visits / g.tokens
-        return groups[True], groups[False]

@@ -12,7 +12,7 @@ run files, manifest, checkpoint — happen on the engine thread through
 the shared :class:`~repro.core.exec_backend.BuildHooks`, which is what
 makes worker failures recoverable with at-most-once side effects.
 
-Ordering contract (byte-identity with serial/threaded):
+Ordering contract (byte-identity with serial):
 
 - files are assigned to parser slots round-robin and *collected in
   global file order*, so the engine sees parsed files exactly as the
@@ -51,13 +51,14 @@ from typing import TYPE_CHECKING, Any
 
 from repro.core.exec_backend import (
     DEFAULT_CONCURRENT_DEPTH,
+    QUEUE_DEPTH_BUCKETS,
     BuildHooks,
     ExecutionBackend,
     ParsedStream,
-    _InflightFile,
+    PipelineStats,
+    Tasks,
 )
 from repro.core.mp_worker import WorkerSpec, worker_main
-from repro.core.pipeline_exec import QUEUE_DEPTH_BUCKETS, PipelineStats
 from repro.core.shm_ring import RingTimeout, ShmRing, sweep_created_segments
 from repro.parsing.stream_codec import decode_batch, decode_parsed_file, encode_batch
 from repro.robustness.retry import RetryOutcome
@@ -65,6 +66,7 @@ from repro.robustness.supervise import Supervisor, SupervisorReport, WorkerFailu
 from repro.util.timing import now
 
 if TYPE_CHECKING:
+    from repro.parsing.parser import ParsedFile
     from repro.postings.lists import PostingsList
 
 __all__ = ["MultiprocessBackend"]
@@ -86,6 +88,18 @@ class _Journal:
     doc_offset: int
     payload: bytes
     collected: bool = False
+
+
+@dataclass
+class _InflightFile:
+    """One parsed file dispatched to the workers, awaiting its drain."""
+
+    file_index: int
+    parsed: "ParsedFile"
+    outcome: RetryOutcome | None
+    tasks: Tasks
+    #: Per-task ids, parallel to ``tasks``.
+    task_ids: list[int]
 
 
 class _Handle:
@@ -172,10 +186,10 @@ class MultiprocessBackend(ExecutionBackend):
         self._closed = False
         self._islots: list[_IndexerSlot] = [
             _IndexerSlot(f"cpu-{i}", "cpu", i)
-            for i in range(len(hooks.cpu_indexers))
+            for i in range(len(hooks.state.cpu_indexers))
         ] + [
             _IndexerSlot(f"gpu-{j}", "gpu", j)
-            for j in range(len(hooks.gpu_indexers))
+            for j in range(len(hooks.state.gpu_indexers))
         ]
         self._islot_map = {(s.kind, s.idx): s for s in self._islots}
         remaining = len(hooks.collection.files) - hooks.start_file
@@ -183,9 +197,7 @@ class MultiprocessBackend(ExecutionBackend):
             _ParserSlot(f"parser-{w}", w)
             for w in range(min(cfg.num_parsers, max(0, remaining)))
         ]
-        self.stats = PipelineStats(
-            depth=self.depth, workers=len(self._islots), backend=self.name
-        )
+        self.stats = PipelineStats(depth=self.depth, workers=len(self._islots))
 
     # ------------------------------------------------------------------ #
     # Run loop
@@ -196,7 +208,7 @@ class MultiprocessBackend(ExecutionBackend):
         metrics = h.tel.metrics
         stats = self.stats
         inflight: deque[_InflightFile] = deque()
-        next_offset = h.doc_offset
+        next_offset = h.state.doc_offset
 
         def collect_oldest(reason: str) -> None:
             item = inflight.popleft()
@@ -252,9 +264,7 @@ class MultiprocessBackend(ExecutionBackend):
                         for kind, idx, _pop, sub in tasks:
                             slot = self._islot_map[(kind, idx)]
                             task_ids.append(self._dispatch(slot, sub, next_offset))
-                    inflight.append(
-                        _InflightFile(k, parsed, outcome, tasks, task_ids=task_ids)
-                    )
+                    inflight.append(_InflightFile(k, parsed, outcome, tasks, task_ids))
                     next_offset += batch.num_docs
                     stats.files += 1
                     stats.max_inflight = max(stats.max_inflight, len(inflight))
@@ -441,7 +451,8 @@ class MultiprocessBackend(ExecutionBackend):
         the engine's authoritative object — which is also what a
         restarted worker is seeded from and what a degraded slot
         continues on — and the journal resets."""
-        lst = self.hooks.cpu_indexers if slot.kind == "cpu" else self.hooks.gpu_indexers
+        state = self.hooks.state
+        lst = state.cpu_indexers if slot.kind == "cpu" else state.gpu_indexers
         lst[slot.idx] = obj
         slot.journal.clear()
         slot.by_tid.clear()
@@ -458,7 +469,7 @@ class MultiprocessBackend(ExecutionBackend):
             self._refresh_state(slot)
             self.hooks.fail_gpu(ordinal, k)
             if slot.mode == "process":
-                state = pickle.dumps(self.hooks.gpu_indexers[ordinal])
+                state = pickle.dumps(self.hooks.indexer_for("gpu", ordinal))
                 self._put(slot, ("state", state))
 
     # ------------------------------------------------------------------ #
@@ -527,8 +538,7 @@ class MultiprocessBackend(ExecutionBackend):
                     slot.outstanding.popleft()
                     self._merge_delta(fc, fe, md, sp, pf)
                     outcome = RetryOutcome(attempts=attempts, backoff_s=backoff_s)
-                    if h.robustness is not None:
-                        h.robustness.merge_outcome(outcome.retries, outcome.backoff_s)
+                    h.state.robustness.merge_outcome(outcome.retries, outcome.backoff_s)
                     return k, decode_parsed_file(payload), None, outcome
                 if op == "parse_error":
                     _, rk, exc_blob, _att, _bo, fc, fe, md, sp, pf = cmd

@@ -66,8 +66,9 @@ class BaseIndexer:
     telemetry instruments are internally locked — but one indexer's
     batches must be consumed by a single thread at a time, in file order
     (the accumulator requires non-decreasing document IDs per term).
-    The pipelined engine guarantees this by giving every indexer slot
-    exactly one :class:`repro.core.pipeline_exec.IndexerWorker`.
+    The serial loop indexes inline on the engine thread; the
+    multiprocess backend gives every indexer slot exactly one worker
+    process behind a FIFO ring.
     """
 
     kind = "base"
@@ -82,8 +83,9 @@ class BaseIndexer:
     def lane(self) -> str:
         """Stable trace-lane identity for this indexer's batch spans.
 
-        One lane per indexer (== per worker thread in pipelined mode), so
-        concurrent ``index_batch`` spans never interleave on a lane.
+        One lane per indexer (== per worker process under the
+        multiprocess backend), so concurrent ``index_batch`` spans never
+        interleave on a lane.
         """
         return f"{self.kind}-{self.indexer_id}"
 

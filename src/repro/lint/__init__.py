@@ -9,8 +9,10 @@ Three layers, all driven by ``repro lint`` (or ``make lint``):
    :mod:`repro.util.rng`, encode paths stay float-free, atomic renames
    fsync first, and so on.
 2. **Lock-discipline race analyzer** (RPR1xx, :mod:`repro.lint.races`):
-   a lockset analysis over the threaded parts of the engine — unguarded
-   writes to state shared with worker threads, and lock-order cycles.
+   a lockset analysis over what still runs threads — the serial loop's
+   parse-prefetch pool, the profiler's sampler, the fault-injection
+   hooks they reach — for unguarded writes to state shared with worker
+   threads, and lock-order cycles.
 3. **Typing gate** (RPR2xx, :mod:`repro.lint.typing_gate`): an
    annotation-completeness gate over the paper-critical packages, plus a
    wrapper that runs mypy when it is installed (CI installs it; the gate

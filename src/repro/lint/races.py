@@ -1,7 +1,9 @@
 """Lock-discipline race analyzer (RPR101 unguarded writes, RPR102 cycles).
 
-A lightweight, per-module lockset analysis for the threaded parts of the
-engine (prefetch pool, fault-injection hooks):
+A lightweight, per-module lockset analysis for what still runs threads:
+the serial loop's parse-prefetch pool (``engine._Build.make_parsed_stream``),
+the profiler's sampler thread and the fault-injection hooks they reach
+(the multiprocess supervisor is passive — it ticks on the engine thread):
 
 1. **Worker entries.**  A function is a worker entry when it is passed to
    ``Thread(target=...)`` / ``pool.submit(...)`` / ``executor.map(...)``,

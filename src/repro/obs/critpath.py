@@ -16,7 +16,7 @@ The causal model
 ----------------
 The engine thread is the build's coordinator: every parsed file is
 collected, dispatched and drained *on the engine lane in file order*
-(the ordering contract that makes the three backends byte-identical),
+(the ordering contract that makes the backends byte-identical),
 so the critical path necessarily threads through the engine lane's
 chain of spans::
 
@@ -37,8 +37,8 @@ by the spans' ``cp``/``cp_from`` attributes):
   causally bound by work serial mode would also pay for;
 - the remainder — the engine blocked with *no* concurrent compute — is
   pure transport: **ring-wait** under the multiprocess backend (frame
-  encode/enqueue/dequeue, poll sleeps, scheduling), **stall**
-  (queue/backpressure handoff) otherwise.
+  encode/enqueue/dequeue, poll sleeps, scheduling), **stall** (the
+  serial loop waiting on its ``parse_prefetch`` pool) otherwise.
 
 That remainder definition is what makes the flagship what-if honest:
 ``ring-wait → 0`` projects the build onto its serial-equivalent cost,
@@ -242,7 +242,7 @@ def _node_id(span: Span, kind: str) -> str:
     """A stable causal-point id for a chain span.
 
     Spans instrumented with explicit edge ids (the ``cp`` attribute
-    wired through engine/exec_backend/mp_backend/pipeline_exec) use
+    wired through engine/exec_backend/mp_backend) use
     them verbatim; older traces fall back to name+file synthesis so the
     analyzer keeps working on pre-instrumentation artifacts.
     """
@@ -273,12 +273,9 @@ def _refine_wait(
     pure_detail = (
         f"{span.name} ({reason})" if reason else span.name
     )
-    # A dispatch span is producer-side transport (encode + enqueue) for
-    # the multiprocess backend; in-process dispatch is coordinator work.
+    # A dispatch span (multiprocess only) is producer-side transport:
+    # encode + enqueue.
     if span.name == "pipeline.dispatch":
-        if backend != "multiprocess":
-            return [PathEdge(prev, node, span.start_s, span.end_s,
-                             "engine", "pipeline.dispatch")]
         pure_detail = "frame-enqueue"
 
     # Priority order: supervisor recovery first, then the wait's own

@@ -13,7 +13,7 @@ artifacts (docs/OBSERVABILITY.md, "Critical-path analysis").  Sections:
     artifact paths).  Informational only.
 ``backend``
     Which execution backend the analyzed build ran under (``serial`` /
-    ``threaded`` / ``multiprocess``) — blame semantics depend on it.
+    ``multiprocess``) — blame semantics depend on it.
 ``wall_seconds`` / ``path_seconds`` / ``coverage``
     The build's wall clock, the critical-path length, and their ratio.
     The engine thread collects every file in order, so the path tracks

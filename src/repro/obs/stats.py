@@ -297,7 +297,7 @@ def metrics_regressions(
     The decision rule is :func:`regression_gate`, applied to:
 
     - every name the two ``timings`` sections share (``stage.*``,
-      ``wall_seconds``, ``pipeline.stall.*``, ``pipeline.idle.*``), with
+      ``wall_seconds``, the multiprocess ``pipeline.stall.*``), with
       ``noise_floor_s`` as the absolute floor so microsecond stages
       cannot trip a percentage gate on scheduler jitter; and
     - ``pipeline.*`` stall/idle counters and gauges (pure relative gate

@@ -34,7 +34,7 @@ Recovery ladder, in order:
    on the engine, never in workers.
 2. **Degrade** — restart budget exhausted or poison detected: the slot
    leaves the process fleet and runs inline on the engine thread (the
-   threaded/serial execution path) for the rest of the build.  The
+   serial execution path) for the rest of the build.  The
    build completes, byte-identical; only wall-clock parallelism is lost.
 
 Every decision is counted in the deterministic metrics registry

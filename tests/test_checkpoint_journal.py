@@ -49,7 +49,7 @@ from repro.robustness.errors import ChecksumError, FatalFault
 from repro.robustness.faults import FaultPlan, FaultSpec, inject
 from repro.robustness.supervise import SupervisorPolicy
 
-BACKENDS = ("serial", "threaded", "multiprocess")
+BACKENDS = ("serial", "multiprocess")
 #: ``tiny_collection`` has six files; one run per file gives six boundaries.
 NUM_FILES = 6
 _BUILD_LOGS = {MANIFEST_FILENAME, CHECKPOINT_FILENAME,

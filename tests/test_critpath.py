@@ -18,7 +18,6 @@ import pytest
 from repro.cli import main
 from repro.core.config import PlatformConfig
 from repro.core.engine import IndexingEngine
-from repro.core.exec_backend import resolve_backend_name
 from repro.obs.critpath import (
     PathEdge,
     _intersect,
@@ -134,12 +133,13 @@ class TestAttribution:
         assert blame["flush"] == pytest.approx(2.5)  # 6.5-9 of write_run
         assert sum(blame.values()) == pytest.approx(cp.path_seconds)
 
-    def test_same_waits_without_workers_are_stall_in_threaded(self):
+    def test_same_waits_without_workers_are_stall_in_serial(self):
+        # Serial + parse_prefetch: the engine waits on its read-ahead pool.
         spans = [
             S("build", "engine", 0, 4),
-            S("run_loop", "engine", 0, 4, backend="threaded"),
-            S("parse.wait", "engine", 0, 2),
-            S("pipeline.wait", "engine", 2, 4, reason="quiesce"),
+            S("run_loop", "engine", 0, 4, backend="serial"),
+            S("parse.wait", "engine", 0, 2, file=0),
+            S("parse.wait", "engine", 2, 4, file=1),
         ]
         blame = analyze_spans(spans).blame()
         assert blame == {"stall": pytest.approx(4.0)}
@@ -331,7 +331,7 @@ class TestCli:
     def test_report_and_artifact(self, built_index, capsys):
         # The fixture's config leaves the backend to the environment
         # (the CI matrix exports REPRO_EXEC_BACKEND suite-wide).
-        backend = resolve_backend_name(PlatformConfig(sample_fraction=0.2))
+        backend = PlatformConfig(sample_fraction=0.2).exec_backend
         assert main(["critpath", built_index]) == 0
         text = capsys.readouterr().out
         assert f"critical path: backend {backend}" in text

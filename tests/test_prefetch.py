@@ -1,4 +1,4 @@
-"""Threaded parse prefetching: real pipeline overlap, identical output."""
+"""Parse prefetching (the serial loop's read-ahead pool): identical output."""
 
 from __future__ import annotations
 
@@ -18,37 +18,37 @@ def _cfg(**overrides) -> PlatformConfig:
     return PlatformConfig(**defaults)
 
 
+def _assert_same_index_files(a: str, b: str) -> None:
+    # build.manifest embeds a config fingerprint (resume safety), and
+    # parse_prefetch is part of the config — compare index artifacts.
+    # The telemetry artifacts carry wall-clock data and the same config
+    # fingerprint; their deterministic metric sections are compared
+    # structurally instead (docs/OBSERVABILITY.md).
+    from repro.obs.schema import METRICS_FILENAME, TRACE_FILENAME
+
+    excluded = {"build.manifest", METRICS_FILENAME, TRACE_FILENAME}
+    names = sorted(n for n in os.listdir(a) if n not in excluded)
+    assert names == sorted(n for n in os.listdir(b) if n not in excluded)
+    for name in names:
+        assert filecmp.cmp(
+            os.path.join(a, name), os.path.join(b, name), shallow=False
+        ), name
+
+
 class TestPrefetch:
     @pytest.mark.parametrize("prefetch", [1, 2, 4])
     def test_prefetched_build_byte_identical(self, prefetch, tiny_collection, tmp_path):
         serial_dir = str(tmp_path / "serial")
-        threaded_dir = str(tmp_path / "threaded")
+        prefetch_dir = str(tmp_path / "prefetch")
         IndexingEngine(_cfg(parse_prefetch=0)).build(tiny_collection, serial_dir)
         result = IndexingEngine(_cfg(parse_prefetch=prefetch)).build(
-            tiny_collection, threaded_dir
+            tiny_collection, prefetch_dir
         )
         assert result.document_count == tiny_collection.num_docs
-        # build.manifest embeds a config fingerprint (resume safety), and
-        # parse_prefetch is part of the config — compare index artifacts.
-        # The telemetry artifacts carry wall-clock data and the same
-        # config fingerprint; their deterministic metric sections are
-        # compared structurally below instead (docs/OBSERVABILITY.md).
-        from repro.obs.schema import METRICS_FILENAME, TRACE_FILENAME
-
-        excluded = {"build.manifest", METRICS_FILENAME, TRACE_FILENAME}
-        names = sorted(n for n in os.listdir(serial_dir) if n not in excluded)
-        assert names == sorted(
-            n for n in os.listdir(threaded_dir) if n not in excluded
-        )
-        for name in names:
-            assert filecmp.cmp(
-                os.path.join(serial_dir, name),
-                os.path.join(threaded_dir, name),
-                shallow=False,
-            ), name
+        _assert_same_index_files(serial_dir, prefetch_dir)
         # Prefetching must not change what work was done, only when.
         assert deterministic_metric_sections(serial_dir) == deterministic_metric_sections(
-            threaded_dir
+            prefetch_dir
         )
 
     def test_prefetch_with_positions_and_grouped_runs(self, tiny_collection, tmp_path):
@@ -62,6 +62,11 @@ class TestPrefetch:
         reader = PostingsReader(out)
         assert reader.is_positional
         assert reader.vocabulary()
+        plain = str(tmp_path / "plain")
+        IndexingEngine(_cfg(positional=True, files_per_run=2)).build(
+            tiny_collection, plain
+        )
+        _assert_same_index_files(plain, out)
 
     def test_invalid_prefetch(self):
         with pytest.raises(ValueError):
