@@ -44,8 +44,10 @@ lint:
 
 # The repo's benchmark (BENCHMARK.json, benchmarks/perf/README.md) at
 # smoke size: the harness's own tests, then one traced two-file
-# web_serial run, one traced two-file web_mp run (output check against
-# the serial reference, survivor scan, /dev/shm leak scan) and one
+# web_serial run, one traced two-file text_bulk run (CPU indexers only,
+# one run: the regroup-heavy shape), one traced two-file web_mp run
+# (output check against the serial reference, survivor scan, /dev/shm
+# leak scan) and one
 # two-run merge_read run (both merged directories identical, the check
 # terms decode the same before and after the merge).  Each run's last
 # stdout line must say the output was correct and no operation failed,
@@ -57,6 +59,7 @@ PERF_SMOKE_CHECK = tail -n 2 | python3 -c 'import json, sys; doc, r = map(json.l
 perf-smoke:
 	PYTHONPATH=src python -m pytest benchmarks/perf -q
 	python3 benchmarks/perf/run.py --workload web_serial --seed 1 --smoke --trace 1 | $(PERF_SMOKE_CHECK)
+	python3 benchmarks/perf/run.py --workload text_bulk --seed 1 --smoke --trace 1 | $(PERF_SMOKE_CHECK)
 	python3 benchmarks/perf/run.py --workload web_mp --seed 1 --smoke --trace 1 | $(PERF_SMOKE_CHECK)
 	python3 benchmarks/perf/run.py --workload merge_read --seed 1 --smoke | $(PERF_SMOKE_CHECK)
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
+import numpy as np
+
 from repro.corpus.collection import Collection
 from repro.parsing.parser import Parser
 
@@ -32,10 +34,16 @@ def parsed_documents(
     doc_offset = 0
     for seq, path in enumerate(collection.files):
         parsed = parser.parse_file(path, sequence=seq)
-        assert parsed.batch.ungrouped is not None
-        for local_doc, tokens in parsed.batch.ungrouped:
-            terms = [trie.reconstruct(cidx, suffix.decode("utf-8")) for cidx, suffix in tokens]
-            yield doc_offset + local_doc, terms
+        batch = parsed.batch
+        # One reconstruction per distinct entry; empty documents included.
+        entry_terms = [
+            trie.reconstruct(cidx, suffix.decode("utf-8"))
+            for cidx, suffix in zip(batch.entry_cidx.tolist(), batch.entry_suffix)
+        ]
+        terms = [entry_terms[i] for i in batch.ids.tolist()]
+        ends = np.cumsum(np.bincount(batch.docs, minlength=batch.num_docs)).tolist()
+        for local_doc, (start, end) in enumerate(zip([0, *ends], ends)):
+            yield doc_offset + local_doc, terms[start:end]
         doc_offset += parsed.batch.num_docs
 
 

@@ -600,9 +600,10 @@ class _Build:
         ``bind_unseen`` mutates the assignment and must see collections
         in file order.  Sub-batches are built per (indexer, group) so
         group-level work attribution stays exact even on CPU-only
-        configurations.
+        configurations; each is a selection of collection rows over the
+        buffer's shared token columns, nothing is copied.
         """
-        if batch.ungrouped is not None:
+        if not batch.regrouped:
             # Regrouping disabled (ablation): the whole document-order
             # stream goes through one CPU indexer — the paper's ~15×
             # comparison is against a *serial* indexer, and splitting an
@@ -610,33 +611,11 @@ class _Build:
             return [("cpu", 0, False, batch)]
 
         assignment = self.state.assignment
-        subs: dict[tuple[str, int, bool], ParsedBatch] = {}
-        for cidx, stream in batch.collections.items():
+        rows: dict[tuple[str, int, bool], list[int]] = {}
+        for row, cidx in enumerate(batch.order.tolist()):
             kind, idx = assignment.bind_unseen(cidx)
-            is_popular = cidx in self.popular_set
-            key = (kind, idx, is_popular)
-            sub = subs.get(key)
-            if sub is None:
-                sub = ParsedBatch(
-                    parser_id=batch.parser_id,
-                    sequence=batch.sequence,
-                    source_file=batch.source_file,
-                    num_docs=batch.num_docs,
-                )
-                subs[key] = sub
-            sub.collections[cidx] = stream
-            if batch.positions is not None:
-                if sub.positions is None:
-                    sub.positions = {}
-                sub.positions[cidx] = batch.positions[cidx]
-            sub.tokens_per_collection[cidx] = batch.tokens_per_collection[cidx]
-            sub.chars_per_collection[cidx] = batch.chars_per_collection[cidx]
-        return [
-            (kind, idx, is_popular, sub)
-            for (kind, idx, is_popular), sub in sorted(
-                subs.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])
-            )
-        ]
+            rows.setdefault((kind, idx, cidx in self.popular_set), []).append(row)
+        return [(*key, batch.select(rows[key])) for key in sorted(rows)]
 
     @staticmethod
     def aggregate_group_work(
@@ -649,7 +628,7 @@ class _Build:
         carrying one.  Pure aggregation — safe to run on the engine
         thread after out-of-order worker completion.
         """
-        if batch.ungrouped is not None:
+        if not batch.regrouped:
             report = GroupWork()
             rep = getattr(results[0], "report", results[0])
             report.tokens = rep.tokens
@@ -673,7 +652,7 @@ class _Build:
             g.stream_chars += rep.characters
             g.dict_chars += rep.characters  # refined below
             g.hot_visit_fraction = hot_fractions[is_popular]
-            largest = max(sub.tokens_per_collection.values(), default=0)
+            largest = int(sub.tokens.max(initial=0))
             g.largest_collection_tokens = max(g.largest_collection_tokens, largest)
         for g in groups.values():
             if g.tokens:

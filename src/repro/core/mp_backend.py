@@ -308,7 +308,8 @@ class MultiprocessBackend(ExecutionBackend):
         self.stats.worker_tasks[slot.key] = self.stats.worker_tasks.get(slot.key, 0) + 1
         if slot.mode == "inline":
             obj = self.hooks.indexer_for(slot.kind, slot.idx)
-            slot.inline_results[tid] = obj.index_batch(sub, doc_offset)
+            res = obj.index_batch(sub, doc_offset)
+            slot.inline_results[tid] = getattr(res, "report", res)
             return tid
         # Journal *before* sending: if the put itself triggers recovery,
         # replay (restart) or inline re-execution (degrade) has already
@@ -671,7 +672,7 @@ class MultiprocessBackend(ExecutionBackend):
             for e in slot.journal:
                 res = obj.index_batch(decode_batch(e.payload), e.doc_offset)
                 if not e.collected:
-                    slot.inline_results[e.tid] = res
+                    slot.inline_results[e.tid] = getattr(res, "report", res)
             slot.journal.clear()
             slot.by_tid.clear()
             slot.discard.clear()

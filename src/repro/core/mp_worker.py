@@ -17,7 +17,7 @@ checkpoint layer uses).
 Protocol, indexer workers (slot keys ``cpu-<i>`` / ``gpu-<j>``)::
 
     ("state", state_pickle)                      -> (no reply)
-    ("index", tid, tag, doc_offset, batch_bytes) -> ("done", tid, result, delta)
+    ("index", tid, tag, doc_offset, batch_bytes) -> ("done", tid, report, delta)
     ("boundary", tid)     -> ("boundary", tid, postings_pickle, mutation_log, state_pickle, delta)
     ("snapshot", tid)     -> ("snapshot", tid, state_pickle, delta)
     ("stop",)                                    -> (worker exits)
@@ -261,6 +261,9 @@ def _indexer_loop(
                 injector.worker_event(tag)  # may stall or SIGKILL us here
             try:
                 result = indexer.index_batch(decode_batch(payload), doc_offset)
+                # The engine aggregates the report only; a GPU batch's work
+                # items and kernel result stay on this side of the ring.
+                result = getattr(result, "report", result)
             except Exception as exc:  # repro-lint: disable=RPR005 - cross-process propagation: the engine unpickles and re-raises
                 reply(("error", tid, pickle.dumps(exc), *delta.take()))
             else:

@@ -159,14 +159,8 @@ def collection_statistics(collection: Collection, strip_html: bool = True) -> Co
         parsed = parser.parse_file(path, sequence=seq)
         docs += parsed.batch.num_docs
         tokens += parsed.batch.total_tokens
-        if parsed.batch.regrouped:
-            for cidx, streams in parsed.batch.collections.items():
-                for _, suffixes in streams:
-                    for suffix in suffixes:
-                        terms.add((cidx, suffix))
-        else:  # pragma: no cover - stats always use regrouping
-            for _, toks in parsed.batch.ungrouped or []:
-                terms.update(toks)
+        batch = parsed.batch
+        terms.update(zip(batch.entry_cidx.tolist(), batch.entry_suffix))
     return CollectionStats(
         name=collection.name,
         compressed_bytes=collection.compressed_bytes,

@@ -26,15 +26,19 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.gpusim.costmodel import GPUSpec, TESLA_C1060
 
 __all__ = ["WorkItem", "KernelLaunch", "KernelResult"]
 
 
-@dataclass(frozen=True)
-class WorkItem:
-    """One trie collection's worth of warp work, in raw cycles."""
+class WorkItem(NamedTuple):
+    """One trie collection's worth of warp work, in raw cycles.
+
+    A tuple, not a frozen dataclass: the GPU indexer makes one per
+    collection per batch, and this is the cheap immutable record.
+    """
 
     key: object
     compute_cycles: float

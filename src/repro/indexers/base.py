@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from operator import sub
 
-from repro.dictionary.btree import BTreeStats
+import numpy as np
+
+from repro.dictionary.btree import BTree, BTreeStats
 from repro.dictionary.dictionary import DictionaryShard
 from repro.parsing.regroup import ParsedBatch
 from repro.postings.lists import PostingsAccumulator
@@ -94,48 +95,67 @@ class BaseIndexer:
     def owns(self, collection_index: int) -> bool:
         return self.shard.owned is None or collection_index in self.shard.owned
 
-    def _owned_collections(self, batch: ParsedBatch) -> list[int]:
-        owned = self.shard.owned
-        return [cidx for cidx in batch.collections if owned is None or cidx in owned]
+    def _owned_rows(self, batch: ParsedBatch) -> np.ndarray:
+        """Rows of the batch's collection table this indexer consumes."""
+        return np.flatnonzero(list(map(self.owns, batch.order.tolist())))
 
-    def _index_collection(self, batch: ParsedBatch, cidx: int, doc_offset: int) -> IndexerReport:
-        """Consume one trie collection's stream; returns the work report.
+    def _index_rows(
+        self, batch: ParsedBatch, rows: np.ndarray, doc_offset: int
+    ) -> tuple[IndexerReport, list[BTree], BTreeStats]:
+        """Consume the collections ``rows``, in order.
 
         This is the inner loop of Fig 4: every suffix is inserted into the
         collection's B-tree (getting the postings pointer) and the
         occurrence appended under the *global* document ID.  When the
-        parser supplied positions (parallel to the stream), each
-        occurrence also records its in-document token position.  Tokens
-        and characters are the parser's per-collection counts.
+        parser supplied positions, each occurrence also records its
+        in-document token position.
+
+        Returns the batch's one report (tokens, characters and documents
+        are the parser's per-collection counts), the trees touched and a
+        :class:`BTreeStats` whose fields are *arrays*, one element per
+        collection: how far each tree's counters moved.  A collection has
+        its own tree, so the counters are read once before and once after
+        the whole walk.
         """
-        stream = batch.collections[cidx]
-        tree = self.shard.tree_for(cidx)
-        before = tree.stats.snapshot()
-        terms_before = tree.term_count
+        assert batch.spans is not None
+        if batch.positions is not None and len(batch.positions) != len(batch.ids):
+            raise ValueError("positions column is not aligned with the token columns")
+        trees = [self.shard.tree_for(cidx) for cidx in batch.order[rows].tolist()]
+        before = [tree.stats.snapshot() for tree in trees]
+        terms_before = sum(tree.term_count for tree in trees)
 
+        # Views, not lists: a slice yields its ints as the walk reaches them.
+        suffixes = batch.entry_suffix
+        ids = memoryview(batch.ids)
+        docs = memoryview(batch.docs + doc_offset)
         add_occurrence = self.accumulator.add_occurrence
-        insert = tree.insert
+        spans = zip(trees, batch.spans[rows].tolist())
         if batch.positions is None:
-            for local_doc, suffixes in stream:
-                global_doc = doc_offset + local_doc
-                for suffix in suffixes:
-                    add_occurrence(insert(suffix)[0], global_doc)
+            for tree, (start, end) in spans:
+                insert = tree.insert
+                for entry, doc in zip(ids[start:end], docs[start:end]):
+                    add_occurrence(insert(suffixes[entry])[0], doc)
         else:
-            for (local_doc, suffixes), doc_positions in zip(
-                stream, batch.positions[cidx], strict=True
-            ):
-                global_doc = doc_offset + local_doc
-                for suffix, position in zip(suffixes, doc_positions, strict=True):
-                    add_occurrence(insert(suffix)[0], global_doc, position)
+            positions = memoryview(batch.positions)
+            for tree, (start, end) in spans:
+                insert = tree.insert
+                for entry, doc, position in zip(
+                    ids[start:end], docs[start:end], positions[start:end]
+                ):
+                    add_occurrence(insert(suffixes[entry])[0], doc, position)
 
-        return IndexerReport(
-            tokens=batch.tokens_per_collection[cidx],
-            new_terms=tree.term_count - terms_before,
-            characters=batch.chars_per_collection[cidx],
-            documents=len(stream),
-            collections=1,
-            btree=BTreeStats(*map(sub, tree.stats.snapshot(), before)),
+        after = [tree.stats.snapshot() for tree in trees]
+        grown = np.array(after, dtype=np.int64) - np.array(before, dtype=np.int64)
+        grown = grown.reshape(-1, len(BTreeStats.__dataclass_fields__))
+        report = IndexerReport(
+            tokens=int(batch.tokens[rows].sum()),
+            new_terms=sum(tree.term_count for tree in trees) - terms_before,
+            characters=int(batch.chars[rows].sum()),
+            documents=int(batch.documents[rows].sum()),
+            collections=len(rows),
+            btree=BTreeStats(*grown.sum(axis=0).tolist()),
         )
+        return report, trees, BTreeStats(*grown.T)
 
     def index_batch(self, batch: ParsedBatch, doc_offset: int) -> IndexerReport:
         """Consume all owned collections of one parsed buffer."""

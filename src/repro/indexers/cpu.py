@@ -4,7 +4,7 @@
 commonly used procedures for building the B-tree and the corresponding
 postings lists", with the node's 4-byte string cache consulted first on
 every comparison.  The functional work is exactly
-:meth:`~repro.indexers.base.BaseIndexer._index_collection`; what is CPU-
+:meth:`~repro.indexers.base.BaseIndexer._index_rows`; what is CPU-
 specific is the *cost model*: per-node-visit cost depends on whether the
 collection's B-tree fits in the core's cache share.
 
@@ -24,6 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from repro.dictionary.btree import BTree, BTreeStats
 from repro.dictionary.layout import NODE_SIZE_BYTES
 from repro.indexers.base import BaseIndexer, IndexerReport
 from repro.obs import runtime as obs
@@ -61,11 +64,9 @@ class CPUCostModel:
     #: for regrouping (§III.C).
     ungrouped_thrash: float = 9.0
 
-    def visit_cost(self, tree_bytes: int) -> float:
-        """Interpolated per-visit cost by cache residency."""
-        if tree_bytes <= 0:
-            return self.node_visit_hot_s
-        resident = min(1.0, self.cache_share_bytes / tree_bytes)
+    def visit_cost(self, tree_bytes: "int | np.ndarray") -> "float | np.ndarray":
+        """Interpolated per-visit cost by cache residency (scalar or array)."""
+        resident = np.minimum(1.0, self.cache_share_bytes / np.maximum(tree_bytes, 1))
         return resident * self.node_visit_hot_s + (1.0 - resident) * self.node_visit_cold_s
 
 
@@ -89,19 +90,19 @@ class CPUIndexer(BaseIndexer):
         than held on the indexer: indexers are pickled into the resume
         checkpoint, and a tracer (with its lock) must never ride along.
         """
-        report = IndexerReport()
         with obs.tracer().span(
             "index_batch", cat="index", lane=self.lane,
             file=batch.sequence,
             cp=f"index:{batch.sequence}", cp_from=f"dequeue:{batch.sequence}",
         ) as tags:
-            if batch.ungrouped is not None:
-                report.merge(self._index_ungrouped(batch, doc_offset))
+            if batch.regrouped:
+                rows = self._owned_rows(batch)
+                report, trees, grown = self._index_rows(batch, rows, doc_offset)
+                seconds = self._model_collection_seconds(trees, batch.tokens[rows], grown)
+                for s in seconds.tolist():  # left to right: float addition is not associative
+                    report.modeled_seconds += s
             else:
-                for cidx in self._owned_collections(batch):
-                    sub = self._index_collection(batch, cidx, doc_offset)
-                    sub.modeled_seconds = self._model_collection_seconds(cidx, sub)
-                    report.merge(sub)
+                report = self._index_ungrouped(batch, doc_offset)
             tags["tokens"] = report.tokens
             tags["collections"] = report.collections
         self.total.merge(report)
@@ -121,34 +122,32 @@ class CPUIndexer(BaseIndexer):
         cold-cache node visits throughout — the paper reports regrouping
         is worth ~15× for a serial indexer.
         """
-        report = IndexerReport()
+        report = IndexerReport(documents=batch.num_docs)
         touched: set[int] = set()
-        assert batch.ungrouped is not None
-        for local_doc, tokens in batch.ungrouped:
-            global_doc = doc_offset + local_doc
-            report.documents += 1
-            for cidx, suffix in tokens:
-                if not self.owns(cidx):
-                    continue
-                tree = self.shard.tree_for(cidx)
-                visits_before = tree.stats.node_visits
-                fetches_before = tree.stats.full_string_fetches
-                splits_before = tree.stats.splits
-                terms_before = tree.term_count
-                term_id, _ = tree.insert(suffix)
-                self.accumulator.add_occurrence(term_id, global_doc)
-                touched.add(cidx)
-                report.tokens += 1
-                report.characters += len(suffix)
-                report.new_terms += tree.term_count - terms_before
-                visits = tree.stats.node_visits - visits_before
-                cost = self.cost
-                report.modeled_seconds += (
-                    cost.per_token_s
-                    + visits * cost.node_visit_cold_s * cost.ungrouped_thrash
-                    + (tree.stats.full_string_fetches - fetches_before) * cost.full_fetch_s
-                    + (tree.stats.splits - splits_before) * cost.split_s
-                )
+        cost = self.cost
+        suffixes, collections = batch.entry_suffix, batch.entry_cidx.tolist()
+        for entry, global_doc in zip(batch.ids.tolist(), (batch.docs + doc_offset).tolist()):
+            cidx, suffix = collections[entry], suffixes[entry]
+            if not self.owns(cidx):
+                continue
+            tree = self.shard.tree_for(cidx)
+            visits_before = tree.stats.node_visits
+            fetches_before = tree.stats.full_string_fetches
+            splits_before = tree.stats.splits
+            terms_before = tree.term_count
+            term_id, _ = tree.insert(suffix)
+            self.accumulator.add_occurrence(term_id, global_doc)
+            touched.add(cidx)
+            report.tokens += 1
+            report.characters += len(suffix)
+            report.new_terms += tree.term_count - terms_before
+            visits = tree.stats.node_visits - visits_before
+            report.modeled_seconds += (
+                cost.per_token_s
+                + visits * cost.node_visit_cold_s * cost.ungrouped_thrash
+                + (tree.stats.full_string_fetches - fetches_before) * cost.full_fetch_s
+                + (tree.stats.splits - splits_before) * cost.split_s
+            )
         report.collections = len(touched)
         return report
 
@@ -156,14 +155,22 @@ class CPUIndexer(BaseIndexer):
     # Cost model
     # ------------------------------------------------------------------ #
 
-    def _model_collection_seconds(self, cidx: int, report: IndexerReport) -> float:
-        """Modeled seconds for one regrouped collection's work."""
-        tree = self.shard.trees[cidx]
-        tree_bytes = tree.node_count * NODE_SIZE_BYTES + tree.store.byte_size
+    def _model_collection_seconds(
+        self, trees: list[BTree], tokens: np.ndarray, grown: BTreeStats
+    ) -> np.ndarray:
+        """Modeled seconds of each regrouped collection's work.
+
+        Elementwise over the per-collection arrays, in the order the
+        scalar formula evaluates: the same IEEE operations on the same
+        doubles, so the same bits.
+        """
         cost = self.cost
+        tree_bytes = np.array(
+            [t.node_count * NODE_SIZE_BYTES + t.store.byte_size for t in trees], dtype=np.int64
+        )
         return (
-            report.tokens * cost.per_token_s
-            + report.btree.node_visits * cost.visit_cost(tree_bytes)
-            + report.btree.full_string_fetches * cost.full_fetch_s
-            + report.btree.splits * cost.split_s
+            tokens * cost.per_token_s
+            + grown.node_visits * cost.visit_cost(tree_bytes)
+            + grown.full_string_fetches * cost.full_fetch_s
+            + grown.splits * cost.split_s
         )

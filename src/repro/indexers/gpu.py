@@ -141,7 +141,7 @@ class GPUIndexer(BaseIndexer):
         indexers are pickled into the resume checkpoint and must not hold
         a tracer (see the CPU indexer).
         """
-        if batch.ungrouped is not None:
+        if not batch.regrouped:
             raise ValueError(
                 "the GPU indexer requires regrouped parser output: one thread "
                 "block processes one trie collection at a time"
@@ -158,18 +158,15 @@ class GPUIndexer(BaseIndexer):
         return out
 
     def _index_batch_traced(self, batch: ParsedBatch, doc_offset: int) -> GPUBatchReport:
-        owned = self._owned_collections(batch)
-        report = IndexerReport()
+        rows = self._owned_rows(batch)
+        owned = batch.order[rows].tolist()
+        tokens, chars = batch.tokens[rows], batch.chars[rows]
 
         # Pre-processing: ship this batch's owned streams to device memory
         # in the Fig 6 length-prefixed layout (+ a docID header per entry),
         # sized from the parser's per-collection counts.  The device-memory
         # check fires here, before any tree is touched.
-        h2d_bytes = sum(
-            batch.chars_per_collection[cidx] + batch.tokens_per_collection[cidx]
-            + 8 * len(batch.collections[cidx])
-            for cidx in owned
-        )
+        h2d_bytes = int((chars + tokens + 8 * batch.documents[rows]).sum())
         self.device.free_all()
         h2d_seconds = self.device.transfer_to_device(h2d_bytes) if h2d_bytes else 0.0
 
@@ -177,19 +174,8 @@ class GPUIndexer(BaseIndexer):
         hooked = [self.shard.tree_for(cidx) for cidx in owned] if self.fidelity == "warp" else []
         for tree in hooked:
             tree.find_slot_hook = self._warp_hook
-        events: list[tuple[int, ...]] = []
         try:
-            for cidx in owned:
-                sub = self._index_collection(batch, cidx, doc_offset)
-                delta = sub.btree
-                events.append((
-                    # Term strings (+ length prefixes) stage through shared
-                    # memory in 512B coalesced chunks.
-                    -(-(sub.characters + sub.tokens) // DEVICE_CHUNK_BYTES),
-                    delta.node_visits, delta.full_string_fetches,
-                    delta.inserts, delta.splits, sub.tokens,
-                ))
-                report.merge(sub)
+            report, _, grown = self._index_rows(batch, rows, doc_offset)
         finally:
             for tree in hooked:
                 tree.find_slot_hook = None
@@ -199,7 +185,13 @@ class GPUIndexer(BaseIndexer):
         # counts give the totals of charging collection by collection.
         spec = self.device.spec
         units, unit_cycles = _unit_costs(spec)
-        counts = np.array(events, dtype=np.int64).reshape(-1, len(units))
+        counts = np.column_stack((
+            # Term strings (+ length prefixes) stage through shared
+            # memory in 512B coalesced chunks.
+            -(-(chars + tokens) // DEVICE_CHUNK_BYTES),
+            grown.node_visits, grown.full_string_fetches, grown.inserts, grown.splits,
+            tokens,
+        ))
         cycles = (counts @ unit_cycles).astype(float).tolist()
         items = [WorkItem(cidx, *charged) for cidx, charged in zip(owned, cycles)]
         for item in items:  # in collection order: float addition is not associative

@@ -16,13 +16,16 @@ term — the dictionary must see the final form.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.dictionary.trie import TrieTable
 from repro.obs import runtime as obs
 from repro.parsing.docio import DocTableEntry, load_collection_file
 from repro.parsing.porter import PorterStemmer
-from repro.parsing.regroup import DocTokens, ParsedBatch, regroup
+from repro.parsing.regroup import ParsedBatch, first_seen, regroup, tiled_spans
 from repro.parsing.stopwords import StopWordFilter
 from repro.parsing.tokenizer import Tokenizer
 
@@ -64,6 +67,47 @@ class ParsedFile:
     batch: ParsedBatch
     doc_table: list[DocTableEntry] = field(default_factory=list)
     metrics: ParseMetrics = field(default_factory=ParseMetrics)
+
+
+_STOP_WORD, _TOO_LONG = -1, -2  # token-cache sentinels
+
+
+class _TokenCache(dict):  # type: ignore[type-arg]
+    """Surface form → entry id, resolved the first time a form is seen.
+
+    The lower-case → length limit → stem → stop → trie-split tail runs
+    once per *distinct* token, in first-seen order (``stem_cache_misses``
+    depends on it).  An entry id indexes the parser's ``(collection,
+    suffix)`` tables; the sentinels emit nothing.
+    """
+
+    def __init__(self, parser: "Parser") -> None:
+        super().__init__()
+        self._parser = parser
+
+    def __missing__(self, form: str) -> int:
+        token = form.lower()
+        if token == form:
+            # One ``str`` object keys this cache and the stemmer's: a fresh
+            # ``.lower()`` copy would store the vocabulary twice.
+            token = form
+        entry = self.get(token)
+        if entry is None:
+            entry = self[token] = self._resolve(token)
+        self[form] = entry
+        return entry
+
+    def _resolve(self, token: str) -> int:
+        p = self._parser
+        if p.tokenizer.too_long(token):
+            return _TOO_LONG
+        term = p.stemmer.stem(token)
+        if not term or p.stop_filter.is_stop(term):
+            return _STOP_WORD
+        s = p.trie.split(term)
+        p._entry_cidx.append(s.index)
+        p._entry_suffix.append(s.suffix.encode("utf-8"))
+        return len(p._entry_suffix) - 1
 
 
 class Parser:
@@ -108,10 +152,11 @@ class Parser:
         self.lane_override: str | None = None
         if positional and not regroup:
             raise ValueError("positional parsing requires regrouping")
-        # Token-level memo over the whole stem→stop→split tail: Zipf
-        # streams repeat tokens heavily, so the per-token pipeline runs
-        # once per *distinct* surface form.  ``None`` marks a stop word.
-        self._token_cache: dict[str, tuple[int, bytes] | None] = {}
+        self._token_cache = _TokenCache(self)
+        #: Entry id → collection index / suffix bytes, for every form this
+        #: parser has resolved; a batch carries the rows it uses.
+        self._entry_cidx = array("i")
+        self._entry_suffix: list[bytes] = []
 
     # ------------------------------------------------------------------ #
 
@@ -119,68 +164,82 @@ class Parser:
         self, texts: list[str], source_file: str = "<memory>", sequence: int = 0
     ) -> tuple[ParsedBatch, ParseMetrics]:
         """Steps 2–5 over already-loaded document texts."""
-        metrics = ParseMetrics(num_docs=len(texts))
-        chars0 = self.tokenizer.chars_scanned
+        tokenizer = self.tokenizer
+        chars0 = tokenizer.chars_scanned
         misses0 = self.stemmer.misses
 
-        split = self.trie.split
-        stem = self.stemmer.stem
-        is_stop = self.stop_filter.is_stop
-        cache = self._token_cache
+        resolve = self._token_cache.__getitem__
+        stream = array("i")
+        forms_per_doc: list[int] = []
+        for text in texts:
+            forms = tokenizer.surface_forms(text)
+            forms_per_doc.append(len(forms))
+            stream.extend(map(resolve, forms))
+        resolved = np.frombuffer(stream, dtype=np.int32)
+        emitted = resolved >= 0
+        docs = np.repeat(np.arange(len(texts), dtype=np.int32), forms_per_doc)[emitted]
 
-        doc_streams: list[DocTokens] = []
-        for local_doc_id, text in enumerate(texts):
-            doc_tokens: list[tuple[int, bytes]] = []
-            for token in self.tokenizer.tokens(text):
-                metrics.tokens_raw += 1
-                try:
-                    entry = cache[token]
-                except KeyError:
-                    term = stem(token)
-                    if not term or is_stop(term):
-                        entry = None
-                    else:
-                        s = split(term)
-                        entry = (s.index, s.suffix.encode("utf-8"))
-                    cache[token] = entry
-                if entry is None:
-                    metrics.tokens_stopped += 1
-                    continue
-                doc_tokens.append(entry)
-                metrics.tokens_emitted += 1
-                metrics.suffix_chars += len(entry[1])
-            doc_streams.append((local_doc_id, doc_tokens))
-
-        metrics.chars_scanned = self.tokenizer.chars_scanned - chars0
-        metrics.stem_cache_misses = self.stemmer.misses - misses0
-
+        # Batch-local entry table: the rows of the parser's table this
+        # stream uses, and the stream renumbered onto them.
+        used, ids = np.unique(resolved[emitted], return_inverse=True)
         batch = ParsedBatch(
-            parser_id=self.parser_id, sequence=sequence, source_file=source_file
+            parser_id=self.parser_id, sequence=sequence, source_file=source_file,
+            num_docs=len(texts),
+            entry_cidx=np.frombuffer(self._entry_cidx, dtype=np.int32)[used],
+            entry_suffix=[self._entry_suffix[i] for i in used.tolist()],
         )
-        batch.num_docs = len(texts)
+        self._assemble(batch, ids.astype(np.int32), docs)
+
+        stopped = int(np.count_nonzero(resolved == _STOP_WORD))
+        metrics = ParseMetrics(
+            num_docs=len(texts),
+            chars_scanned=tokenizer.chars_scanned - chars0,
+            tokens_raw=len(ids) + stopped,
+            tokens_stopped=stopped,
+            tokens_emitted=len(ids),
+            suffix_chars=batch.total_chars,
+            stem_cache_misses=self.stemmer.misses - misses0,
+            collections_touched=len(batch.order),
+        )
+        return batch, metrics
+
+    def _assemble(self, batch: ParsedBatch, ids: np.ndarray, docs: np.ndarray) -> None:
+        """Step 5: fill ``batch``'s token columns and collection table from
+        ``ids`` / ``docs``, the emitted stream in document order over the
+        entry table ``batch`` already carries.  Counts are ``bincount``s,
+        never per-token bumps; regrouping is one stable sort of the columns."""
+        cidx = batch.entry_cidx[ids]
+        lengths = np.fromiter(map(len, batch.entry_suffix), np.int64, len(batch.entry_suffix))
+        batch.order, rank = first_seen(cidx)
+        k = len(batch.order)
+        batch.tokens = np.bincount(rank, minlength=k)
+        batch.chars = np.bincount(rank, weights=lengths[ids], minlength=k).astype(np.int64)
+        if self.positional:
+            per_doc = np.bincount(docs, minlength=batch.num_docs)
+            first = np.cumsum(per_doc) - per_doc
+            batch.positions = (np.arange(len(ids)) - first[docs]).astype(np.int32)
         if self.regroup_enabled:
             with obs.tracer().span(
-                "regroup", cat="parse", lane=self._lane(), docs=len(texts)
+                "regroup", cat="parse", lane=self._lane(), docs=batch.num_docs
             ):
-                (
-                    batch.collections,
-                    batch.tokens_per_collection,
-                    batch.chars_per_collection,
-                    batch.positions,
-                ) = regroup(doc_streams, with_positions=self.positional)
+                perm, _ = regroup(cidx)
+            ids, docs = ids[perm], docs[perm]
+            if batch.positions is not None:
+                batch.positions = batch.positions[perm]
+            batch.spans = tiled_spans(batch.tokens)
+            starts = batch.spans[:, 0]
+            # A token opens a (collection, document) group where a span
+            # starts or the document changes.  (Not ``np.unique`` over
+            # int64 pair keys: numpy's 64-bit sort kernels cost ≈ 1.5 MB
+            # resident the first time they run.)
+            opens = np.ones(len(ids), dtype=np.int64)
+            opens[1:] = docs[1:] != docs[:-1]
+            opens[starts] = 1
+            batch.documents = np.add.reduceat(opens, starts)
         else:
-            batch.ungrouped = doc_streams
-            # Token/char accounting still keyed by collection for sampling.
-            for _, doc_tokens in doc_streams:
-                for cidx, suffix in doc_tokens:
-                    batch.tokens_per_collection[cidx] = (
-                        batch.tokens_per_collection.get(cidx, 0) + 1
-                    )
-                    batch.chars_per_collection[cidx] = (
-                        batch.chars_per_collection.get(cidx, 0) + len(suffix)
-                    )
-        metrics.collections_touched = len(batch.tokens_per_collection)
-        return batch, metrics
+            batch.spans = None
+            batch.documents = np.zeros(k, dtype=np.int64)
+        batch.ids, batch.docs = ids, docs
 
     def _lane(self) -> str:
         """Trace lane for this parser thread (one timeline row each).

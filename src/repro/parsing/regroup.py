@@ -2,106 +2,162 @@
 
 "This step regroups the terms into a number of groups, a group for each
 trie collection index ... In addition, the prefix of each term captured by
-the trie index is removed."  The output format follows the paper exactly —
-for trie collection index *i*::
+the trie index is removed."  The paper's output for trie collection *i*::
 
     (Doc_ID1, term1, term2, ...), (Doc_ID2, term1, term2, ...), ...
 
-with **local** document IDs; the indexer later adds a global offset.
+with **local** document IDs is held here as *columns*: one ``int32`` row
+per token — the document ordinal and an id into a batch-local *entry
+table* ``entry id → (collection index, suffix bytes)`` — plus one span
+``[start, end)`` of those rows per collection.  Stages exchange
+contiguous integer slices, never per-token containers.
 
 Regrouping is the paper's single biggest serial-indexing win (~15× from
 temporal cache locality: a whole group hits one small B-tree that stays in
 cache).  The ablation benchmark disables it via ``Parser(regroup=False)``,
-which leaves tokens in document order as ``(collection, suffix)`` pairs.
+which leaves the same columns in document order, without spans.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from collections.abc import Mapping
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Iterator
 
-__all__ = ["ParsedBatch", "regroup"]
+import numpy as np
 
-#: Per-document token stream before regrouping: (collection index, suffix).
-DocTokens = tuple[int, list[tuple[int, bytes]]]
+__all__ = ["ParsedBatch", "first_seen", "regroup", "tiled_spans"]
+
+
+_int32 = partial(np.empty, 0, np.int32)
+_int64 = partial(np.empty, 0, np.int64)
 
 
 @dataclass
 class ParsedBatch:
     """One parser output buffer — the unit indexers consume.
 
-    ``collections`` maps trie-collection index → the paper's per-collection
-    stream ``[(local doc id, [suffix, ...]), ...]``.  When regrouping is
-    disabled (ablation A) ``collections`` is empty and ``ungrouped`` holds
-    the document-order stream instead.
+    Three aligned groups of arrays.  *Token columns* (``ids``, ``docs``,
+    ``positions``): one row per emitted token.  *Entry table*
+    (``entry_cidx``, ``entry_suffix``): what an id in ``ids`` stands for.
+    *Collection table* (``order``, ``spans``, ``tokens``, ``chars``,
+    ``documents``): one row per trie collection, in **first-seen order** —
+    the order indexers consume collections in and therefore allocate term
+    ids in, part of the byte-identity contract.  When regrouping is
+    disabled (ablation A) the token columns stay in document order and
+    ``spans`` is ``None``.  A sub-batch (:meth:`select`) shares the token
+    columns and the entry table and keeps a subset of the collection rows.
     """
 
     parser_id: int
     sequence: int
     source_file: str
     num_docs: int = 0
-    collections: dict[int, list[tuple[int, list[bytes]]]] = field(default_factory=dict)
-    #: When the engine builds a positional index: parallel to
-    #: ``collections`` — ``positions[cidx][i]`` holds the in-document token
-    #: positions for the suffixes of ``collections[cidx][i]``.
-    positions: dict[int, list[list[int]]] | None = None
-    ungrouped: list[DocTokens] | None = None
-    tokens_per_collection: dict[int, int] = field(default_factory=dict)
-    chars_per_collection: dict[int, int] = field(default_factory=dict)
+    entry_cidx: np.ndarray = field(default_factory=_int32)
+    entry_suffix: list[bytes] = field(default_factory=list)
+    ids: np.ndarray = field(default_factory=_int32)
+    #: Local document ordinal of each token; non-decreasing within a span.
+    docs: np.ndarray = field(default_factory=_int32)
+    #: Positional builds: each token's ordinal in its document's emitted
+    #: stream, taken before the sort.
+    positions: np.ndarray | None = None
+    order: np.ndarray = field(default_factory=_int32)
+    #: ``[start, end)`` rows of the token columns, one pair per collection.
+    spans: np.ndarray | None = field(default_factory=lambda: np.empty((0, 2), np.int64))
+    tokens: np.ndarray = field(default_factory=_int64)
+    chars: np.ndarray = field(default_factory=_int64)
+    #: Distinct documents per collection (0 when not regrouped).
+    documents: np.ndarray = field(default_factory=_int64)
     uncompressed_bytes: int = 0
     compressed_bytes: int = 0
 
     @property
+    def regrouped(self) -> bool:
+        return self.spans is not None
+
+    @property
+    def tokens_per_collection(self) -> dict[int, int]:
+        return dict(zip(self.order.tolist(), self.tokens.tolist()))
+
+    @property
+    def chars_per_collection(self) -> dict[int, int]:
+        return dict(zip(self.order.tolist(), self.chars.tolist()))
+
+    @property
     def total_tokens(self) -> int:
-        if self.ungrouped is not None:
-            return sum(len(toks) for _, toks in self.ungrouped)
-        return sum(self.tokens_per_collection.values())
+        return int(self.tokens.sum())
 
     @property
     def total_chars(self) -> int:
-        return sum(self.chars_per_collection.values())
+        return int(self.chars.sum())
+
+    def select(self, rows: list[int] | np.ndarray) -> "ParsedBatch":
+        """The sub-batch of collection rows ``rows`` over the same columns."""
+        assert self.spans is not None
+        return replace(
+            self, order=self.order[rows], spans=self.spans[rows], tokens=self.tokens[rows],
+            chars=self.chars[rows], documents=self.documents[rows],
+        )
 
     @property
-    def regrouped(self) -> bool:
-        return self.ungrouped is None
+    def collections(self) -> "Mapping[int, list[tuple[int, list[bytes]]]]":
+        """Read-only ``{collection: [(local doc, [suffix, ...]), ...]}``.
+
+        The paper's per-collection streams, materialised on demand for
+        tests and the benchmark harness; nothing under ``src/`` reads it.
+        """
+        return _CollectionsView(self)
 
 
-def regroup(
-    docs: Iterable[DocTokens],
-    with_positions: bool = False,
-) -> tuple[
-    dict[int, list[tuple[int, list[bytes]]]],
-    dict[int, int],
-    dict[int, int],
-    dict[int, list[list[int]]] | None,
-]:
-    """Regroup per-document ``(collection, suffix)`` streams by collection.
+class _CollectionsView(Mapping):  # type: ignore[type-arg]
+    def __init__(self, batch: ParsedBatch) -> None:
+        self._batch = batch
+        rows = batch.order.tolist() if batch.regrouped else []
+        self._row = {cidx: i for i, cidx in enumerate(rows)}
 
-    Returns ``(collections, tokens_per_collection, chars_per_collection,
-    positions)``.  Within one collection, documents appear in their
-    original order and a document's suffixes keep their original relative
-    order — both needed so the indexer's append-only postings stay
-    docID-sorted and term frequencies are exact.
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._row)
 
-    With ``with_positions`` each suffix's in-document token ordinal (its
-    index in the emitted token stream) travels alongside it, enabling the
-    positional-index extension.
+    def __len__(self) -> int:
+        return len(self._row)
+
+    def __getitem__(self, cidx: int) -> list[tuple[int, list[bytes]]]:
+        batch = self._batch
+        assert batch.spans is not None
+        start, end = batch.spans[self._row[cidx]].tolist()
+        docs = batch.docs[start:end]
+        suffixes = [batch.entry_suffix[i] for i in batch.ids[start:end].tolist()]
+        cuts = [0, *(np.flatnonzero(np.diff(docs)) + 1).tolist(), end - start]
+        return [(int(docs[a]), suffixes[a:b]) for a, b in zip(cuts, cuts[1:]) if b > a]
+
+
+def tiled_spans(tokens: np.ndarray) -> np.ndarray:
+    """``[start, end)`` per collection when the collections lie back to back."""
+    ends = np.cumsum(tokens)
+    return np.column_stack((ends - tokens, ends))
+
+
+def first_seen(cidx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values in order of first occurrence, and each element's rank in it."""
+    uniq, first, inverse = np.unique(cidx, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    rank = np.empty(len(uniq), dtype=np.intp)
+    rank[by_first] = np.arange(len(uniq))
+    return uniq[by_first], rank[inverse]
+
+
+def regroup(cidx: np.ndarray) -> tuple[np.ndarray, dict[int, int]]:
+    """Regroup a token stream by collection: one stable sort.
+
+    ``cidx`` holds each token's collection index, documents back to back.
+    Returns ``(perm, tokens_per_collection)``: ``perm`` makes every
+    collection contiguous, collections in first-seen order (the dict's
+    order); within a collection documents and a document's tokens keep
+    their order, so the indexer's append-only postings stay docID-sorted
+    and term frequencies exact.  Self-contained (it ranks the collections
+    itself) so the step can be timed on its own.
     """
-    collections: dict[int, list[tuple[int, list[bytes]]]] = {}
-    tokens: dict[int, int] = {}
-    chars: dict[int, int] = {}
-    positions: dict[int, list[list[int]]] | None = {} if with_positions else None
-    for doc_id, doc_tokens in docs:
-        per_doc: dict[int, list[bytes]] = {}
-        per_doc_pos: dict[int, list[int]] = {}
-        for ordinal, (cidx, suffix) in enumerate(doc_tokens):
-            per_doc.setdefault(cidx, []).append(suffix)
-            if with_positions:
-                per_doc_pos.setdefault(cidx, []).append(ordinal)
-        for cidx, suffixes in per_doc.items():
-            collections.setdefault(cidx, []).append((doc_id, suffixes))
-            tokens[cidx] = tokens.get(cidx, 0) + len(suffixes)
-            chars[cidx] = chars.get(cidx, 0) + sum(len(s) for s in suffixes)
-            if positions is not None:
-                positions.setdefault(cidx, []).append(per_doc_pos[cidx])
-    return collections, tokens, chars, positions
+    order, rank = first_seen(cidx)
+    perm = np.argsort(rank, kind="stable")
+    return perm, dict(zip(order.tolist(), np.bincount(rank, minlength=len(order)).tolist()))

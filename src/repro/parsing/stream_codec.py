@@ -3,33 +3,42 @@
 The multiprocess execution backend (:mod:`repro.core.mp_backend`) moves
 parser output between OS processes over shared-memory ring buffers.  The
 payload is the same :class:`~repro.parsing.regroup.ParsedBatch` the
-thread pool passes by reference — but across an address-space boundary it
-has to travel as bytes.  Pickle would work; this codec is smaller (term
-suffixes dominate and are stored verbatim, everything else is varints),
-has no code-execution surface, and — the property the engine actually
-relies on — **round-trips exactly**: decoding preserves dict insertion
-order, so an indexer consuming a decoded batch allocates term ids in the
-same order as one consuming the original, which is what keeps the
-multiprocess backend byte-identical to serial execution.
+serial loop passes by reference — but across an address-space boundary it
+has to travel as bytes.  The batch is columns already, so the codec is a
+header plus the columns' own bytes: no code-execution surface, decoding
+is ``np.frombuffer`` over the payload, and — the property the engine
+actually relies on — it **round-trips exactly**: the collection table
+keeps its first-seen order, so an indexer consuming a decoded batch
+allocates term ids in the same order as one consuming the original, which
+is what keeps the multiprocess backend byte-identical to serial execution.
 
-Wire format (all integers LEB128 varints, all strings UTF-8
-length-prefixed):
-
-- ``encode_batch`` / ``decode_batch``: one ``ParsedBatch`` — the
-  sub-batch unit dispatched to indexer workers.
-- ``encode_parsed_file`` / ``decode_parsed_file``: one
-  :class:`~repro.parsing.parser.ParsedFile` (batch + doc-table rows +
-  parse metrics) — the unit parse workers send back to the engine.
+One batch (``encode_batch`` / ``decode_batch``, the sub-batch unit
+dispatched to indexer workers) is a LEB128-varint header — magic, batch
+identity, flags, the array lengths — zero padding to a multiple of 8,
+then the collection table (``int32[k, 4]``, first-seen order), the token
+columns (``int32[n]`` each), and the entry table (collection indexes,
+suffix lengths, suffix bytes back to back); docs/ARCHITECTURE.md has the
+byte layout.  Spans are not shipped: the collection rows tile the columns
+in order, and a sub-batch over shared columns is compacted first (tokens
+gathered, entries renumbered).  ``encode_parsed_file`` /
+``decode_parsed_file`` carry one :class:`~repro.parsing.parser.ParsedFile`
+— the batch, the doc-table rows, one varint per :class:`ParseMetrics`
+field — the unit parse workers send back to the engine.
 
 The format is internal to one build on one host (both ends run the same
-code), so there is no versioning beyond the magic byte.
+code, same byte order), so there is no versioning beyond the magic byte.
+Every malformed payload is a ``ValueError``.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import numpy as np
+
 from repro.parsing.docio import DocTableEntry
 from repro.parsing.parser import ParsedFile, ParseMetrics
-from repro.parsing.regroup import ParsedBatch
+from repro.parsing.regroup import ParsedBatch, tiled_spans
 
 __all__ = [
     "encode_batch",
@@ -70,6 +79,12 @@ class _Writer:
     def s(self, text: str) -> None:
         self.raw(text.encode("utf-8"))
 
+    def arrays(self, *arrays: np.ndarray) -> None:
+        """Raw array bytes, the first starting on a multiple of 8."""
+        self._parts += bytes(-len(self._parts) % 8)
+        for a in arrays:
+            self._parts += a.tobytes()
+
     def getvalue(self) -> bytes:
         return bytes(self._parts)
 
@@ -109,6 +124,18 @@ class _Reader:
     def s(self) -> str:
         return self.raw().decode("utf-8")
 
+    def align(self) -> None:
+        self._pos += -self._pos % 8
+
+    def array(self, dtype: type, count: int) -> np.ndarray:
+        """``count`` items of ``dtype`` as a read-only view of the payload."""
+        try:
+            out = np.frombuffer(self._data, dtype=dtype, count=count, offset=self._pos)
+        except ValueError:
+            raise ValueError("truncated column in parsed-stream payload") from None
+        self._pos += out.nbytes
+        return out
+
     def done(self) -> bool:
         return self._pos == len(self._data)
 
@@ -118,109 +145,94 @@ class _Reader:
 # ---------------------------------------------------------------------- #
 
 
+def _compact(batch: ParsedBatch) -> ParsedBatch:
+    """``batch`` with spans that tile its columns and no unused entry.
+
+    The identity for a parser's own output; a sub-batch over shared
+    columns has its tokens gathered and its entries renumbered.
+    """
+    spans, ends = batch.spans, np.cumsum(batch.tokens)
+    total = int(batch.tokens.sum())
+    if spans is None or (total == len(batch.ids) and np.array_equal(spans[:, 1], ends)):
+        return batch
+    rows = np.arange(total) + np.repeat(spans[:, 0] - (ends - batch.tokens), batch.tokens)
+    used, ids = np.unique(batch.ids[rows], return_inverse=True)
+    return replace(
+        batch,
+        entry_cidx=batch.entry_cidx[used],
+        entry_suffix=[batch.entry_suffix[i] for i in used.tolist()],
+        ids=ids.astype(np.int32),
+        docs=batch.docs[rows],
+        positions=None if batch.positions is None else batch.positions[rows],
+        spans=tiled_spans(batch.tokens),
+    )
+
+
 def _write_batch(w: _Writer, batch: ParsedBatch) -> None:
+    batch = _compact(batch)
+    suffixes = b"".join(batch.entry_suffix)
     w.u(_BATCH_MAGIC)
     w.u(batch.parser_id)
     w.u(batch.sequence)
     w.s(batch.source_file)
-    w.u(batch.num_docs)
-    w.u(batch.uncompressed_bytes)
-    w.u(batch.compressed_bytes)
-    flags = (1 if batch.positions is not None else 0) | (
-        2 if batch.ungrouped is not None else 0
-    )
-    w.u(flags)
-
-    # Collections in dict insertion order — the order indexers iterate,
+    for value in (
+        batch.num_docs, batch.uncompressed_bytes, batch.compressed_bytes,
+        (1 if batch.positions is not None else 0) | (0 if batch.regrouped else 2),
+        len(batch.ids), 0 if batch.positions is None else len(batch.positions),
+        len(batch.order), len(batch.entry_suffix), len(suffixes),
+    ):
+        w.u(value)
+    # Collection rows in first-seen order — the order indexers iterate,
     # hence the order term ids are allocated.  Never sort here.
-    w.u(len(batch.collections))
-    for cidx, stream in batch.collections.items():
-        w.u(cidx)
-        w.u(len(stream))
-        for doc_id, suffixes in stream:
-            w.u(doc_id)
-            w.u(len(suffixes))
-            for suffix in suffixes:
-                w.raw(suffix)
-
-    if batch.positions is not None:
-        w.u(len(batch.positions))
-        for cidx, per_doc in batch.positions.items():
-            w.u(cidx)
-            w.u(len(per_doc))
-            for ordinals in per_doc:
-                w.u(len(ordinals))
-                for ordinal in ordinals:
-                    w.u(ordinal)
-
-    if batch.ungrouped is not None:
-        w.u(len(batch.ungrouped))
-        for doc_id, doc_tokens in batch.ungrouped:
-            w.u(doc_id)
-            w.u(len(doc_tokens))
-            for cidx, suffix in doc_tokens:
-                w.u(cidx)
-                w.raw(suffix)
-
-    for counts in (batch.tokens_per_collection, batch.chars_per_collection):
-        w.u(len(counts))
-        for cidx, count in counts.items():
-            w.u(cidx)
-            w.u(count)
+    table = np.column_stack((batch.order, batch.tokens, batch.chars, batch.documents))
+    if table.max(initial=0) > np.iinfo(np.int32).max:
+        raise ValueError("batch too large for the parsed-stream codec")
+    w.arrays(
+        table.astype(np.int32),
+        batch.ids,
+        batch.docs,
+        *(() if batch.positions is None else (batch.positions,)),
+        batch.entry_cidx,
+        np.fromiter(map(len, batch.entry_suffix), np.int32, len(batch.entry_suffix)),
+        np.frombuffer(suffixes, dtype=np.uint8),
+    )
 
 
 def _read_batch(r: _Reader) -> ParsedBatch:
     if r.u() != _BATCH_MAGIC:
         raise ValueError("not a parsed-stream batch payload")
-    parser_id = r.u()
-    sequence = r.u()
-    source_file = r.s()
-    num_docs = r.u()
-    uncompressed = r.u()
-    compressed = r.u()
-    flags = r.u()
+    parser_id, sequence, source_file = r.u(), r.u(), r.s()
+    num_docs, uncompressed, compressed, flags = r.u(), r.u(), r.u(), r.u()
+    n, n_positions, k, n_entries, n_suffix_bytes = r.u(), r.u(), r.u(), r.u(), r.u()
+    r.align()
+    table = r.array(np.int32, 4 * k).reshape(k, 4).astype(np.int64)
+    ids = r.array(np.int32, n)
+    docs = r.array(np.int32, n)
+    positions = r.array(np.int32, n_positions) if flags & 1 else None
+    entry_cidx = r.array(np.int32, n_entries)
+    ends = np.cumsum(r.array(np.int32, n_entries), dtype=np.int64)
+    blob = bytes(r.array(np.uint8, n_suffix_bytes))
 
-    collections: dict[int, list[tuple[int, list[bytes]]]] = {}
-    for _ in range(r.u()):
-        cidx = r.u()
-        stream: list[tuple[int, list[bytes]]] = []
-        for _ in range(r.u()):
-            doc_id = r.u()
-            stream.append((doc_id, [r.raw() for _ in range(r.u())]))
-        collections[cidx] = stream
-
-    positions: dict[int, list[list[int]]] | None = None
-    if flags & 1:
-        positions = {}
-        for _ in range(r.u()):
-            cidx = r.u()
-            positions[cidx] = [
-                [r.u() for _ in range(r.u())] for _ in range(r.u())
-            ]
-
-    ungrouped: list[tuple[int, list[tuple[int, bytes]]]] | None = None
-    if flags & 2:
-        ungrouped = []
-        for _ in range(r.u()):
-            doc_id = r.u()
-            ungrouped.append(
-                (doc_id, [(r.u(), r.raw()) for _ in range(r.u())])
-            )
-
-    tokens_per_collection = {r.u(): r.u() for _ in range(r.u())}
-    chars_per_collection = {r.u(): r.u() for _ in range(r.u())}
+    tokens = table[:, 1].copy()
+    if (ends[-1] if n_entries else 0) != n_suffix_bytes or np.any(np.diff(ends, prepend=0) < 0):
+        raise ValueError("suffix lengths do not add up to the suffix bytes")
+    if n and (ids.min() < 0 or ids.max() >= n_entries):
+        raise ValueError("entry id outside the entry table")
+    if n and (docs.min() < 0 or docs.max() >= num_docs):
+        raise ValueError("document ordinal outside the batch")
+    if n_positions != (n if flags & 1 else 0):
+        raise ValueError("positions column is not aligned with the token columns")
+    if tokens.sum() != n or np.any(table < 0):
+        raise ValueError("collection rows do not tile the token columns")
     return ParsedBatch(
-        parser_id=parser_id,
-        sequence=sequence,
-        source_file=source_file,
-        num_docs=num_docs,
-        collections=collections,
-        positions=positions,
-        ungrouped=ungrouped,
-        tokens_per_collection=tokens_per_collection,
-        chars_per_collection=chars_per_collection,
-        uncompressed_bytes=uncompressed,
-        compressed_bytes=compressed,
+        parser_id=parser_id, sequence=sequence, source_file=source_file, num_docs=num_docs,
+        uncompressed_bytes=uncompressed, compressed_bytes=compressed,
+        entry_cidx=entry_cidx,
+        entry_suffix=[blob[a:b] for a, b in zip([0, *ends[:-1].tolist()], ends.tolist())],
+        ids=ids, docs=docs, positions=positions,
+        order=table[:, 0].astype(np.int32),
+        spans=None if flags & 2 else tiled_spans(tokens),
+        tokens=tokens, chars=table[:, 2].copy(), documents=table[:, 3].copy(),
     )
 
 

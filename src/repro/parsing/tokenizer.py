@@ -64,14 +64,25 @@ class Tokenizer:
         #: Tokens produced.
         self.tokens_emitted = 0
 
-    def tokens(self, text: str) -> Iterator[str]:
-        """Yield lower-cased raw tokens from one document."""
+    def surface_forms(self, text: str) -> list[str]:
+        """One document's raw tokens as written (case kept): markup strip
+        plus one compiled-regex pass.  The parser lower-cases, length-checks
+        and stems each *distinct* form once, through its token cache."""
         if self.strip_html:
             text = strip_markup(text)
         self.chars_scanned += len(text)
-        for match in _TOKEN_RE.finditer(text):
-            token = match.group().lower()
-            if len(token.encode("utf-8")) > self.max_token_bytes:
+        return _TOKEN_RE.findall(text)
+
+    def too_long(self, token: str) -> bool:
+        """Over the byte-length limit (a character is at most 4 bytes)."""
+        limit = self.max_token_bytes
+        return len(token) * 4 > limit and len(token.encode("utf-8")) > limit
+
+    def tokens(self, text: str) -> Iterator[str]:
+        """Yield lower-cased raw tokens from one document."""
+        too_long = self.too_long
+        for token in map(str.lower, self.surface_forms(text)):
+            if too_long(token):
                 continue
             self.tokens_emitted += 1
             yield token

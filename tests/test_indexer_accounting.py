@@ -7,14 +7,18 @@ reorders a charge.  The golden digests below were recorded at the commit
 *before* the indexers switched to per-batch accounting (PR 19) and must
 not change when the bookkeeping is restructured.  The parent's
 per-collection accounting and inner loop are kept here as oracles for the
-closed-form cycle charges and the restructured loop.
+closed-form cycle charges and the restructured loop; since PR 22 the
+indexers walk column slices and build one report per batch, and the old
+per-collection ``_index_collection`` exists only here.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -24,7 +28,7 @@ from repro.core.engine import IndexingEngine
 from repro.corpus.synthetic import CollectionSpec, SegmentSpec, generate_collection
 from repro.dictionary.btree import BTreeStats
 from repro.dictionary.dictionary import DictionaryShard
-from repro.dictionary.layout import DEVICE_CHUNK_BYTES
+from repro.dictionary.layout import DEVICE_CHUNK_BYTES, NODE_SIZE_BYTES
 from repro.dictionary.trie import TrieTable
 from repro.gpusim.costmodel import TESLA_C1060, GPUSpec
 from repro.gpusim.device import Device
@@ -35,6 +39,7 @@ from repro.indexers.cpu import CPUIndexer
 from repro.indexers.gpu import GPUIndexer
 from repro.parsing.parser import ParseMetrics, Parser
 from repro.parsing.regroup import ParsedBatch
+from tests.parsed_stream_oracles import as_nested
 
 _PINNED_SPEC = CollectionSpec(
     name="pinned",
@@ -171,6 +176,9 @@ def _index_collection(indexer, cidx, stream, doc_offset, positions=None) -> Inde
     return report
 
 
+_FIELDS = list(BTreeStats.__dataclass_fields__)
+
+
 class _ScriptedGPU(GPUIndexer):
     """A GPU indexer whose collection ``i`` 'does' exactly ``script[i]``."""
 
@@ -178,12 +186,29 @@ class _ScriptedGPU(GPUIndexer):
         super().__init__(0, DictionaryShard(TrieTable()), device=Device(spec=spec))
         self.script = script
 
-    def _index_collection(self, batch, cidx, doc_offset):
-        characters, tokens = self.script[cidx][:2]
-        return IndexerReport(
-            tokens=tokens, characters=characters, collections=1,
-            btree=_delta(self.script[cidx]),
+    def _index_rows(self, batch, rows, doc_offset):
+        grown = np.array(
+            [[getattr(_delta(self.script[i]), name) for name in _FIELDS] for i in rows.tolist()],
+            dtype=np.int64,
+        ).reshape(-1, len(_FIELDS))
+        report = IndexerReport(
+            tokens=int(batch.tokens[rows].sum()), characters=int(batch.chars[rows].sum()),
+            collections=len(rows), btree=BTreeStats(*grown.sum(axis=0).tolist()),
         )
+        return report, [], BTreeStats(*grown.T)
+
+
+def _scripted_batch(script) -> ParsedBatch:
+    """Collection ``i`` carries ``script[i]``'s characters and tokens; the
+    token columns are never read (``_index_rows`` is scripted)."""
+    k = len(script)
+    return ParsedBatch(
+        parser_id=0, sequence=0, source_file="f",
+        order=np.arange(k, dtype=np.int32), spans=np.zeros((k, 2), dtype=np.int64),
+        tokens=np.array([work[1] for work in script], dtype=np.int64),
+        chars=np.array([work[0] for work in script], dtype=np.int64),
+        documents=np.zeros(k, dtype=np.int64),
+    )
 
 
 def _delta(work) -> BTreeStats:
@@ -208,13 +233,7 @@ _collection_work = st.tuples(
 @given(script=st.lists(_collection_work, min_size=1, max_size=8))
 def test_closed_form_equals_the_warp_executor(spec, script):
     gpu = _ScriptedGPU(spec, script)
-    batch = ParsedBatch(
-        parser_id=0, sequence=0, source_file="f",
-        collections={cidx: [] for cidx in range(len(script))},
-        tokens_per_collection={cidx: work[1] for cidx, work in enumerate(script)},
-        chars_per_collection={cidx: work[0] for cidx, work in enumerate(script)},
-    )
-    out = gpu.index_batch(batch, 0)
+    out = gpu.index_batch(_scripted_batch(script), 0)
 
     counters, items, modeled = WarpCounters(), [], 0.0
     for cidx, work in enumerate(script):
@@ -257,31 +276,82 @@ def _postings(indexer):
 @pytest.mark.parametrize("positional", [False, True])
 @pytest.mark.parametrize("kind", [CPUIndexer, GPUIndexer])
 def test_index_collection_matches_the_parent_loop(kind, positional):
+    """One walk over the column slices == the parent's loop, collection by
+    collection: same report, same postings, same term ids."""
     parser = Parser(strip_html=False, positional=positional)
     batch, _ = parser.parse_texts(_TEXTS)
     assert (batch.positions is not None) == positional
     new = kind(0, DictionaryShard(parser.trie))
     old = kind(0, DictionaryShard(parser.trie))
-    for cidx, stream in batch.collections.items():
-        positions = batch.positions[cidx] if positional else None
-        # The parent counted tokens and characters itself; the parser's
-        # per-collection counts, used now, must say the same.
-        assert new._index_collection(batch, cidx, 7) == _index_collection(
-            old, cidx, stream, 7, positions
+    out = new.index_batch(batch, 7)
+    collections, positions = as_nested(batch)
+    expected = IndexerReport()
+    for cidx, stream in collections.items():
+        # The parent counted tokens, characters and documents itself; the
+        # parser's per-collection counts, used now, must say the same.
+        expected.merge(
+            _index_collection(old, cidx, stream, 7, positions[cidx] if positional else None)
         )
+    report = getattr(out, "report", out)
+    assert dataclasses.replace(report, modeled_seconds=0.0) == expected
     assert _postings(new) == _postings(old)
     assert any(positions for _, _, positions in _postings(new).values()) == positional
     assert list(new.shard.terms()) == list(old.shard.terms())
+    assert list(new.shard.trees) == list(old.shard.trees) == list(collections)
 
 
 def test_misaligned_positions_are_rejected():
     parser = Parser(strip_html=False, positional=True)
     batch, _ = parser.parse_texts(_TEXTS)
-    cidx = max(batch.collections, key=lambda c: len(batch.collections[c]))
-    batch.positions[cidx].pop()
+    batch.positions = batch.positions[:-1]
     indexer = CPUIndexer(0, DictionaryShard(parser.trie))
     with pytest.raises(ValueError):
-        indexer._index_collection(batch, cidx, 0)
+        indexer.index_batch(batch, 0)
+    assert not indexer.accumulator.lists
+
+
+def test_modeled_seconds_are_added_left_to_right():
+    """``sum()`` over floats is compensated from Python 3.12 on; CI runs
+    3.10 and 3.12, so the pinned bits need a plain ``+=`` in collection
+    order on both indexers."""
+    # GPU: forty collections whose seconds lose low bits when added naively.
+    script = [
+        ((1009 * i**3) % 100003, (1009 * i) % 977 + 1, (1009 * i * i) % 50021, i % 3, i % 5, i % 2)
+        for i in range(1, 41)
+    ]
+    gpu = _ScriptedGPU(TESLA_C1060, script)
+    out = gpu.index_batch(_scripted_batch(script), 0)
+    seconds = [TESLA_C1060.seconds(item.total_cycles) for item in out.work_items]
+    naive = 0.0
+    for s in seconds:
+        naive += s
+    assert naive != math.fsum(seconds)  # or the case proves nothing
+    assert repr(out.report.modeled_seconds) == repr(naive)
+
+    # CPU: the per-collection seconds of a real batch.
+    parser = Parser(strip_html=False)
+    batch, _ = parser.parse_texts(_TEXTS * 3)
+    cpu = CPUIndexer(0, DictionaryShard(parser.trie))
+    report, trees, grown = cpu._index_rows(batch, np.arange(len(batch.order)), 0)
+    seconds = cpu._model_collection_seconds(trees, batch.tokens, grown).tolist()
+    naive = 0.0
+    for s in seconds:
+        naive += s
+    assert naive != math.fsum(seconds)
+    again = CPUIndexer(0, DictionaryShard(parser.trie))
+    assert repr(again.index_batch(batch, 0).modeled_seconds) == repr(naive)
+    # ... and each collection's seconds are the scalar formula's, bit for bit.
+    cost = cpu.cost
+    rows = np.column_stack(grown.snapshot()).tolist()
+    for tree, tokens, row, got in zip(trees, batch.tokens.tolist(), rows, seconds):
+        delta = BTreeStats(*row)
+        tree_bytes = tree.node_count * NODE_SIZE_BYTES + tree.store.byte_size
+        resident = min(1.0, cost.cache_share_bytes / tree_bytes)
+        visit = resident * cost.node_visit_hot_s + (1.0 - resident) * cost.node_visit_cold_s
+        assert repr(got) == repr(
+            tokens * cost.per_token_s + delta.node_visits * visit
+            + delta.full_string_fetches * cost.full_fetch_s + delta.splits * cost.split_s
+        )
 
 
 def test_device_memory_check_fires_before_any_tree_changes():

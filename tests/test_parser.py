@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.parsing.parser import Parser
+from tests.parsed_stream_oracles import as_ungrouped
 
 
 class TestParseTexts:
@@ -35,8 +36,8 @@ class TestParseTexts:
     def test_regroup_disabled_keeps_document_order(self):
         parser = Parser(strip_html=False, regroup=False)
         batch, _ = parser.parse_texts(["zebra apple zebra"])
-        assert batch.ungrouped is not None
-        suffixes = [s for _, toks in batch.ungrouped for _, s in toks]
+        assert not batch.regrouped and batch.spans is None
+        suffixes = [s for _, toks in as_ungrouped(batch) for _, s in toks]
         trie = parser.trie
         z = trie.split("zebra").suffix.encode()
         a = trie.split("appl").suffix.encode()  # apple stems to appl
@@ -53,10 +54,36 @@ class TestParseTexts:
             for s in sufs
         )
         ungrouped = sorted(
-            (c, d, s) for d, toks in off.ungrouped for c, s in toks
+            (c, d, s) for d, toks in as_ungrouped(off) for c, s in toks
         )
         assert grouped == ungrouped
         assert on.tokens_per_collection == off.tokens_per_collection
+
+    def test_one_str_object_per_vocabulary_word(self):
+        """The token cache and the stemmer's cache share their key objects.
+
+        Keying the token cache by the scanned form while stemming a fresh
+        ``.lower()`` copy stored every vocabulary string twice (+5 %
+        ``peak_rss_mb`` on ``web_serial``).
+        """
+        parser = Parser(strip_html=False)
+        parser.parse_texts(["parallel Parallel indexers ZEBRA zebra"])
+        stemmed = {key: key for key in parser.stemmer._cache}
+        for form in ("parallel", "indexers", "zebra"):
+            (key,) = [k for k in parser._token_cache if k == form]
+            assert key is stemmed[form]
+        # Mixed-case forms are extra keys onto the same entries, never
+        # stemmed themselves.
+        assert "Parallel" in parser._token_cache and "Parallel" not in stemmed
+        assert parser._token_cache["Parallel"] == parser._token_cache["parallel"]
+
+    def test_counts_come_from_the_columns(self):
+        """Over-length tokens are not raw tokens; stop words are."""
+        parser = Parser(strip_html=False)
+        batch, metrics = parser.parse_texts(["the " + "x" * 65 + " zebra", "", "zebra"])
+        assert (metrics.tokens_raw, metrics.tokens_stopped, metrics.tokens_emitted) == (3, 1, 2)
+        assert metrics.suffix_chars == batch.total_chars == 2 * len(batch.entry_suffix[0])
+        assert metrics.collections_touched == 1 and batch.documents.tolist() == [2]
 
     def test_stem_cache_misses_decline(self):
         parser = Parser(strip_html=False)

@@ -13,6 +13,7 @@ from repro.postings.compression import VarBytePositionalCodec, get_codec
 from repro.postings.lists import PostingsList
 from repro.postings.merge import merge_index
 from repro.postings.reader import PostingsReader
+from tests.parsed_stream_oracles import as_nested
 
 positional_lists = st.lists(
     st.tuples(
@@ -110,9 +111,14 @@ class TestPositionalParser:
         trie = parser.trie
         z = trie.trie_index("zebra")
         suffix = trie.split("zebra").suffix.encode()
-        # zebra at emitted positions 0 and 2.
-        zi = batch.collections[z].index((0, [suffix, suffix]))
-        assert batch.positions[z][zi] == [0, 2]
+        # zebra at emitted positions 0 and 2: the positions column holds
+        # the pre-sort ordinals, row for row with the sorted tokens.
+        collections, positions = as_nested(batch)
+        zi = collections[z].index((0, [suffix, suffix]))
+        assert positions[z][zi] == [0, 2]
+        start, end = batch.spans[list(batch.collections).index(z)].tolist()
+        assert batch.positions[start:end].tolist() == [0, 2]
+        assert sorted(batch.positions.tolist()) == [0, 1, 2, 3]
 
     def test_positional_requires_regroup(self):
         with pytest.raises(ValueError):
