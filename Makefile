@@ -1,6 +1,6 @@
 # Canonical workflows for the reproduction.
 
-.PHONY: install test test-fast test-mp chaos chaos-mp chaos-mp-san lint bench-pytest perf-smoke report examples trace-demo profile-demo critpath-demo clean
+.PHONY: install test test-fast test-mp chaos chaos-mp lint bench-pytest perf-smoke report examples trace-demo profile-demo critpath-demo clean
 
 install:
 	python setup.py develop
@@ -12,26 +12,20 @@ test-fast:
 	pytest tests/ -m "not slow"
 
 # The full suite again with every engine build routed through the
-# supervised worker-process backend (docs/ROBUSTNESS.md, "Process
-# supervision") — the whole tier-1 suite doubles as a byte-identity
-# check for the shared-memory execution path.
+# multiprocess backend (one supervised parse-ahead process;
+# docs/ROBUSTNESS.md, "Process supervision") — the whole tier-1 suite
+# doubles as a byte-identity check for it.
 test-mp:
 	REPRO_EXEC_BACKEND=multiprocess pytest tests/
 
 chaos:
 	pytest tests/ -m chaos -v
 
-# Process-level chaos: SIGKILLed workers, heartbeat stalls, poison
-# sub-batches, shm-leak checks against the multiprocess backend.
+# Process-level chaos: a SIGKILLed / stalled parse worker, poison
+# files, exhausted restart budgets, process and /dev/shm leak checks
+# against the multiprocess backend.
 chaos-mp:
-	pytest tests/test_chaos_mp.py tests/test_supervise.py tests/test_shm_ring.py -v
-
-# The same process-level chaos suite with the ring sanitizer armed:
-# every shm frame stamped with (sequence, crc32) and verified on
-# receipt (docs/STATIC_ANALYSIS.md, "The ring sanitizer").  Builds must
-# stay byte-identical; shm_san.* counters land in run.metrics.json.
-chaos-mp-san:
-	REPRO_SANITIZE=ring pytest tests/test_chaos_mp.py tests/test_supervise.py tests/test_shm_ring.py -v
+	pytest tests/test_chaos_mp.py tests/test_supervise.py -v
 
 # Paper-invariant lint pack + race analyzer + interprocedural layer +
 # typing gate + protocol model checker (docs/STATIC_ANALYSIS.md).
@@ -86,8 +80,8 @@ trace-demo:
 	python -m repro verify /tmp/repro_trace_demo/index
 
 # Cross-process profiling end to end: a multiprocess build with the
-# sampling profiler on, the merged run.profile.json rendered (top
-# functions + shm codec hot path), and flamegraph/speedscope exports.
+# sampling profiler on, the merged run.profile.json rendered (per-lane
+# totals + top functions), and flamegraph/speedscope exports.
 # Open /tmp/repro_profile_demo/profile.speedscope.json at
 # https://www.speedscope.app (docs/OBSERVABILITY.md, "Profiling").
 profile-demo:

@@ -27,8 +27,8 @@ Commands mirror the library's workflow:
 - ``lint`` — the paper-invariant static-analysis pack
   (docs/STATIC_ANALYSIS.md): AST rules, race analyzer, typing gate;
 - ``profile`` — report on a ``run.profile.json`` written by ``build
-  --profile`` (top-N self/cumulative table + the shm codec hot-path
-  section); ``--diff A B`` ranks regressed/improved functions between
+  --profile`` (per-lane summary + top-N self/cumulative table);
+  ``--diff A B`` ranks regressed/improved functions between
   two profiles, ``--folded`` / ``--speedscope`` export flamegraph
   formats;
 - ``critpath`` — critical-path analysis of a build's ``trace.json``
@@ -119,7 +119,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                        help="disable span tracing + metrics (no "
                             "run.metrics.json / trace.json artifacts)")
     build.add_argument("--profile", action="store_true",
-                       help="sample the engine and every worker process "
+                       help="sample the engine and the parse worker process "
                             "with the deterministic-interval stack "
                             "profiler and write the merged "
                             "run.profile.json (repro profile)")
@@ -129,15 +129,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
     build.add_argument("--exec", dest="exec_backend",
                        choices=["serial", "multiprocess"], default=None,
                        help="execution backend: serial (inline loop) or "
-                            "multiprocess (parser/indexer worker processes "
-                            "over shared-memory rings, supervised with "
+                            "multiprocess (the same loop fed by one "
+                            "parse-ahead worker process, supervised with "
                             "restart/degrade recovery); output is "
                             "byte-identical (default: REPRO_EXEC_BACKEND "
                             "env or serial)")
     build.add_argument("--files-per-run", type=int, default=None,
-                       help="container files per output run (run boundaries "
-                            "quiesce the pipeline, so larger runs overlap "
-                            "more; default: 1)")
+                       help="container files per output run (default: 1)")
 
     trace = sub.add_parser(
         "trace", help="ASCII stage-utilization report from a build's trace"
@@ -155,10 +153,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     verify.add_argument("--keep-going", action="store_true",
                         help="report every inconsistency instead of "
                              "stopping at the first")
-    verify.add_argument("--check-shm", action="store_true",
-                        help="also fail on orphaned repro_* shared-memory "
-                             "segments left behind by a dead multiprocess "
-                             "build")
 
     query = sub.add_parser("query", help="search an index directory")
     query.add_argument("index", help="index directory")
@@ -417,20 +411,14 @@ def _cmd_build(args) -> int:
           f"simulated on the paper's node: "
           f"{result.report.total_s:.2f}s = {result.report.throughput_mbps:.1f} MB/s")
     print(f"CPU/GPU token split: {result.split.cpu_tokens:,} / {result.split.gpu_tokens:,}")
-    if result.pipeline is not None:
-        p = result.pipeline
-        print(f"multiprocess: depth {p.depth}, "
-              f"{p.workers} indexer workers, "
-              f"{p.tasks} sub-batches over {p.files} files "
-              f"(max {p.max_inflight} in flight)")
     sup = result.supervisor
     if sup is not None:
-        line = (f"supervisor: {sup.workers} worker processes, "
-                f"{sup.restarts} restart(s), {sup.requeued} requeued task(s)")
+        line = (f"supervisor: {sup.workers} parse worker process, "
+                f"{sup.restarts} restart(s), {sup.requeued} requeued file(s)")
         if sup.degraded:
-            line += f", {sup.degraded} slot(s) degraded to inline"
+            line += ", degraded to inline parsing"
         if sup.poisoned:
-            line += f", {sup.poisoned} poisoned task(s)"
+            line += f", {sup.poisoned} poisoned file(s) parsed inline"
         print(line)
         for failure in sup.failures:
             print(f"  {failure.worker} incarnation {failure.incarnation} "
@@ -477,17 +465,7 @@ def _cmd_verify(args) -> int:
     result = verify_index(args.index, keep_going=args.keep_going)
     for issue in result.issues:
         print(str(issue), file=sys.stderr)
-    shm_ok = True
-    if args.check_shm:
-        from repro.core.shm_ring import orphan_segments
-
-        orphans = orphan_segments()
-        if orphans:
-            shm_ok = False
-            for name in orphans:
-                print(f"orphaned shared-memory segment: /dev/shm/{name} "
-                      f"(creator process is gone)", file=sys.stderr)
-    if result.ok and shm_ok:
+    if result.ok:
         print(f"ok: {result.runs_checked} run(s), {result.docs_checked} doc(s), "
               f"{result.terms_checked} term(s) verified")
         metrics_path = os.path.join(args.index, METRICS_FILENAME)
@@ -502,10 +480,6 @@ def _cmd_verify(args) -> int:
                     for name, value in section.items():
                         print(f"  {name:32s} {value}")
         return 0
-    if not shm_ok:
-        print("orphaned repro_* shared-memory segment(s) found "
-              "(repro verify --check-shm)", file=sys.stderr)
-        return 1
     print(f"{len(result.issues)} inconsistenc"
           f"{'y' if len(result.issues) == 1 else 'ies'} found", file=sys.stderr)
     return 1
@@ -605,7 +579,6 @@ def _cmd_profile(args) -> int:
         to_speedscope,
     )
     from repro.obs.profile_schema import load_profile
-    from repro.obs.schema import METRICS_FILENAME, load_metrics
 
     if args.diff is not None:
         old, new = (load_profile(_profile_path_of(t)) for t in args.diff)
@@ -618,13 +591,7 @@ def _cmd_profile(args) -> int:
 
     path = _profile_path_of(args.target)
     payload = load_profile(path)
-    # The hot-path section cross-references ring-wait counters when the
-    # build's metrics artifact sits next to the profile.
-    metrics = None
-    metrics_path = os.path.join(os.path.dirname(path) or ".", METRICS_FILENAME)
-    if os.path.exists(metrics_path):
-        metrics = load_metrics(metrics_path)
-    print(render_profile_report(payload, metrics, top=args.top, mode=args.mode))
+    print(render_profile_report(payload, top=args.top, mode=args.mode))
     if args.folded is not None:
         with open(args.folded, "w", encoding="utf-8") as fh:
             fh.write(to_folded(payload))
@@ -674,7 +641,7 @@ def _cmd_critpath(args) -> int:
               file=sys.stderr)
         return 2
 
-    cp, metrics = analyze_index_dir(args.target)
+    cp = analyze_index_dir(args.target)
     projections = default_projections(cp)
     extra = []
     scales = parse_what_if(args.what_if)
@@ -684,8 +651,7 @@ def _cmd_critpath(args) -> int:
     payload = build_critpath_payload(
         cp, projections, meta={"index_dir": os.path.abspath(args.target)}
     )
-    print(render_critpath_report(payload, metrics or None,
-                                 extra_projections=extra))
+    print(render_critpath_report(payload, extra_projections=extra))
     if not args.no_write:
         from repro.obs.critpath_schema import write_critpath
 

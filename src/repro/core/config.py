@@ -81,20 +81,21 @@ class PlatformConfig:
     #: little on small hot-cache corpora where Python-bound stemming
     #: dominates.  ``0`` (default) parses on the engine thread.
     parse_prefetch: int = 0
-    #: The multiprocess backend's in-flight window: at most this many
-    #: parsed files dispatched to the indexer workers but not yet
-    #: drained (``0``, the default, means ``DEFAULT_CONCURRENT_DEPTH``).
-    #: The serial loop ignores it.
+    #: No effect: validated (>= 0) and otherwise ignored.  It was the
+    #: ring backend's in-flight window; the field survives because the
+    #: frozen benchmark harness passes ``pipeline_depth=0`` (ROADMAP
+    #: item 5(v)).  The multiprocess backend's look-ahead is the module
+    #: constant ``repro.core.mp_backend.PARSE_AHEAD_WINDOW``.
     pipeline_depth: int = 0
     #: Which execution backend runs the build (docs/ARCHITECTURE.md,
     #: "Execution backends"): ``"serial"`` (default — the inline
-    #: reference loop) or ``"multiprocess"`` (supervised OS processes
-    #: over shared-memory rings).  Both produce byte-identical output.
-    #: Overridable fleet-wide via ``REPRO_EXEC_BACKEND``; explicit
-    #: values win over the environment.
+    #: reference loop) or ``"multiprocess"`` (the same loop fed by one
+    #: supervised parse-ahead process; ``parse_prefetch`` is ignored).
+    #: Both produce byte-identical output.  Overridable fleet-wide via
+    #: ``REPRO_EXEC_BACKEND``; explicit values win over the environment.
     exec_backend: str = field(default_factory=_default_exec_backend)
-    #: Supervision knobs for the multiprocess backend: restart budgets,
-    #: heartbeat timeout, poison threshold, ring sizing (see
+    #: Supervision knobs for the multiprocess backend: restart budget,
+    #: stall timeout, poison threshold, start method (see
     #: :mod:`repro.robustness.supervise`).
     supervisor: SupervisorPolicy = field(default_factory=SupervisorPolicy)
 
@@ -124,12 +125,11 @@ class PlatformConfig:
     #: overhead) and writes no ``run.metrics.json`` / ``trace.json``.
     telemetry: bool = True
     #: Sampling profiler (``repro build --profile``): the engine and
-    #: every worker process run a deterministic-interval stack sampler
-    #: whose merged view is written as ``run.profile.json`` (see
-    #: docs/OBSERVABILITY.md, "Profiling").  Independent of
-    #: ``telemetry`` — a profiled build with telemetry off still
-    #: collects samples (it just lacks the ``shm.ring.*`` wait
-    #: counters the hot-path report cross-references).
+    #: the multiprocess backend's parse worker run a
+    #: deterministic-interval stack sampler whose merged view is written
+    #: as ``run.profile.json`` (see docs/OBSERVABILITY.md, "Profiling").
+    #: Independent of ``telemetry`` — a profiled build with telemetry
+    #: off still collects samples.
     profile: bool = False
     #: Sampler tick in seconds; smaller = finer attribution, more
     #: overhead.  The default 10ms keeps profiled builds within the

@@ -29,16 +29,20 @@ through the dictionary and splices partial postings across runs.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
+import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any
 
 from repro.core.config import PlatformConfig
 from repro.core.costs import CostConstants, StageCosts
 from repro.core.exec_backend import (
-    ExecutionBackend,
-    PipelineStats,
+    LookAhead,
+    ParsedStream,
+    ParseResult,
+    SerialBackend,
     Tasks,
     create_backend,
 )
@@ -79,6 +83,9 @@ from repro.robustness.policy import GpuFailover, RobustnessReport, SkippedFile
 from repro.robustness.retry import RetryOutcome, retry_call
 from repro.robustness.supervise import SupervisorReport
 from repro.util.timing import Stopwatch, now
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 __all__ = ["IndexingEngine", "EngineResult", "RunBoundaryState", "WorkSplit"]
 
@@ -134,12 +141,9 @@ class EngineResult:
     #: Merged cross-process ``run.profile.json`` (``None`` unless the
     #: build ran with ``config.profile``).
     profile_path: str | None = None
-    #: The multiprocess backend's execution summary (``None`` for serial
-    #: builds): dispatch counts, backpressure/quiesce stalls.
-    pipeline: PipelineStats | None = None
     #: What the multiprocess backend's supervisor saw: worker restarts,
-    #: requeued sub-batches, heartbeat misses, degraded slots (``None``
-    #: for serial builds, which have no processes to supervise).
+    #: requeued files, stalls, degradation (``None`` for serial builds,
+    #: which have no process to supervise).
     supervisor: SupervisorReport | None = None
 
     @property
@@ -187,9 +191,8 @@ class RunBoundaryState:
     posting_count: int = 0
     run_count: int = 0
     next_file_index: int = 0
-    #: Indexer slots.  A backend may replace an entry (GPU failover, a
-    #: multiprocess worker's state coming home), so these lists are the
-    #: one place that says which object owns a slot.
+    #: Indexer slots.  A GPU failover replaces an entry, so these lists
+    #: are the one place that says which object owns a slot.
     cpu_indexers: list = field(default_factory=list)
     gpu_indexers: list = field(default_factory=list)
 
@@ -220,14 +223,15 @@ class RunBoundaryState:
 
 def _parse_under_retry(
     parser: Parser, path: str, k: int, config: PlatformConfig
-) -> tuple[ParsedFile | None, Exception | None, RetryOutcome | None]:
+) -> ParseResult:
     """Parse file ``k`` under the retry policy; classify the outcome.
 
     ``(parsed, None, outcome)`` on success, ``(None, error, None)`` for
     a container that stays unreadable (a fatal injected fault propagates
     — that *is* the crash).  Touches nothing shared, so the prefetch
-    pool's threads call it too; merging ``outcome`` into the robustness
-    report is left to the engine thread.
+    pool's threads and the multiprocess backend's worker process call it
+    too; merging ``outcome`` into the robustness report is left to the
+    engine thread.
     """
 
     def call() -> ParsedFile:
@@ -276,8 +280,7 @@ class _Build:
         self.run_first_doc = state.doc_offset
         self.run_docs = 0
         # Set by the run loop.
-        self.backend: ExecutionBackend | None = None
-        self.pipeline_stats: PipelineStats | None = None
+        self.backend: SerialBackend | None = None
         self.supervisor_report: SupervisorReport | None = None
         self._inline_parser: Parser | None = None
 
@@ -297,9 +300,8 @@ class _Build:
     ) -> None:
         """Post-index bookkeeping for one file.
 
-        Both backends call this strictly in file order — it advances the
-        global doc-ID cursor and the doc table, which is what keeps
-        their output byte-identical.
+        Called strictly in file order — it advances the global doc-ID
+        cursor and the doc table.
         """
         st = self.state
         metrics = self.tel.metrics
@@ -338,16 +340,7 @@ class _Build:
         )
 
     def close_run(self, k: int) -> None:
-        """Drain accumulators → run file → manifest → checkpoint.
-
-        The multiprocess backend quiesces its in-flight window first,
-        so the drain and the checkpoint record see settled indexer state
-        with empty queues; its ``drain_run_postings`` additionally pulls
-        what the run added out of its workers — postings, each shard's
-        mutation log, a forest-free indexer state — and replays the logs
-        into the engine-side shards, so the checkpoint (which takes
-        those logs) and the dictionary epilogue stay authoritative.
-        """
+        """Drain accumulators → run file → manifest → checkpoint."""
         st = self.state
         cfg = self.config
         metrics = self.tel.metrics
@@ -481,20 +474,14 @@ class _Build:
         if outcome is not None:
             self.state.robustness.merge_outcome(outcome.retries, outcome.backoff_s)
 
-    def parse_file_inline(
-        self, k: int
-    ) -> tuple[int, ParsedFile | None, Exception | None, RetryOutcome | None]:
+    def parse_file_inline(self, k: int) -> ParseResult:
         if self._inline_parser is None:
             self._inline_parser = self._new_parser()
-        parsed, error, outcome = _parse_under_retry(
+        return _parse_under_retry(
             self._inline_parser, self.collection.files[k], k, self.config
         )
-        self._merge_outcome(outcome)
-        return k, parsed, error, outcome
 
-    def make_parsed_stream(
-        self,
-    ) -> Iterator[tuple[int, ParsedFile | None, Exception | None, RetryOutcome | None]]:
+    def make_parsed_stream(self, ahead: LookAhead | None = None) -> ParsedStream:
         """Yield ``(file_index, parsed, error, retry_outcome)`` in order.
 
         Every container read runs under the config's retry policy; a file
@@ -502,73 +489,50 @@ class _Build:
         ``error`` for the caller's ``on_error`` policy.  Files a resumed
         build already indexed are skipped.
 
-        With ``config.parse_prefetch`` > 0 a thread pool reads,
-        decompresses and parses up to that many files ahead — gzip
-        inflation and the regex scan release the GIL, so the lookahead
-        genuinely overlaps with indexing (the paper's parser/indexer
-        pipeline, executed for real).  Results are always consumed in
-        file order, so indexes are byte-identical to a build without it.
-
-        Each worker *thread* owns one stable trace lane (``parser-w<n>``):
-        spans on a lane never overlap, which is what Perfetto-style
-        timeline rows require.  The paper's round-robin parser slot for
-        file ``k`` (``k % num_parsers``) is recorded as the ``parser``
-        span attribute instead of rotating the lane per file.
+        With a look-ahead — ``ahead`` (the multiprocess backend's parse
+        worker) or, for ``config.parse_prefetch`` > 0, a thread pool
+        (gzip inflation and the regex scan release the GIL) — up to
+        ``window`` files are parsed ahead of the indexers: the paper's
+        parser/indexer pipeline, executed for real.  Results are always
+        consumed in file order, so indexes are byte-identical to a build
+        without it.
         """
-        cfg = self.config
-        files = self.collection.files
         watch, tracer = self.watch, self.tel.tracer
-        indices = range(self.start_file, len(files))
-        window = cfg.parse_prefetch
+        indices = iter(range(self.start_file, len(self.collection.files)))
+        if ahead is None and self.config.parse_prefetch > 0:
+            ahead = _PrefetchPool(self)
 
-        if window <= 0:
+        if ahead is None:
             for k in indices:
                 with watch.measure("parse"), tracer.span(
                     "parse", cat="parse", file=k, cp=f"parse:{k}"
                 ):
                     result = self.parse_file_inline(k)
-                yield result
+                self._merge_outcome(result[2])
+                yield (k, *result)
             return
 
-        import itertools
-        import threading
-        from concurrent.futures import ThreadPoolExecutor
-
-        local = threading.local()
-        lane_ids = itertools.count()
-        lane_lock = threading.Lock()
-
-        def parse_one(
-            k: int,
-        ) -> tuple[ParsedFile | None, Exception | None, RetryOutcome | None]:
-            parser = getattr(local, "parser", None)
-            if parser is None:
-                parser = self._new_parser()
-                with lane_lock:
-                    worker = next(lane_ids)
-                parser.lane_override = f"parser-w{worker}"
-                local.parser = parser
-            return _parse_under_retry(parser, files[k], k, cfg)
-
-        with ThreadPoolExecutor(max_workers=window) as pool:
-            pending = deque()
-            ahead = iter(indices)
-            for k in itertools.islice(ahead, window):
-                pending.append((k, pool.submit(parse_one, k)))
+        try:
+            pending = deque(itertools.islice(indices, ahead.window))
+            for k in pending:
+                ahead.submit(k)
             while pending:
-                k, future = pending.popleft()
-                # Worker threads trace their own "parse" spans on the
-                # parser lanes; the engine lane records only the wait.
+                k = pending.popleft()
+                # The look-ahead traces its own "parse_file" spans on
+                # its own lanes; the engine lane records only the wait.
                 with watch.measure("parse"), tracer.span(
                     "parse.wait", cat="parse", file=k,
                     cp=f"collect:{k}", cp_from=f"parse:{k}",
                 ):
-                    parsed, error, outcome = future.result()
-                self._merge_outcome(outcome)
-                nxt = next(ahead, None)
+                    result = ahead.collect(k)
+                self._merge_outcome(result[2])
+                nxt = next(indices, None)
                 if nxt is not None:
-                    pending.append((nxt, pool.submit(parse_one, nxt)))
-                yield k, parsed, error, outcome
+                    ahead.submit(nxt)
+                    pending.append(nxt)
+                yield (k, *result)
+        finally:
+            ahead.close()
 
     # ---- indexing ------------------------------------------------------ #
 
@@ -577,11 +541,9 @@ class _Build:
     ) -> tuple[GroupWork, GroupWork]:
         """Route one buffer's collections to their bound indexers, inline.
 
-        The serial path: split the buffer per (indexer, group), index
-        each sub-batch on the engine thread in deterministic order, and
-        aggregate the group work.  The multiprocess backend runs the
-        *same* split and aggregation around its dispatch to worker
-        processes, which is what keeps the two modes byte-identical.
+        Split the buffer per (indexer, group), index each sub-batch on
+        the engine thread in deterministic order, and aggregate the
+        group work.
         """
         tasks = self.split_batch(batch)
         results = [
@@ -596,12 +558,12 @@ class _Build:
         Returns ``(kind, indexer_index, is_popular, sub_batch)`` tuples
         sorted into the serial loop's historical consumption order (CPU
         slots before GPU slots, then by index) — term-id allocation order
-        depends on it.  Runs on the engine thread under both backends:
-        ``bind_unseen`` mutates the assignment and must see collections
-        in file order.  Sub-batches are built per (indexer, group) so
-        group-level work attribution stays exact even on CPU-only
-        configurations; each is a selection of collection rows over the
-        buffer's shared token columns, nothing is copied.
+        depends on it.  ``bind_unseen`` mutates the assignment and must
+        see collections in file order.  Sub-batches are built per
+        (indexer, group) so group-level work attribution stays exact
+        even on CPU-only configurations; each is a selection of
+        collection rows over the buffer's shared token columns, nothing
+        is copied.
         """
         if not batch.regrouped:
             # Regrouping disabled (ablation): the whole document-order
@@ -625,8 +587,7 @@ class _Build:
 
         ``results`` is parallel to ``tasks``; entries are
         :class:`~repro.indexers.base.IndexerReport` or GPU batch reports
-        carrying one.  Pure aggregation — safe to run on the engine
-        thread after out-of-order worker completion.
+        carrying one.  Pure aggregation.
         """
         if not batch.regrouped:
             report = GroupWork()
@@ -658,6 +619,49 @@ class _Build:
             if g.tokens:
                 g.visits_per_token = g.node_visits / g.tokens
         return groups[True], groups[False]
+
+
+class _PrefetchPool:
+    """``config.parse_prefetch``: the serial loop's read-ahead threads.
+
+    A :class:`~repro.core.exec_backend.LookAhead`.  Each worker *thread*
+    owns one parser and one stable trace lane (``parser-w<n>``): spans
+    on a lane never overlap, which is what Perfetto-style timeline rows
+    require.  The paper's round-robin parser slot for file ``k``
+    (``k % num_parsers``) is recorded as the ``parser`` span attribute
+    instead of rotating the lane per file.
+    """
+
+    def __init__(self, build: _Build) -> None:
+        # Imported here: a build without prefetch never pays for it.
+        from concurrent.futures import ThreadPoolExecutor
+
+        self.window = build.config.parse_prefetch
+        self._build = build
+        self._pool = ThreadPoolExecutor(max_workers=self.window)
+        self._futures: "dict[int, Future]" = {}
+        self._local = threading.local()
+        self._lanes = itertools.count()
+        self._lane_lock = threading.Lock()
+
+    def _parse(self, k: int) -> ParseResult:
+        build = self._build
+        parser = getattr(self._local, "parser", None)
+        if parser is None:
+            parser = build._new_parser()
+            with self._lane_lock:
+                parser.lane_override = f"parser-w{next(self._lanes)}"
+            self._local.parser = parser
+        return _parse_under_retry(parser, build.collection.files[k], k, build.config)
+
+    def submit(self, k: int) -> None:
+        self._futures[k] = self._pool.submit(self._parse, k)
+
+    def collect(self, k: int) -> ParseResult:
+        return self._futures.pop(k).result()
+
+    def close(self) -> None:
+        self._pool.shutdown(wait=True)
 
 
 class IndexingEngine:
@@ -697,8 +701,8 @@ class IndexingEngine:
         tel = Telemetry.create(self.config.telemetry)
         profiler: SamplingProfiler | None = None
         if self.config.profile:
-            # Merge target for the engine's own sampler and every worker
-            # delta (mp_backend._merge_delta absorbs into tel.profile).
+            # Merge target for the engine's own sampler and every parse
+            # worker delta (mp_backend absorbs into tel.profile).
             tel.profile = Profile(self.config.profile_interval_s)
             profiler = SamplingProfiler(
                 self.config.profile_interval_s, lane="engine"
@@ -872,7 +876,7 @@ class IndexingEngine:
             "run_loop", start_file=build.start_file, backend=backend.name
         ):
             try:
-                build.pipeline_stats = backend.run()
+                backend.run()
             finally:
                 build.supervisor_report = backend.supervisor_report()
                 backend.close()
@@ -933,7 +937,6 @@ class IndexingEngine:
             stopwatch=watch,
             indexer_reports={f"{ix.kind}{ix.indexer_id}": ix.total for ix in indexers},
             robustness=st.robustness,
-            pipeline=build.pipeline_stats,
             supervisor=build.supervisor_report,
         )
 
@@ -959,10 +962,6 @@ class IndexingEngine:
         timings["wall_seconds"] = result.wall_seconds
         timings["cpu_seconds"] = result.cpu_seconds
         timings["measured_union_seconds"] = watch.wall()
-        if result.pipeline is not None:
-            # Multiprocess stall wall-clock: quarantined with the other
-            # timings; the registry only sees deterministic pipeline.*.
-            timings.update(result.pipeline.timings())
         payload = build_payload(
             tel.metrics.snapshot(),
             timings,

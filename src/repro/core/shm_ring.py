@@ -1,10 +1,18 @@
-"""SPSC byte rings over POSIX shared memory — the multiprocess transport.
+"""SPSC byte rings over POSIX shared memory.
 
-The multiprocess execution backend (:mod:`repro.core.mp_backend`) gives
-every worker process two rings: a *task* ring (engine produces, worker
-consumes) and a *result* ring (worker produces, engine consumes).  Each
-ring is one ``multiprocessing.shared_memory`` segment holding a small
-header plus a circular byte buffer:
+**No build uses this module.**  It was the transport of the ring-based
+multiprocess backend that PR 23 replaced with a parse-ahead process
+(:mod:`repro.core.mp_backend`); it stays only because the frozen
+benchmark harness (``benchmarks/perf``, which a perf PR may not edit)
+still *drives* a pair of rings for its ``shm_ring.roundtrip_mb_s`` /
+``frames_s`` layers and scans ``/dev/shm`` with
+:func:`list_repro_segments`.  ROADMAP item 5(v): the next PR that opens
+``benchmarks/perf/`` deletes this file, the ring/segment models and
+RPR120/RPR123 in :mod:`repro.lint.protocol`, and ``tests/test_shm_ring.py``
+in one go.
+
+Each ring is one ``multiprocessing.shared_memory`` segment holding a
+small header plus a circular byte buffer:
 
 ====== ======= ==========================================================
 offset  width  field
@@ -18,34 +26,29 @@ offset  width  field
 
 Messages are length-prefixed *frames* written through the byte stream,
 so a frame larger than the ring capacity simply streams through in
-chunks — no special-casing for big parsed files.  Single producer,
-single consumer, and the counters are monotonic, so plain polling reads
-are safe: the consumer only trusts bytes below ``tail``, the producer
-only reuses bytes below ``head``, and each side publishes its counter
-*after* the copy it covers (CPython bytearray/memoryview stores plus the
-GIL-crossing on ``struct.pack_into`` give the needed ordering on every
-platform CPython supports).
+chunks.  Single producer, single consumer, and the counters are
+monotonic, so plain polling reads are safe: the consumer only trusts
+bytes below ``tail``, the producer only reuses bytes below ``head``, and
+each side publishes its counter *after* the copy it covers (CPython
+bytearray/memoryview stores plus the GIL-crossing on
+``struct.pack_into`` give the needed ordering on every platform CPython
+supports).
 
 When a metrics registry is installed and armed, ``put_frame`` /
-``get_frame`` additionally record cheap ring telemetry —
-``shm.ring.frame_bytes`` / ``shm.ring.occupancy_bytes`` histograms and
-producer/consumer wait-poll counters — which the profile report's
-"shm codec hot path" section ranks against sampled encode/decode cost
-(docs/OBSERVABILITY.md, "Profiling").  With telemetry off the checks
-collapse to one global read; ring bytes are never touched either way.
+``get_frame`` additionally record ``shm.ring.*`` telemetry (frame-size
+and occupancy histograms, wait-poll counters); with telemetry off the
+checks collapse to one global read, and ring bytes are never touched
+either way.  Nothing reads these counters any more — they go with the
+file.
 
 **No cross-process locks or conditions.**  A crashed peer can never
-leave a mutex held; the survivor just times out.  Heartbeats are plain
-counters — the supervisor compares *change over its own clock*, never
-raw timestamps, so nothing assumes clock epochs agree across processes.
+leave a mutex held; the survivor just times out.
 
-Crash-safety of the segments themselves: only the **engine** process
-ever creates (and therefore unlinks) segments; workers attach.  Every
-created segment is recorded in a module registry swept by ``atexit`` and
-by the backend's ``finally`` — a SIGKILLed worker cannot leak a segment
-because it never owned one.  On Python ≤ 3.12 the attach side must also
-be told not to "track" the segment, or the dying worker's resource
-tracker unlinks it out from under the engine (:func:`_untrack`).
+Crash-safety of the segments themselves: only the creating process ever
+unlinks a segment; peers attach.  Every created segment is recorded in
+a module registry swept by ``atexit``.  On Python ≤ 3.12 the attach side
+must also be told not to "track" the segment, or a dying peer's resource
+tracker unlinks it out from under the creator (:func:`_untrack`).
 """
 
 from __future__ import annotations
@@ -60,7 +63,6 @@ from dataclasses import dataclass
 from typing import Callable
 from multiprocessing import resource_tracker, shared_memory
 
-from repro.core import shm_san
 from repro.obs import runtime as obs_runtime
 from repro.util.timing import now
 
@@ -274,8 +276,6 @@ class ShmRing:
         self._acc = bytearray()
         self._need_header = True
         self._frame_len = 0
-        # None unless REPRO_SANITIZE=ring; see repro.core.shm_san.
-        self._san = shm_san.maybe_sanitizer(shm.name)
 
     # -- lifecycle ------------------------------------------------------ #
 
@@ -312,8 +312,6 @@ class ShmRing:
         if self._closed:
             return
         self._closed = True
-        if self._san is not None:
-            self._san.on_close()
         self._buf = None  # type: ignore[assignment]
         try:
             self._shm.close()
@@ -331,8 +329,6 @@ class ShmRing:
             self._shm.unlink()
         except FileNotFoundError:
             pass
-        if self._san is not None:
-            self._san.on_unlink()
 
     # -- header words --------------------------------------------------- #
 
@@ -377,11 +373,6 @@ class ShmRing:
         out producer must treat the ring as poisoned (the backend
         recreates rings rather than resuming them).
         """
-        san = self._san
-        if san is not None:
-            san.check_usable("put_frame")
-            san.begin_put()
-            data = san.stamp(data)
         payload = _FRAME_LEN.pack(len(data)) + data
         deadline = None if timeout is None else now() + timeout
         capacity = self._capacity
@@ -397,7 +388,6 @@ class ShmRing:
         wait_s = 0.0
         sent = 0
         poll_s = _POLL_MIN_S
-        ok = False
         try:
             while sent < len(payload):
                 free = capacity - (tail - self._load(_HEAD_OFF))
@@ -418,18 +408,12 @@ class ShmRing:
                 sent += n
                 tail += n
                 self._store(_TAIL_OFF, tail)  # publish *after* the copy
-            ok = True
         finally:
             if m is not None and wait_polls:
                 m.count("shm.ring.producer_wait_polls", wait_polls)
                 m.count("shm.ring.producer_wait_s", wait_s)
                 if self._edge is not None:
                     m.count(f"shm.ring.edge.{self._edge}.producer_wait_s", wait_s)
-            if san is not None:
-                # An aborted write (timeout, crash injection) leaves a
-                # partial frame pending; poison the endpoint so a later
-                # put is caught as an overlapping write.
-                san.end_put(ok)
 
     # -- consumer side --------------------------------------------------- #
 
@@ -443,8 +427,6 @@ class ShmRing:
         leaves the consumer returning ``None`` forever (which is exactly
         the signal the supervisor acts on).
         """
-        if self._san is not None:
-            self._san.check_usable("get_frame")
         deadline = None if timeout is None else now() + timeout
         capacity = self._capacity
         m = _ring_metrics()
@@ -496,6 +478,4 @@ class ShmRing:
                 m.count("shm.ring.consumer_wait_s", wait_s)
                 if self._edge is not None:
                     m.count(f"shm.ring.edge.{self._edge}.consumer_wait_s", wait_s)
-            if self._san is not None:
-                frame = self._san.verify(frame)
             return frame

@@ -18,9 +18,7 @@ every insert that changed its forest, in order, as packed bytes.  The
 run-boundary checkpoint (:mod:`repro.robustness.checkpoint`) journals the
 log and empties it, so a boundary costs the run's new terms, not the
 dictionary so far; :meth:`DictionaryShard.rebuild` replays the logs into
-an identical forest with identical term ids.  The multiprocess backend
-moves a run's dictionary growth between processes the same way
-(:meth:`DictionaryShard.apply_log`).
+an identical forest with identical term ids.
 """
 
 from __future__ import annotations
@@ -140,9 +138,7 @@ class DictionaryShard:
         stub.mutation_log = bytearray()
         return stub
 
-    def apply_log(
-        self, log: bytes, recorded: "DictionaryShard | None" = None
-    ) -> None:
+    def apply_log(self, log: bytes) -> None:
         """Replay one mutation log into this forest.
 
         An insert that is not in a log left its tree untouched, so a
@@ -150,10 +146,8 @@ class DictionaryShard:
         forest the log was taken from, and hands out the same term ids.
         Replayed inserts change trees, so they are logged again: the
         applied bytes reappear, unchanged, at the end of
-        :attr:`mutation_log`.  ``recorded`` is a :meth:`without_forest`
-        copy taken where the log was: the id cursor must land exactly
-        where it recorded.  (The trees' work counters count the replay,
-        not the original inserts — every consumer reads them as
+        :attr:`mutation_log`.  (The trees' work counters count the
+        replay, not the original inserts — every consumer reads them as
         per-batch deltas.)
         """
         pos, end = 0, len(log)
@@ -162,8 +156,6 @@ class DictionaryShard:
             pos += _LOG_ENTRY.size
             self.tree_for(cidx).insert(log[pos : pos + length])
             pos += length
-        if recorded is not None:
-            self._check_cursor(recorded._next_id)
 
     def rebuild(self, logs: Iterable[bytes]) -> None:
         """Regrow a :meth:`without_forest` copy's trees from its logs.
@@ -178,9 +170,6 @@ class DictionaryShard:
         for log in logs:
             self.apply_log(log)
         self.mutation_log.clear()
-        self._check_cursor(expected)
-
-    def _check_cursor(self, expected: int) -> None:
         if self._next_id != expected:
             base = self.shard_id << SHARD_ID_SPACE_BITS
             raise ValueError(

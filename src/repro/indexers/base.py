@@ -84,9 +84,8 @@ class BaseIndexer:
     def lane(self) -> str:
         """Stable trace-lane identity for this indexer's batch spans.
 
-        One lane per indexer (== per worker process under the
-        multiprocess backend), so concurrent ``index_batch`` spans never
-        interleave on a lane.
+        One lane per indexer, so a timeline shows each indexer's
+        ``index_batch`` spans on a row of its own.
         """
         return f"{self.kind}-{self.indexer_id}"
 
@@ -172,8 +171,7 @@ class BaseIndexer:
 
         The indexer's small state — totals, device counters, the shard's
         identity and id cursor — without the dictionary: what a
-        checkpoint record pickles, and what a worker process sends home
-        at a run boundary.  The forest travels as mutation logs.
+        checkpoint record pickles.  The forest travels as mutation logs.
         """
         stub = copy.copy(self)
         stub.shard = self.shard.without_forest()

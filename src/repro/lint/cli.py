@@ -53,7 +53,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--protocol", action="store_true",
-        help="also model-check the shm ring / supervisor / segment protocols",
+        help="also model-check the shm ring / segment-ownership protocols",
     )
     parser.add_argument(
         "--max-states", type=int, default=500_000, metavar="N",

@@ -3,8 +3,7 @@
 PR 2's race analyzer (:mod:`repro.lint.races`) reasons about one module
 at a time, which is enough for thread locksets but not for the process
 boundary: the thing ``Process(target=...)`` captures is routinely
-defined in *another* module (``worker_main`` lives in ``mp_worker``, the
-spec class it receives too).  This module builds a small cross-module
+defined in *another* module than the one that starts the process.  This module builds a small cross-module
 project model — one summary per file in the lint run, linked through
 ``from X import Y`` edges — and uses it for two rules:
 

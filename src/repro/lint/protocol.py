@@ -1,39 +1,38 @@
-"""The cross-process protocol verifier (``repro lint --protocol``).
+"""The shared-memory ring protocol verifier (``repro lint --protocol``).
 
-The multiprocess execution backend's correctness story rests on a
-hand-rolled protocol: SPSC shared-memory byte rings with copy-then-
-publish counters (``core/shm_ring.py``), a journal-before-send dispatch
-discipline with incarnation-bounded replay (``core/mp_backend.py``), and
-a created-segment registry swept exactly once by its owner.  This module
-encodes those three protocols as small transition systems and lets the
-bounded model checker (:mod:`repro.lint.modelcheck`) exhaustively
-explore every producer/consumer/crash interleaving within the model
-bounds, proving four invariant families:
+``core/shm_ring.py`` is a hand-rolled protocol: SPSC shared-memory byte
+rings with copy-then-publish counters, and a created-segment registry
+swept exactly once by its owner.  (No build uses the rings since PR 23 —
+the frozen benchmark harness still drives them; this module, the ring
+module and ``tests/test_shm_ring.py`` go together, ROADMAP item 5(v).)
+This module encodes those two protocols as small transition systems and
+lets the bounded model checker (:mod:`repro.lint.modelcheck`)
+exhaustively explore every producer/consumer/crash interleaving within
+the model bounds, proving four invariant families:
 
 - **torn-frame** — a consumer never observes a byte that differs from
   what the producer published for that stream position (covers
   wraparound, chunked frames, and resumable partial reads);
-- **lost-frame-under-replay** — every dispatched task is collected
-  exactly once, across worker crashes and journal replays;
+- **lost-frame-under-replay** — no frame is assembled twice or out of
+  order when a crashed peer's ring is recreated and its frames resent;
 - **double-unlink** — no shared-memory segment is ever unlinked by a
   non-owner or unlinked twice;
-- **heartbeat-monotonicity** — a supervisor never observes a liveness
-  counter move backwards within one worker incarnation.
+- **heartbeat-monotonicity** — an observer never sees a liveness
+  counter move backwards within one incarnation.
 
 Each model has *bug knobs* (``bug=...``) that re-introduce the exact
 mistakes the real code avoids — publishing ``tail`` before the copy,
-sending before journaling, sweeping an inherited registry — so the
-tests can prove the checker actually distinguishes the correct protocol
-from its mutations (a checker that passes everything proves nothing).
+sweeping an inherited registry — so the tests can prove the checker
+actually distinguishes the correct protocol from its mutations (a
+checker that passes everything proves nothing).
 
 **Model–code conformance.**  A model is only evidence about the code if
 the code does what the model says.  The RPR12x rules at the bottom are
-AST checks pinning ``shm_ring.py`` / ``mp_backend.py`` to the modeled
-update *order*: publish-after-copy (RPR120), journal-before-send
-(RPR121), heartbeats written only by ``beat`` as a ``load+1`` increment
-(RPR122), and attach/unlink registry hygiene (RPR123).  When a refactor
-changes the order, the lint run fails even though the model still
-passes — the model cannot silently drift from the code.
+AST checks pinning ``shm_ring.py`` to the modeled update *order*:
+publish-after-copy (RPR120) and attach/unlink registry hygiene
+(RPR123).  When a refactor changes the order, the lint run fails even
+though the model still passes — the model cannot silently drift from
+the code.
 
 Everything here is stdlib-only and never imports the engine.
 """
@@ -49,7 +48,6 @@ from repro.lint.modelcheck import ExploreResult, explore
 
 __all__ = [
     "RingProtocolModel",
-    "SupervisorProtocolModel",
     "SegmentProtocolModel",
     "ProtocolReport",
     "default_models",
@@ -103,8 +101,7 @@ class RingProtocolModel:
     default), one byte per copy step so every chunk boundary is an
     interleaving point.  A crash of either role (≥ 1 injected crash
     point per role) resets the ring — fresh segment, zeroed counters,
-    undelivered frames resent in order — exactly the backend's
-    fresh-rings-on-restart recovery.
+    undelivered frames resent in order — recreate, never resync.
 
     Bug knobs: ``publish-before-copy`` (tail advances before the cell is
     written), ``overwrite-unread`` (the free-space check allows clobbering
@@ -151,7 +148,7 @@ class RingProtocolModel:
         ]
 
     def _crash(self, s: _RingState) -> _RingState:
-        """Fresh ring + journal replay of every undelivered frame."""
+        """Fresh ring + resend of every undelivered frame."""
         remaining = tuple(f for f in range(self.frames) if f not in s.delivered)
         return replace(
             s,
@@ -305,144 +302,7 @@ class RingProtocolModel:
 
 
 # ---------------------------------------------------------------------- #
-# Model 2 — supervisor dispatch (journal-before-send, replay, discard)
-# ---------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class _SupState:
-    pending: tuple[int, ...]     # tasks not yet dispatched
-    staged: tuple[int, ...]      # between the two dispatch steps
-    journal: tuple[int, ...]     # replay journal, in dispatch order
-    channel: tuple[int, ...]     # task frames in flight (engine -> worker)
-    wtask: int                   # task the worker is processing (-1: idle)
-    replies: tuple[int, ...]     # done frames in flight (worker -> engine)
-    collected: tuple[int, ...]   # sorted multiset of collected task ids
-    discard: frozenset           # replayed ids whose duplicate done to drop
-    crashes: int
-    done: bool
-
-
-class SupervisorProtocolModel:
-    """Engine dispatch + worker + crash/replay as a transition system.
-
-    The correct discipline journals a task *before* sending it, replays
-    the whole journal into a restarted worker, and discards duplicate
-    completions by id.  ``bug="send-before-journal"`` swaps the two
-    dispatch steps (the mutation the acceptance test seeds);
-    ``bug="no-discard"`` drops the duplicate-completion filter.
-    """
-
-    def __init__(self, tasks: int = 3, crashes: int = 2, bug: str | None = None) -> None:
-        self.tasks = tasks
-        self.crashes = crashes
-        self.bug = bug
-        self.name = "supervisor-replay" + (f"[bug={bug}]" if bug else "")
-
-    def initial_states(self) -> "list[_SupState]":
-        return [
-            _SupState(
-                pending=tuple(range(self.tasks)), staged=(), journal=(),
-                channel=(), wtask=-1, replies=(), collected=(),
-                discard=frozenset(), crashes=0, done=False,
-            )
-        ]
-
-    def actions(self, s: _SupState) -> Iterator[tuple[str, _SupState]]:
-        if s.done:
-            return
-        # -- engine: two-step dispatch --------------------------------- #
-        if s.pending:
-            t = s.pending[0]
-            if self.bug == "send-before-journal":
-                yield "e.send", replace(
-                    s, pending=s.pending[1:], staged=s.staged + (t,),
-                    channel=s.channel + (t,),
-                )
-            else:
-                yield "e.journal", replace(
-                    s, pending=s.pending[1:], staged=s.staged + (t,),
-                    journal=s.journal + (t,),
-                )
-        if s.staged:
-            t = s.staged[0]
-            if self.bug == "send-before-journal":
-                yield "e.journal", replace(
-                    s, staged=s.staged[1:], journal=s.journal + (t,)
-                )
-            else:
-                yield "e.send", replace(
-                    s, staged=s.staged[1:], channel=s.channel + (t,)
-                )
-        # -- engine: collect ------------------------------------------- #
-        if s.replies:
-            r = s.replies[0]
-            if r in s.discard:
-                yield "e.discard-dup", replace(
-                    s, replies=s.replies[1:], discard=s.discard - {r}
-                )
-            else:
-                yield "e.collect", replace(
-                    s, replies=s.replies[1:],
-                    collected=tuple(sorted(s.collected + (r,))),
-                )
-        # -- engine: finish -------------------------------------------- #
-        if (
-            not s.pending and not s.staged and not s.channel
-            and s.wtask < 0 and not s.replies
-            and len(s.collected) >= self.tasks
-        ):
-            yield "e.finish", replace(s, done=True)
-        # -- worker ----------------------------------------------------- #
-        if s.wtask < 0 and s.channel:
-            yield "w.receive", replace(s, wtask=s.channel[0], channel=s.channel[1:])
-        if s.wtask >= 0:
-            yield "w.reply", replace(s, wtask=-1, replies=s.replies + (s.wtask,))
-        # -- crash + incarnation-bounded replay ------------------------- #
-        if s.crashes < self.crashes:
-            discard = (
-                frozenset() if self.bug == "no-discard"
-                else frozenset(s.collected) & frozenset(s.journal)
-            )
-            # Replay owns every journaled entry; a journaled-but-unsent
-            # task must not *also* be sent by the interrupted dispatch
-            # (in the real engine dispatch completes before supervision
-            # runs, so no half-done dispatch survives a restart).
-            yield "crash.worker", replace(
-                s, channel=s.journal, wtask=-1, replies=(),
-                staged=tuple(t for t in s.staged if t not in s.journal),
-                discard=discard, crashes=s.crashes + 1,
-            )
-
-    def invariants(self):
-        everything_needed = tuple(range(self.tasks))
-
-        def lost(s: _SupState) -> str | None:
-            for t in everything_needed:
-                if (
-                    t not in s.collected and t not in s.pending
-                    and t not in s.journal and t not in s.channel
-                    and t != s.wtask and t not in s.replies
-                ):
-                    return (
-                        f"task {t} is unrecoverable: not collected, not "
-                        "journaled, and no frame in flight carries it"
-                    )
-            for t in set(s.collected):
-                if s.collected.count(t) > 1:
-                    return f"task {t} collected {s.collected.count(t)} times"
-            if s.done and tuple(sorted(set(s.collected))) != everything_needed:
-                return "engine finished without collecting every task"
-            return None
-
-        return [("lost-frame-under-replay", lost)]
-
-    def is_terminal(self, s: _SupState) -> bool:
-        return s.done
-
-
-# ---------------------------------------------------------------------- #
-# Model 3 — segment ownership (create/registry/sweep/fork inheritance)
+# Model 2 — segment ownership (create/registry/sweep/fork inheritance)
 # ---------------------------------------------------------------------- #
 
 
@@ -580,12 +440,8 @@ class ProtocolReport:
 
 
 def default_models() -> list[object]:
-    """The three correct-protocol models ``--protocol`` must prove."""
-    return [
-        RingProtocolModel(),
-        SupervisorProtocolModel(),
-        SegmentProtocolModel(),
-    ]
+    """The two correct-protocol models ``--protocol`` must prove."""
+    return [RingProtocolModel(), SegmentProtocolModel()]
 
 
 def verify_protocol(max_states: int = 500_000) -> list[ProtocolReport]:
@@ -715,103 +571,6 @@ def check_ring_publish_order(sf: SourceFile) -> Iterator[Finding]:
                     "get_frame publishes _HEAD_OFF before copying the bytes "
                     f"out on line {min(late_read)}; the producer may reuse "
                     "them mid-read (torn frame)",
-                )
-
-
-@rule("RPR121", "journal-before-send")
-def check_journal_before_send(sf: SourceFile) -> Iterator[Finding]:
-    """Dispatch journals (or enqueues) every task before the ring send.
-
-    The lost-frame-under-replay proof assumes a crash between any two
-    statements still finds the in-flight task in the journal (indexer
-    slots) or the outstanding deque (parser slots).  Any ``mp_backend.py``
-    function that both records work and sends it must record first.
-    """
-    if not sf.parts or sf.parts[-1] != "mp_backend.py":
-        return
-
-    def _record_lines(fn: ast.AST, containers: tuple[str, ...]) -> "list[int]":
-        return [
-            node.lineno
-            for node in ast.walk(fn)
-            if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "append"
-            and isinstance(node.func.value, ast.Attribute)
-            and node.func.value.attr in containers
-        ]
-
-    fns = _functions(sf)
-    for name in sorted(fns):
-        for fn in fns[name]:
-            sends = [c.lineno for c in _calls_named(fn, "_put")]
-            records = _record_lines(fn, ("journal", "outstanding"))
-            if records and sends and min(sends) < min(records):
-                yield sf.finding(
-                    "RPR121", fn,
-                    f"'{name}' sends on the ring (line {min(sends)}) before "
-                    f"recording the task (line {min(records)}); a crash in "
-                    "between loses the frame — journal-write must "
-                    "happen-before ring-send",
-                )
-    for required, container in (("_dispatch", "journal"), ("_top_up", "outstanding")):
-        for fn in fns.get(required, []):
-            if not _record_lines(fn, (container,)):
-                yield sf.finding(
-                    "RPR121", fn,
-                    f"'{required}' no longer appends to '{container}'; the "
-                    "replay model assumes every dispatched task is recorded",
-                )
-
-
-@rule("RPR122", "heartbeat-discipline")
-def check_heartbeat_discipline(sf: SourceFile) -> Iterator[Finding]:
-    """Heartbeat counters are written only by ``beat`` as ``load + 1``.
-
-    The heartbeat-monotonicity proof assumes each side's counter has a
-    single writer performing a monotonic increment; a second write site
-    (or a non-increment store) would let the supervisor observe the
-    counter move backwards within one incarnation.
-    """
-    if not sf.parts or sf.parts[-1] != "shm_ring.py":
-        return
-    fns = _functions(sf)
-    for name in sorted(fns):
-        if name == "beat":
-            continue
-        for fn in fns[name]:
-            for off in ("_PROD_HB_OFF", "_CONS_HB_OFF"):
-                for store in _store_calls(fn, off):
-                    yield sf.finding(
-                        "RPR122", store,
-                        f"'{name}' writes the heartbeat word {off}; only "
-                        "beat() may write a heartbeat (single-writer "
-                        "monotonicity)",
-                    )
-    for beat in fns.get("beat", []):
-        stores = _calls_named(beat, "_store")
-        if not stores:
-            yield sf.finding(
-                "RPR122", beat,
-                "beat() no longer stores a heartbeat; the supervisor's "
-                "liveness detection depends on it",
-            )
-        for store in stores:
-            value = store.args[1] if len(store.args) >= 2 else None
-            if not (
-                isinstance(value, ast.BinOp)
-                and isinstance(value.op, ast.Add)
-                and any(
-                    isinstance(side, ast.Call)
-                    and isinstance(side.func, ast.Attribute)
-                    and side.func.attr == "_load"
-                    for side in (value.left, value.right)
-                )
-            ):
-                yield sf.finding(
-                    "RPR122", store,
-                    "beat() stores something other than '_load(off) + <n>'; "
-                    "the heartbeat must be a monotonic read-modify-write",
                 )
 
 

@@ -3,7 +3,8 @@
 A lightweight, per-module lockset analysis for what still runs threads:
 the serial loop's parse-prefetch pool (``engine._Build.make_parsed_stream``),
 the profiler's sampler thread and the fault-injection hooks they reach
-(the multiprocess supervisor is passive — it ticks on the engine thread):
+(the multiprocess backend's supervision is passive — it runs on the
+engine thread, inside the wait for the next parsed file):
 
 1. **Worker entries.**  A function is a worker entry when it is passed to
    ``Thread(target=...)`` / ``pool.submit(...)`` / ``executor.map(...)``,

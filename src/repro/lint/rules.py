@@ -520,10 +520,10 @@ def check_mp_entry_points(sf: SourceFile) -> Iterator[Finding]:
     every child, so a ``Process``/``Pool``/``ProcessPoolExecutor``
     constructed at module top level (outside a function or an
     ``if __name__ == "__main__"`` guard) re-executes in each child and
-    forks without bound.  The multiprocess execution backend keeps every
-    worker entry point a module-level function in a leaf module
-    (``core/mp_worker.py``); this rule holds the rest of the tree to the
-    same layout.  A ``lambda`` target is flagged too: it does not pickle
+    forks without bound.  The multiprocess execution backend keeps its
+    worker entry points module-level functions and builds its executor
+    inside a method (``core/mp_backend.py``); this rule holds the rest
+    of the tree to the same layout.  A ``lambda`` target is flagged too: it does not pickle
     under ``spawn``, so code relying on it silently becomes
     fork-start-method-only.
     """

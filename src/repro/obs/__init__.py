@@ -16,8 +16,8 @@ on the functional build:
   its validator (no external jsonschema dependency);
 - :mod:`repro.obs.profile` + :mod:`repro.obs.profile_schema` — a
   cross-process sampling profiler (``build --profile``) whose merged
-  view lands in ``run.profile.json`` with folded/speedscope exports and
-  a shm-codec hot-path report (``repro profile``);
+  view lands in ``run.profile.json`` with folded/speedscope exports
+  (``repro profile``);
 - :mod:`repro.obs.runtime` — process-wide installation, mirroring
   :mod:`repro.robustness.faults`, so deep layers (checkpointing, retry)
   can emit counters without threading a registry through every call;

@@ -1,34 +1,31 @@
 """Cross-process critical-path analysis with blame and what-if projection.
 
 The profiler (PR 8) ranks hot functions; this module answers the
-*causal* question behind ROADMAP's top item ("make the multiprocess
-backend actually fast"): which chain of cross-process events bounds
+*causal* question: which chain of cross-process events bounds
 wall-clock, which **resource** each link is waiting on, and what buying
 a resource down would be worth before anyone builds the optimization.
 
 Ingestion is post-hoc: ``trace.json`` (the span timeline, with worker
-lanes re-based onto the engine clock by ``Tracer.absorb``) plus
-``run.metrics.json`` (``shm.ring.*`` wait counters, ``pipeline.stall.*``
-timings).  No new clocks are read — everything derives from recorded
-artifacts, so the analysis is repeatable from the artifacts alone.
+lanes re-based onto the engine clock by ``Tracer.absorb``).  No new
+clocks are read — everything derives from the recorded artifact, so the
+analysis is repeatable from it alone.
 
 The causal model
 ----------------
 The engine thread is the build's coordinator: every parsed file is
-collected, dispatched and drained *on the engine lane in file order*
-(the ordering contract that makes the backends byte-identical),
-so the critical path necessarily threads through the engine lane's
-chain of spans::
+collected and indexed *on the engine lane in file order* (the ordering
+contract that makes the backends byte-identical), so the critical path
+necessarily threads through the engine lane's chain of spans::
 
-    sampling → [parse/parse.wait → pipeline.dispatch →
-    pipeline.wait]* → write_run/checkpoint → dict.combine/dict.write
+    sampling → [parse/parse.wait → index]* → write_run/checkpoint
+    → dict.combine/dict.write
 
-Cross-process causality enters when a chain link is a *wait*: the
-engine's ``parse.wait``/``pipeline.wait`` interval is refined against
-the worker lanes' compute spans (``parse_file`` on ``parser-*`` lanes,
-``index_batch`` on ``cpu-*``/``gpu-*`` lanes — the file-parse →
-frame-enqueue → ring-dequeue → index-task happens-before edges carried
-by the spans' ``cp``/``cp_from`` attributes):
+(``pipeline.dispatch`` / ``pipeline.wait`` links, which builds before
+PR 23 recorded, are still understood.)  Cross-process causality enters
+when a chain link is a *wait*: the engine's ``parse.wait`` interval is
+refined against the look-ahead lanes' compute spans (``parse_file`` on
+the ``parser-*`` lanes — the file-parse → collect happens-before edge
+carried by the spans' ``cp``/``cp_from`` attributes):
 
 - wait time overlapping a ``supervisor.recover`` span is **supervisor**
   (restart/replay edges);
@@ -36,9 +33,11 @@ by the spans' ``cp``/``cp_from`` attributes):
   blamed on that compute (**parse** / **index**) — the engine was
   causally bound by work serial mode would also pay for;
 - the remainder — the engine blocked with *no* concurrent compute — is
-  pure transport: **ring-wait** under the multiprocess backend (frame
-  encode/enqueue/dequeue, poll sleeps, scheduling), **stall** (the
-  serial loop waiting on its ``parse_prefetch`` pool) otherwise.
+  pure transport: **ring-wait** under the multiprocess backend (worker
+  start-up, the encoded file crossing the process boundary, scheduling;
+  the name dates from the ring transport and is part of the artifact
+  schema), **stall** (the serial loop waiting on its ``parse_prefetch``
+  pool) otherwise.
 
 That remainder definition is what makes the flagship what-if honest:
 ``ring-wait → 0`` projects the build onto its serial-equivalent cost,
@@ -62,7 +61,7 @@ from repro.obs.critpath_schema import (
     CRITPATH_RESOURCES,
     CRITPATH_SCHEMA_VERSION,
 )
-from repro.obs.schema import METRICS_FILENAME, TRACE_FILENAME
+from repro.obs.schema import TRACE_FILENAME
 from repro.obs.stats import spans_from_chrome
 from repro.obs.trace import Span, load_chrome_trace
 
@@ -320,31 +319,6 @@ def _emit_pieces(
     return edges
 
 
-def _refine_flush(
-    span: Span, prev: str, node: str, backend: str,
-    drain_union: list[Interval],
-) -> list[PathEdge]:
-    """Split a ``write_run`` span into drain transport vs flush work.
-
-    The multiprocess backend's run boundary ships every worker's pickled
-    postings, mutation log and forest-free state over the result rings
-    (the nested ``drain.wait`` spans); that is transport the serial build
-    never pays, so it belongs to ring-wait — only the remainder
-    (unpickling and replaying what arrived, run-file write, manifest
-    append) is genuine flush.
-    """
-    window = [(span.start_s, span.end_s)]
-    pieces: list[tuple[str, str, list[Interval]]] = []
-    transport = _intersect(window, drain_union)
-    if transport:
-        resource = "ring-wait" if backend == "multiprocess" else "stall"
-        pieces.append((resource, "run-drain", transport))
-        window = _subtract(window, transport)
-    if window:
-        pieces.append(("flush", span.name, window))
-    return _emit_pieces(pieces, prev, node)
-
-
 def analyze_spans(spans: list[Span], backend: str | None = None) -> CriticalPath:
     """Build the causal graph from a span timeline; compute the path.
 
@@ -372,11 +346,6 @@ def analyze_spans(spans: list[Span], backend: str | None = None) -> CriticalPath
     )
     recover_union = _union(
         (s.start_s, s.end_s) for s in spans if s.name == "supervisor.recover"
-    )
-    drain_union = _union(
-        (s.start_s, s.end_s)
-        for s in spans
-        if s.name == "drain.wait" and s.lane in engine_lanes
     )
 
     # Per-resource worker compute unions and per-lane busy time.
@@ -423,8 +392,6 @@ def analyze_spans(spans: list[Span], backend: str | None = None) -> CriticalPath
             edges = _refine_wait(
                 clipped, prev, node, backend, compute_unions, recover_union
             )
-        elif span.name == "write_run":
-            edges = _refine_flush(clipped, prev, node, backend, drain_union)
         else:
             resource = _DIRECT_RESOURCE.get(span.name, "engine")
             edges = [PathEdge(prev, node, start, span.end_s,
@@ -446,24 +413,12 @@ def analyze_trace_file(
     return analyze_spans(spans, backend=backend)
 
 
-def analyze_index_dir(index_dir: str) -> tuple[CriticalPath, dict[str, Any]]:
-    """Analyze an index directory's artifacts.
-
-    Returns the path plus the metrics payload's relevant slices (ring
-    counters for the report's cross-check), or ``{}`` when the build
-    wrote no ``run.metrics.json``.
-    """
+def analyze_index_dir(index_dir: str) -> CriticalPath:
+    """Analyze the ``trace.json`` an index directory's build wrote."""
     trace_path = os.path.join(index_dir, TRACE_FILENAME)
     if not os.path.exists(trace_path):
         raise FileNotFoundError(trace_path)
-    cp = analyze_trace_file(trace_path)
-    metrics: dict[str, Any] = {}
-    metrics_path = os.path.join(index_dir, METRICS_FILENAME)
-    if os.path.exists(metrics_path):
-        from repro.obs.schema import load_metrics
-
-        metrics = load_metrics(metrics_path)
-    return cp, metrics
+    return analyze_trace_file(trace_path)
 
 
 # ---------------------------------------------------------------------- #
@@ -608,12 +563,10 @@ def _fmt_s(seconds: float) -> str:
 
 def render_critpath_report(
     payload: Mapping[str, Any],
-    metrics: Mapping[str, Any] | None = None,
     extra_projections: list[Projection] | None = None,
 ) -> str:
-    """ASCII report for ``repro critpath``: blame table, ring-wait
-    cross-check against the measured ``shm.ring.*`` counters, and the
-    ranked what-if predictions."""
+    """ASCII report for ``repro critpath``: blame table and the ranked
+    what-if predictions."""
     wall = payload["wall_seconds"]
     path_s = payload["path_seconds"]
     lines = [
@@ -636,17 +589,6 @@ def render_critpath_report(
     )), None)
     if top is not None:
         lines.append(f"  top blame resource: {top}")
-
-    if metrics is not None:
-        counters = metrics.get("counters", {})
-        cons = counters.get("shm.ring.consumer_wait_s", 0.0)
-        prod = counters.get("shm.ring.producer_wait_s", 0.0)
-        if cons or prod:
-            lines.append(
-                f"  measured ring waits: consumer ~{cons:.3f}s, "
-                f"producer ~{prod:.3f}s "
-                f"(path blames ring-wait {blame.get('ring-wait', 0.0):.3f}s)"
-            )
 
     projections = list(payload["projections"])
     lines.append("")

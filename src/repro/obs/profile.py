@@ -1,10 +1,9 @@
 """Cross-process sampling profiler with flamegraph export.
 
-ROADMAP's "make the multiprocess backend actually fast" item needs
-attribution *below* span granularity: spans say ``parse file_00017``
-took 40 ms, but not how much of that was ``encode_parsed_file`` vs.
-ring chunk-copies vs. waiting on a full ring.  This module supplies
-that view with three pieces:
+Attribution *below* span granularity: spans say ``parse file_00017``
+took 40 ms, but not how much of that was stemming vs. tokenizing vs.
+``encode_parsed_file``.  This module supplies that view with three
+pieces:
 
 :class:`SamplingProfiler`
     A per-process deterministic-interval wall-clock sampler.  A daemon
@@ -21,21 +20,19 @@ that view with three pieces:
 
 :class:`Profile`
     The merge container.  The engine owns one; its own sampler and
-    every worker's drained delta are absorbed into it, keyed by lane
-    (``engine``, ``cpu-0``, ``parser-1``, ``engine/prefetch-w0``) with
-    the contributing pids recorded per lane — after a supervisor
-    restart a lane simply carries two pids.  Worker deltas travel in
-    the same reply tuples as span/metrics deltas (see
-    ``core/mp_worker.py``), so a crashed worker's profile is replayed
-    exactly like its spans: whatever it shipped before dying survives.
+    the parse worker's drained deltas are absorbed into it, keyed by
+    lane (``engine``, ``parser-0``, ``engine/prefetch-w0``) with the
+    contributing pids recorded per lane — after a supervisor restart
+    a lane simply carries two pids.  Worker deltas travel in the same
+    replies as span/metrics deltas (see ``core/mp_backend.py``), so a
+    crashed worker's profile survives exactly like its spans: whatever
+    it shipped before dying is kept.
 
 Report/export helpers
     :func:`to_folded` (collapsed-stack text for ``flamegraph.pl``),
     :func:`to_speedscope` (https://speedscope.app JSON),
-    :func:`render_profile_report` (top-N self/cumulative table plus
-    the "shm codec hot path" section ranking encode/decode/chunk-copy
-    frames against ring-wait time from ``shm.ring.*`` metrics), and
-    :func:`render_profile_diff` / :func:`top_regressed` (behind
+    :func:`render_profile_report` (per-lane totals plus the top-N
+    self/cumulative table), and :func:`render_profile_diff` / :func:`top_regressed` (behind
     ``repro profile --diff``).
 
 Frame identity is ``path:function:first_lineno`` — a pure function of
@@ -181,12 +178,14 @@ class SamplingProfiler:
             next_tick += interval
 
     def sample_once(self) -> None:
-        """Capture one sample of every thread except the sampler."""
+        """Capture one sample of every thread except the sampler and
+        the package's other housekeeping threads (named ``repro-*``:
+        they only ever sleep, and would rank first in every report)."""
         frames = self._frames_source()
         names = {t.ident: t.name for t in threading.enumerate()}
         with self._lock:
             for ident, frame in frames.items():
-                if ident == self._self_ident:
+                if ident == self._self_ident or names.get(ident, "").startswith("repro-"):
                     continue
                 if ident == self._primary_ident:
                     lane = self._lane
@@ -385,79 +384,17 @@ def to_speedscope(payload: Mapping[str, Any], name: str = "repro") -> dict[str, 
 # ---------------------------------------------------------------------------
 # Reports
 
-#: Files whose frames belong to the shm codec hot path, with the role a
-#: function name maps to.  ROADMAP's batching decision hinges on the
-#: encode/decode vs. chunk-copy vs. ring-wait split this produces.
-_SHM_FILES = ("core/shm_ring.py", "parsing/stream_codec.py")
-_SHM_ROLES = (
-    ("encode", ("encode_batch", "encode_parsed_file", "_write_batch")),
-    ("decode", ("decode_batch", "decode_parsed_file", "_read_batch")),
-    ("chunk-copy", ("put_frame", "get_frame")),
-    ("ring-wait", ("_wait",)),
-)
-
-
-def _shm_role(frame: str) -> str | None:
-    parts = frame.split(":")
-    if len(parts) < 2 or not parts[0].endswith(_SHM_FILES):
-        return None
-    func = parts[1]
-    for role, funcs in _SHM_ROLES:
-        if func in funcs:
-            return role
-    return "codec-other"
-
-
 def _fmt_seconds(seconds: float) -> str:
     return f"{seconds:8.3f}s"
 
 
-def render_shm_hot_path(
-    payload: Mapping[str, Any],
-    metrics: Mapping[str, Any] | None = None,
-    n: int = 8,
-) -> list[str]:
-    """The "shm codec hot path" section: encode/decode/chunk-copy frames
-    ranked by self time, against ring-wait time from ``shm.ring.*``
-    counters when a ``run.metrics.json`` payload is supplied."""
-    lines = ["shm codec hot path:"]
-    ranked = [
-        (frame, secs, _shm_role(frame))
-        for frame, secs in sorted(
-            self_seconds(payload).items(), key=lambda kv: (-kv[1], kv[0])
-        )
-        if _shm_role(frame) is not None
-    ]
-    if ranked:
-        lines.append(f"  {'self':>9}  {'role':<11}  frame")
-        for frame, secs, role in ranked[:n]:
-            lines.append(f"  {_fmt_seconds(secs)}  {role:<11}  {frame}")
-    else:
-        lines.append("  (no samples landed in shm codec frames)")
-    if metrics is not None:
-        counters = metrics.get("counters", {})
-        prod_p = counters.get("shm.ring.producer_wait_polls", 0)
-        cons_p = counters.get("shm.ring.consumer_wait_polls", 0)
-        prod_s = counters.get("shm.ring.producer_wait_s", 0.0)
-        cons_s = counters.get("shm.ring.consumer_wait_s", 0.0)
-        if prod_p or cons_p:
-            lines.append(
-                f"  ring waits: producer {prod_p} poll(s) (~{prod_s:.3f}s), "
-                f"consumer {cons_p} poll(s) (~{cons_s:.3f}s)"
-            )
-        else:
-            lines.append("  ring waits: none recorded")
-    return lines
-
-
 def render_profile_report(
     payload: Mapping[str, Any],
-    metrics: Mapping[str, Any] | None = None,
     top: int = 10,
     mode: str = "self",
 ) -> str:
-    """ASCII report for ``repro profile``: header, per-lane totals,
-    top-N function table, and the shm hot-path section."""
+    """ASCII report for ``repro profile``: header, per-lane totals and
+    the top-N function table."""
     interval = payload["interval_s"]
     lanes = payload["lanes"]
     total = sum(entry["samples"] for entry in lanes.values())
@@ -486,9 +423,6 @@ def render_profile_report(
             )
     else:
         lines.append("  (no samples)")
-
-    lines.append("")
-    lines.extend(render_shm_hot_path(payload, metrics))
     return "\n".join(lines)
 
 

@@ -2,7 +2,7 @@
 
 A profiled build (``repro build --profile``) writes one
 ``run.profile.json`` next to ``build.manifest``, merging the sampling
-profiles of the engine process *and* every worker process.  The payload
+profiles of the engine process *and* the parse worker process.  The payload
 has five top-level sections:
 
 ``schema``

@@ -1,8 +1,8 @@
 """Compact binary encoding of the parsed stream for cross-process handoff.
 
-The multiprocess execution backend (:mod:`repro.core.mp_backend`) moves
-parser output between OS processes over shared-memory ring buffers.  The
-payload is the same :class:`~repro.parsing.regroup.ParsedBatch` the
+The multiprocess execution backend (:mod:`repro.core.mp_backend`) parses
+in a worker process and indexes in the engine process.  The payload is
+the same :class:`~repro.parsing.regroup.ParsedBatch` the
 serial loop passes by reference — but across an address-space boundary it
 has to travel as bytes.  The batch is columns already, so the codec is a
 header plus the columns' own bytes: no code-execution surface, decoding
@@ -12,18 +12,19 @@ keeps its first-seen order, so an indexer consuming a decoded batch
 allocates term ids in the same order as one consuming the original, which
 is what keeps the multiprocess backend byte-identical to serial execution.
 
-One batch (``encode_batch`` / ``decode_batch``, the sub-batch unit
-dispatched to indexer workers) is a LEB128-varint header — magic, batch
+One batch (``encode_batch`` / ``decode_batch``) is a LEB128-varint header — magic, batch
 identity, flags, the array lengths — zero padding to a multiple of 8,
 then the collection table (``int32[k, 4]``, first-seen order), the token
 columns (``int32[n]`` each), and the entry table (collection indexes,
 suffix lengths, suffix bytes back to back); docs/ARCHITECTURE.md has the
 byte layout.  Spans are not shipped: the collection rows tile the columns
-in order, and a sub-batch over shared columns is compacted first (tokens
+in order, and a selection over shared columns is compacted first (tokens
 gathered, entries renumbered).  ``encode_parsed_file`` /
 ``decode_parsed_file`` carry one :class:`~repro.parsing.parser.ParsedFile`
 — the batch, the doc-table rows, one varint per :class:`ParseMetrics`
-field — the unit parse workers send back to the engine.
+field — the unit the parse worker sends back to the engine, and the only
+one a build ships (the bare batch functions remain public for the
+benchmark harness's codec drive).
 
 The format is internal to one build on one host (both ends run the same
 code, same byte order), so there is no versioning beyond the magic byte.

@@ -66,14 +66,18 @@ KINDS = (
     "flip_raw",   # flip one byte of the compressed stream (CRC/zlib error)
     "fatal",      # raise FatalFault (simulated crash; no policy catches it)
     "gpu_fail",   # kill GPU `gpu_index` before indexing file `file_index`
-    # Process-level faults, fired from *inside* a multiprocess-backend
-    # worker via `worker_event` (see "Worker-context faults" below):
-    "worker_crash",  # SIGKILL the worker process before it runs a task
-    "worker_stall",  # sleep `delay_s` inside the worker without heartbeating
+    # Process-level faults, fired from *inside* the multiprocess
+    # backend's parse worker via `worker_event` (see "Worker-context
+    # faults" below):
+    "worker_crash",  # SIGKILL the worker process before it parses a file
+    "worker_stall",  # sleep `delay_s` inside the worker before it parses a file
 )
 
-#: Kinds that only fire inside worker processes (`worker_event`).
+#: Kinds that only fire inside the worker process (`worker_event`).
 WORKER_KINDS = ("worker_crash", "worker_stall")
+
+#: The multiprocess backend's one worker slot (its parse-ahead process).
+WORKER_SLOT = "parser-0"
 
 
 @dataclass(frozen=True)
@@ -95,12 +99,14 @@ class FaultSpec:
     truncate_bytes: int = 16      # how much tail to chop
     gpu_index: int = 0            # gpu_fail: which GPU ordinal dies
     file_index: int = 0           # gpu_fail: before which file it dies
-    #: Worker faults only: substring of the worker slot key ("cpu-0",
-    #: "gpu-1", "parser-2"); ``None`` matches any worker.  For worker
-    #: kinds ``times`` bounds the *incarnation* that still fires — a
-    #: restarted worker (incarnation ``times``+1) survives, which is what
-    #: lets one spec express both "crash once, recover" (``times=1``) and
-    #: "poison task that kills every incarnation" (large ``times``).
+    #: Worker faults only: substring of the worker slot key — there is
+    #: one slot, ``"parser-0"`` (:data:`WORKER_SLOT`), so ``None`` means
+    #: the same thing and anything else is rejected when the plan is
+    #: installed.  For worker kinds ``times`` bounds the *incarnation*
+    #: that still fires — a restarted worker (incarnation ``times``+1)
+    #: survives, which is what lets one spec express both "crash once,
+    #: recover" (``times=1``) and "poison file that kills every
+    #: incarnation" (large ``times``).
     worker: str | None = None
 
     def __post_init__(self) -> None:
@@ -137,6 +143,14 @@ class FaultInjector:
     """
 
     def __init__(self, plan: FaultPlan, sleep: Callable[[float], None] = time.sleep) -> None:
+        for spec in plan.specs:
+            # A spec aimed at a slot that cannot exist would silently
+            # never fire; refuse it when the plan is installed.
+            if spec.worker is not None and spec.worker not in WORKER_SLOT:
+                raise ValueError(
+                    f"fault spec targets worker {spec.worker!r}; the multiprocess "
+                    f"backend's only worker slot is {WORKER_SLOT!r}"
+                )
         self.plan = plan
         self._sleep = sleep
         self._lock = threading.Lock()
@@ -230,9 +244,9 @@ class FaultInjector:
     def set_worker_context(self, worker_key: str, incarnation: int) -> None:
         """Identify the current process as worker ``worker_key``.
 
-        Called once at worker startup by
-        :func:`repro.core.mp_worker.worker_main`; the incarnation number
-        (1 for the original process, +1 per supervisor restart) is what
+        Called once at worker startup (the executor initializer in
+        :mod:`repro.core.mp_backend`); the incarnation number (1 for
+        the original process, +1 per supervisor restart) is what
         ``times`` bounds for worker fault kinds.
         """
         self.worker_key = worker_key
@@ -253,20 +267,17 @@ class FaultInjector:
             return True
 
     def worker_event(self, tag: str) -> None:
-        """Stall or kill this worker before it runs the task tagged ``tag``.
+        """Stall or kill this worker before it parses the file tagged ``tag``.
 
-        Called by worker processes only, between dequeue and execution —
-        so a crash always leaves the in-flight task unacknowledged and the
-        supervisor must requeue it.  ``worker_crash`` uses ``SIGKILL``:
-        no atexit hooks, no finally blocks, exactly the failure mode the
-        shared-memory reclamation sweep has to survive.
+        Called by the worker process only, between dequeue and execution
+        — so a crash always leaves the in-flight file unanswered and the
+        supervisor must resubmit it.  ``worker_crash`` uses ``SIGKILL``:
+        no atexit hooks, no finally blocks.
         """
         if self.worker_key is None:
             return
         for kind in WORKER_KINDS:
             for pos, spec in self._matching(tag, kind):
-                if spec.worker is not None and spec.worker not in self.worker_key:
-                    continue
                 if self.worker_incarnation > spec.times:
                     continue
                 if not self._claim_once(pos, tag):
@@ -282,7 +293,7 @@ class FaultInjector:
     ) -> None:
         """Fold a worker process's injector activity into this injector.
 
-        The multiprocess backend ships each worker a copy of the plan;
+        The multiprocess backend ships its worker a copy of the plan;
         faults the copy injects (retries it caused, bytes it flipped) are
         invisible to the engine-side injector until the worker reports
         its counter deltas back.  Merging keeps chaos-test assertions

@@ -1,41 +1,38 @@
 """Worker supervision for the multiprocess execution backend.
 
-:mod:`repro.core.mp_backend` owns the *mechanism* — processes, rings,
-the engine-side indexer state, journal replay.  This module owns the
-*policy* and the *bookkeeping*: when is a worker considered crashed or
-hung, how many restarts does it get, when does a sub-batch count as
-poison, and what does the build report about all of it.
+:mod:`repro.core.mp_backend` owns the *mechanism* — the parse-ahead
+worker process, its executor, resubmission.  This module owns the
+*policy* and the *bookkeeping*: how many restarts the worker gets, when
+a file counts as poison, and what the build reports about all of it.
 
 Failure taxonomy (docs/ROBUSTNESS.md, "Process supervision"):
 
 ``crash``
     The worker process exited — nonzero exit code, ``SIGKILL``, OOM.
-    Detected by the engine observing ``Process.is_alive() == False``
-    while replies are still owed.
+    The executor reports it itself: every result the worker still owed
+    raises ``BrokenProcessPool``.
 ``stall``
-    The process is alive but its heartbeat counter (a plain u64 in the
-    ring header, bumped every worker loop iteration and every transport
-    poll) stopped advancing for longer than ``heartbeat_timeout_s``.
-    The supervisor kills it and treats it like a crash — by the time a
-    heartbeat is this stale the worker is wedged in user code, and
-    requeue-after-kill is the only move that preserves the build.
+    The result of the file the engine is waiting for has not arrived
+    ``heartbeat_timeout_s`` after the wait *began*.  The backend kills
+    the worker and treats it like a crash.  A slow-but-alive worker can
+    be misjudged; that costs a restart (parallelism), never bytes — the
+    worker owns no durable output.
 ``poison``
-    The same task tag killed ``poison_threshold`` worker incarnations.
-    Restarting again would loop forever, so the slot degrades instead.
+    The same file was in flight for ``poison_threshold`` worker deaths.
+    Handing it to a worker again would loop forever, so the engine
+    parses it inline.
 
 Recovery ladder, in order:
 
-1. **Restart + requeue** — up to ``max_restarts`` per worker, paced by
-   the PR 1 retry/backoff policy.  The engine replays the slot's journal
-   (every sub-batch since the last run boundary) into a fresh process
-   seeded with the engine-side indexer (the worker's state at that
-   boundary, pickled on demand); side effects stay at-most-once
+1. **Restart + resubmit** — up to ``max_restarts``, paced by the PR 1
+   retry/backoff policy: a fresh executor, every file still owed
+   submitted again in file order.  Side effects stay at-most-once
    because all durable writes (run files, manifest, checkpoint) happen
-   on the engine, never in workers.
-2. **Degrade** — restart budget exhausted or poison detected: the slot
-   leaves the process fleet and runs inline on the engine thread (the
-   serial execution path) for the rest of the build.  The
-   build completes, byte-identical; only wall-clock parallelism is lost.
+   on the engine, never in the worker.
+2. **Degrade** — restart budget exhausted: the slot leaves the process
+   model and every remaining file is parsed inline on the engine thread
+   (the serial execution path).  The build completes, byte-identical;
+   only wall-clock parallelism is lost.
 
 Every decision is counted in the deterministic metrics registry
 (``supervisor.restarts``, ``supervisor.requeued``,
@@ -67,24 +64,21 @@ class SupervisorPolicy:
     """Knobs of the multiprocess backend's supervision layer."""
 
     #: Restarts allowed per worker slot before it degrades to inline
-    #: execution.  The budget is per-slot, not global: one flaky indexer
-    #: should not spend the parsers' budget.
+    #: execution.
     max_restarts: int = 2
-    #: Heartbeat silence after which a live process counts as hung.
+    #: How long the engine waits for one file's result before the worker
+    #: counts as hung (measured from when the wait began).
     heartbeat_timeout_s: float = 10.0
-    #: How many worker incarnations one task tag may kill before the
-    #: task is declared poison and the slot degrades.
+    #: How many worker incarnations one file may kill before it is
+    #: declared poison and parsed inline.
     poison_threshold: int = 2
-    #: How long the engine waits on a ring before running its passive
-    #: supervision checks (liveness, heartbeat age).  Small enough that
-    #: a crash is noticed promptly; large enough to stay off the CPU.
-    supervise_interval_s: float = 0.05
     #: Backoff between worker restarts — reuses the PR 1 retry policy
     #: (deterministic jitter, capped exponential).
     restart_backoff: RetryPolicy = field(
         default_factory=lambda: RetryPolicy(max_attempts=3, base_delay_s=0.01)
     )
-    #: Byte capacity of each task/result ring.
+    #: Not read by any build: the frozen benchmark harness sizes its
+    #: ``ShmRing`` drive from it (ROADMAP item 5(v) deletes both).
     ring_capacity_bytes: int = 1 << 20
     #: ``multiprocessing`` start method; ``None`` picks ``fork`` where
     #: available (cheap, inherits the warmed interpreter) and ``spawn``
@@ -109,12 +103,12 @@ class SupervisorPolicy:
 class WorkerFailure:
     """One detected worker failure, for the build report."""
 
-    worker: str          # slot key, e.g. "cpu-0", "parser-1"
+    worker: str          # slot key ("parser-0")
     kind: str            # "crash" | "stall"
     incarnation: int
     detail: str = ""
     task_tag: str | None = None
-    action: str = ""     # "restart" | "degrade" | "poison"
+    action: str = ""     # "restart" | "degrade"
 
 
 @dataclass
@@ -137,10 +131,10 @@ class SupervisorReport:
 
 
 class Supervisor:
-    """Policy decisions + counters for one build's worker fleet.
+    """Policy decisions + counters for one build's worker slot.
 
     Engine-thread only: the multiprocess backend supervises *passively*,
-    running these checks inside its blocking ring waits, so there is no
+    from inside its wait for the next parsed file, so there is no
     monitor thread and no cross-thread state to lock.
     """
 

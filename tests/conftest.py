@@ -19,23 +19,18 @@ from repro.obs.schema import METRICS_FILENAME, load_metrics
 def deterministic_metric_sections(index_dir: str) -> dict:
     """A build's metric sections that must repeat exactly, build to build.
 
-    Cut: ``pipeline.*`` and ``supervisor.*`` only exist for the concurrent
-    backends, ``mp.*`` (run-boundary frame sizes) only for the
-    multiprocess one, ``shm_san.*`` only when ``REPRO_SANITIZE=ring`` arms
-    the ring sanitizer, ``shm.ring.*`` is wall-clock ring telemetry (wait
-    polls and occupancy vary run to run — and the CI matrix can force the
-    multiprocess backend onto any build via ``REPRO_EXEC_BACKEND``), and
-    ``checkpoint.bytes`` tracks the output directory's path length (the
-    checkpoint pickle embeds absolute run paths).  Everything else must
-    match across backends, depths, prefetch settings and repeated builds.
+    Cut: ``supervisor.*`` only exists for the multiprocess backend (the
+    CI matrix can force it onto any build via ``REPRO_EXEC_BACKEND``),
+    and ``checkpoint.bytes`` tracks the output directory's path length
+    (the checkpoint pickle embeds absolute run paths).  Everything else
+    must match across backends, prefetch settings and repeated builds.
     """
     payload = load_metrics(os.path.join(index_dir, METRICS_FILENAME))
     sections = {}
     for section in ("counters", "gauges", "histograms"):
         sections[section] = {
             k: v for k, v in payload[section].items()
-            if not k.startswith(("pipeline.", "supervisor.", "shm_san.",
-                                 "shm.ring.", "mp."))
+            if not k.startswith("supervisor.")
         }
     sections["histograms"].pop("checkpoint.bytes", None)
     return sections

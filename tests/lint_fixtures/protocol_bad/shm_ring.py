@@ -7,8 +7,6 @@ by ``repro lint``, never imported.
 
 _TAIL_OFF = 0
 _HEAD_OFF = 8
-_PROD_HB_OFF = 16
-_CONS_HB_OFF = 24
 
 
 class PublishBeforeCopyRing:
@@ -21,13 +19,6 @@ class PublishBeforeCopyRing:
         head = self._load(_HEAD_OFF)
         self._store(_HEAD_OFF, head + 4)             # RPR120: free before copy-out
         return bytes(self._buf[0:4])
-
-    def beat(self, role):
-        off = _PROD_HB_OFF if role == "producer" else _CONS_HB_OFF
-        self._store(off, 0)                          # RPR122: reset, not increment
-
-    def poke_liveness(self):
-        self._store(_PROD_HB_OFF, 7)                 # RPR122: second writer
 
     def attach(self, name):
         self._shm = SharedMemory(name=name)          # RPR123: no _untrack
@@ -48,9 +39,6 @@ class SuppressedTwinRing:
         tail = self._load(_TAIL_OFF)
         self._store(_TAIL_OFF, tail + len(payload))  # repro-lint: disable=RPR120 - fixture twin
         self._buf[0:len(payload)] = payload
-
-    def beat(self, role):
-        self._store(_PROD_HB_OFF, 0)  # repro-lint: disable=RPR122 - fixture twin
 
     def unlink(self):
         self._shm.unlink()  # repro-lint: disable=RPR123 - fixture twin

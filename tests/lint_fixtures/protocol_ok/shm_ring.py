@@ -1,15 +1,12 @@
 """Passing conformance fixture: the modeled ring order, reduced to bones.
 
-The vetted negative for RPR120/RPR122/RPR123 — copy-then-publish,
-single-writer monotonic heartbeats, and registry hygiene, shaped like
-the real ``core/shm_ring.py``.  Parsed by ``repro lint``, never
+The vetted negative for RPR120/RPR123 — copy-then-publish and registry
+hygiene, shaped like the real ``core/shm_ring.py``.  Parsed by ``repro lint``, never
 imported.
 """
 
 _TAIL_OFF = 0
 _HEAD_OFF = 8
-_PROD_HB_OFF = 16
-_CONS_HB_OFF = 24
 
 
 class GoodRing:
@@ -23,10 +20,6 @@ class GoodRing:
         data = bytes(self._buf[0:4])
         self._store(_HEAD_OFF, head + 4)             # free *after* the copy-out
         return data
-
-    def beat(self, role):
-        off = _PROD_HB_OFF if role == "producer" else _CONS_HB_OFF
-        self._store(off, self._load(off) + 1)
 
     def attach(self, name):
         self._shm = SharedMemory(name=name)

@@ -12,11 +12,7 @@ properties that design rests on:
 * every forest-changing insert is journalled exactly once, however many
   runs the build is cut into (no clock involved: byte counts only);
 * a GPU failover before the crash survives the journal;
-* every backend leaves the shard logs empty after every boundary;
-* the multiprocess backend moves a run's dictionary growth the same way:
-  its workers' boundary replies, summed, grow with the index and not
-  with the number of runs, and the engine replays each log into its own
-  forest (``DictionaryShard.apply_log``).
+* every backend leaves the shard logs empty after every boundary.
 """
 
 from __future__ import annotations
@@ -47,7 +43,6 @@ from repro.robustness.checkpoint import (
 )
 from repro.robustness.errors import ChecksumError, FatalFault
 from repro.robustness.faults import FaultPlan, FaultSpec, inject
-from repro.robustness.supervise import SupervisorPolicy
 
 BACKENDS = ("serial", "multiprocess")
 #: ``tiny_collection`` has six files; one run per file gives six boundaries.
@@ -62,7 +57,6 @@ def _cfg(**overrides) -> PlatformConfig:
     defaults = dict(
         num_parsers=3, num_cpu_indexers=2, num_gpus=2,
         sample_fraction=0.2, files_per_run=1, pipeline_depth=0,
-        supervisor=SupervisorPolicy(supervise_interval_s=0.02),
     )
     defaults.update(overrides)
     return PlatformConfig(**defaults)
@@ -311,57 +305,11 @@ def test_journal_grows_with_the_index_not_with_runs(
     assert counters["histograms"]["checkpoint.bytes"]["sum"] == size
 
 
-#: What one more ``PostingsList`` costs a postings pickle beyond its
-#: postings: the 8-byte term-id key, 24 bytes of NEWOBJ / BUILD / state-
-#: dict scaffolding, four memo references of up to 5 bytes, and up to 2
-#: list-opcode bytes for each of ``doc_ids`` and ``tfs``.  A term whose
-#: postings span two runs pays it twice.
-_PER_LIST_PICKLE_BYTES = 48
-#: A postings pickle's fixed part: protocol header, class and attribute
-#: names (≈ 80 bytes), paid once per reply.
-_PICKLE_FIXED_BYTES = 128
-
-
-def test_boundary_replies_grow_with_the_run_not_with_the_dictionary(
-        tiny_collection, tmp_path, keep_journal):
-    """The journal test's twin on the result rings: what the indexer
-    workers ship at run boundaries, summed over a build, is the build's
-    postings + mutation logs + one forest-free stub per reply — cutting
-    the same collection into R runs instead of one adds stubs and
-    per-list pickle overhead, never the dictionary so far."""
-    slots = 4
-    measured = {}
-    for files_per_run in (1, NUM_FILES):
-        out = str(tmp_path / f"idx{files_per_run}")
-        result = IndexingEngine(
-            _cfg(exec_backend="multiprocess", files_per_run=files_per_run)
-        ).build(tiny_collection, out)
-        replies = result.telemetry.metrics.snapshot()["histograms"]["mp.boundary.bytes"]
-        assert replies["count"] == result.run_count * slots
-        _, runs = BuildManifest(out).load()
-        # The last record's stubs are the build's largest (their
-        # counters' integers only widen).
-        _, stubs = pickle.loads(_split_record(_read_records(_journal(out))[0][-1])[1])
-        measured[files_per_run] = (
-            replies["sum"],
-            sum(run.entry_count for run in runs),
-            max(len(pickle.dumps(stub)) for stub in stubs),
-        )
-    many_bytes, many_lists, stub_bytes = measured[1]
-    one_bytes, one_lists, _ = measured[NUM_FILES]
-    assert many_lists > one_lists
-    assert many_bytes - one_bytes <= (
-        (NUM_FILES - 1) * slots * (stub_bytes + _PICKLE_FIXED_BYTES)
-        + (many_lists - one_lists) * _PER_LIST_PICKLE_BYTES
-    )
-
-
 @pytest.mark.parametrize("kind", [CPUIndexer, GPUIndexer])
 def test_indexer_stub_size_does_not_grow_with_batches(kind):
-    """A stub rides in every checkpoint record and every multiprocess
-    boundary reply, so nothing in it may keep a per-batch history (the
-    device's transfer list did): after 200 batches only the counters'
-    integers are wider than after 2."""
+    """A stub rides in every checkpoint record, so nothing in it may keep
+    a per-batch history (the device's transfer list did): after 200
+    batches only the counters' integers are wider than after 2."""
     parser = Parser(strip_html=False)
     batch, _ = parser.parse_texts(["parallel indexers build inverted files",
                                    "quickly on heterogeneous platforms"])
@@ -376,10 +324,10 @@ def test_indexer_stub_size_does_not_grow_with_batches(kind):
 
 def test_restarted_worker_does_not_rejournal(tiny_collection, tmp_path,
                                              keep_journal, one_run_journal):
-    """A worker SIGKILLed after a boundary is re-seeded from the boundary
-    snapshot, which must not carry the already-journalled log."""
+    """A parse worker SIGKILLed after a boundary costs a restart and
+    nothing in the journal: every insert is still recorded exactly once."""
     out = str(tmp_path / "idx")
-    spec = FaultSpec(kind="worker_crash", worker="gpu-0",
+    spec = FaultSpec(kind="worker_crash", worker="parser-0",
                      path_substring="file_00003", stage="build")
     with inject(FaultPlan(seed=11, specs=(spec,))):
         result = IndexingEngine(_cfg(exec_backend="multiprocess")).build(
@@ -427,10 +375,10 @@ def test_replay_rebuilds_the_forest_node_for_node():
 
 
 def test_apply_log_extends_a_forest_by_one_run():
-    """The multiprocess boundary in miniature: a forest that holds the
-    first k logs, given log k + 1, is the forest ``rebuild`` grows from
-    all k + 1 — shape, ids, cursor — and the replay logs exactly the
-    bytes it applied, which is what the engine's checkpoint then takes."""
+    """``rebuild``'s step in isolation: a forest that holds the first k
+    logs, given log k + 1, is the forest ``rebuild`` grows from all
+    k + 1 — shape, ids, cursor — and the replay logs exactly the bytes
+    it applied."""
     import random
 
     rng = random.Random(5)
@@ -446,22 +394,13 @@ def test_apply_log_extends_a_forest_by_one_run():
         for i, word in enumerate(words[start : start + 600], start):
             worker.insert_suffix(7 + i % 2, word)
         logs.append(worker.take_mutation_log())
-        engine.apply_log(logs[-1], recorded=worker.without_forest())
+        engine.apply_log(logs[-1])
         assert engine.take_mutation_log() == logs[-1]
         rebuilt = worker.without_forest()
         rebuilt.rebuild(logs)
         assert forest(engine) == forest(rebuilt) == forest(worker)
         assert list(engine.terms()) == list(worker.terms())
     assert engine.insert_suffix(7, b"zzzz") == worker.insert_suffix(7, b"zzzz")
-
-    # A log applied to a forest that missed the one before it lands on
-    # the wrong id cursor.
-    assert worker.take_mutation_log() == engine.take_mutation_log()
-    worker.insert_suffix(8, b"yyyy")
-    worker.take_mutation_log()  # never reaches the engine
-    worker.insert_suffix(8, b"xxxx")
-    with pytest.raises(ValueError, match="mutation logs rebuild"):
-        engine.apply_log(worker.take_mutation_log(), recorded=worker.without_forest())
 
 
 # ---------------------------------------------------------------------- #
@@ -494,12 +433,11 @@ def test_gpu_failover_survives_the_journal(tiny_collection, tmp_path, backend):
 def test_midrun_gpu_failover_is_journalled_once(tiny_collection, tmp_path,
                                                 keep_journal):
     """With two files per run the GPU dies mid-run: file 0's inserts are
-    in the worker's shard log but in no record yet.  The multiprocess
-    backend's ``snapshot`` brings them to the engine with the forest, so
-    the next boundary's log starts with entries the engine already
-    holds — it must neither drop them nor replay them.  Few, deep,
-    narrow trees make a second replay visible: repeated terms split
-    nodes on the way down, and every split is one more log entry."""
+    in the shard log but in no record yet, and the CPU fallback adopts
+    the shard — the next boundary must journal them once, under either
+    backend.  Few, deep, narrow trees make a second copy visible:
+    repeated terms split nodes on the way down, and every split is one
+    more log entry."""
     gpu_dies = FaultSpec(kind="gpu_fail", gpu_index=0, file_index=1)
     built = {}
     for backend in ("serial", "multiprocess"):

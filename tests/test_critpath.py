@@ -2,8 +2,7 @@
 
 The synthetic-span tests pin the causal model from
 ``repro.obs.critpath``'s docstring: engine waits are refined against
-worker compute / supervisor recovery, the multiprocess run boundary's
-drain transport is ring-wait (not flush), and blame always sums to the
+worker compute / supervisor recovery, and blame always sums to the
 path, which always covers the wall.
 """
 
@@ -76,17 +75,17 @@ def _mp_spans():
     """A hand-built multiprocess build: wall 10s, every second accounted.
 
     parse.wait 0-2 (parser busy 0-1), dispatch 2-3 (pure transport),
-    pipeline.wait 3-6 (indexer busy 3-5), write_run 6-9 with drain.wait
-    6-8 (run-boundary transport), dict.write 9-10.
+    pipeline.wait 3-7 (indexer busy 3-5), write_run 7-9, dict.write
+    9-10.  (The dispatch / pipeline.wait links are what a pre-PR-23
+    trace carries; the analyzer still reads them.)
     """
     return [
         S("build", "engine", 0, 10),
         S("run_loop", "engine", 0, 10, backend="multiprocess"),
         S("parse.wait", "engine", 0, 2, cp="collect:0", cp_from="parse:0"),
         S("pipeline.dispatch", "engine", 2, 3, cp="dispatch:0"),
-        S("pipeline.wait", "engine", 3, 6, cp="drain:0"),
-        S("write_run", "engine", 6, 9, cp="flush:0"),
-        S("drain.wait", "engine", 6, 8, cp="boundary:cpu-0"),
+        S("pipeline.wait", "engine", 3, 7, cp="drain:0"),
+        S("write_run", "engine", 7, 9, cp="flush:0"),
         S("dict.write", "engine", 9, 10),
         S("parse_file", "parser-0", 0, 1),
         S("index_batch", "cpu-0", 3, 5),
@@ -102,35 +101,12 @@ class TestAttribution:
         blame = cp.blame()
         assert blame["parse"] == pytest.approx(1.0)    # parse.wait overlap
         assert blame["index"] == pytest.approx(2.0)    # pipeline.wait overlap
-        # 1s parse.wait tail + 1s dispatch + 1s pipeline.wait tail
-        # + 2s run-boundary drain = pure transport.
-        assert blame["ring-wait"] == pytest.approx(5.0)
-        assert blame["flush"] == pytest.approx(1.0)
+        # 1s parse.wait tail + 1s dispatch + 2s pipeline.wait tail =
+        # pure transport.
+        assert blame["ring-wait"] == pytest.approx(4.0)
+        assert blame["flush"] == pytest.approx(2.0)
         assert blame["merge"] == pytest.approx(1.0)
         assert cp.top_resource() == "ring-wait"
-        assert sum(blame.values()) == pytest.approx(cp.path_seconds)
-
-    def test_run_drain_transport_is_ring_wait_not_flush(self):
-        cp = analyze_spans(_mp_spans())
-        drains = [e for e in cp.edges if e.detail == "run-drain"]
-        assert len(drains) == 1 and drains[0].resource == "ring-wait"
-        assert drains[0].seconds == pytest.approx(2.0)
-
-    def test_write_run_past_a_short_drain_is_flush(self):
-        # The engine unpickles a boundary reply and replays its mutation
-        # log *after* drain.wait closes: engine compute, not transport,
-        # so it must not read as ring-wait.
-        spans = [
-            S("drain.wait", "engine", 6, 6.5, cp="boundary:cpu-0")
-            if s.name == "drain.wait" else s
-            for s in _mp_spans()
-        ]
-        cp = analyze_spans(spans)
-        (drain,) = [e for e in cp.edges if e.detail == "run-drain"]
-        assert drain.seconds == pytest.approx(0.5)
-        blame = cp.blame()
-        assert blame["ring-wait"] == pytest.approx(3.5)
-        assert blame["flush"] == pytest.approx(2.5)  # 6.5-9 of write_run
         assert sum(blame.values()) == pytest.approx(cp.path_seconds)
 
     def test_same_waits_without_workers_are_stall_in_serial(self):
@@ -148,13 +124,13 @@ class TestAttribution:
         spans = [
             S("build", "engine", 0, 4),
             S("run_loop", "engine", 0, 4, backend="multiprocess"),
-            S("pipeline.wait", "engine", 0, 4),
+            S("parse.wait", "engine", 0, 4, file=2),
             S("supervisor.recover", "engine", 0, 1, action="restart"),
-            S("index_batch", "cpu-0", 0, 3),
+            S("parse_file", "parser-0", 0, 3),
         ]
         blame = analyze_spans(spans).blame()
         assert blame["supervisor"] == pytest.approx(1.0)
-        assert blame["index"] == pytest.approx(2.0)
+        assert blame["parse"] == pytest.approx(2.0)
         assert blame["ring-wait"] == pytest.approx(1.0)
 
     def test_uninstrumented_gaps_fall_to_the_engine(self):
@@ -188,8 +164,8 @@ class TestProjection:
     def test_zeroing_ring_wait_projects_the_serial_equivalent(self):
         cp = analyze_spans(_mp_spans())
         proj = project(cp, {"ring-wait": 0.0}, "ring-wait -> 0")
-        assert proj.predicted_wall_s == pytest.approx(5.0)
-        assert proj.speedup == pytest.approx(2.0)
+        assert proj.predicted_wall_s == pytest.approx(6.0)
+        assert proj.speedup == pytest.approx(10.0 / 6.0)
 
     def test_lane_floor_caps_the_prediction(self):
         # Zeroing every wait cannot beat the busiest worker lane.
@@ -291,12 +267,9 @@ class TestSchema:
 class TestRendering:
     def test_report_names_the_top_resource_and_ranks_projections(self):
         payload = build_critpath_payload(analyze_spans(_mp_spans()))
-        metrics = {"counters": {"shm.ring.consumer_wait_s": 4.2,
-                                "shm.ring.producer_wait_s": 0.3}}
-        text = render_critpath_report(payload, metrics)
+        text = render_critpath_report(payload)
         assert "backend multiprocess" in text
         assert "top blame resource: ring-wait" in text
-        assert "measured ring waits: consumer ~4.200s" in text
         assert "batch ring frames (-90% ring-wait)" in text
         assert "lane cpu-0" in text
 

@@ -102,7 +102,7 @@ def test_finalise_alone_writes_the_epilogue(tiny_collection, tmp_path):
         assert filecmp.cmp(os.path.join(out, name), os.path.join(whole, name),
                            shallow=False), name
     assert not os.path.exists(_journal(out))
-    assert result.run_count == 1 and result.pipeline is None
+    assert result.run_count == 1 and result.supervisor is None
     assert _digest(out) == _digest(whole)
 
 

@@ -2,14 +2,15 @@
 
 The engine's contract (docs/ARCHITECTURE.md, "Execution backends"): the
 ``serial`` and ``multiprocess`` backends produce byte-identical index
-artifacts and identical deterministic metrics — only the ``pipeline.*``
-/ ``supervisor.*`` instruments (absent in serial builds) and the
+artifacts, identical work counters and identical deterministic metrics —
+only the ``supervisor.*`` instruments (absent in serial builds) and the
 wall-clock ``timings`` quarantine may differ.
 """
 
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
 import os
 import re
 
@@ -20,7 +21,6 @@ from repro.core.engine import IndexingEngine
 from repro.core.shm_ring import list_repro_segments
 from repro.obs.schema import METRICS_FILENAME, TRACE_FILENAME, load_metrics
 from repro.robustness.checkpoint import CHECKPOINT_FILENAME, MANIFEST_FILENAME
-from repro.robustness.supervise import SupervisorPolicy
 from tests.conftest import deterministic_metric_sections
 
 _BUILD_LOGS = {MANIFEST_FILENAME, CHECKPOINT_FILENAME,
@@ -33,7 +33,6 @@ def _cfg(**overrides) -> PlatformConfig:
     defaults = dict(
         num_parsers=3, num_cpu_indexers=2, num_gpus=2,
         sample_fraction=0.2, files_per_run=2, pipeline_depth=0,
-        supervisor=SupervisorPolicy(supervise_interval_s=0.02),
     )
     defaults.update(overrides)
     return PlatformConfig(**defaults)
@@ -63,7 +62,7 @@ class TestResolution:
         # empty) is ignored, not an error.
         monkeypatch.setenv("REPRO_" + "PIPELINE_DEPTH", "3")
         assert PlatformConfig().pipeline_depth == 0
-        # pipeline_depth is the multiprocess window, not a switch.
+        # pipeline_depth is a validated no-op field, not a switch.
         assert _cfg(pipeline_depth=2).exec_backend == "serial"
 
     def test_env_sets_default(self, monkeypatch):
@@ -101,44 +100,59 @@ class TestResolution:
 
 class TestByteIdentity:
     @pytest.fixture(scope="class")
-    def reference(self, tiny_collection, tmp_path_factory):
+    def reference_build(self, tiny_collection, tmp_path_factory):
         out = str(tmp_path_factory.mktemp("ref") / "idx")
-        IndexingEngine(_cfg(exec_backend="serial")).build(tiny_collection, out)
-        return out
+        return IndexingEngine(_cfg(exec_backend="serial")).build(tiny_collection, out), out
+
+    @pytest.fixture(scope="class")
+    def reference(self, reference_build):
+        return reference_build[1]
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_backend_matches_serial(self, backend, reference,
+    def test_backend_matches_serial(self, backend, reference_build,
                                     tiny_collection, tmp_path):
         # [serial] is a second serial build: run-to-run determinism.
+        serial, reference = reference_build
         out = str(tmp_path / backend)
         result = IndexingEngine(_cfg(exec_backend=backend)).build(
             tiny_collection, out
         )
         assert _digest(out) == _digest(reference)
         assert deterministic_metric_sections(out) == deterministic_metric_sections(reference)
+        # One parser object sees the files in order under both backends,
+        # so the work the DES replays is equal too, not just the bytes.
+        assert result.file_works == serial.file_works
+        assert result.indexer_reports == serial.indexer_reports
+        assert result.report.total_s == serial.report.total_s
         if backend == "multiprocess":
             assert result.supervisor is not None
             assert result.supervisor.clean
-            assert result.supervisor.workers > 0
-            assert result.pipeline is not None
+            assert result.supervisor.workers == 1
+        else:
+            assert result.supervisor is None
 
     def test_serial_build_has_no_pipeline(self, tiny_collection, tmp_path):
-        out = str(tmp_path / "idx")
-        result = IndexingEngine(_cfg(exec_backend="serial")).build(
-            tiny_collection, out
-        )
-        assert result.pipeline is None
-        payload = load_metrics(os.path.join(out, METRICS_FILENAME))
-        for section in ("gauges", "counters", "histograms", "timings"):
-            assert not any(k.startswith("pipeline.") for k in payload[section])
+        """The ring backend's ``pipeline.*`` / ``shm.*`` / ``mp.*``
+        instruments went with it: neither backend may emit one."""
+        for backend in BACKENDS:
+            out = str(tmp_path / backend)
+            IndexingEngine(_cfg(exec_backend=backend)).build(tiny_collection, out)
+            payload = load_metrics(os.path.join(out, METRICS_FILENAME))
+            for section in ("gauges", "counters", "histograms", "timings"):
+                assert not any(
+                    k.startswith(("pipeline.", "shm.", "shm_san.", "mp."))
+                    for k in payload[section]
+                ), (backend, section)
 
     def test_multiprocess_leaves_no_segments(self, reference,
                                              tiny_collection, tmp_path):
         out = str(tmp_path / "mp")
+        before = list_repro_segments()
         IndexingEngine(_cfg(exec_backend="multiprocess")).build(
             tiny_collection, out
         )
-        assert list_repro_segments() == []
+        assert list_repro_segments() == before
+        assert multiprocessing.active_children() == []
 
     def test_env_override_reaches_the_build(self, monkeypatch, reference,
                                             tiny_collection, tmp_path):
@@ -201,7 +215,7 @@ class TestResume:
                 IndexingEngine(_cfg(exec_backend="multiprocess")).build(
                     tiny_collection, out
                 )
-        assert list_repro_segments() == []  # the abort path swept its rings
+        assert multiprocessing.active_children() == []  # the abort stopped the worker
         IndexingEngine(_cfg(exec_backend="multiprocess")).build(
             tiny_collection, out, resume=True
         )

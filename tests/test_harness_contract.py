@@ -65,8 +65,14 @@ def test_build_wraps_install_cleanly_and_the_drives_run(tmp_path, workload):
         assert cap.regroup_tokens > result["tokens"]  # + the sampling pass
         assert cap.texts and cap.parser_bytes == result["input_bytes"]
     else:
-        assert layers["mp.decode_s"] > 0 and layers["mp.encode_s"] > 0
-        assert layers["mp.ring_wait_s"] > 0 and layers["mp.drain_s"] > 0
+        # The engine decodes what the parse worker ships; nothing is
+        # encoded engine-side or sent through a ring, and the run drain
+        # is the serial one (``mp.encode_s`` / ``mp.ring_wait_s`` read 0,
+        # ``mp.drain_s`` a few ms of accumulator hand-over).
+        assert layers["mp.decode_s"] > 0
+        assert cap.cpu_tokens + cap.gpu_tokens == result["tokens"]
+        assert result["supervisor"] == {
+            "restarts": 0, "heartbeat_misses": 0, "degraded": 0}
     assert len(cap.parsed) == len(collection.files)
     assert sum(p.batch.total_tokens for p in cap.parsed) == result["tokens"]
 

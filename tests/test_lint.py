@@ -64,17 +64,14 @@ RULE_FIXTURES = [
     ("RPR111", fixture("interproc", "rpr111_forkbad.py"), 3),
     ("RPR112", fixture("interproc", "rpr112_shmbad.py"), 3),
     ("RPR120", fixture("protocol_bad", "shm_ring.py"), 2),
-    ("RPR121", fixture("protocol_bad", "mp_backend.py"), 3),
-    ("RPR122", fixture("protocol_bad", "shm_ring.py"), 2),
     ("RPR123", fixture("protocol_bad", "shm_ring.py"), 3),
 ]
 
 # Vetted negatives: fixture sets that must produce zero findings for the
 # given codes (the interproc rows exercise cross-module resolution).
 OK_FIXTURES = [
-    (["RPR120", "RPR121", "RPR122", "RPR123"],
-     [fixture("protocol_ok", "shm_ring.py"),
-      fixture("protocol_ok", "mp_backend.py")]),
+    (["RPR120", "RPR123"],
+     [fixture("protocol_ok", "shm_ring.py")]),
     (["RPR111", "RPR112"],
      [fixture("interproc", "rpr111_forkok.py"),
       fixture("interproc", "worker_like.py"),
@@ -192,7 +189,7 @@ class TestSelfCheck:
         assert codes == {
             "RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006",
             "RPR007", "RPR008", "RPR101", "RPR102", "RPR110", "RPR111",
-            "RPR112", "RPR120", "RPR121", "RPR122", "RPR123",
+            "RPR112", "RPR120", "RPR123",
         }
         for reg in registered_rules().values():
             assert reg.description, f"{reg.code} has no description"
@@ -414,7 +411,7 @@ class TestProtocolCLI:
         proc = run_cli(self._OK_PATH, "--select", "RPR120", "--protocol")
         assert proc.returncode == 0, proc.stdout + proc.stderr
         out = proc.stdout
-        for name in ("spsc-ring", "supervisor-replay", "segment-ownership"):
+        for name in ("spsc-ring", "segment-ownership"):
             assert name in out
         for family in ("torn-frame", "lost-frame-under-replay",
                        "double-unlink", "heartbeat-monotonicity",
@@ -430,9 +427,7 @@ class TestProtocolCLI:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         payload = json.loads(proc.stdout)
         reports = payload["protocol"]
-        assert {r["model"] for r in reports} == {
-            "spsc-ring", "supervisor-replay", "segment-ownership"
-        }
+        assert {r["model"] for r in reports} == {"spsc-ring", "segment-ownership"}
         for r in reports:
             assert r["complete"] is True
             assert r["states"] > 0

@@ -9,7 +9,7 @@ Four layers, mirroring the subsystem's contract:
   rejects every malformation class (``write_profile`` refuses to
   persist a lie).
 - **Exports/reports**: folded text and speedscope JSON are loss-free
-  re-renderings; the report ranks the shm codec hot path; the diff
+  re-renderings; the report ranks functions by self time; the diff
   localizes a regression to the offending function.
 - **Gates**: a tick costs ≤ 5% of the interval and ticks never outrun
   ``elapsed / interval`` (no wall-clock ratio decides a verdict), and a
@@ -290,7 +290,7 @@ class TestProfileSchema:
 
 
 def _codec_payload():
-    """A payload with frames on and off the shm codec hot path."""
+    """A two-lane payload: shared prefixes, a frame on two stacks."""
     return build_profile_payload(
         0.01,
         {"engine": 1, "cpu-0": 2},
@@ -377,35 +377,17 @@ class TestExports:
 
 
 class TestReports:
-    def test_report_ranks_the_shm_hot_path(self):
-        metrics = {
-            "counters": {
-                "shm.ring.producer_wait_polls": 12,
-                "shm.ring.producer_wait_s": 0.034,
-                "shm.ring.consumer_wait_polls": 3,
-                "shm.ring.consumer_wait_s": 0.007,
-            }
-        }
-        text = render_profile_report(_codec_payload(), metrics=metrics, top=5)
-        assert "profile: 80 sample(s) across 2 lane(s)" in text
-        assert "shm codec hot path:" in text
-        lines = text.splitlines()
-        hot = lines[lines.index("shm codec hot path:") :]
-        roles = [line.split()[1] for line in hot if line.startswith("   ")
-                 and "role" not in line and "ring waits" not in line]
-        # encode (0.30s) outranks chunk-copy (0.20s) outranks decode (0.15s).
-        assert roles[:4] == ["encode", "chunk-copy", "decode", "ring-wait"]
-        assert "ring waits: producer 12 poll(s) (~0.034s), consumer 3 poll(s)" in text
-
     def test_report_without_codec_samples_or_metrics(self):
-        payload = build_profile_payload(
-            0.01, {"engine": 1}, {"engine": {("a:f:1",): 2}}
-        )
-        text = render_profile_report(payload)
-        assert "(no samples landed in shm codec frames)" in text
-        assert "ring waits" not in text
-        with_metrics = render_profile_report(payload, metrics={"counters": {}})
-        assert "ring waits: none recorded" in with_metrics
+        """Header, one line per lane, then the top-N table — nothing else
+        (the ring backend's hot-path section went with the rings)."""
+        text = render_profile_report(_codec_payload(), top=2)
+        lines = text.splitlines()
+        assert lines[0].startswith("profile: 80 sample(s) across 2 lane(s)")
+        assert [line.split()[1] for line in lines[1:3]] == ["cpu-0", "engine"]
+        assert "top 2 function(s) by self time:" in lines
+        assert lines[-1].endswith("repro/core/shm_ring.py:put_frame:100")
+        empty = build_profile_payload(0.01, {"engine": 1}, {"engine": {}})
+        assert render_profile_report(empty).splitlines()[-1] == "  (no samples)"
 
     def test_diff_localizes_the_regressed_function(self):
         old = build_profile_payload(
@@ -557,7 +539,7 @@ class TestProfiledBuild:
         assert payload["meta"]["collection"] == tiny_collection.name
         # The report renders end to end on a real artifact.
         text = render_profile_report(payload)
-        assert "shm codec hot path:" in text
+        assert "function(s) by self time:" in text
 
     def test_unprofiled_build_writes_no_artifact(self, tiny_collection, tmp_path):
         out = str(tmp_path / "idx")

@@ -1,10 +1,12 @@
 """The SPSC shared-memory ring: framing, liveness, and leak hygiene.
 
-The multiprocess backend's correctness argument leans on three ring
-properties pinned here: frames roundtrip exactly (including frames
-larger than the ring, which stream through in chunks), a timed-out
-``get_frame`` loses no bytes (partial frames resume), and every created
-segment is registered so sweeps and orphan scans can find it.
+No build uses the ring any more (``repro.core.shm_ring``'s docstring);
+the frozen benchmark harness still drives it, so the three properties
+that drive leans on stay pinned until the module goes (ROADMAP item
+5(v)): frames roundtrip exactly (including frames larger than the ring,
+which stream through in chunks), a timed-out ``get_frame`` loses no
+bytes (partial frames resume), and every created segment is registered
+so sweeps and orphan scans can find it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from repro.core.shm_ring import (
     orphan_segments,
     sweep_created_segments,
 )
-from repro.core.shm_san import TRAILER_LEN, RingSanitizerError
 from repro.obs.runtime import Telemetry, session
 
 
@@ -215,104 +216,6 @@ class TestSegmentHygiene:
             assert inherited.name in list_repro_segments()
         finally:
             inherited.unlink()
-
-
-class TestRingSanitizer:
-    """Unit coverage for ``REPRO_SANITIZE=ring`` (see repro.core.shm_san).
-
-    The chaos-level guarantees (byte-identity, crash survival, counters
-    in run.metrics.json) live in test_chaos_mp.py; these tests pin the
-    per-frame mechanics on a single ring.
-    """
-
-    @pytest.fixture
-    def san_ring(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "ring")
-        r = ShmRing.create("san", capacity=256)
-        yield r
-        r.unlink()
-
-    def test_off_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        r = ShmRing.create("plain", capacity=64)
-        try:
-            assert r._san is None
-        finally:
-            r.unlink()
-
-    def test_roundtrip_is_transparent(self, san_ring):
-        consumer = ShmRing.attach(san_ring.spec())
-        try:
-            assert consumer._san is not None
-            for payload in (b"hello", b"", b"x" * 100):
-                san_ring.put_frame(payload, timeout=5)
-                assert consumer.get_frame(timeout=5) == payload
-        finally:
-            consumer.close()
-
-    def test_trailer_travels_inside_the_frame(self, san_ring):
-        """The stamped frame is 8 bytes longer on the wire."""
-        san_ring.put_frame(b"abcd", timeout=5)
-        # tail advanced by len-prefix + payload + trailer
-        assert san_ring._load(0) == 4 + 4 + TRAILER_LEN
-
-    def test_corrupted_payload_is_caught(self, san_ring):
-        consumer = ShmRing.attach(san_ring.spec())
-        try:
-            san_ring.put_frame(b"corruptme", timeout=5)
-            san_ring._shm.buf[32 + 4 + 2] ^= 0xFF  # flip one data byte
-            with pytest.raises(RingSanitizerError, match="CRC"):
-                consumer.get_frame(timeout=5)
-        finally:
-            consumer.close()
-
-    def test_duplicate_consumer_is_a_sequence_error(self, san_ring):
-        """Two attached consumers violate SPSC: the second one sees a
-        sequence number it never handed out."""
-        first = ShmRing.attach(san_ring.spec())
-        second = ShmRing.attach(san_ring.spec())
-        try:
-            san_ring.put_frame(b"one", timeout=5)
-            assert first.get_frame(timeout=5) == b"one"
-            san_ring.put_frame(b"two", timeout=5)
-            with pytest.raises(RingSanitizerError, match="sequence"):
-                second.get_frame(timeout=5)
-        finally:
-            first.close()
-            second.close()
-
-    def test_use_after_unlink_is_caught(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "ring")
-        r = ShmRing.create("uaf", capacity=64)
-        r.unlink()
-        with pytest.raises(RingSanitizerError, match="unlinked"):
-            r.put_frame(b"zombie")
-        with pytest.raises(RingSanitizerError, match="unlinked"):
-            r.get_frame(timeout=0.01)
-
-    def test_put_after_timed_out_put_is_an_overlapping_write(self, san_ring):
-        san_ring.put_frame(b"y" * 200, timeout=5)  # nearly fill the ring
-        with pytest.raises(RingTimeout):
-            san_ring.put_frame(b"z" * 200, timeout=0.05)
-        # The endpoint is poisoned: a partial frame is pending, so the
-        # backend must recreate the ring, never write to it again.
-        with pytest.raises(RingSanitizerError, match="overlapping"):
-            san_ring.put_frame(b"after", timeout=0.05)
-
-    def test_counters_flow_through_telemetry(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "ring")
-        with session(Telemetry.create()) as t:
-            r = ShmRing.create("counted", capacity=256)
-            try:
-                r.put_frame(b"a", timeout=5)
-                r.put_frame(b"b", timeout=5)
-                assert r.get_frame(timeout=5) == b"a"
-            finally:
-                r.unlink()
-            counters = t.metrics.snapshot()["counters"]
-        assert counters["shm_san.frames_stamped"] == 2
-        assert counters["shm_san.frames_verified"] == 1
-        assert "shm_san.seq_errors" not in counters
 
 
 class TestRingTelemetry:
