@@ -36,6 +36,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
+import numpy as np
+
 from repro.core.config import PlatformConfig
 from repro.core.costs import CostConstants, StageCosts
 from repro.core.exec_backend import (
@@ -272,6 +274,12 @@ class _Build:
         self.injector = faults.active()
         self.start_file = state.next_file_index
         self.popular_set = set(state.assignment.popular)
+        #: Where this build has routed each collection it has seen:
+        #: ``routes[route_of[cidx]]`` is ``(kind, indexer index, is popular)``.
+        #: A binding is for the program lifetime and a GPU failover
+        #: re-routes unseen collections only, so an entry never goes stale.
+        self.routes: list[tuple[str, int, bool]] = []
+        self.route_of = np.full(self.trie.num_collections, -1, dtype=np.int16)
         self.writer = RunWriter(
             self.output_dir, codec=get_codec(cfg.codec), num_stripes=cfg.output_stripes
         )
@@ -559,7 +567,8 @@ class _Build:
         sorted into the serial loop's historical consumption order (CPU
         slots before GPU slots, then by index) — term-id allocation order
         depends on it.  ``bind_unseen`` mutates the assignment and must
-        see collections in file order.  Sub-batches are built per
+        see collections in file order; it scans every owner set, so it is
+        asked once per collection per build.  Sub-batches are built per
         (indexer, group) so group-level work attribution stays exact
         even on CPU-only configurations; each is a selection of
         collection rows over the buffer's shared token columns, nothing
@@ -572,12 +581,20 @@ class _Build:
             # ungrouped stream would duplicate collections across shards.
             return [("cpu", 0, False, batch)]
 
-        assignment = self.state.assignment
-        rows: dict[tuple[str, int, bool], list[int]] = {}
-        for row, cidx in enumerate(batch.order.tolist()):
-            kind, idx = assignment.bind_unseen(cidx)
-            rows.setdefault((kind, idx, cidx in self.popular_set), []).append(row)
-        return [(*key, batch.select(rows[key])) for key in sorted(rows)]
+        routes, route_of = self.routes, self.route_of
+        order = batch.order
+        for cidx in order[route_of[order] < 0].tolist():
+            key = (*self.state.assignment.bind_unseen(cidx), cidx in self.popular_set)
+            if key not in routes:
+                routes.append(key)
+            route_of[cidx] = routes.index(key)
+        taken = route_of[order]
+        tasks: Tasks = []
+        for key, route in sorted((key, route) for route, key in enumerate(routes)):
+            rows = np.flatnonzero(taken == route)
+            if len(rows):
+                tasks.append((*key, batch.select(rows)))
+        return tasks
 
     @staticmethod
     def aggregate_group_work(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -49,6 +50,65 @@ class IndexerReport:
         self.modeled_seconds += other.modeled_seconds
 
 
+#: The counters a descent that finds its suffix and splits nothing moves,
+#: besides ``duplicate_hits``.
+_repeat_counters = attrgetter(
+    "node_visits", "key_comparisons", "cache_resolved", "full_string_fetches", "depth_sum"
+)
+
+
+def _walk(spans, ids, suffixes: list[bytes], repeated: list[bool]) -> list[int]:
+    """Insert every token's suffix into its span's tree; entry id → term id.
+
+    ``spans`` yields ``(tree, start, end, has_repeats)`` over ``ids``.  A
+    descent that finds its suffix and splits no node is a pure function of
+    (tree, suffix): while the tree has gained neither a term nor a node
+    since an entry's last descent, its next occurrence would move the
+    counters by exactly what that descent did, so it is charged without
+    descending.  A descent that inserts or splits charges what is pending
+    and forgets every recorded descent of the tree.  Term ids, the
+    mutation log and every counter come out as if each token had descended.
+    """
+    entry_term = [0] * len(suffixes)
+    for tree, start, end, has_repeats in spans:
+        insert = tree.insert
+        if not has_repeats:
+            for entry in ids[start:end]:
+                entry_term[entry] = insert(suffixes[entry])[0]
+            continue
+        stats = tree.stats
+        #: entry → [repeats pending, counters before its descent, after].
+        recorded: dict[int, list] = {}
+        nodes = tree.node_count
+        for entry in ids[start:end]:
+            record = recorded.get(entry)
+            if record is not None:
+                record[0] += 1
+                continue
+            before = repeated[entry] and _repeat_counters(stats)
+            entry_term[entry], created = insert(suffixes[entry])
+            if created or tree.node_count != nodes:
+                nodes = tree.node_count
+                _charge(recorded, stats)
+                recorded.clear()
+            elif before:
+                recorded[entry] = [0, before, _repeat_counters(stats)]
+        _charge(recorded, stats)
+    return entry_term
+
+
+def _charge(recorded: dict[int, list], stats: BTreeStats) -> None:
+    """Add every pending repeat of ``recorded`` to the tree's counters."""
+    for pending, before, after in recorded.values():
+        if pending:
+            stats.duplicate_hits += pending
+            stats.node_visits += pending * (after[0] - before[0])
+            stats.key_comparisons += pending * (after[1] - before[1])
+            stats.cache_resolved += pending * (after[2] - before[2])
+            stats.full_string_fetches += pending * (after[3] - before[3])
+            stats.depth_sum += pending * (after[4] - before[4])
+
+
 class BaseIndexer:
     """Common stream-consumption logic for CPU and GPU indexers.
 
@@ -67,9 +127,7 @@ class BaseIndexer:
     telemetry instruments are internally locked — but one indexer's
     batches must be consumed by a single thread at a time, in file order
     (the accumulator requires non-decreasing document IDs per term).
-    The serial loop indexes inline on the engine thread; the
-    multiprocess backend gives every indexer slot exactly one worker
-    process behind a FIFO ring.
+    Both execution backends index inline on the engine thread.
     """
 
     kind = "base"
@@ -96,7 +154,10 @@ class BaseIndexer:
 
     def _owned_rows(self, batch: ParsedBatch) -> np.ndarray:
         """Rows of the batch's collection table this indexer consumes."""
-        return np.flatnonzero(list(map(self.owns, batch.order.tolist())))
+        owned = self.shard.owned
+        if owned is None:
+            return np.arange(len(batch.order))
+        return np.flatnonzero(np.isin(batch.order, np.fromiter(owned, np.int32, len(owned))))
 
     def _index_rows(
         self, batch: ParsedBatch, rows: np.ndarray, doc_offset: int
@@ -104,10 +165,12 @@ class BaseIndexer:
         """Consume the collections ``rows``, in order.
 
         This is the inner loop of Fig 4: every suffix is inserted into the
-        collection's B-tree (getting the postings pointer) and the
-        occurrence appended under the *global* document ID.  When the
-        parser supplied positions, each occurrence also records its
-        in-document token position.
+        collection's B-tree (getting the postings pointer, :func:`_walk`)
+        and the occurrences appended under the *global* document ID, one
+        slice per term
+        (:meth:`~repro.postings.lists.PostingsAccumulator.add_batch`).
+        When the parser supplied positions, each occurrence also records
+        its in-document token position.
 
         Returns the batch's one report (tokens, characters and documents
         are the parser's per-collection counts), the trees touched and a
@@ -123,25 +186,30 @@ class BaseIndexer:
         before = [tree.stats.snapshot() for tree in trees]
         terms_before = sum(tree.term_count for tree in trees)
 
-        # Views, not lists: a slice yields its ints as the walk reaches them.
-        suffixes = batch.entry_suffix
-        ids = memoryview(batch.ids)
-        docs = memoryview(batch.docs + doc_offset)
-        add_occurrence = self.accumulator.add_occurrence
-        spans = zip(trees, batch.spans[rows].tolist())
-        if batch.positions is None:
-            for tree, (start, end) in spans:
-                insert = tree.insert
-                for entry, doc in zip(ids[start:end], docs[start:end]):
-                    add_occurrence(insert(suffixes[entry])[0], doc)
-        else:
-            positions = memoryview(batch.positions)
-            for tree, (start, end) in spans:
-                insert = tree.insert
-                for entry, doc, position in zip(
-                    ids[start:end], docs[start:end], positions[start:end]
-                ):
-                    add_occurrence(insert(suffixes[entry])[0], doc, position)
+        # The owned tokens, back to back in row order.  (int32 throughout:
+        # a batch's columns are; the temporaries stay half the size.)
+        starts, ends = batch.spans[rows].T.astype(np.int32)
+        lengths = ends - starts
+        tiled = np.cumsum(lengths, dtype=np.int32)
+        offsets = tiled - lengths
+        take = np.repeat(starts - offsets, lengths)
+        take += np.arange(len(take), dtype=np.int32)
+        ids = batch.ids[take]
+        # An entry that occurs once in the batch can have no repeat to charge.
+        repeated = np.bincount(ids, minlength=len(batch.entry_suffix)) > 1
+        repeats = np.zeros(len(ids) + 1, dtype=np.int32)
+        np.cumsum(repeated[ids], out=repeats[1:])
+        entry_term = _walk(
+            zip(trees, offsets.tolist(), tiled.tolist(),
+                (repeats[tiled] > repeats[offsets]).tolist()),
+            memoryview(ids), batch.entry_suffix, repeated.tolist(),
+        )
+        self.accumulator.add_batch(
+            entry_term,
+            ids,
+            batch.docs[take] + doc_offset,
+            None if batch.positions is None else batch.positions[take],
+        )
 
         after = [tree.stats.snapshot() for tree in trees]
         grown = np.array(after, dtype=np.int64) - np.array(before, dtype=np.int64)

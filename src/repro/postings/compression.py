@@ -34,6 +34,7 @@ __all__ = [
     "from_gaps",
     "encode_uvarint",
     "decode_uvarint",
+    "encode_uvarints",
     "decode_uvarints",
     "skip_uvarints",
 ]
@@ -80,6 +81,34 @@ def decode_uvarint(data: bytes, pos: int) -> tuple[int, int]:
 #: Longest varint :func:`decode_uvarints` accepts: 9 × 7 = 63 value bits,
 #: the most a non-negative ``int64`` holds.
 MAX_UVARINT_BYTES = 9
+
+#: ``value >= UVARINT_LIMITS[k]`` needs more than ``k + 1`` bytes.
+UVARINT_LIMITS = 1 << (7 * np.arange(1, MAX_UVARINT_BYTES, dtype=np.int64))
+
+
+def encode_uvarints(values: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """Encode an integer array as varints back to back, all at once.
+
+    The vectorised form of :func:`encode_uvarint` per value: returns the
+    bytes and each value's encoded length.  Step ``k`` writes byte ``k`` of
+    every varint that has one, so after the first step only values of two
+    or more bytes are touched.  Integer dtypes only (the encode path is
+    float-free); the caller bounds ``values`` — the temporaries are a few
+    ``int64`` per value.
+    """
+    values = np.asarray(values).astype(np.int64, casting="safe", copy=False)
+    if values.size and int(values.min()) < 0:
+        raise ValueError(f"uvarint cannot encode negative value {int(values.min())}")
+    lengths = np.searchsorted(UVARINT_LIMITS, values, side="right") + 1
+    ends = np.cumsum(lengths)
+    out = np.empty(int(ends[-1]) if values.size else 0, dtype=np.uint8)
+    at, left = ends - lengths, lengths
+    while at.size:
+        more = left > 1
+        out[at] = (values & 0x7F) | (more << 7)
+        at, values, left = at[more] + 1, values[more] >> 7, left[more] - 1
+    return out.tobytes(), lengths
+
 
 #: Bytes :func:`decode_uvarints` decodes in one step.  Its temporaries are
 #: a few ``int64`` per *byte*; at this size each stays well below the

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
+import numpy as np
+
 __all__ = ["PostingsList", "PostingsAccumulator"]
 
 
@@ -92,6 +94,42 @@ class PostingsList:
         self.doc_ids.append(doc_id)
         self.tfs.append(tf)
 
+    def extend(
+        self, doc_ids: list[int], tfs: list[int], positions: list[list[int]] | None = None
+    ) -> None:
+        """Append postings built elsewhere from occurrences, in arrival order.
+
+        What :meth:`add_occurrence` per occurrence would have made of them,
+        with its checks where they meet the postings held: a first
+        document equal to the last one held continues that posting.
+        """
+        if (positions is None) != (self.positions is None):
+            if positions is None:
+                raise ValueError("positional list requires a position per occurrence")
+            if self.doc_ids:
+                raise ValueError("cannot mix positional and plain occurrences")
+            self.positions = []
+        if self.doc_ids and doc_ids[0] <= self.doc_ids[-1]:
+            if doc_ids[0] < self.doc_ids[-1]:
+                raise ValueError(
+                    f"document {doc_ids[0]} arrived after {self.doc_ids[-1]}; "
+                    "pipeline ordering invariant violated"
+                )
+            if positions is not None:
+                if positions[0][0] <= self.positions[-1][-1]:
+                    raise ValueError(
+                        f"position {positions[0][0]} not after {self.positions[-1][-1]} "
+                        f"within document {doc_ids[0]}"
+                    )
+                self.positions[-1] += positions[0]
+                positions = positions[1:]
+            self.tfs[-1] += tfs[0]
+            doc_ids, tfs = doc_ids[1:], tfs[1:]
+        self.doc_ids += doc_ids
+        self.tfs += tfs
+        if positions is not None:
+            self.positions += positions
+
     @property
     def is_positional(self) -> bool:
         return self.positions is not None
@@ -150,6 +188,52 @@ class PostingsAccumulator:
             self.lists[term_id] = plist
         plist.add_occurrence(doc_id, position)
         self.token_count += 1
+
+    def add_batch(
+        self,
+        term_ids: list[int],
+        rows: np.ndarray,
+        docs: np.ndarray,
+        positions: np.ndarray | None = None,
+    ) -> None:
+        """Record token occurrences held as aligned columns, in row order.
+
+        Row ``i`` is an occurrence of term ``term_ids[rows[i]]`` in document
+        ``docs[i]`` (several slots of ``term_ids`` may name one term; a new
+        list is keyed by the ``int`` object found there, not a copy).  One
+        stable sort by term keeps each term's rows in arrival order,
+        ``(term, document)`` run lengths are the term frequencies, and each
+        term gets one :meth:`PostingsList.extend`.  Rows that go back in
+        document order within a term, or do not advance in position within
+        a document, raise ``ValueError`` before any list is touched.
+        """
+        if not len(rows):
+            return
+        terms = np.array(term_ids, dtype=np.int64)[rows]
+        order = np.argsort(terms, kind="stable")
+        terms, docs = terms[order], docs[order]
+        same_term = terms[1:] == terms[:-1]
+        if np.any(same_term & (docs[1:] < docs[:-1])):
+            raise ValueError("documents out of order; pipeline ordering invariant violated")
+        same_posting = same_term & (docs[1:] == docs[:-1])
+        starts = np.concatenate(([0], np.flatnonzero(~same_posting) + 1))
+        per_posting = None
+        if positions is not None:
+            positions = positions[order]
+            if np.any(same_posting & (positions[1:] <= positions[:-1])):
+                raise ValueError("positions must ascend within a document")
+            flat, bounds = positions.tolist(), [*starts.tolist(), len(rows)]
+            per_posting = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+        doc_ids, tfs = docs[starts].tolist(), np.diff(starts, append=len(rows)).tolist()
+        terms = terms[starts]
+        cuts = [0, *(np.flatnonzero(terms[1:] != terms[:-1]) + 1).tolist(), len(terms)]
+        slots = rows[order[starts[cuts[:-1]]]].tolist()
+        for term_id, a, b in zip(map(term_ids.__getitem__, slots), cuts, cuts[1:]):
+            plist = self.lists.get(term_id)
+            if plist is None:
+                plist = self.lists[term_id] = PostingsList()
+            plist.extend(doc_ids[a:b], tfs[a:b], per_posting and per_posting[a:b])
+        self.token_count += len(rows)
 
     def drain(self) -> dict[int, PostingsList]:
         """Hand over all lists and reset for the next run."""

@@ -54,7 +54,7 @@ import numpy as np
 
 from repro.obs import runtime as obs
 from repro.postings.compression import (
-    MAX_UVARINT_BYTES,
+    UVARINT_LIMITS,
     PostingsCodec,
     VarByteCodec,
     decode_uvarints,
@@ -75,9 +75,6 @@ __all__ = ["merge_index"]
 
 #: Input payload bytes, summed over the runs, that one splice step holds.
 _WINDOW_BYTES = 1 << 16
-
-#: ``value >= _UVARINT_LIMITS[k]`` needs more than ``k + 1`` bytes.
-_UVARINT_LIMITS = 1 << (7 * np.arange(1, MAX_UVARINT_BYTES, dtype=np.int64))
 
 
 class _InputRun(NamedTuple):
@@ -341,7 +338,7 @@ def _splice(data: bytes, columns: np.ndarray, stats: dict[str, int]) -> EncodedB
     prefixes[leads] = totals
     body_starts = np.where(lead, count_ends, gap_ends)
     lengths = np.add.reduceat(
-        np.searchsorted(_UVARINT_LIMITS, prefixes, side="right") + 1 + list_ends - body_starts,
+        np.searchsorted(UVARINT_LIMITS, prefixes, side="right") + 1 + list_ends - body_starts,
         leads,
     )
     out = bytearray()

@@ -34,6 +34,7 @@ import os
 import zlib
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
@@ -44,6 +45,7 @@ from repro.postings.compression import (
     decode_uvarint,
     decode_uvarints,
     encode_uvarint,
+    encode_uvarints,
     skip_uvarints,
 )
 from repro.postings.lists import PostingsList
@@ -68,8 +70,13 @@ MAP_FILENAME = "runs.map"
 RUN_CRC_BYTES = 4
 #: Chunk size for streaming CRC verification / payload copying.
 _STREAM_CHUNK = 1 << 16
-#: Mapping-table rows decoded in one step when a header is parsed.
+#: Mapping-table rows encoded or decoded in one step.
 _TABLE_BLOCK_ROWS = 1 << 10
+#: Postings after which :func:`_varbyte_blocks` closes a block.  The
+#: encoder's temporaries are a few ``int64`` per value, two values a
+#: posting; at this size each stays below the allocator's mmap threshold
+#: (unless one list alone is longer), so a large run leaves no large hole.
+_BLOCK_POSTINGS = 1 << 12
 
 _T = TypeVar("_T")
 
@@ -102,13 +109,63 @@ def _encode_header(
     encode_uvarint(0 if min_doc is None else min_doc + 1, header)
     encode_uvarint(0 if max_doc is None else max_doc + 1, header)
     encode_uvarint(len(term_ids), header)
+    term_ids = np.asarray(term_ids, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
     offset = 0
-    for term_id, length in zip(term_ids, lengths):
-        encode_uvarint(term_id, header)
-        encode_uvarint(offset, header)
-        encode_uvarint(length, header)
-        offset += length
+    for lo in range(0, len(term_ids), _TABLE_BLOCK_ROWS):
+        block = lengths[lo : lo + _TABLE_BLOCK_ROWS]
+        ends = offset + np.cumsum(block)
+        rows = np.column_stack((term_ids[lo : lo + _TABLE_BLOCK_ROWS], ends - block, block))
+        header += encode_uvarints(rows.ravel())[0]
+        offset = int(ends[-1])
     return header
+
+
+def _varbyte_blocks(lists: Iterable[tuple[int, PostingsList]]) -> Iterator[EncodedBlock]:
+    """The non-empty lists of the stream in plain varbyte, a block at a time.
+
+    Byte for byte what :meth:`VarByteCodec.encode` makes of each list
+    (count, then ``(gap, tf)`` pairs), with its checks, but a block of
+    whole lists goes through :func:`encode_uvarints` at once.
+    """
+    block: list[tuple[int, PostingsList]] = []
+    postings = 0
+    for term_id, plist in lists:
+        if not plist.doc_ids:
+            continue
+        block.append((term_id, plist))
+        postings += len(plist.doc_ids)
+        if postings >= _BLOCK_POSTINGS:
+            yield _varbyte_block(block, postings)
+            block, postings = [], 0
+    if block:
+        yield _varbyte_block(block, postings)
+
+
+def _varbyte_block(block: list[tuple[int, PostingsList]], postings: int) -> EncodedBlock:
+    counts = np.array([len(plist.doc_ids) for _, plist in block], dtype=np.int64)
+    docs = np.fromiter(chain.from_iterable(p.doc_ids for _, p in block), np.int64, postings)
+    tfs = np.fromiter(chain.from_iterable(p.tfs for _, p in block), np.int64, postings)
+    first = np.cumsum(counts) - counts
+    gaps = np.diff(docs, prepend=-1)
+    gaps[first] = docs[first] + 1
+    if int(gaps.min()) < 1:
+        raise ValueError("postings must be sorted by strictly increasing docID")
+    if int(tfs.min()) < 1:
+        raise ValueError(f"term frequency must be >= 1, got {int(tfs.min())}")
+    # List j's count sits before its postings' (gap, tf) pairs.
+    heads = 2 * first + np.arange(len(block))
+    pairs = 2 * np.arange(postings) + np.repeat(np.arange(1, len(block) + 1), counts)
+    values = np.empty(len(block) + 2 * postings, dtype=np.int64)
+    values[heads], values[pairs], values[pairs + 1] = counts, gaps, tfs
+    data, value_lengths = encode_uvarints(values)
+    return (
+        [term_id for term_id, _ in block],
+        np.add.reduceat(value_lengths, heads).tolist(),
+        data,
+        int(docs[first].min()),
+        int(docs[first + counts - 1].max()),
+    )
 
 
 class RunWriter:
@@ -151,21 +208,25 @@ class RunWriter:
         return self.codec.encode(plist.postings())
 
     def write_run(self, run_id: int, lists: dict[int, PostingsList]) -> "RunFile":
-        """Compress and write all lists of a run; return its descriptor."""
+        """Compress and write all lists of a run; return its descriptor.
+
+        Plain varbyte runs are encoded in blocks of lists by one kernel;
+        every other codec encodes list by list.
+        """
+        ordered = ((term_id, lists[term_id]) for term_id in sorted(lists))
+        blocks = (
+            _varbyte_blocks(ordered) if type(self.codec) is VarByteCodec
+            else self._encoded(ordered)
+        )
         payload = bytearray()
         term_ids = array("q")
         lengths = array("q")
         min_doc: int | None = None
         max_doc: int | None = None
-        for term_id in sorted(lists):
-            plist = lists[term_id]
-            if not plist.doc_ids:
-                continue
-            encoded = self._encode(plist)
-            term_ids.append(term_id)
-            lengths.append(len(encoded))
-            payload.extend(encoded)
-            lo, hi = plist.doc_ids[0], plist.doc_ids[-1]
+        for block_ids, block_lengths, encoded, lo, hi in blocks:
+            term_ids.extend(block_ids)
+            lengths.extend(block_lengths)
+            payload += encoded
             min_doc = lo if min_doc is None else min(min_doc, lo)
             max_doc = hi if max_doc is None else max(max_doc, hi)
 

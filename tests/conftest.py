@@ -11,9 +11,16 @@ from __future__ import annotations
 import os
 
 import pytest
+from hypothesis import settings
 
 from repro.corpus.synthetic import CollectionSpec, SegmentSpec, generate_collection
 from repro.obs.schema import METRICS_FILENAME, load_metrics
+
+# One Hypothesis profile for the suite: a property's verdict may depend on
+# neither the wall clock (no per-example deadline on a loaded box) nor a
+# random seed, and a failure prints the blob that reproduces it.
+settings.register_profile("tier1", deadline=None, derandomize=True, print_blob=True)
+settings.load_profile("tier1")
 
 
 def deterministic_metric_sections(index_dir: str) -> dict:

@@ -111,7 +111,21 @@ class TestBuildAssignment:
         assert (kind, idx) == ("gpu", 999 % 2)
         assert 999 in assign.gpu_sets[idx]
 
-    @settings(max_examples=40, deadline=None)
+    def test_gpu_failover_moves_no_bound_collection(self):
+        """The engine keeps a table of the collections it has routed
+        (``split_batch``); a failover may re-route unseen collections only,
+        or that table would go stale."""
+        assign = build_assignment({i: 50 - i for i in range(40)}, num_cpu_indexers=1, num_gpus=3)
+        bound = {cidx: assign.bind_unseen(cidx) for cidx in [*range(40), 1001, 1002, 1003]}
+        assert {"cpu", "gpu"} == {kind for kind, _ in bound.values()}
+        assign.mark_gpu_failed(1)
+        assert {cidx: assign.owner_of(cidx) for cidx in bound} == bound
+        assert {cidx: assign.bind_unseen(cidx) for cidx in bound} == bound
+        assert ("gpu", 1) in bound.values()  # collections stay on the failed slot
+        # ... while a collection first seen afterwards avoids it.
+        assert all(assign.bind_unseen(cidx)[1] != 1 for cidx in range(2000, 2012))
+
+    @settings(max_examples=40)
     @given(token_counts, st.integers(1, 4), st.integers(0, 3))
     def test_binding_is_a_partition(self, counts, n_cpu, n_gpu):
         """Every sampled collection is owned by exactly one indexer."""
@@ -125,7 +139,7 @@ class TestBuildAssignment:
         assert union == set(counts)
         assert total == len(counts)  # pairwise disjoint
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(token_counts)
     def test_lifetime_binding_stable(self, counts):
         assign = build_assignment(counts, 2, 2)

@@ -196,7 +196,7 @@ class TestStats:
 
 
 class TestPropertyBased:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(st.lists(suffixes, max_size=300))
     def test_model_equivalence(self, words):
         """The tree behaves like a dict keyed by suffix."""
@@ -216,7 +216,7 @@ class TestPropertyBased:
             assert tree.search(w) == tid
         tree.check_invariants()
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(st.lists(suffixes, max_size=200), st.integers(min_value=2, max_value=20))
     def test_invariants_hold_any_degree(self, words, degree):
         tree = BTree(degree=degree)
@@ -224,7 +224,7 @@ class TestPropertyBased:
             tree.insert(w)
         tree.check_invariants()
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(st.lists(suffixes, min_size=1, max_size=200))
     def test_cache_flag_is_transparent(self, words):
         """Disabling the cache never changes results, only costs."""

@@ -95,7 +95,7 @@ class TestBursting:
 
 
 class TestPropertyBased:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.lists(words, max_size=200), st.integers(min_value=1, max_value=40))
     def test_model_equivalence(self, ws, threshold):
         bt = BurstTrie(burst_threshold=threshold)
@@ -112,7 +112,7 @@ class TestPropertyBased:
         for w, tid in model.items():
             assert bt.lookup(w) == tid
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(st.lists(words, max_size=150))
     def test_agrees_with_hybrid_btree_dictionary(self, ws):
         """Burst trie and the paper's B-tree store the same term sets."""

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from repro.postings.compression import (
     decode_uvarint,
     decode_uvarints,
     encode_uvarint,
+    encode_uvarints,
     from_gaps,
     get_codec,
     skip_uvarints,
@@ -148,6 +150,51 @@ class TestVectorisedVarints:
             skip_uvarints(buf + b"\x80", ends[50], 1)
 
 
+#: Every encoded length's smallest and largest value, and 2^63 − 1.
+_BOUNDARIES = sorted(
+    {0, 2**63 - 1} | {(1 << 7 * k) - d for k in range(1, 10) for d in (0, 1) if (1 << 7 * k) - d < 2**63}
+)
+
+
+class TestEncodeKernel:
+    """``encode_uvarints`` against ``encode_uvarint`` and ``decode_uvarints``."""
+
+    @given(st.lists(st.one_of(st.sampled_from(_BOUNDARIES), st.integers(0, 2**63 - 1)), max_size=300))
+    def test_round_trip_and_lengths_match_the_loop(self, values):
+        data, lengths = encode_uvarints(np.array(values, dtype=np.int64))
+        loop, loop_lengths = bytearray(), []
+        for value in values:
+            before = len(loop)
+            encode_uvarint(value, loop)
+            loop_lengths.append(len(loop) - before)
+        assert data == bytes(loop)
+        assert lengths.tolist() == loop_lengths
+        assert decode_uvarints(data).tolist() == values
+
+    def test_every_boundary(self):
+        data, lengths = encode_uvarints(np.array(_BOUNDARIES, dtype=np.int64))
+        assert decode_uvarints(data).tolist() == _BOUNDARIES
+        # 0 and 2^7k − 1 are the last values of k bytes, 2^7k the first of k + 1.
+        assert lengths.tolist() == [1] + [k + d for k in range(1, 9) for d in (0, 1)] + [9]
+
+    def test_empty(self):
+        data, lengths = encode_uvarints(np.empty(0, dtype=np.int64))
+        assert data == b"" and lengths.tolist() == []
+
+    def test_narrow_and_unsigned_dtypes(self):
+        for dtype in (np.uint8, np.int32, np.uint32):
+            assert encode_uvarints(np.array([0, 5, 200], dtype=dtype))[0] == b"\x00\x05\xc8\x01"
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            encode_uvarints(np.array([3, -1, 4], dtype=np.int64))
+
+    @pytest.mark.parametrize("values", [np.array([1.0]), np.array([2**63], dtype=np.uint64)])
+    def test_not_an_int64_rejected(self, values):
+        with pytest.raises(TypeError):
+            encode_uvarints(values)
+
+
 class TestGaps:
     def test_round_trip(self):
         ids = [0, 1, 5, 100]
@@ -191,7 +238,7 @@ class TestCodecs:
         with pytest.raises(ValueError):
             codec.encode([(1, 0)])
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(postings_lists, st.sampled_from(["varbyte", "gamma", "golomb"]))
     def test_round_trip_random(self, postings, name):
         codec = get_codec(name)

@@ -117,7 +117,7 @@ class TestCombine:
 
 
 class TestProperty:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.lists(terms, max_size=200))
     def test_dictionary_is_a_set_with_ids(self, words):
         d = Dictionary()

@@ -106,6 +106,34 @@ def test_finalise_alone_writes_the_epilogue(tiny_collection, tmp_path):
     assert _digest(out) == _digest(whole)
 
 
+def test_each_collection_is_routed_once_per_build(tiny_collection, tmp_path, monkeypatch):
+    """``split_batch`` keeps the routes it has asked for: ``bind_unseen``
+    scans every owner set, so it sees a collection once, in file order --
+    on a resumed build too, whose table refills from the journalled sets."""
+    from repro.indexers.assignment import WorkAssignment
+
+    asked: list[int] = []
+    bind_unseen = WorkAssignment.bind_unseen
+
+    def recording(self, cidx):
+        asked.append(cidx)
+        return bind_unseen(self, cidx)
+
+    monkeypatch.setattr(WorkAssignment, "bind_unseen", recording)
+    cfg = _cfg(exec_backend="serial")
+    whole = str(tmp_path / "whole")
+    IndexingEngine(cfg).build(tiny_collection, whole)
+    assert len(asked) == len(set(asked)) > 100
+    routed = set(asked)
+
+    out = str(tmp_path / "idx")
+    _crash_before_file(cfg, tiny_collection, out, 3)
+    asked.clear()
+    IndexingEngine(cfg).build(tiny_collection, out, resume=True)
+    assert len(asked) == len(set(asked)) and set(asked) <= routed
+    assert _digest(out) == _digest(whole)
+
+
 class TestParseUnderRetry:
     """One helper behind the serial stream, the prefetch pool and the
     multiprocess backend's degraded-parser path."""

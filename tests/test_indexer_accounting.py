@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import PlatformConfig
@@ -39,7 +39,7 @@ from repro.indexers.cpu import CPUIndexer
 from repro.indexers.gpu import GPUIndexer
 from repro.parsing.parser import ParseMetrics, Parser
 from repro.parsing.regroup import ParsedBatch
-from tests.parsed_stream_oracles import as_nested
+from tests.parsed_stream_oracles import as_nested, batch_from_collections
 
 _PINNED_SPEC = CollectionSpec(
     name="pinned",
@@ -298,6 +298,144 @@ def test_index_collection_matches_the_parent_loop(kind, positional):
     assert any(positions for _, _, positions in _postings(new).values()) == positional
     assert list(new.shard.terms()) == list(old.shard.terms())
     assert list(new.shard.trees) == list(old.shard.trees) == list(collections)
+
+
+# --------------------------------------------------------------------------- #
+# One descent per suffix per unchanged stretch: exact under mutation
+# --------------------------------------------------------------------------- #
+
+_KINDS = {
+    "cpu": lambda shard: CPUIndexer(0, shard),
+    "gpu-fast": lambda shard: GPUIndexer(0, shard),
+    "gpu-warp": lambda shard: GPUIndexer(0, shard, fidelity="warp"),
+}
+
+
+def _parent_index_batch(old, batch: ParsedBatch, doc_offset: int, warp: bool) -> None:
+    """The batch through the parent's loop: one descent per token."""
+    collections, positions = as_nested(batch)
+    for cidx, stream in collections.items():
+        tree = old.shard.tree_for(cidx)
+        tree.find_slot_hook = GPUIndexer._warp_hook if warp else None
+        _index_collection(old, cidx, stream, doc_offset, positions[cidx] if positions else None)
+        tree.find_slot_hook = None
+
+
+def _assert_same_state(new, old) -> None:
+    assert list(new.shard.trees) == list(old.shard.trees)
+    for cidx, tree in new.shard.trees.items():
+        assert tree.stats == old.shard.trees[cidx].stats, cidx  # all ten fields
+        assert list(tree.items()) == list(old.shard.trees[cidx].items())  # term ids
+        tree.check_invariants()
+    assert new.shard.take_mutation_log() == old.shard.take_mutation_log()
+    assert _postings(new) == _postings(old)
+    assert new.accumulator.token_count == old.accumulator.token_count
+
+
+@st.composite
+def _token_streams(draw):
+    """Batches of ``{collection: [(doc, [suffix, ...])]}`` over an alphabet
+    small enough that a degree-2..3 tree splits, and finds a suffix it
+    already holds, every few tokens.  Suffixes shorter and longer than the
+    4-byte cache, some sharing it."""
+    alphabet = [
+        (b"k%d" % i) if i % 3 else (b"shared%d" % i) for i in range(draw(st.integers(10, 30)))
+    ]
+    suffix = st.sampled_from(alphabet)
+    batches = []
+    for _ in range(draw(st.integers(1, 4))):
+        collections = {}
+        for cidx in draw(st.lists(st.sampled_from([3, 40, 41]), min_size=1, max_size=3, unique=True)):
+            docs = sorted(draw(st.sets(st.integers(0, 5), min_size=1, max_size=4)))
+            collections[cidx] = [
+                (doc, draw(st.lists(suffix, min_size=1, max_size=12))) for doc in docs
+            ]
+        # Two surface forms of one stem: a second entry per (collection, suffix).
+        twins = draw(st.lists(st.booleans(), min_size=150, max_size=150))
+        batches.append((collections, twins))
+    return draw(st.integers(2, 3)), batches
+
+
+def _columns(collections, twins, positional: bool) -> ParsedBatch:
+    positions = None
+    if positional:  # a token's ordinal in its document: any strictly ascending ints
+        positions = {
+            cidx: [list(range(doc, doc + 2 * len(sufs), 2)) for doc, sufs in stream]
+            for cidx, stream in collections.items()
+        }
+    batch = batch_from_collections(collections, positions, num_docs=6)
+    n = len(batch.entry_suffix)
+    batch.entry_suffix = batch.entry_suffix * 2
+    batch.entry_cidx = np.tile(batch.entry_cidx, 2)
+    batch.ids = batch.ids + n * np.array(twins[: len(batch.ids)], dtype=np.int32)
+    return batch
+
+
+@pytest.mark.parametrize("positional", [False, True], ids=["plain", "positional"])
+@pytest.mark.parametrize("kind", list(_KINDS))
+@settings(max_examples=40)
+@given(streams=_token_streams())
+def test_walk_equals_one_descent_per_token(kind, positional, streams):
+    degree, batches = streams
+    new = _KINDS[kind](DictionaryShard(TrieTable(), degree=degree))
+    old = _KINDS[kind](DictionaryShard(TrieTable(), degree=degree))
+    for i, (collections, twins) in enumerate(batches):
+        batch = _columns(collections, twins, positional)
+        out = new.index_batch(batch, 6 * i)
+        before = old.shard.stats()
+        _parent_index_batch(old, batch, 6 * i, warp=kind == "gpu-warp")
+        delta = np.array(old.shard.stats().snapshot()) - np.array(before.snapshot())
+        assert getattr(out, "report", out).btree == BTreeStats(*delta.tolist())
+        _assert_same_state(new, old)
+
+
+def _one_collection(tokens: list[tuple[int, bytes]], cidx: int = 3) -> ParsedBatch:
+    """``(doc, suffix)`` tokens of one collection, one entry per distinct suffix."""
+    stream: dict[int, list[bytes]] = {}
+    for doc, suffix in tokens:
+        stream.setdefault(doc, []).append(suffix)
+    return batch_from_collections({cidx: list(stream.items())})
+
+
+def test_a_duplicate_hit_that_splits_is_a_mutation():
+    """Degree 2: ``c`` fills the root, so the next ``b`` finds its suffix *and*
+    splits the root.  That descent must be logged, must forget the ``b``
+    recorded before ``c`` arrived, and must not be recorded itself."""
+    tokens = [(0, s) for s in (b"a", b"b", b"b", b"c", b"b", b"a", b"b", b"b", b"a")]
+    new = CPUIndexer(0, DictionaryShard(TrieTable(), degree=2))
+    old = CPUIndexer(0, DictionaryShard(TrieTable(), degree=2))
+    batch = _one_collection(tokens)
+    new.index_batch(batch, 0)
+    stats = new.shard.trees[3].stats
+    assert (stats.inserts, stats.duplicate_hits, stats.splits) == (3, 6, 1)
+    assert new.shard.mutation_log.count(b"b") == 2  # its insert, and the splitting hit
+    _parent_index_batch(old, batch, 0, warp=False)
+    _assert_same_state(new, old)
+
+
+def test_two_entries_of_one_suffix_are_one_term():
+    """Postings are grouped by term, not by entry: grouped by entry, document
+    0 would arrive again after document 1 and the list would refuse it."""
+    batch = _one_collection([(0, b"run"), (0, b"run"), (1, b"run"), (1, b"run")])
+    batch.entry_suffix = [b"run", b"run"]
+    batch.entry_cidx = np.array([3, 3], dtype=np.int32)
+    batch.ids = np.array([0, 1, 0, 1], dtype=np.int32)
+    indexer = CPUIndexer(0, DictionaryShard(TrieTable()))
+    indexer.index_batch(batch, 10)
+    (term_id,) = indexer.accumulator.lists
+    assert _postings(indexer) == {term_id: ([10, 11], [2, 2], None)}
+    assert indexer.shard.trees[3].stats.duplicate_hits == 3
+
+
+def test_document_order_across_batches_is_still_checked():
+    batch = _one_collection([(0, b"x"), (1, b"x")])
+    indexer = CPUIndexer(0, DictionaryShard(TrieTable()))
+    indexer.index_batch(batch, 10)
+    indexer.index_batch(batch, 11)  # document 11 again: one posting, tf 2
+    (plist,) = indexer.accumulator.lists.values()
+    assert (plist.doc_ids, plist.tfs) == ([10, 11, 12], [1, 2, 1])
+    with pytest.raises(ValueError, match="arrived after"):
+        indexer.index_batch(batch, 0)
 
 
 def test_misaligned_positions_are_rejected():

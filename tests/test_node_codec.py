@@ -138,7 +138,7 @@ class TestDeviceImage:
         with pytest.raises(IndexError):
             image.node_bytes(image.node_count)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(st.lists(suffixes, min_size=1, max_size=150))
     def test_image_search_random_trees(self, words):
         tree = BTree()

@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
-import pytest
+import os
+import tempfile
+import tracemalloc
+import zlib
+from unittest import mock
 
-from repro.postings.compression import EliasGammaCodec
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.postings import output
+from repro.postings.compression import EliasGammaCodec, VarByteCodec, encode_uvarint
 from repro.postings.lists import PostingsList
 from repro.postings.output import DocRangeMap, RunWriter, read_run_header, run_filename
 from repro.postings.reader import PostingsReader
@@ -63,6 +72,105 @@ class TestRunWriter:
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):
             read_run_header(b"GARBAGE!")
+
+
+def _parent_run_bytes(run_id: int, lists: dict[int, PostingsList]) -> bytes:
+    """``RunWriter.write_run`` as it was before the blocked kernel: one
+    ``VarByteCodec.encode`` per list, one ``encode_uvarint`` per header value."""
+    codec = VarByteCodec()
+    kept = [(t, codec.encode(lists[t].postings())) for t in sorted(lists) if lists[t].doc_ids]
+    docs = [d for t, _ in kept for d in (lists[t].doc_ids[0], lists[t].doc_ids[-1])]
+    out = bytearray(output.RUN_MAGIC)
+    encode_uvarint(run_id, out)
+    encode_uvarint(len(codec.name), out)
+    out += codec.name.encode("ascii")
+    encode_uvarint(min(docs) + 1 if docs else 0, out)
+    encode_uvarint(max(docs) + 1 if docs else 0, out)
+    encode_uvarint(len(kept), out)
+    offset = 0
+    for term_id, encoded in kept:
+        for value in (term_id, offset, len(encoded)):
+            encode_uvarint(value, out)
+        offset += len(encoded)
+    for _, encoded in kept:
+        out += encoded
+    return bytes(out) + (zlib.crc32(out) & 0xFFFFFFFF).to_bytes(4, "little")
+
+
+def _raw_list(doc_ids, tfs) -> PostingsList:
+    plist = PostingsList()
+    plist.doc_ids, plist.tfs = list(doc_ids), list(tfs)
+    return plist
+
+
+#: Gaps past two varint bytes (2^14), tfs past one (128), and empty lists.
+_gap = st.one_of(st.integers(1, 200), st.integers(2**14 - 2, 2**14 + 2), st.integers(1, 2**40))
+_tf = st.one_of(st.integers(1, 5), st.integers(126, 130), st.integers(1, 2**20))
+_run_lists = st.dictionaries(
+    st.one_of(st.integers(0, 400), st.integers(100 << 40, (100 << 40) + 400)),
+    st.lists(st.tuples(_gap, _tf), max_size=12),
+    max_size=30,
+)
+
+
+class TestBlockedVarbyteEncode:
+    """``write_run`` on plain varbyte: blocks of lists through one kernel."""
+
+    @given(_run_lists, st.sampled_from([1, 3, 20, 1 << 12]), st.sampled_from([1, 4, 1 << 10]))
+    def test_bytes_equal_the_per_list_oracle(self, spec, block_postings, table_rows):
+        lists = {}
+        for term_id, pairs in spec.items():
+            doc, docs = -1, []
+            for gap, _ in pairs:
+                doc += gap
+                docs.append(doc)
+            lists[term_id] = _raw_list(docs, [tf for _, tf in pairs])
+        with tempfile.TemporaryDirectory() as out_dir, \
+                mock.patch.object(output, "_BLOCK_POSTINGS", block_postings), \
+                mock.patch.object(output, "_TABLE_BLOCK_ROWS", table_rows):
+            run = RunWriter(out_dir).write_run(5, lists)
+            with open(run.path, "rb") as fh:
+                data = fh.read()
+        assert data == _parent_run_bytes(5, lists)
+        assert run.byte_size == len(data)
+        assert run.entry_count == sum(1 for plist in lists.values() if plist.doc_ids)
+
+    @pytest.mark.parametrize("bad", [
+        _raw_list([4, 4], [1, 1]), _raw_list([4, 3], [1, 1]), _raw_list([-2], [1]),
+        _raw_list([4, 9], [1, 0]), _raw_list([4], [-3]),
+    ])
+    def test_bad_list_raises_before_any_file_exists(self, tmp_path, bad):
+        lists = {1: _raw_list([7, 9], [1, 2]), 2: bad, 3: _raw_list([0], [1])}
+        with pytest.raises(ValueError):
+            VarByteCodec().encode(bad.postings())
+        with pytest.raises(ValueError):
+            RunWriter(str(tmp_path)).write_run(0, lists)
+        assert os.listdir(tmp_path) == []
+
+    def test_a_later_list_may_start_before_the_previous_one_ends(self, tmp_path):
+        lists = {1: _raw_list([7, 900], [1, 2]), 2: _raw_list([0, 3], [1, 1])}
+        run = RunWriter(str(tmp_path)).write_run(0, lists)
+        assert (run.min_doc, run.max_doc) == (0, 900)
+        with open(run.path, "rb") as fh:
+            assert fh.read() == _parent_run_bytes(0, lists)
+
+    def test_temporaries_do_not_grow_with_the_run(self, tmp_path):
+        """300 k postings: traced peak stays within the run's own bytes
+        (payload, header, the two table columns) plus a fixed budget for one
+        block's temporaries -- whole-run arrays would be tens of MB."""
+        lists = {
+            term_id: _raw_list(range(term_id % 7, 900 + term_id % 7, 3), [1 + term_id % 3] * 300)
+            for term_id in range(1000)
+        }
+        writer = RunWriter(str(tmp_path))
+        tracemalloc.start()
+        try:
+            run = writer.write_run(0, lists)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, lists.values())) == 300_000
+        assert peak <= 2 * run.byte_size + 16 * run.entry_count + (1 << 20)
 
 
 class TestDocRangeMap:

@@ -39,7 +39,6 @@ def _naive_phrase_docs(docs: list[list[str]], phrase: list[str]) -> list[int]:
 
 @settings(
     max_examples=10,
-    deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(docs=documents, phrase=phrases)

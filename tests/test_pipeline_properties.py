@@ -69,7 +69,7 @@ configs = (
 
 
 class TestPipelineInvariants:
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(file_works(), configs)
     def test_accounting_identities(self, works, config):
         r = simulate_pipeline(works, config)
@@ -85,7 +85,7 @@ class TestPipelineInvariants:
         # Disk is exclusive: busy time ≤ wall and ≥ any single read.
         assert r.disk_busy_s <= r.pipeline_s + 1e-9
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     @given(file_works())
     def test_parse_only_never_slower_than_full(self, works):
         cfg = PlatformConfig(num_parsers=4, num_cpu_indexers=2, num_gpus=0)
@@ -94,7 +94,7 @@ class TestPipelineInvariants:
         # Without back-pressure from indexers, parsers finish no later.
         assert parse_only.parser_finish_s <= full.parser_finish_s + 1e-9
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     @given(file_works(), configs)
     def test_full_build_totals(self, works, config):
         b = simulate_full_build(works, config)
@@ -104,7 +104,7 @@ class TestPipelineInvariants:
         )
         assert b.throughput_mbps >= 0
 
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10)
     @given(file_works())
     def test_more_indexers_never_slower(self, works):
         one = simulate_pipeline(works, PlatformConfig(num_cpu_indexers=1, num_gpus=0))

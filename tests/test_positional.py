@@ -55,7 +55,7 @@ class TestPositionalCodec:
         assert get_codec("varbyte-pos").positional
         assert not get_codec("varbyte").positional
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(positional_lists)
     def test_round_trip_random(self, postings):
         codec = VarBytePositionalCodec()

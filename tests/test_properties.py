@@ -44,7 +44,6 @@ class TestConservation:
 
     @settings(
         max_examples=6,
-        deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(

@@ -9,7 +9,7 @@ stream, the stable sort's spans must hold — same collections, same order
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.parsing.parser import Parser
@@ -189,7 +189,6 @@ _WORDS = st.sampled_from([
 _DOCS = st.lists(st.lists(_WORDS, max_size=12).map(" ".join), max_size=8)
 
 
-@settings(deadline=None)
 @given(texts=_DOCS, more=_DOCS, positional=st.booleans(), strip_html=st.booleans())
 def test_parser_equals_the_parent_parser(texts, more, positional, strip_html):
     """Two files through one parser: the caches persist across files.
@@ -216,7 +215,6 @@ def test_parser_equals_the_parent_parser(texts, more, positional, strip_html):
         assert sorted(set(batch.ids.tolist())) == list(range(len(batch.entry_suffix)))
 
 
-@settings(deadline=None)
 @given(texts=_DOCS)
 def test_ablation_parser_equals_the_parent_parser(texts):
     batch, metrics = Parser(strip_html=False, regroup=False).parse_texts(texts)

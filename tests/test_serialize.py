@@ -60,7 +60,7 @@ class TestRoundTrip:
         raw = sum(len(t) for t, _ in d.terms())
         assert nbytes < raw  # front-coding beats storing full strings
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(st.lists(terms, max_size=150))
     def test_round_trip_random(self, tmp_path_factory, words):
         d = Dictionary()

@@ -208,7 +208,7 @@ class TestStores:
 
 
 class TestDeterminism:
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(
         st.lists(st.floats(min_value=0.01, max_value=5.0), min_size=1, max_size=8),
         st.integers(min_value=1, max_value=4),

@@ -14,7 +14,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.parsing.docio import DocTableEntry
@@ -128,7 +128,6 @@ class TestBatchRoundtrip:
         # Compaction is the identity on a parser's own output.
         assert_same_batch(decode_batch(encode_batch(out)), out)
 
-    @settings(deadline=None)
     @given(
         texts=st.lists(st.text(alphabet="abcdeé XYZ<>1", max_size=40), max_size=6),
         positional=st.booleans(),

@@ -57,7 +57,7 @@ class TestContainer:
             fh.write(b"REPROWARC/1\nDOC u://1 2\nhi\n")
         assert read_packed_file(path)[0].text == "hi"
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(
         st.lists(
             st.text(
