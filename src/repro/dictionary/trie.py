@@ -32,8 +32,8 @@ worse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from repro.dictionary.layout import NUM_TRIE_COLLECTIONS, TRIE_HEIGHT, TRIE_TAIL_BASE
 
@@ -52,16 +52,7 @@ class TrieCategory(Enum):
     FULL_PREFIX = "full_prefix"
 
 
-def _is_lower(ch: str) -> bool:
-    return "a" <= ch <= "z"
-
-
-def _is_digit(ch: str) -> bool:
-    return "0" <= ch <= "9"
-
-
-@dataclass(frozen=True)
-class TrieSplit:
+class TrieSplit(NamedTuple):
     """Result of mapping a term through the trie table."""
 
     index: int
@@ -100,14 +91,14 @@ class TrieTable:
             raise ValueError("cannot index an empty term")
         h = self.height
         first = term[0]
-        if _is_digit(first):
-            if all(_is_digit(c) for c in term):
+        if "0" <= first <= "9":
+            if not term.strip(_DIGITS):
                 # Pure number: bucket by first digit, strip it.
                 return TrieSplit(1 + (ord(first) - ord("0")), term[1:], TrieCategory.PURE_NUMBER)
             return TrieSplit(0, term, TrieCategory.SPECIAL)
-        if _is_lower(first):
+        if "a" <= first <= "z":
             head = term[:h]
-            if len(term) <= h or not all(_is_lower(c) for c in head):
+            if len(term) <= h or head.strip(_LOWER):
                 # Short term, or a special character inside the prefix
                 # window: bucket by first letter, strip it.
                 return TrieSplit(

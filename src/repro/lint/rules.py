@@ -22,7 +22,7 @@ LAYOUT_LITERALS = {512, 17613, 17576}  # repro-lint: disable=RPR001 - the rule's
 
 #: Packages under the RPR007 annotation-completeness gate (mirrors the
 #: per-package mypy strictness overrides in pyproject.toml).
-GATED_PACKAGES = ("core", "dictionary", "postings", "robustness")
+GATED_PACKAGES = ("core", "dictionary", "parsing", "postings", "robustness", "search")
 
 #: ``time``-module clocks that RPR008 fences behind ``util/timing.py``.
 CLOCK_FNS = {
@@ -365,7 +365,7 @@ def check_mutable_defaults(sf: SourceFile) -> Iterator[Finding]:
 
 @rule("RPR007", "missing-annotation")
 def check_annotations(sf: SourceFile) -> Iterator[Finding]:
-    """Full signature annotations in core/, dictionary/, postings/, robustness/.
+    """Full signature annotations in the ``GATED_PACKAGES``.
 
     The offline half of the typing gate: the same packages mypy checks
     with ``disallow_untyped_defs`` in CI must carry complete signatures,

@@ -83,7 +83,13 @@ class _TokenCache(dict):  # type: ignore[type-arg]
 
     def __init__(self, parser: "Parser") -> None:
         super().__init__()
-        self._parser = parser
+        # Bound once: the tail runs for every new form of a build.
+        self._too_long = parser.tokenizer.too_long
+        self._stem = parser.stemmer.stem
+        self._is_stop = parser.stop_filter.is_stop
+        self._split = parser.trie.split
+        self._append_cidx = parser._entry_cidx.append
+        self._suffixes = parser._entry_suffix
 
     def __missing__(self, form: str) -> int:
         token = form.lower()
@@ -98,16 +104,15 @@ class _TokenCache(dict):  # type: ignore[type-arg]
         return entry
 
     def _resolve(self, token: str) -> int:
-        p = self._parser
-        if p.tokenizer.too_long(token):
+        if self._too_long(token):
             return _TOO_LONG
-        term = p.stemmer.stem(token)
-        if not term or p.stop_filter.is_stop(term):
+        term = self._stem(token)
+        if not term or self._is_stop(term):
             return _STOP_WORD
-        s = p.trie.split(term)
-        p._entry_cidx.append(s.index)
-        p._entry_suffix.append(s.suffix.encode("utf-8"))
-        return len(p._entry_suffix) - 1
+        index, suffix, _ = self._split(term)
+        self._append_cidx(index)
+        self._suffixes.append(suffix.encode("utf-8"))
+        return len(self._suffixes) - 1
 
 
 class Parser:
@@ -152,11 +157,11 @@ class Parser:
         self.lane_override: str | None = None
         if positional and not regroup:
             raise ValueError("positional parsing requires regrouping")
-        self._token_cache = _TokenCache(self)
         #: Entry id → collection index / suffix bytes, for every form this
         #: parser has resolved; a batch carries the rows it uses.
         self._entry_cidx = array("i")
         self._entry_suffix: list[bytes] = []
+        self._token_cache = _TokenCache(self)
 
     # ------------------------------------------------------------------ #
 

@@ -8,77 +8,124 @@ checks verbatim.
 
 The measure ``m`` of a word counts vowel-consonant sequences ``[C](VC)^m[V]``
 where a letter is a vowel if it is ``aeiou`` or a ``y`` preceded by a
-consonant.  Conditions used by the rules:
+consonant; every other character, ``a``–``z`` or not, is a consonant.  The
+stemmer computes all of it on the word's *pattern*: one ``c`` / ``v`` per
+character, built with one ``str.translate`` and a left-to-right pass over
+its ``y`` letters.  Stripping a suffix strips the same tail of the pattern (a
+letter's class depends only on the letters before it), so the pattern is
+rebuilt only where the algorithm appends letters.  On the pattern ``p``,
+for a stem of length ``k``:
 
-- ``*v*`` — the stem contains a vowel;
-- ``*d`` — the stem ends with a double consonant;
-- ``*o`` — the stem ends consonant-vowel-consonant where the final
-  consonant is not ``w``, ``x`` or ``y``.
+- ``m`` is ``p.count("vc", 0, k)``;
+- ``*v*`` (the stem contains a vowel) is ``"v" in p[:k]``;
+- ``*d`` (ends with a double consonant) is ``w[k-1] == w[k-2]`` and
+  ``p[k-1] == "c"``;
+- ``*o`` (ends consonant-vowel-consonant, the last not ``w``, ``x`` or
+  ``y``) is ``p[:k].endswith("cvc")`` plus that check on ``w[k-1]``.
+
+Steps 2, 3 and 4 first test the word against all of their suffixes with one
+``str.endswith``; only a word that ends in one of them walks the rule list.
+The walk is in the published order and stops at the first rule whose suffix
+matches, fired or not: the order is part of the algorithm (``ization`` must
+be tried before ``ation``, ``ement`` before ``ment`` before ``ent``).
 
 Because token streams are Zipf-distributed, :class:`PorterStemmer` memoizes
-aggressively; the cache is the reason the pure-Python parser keeps up with
-the pipeline at mini-corpus scale (see the calibration notes in DESIGN.md).
+every word; ``misses`` counts the words stemmed through the algorithm,
+which the parser reports as ``stem_cache_misses`` to the cost model.
 """
 
 from __future__ import annotations
 
 __all__ = ["PorterStemmer", "stem"]
 
-_VOWELS = frozenset("aeiou")
+
+class _ClassTable(dict[int, str]):
+    """``str.translate`` table onto the pattern alphabet: ``aeiou`` → ``v``,
+    ``y`` → ``y`` (resolved by :func:`_pattern`), anything else → ``c``.
+    The ASCII range is stored, so only non-ASCII characters reach
+    ``__missing__``."""
+
+    def __missing__(self, key: int) -> str:
+        return "c"
 
 
-def _is_consonant(word: str, i: int) -> bool:
-    ch = word[i]
-    if ch in _VOWELS:
-        return False
-    if ch == "y":
-        return i == 0 or not _is_consonant(word, i - 1)
-    return True
+_CLASSES = _ClassTable({o: "v" if chr(o) in "aeiou" else "c" for o in range(128)})
+_CLASSES[ord("y")] = "y"
 
 
-def _measure(stem_: str) -> int:
-    """The Porter measure m: number of VC sequences."""
-    m = 0
-    i = 0
-    n = len(stem_)
-    # Skip initial consonants [C].
-    while i < n and _is_consonant(stem_, i):
-        i += 1
-    while i < n:
-        # Vowel run.
-        while i < n and not _is_consonant(stem_, i):
-            i += 1
-        if i >= n:
+def _pattern(word: str) -> str:
+    """``word``'s consonant/vowel pattern (see the module docstring)."""
+    p = word.translate(_CLASSES)
+    i = p.find("y")
+    while i != -1:
+        # A ``y`` after a consonant is a vowel; first, or after a vowel, it
+        # is a consonant.  ``p[i - 1]`` is already resolved.
+        p = p[:i] + ("v" if i and p[i - 1] == "c" else "c") + p[i + 1 :]
+        i = p.find("y", i + 1)
+    return p
+
+
+def _rules(pairs: tuple[tuple[str, str], ...]) -> tuple[tuple[str, str, str], ...]:
+    """``(suffix, replacement, replacement's pattern)``: no replacement has
+    a ``y``, so its pattern does not depend on the stem before it."""
+    return tuple((suffix, repl, _pattern(repl)) for suffix, repl in pairs)
+
+
+_STEP2_RULES = _rules((
+    ("ational", "ate"),
+    ("tional", "tion"),
+    ("enci", "ence"),
+    ("anci", "ance"),
+    ("izer", "ize"),
+    ("abli", "able"),
+    ("alli", "al"),
+    ("entli", "ent"),
+    ("eli", "e"),
+    ("ousli", "ous"),
+    ("ization", "ize"),
+    ("ation", "ate"),
+    ("ator", "ate"),
+    ("alism", "al"),
+    ("iveness", "ive"),
+    ("fulness", "ful"),
+    ("ousness", "ous"),
+    ("aliti", "al"),
+    ("iviti", "ive"),
+    ("biliti", "ble"),
+))
+
+_STEP3_RULES = _rules((
+    ("icate", "ic"),
+    ("ative", ""),
+    ("alize", "al"),
+    ("iciti", "ic"),
+    ("ical", "ic"),
+    ("ful", ""),
+    ("ness", ""),
+))
+
+_STEP4_SUFFIXES = (
+    "al", "ance", "ence", "er", "ic", "able", "ible", "ant",
+    "ement", "ment", "ent", "ion", "ou", "ism", "ate", "iti",
+    "ous", "ive", "ize",
+)
+
+_STEP2_ENDINGS = tuple(rule[0] for rule in _STEP2_RULES)
+_STEP3_ENDINGS = tuple(rule[0] for rule in _STEP3_RULES)
+
+
+def _replace_first(
+    w: str, p: str, rules: tuple[tuple[str, str, str], ...]
+) -> tuple[str, str]:
+    """Steps 2 and 3: the first rule whose suffix ``w`` ends with fires if
+    the stem before it has ``m > 0``; no later rule is tried either way."""
+    for suffix, repl, repl_pattern in rules:
+        if w.endswith(suffix):
+            k = len(w) - len(suffix)
+            if p.count("vc", 0, k):
+                return w[:k] + repl, p[:k] + repl_pattern
             break
-        m += 1
-        # Consonant run.
-        while i < n and _is_consonant(stem_, i):
-            i += 1
-    return m
-
-
-def _contains_vowel(stem_: str) -> bool:
-    return any(not _is_consonant(stem_, i) for i in range(len(stem_)))
-
-
-def _ends_double_consonant(word: str) -> bool:
-    return (
-        len(word) >= 2
-        and word[-1] == word[-2]
-        and _is_consonant(word, len(word) - 1)
-    )
-
-
-def _ends_cvc(word: str) -> bool:
-    if len(word) < 3:
-        return False
-    if not (
-        _is_consonant(word, len(word) - 3)
-        and not _is_consonant(word, len(word) - 2)
-        and _is_consonant(word, len(word) - 1)
-    ):
-        return False
-    return word[-1] not in "wxy"
+    return w, p
 
 
 class PorterStemmer:
@@ -103,149 +150,65 @@ class PorterStemmer:
 
     __call__ = stem
 
-    # ------------------------------------------------------------------ #
-    # The algorithm proper
-    # ------------------------------------------------------------------ #
-
-    def _stem_uncached(self, word: str) -> str:
+    @staticmethod
+    def _stem_uncached(word: str) -> str:
+        """The five steps over ``(w, p)``: the word and its pattern."""
         if len(word) <= 2:
             return word
-        word = self._step1a(word)
-        word = self._step1b(word)
-        word = self._step1c(word)
-        word = self._step2(word)
-        word = self._step3(word)
-        word = self._step4(word)
-        word = self._step5a(word)
-        word = self._step5b(word)
-        return word
+        w, p = word, _pattern(word)
 
-    @staticmethod
-    def _step1a(w: str) -> str:
-        if w.endswith("sses"):
-            return w[:-2]
-        if w.endswith("ies"):
-            return w[:-2]
-        if w.endswith("ss"):
-            return w
-        if w.endswith("s"):
-            return w[:-1]
-        return w
+        # Step 1a: sses → ss, ies → i, ss → ss, s → "".
+        if w[-1] == "s":
+            if w.endswith(("sses", "ies")):
+                w, p = w[:-2], p[:-2]
+            elif w[-2] != "s":
+                w, p = w[:-1], p[:-1]
 
-    @staticmethod
-    def _step1b(w: str) -> str:
+        # Step 1b: (m>0) eed → ee; (*v*) ed → "", (*v*) ing → "", then
+        # at / bl / iz → +e, *d (not l, s, z) → single letter, m=1 and *o → +e.
         if w.endswith("eed"):
-            if _measure(w[:-3]) > 0:
-                return w[:-1]
-            return w
-        flag = False
-        if w.endswith("ed") and _contains_vowel(w[:-2]):
-            w = w[:-2]
-            flag = True
-        elif w.endswith("ing") and _contains_vowel(w[:-3]):
-            w = w[:-3]
-            flag = True
-        if flag:
-            if w.endswith(("at", "bl", "iz")):
-                return w + "e"
-            if _ends_double_consonant(w) and not w.endswith(("l", "s", "z")):
-                return w[:-1]
-            if _measure(w) == 1 and _ends_cvc(w):
-                return w + "e"
-        return w
+            if p.count("vc", 0, len(w) - 3):
+                w, p = w[:-1], p[:-1]
+        elif w.endswith(("ed", "ing")):
+            k = len(w) - (2 if w[-1] == "d" else 3)
+            if "v" in p[:k]:
+                w, p = w[:k], p[:k]
+                if w.endswith(("at", "bl", "iz")):
+                    w, p = w + "e", p + "v"
+                elif k >= 2 and w[-1] == w[-2] and p[-1] == "c" and w[-1] not in "lsz":
+                    w, p = w[:-1], p[:-1]
+                elif p.count("vc") == 1 and p.endswith("cvc") and w[-1] not in "wxy":
+                    w, p = w + "e", p + "v"
 
-    @staticmethod
-    def _step1c(w: str) -> str:
-        if w.endswith("y") and _contains_vowel(w[:-1]):
-            return w[:-1] + "i"
-        return w
+        # Step 1c: (*v*) y → i.
+        if w.endswith("y") and "v" in p[:-1]:
+            w, p = w[:-1] + "i", p[:-1] + "v"
 
-    _STEP2_RULES = (
-        ("ational", "ate"),
-        ("tional", "tion"),
-        ("enci", "ence"),
-        ("anci", "ance"),
-        ("izer", "ize"),
-        ("abli", "able"),
-        ("alli", "al"),
-        ("entli", "ent"),
-        ("eli", "e"),
-        ("ousli", "ous"),
-        ("ization", "ize"),
-        ("ation", "ate"),
-        ("ator", "ate"),
-        ("alism", "al"),
-        ("iveness", "ive"),
-        ("fulness", "ful"),
-        ("ousness", "ous"),
-        ("aliti", "al"),
-        ("iviti", "ive"),
-        ("biliti", "ble"),
-    )
+        # Step 2 (m>0) and step 3 (m>0): one suffix replaced each.
+        if w.endswith(_STEP2_ENDINGS):
+            w, p = _replace_first(w, p, _STEP2_RULES)
+        if w.endswith(_STEP3_ENDINGS):
+            w, p = _replace_first(w, p, _STEP3_RULES)
 
-    @classmethod
-    def _step2(cls, w: str) -> str:
-        for suffix, replacement in cls._STEP2_RULES:
-            if w.endswith(suffix):
-                stem_ = w[: -len(suffix)]
-                if _measure(stem_) > 0:
-                    return stem_ + replacement
-                return w
-        return w
+        # Step 4 (m>1): one suffix removed; ion only after s or t.
+        if w.endswith(_STEP4_SUFFIXES):
+            for suffix in _STEP4_SUFFIXES:
+                if w.endswith(suffix):
+                    k = len(w) - len(suffix)
+                    if p.count("vc", 0, k) > 1 and (suffix != "ion" or w[k - 1] in "st"):
+                        w, p = w[:k], p[:k]
+                    break
 
-    _STEP3_RULES = (
-        ("icate", "ic"),
-        ("ative", ""),
-        ("alize", "al"),
-        ("iciti", "ic"),
-        ("ical", "ic"),
-        ("ful", ""),
-        ("ness", ""),
-    )
-
-    @classmethod
-    def _step3(cls, w: str) -> str:
-        for suffix, replacement in cls._STEP3_RULES:
-            if w.endswith(suffix):
-                stem_ = w[: -len(suffix)]
-                if _measure(stem_) > 0:
-                    return stem_ + replacement
-                return w
-        return w
-
-    _STEP4_SUFFIXES = (
-        "al", "ance", "ence", "er", "ic", "able", "ible", "ant",
-        "ement", "ment", "ent", "ion", "ou", "ism", "ate", "iti",
-        "ous", "ive", "ize",
-    )
-
-    @classmethod
-    def _step4(cls, w: str) -> str:
-        for suffix in cls._STEP4_SUFFIXES:
-            if w.endswith(suffix):
-                stem_ = w[: -len(suffix)]
-                if _measure(stem_) > 1:
-                    if suffix == "ion" and not stem_.endswith(("s", "t")):
-                        return w
-                    return stem_
-                return w
-        return w
-
-    @staticmethod
-    def _step5a(w: str) -> str:
+        # Step 5a: (m>1) e → "", (m=1 and not *o) e → "".
         if w.endswith("e"):
-            stem_ = w[:-1]
-            m = _measure(stem_)
-            if m > 1:
-                return stem_
-            if m == 1 and not _ends_cvc(stem_):
-                return stem_
-        return w
+            k = len(w) - 1
+            m = p.count("vc", 0, k)
+            if m > 1 or (m == 1 and not (p.endswith("cvc", 0, k) and w[k - 1] not in "wxy")):
+                w, p = w[:k], p[:k]
 
-    @staticmethod
-    def _step5b(w: str) -> str:
-        if _measure(w) > 1 and _ends_double_consonant(w) and w.endswith("l"):
-            return w[:-1]
+        # Step 5b: (m>1 and *d and *l) → single letter.
+        if w.endswith("ll") and p.count("vc") > 1:
+            w = w[:-1]
         return w
 
 

@@ -12,8 +12,8 @@ a small but complete query layer on top:
   comparison with Ivory's positional postings motivates.
 
 Query terms go through exactly the indexing pipeline's normalization
-(lower-case → Porter stem → stop-word filter), so a query matches what the
-index stores.
+(lower-case → byte-length limit → Porter stem → stop-word filter), so a
+query matches what the index stores.
 """
 
 from repro.search.query import QueryResult, SearchEngine, normalize_query

@@ -10,25 +10,32 @@ from dataclasses import dataclass
 
 from repro.parsing.porter import PorterStemmer
 from repro.parsing.stopwords import StopWordFilter
+from repro.parsing.tokenizer import Tokenizer
 from repro.postings.reader import PostingsReader
 
 __all__ = ["SearchEngine", "QueryResult", "normalize_query"]
 
 _stemmer = PorterStemmer()
 _stop = StopWordFilter()
+_too_long = Tokenizer().too_long
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
 
 
 def normalize_query(query: str, keep_stop_words: bool = False) -> list[str]:
     """Apply the indexing pipeline's normalization to a query string.
 
-    Lower-case, split on non-alphanumerics, Porter-stem, drop stop words
-    (phrase queries keep them: positions in the index already skipped
-    them, so phrase matching must too — see
-    :meth:`SearchEngine.phrase`).
+    Split on non-alphanumerics, then per token in the parser's order:
+    lower-case, drop it if over the tokenizer's byte limit (the parser
+    drops it before positions are assigned, so the index never holds
+    it), Porter-stem, drop stop words unless ``keep_stop_words``
+    (:meth:`SearchEngine.phrase` drops them too: positions in the index
+    already skipped them).
     """
     terms = []
-    for token in _TOKEN.findall(query.lower()):
+    for form in _TOKEN.findall(query):
+        token = form.lower()
+        if _too_long(token):
+            continue
         term = _stemmer.stem(token)
         if not term:
             continue

@@ -55,6 +55,34 @@ class TestNormalize:
         assert normalize_query("the of and") == []
 
 
+class TestOverlongTokens:
+    """A token over the tokenizer's byte limit never reaches the index, so a
+    query ignores it instead of asking for a term that cannot exist."""
+
+    LONG = "q" * 70
+
+    def test_normalize_drops_what_the_parser_drops(self):
+        from repro.parsing.parser import Parser
+
+        assert normalize_query("apple " + self.LONG) == ["appl"]
+        # The limit is in UTF-8 bytes: 32 two-byte letters fit, 33 do not.
+        for query in ["apple " + self.LONG, "x" * 64, "x" * 65, "é" * 32, "é" * 33,
+                      "Straße " + "É" * 40 + " parsers"]:
+            _, metrics = Parser(strip_html=False).parse_texts([query])
+            assert len(normalize_query(query)) == metrics.tokens_emitted, query
+
+    def test_boolean_and(self, handmade_index):
+        assert handmade_index.boolean_and("parallel indexing " + self.LONG) == [0, 1, 4]
+
+    def test_ranked(self, handmade_index):
+        assert handmade_index.ranked("parallel " + self.LONG + " indexing", k=5) == (
+            handmade_index.ranked("parallel indexing", k=5))
+
+    def test_phrase(self, handmade_index):
+        # Skipped before positions were assigned, like a stop word.
+        assert handmade_index.phrase("parallel " + self.LONG + " indexing") == [0, 4]
+
+
 class TestBoolean:
     def test_and(self, handmade_index):
         assert handmade_index.boolean_and("parallel indexing") == [0, 1, 4]
