@@ -27,8 +27,9 @@ chaos:
 chaos-mp:
 	pytest tests/test_chaos_mp.py tests/test_supervise.py -v
 
-# Paper-invariant lint pack + race analyzer + interprocedural layer +
-# typing gate + protocol model checker (docs/STATIC_ANALYSIS.md).
+# Paper-invariant lint pack + race analyzer + protocol conformance
+# rules and model checker + typing gate (docs/STATIC_ANALYSIS.md); every
+# rule is per file, so the incremental cache re-lints only edited files.
 # mypy runs when installed (dev extra).  The second pass holds
 # benchmarks/ to the RPR008 clock fence: bench timing flows through
 # util/timing.py.

@@ -25,7 +25,8 @@ Commands mirror the library's workflow:
 - ``simulate`` — the paper-scale pipeline simulation (Tables IV/VI
   numbers without touching a terabyte);
 - ``lint`` — the paper-invariant static-analysis pack
-  (docs/STATIC_ANALYSIS.md): AST rules, race analyzer, typing gate;
+  (docs/STATIC_ANALYSIS.md): AST rules, race analyzer, protocol
+  conformance, typing gate;
 - ``profile`` — report on a ``run.profile.json`` written by ``build
   --profile`` (per-lane summary + top-N self/cumulative table);
   ``--diff A B`` ranks regressed/improved functions between
@@ -90,9 +91,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     stats.add_argument(
         "--fail-on-regress", type=float, default=None, metavar="PCT",
-        help="with --diff: exit 1 when a stage timing or pipeline.* "
-             "stall counter worsens by more than PCT percent (timings "
-             "must also clear a 10 ms noise floor)",
+        help="with --diff: exit 1 when a timing worsens by more than "
+             "PCT percent and by more than a 10 ms noise floor",
     )
 
     build = sub.add_parser("build", help="build inverted files")

@@ -366,8 +366,6 @@ class _Build:
             run_tags["run"] = run_id
             run_tags["postings"] = run_postings
             run_tags["bytes"] = run_file.byte_size
-            run_tags["cp"] = f"flush:{run_id}"
-            run_tags["cp_from"] = f"drain:{k}"
         metrics.count("runs.written")
         metrics.count("postings.entries", run_postings)
         metrics.count(f"postings.bytes.{cfg.codec}", run_file.byte_size)
@@ -376,10 +374,7 @@ class _Build:
         # Durability order: run file → manifest append → checkpoint
         # append.  A crash at any point leaves a resumable directory
         # (see repro.robustness.checkpoint).
-        with self.tel.tracer.span(
-            "checkpoint", cat="robustness", run=run_id,
-            cp=f"checkpoint:{run_id}", cp_from=f"flush:{run_id}",
-        ):
+        with self.tel.tracer.span("checkpoint", cat="robustness", run=run_id):
             self.manifest.append_run(
                 RunRecord(
                     run_id=run_id,
@@ -512,9 +507,7 @@ class _Build:
 
         if ahead is None:
             for k in indices:
-                with watch.measure("parse"), tracer.span(
-                    "parse", cat="parse", file=k, cp=f"parse:{k}"
-                ):
+                with watch.measure("parse"), tracer.span("parse", cat="parse", file=k):
                     result = self.parse_file_inline(k)
                 self._merge_outcome(result[2])
                 yield (k, *result)
@@ -529,8 +522,7 @@ class _Build:
                 # The look-ahead traces its own "parse_file" spans on
                 # its own lanes; the engine lane records only the wait.
                 with watch.measure("parse"), tracer.span(
-                    "parse.wait", cat="parse", file=k,
-                    cp=f"collect:{k}", cp_from=f"parse:{k}",
+                    "parse.wait", cat="parse", file=k
                 ):
                     result = ahead.collect(k)
                 self._merge_outcome(result[2])

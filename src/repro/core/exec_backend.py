@@ -168,7 +168,6 @@ class SerialBackend:
                 with h.watch.measure("index"), h.tel.tracer.span(
                     "index", cat="index", file=k,
                     docs=batch.num_docs, tokens=batch.total_tokens,
-                    cp=f"index:{k}", cp_from=f"parse:{k}",
                 ):
                     pop_work, unpop_work = h.index_batch(batch, next_offset)
                 h.record_file(k, parsed, outcome, pop_work, unpop_work)

@@ -91,9 +91,7 @@ class CPUIndexer(BaseIndexer):
         checkpoint, and a tracer (with its lock) must never ride along.
         """
         with obs.tracer().span(
-            "index_batch", cat="index", lane=self.lane,
-            file=batch.sequence,
-            cp=f"index:{batch.sequence}", cp_from=f"dequeue:{batch.sequence}",
+            "index_batch", cat="index", lane=self.lane, file=batch.sequence,
         ) as tags:
             if batch.regrouped:
                 rows = self._owned_rows(batch)

@@ -147,9 +147,7 @@ class GPUIndexer(BaseIndexer):
                 "block processes one trie collection at a time"
             )
         with obs.tracer().span(
-            "index_batch", cat="index", lane=self.lane,
-            file=batch.sequence,
-            cp=f"index:{batch.sequence}", cp_from=f"dequeue:{batch.sequence}",
+            "index_batch", cat="index", lane=self.lane, file=batch.sequence,
         ) as tags:
             out = self._index_batch_traced(batch, doc_offset)
             tags["tokens"] = out.report.tokens

@@ -1,5 +1,11 @@
 """``repro lint`` — command-line driver for the static-analysis pack.
 
+Runs the per-file rules (paper invariants, races, protocol conformance,
+RPR007) through the incremental cache, then the whole-run passes that
+only make sense without ``--select``: the race allowlist's staleness
+check (RPR103) and mypy.  ``--protocol`` adds the ring / segment model
+check.
+
 Also runnable directly as ``python -m repro.lint.cli``; the ``repro``
 CLI's ``lint`` subcommand forwards here.  Exit codes: 0 clean, 1 findings
 (or parse errors), 2 usage errors.
@@ -11,8 +17,8 @@ import argparse
 import sys
 from typing import Sequence
 
-# Importing rules/races/interproc/protocol registers every rule.
-from repro.lint import interproc, protocol, races, rules  # noqa: F401
+# Importing rules/races/protocol registers every rule.
+from repro.lint import protocol, races, rules  # noqa: F401
 from repro.lint.framework import (
     LintCache,
     format_json,
@@ -157,7 +163,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Parse ``argv`` and run the linter; returns the exit code."""
     parser = argparse.ArgumentParser(
         prog="repro lint",
-        description="paper-invariant lint pack, race analyzer, typing gate",
+        description="paper-invariant lint pack, race analyzer, protocol "
+                    "conformance, typing gate",
     )
     add_lint_arguments(parser)
     return run(parser.parse_args(argv))

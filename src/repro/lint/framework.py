@@ -28,7 +28,6 @@ __all__ = [
     "SourceFile",
     "LintCache",
     "rule",
-    "register_project_builder",
     "registered_rules",
     "lint_paths",
     "format_text",
@@ -67,48 +66,27 @@ class Finding:
 
 @dataclass(frozen=True)
 class Rule:
-    """A registered check.
-
-    ``scope`` is ``"file"`` for rules that only look at one file, or
-    ``"project"`` for rules whose verdict on a file depends on *other*
-    files in the run (the interprocedural analyses).  The cache stores
-    the two finding sets separately: file-scope findings survive as long
-    as the file's content hash does, project-scope findings only as long
-    as the whole tree's hash does.
-    """
+    """A registered check; its verdict on a file depends on that file alone."""
 
     code: str
     name: str
     check: Callable[["SourceFile"], Iterable[Finding]]
     description: str
-    scope: str = "file"
 
 
 _REGISTRY: dict[str, Rule] = {}
 
-#: Hooks run once per lint invocation, before any project-scope rule,
-#: with every parsed file of the run — this is how the interprocedural
-#: layer builds its cross-module model without the framework importing it.
-_PROJECT_BUILDERS: list[Callable[[list["SourceFile"]], None]] = []
 
-
-def rule(code: str, name: str, scope: str = "file") -> Callable[[Callable[["SourceFile"], Iterable[Finding]]], Callable[["SourceFile"], Iterable[Finding]]]:
+def rule(code: str, name: str) -> Callable[[Callable[["SourceFile"], Iterable[Finding]]], Callable[["SourceFile"], Iterable[Finding]]]:
     """Register ``check`` under ``code``; the docstring is the description."""
-    if scope not in ("file", "project"):
-        raise ValueError(f"bad rule scope {scope!r}")
 
     def decorate(check: Callable[["SourceFile"], Iterable[Finding]]) -> Callable[["SourceFile"], Iterable[Finding]]:
         if code in _REGISTRY:
             raise ValueError(f"duplicate lint rule code {code}")
-        _REGISTRY[code] = Rule(code, name, check, (check.__doc__ or "").strip(), scope)
+        _REGISTRY[code] = Rule(code, name, check, (check.__doc__ or "").strip())
         return check
 
     return decorate
-
-
-def register_project_builder(builder: Callable[[list["SourceFile"]], None]) -> None:
-    """Register a once-per-run hook fed every parsed file (see above)."""
-    _PROJECT_BUILDERS.append(builder)
 
 
 def registered_rules() -> dict[str, Rule]:
@@ -234,7 +212,7 @@ class LintRun:
 # Incremental cache
 # ---------------------------------------------------------------------- #
 
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
 
 
 class LintCache:
@@ -242,12 +220,9 @@ class LintCache:
 
     An entry is valid when the *salt* (lint-package sources, allowlist
     content, selected codes) and the file's content hash both match;
-    file-scope findings and facts are then reused without parsing.  The
-    entry additionally remembers the whole run's *tree hash* — the hash
-    of every ``(path, content-hash)`` pair — and project-scope findings
-    are reused only while that matches, since an interprocedural verdict
-    on an unchanged file can change when a *different* file changes.  On
-    a fully unchanged tree nothing is parsed at all.
+    its findings and facts are then reused without parsing.  Every rule
+    judges a file by its own content, so an edit re-lints only the
+    edited file.
     """
 
     DEFAULT_DIR = ".repro-lint-cache"
@@ -320,90 +295,48 @@ def lint_paths(
     unknown = [c for c in codes if c not in _REGISTRY]
     if unknown:
         raise KeyError(f"unknown lint rule code(s): {', '.join(unknown)}")
-    file_codes = [c for c in codes if _REGISTRY[c].scope == "file"]
-    project_codes = [c for c in codes if _REGISTRY[c].scope == "project"]
     run = LintRun()
+    salt = cache.salt(codes) if cache is not None else ""
 
-    # Phase 1: read + hash everything (the tree hash needs all of it).
-    contents: list[tuple[str, str, str]] = []  # (path, text, content_sha)
-    tree = hashlib.sha256()
     for path in iter_python_files(paths):
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
         sha = hashlib.sha256(text.encode()).hexdigest()
-        contents.append((path, text, sha))
-        tree.update(path.replace(os.sep, "/").encode())
-        tree.update(sha.encode())
-    tree_sha = tree.hexdigest()
-    salt = cache.salt(codes) if cache is not None else ""
-
-    def _apply(sf: SourceFile, rule_codes: list[str]) -> list[Finding]:
-        found: list[Finding] = []
-        for code in rule_codes:
-            for finding in _REGISTRY[code].check(sf):
-                if not sf.suppressed(finding.code, finding.line):
-                    found.append(finding)
-        return found
-
-    # Phase 2: serve what we can from the cache; parse the rest.
-    parsed: list[tuple[SourceFile, str, dict | None]] = []
-    for path, text, sha in contents:
         norm = path.replace(os.sep, "/")
         entry = cache.load(salt, path, sha) if cache is not None else None
-        if entry is not None and (
-            not project_codes or entry.get("tree_sha") == tree_sha
-        ):
+        if entry is not None:
             run.cache_hits += 1
-            run.files_checked += 1
-            run.files.append(norm)
-            run.findings.extend(_findings_from_json(entry["local"]))
-            run.findings.extend(_findings_from_json(entry.get("project", [])))
-            for kind, values in entry.get("facts", {}).items():
-                run.facts.setdefault(kind, []).extend(values)
-            continue
-        try:
-            sf = SourceFile(path, text)
-        except (SyntaxError, UnicodeDecodeError, ValueError) as exc:
-            run.parse_errors += 1
-            lineno = getattr(exc, "lineno", None) or 1
-            run.findings.append(
-                Finding("RPR000", norm, lineno, 1, f"cannot parse: {exc}")
-            )
-            continue
-        run.cache_misses += 1
+            findings = _findings_from_json(entry["findings"])
+            facts: dict[str, list[str]] = entry["facts"]
+        else:
+            try:
+                sf = SourceFile(path, text)
+            except (SyntaxError, UnicodeDecodeError, ValueError) as exc:
+                run.parse_errors += 1
+                lineno = getattr(exc, "lineno", None) or 1
+                run.findings.append(
+                    Finding("RPR000", norm, lineno, 1, f"cannot parse: {exc}")
+                )
+                continue
+            run.cache_misses += 1
+            findings = [
+                finding
+                for code in codes
+                for finding in _REGISTRY[code].check(sf)
+                if not sf.suppressed(finding.code, finding.line)
+            ]
+            facts = sf.facts
+            if cache is not None:
+                cache.store(salt, path, {
+                    "content_sha": sha,
+                    "findings": _findings_to_json(findings),
+                    "facts": facts,
+                })
         run.files_checked += 1
         run.files.append(norm)
-        parsed.append((sf, sha, entry))
-
-    # Phase 3: file-scope rules (reusing content-valid entries), then the
-    # project model over every parsed file, then project-scope rules.
-    results: list[tuple[SourceFile, str, list[Finding], list[Finding]]] = []
-    for sf, sha, entry in parsed:
-        if entry is not None:
-            local = _findings_from_json(entry["local"])
-            for kind, values in entry.get("facts", {}).items():
-                sf.facts.setdefault(kind, []).extend(values)
-        else:
-            local = _apply(sf, file_codes)
-        results.append((sf, sha, local, []))
-    if project_codes and parsed:
-        for builder in _PROJECT_BUILDERS:
-            builder([sf for sf, _, _ in parsed])
-    for i, (sf, sha, local, _) in enumerate(results):
-        project = _apply(sf, project_codes) if project_codes else []
-        results[i] = (sf, sha, local, project)
-        run.findings.extend(local)
-        run.findings.extend(project)
-        for kind, values in sf.facts.items():
+        run.findings.extend(findings)
+        for kind, values in facts.items():
             run.facts.setdefault(kind, []).extend(values)
-        if cache is not None:
-            cache.store(salt, sf.path, {
-                "content_sha": sha,
-                "tree_sha": tree_sha,
-                "local": _findings_to_json(local),
-                "project": _findings_to_json(project),
-                "facts": sf.facts,
-            })
 
     run.files.sort()
     run.findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))

@@ -1,14 +1,14 @@
-"""Cross-process critical-path analysis with blame and what-if projection.
+"""Critical-path analysis of a build's trace, with blame and what-if projection.
 
-The profiler (PR 8) ranks hot functions; this module answers the
-*causal* question: which chain of cross-process events bounds
-wall-clock, which **resource** each link is waiting on, and what buying
-a resource down would be worth before anyone builds the optimization.
+The profiler ranks hot functions; this module answers the *causal*
+question: which chain of events bounds wall-clock, which **resource**
+each link is waiting on, and what buying a resource down would be worth
+before anyone builds the optimization.
 
-Ingestion is post-hoc: ``trace.json`` (the span timeline, with worker
-lanes re-based onto the engine clock by ``Tracer.absorb``).  No new
-clocks are read — everything derives from the recorded artifact, so the
-analysis is repeatable from it alone.
+Ingestion is post-hoc: ``trace.json`` (the span timeline, with the parse
+worker's lane re-based onto the engine clock by ``Tracer.absorb``).  No
+new clocks are read — everything derives from the recorded artifact, so
+the analysis is repeatable from it alone.
 
 The causal model
 ----------------
@@ -17,24 +17,24 @@ collected and indexed *on the engine lane in file order* (the ordering
 contract that makes the backends byte-identical), so the critical path
 necessarily threads through the engine lane's chain of spans::
 
-    sampling → [parse/parse.wait → index]* → write_run/checkpoint
+    sampling → [parse | parse.wait → index]* → write_run/checkpoint
     → dict.combine/dict.write
 
-(``pipeline.dispatch`` / ``pipeline.wait`` links, which builds before
-PR 23 recorded, are still understood.)  Cross-process causality enters
-when a chain link is a *wait*: the engine's ``parse.wait`` interval is
-refined against the look-ahead lanes' compute spans (``parse_file`` on
-the ``parser-*`` lanes — the file-parse → collect happens-before edge
-carried by the spans' ``cp``/``cp_from`` attributes):
+Each link is a node named here and only here, from the span's name and
+its ``file`` or ``run`` argument (``index:3``, ``write_run:run0``; a
+once-per-build span such as ``dict.write`` is its bare name).  Causality
+from another lane enters at the one wait link: the engine's
+``parse.wait`` interval is refined against the look-ahead lanes'
+``parse_file`` compute spans (the multiprocess backend's parse worker,
+or the serial loop's ``parse_prefetch`` threads):
 
 - wait time overlapping a ``supervisor.recover`` span is **supervisor**
   (restart/replay edges);
-- wait time while some worker lane runs genuine parse/index compute is
-  blamed on that compute (**parse** / **index**) — the engine was
-  causally bound by work serial mode would also pay for;
+- wait time while a look-ahead lane runs ``parse_file`` is **parse** —
+  the engine was causally bound by work serial mode would also pay for;
 - the remainder — the engine blocked with *no* concurrent compute — is
   pure transport: **ring-wait** under the multiprocess backend (worker
-  start-up, the encoded file crossing the process boundary, scheduling;
+  start-up, the parsed file crossing the process boundary, scheduling;
   the name dates from the ring transport and is part of the artifact
   schema), **stall** (the serial loop waiting on its ``parse_prefetch``
   pool) otherwise.
@@ -42,7 +42,8 @@ carried by the spans' ``cp``/``cp_from`` attributes):
 That remainder definition is what makes the flagship what-if honest:
 ``ring-wait → 0`` projects the build onto its serial-equivalent cost,
 so the prediction is directly checkable against a measured ``--exec
-serial`` vs ``--exec multiprocess`` gap (the CI demo asserts ±25%).
+serial`` vs ``--exec multiprocess`` gap (the CI profile job prints both
+walls).
 
 What-if projection scales each edge's seconds by its resource's factor
 and recomputes the path length, floored by the busiest worker lane's
@@ -56,11 +57,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
-from repro.obs.critpath_schema import (
-    CRITPATH_FILENAME,
-    CRITPATH_RESOURCES,
-    CRITPATH_SCHEMA_VERSION,
-)
+from repro.obs.critpath_schema import CRITPATH_RESOURCES, CRITPATH_SCHEMA_VERSION
 from repro.obs.schema import TRACE_FILENAME
 from repro.obs.stats import spans_from_chrome
 from repro.obs.trace import Span, load_chrome_trace
@@ -87,7 +84,6 @@ __all__ = [
 #: spans; everything else on the engine lane is a gap ("engine" blame).
 _CHAIN_NAMES = frozenset({
     "sampling", "parse", "parse.wait", "index",
-    "pipeline.dispatch", "pipeline.wait",
     "write_run", "checkpoint",
     "dict.combine", "dict.write", "simulate",
 })
@@ -237,24 +233,15 @@ class CriticalPath:
 # ---------------------------------------------------------------------- #
 
 
-def _node_id(span: Span, kind: str) -> str:
-    """A stable causal-point id for a chain span.
-
-    Spans instrumented with explicit edge ids (the ``cp`` attribute
-    wired through engine/exec_backend/mp_backend) use
-    them verbatim; older traces fall back to name+file synthesis so the
-    analyzer keeps working on pre-instrumentation artifacts.
-    """
-    cp = span.args.get("cp")
-    if isinstance(cp, str) and cp:
-        return cp
+def _node_id(span: Span) -> str:
+    """A chain span's node: ``{name}:{file}``, ``{name}:run{run}`` or ``{name}``."""
     file_arg = span.args.get("file")
     if file_arg is not None:
-        return f"{kind}:{file_arg}"
+        return f"{span.name}:{file_arg}"
     run_arg = span.args.get("run")
     if run_arg is not None:
-        return f"{kind}:run{run_arg}"
-    return kind
+        return f"{span.name}:run{run_arg}"
+    return span.name
 
 
 def _refine_wait(
@@ -262,39 +249,27 @@ def _refine_wait(
     prev: str,
     node: str,
     backend: str,
-    compute_unions: Mapping[str, list[Interval]],
+    parse_union: list[Interval],
     recover_union: list[Interval],
 ) -> list[PathEdge]:
-    """Split one engine wait interval into causally-attributed edges."""
+    """Split one engine ``parse.wait`` interval into causally-attributed edges."""
     window = [(span.start_s, span.end_s)]
-    reason = span.args.get("reason")
     pure_resource = "ring-wait" if backend == "multiprocess" else "stall"
-    pure_detail = (
-        f"{span.name} ({reason})" if reason else span.name
-    )
-    # A dispatch span (multiprocess only) is producer-side transport:
-    # encode + enqueue.
-    if span.name == "pipeline.dispatch":
-        pure_detail = "frame-enqueue"
 
-    # Priority order: supervisor recovery first, then the wait's own
-    # cause (parse for parse.wait, index for pipeline.wait), then the
-    # other compute kind, then the pure-transport remainder.
-    first = "parse" if span.name in ("parse.wait", "parse") else "index"
-    second = "index" if first == "parse" else "parse"
+    # Priority order: supervisor recovery first, then parse compute on a
+    # look-ahead lane, then the pure-transport remainder.  (Indexing runs
+    # on the engine thread, so no index compute overlaps a wait.)
     pieces: list[tuple[str, str, list[Interval]]] = []
-
-    sup = _intersect(window, recover_union)
-    if sup:
-        pieces.append(("supervisor", "restart/replay", sup))
-        window = _subtract(window, sup)
-    for resource in (first, second):
-        hit = _intersect(window, compute_unions.get(resource, []))
+    for resource, detail, busy in (
+        ("supervisor", "restart/replay", recover_union),
+        ("parse", "blocked on parse compute", parse_union),
+    ):
+        hit = _intersect(window, busy)
         if hit:
-            pieces.append((resource, f"blocked on {resource} compute", hit))
+            pieces.append((resource, detail, hit))
             window = _subtract(window, hit)
     if window:
-        pieces.append((pure_resource, pure_detail, window))
+        pieces.append((pure_resource, span.name, window))
     return _emit_pieces(pieces, prev, node)
 
 
@@ -339,27 +314,27 @@ def analyze_spans(spans: list[Span], backend: str | None = None) -> CriticalPath
 
     engine_lanes = {root.lane} if root else {"engine"}
     chain = sorted(
-        (s for s in spans
-         if s.lane in engine_lanes and s.name in _CHAIN_NAMES
-         and s.name != "supervisor.recover"),
+        (s for s in spans if s.lane in engine_lanes and s.name in _CHAIN_NAMES),
         key=lambda s: (s.start_s, s.end_s),
     )
     recover_union = _union(
         (s.start_s, s.end_s) for s in spans if s.name == "supervisor.recover"
     )
 
-    # Per-resource worker compute unions and per-lane busy time.
-    compute_unions: dict[str, list[Interval]] = {}
+    # Worker parse compute (what a wait can be blocked on) and per-lane
+    # busy time (the projection floor).
+    parse_intervals: list[Interval] = []
     lane_intervals: dict[str, list[Interval]] = {}
     lane_resource: dict[str, str] = {}
     for s in spans:
         resource = _COMPUTE_RESOURCE.get(s.name)
         if resource is None or s.lane in engine_lanes:
             continue
-        compute_unions.setdefault(resource, []).append((s.start_s, s.end_s))
+        if resource == "parse":
+            parse_intervals.append((s.start_s, s.end_s))
         lane_intervals.setdefault(s.lane, []).append((s.start_s, s.end_s))
         lane_resource.setdefault(s.lane, resource)
-    compute_unions = {r: _union(v) for r, v in compute_unions.items()}
+    parse_union = _union(parse_intervals)
     lane_busy = {
         lane: _total(_union(v)) for lane, v in lane_intervals.items()
     }
@@ -377,7 +352,7 @@ def analyze_spans(spans: list[Span], backend: str | None = None) -> CriticalPath
         start = max(span.start_s, cursor)
         if start >= span.end_s:
             continue  # fully shadowed by an earlier chain span
-        node = _node_id(span, span.name)
+        node = _node_id(span)
         if span.start_s > cursor:
             cp.edges.append(PathEdge(
                 prev, node, cursor, span.start_s, "engine", "coordinator",
@@ -388,9 +363,9 @@ def analyze_spans(spans: list[Span], backend: str | None = None) -> CriticalPath
             start_s=start, end_s=span.end_s, depth=span.depth,
             parent=span.parent, args=span.args,
         )
-        if span.name in ("parse.wait", "pipeline.wait", "pipeline.dispatch"):
+        if span.name == "parse.wait":
             edges = _refine_wait(
-                clipped, prev, node, backend, compute_unions, recover_union
+                clipped, prev, node, backend, parse_union, recover_union
             )
         else:
             resource = _DIRECT_RESOURCE.get(span.name, "engine")
@@ -460,18 +435,12 @@ def project(cp: CriticalPath, scales: Mapping[str, float], label: str) -> Projec
 
 
 def default_projections(cp: CriticalPath) -> list[Projection]:
-    """The ranked what-if menu: zero each blamed resource, plus the
-    flagship frame-batching prediction when ring-wait is in play."""
-    blame = cp.blame()
-    projections: list[Projection] = []
-    if blame.get("ring-wait", 0.0) > 0:
-        projections.append(project(
-            cp, {"ring-wait": 0.1}, "batch ring frames (-90% ring-wait)"
-        ))
-    for resource, seconds in blame.items():
-        if resource == "engine" or seconds <= 0:
-            continue
-        projections.append(project(cp, {resource: 0.0}, f"{resource} -> 0"))
+    """The ranked what-if menu: zero each blamed resource but ``engine``."""
+    projections = [
+        project(cp, {resource: 0.0}, f"{resource} -> 0")
+        for resource, seconds in cp.blame().items()
+        if resource != "engine" and seconds > 0
+    ]
     projections.sort(key=lambda p: (-p.speedup, p.label))
     return projections
 
@@ -708,8 +677,3 @@ def write_chrome_overlay(
         json.dump(merged, fh, separators=(",", ":"))
         fh.write("\n")
     return out_path
-
-
-def critpath_artifact_path(index_dir: str) -> str:
-    """Where ``repro critpath`` writes its artifact for ``index_dir``."""
-    return os.path.join(index_dir, CRITPATH_FILENAME)

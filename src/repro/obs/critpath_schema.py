@@ -68,10 +68,12 @@ CRITPATH_SCHEMA_VERSION = "repro.run.critpath/1"
 CRITPATH_FILENAME = "run.critpath.json"
 
 #: The closed blame vocabulary.  ``parse``/``index`` are compute the
-#: engine was causally blocked on; ``ring-wait`` is transport overhead
-#: (frame encode/enqueue/dequeue plus poll sleeps) with no concurrent
-#: worker compute; ``stall`` is in-process queue/backpressure waiting;
-#: ``supervisor`` is restart/replay recovery; ``flush``/``merge`` are
+#: engine was causally blocked on; ``ring-wait`` is the multiprocess
+#: engine waiting on its parse worker with no worker compute running
+#: (start-up, the parsed file crossing the process boundary; the name
+#: dates from the ring transport); ``stall`` is the serial loop waiting
+#: on its prefetch pool; ``supervisor`` is restart/replay recovery;
+#: ``flush``/``merge`` are
 #: the run-flush and dictionary epilogue; ``sampling`` the assignment
 #: prepass; ``engine`` the coordinator's own bookkeeping (split,
 #: record_file, uninstrumented gaps).

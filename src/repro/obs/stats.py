@@ -13,7 +13,8 @@ Pure functions from telemetry artifacts to numbers and ASCII renderings:
 - :func:`render_metrics_summary` / :func:`render_metrics_diff` — the
   ``repro stats`` report and the two-run regression-triage diff;
 - :func:`metrics_regressions` — the ``--fail-on-regress`` gate behind
-  ``repro stats --diff``, built on :func:`regression_gate`.
+  ``repro stats --diff``: :func:`regression_gate` over the two runs'
+  shared ``timings`` (counters and gauges are shown, never gated).
 """
 
 from __future__ import annotations
@@ -292,16 +293,13 @@ def metrics_regressions(
     rel_threshold: float = 0.10,
     noise_floor_s: float = 0.01,
 ) -> list[str]:
-    """Timing / stall regressions between two ``run.metrics.json`` payloads.
+    """Timing regressions between two ``run.metrics.json`` payloads.
 
-    The decision rule is :func:`regression_gate`, applied to:
-
-    - every name the two ``timings`` sections share (``stage.*``,
-      ``wall_seconds``, the multiprocess ``pipeline.stall.*``), with
-      ``noise_floor_s`` as the absolute floor so microsecond stages
-      cannot trip a percentage gate on scheduler jitter; and
-    - ``pipeline.*`` stall/idle counters and gauges (pure relative gate
-      with a zero floor: a stall counter going 0 → N must fire).
+    The decision rule is :func:`regression_gate`, applied to every name
+    the two ``timings`` sections share (``stage.*``, ``wall_seconds``),
+    with ``noise_floor_s`` as the absolute floor so microsecond stages
+    cannot trip a percentage gate on scheduler jitter.  Counters and
+    gauges are work, not time: the diff shows them, the gate does not.
 
     Names on only one side never gate (a stage appearing or vanishing is
     a shape change for the human-readable diff, not a slowdown).
@@ -315,15 +313,4 @@ def metrics_regressions(
         if regression_gate(a, b, rel_threshold, noise_floor_s):
             pct = f" ({(b - a) / a * 100:+.1f}%)" if a > 0 else ""
             out.append(f"timings.{name}: {a:.4f}s -> {b:.4f}s{pct}")
-    for section in ("counters", "gauges"):
-        s_before = before.get(section) or {}
-        s_after = after.get(section) or {}
-        for name in sorted(set(s_before) & set(s_after)):
-            if not name.startswith("pipeline."):
-                continue
-            if "stall" not in name and "idle" not in name:
-                continue
-            a, b = float(s_before[name]), float(s_after[name])
-            if regression_gate(a, b, rel_threshold, 0.0):
-                out.append(f"{section}.{name}: {a:g} -> {b:g}")
     return out

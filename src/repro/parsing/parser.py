@@ -261,7 +261,7 @@ class Parser:
         lane = self._lane()
         with tracer.span(
             "parse_file", cat="parse", lane=lane, file=sequence,
-            parser=self.parser_id, cp=f"parse:{sequence}",
+            parser=self.parser_id,
         ) as tags:
             with tracer.span("read", cat="parse", lane=lane):
                 loaded = load_collection_file(path)

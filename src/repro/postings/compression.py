@@ -464,7 +464,19 @@ class VarBytePositionalCodec(PostingsCodec):
         return bytes(out)
 
     def decode(self, data: bytes) -> list[PositionalPosting]:  # type: ignore[override]
+        """Inverse of :meth:`encode`, as strict as :meth:`VarByteCodec.decode`.
+
+        ``EOFError`` when ``data`` ends inside a varint or short of the
+        promised postings; ``ValueError`` on trailing bytes or a zero doc
+        gap, term frequency or position gap.
+        """
         count, pos = decode_uvarint(data, 0)
+        # As in VarByteCodec.decode: no zero byte follows the count.
+        if data.find(0, pos) != -1:
+            raise ValueError(
+                "positional postings list holds a zero gap, term frequency "
+                "or position gap"
+            )
         postings: list[PositionalPosting] = []
         prev = -1
         for _ in range(count):
@@ -478,6 +490,11 @@ class VarBytePositionalCodec(PostingsCodec):
                 prev_pos += pgap
                 positions.append(prev_pos)
             postings.append((prev, tf, tuple(positions)))
+        if pos != len(data):
+            raise ValueError(
+                f"positional postings list of {count} postings ends at byte "
+                f"{pos} of {len(data)}"
+            )
         return postings
 
 

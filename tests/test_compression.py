@@ -14,6 +14,7 @@ from repro.postings.compression import (
     EliasGammaCodec,
     GolombCodec,
     VarByteCodec,
+    VarBytePositionalCodec,
     decode_uvarint,
     decode_uvarints,
     encode_uvarint,
@@ -257,10 +258,21 @@ class TestCodecs:
         assert len(encoded) < len(dense) * 2.5
 
 
+def _positional(data: bytes, why: str):
+    """A strict-decode row for the positional codec (bare bytes rows are
+    plain varbyte)."""
+    return pytest.param((VarBytePositionalCodec(), data), id=f"positional-{why}")
+
+
 class TestVarByteDecodeIsStrict:
-    """A list that is not exactly what ``encode`` writes never decodes."""
+    """A list that is not exactly what ``encode`` writes never decodes,
+    for the plain and the positional varbyte codec alike."""
 
     codec = VarByteCodec()
+
+    def _decode(self, data):
+        codec, data = data if isinstance(data, tuple) else (self.codec, data)
+        return codec.decode(data)
 
     def test_fast_and_general_path_agree_with_encode(self):
         rng = random.Random(13)
@@ -288,11 +300,15 @@ class TestVarByteDecodeIsStrict:
             b"\x01\x85",  # ends inside the gap
             b"\x02\x05\x01\x03\x81",  # ends inside the last tf
             b"\x81",  # ends inside the count
+            _positional(b"", "no-count"),
+            _positional(b"\x02\x05\x01\x01", "second-posting-missing"),
+            _positional(b"\x01\x05\x02\x01", "second-position-missing"),
+            _positional(b"\x01\x05\x01\x83", "inside-a-position-gap"),
         ],
     )
     def test_truncated(self, data):
         with pytest.raises(EOFError):
-            self.codec.decode(data)
+            self._decode(data)
 
     @pytest.mark.parametrize(
         "data",
@@ -304,11 +320,16 @@ class TestVarByteDecodeIsStrict:
             b"\x02\x05\x00\x03\x01",  # zero tf
             b"\x01\x00\x01",  # first gap zero (doc id -1)
             b"\x01\x85\x00\x01",  # non-canonical padding
+            _positional(b"\x01\x05\x01\x01\x07", "trailing-byte"),
+            _positional(b"\x00\x05", "none-promised-one-present"),
+            _positional(b"\x02\x05\x01\x01\x00\x01\x01", "zero-doc-gap"),
+            _positional(b"\x01\x05\x00", "zero-tf"),
+            _positional(b"\x01\x05\x02\x01\x00", "zero-position-gap"),
         ],
     )
     def test_malformed(self, data):
         with pytest.raises(ValueError):
-            self.codec.decode(data)
+            self._decode(data)
 
 
 class TestGamma:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 
 import pytest
 
@@ -74,21 +75,27 @@ class TestIntervals:
 def _mp_spans():
     """A hand-built multiprocess build: wall 10s, every second accounted.
 
-    parse.wait 0-2 (parser busy 0-1), dispatch 2-3 (pure transport),
-    pipeline.wait 3-7 (indexer busy 3-5), write_run 7-9, dict.write
-    9-10.  (The dispatch / pipeline.wait links are what a pre-PR-23
-    trace carries; the analyzer still reads them.)
+    The engine lane waits on the parse worker (``parse.wait``) and
+    indexes each file itself; the worker's ``parse_file`` spans sit on
+    the ``parser-0`` lane.  File 0's wait (0-4) starts with a supervisor
+    restart (0-1) while the worker is parsing (0-2), then waits 2s with
+    no compute; file 1's wait (5-6) overlaps its parse by 0.5s.  Then
+    write_run 7-8 + checkpoint 8-8.5, dict.write 8.5-9.5 and a 0.5s
+    epilogue.
     """
     return [
         S("build", "engine", 0, 10),
         S("run_loop", "engine", 0, 10, backend="multiprocess"),
-        S("parse.wait", "engine", 0, 2, cp="collect:0", cp_from="parse:0"),
-        S("pipeline.dispatch", "engine", 2, 3, cp="dispatch:0"),
-        S("pipeline.wait", "engine", 3, 7, cp="drain:0"),
-        S("write_run", "engine", 7, 9, cp="flush:0"),
-        S("dict.write", "engine", 9, 10),
-        S("parse_file", "parser-0", 0, 1),
-        S("index_batch", "cpu-0", 3, 5),
+        S("parse.wait", "engine", 0, 4, file=0),
+        S("supervisor.recover", "engine", 0, 1, kind="worker_crash"),
+        S("index", "engine", 4, 5, file=0),
+        S("parse.wait", "engine", 5, 6, file=1),
+        S("index", "engine", 6, 7, file=1),
+        S("write_run", "engine", 7, 8, run=0),
+        S("checkpoint", "engine", 8, 8.5, run=0),
+        S("dict.write", "engine", 8.5, 9.5),
+        S("parse_file", "parser-0", 0, 2, file=0),
+        S("parse_file", "parser-0", 4, 5.5, file=1),
     ]
 
 
@@ -99,13 +106,14 @@ class TestAttribution:
         assert cp.wall_seconds == pytest.approx(10.0)
         assert cp.path_seconds == pytest.approx(10.0)  # full coverage
         blame = cp.blame()
-        assert blame["parse"] == pytest.approx(1.0)    # parse.wait overlap
-        assert blame["index"] == pytest.approx(2.0)    # pipeline.wait overlap
-        # 1s parse.wait tail + 1s dispatch + 2s pipeline.wait tail =
-        # pure transport.
-        assert blame["ring-wait"] == pytest.approx(4.0)
-        assert blame["flush"] == pytest.approx(2.0)
+        assert blame["supervisor"] == pytest.approx(1.0)  # outranks parse 0-1
+        assert blame["parse"] == pytest.approx(1.5)       # 1-2 and 5-5.5
+        # 2s of file 0's wait + 0.5s of file 1's with no compute running.
+        assert blame["ring-wait"] == pytest.approx(2.5)
+        assert blame["index"] == pytest.approx(2.0)
+        assert blame["flush"] == pytest.approx(1.5)
         assert blame["merge"] == pytest.approx(1.0)
+        assert blame["engine"] == pytest.approx(0.5)
         assert cp.top_resource() == "ring-wait"
         assert sum(blame.values()) == pytest.approx(cp.path_seconds)
 
@@ -136,8 +144,8 @@ class TestAttribution:
     def test_uninstrumented_gaps_fall_to_the_engine(self):
         spans = [
             S("build", "engine", 0, 5),
-            S("parse", "engine", 1, 2, cp="parse:0"),
-            S("index", "engine", 3, 4.5, cp="index:0"),
+            S("parse", "engine", 1, 2, file=0),
+            S("index", "engine", 3, 4.5, file=0),
         ]
         cp = analyze_spans(spans, backend="serial")
         blame = cp.blame()
@@ -147,9 +155,15 @@ class TestAttribution:
         assert cp.top_resource() == "index"  # ignores "engine"
 
     def test_edges_use_wired_cp_ids(self):
+        """Node ids are synthesized from the span name and its ``file`` /
+        ``run`` argument, with ``+i`` on the pieces of a split wait."""
         cp = analyze_spans(_mp_spans())
         nodes = {e.dst for e in cp.edges} | {e.src for e in cp.edges}
-        assert "collect:0" in nodes and "flush:0" in nodes
+        assert {"start", "parse.wait:0", "index:1", "write_run:run0",
+                "checkpoint:run0", "dict.write", "end"} <= nodes
+        assert "parse.wait:0+1" in nodes
+        shape = re.compile(r"(start|end|[a-z_.]+(:(\d+|run\d+))?)(\+\d+)?")
+        assert all(shape.fullmatch(n) for n in nodes), sorted(nodes)
 
     def test_empty_trace_is_an_error(self):
         with pytest.raises(ValueError):
@@ -164,40 +178,33 @@ class TestProjection:
     def test_zeroing_ring_wait_projects_the_serial_equivalent(self):
         cp = analyze_spans(_mp_spans())
         proj = project(cp, {"ring-wait": 0.0}, "ring-wait -> 0")
-        assert proj.predicted_wall_s == pytest.approx(6.0)
-        assert proj.speedup == pytest.approx(10.0 / 6.0)
+        assert proj.predicted_wall_s == pytest.approx(7.5)
+        assert proj.speedup == pytest.approx(10.0 / 7.5)
 
     def test_lane_floor_caps_the_prediction(self):
-        # Zeroing every wait cannot beat the busiest worker lane.
+        # Zeroing everything but parse cannot beat the parse worker's
+        # lane: the path would be 1.5s, parser-0 is busy 3.5s.
         cp = analyze_spans(_mp_spans())
-        proj = project(
-            cp,
-            {"ring-wait": 0.0, "parse": 0.0, "flush": 0.0, "merge": 0.0},
-            "all waits gone",
-        )
-        # path would be 2s (index), floor is cpu-0's 2s busy — equal here;
-        # now scale index down too and the parser floor (1s) holds.
-        assert proj.predicted_wall_s == pytest.approx(2.0)
-        proj2 = project(
-            cp,
-            {"ring-wait": 0.0, "parse": 1.0, "flush": 0.0, "merge": 0.0,
-             "index": 0.0},
-            "index free",
-        )
-        assert proj2.predicted_wall_s == pytest.approx(1.0)
+        everything_else = {"ring-wait": 0.0, "supervisor": 0.0, "index": 0.0,
+                           "flush": 0.0, "merge": 0.0, "engine": 0.0}
+        proj = project(cp, everything_else, "only parse left")
+        assert proj.predicted_wall_s == pytest.approx(3.5)
+        # The floor scales with the lane's own resource.
+        proj2 = project(cp, {**everything_else, "parse": 0.5}, "parse halved")
+        assert proj2.predicted_wall_s == pytest.approx(1.75)
 
     def test_unknown_resource_is_rejected(self):
         cp = analyze_spans(_mp_spans())
         with pytest.raises(ValueError, match="unknown resource"):
             project(cp, {"gpu": 0.5}, "bad")
 
-    def test_default_projections_lead_with_frame_batching(self):
+    def test_default_projections_zero_each_blamed_resource(self):
         cp = analyze_spans(_mp_spans())
         projections = default_projections(cp)
-        labels = [p.label for p in projections]
-        assert "batch ring frames (-90% ring-wait)" in labels
-        assert "ring-wait -> 0" in labels
-        assert "engine -> 0" not in labels
+        assert {p.label for p in projections} == {
+            f"{r} -> 0" for r in cp.blame() if r != "engine"
+        }
+        assert projections[0].label == "ring-wait -> 0"
         speedups = [p.speedup for p in projections]
         assert speedups == sorted(speedups, reverse=True)
 
@@ -270,8 +277,8 @@ class TestRendering:
         text = render_critpath_report(payload)
         assert "backend multiprocess" in text
         assert "top blame resource: ring-wait" in text
-        assert "batch ring frames (-90% ring-wait)" in text
-        assert "lane cpu-0" in text
+        assert "ring-wait -> 0" in text
+        assert "lane parser-0" in text
 
     def test_diff_flags_the_slowest_growing_resource(self):
         old = build_critpath_payload(analyze_spans(_mp_spans()))

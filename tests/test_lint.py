@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -61,21 +62,15 @@ RULE_FIXTURES = [
     ("RPR101", fixture("rpr101_races.py"), 2),
     ("RPR102", fixture("rpr102_deadlock.py"), 1),
     ("RPR110", fixture("rpr110_mp_entry.py"), 4),
-    ("RPR111", fixture("interproc", "rpr111_forkbad.py"), 3),
-    ("RPR112", fixture("interproc", "rpr112_shmbad.py"), 3),
     ("RPR120", fixture("protocol_bad", "shm_ring.py"), 2),
     ("RPR123", fixture("protocol_bad", "shm_ring.py"), 3),
 ]
 
 # Vetted negatives: fixture sets that must produce zero findings for the
-# given codes (the interproc rows exercise cross-module resolution).
+# given codes.
 OK_FIXTURES = [
     (["RPR120", "RPR123"],
      [fixture("protocol_ok", "shm_ring.py")]),
-    (["RPR111", "RPR112"],
-     [fixture("interproc", "rpr111_forkok.py"),
-      fixture("interproc", "worker_like.py"),
-      fixture("interproc", "rpr112_shmok.py")]),
     # The RPR008 carve-out: the same clock reads that fire in
     # rpr008_profile.py are exempt under an obs/ path.
     (["RPR008"],
@@ -117,8 +112,7 @@ class TestRuleFixtures:
         assert run.findings == []
 
     @pytest.mark.parametrize("codes,paths", OK_FIXTURES,
-                             ids=["protocol-ok", "interproc-ok",
-                                  "rpr008-obs-carveout"])
+                             ids=["protocol-ok", "rpr008-obs-carveout"])
     def test_vetted_negatives_stay_clean(self, codes, paths):
         run = lint_paths(paths, select=codes)
         assert run.files_checked == len(paths)
@@ -188,17 +182,24 @@ class TestSelfCheck:
         codes = set(registered_rules())
         assert codes == {
             "RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006",
-            "RPR007", "RPR008", "RPR101", "RPR102", "RPR110", "RPR111",
-            "RPR112", "RPR120", "RPR123",
+            "RPR007", "RPR008", "RPR101", "RPR102", "RPR110", "RPR120",
+            "RPR123",
         }
         for reg in registered_rules().values():
             assert reg.description, f"{reg.code} has no description"
 
-    def test_interprocedural_rules_are_project_scoped(self):
-        regs = registered_rules()
-        assert regs["RPR111"].scope == "project"
-        assert regs["RPR112"].scope == "project"
-        assert regs["RPR120"].scope == "file"
+    def test_select_lists_in_hooks_and_ci_name_registered_rules(self):
+        """Every ``--select`` code the pre-commit hooks, the Makefile and
+        CI pass exists: an unknown code makes ``repro lint`` exit 2."""
+        codes = set(registered_rules())
+        for name in (".pre-commit-config.yaml", "Makefile",
+                     os.path.join(".github", "workflows", "ci.yml")):
+            with open(os.path.join(REPO, name), encoding="utf-8") as fh:
+                selects = re.findall(r"--select[ =]+([A-Z0-9,]+)", fh.read())
+            assert selects, f"{name} has no --select list"
+            for select in selects:
+                unknown = set(select.split(",")) - codes
+                assert not unknown, f"{name}: --select {select}: {sorted(unknown)}"
 
 
 class TestIsolation:
@@ -344,29 +345,22 @@ class TestLintCache:
         assert (r2.cache_hits, r2.cache_misses) == (0, 1)
         assert r2.findings == []
 
-    def test_cross_file_edit_reruns_project_rules(self, tmp_path):
-        """A project-scope verdict on an *unchanged* file is recomputed
-        when any other file changes (the tree hash gates reuse)."""
-        leak = tmp_path / "leaky.py"
-        leak.write_text(
-            "def f(c):\n    ring = ShmRing.create('repro_mp_x', c)\n"
-            "    return ring.name()\n"
-        )
+    def test_one_file_edit_relints_only_that_file(self, tmp_path):
+        """Under the default codes an edit re-lints the edited file alone;
+        the unchanged file's findings replay from the cache."""
+        timed = tmp_path / "timed.py"
+        timed.write_text("import time\n\n\ndef t():\n    return time.time()\n")
         other = tmp_path / "other.py"
         other.write_text("A = 1\n")
+        paths = [str(timed), str(other)]
         cache = LintCache(str(tmp_path / "cache"))
-        r1 = lint_paths([str(leak), str(other)], select=["RPR112"],
-                        cache=cache)
-        assert [f.code for f in r1.findings] == ["RPR112"]
-        r2 = lint_paths([str(leak), str(other)], select=["RPR112"],
-                        cache=cache)
-        assert (r2.cache_hits, r2.cache_misses) == (2, 0)
-        assert [f.code for f in r2.findings] == ["RPR112"]
+        r1 = lint_paths(paths, cache=cache)
+        assert (r1.cache_hits, r1.cache_misses) == (0, 2)
+        assert [f.code for f in r1.findings] == ["RPR008"]
         other.write_text("A = 2\n")
-        r3 = lint_paths([str(leak), str(other)], select=["RPR112"],
-                        cache=cache)
-        assert r3.cache_hits == 0  # tree changed: nothing fully reusable
-        assert [f.code for f in r3.findings] == ["RPR112"]
+        r2 = lint_paths(paths, cache=cache)
+        assert (r2.cache_hits, r2.cache_misses) == (1, 1)
+        assert [f.code for f in r2.findings] == ["RPR008"]
 
     def test_allowlist_facts_survive_cache_replay(self, tmp_path):
         """Incremental runs must not mistake a cached-but-live entry for
