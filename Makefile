@@ -42,9 +42,10 @@ lint:
 # web_serial run, one traced two-file text_bulk run (CPU indexers only,
 # one run: the regroup-heavy shape), one traced two-file web_mp run
 # (output check against the serial reference, survivor scan, /dev/shm
-# leak scan) and one
+# leak scan) and one traced
 # two-run merge_read run (both merged directories identical, the check
-# terms decode the same before and after the merge).  Each run's last
+# terms decode the same before and after the merge; the trace wraps the
+# reader.* and search.* spans).  Each run's last
 # stdout line must say the output was correct and no operation failed,
 # and the document line before it must carry no warning: a traced run
 # warns ("cannot wrap ...") when a layer boundary the harness times was
@@ -56,7 +57,7 @@ perf-smoke:
 	python3 benchmarks/perf/run.py --workload web_serial --seed 1 --smoke --trace 1 | $(PERF_SMOKE_CHECK)
 	python3 benchmarks/perf/run.py --workload text_bulk --seed 1 --smoke --trace 1 | $(PERF_SMOKE_CHECK)
 	python3 benchmarks/perf/run.py --workload web_mp --seed 1 --smoke --trace 1 | $(PERF_SMOKE_CHECK)
-	python3 benchmarks/perf/run.py --workload merge_read --seed 1 --smoke | $(PERF_SMOKE_CHECK)
+	python3 benchmarks/perf/run.py --workload merge_read --seed 1 --smoke --trace 1 | $(PERF_SMOKE_CHECK)
 
 # The paper-reproduction scripts under pytest-benchmark: each regenerates
 # one table/figure into benchmarks/reports/<name>.txt.  Not a perf gate —

@@ -7,82 +7,244 @@ implements the paper's range-narrowed search benefit: a query restricted to
 a document-ID range only fetches partial lists from the run files whose
 ranges overlap (counted in :attr:`PostingsReader.partial_fetches` so tests
 and benchmarks can observe the saving).
+
+Postings are sorted integer sequences, so the reader holds them as integer
+columns, never as one object per posting (Pibiri & Venturini): the first
+time a run is touched, its whole payload is decoded into ``int32`` document
+and term-frequency columns, and one row index over every run's mapping
+table maps a term id to its slices of those columns.
 """
 
 from __future__ import annotations
 
 import os
+from typing import Callable
 
-from repro.postings.compression import get_codec
+import numpy as np
+
+from repro.postings.compression import (
+    PostingsCodec,
+    VarByteCodec,
+    decode_uvarints,
+    get_codec,
+)
 from repro.postings.output import (
+    RUN_CRC_BYTES,
     DocRangeMap,
     RunFile,
-    read_run_header,
+    read_run_table,
     verify_run_bytes,
 )
 
 __all__ = ["PostingsReader"]
 
+#: Largest document id or term frequency a column holds.
+_INT32_MAX = int(np.iinfo(np.int32).max)
+_OVERLAP = "run files overlap in document order; output corrupt"
+_BEYOND_INT32 = "document id or term frequency beyond int32"
+
+#: Payload bytes a run is decoded in at a time: the decode's temporaries
+#: are a few ``int64`` per byte, so however large the run, they stay
+#: small next to its columns.
+_DECODE_BLOCK_BYTES = 1 << 16
+
+Columns = tuple[np.ndarray, np.ndarray]
+
+
+def _empty() -> np.ndarray:
+    return np.empty(0, dtype=np.int32)
+
+
+def _check_table(table: np.ndarray, payload_start: int, payload_end: int) -> None:
+    """Term ids ascend and the lists tile the payload, each at least a byte."""
+    term_ids, offsets, lengths = table.T
+    if np.any(term_ids[1:] <= term_ids[:-1]):
+        raise ValueError("run mapping table term ids do not ascend")
+    bounds = np.concatenate(([payload_start], offsets + lengths))
+    if np.any(lengths < 1) or np.any(offsets != bounds[:-1]) or bounds[-1] != payload_end:
+        raise ValueError("run mapping table does not tile the payload")
+
+
+def _blocks(table: np.ndarray) -> list[np.ndarray]:
+    """The table's rows in runs of whole lists about :data:`_DECODE_BLOCK_BYTES` long."""
+    if not len(table):
+        return []
+    ends = np.cumsum(table[:, 2])
+    return np.split(table, np.flatnonzero(np.diff((ends - 1) // _DECODE_BLOCK_BYTES)) + 1)
+
+
+def _varbyte_columns(payload: memoryview, lengths: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(counts, docs, tfs)`` of plain varbyte lists lying back to back.
+
+    As strict as :meth:`VarByteCodec.decode` on each list: ``EOFError``
+    when a list ends inside a varint or short of its count's postings,
+    ``ValueError`` when it holds more, or a zero byte after its count
+    (a zero gap or tf, or non-canonical padding).
+    """
+    raw = np.frombuffer(payload, dtype=np.uint8)
+    ends = np.cumsum(lengths)
+    firsts = ends - lengths
+    if int(raw[ends - 1].max()) >= 0x80:
+        raise EOFError("truncated postings list")
+    values = decode_uvarints(payload)
+    # Every list is whole varints: count its terminators to find its values.
+    per_list = np.add.reduceat(raw < 0x80, firsts, dtype=np.int64)
+    heads = np.cumsum(per_list) - per_list
+    counts = values[heads]
+    pairs = (per_list - 1) // 2
+    bad = np.flatnonzero((counts != pairs) | (per_list % 2 == 0))
+    if bad.size:
+        i = int(bad[0])
+        if counts[i] > pairs[i]:
+            raise EOFError("truncated postings list")
+        raise ValueError(
+            f"postings list of {int(counts[i])} postings holds {int(per_list[i]) - 1} "
+            f"values, not {2 * int(counts[i])}"
+        )
+    zeros = np.flatnonzero(raw == 0)
+    if zeros.size:
+        # A zero byte may only end a count (of an empty list).
+        lists = np.searchsorted(firsts, zeros, side="right") - 1
+        count_ends = np.flatnonzero(raw < 0x80)[heads[lists]]
+        if np.any(zeros > count_ends):
+            raise ValueError("postings list holds a zero gap or term frequency")
+    body = np.ones(values.size, dtype=bool)
+    body[heads] = False
+    values = values[body]
+    gaps, tfs = values[0::2], values[1::2]
+    # A gap past 2^31 alone puts a document past int32 (and could
+    # overflow the running sum below).
+    if gaps.size and int(gaps.max()) > _INT32_MAX + 1:
+        raise ValueError(_BEYOND_INT32)
+    docs = np.cumsum(gaps)
+    listed = counts > 0
+    starts = (np.cumsum(counts) - counts)[listed]
+    docs -= np.repeat(docs[starts] - gaps[starts] + 1, counts[listed])
+    return counts, docs, tfs
+
+
+def _decoded_columns(
+    codec: PostingsCodec, data: bytes, table: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """``(counts, docs, tfs)`` of any codec's lists, one ``codec.decode`` each."""
+    lists = [codec.decode(data[offset : offset + length]) for _, offset, length in table.tolist()]
+    counts = np.array([len(entries) for entries in lists], dtype=np.int64)
+    total = int(counts.sum())
+    docs = np.fromiter((e[0] for entries in lists for e in entries), np.int64, total)
+    tfs = np.fromiter((e[1] for entries in lists for e in entries), np.int64, total)
+    return counts, docs, tfs
+
 
 class _OpenRun:
-    """A run file parsed into (codec, mapping table, raw bytes).
+    """A run file decoded into integer columns.
 
-    With ``use_mmap`` the payload stays file-backed and pages in on
-    demand — the right mode for large indexes where a query touches a
-    handful of partial lists out of gigabytes of runs.
+    ``columns`` (``int32``, read-only) holds the ``docs`` and ``tfs`` rows
+    of every list of the run back to back in table order; list ``i`` is
+    ``[starts[i], starts[i + 1])`` and belongs to ``term_ids[i]``
+    (ascending).  Positional runs also keep their bytes and mapping table
+    for :meth:`fetch`; other runs drop them once decoded.
 
-    Opening verifies the file's trailing CRC32 (unless the reader was
-    constructed with ``verify_checksums=False``): a flipped byte anywhere
-    in the run raises :class:`~repro.robustness.errors.ChecksumError`
-    before a single posting is decoded.
+    Opening verifies the file's trailing CRC32 first: a flipped byte
+    anywhere in the run raises
+    :class:`~repro.robustness.errors.ChecksumError` before a single
+    posting is decoded.  Then the table must ascend and tile the payload,
+    and every list must decode strictly.
     """
 
-    __slots__ = ("run", "codec", "table", "data", "_mm", "_fh")
+    __slots__ = ("codec", "term_ids", "starts", "columns", "docs", "tfs", "table", "data")
 
-    def __init__(self, run: RunFile, use_mmap: bool = False, verify: bool = True) -> None:
-        self._mm = None
-        self._fh = None
-        if use_mmap:
-            import mmap
-
-            self._fh = open(run.path, "rb")
-            self._mm = mmap.mmap(self._fh.fileno(), 0, access=mmap.ACCESS_READ)
-            self.data = self._mm
-        else:
-            with open(run.path, "rb") as fh:
-                self.data = fh.read()
-        if verify:
-            verify_run_bytes(run.path, bytes(self.data))
-        header = bytes(self.data[:4096]) if use_mmap else self.data
-        # Headers of big runs can exceed 4 KiB; fall back to the full map.
-        try:
-            _, codec_name, min_doc, max_doc, self.table, _ = read_run_header(header)
-        except (EOFError, IndexError):
-            _, codec_name, min_doc, max_doc, self.table, _ = read_run_header(
-                bytes(self.data)
-            )
+    def __init__(self, run: RunFile) -> None:
+        with open(run.path, "rb") as fh:
+            data = fh.read()
+        verify_run_bytes(run.path, data)
+        _, codec_name, min_doc, max_doc, table, payload_start = read_run_table(data)
         self.codec = get_codec(codec_name)
-        self.run = run
+        payload_end = len(data) - RUN_CRC_BYTES
+        _check_table(table, payload_start, payload_end)
+        counts, docs, tfs = [np.empty(0, dtype=np.int64)], [_empty()], [_empty()]
+        for rows in _blocks(table):
+            if type(self.codec) is VarByteCodec:
+                first, last = int(rows[0, 1]), int(rows[-1, 1] + rows[-1, 2])
+                columns = _varbyte_columns(memoryview(data)[first:last], rows[:, 2])
+            else:
+                columns = _decoded_columns(self.codec, data, rows)
+            block_counts, block_docs, block_tfs = columns
+            if block_docs.size and max(int(block_docs.max()), int(block_tfs.max())) > _INT32_MAX:
+                raise ValueError(_BEYOND_INT32)
+            counts.append(block_counts)
+            docs.append(block_docs.astype(np.int32))
+            tfs.append(block_tfs.astype(np.int32))
+        self.term_ids = np.ascontiguousarray(table[:, 0])
+        self.starts = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
+        self.columns = np.stack((np.concatenate(docs), np.concatenate(tfs)))
+        self.columns.flags.writeable = False
+        self.docs, self.tfs = self.columns
+        positional = self.codec.positional
+        self.table = table if positional else None
+        self.data = data if positional else None
         # Backfill lazily-loaded descriptor fields.
         run.min_doc, run.max_doc = min_doc, max_doc
-        run.entry_count = len(self.table)
+        run.entry_count = len(table)
 
-    def fetch(self, term_id: int) -> list[tuple[int, int]]:
-        """Decode one partial postings list (empty when term absent)."""
-        entry = self.table.get(term_id)
-        if entry is None:
+    def row(self, term_id: int) -> int | None:
+        """The table row of ``term_id``, ``None`` when the run lacks it."""
+        row = int(self.term_ids.searchsorted(term_id))
+        if row < len(self.term_ids) and self.term_ids[row] == term_id:
+            return row
+        return None
+
+    def fetch(self, term_id: int) -> list:
+        """Decode one partial list of a positional run (empty when absent)."""
+        row = self.row(term_id)
+        if row is None:
             return []
-        offset, length = entry
-        return self.codec.decode(bytes(self.data[offset : offset + length]))
+        _, offset, length = self.table[row].tolist()
+        return self.codec.decode(self.data[offset : offset + length])
 
-    def close(self) -> None:
-        """Release the mmap/file handle (no-op for in-memory runs)."""
-        if self._mm is not None:
-            self._mm.close()
-            self._mm = None
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+
+class _RowIndex:
+    """Every run's non-empty lists, by term id.
+
+    ``rows[i]`` is ``(run number, start, end)`` of a list of
+    ``term_ids[i]``: ids ascend, and a term's rows are adjacent and in run
+    order (a stable argsort of all runs' table term ids).  ``overlapping``
+    holds the terms with a partial list that does not start after the
+    previous run's one ends.
+    """
+
+    __slots__ = ("runs", "term_ids", "rows", "overlapping")
+
+    def __init__(self, runs: list[_OpenRun]) -> None:
+        listed = [np.flatnonzero(np.diff(opened.starts)) for opened in runs]
+
+        def gather(column: Callable[[_OpenRun, np.ndarray], np.ndarray]) -> np.ndarray:
+            return np.concatenate(
+                [np.empty(0, dtype=np.int64)]
+                + [column(opened, rows) for opened, rows in zip(runs, listed)]
+            )
+
+        term_ids = gather(lambda opened, rows: opened.term_ids[rows])
+        order = np.argsort(term_ids, kind="stable")
+        self.runs = runs
+        self.term_ids = term_ids = term_ids[order]
+        # One column at a time, so no temporary is wider than one.
+        self.rows = np.empty((order.size, 3), dtype=np.int32)
+        self.rows[:, 0] = np.repeat(np.arange(len(runs)), [rows.size for rows in listed])[order]
+        self.rows[:, 1] = gather(lambda opened, rows: opened.starts[rows])[order]
+        self.rows[:, 2] = gather(lambda opened, rows: opened.starts[rows + 1])[order]
+        firsts = gather(lambda opened, rows: opened.docs[opened.starts[rows]])[order]
+        lasts = gather(lambda opened, rows: opened.docs[opened.starts[rows + 1] - 1])[order]
+        clash = (term_ids[1:] == term_ids[:-1]) & (firsts[1:] <= lasts[:-1])
+        self.overlapping = set(term_ids[1:][clash].tolist())
+
+    def parts(self, term_id: int) -> list[tuple[_OpenRun, int, int]]:
+        """``(run, start, end)`` of each of the term's lists, in run order."""
+        if term_id in self.overlapping:
+            raise ValueError(_OVERLAP)
+        found = self.rows[
+            self.term_ids.searchsorted(term_id) : self.term_ids.searchsorted(term_id, "right")
+        ].tolist()
+        return [(self.runs[number], start, end) for number, start, end in found]
 
 
 class PostingsReader:
@@ -96,13 +258,12 @@ class PostingsReader:
         callers query by term *string* instead of postings pointer.
     """
 
-    def __init__(self, output_dir: str, use_mmap: bool = False) -> None:
+    def __init__(self, output_dir: str) -> None:
         self.output_dir = output_dir
-        self.use_mmap = use_mmap
         self.range_map = DocRangeMap.load(output_dir)
         self._open_runs: dict[int, _OpenRun] = {}
-        #: Every run, opened, in run order (filled by the first full lookup).
-        self._all_runs: list[_OpenRun] | None = None
+        #: Built by the first full lookup.
+        self._index: _RowIndex | None = None
         self._term_ids: dict[str, int] | None = None
         #: Number of partial-list fetch operations performed (observability
         #: for the range-narrowing benefit).
@@ -141,16 +302,14 @@ class PostingsReader:
     def _run(self, run: RunFile) -> _OpenRun:
         opened = self._open_runs.get(run.run_id)
         if opened is None:
-            opened = _OpenRun(run, use_mmap=self.use_mmap)
+            opened = _OpenRun(run)
             self._open_runs[run.run_id] = opened
         return opened
 
     def close(self) -> None:
-        """Release all open run files (important in mmap mode)."""
-        for opened in self._open_runs.values():
-            opened.close()
+        """Free every decoded run; the next lookup decodes them again."""
         self._open_runs.clear()
-        self._all_runs = None
+        self._index = None
 
     def __enter__(self) -> "PostingsReader":
         return self
@@ -158,24 +317,33 @@ class PostingsReader:
     def __exit__(self, *exc: object) -> None:
         self.close()
 
-    def _postings_raw(self, term: str | int) -> list:
-        """Raw spliced entries (3-tuples when the index is positional)."""
+    def _join(self, parts: list[tuple[_OpenRun, int, int]]) -> Columns:
+        """Concatenate non-empty partial lists ``(run, start, end)``."""
+        self.partial_fetches += len(parts)
+        if len(parts) == 1:
+            opened, start, end = parts[0]
+            joined = opened.columns[:, start:end]
+        elif parts:
+            joined = np.concatenate(
+                [opened.columns[:, start:end] for opened, start, end in parts], axis=1
+            )
+        else:
+            return _empty(), _empty()
+        return joined[0], joined[1]
+
+    def postings_columns(self, term: str | int) -> Columns:
+        """The full postings list as ``(docs, tfs)`` ``int32`` columns.
+
+        Each run's partial list is a slice of that run's columns; they are
+        spliced in run order.  A list found in one run comes back as a
+        read-only view of the reader's own columns.
+        """
         term_id = self._resolve(term)
         if term_id is None:
-            return []
-        if self._all_runs is None:
-            self._all_runs = [self._run(run) for run in self.range_map.runs]
-        merged: list = []
-        for opened in self._all_runs:
-            partial = opened.fetch(term_id)
-            if partial:
-                self.partial_fetches += 1
-                if merged and partial[0][0] <= merged[-1][0]:
-                    raise ValueError(
-                        "run files overlap in document order; output corrupt"
-                    )
-                merged.extend(partial)
-        return merged
+            return _empty(), _empty()
+        if self._index is None:
+            self._index = _RowIndex([self._run(run) for run in self.range_map.runs])
+        return self._join(self._index.parts(term_id))
 
     def postings(self, term: str | int) -> list[tuple[int, int]]:
         """Full postings list, spliced across runs in run order.
@@ -185,10 +353,8 @@ class PostingsReader:
         monolithic for the entire document collection".  Positions (if the
         index is positional) are stripped; use :meth:`positional_postings`.
         """
-        entries = self._postings_raw(term)
-        if self.is_positional:
-            return [(e[0], e[1]) for e in entries]
-        return entries  # already (doc, tf) pairs, in a list nobody else holds
+        docs, tfs = self.postings_columns(term)
+        return list(zip(docs.tolist(), tfs.tolist()))
 
     def positional_postings(
         self, term: str | int
@@ -196,7 +362,18 @@ class PostingsReader:
         """``(doc, tf, positions)`` entries — requires a positional index."""
         if not self.is_positional:
             raise ValueError("this index was built without positions")
-        return self._postings_raw(term)
+        term_id = self._resolve(term)
+        if term_id is None:
+            return []
+        merged: list = []
+        for run in self.range_map.runs:
+            partial = self._run(run).fetch(term_id)
+            if partial:
+                self.partial_fetches += 1
+                if merged and partial[0][0] <= merged[-1][0]:
+                    raise ValueError(_OVERLAP)
+                merged.extend(partial)
+        return merged
 
     @property
     def is_positional(self) -> bool:
@@ -205,10 +382,10 @@ class PostingsReader:
             return False
         return self._run(self.range_map.runs[0]).codec.positional
 
-    def postings_in_range(
+    def postings_columns_in_range(
         self, term: str | int, lo_doc: int, hi_doc: int
-    ) -> list[tuple[int, int]]:
-        """Postings restricted to documents in ``[lo_doc, hi_doc]``.
+    ) -> Columns:
+        """:meth:`postings_columns` restricted to documents in ``[lo_doc, hi_doc]``.
 
         Only run files whose document range overlaps are touched — the
         "faster search when narrowed down to a range of document IDs"
@@ -216,18 +393,38 @@ class PostingsReader:
         """
         term_id = self._resolve(term)
         if term_id is None:
-            return []
-        out: list[tuple[int, int]] = []
+            return _empty(), _empty()
+        parts = []
+        last = -1
         for run in self.range_map.runs_overlapping(lo_doc, hi_doc):
-            partial = self._run(run).fetch(term_id)
-            if partial:
-                self.partial_fetches += 1
-            out.extend((e[0], e[1]) for e in partial if lo_doc <= e[0] <= hi_doc)
-        return out
+            opened = self._run(run)
+            row = opened.row(term_id)
+            if row is None:
+                continue
+            start, end = opened.starts[row : row + 2].tolist()
+            if start < end:
+                if opened.docs[start] <= last:
+                    raise ValueError(_OVERLAP)
+                last = opened.docs[end - 1]
+                parts.append((opened, start, end))
+        docs, tfs = self._join(parts)
+        kept = slice(docs.searchsorted(lo_doc), docs.searchsorted(hi_doc, "right"))
+        return docs[kept], tfs[kept]
+
+    def postings_in_range(
+        self, term: str | int, lo_doc: int, hi_doc: int
+    ) -> list[tuple[int, int]]:
+        """Postings restricted to documents in ``[lo_doc, hi_doc]``.
+
+        See :meth:`postings_columns_in_range`, which this lists as
+        ``(doc, tf)`` pairs.
+        """
+        docs, tfs = self.postings_columns_in_range(term, lo_doc, hi_doc)
+        return list(zip(docs.tolist(), tfs.tolist()))
 
     def document_frequency(self, term: str | int) -> int:
         """Number of documents containing ``term``."""
-        return len(self.postings(term))
+        return len(self.postings_columns(term)[0])
 
     def run_count(self) -> int:
         """Number of run files in the index."""

@@ -1,12 +1,20 @@
-"""Boolean, ranked, and phrase retrieval over an index directory."""
+"""Boolean, ranked, and phrase retrieval over an index directory.
+
+Boolean and ranked queries work on the reader's ``(docs, tfs)`` columns: a
+term is scored as a vector, documents are intersected with binary search,
+and no per-posting Python loop runs.  Scores are bit-identical to summing
+``(1 + ln tf) · idf`` posting by posting: the ``ln`` comes from
+``math.log``, and each document's additions happen one term at a time in
+query-term order.
+"""
 
 from __future__ import annotations
 
-import bisect
-import heapq
 import math
 import re
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.parsing.porter import PorterStemmer
 from repro.parsing.stopwords import StopWordFilter
@@ -19,6 +27,11 @@ _stemmer = PorterStemmer()
 _stop = StopWordFilter()
 _too_long = Tokenizer().too_long
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
+
+#: ``1 + ln(tf)`` for every tf below the table's length, from ``math.log``
+#: (``np.log`` may differ from libm by an ulp); larger tfs are computed
+#: one by one.
+_LOG_TF = np.array([0.0] + [1.0 + math.log(tf) for tf in range(1, 1024)])
 
 
 def normalize_query(query: str, keep_stop_words: bool = False) -> list[str]:
@@ -53,10 +66,74 @@ class QueryResult:
     score: float
 
 
-def _top_k(scores: dict[int, float], k: int) -> list[QueryResult]:
+def _tf_weights(tfs: np.ndarray) -> np.ndarray:
+    """``1 + ln(tf)`` per posting, each as ``math.log`` computes it."""
+    weights = _LOG_TF.take(tfs, mode="clip")
+    beyond = np.flatnonzero(tfs >= len(_LOG_TF))
+    if beyond.size:
+        weights[beyond] = [1.0 + math.log(tf) for tf in tfs[beyond].tolist()]
+    return weights
+
+
+def _union_mask(doc_lists: list[np.ndarray]) -> np.ndarray:
+    """Boolean mask over document ids: set where any (non-empty) list has one.
+
+    Dense up to the largest id: the engine numbers documents densely, so
+    this is at most one entry per document of the collection.
+    """
+    seen = np.zeros(max(int(docs[-1]) for docs in doc_lists) + 1, dtype=bool)
+    for docs in doc_lists:
+        seen[docs] = True
+    return seen
+
+
+def _sum_scores(terms: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Each scored document and its summed score.
+
+    ``terms`` holds each query term's (non-empty, sorted) documents and
+    weights in query order.  Every document's score starts at ``0.0`` and
+    takes one addition per term that holds it, in that order — the floats
+    a per-posting loop over a dict makes.
+    """
+    if not terms:
+        return np.empty(0, dtype=np.int64), np.empty(0)
+    seen = _union_mask([docs for docs, _ in terms])
+    scores = np.zeros(seen.size)
+    for docs, weights in terms:
+        scores[docs] += weights
+    docs = np.flatnonzero(seen)
+    return docs, scores[docs]
+
+
+def _top_hits(docs: np.ndarray, scores: np.ndarray, k: int) -> list[QueryResult]:
     """The ``k`` best hits: highest score first, ties by lowest doc id."""
-    best = heapq.nsmallest(k, scores.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [QueryResult(doc, score) for doc, score in best]
+    if k <= 0 or not docs.size:
+        return []
+    if k < docs.size:
+        # Everything scoring at least the k-th best, ties at the cut included.
+        kth = scores[np.argpartition(-scores, k - 1)[k - 1]]
+        kept = np.flatnonzero(scores >= kth)
+        docs, scores = docs[kept], scores[kept]
+    order = np.lexsort((docs, -scores))[:k]
+    return [
+        QueryResult(doc, score)
+        for doc, score in zip(docs[order].tolist(), scores[order].tolist())
+    ]
+
+
+def _top_k(scores: dict[int, float], k: int) -> list[QueryResult]:
+    """The ``k`` best hits of a ``{doc: score}`` map (see :func:`_top_hits`)."""
+    docs = np.fromiter(scores, dtype=np.int64, count=len(scores))
+    values = np.fromiter(scores.values(), dtype=np.float64, count=len(scores))
+    return _top_hits(docs, values, k)
+
+
+def _member(values: np.ndarray, docs: np.ndarray) -> np.ndarray:
+    """Which of ``values`` the sorted ``docs`` holds: one binary search each."""
+    if not docs.size:
+        return np.zeros(values.size, dtype=bool)
+    at = np.minimum(docs.searchsorted(values), docs.size - 1)
+    return docs[at] == values
 
 
 class SearchEngine:
@@ -77,81 +154,67 @@ class SearchEngine:
             highs = [r.max_doc for r in self.reader.range_map.runs if r.max_doc is not None]
             num_docs = (max(highs) + 1) if highs else 0
         self.num_docs = num_docs
+        self._lengths: np.ndarray | None = None
+        self._doc_lengths_cache: dict[int, int] | None = None
 
     # ------------------------------------------------------------------ #
     # Boolean retrieval
     # ------------------------------------------------------------------ #
 
-    def _doc_sets(self, terms: list[str]) -> list[set[int]]:
-        return [set(d for d, _ in self.reader.postings(t)) for t in terms]
+    def _docs(self, term: str) -> np.ndarray:
+        return self.reader.postings_columns(term)[0]
 
     @staticmethod
     def _gallop_intersect(short: list[int], long: list[int]) -> list[int]:
-        """Intersect two sorted docID lists with galloping search.
+        """Intersect two sorted docID lists.
 
-        For each element of the shorter list the probe position in the
-        longer one advances by doubling steps then binary search — the
-        classic sub-linear conjunctive-query walk, O(s·log(l/s)) instead
-        of O(s+l), which matters when one term is rare and the other is a
-        near-stop word.
+        Each element of the shorter list is binary-searched in the longer
+        one — O(s·log l) instead of O(s+l), which matters when one term is
+        rare and the other is a near-stop word.
         """
-        out: list[int] = []
-        lo = 0
-        n = len(long)
-        for doc in short:
-            # Gallop: exponentially grow the window starting at lo.
-            step = 1
-            hi = lo
-            while hi < n and long[hi] < doc:
-                lo = hi
-                hi += step
-                step <<= 1
-            pos = bisect.bisect_left(long, doc, lo, min(hi + 1, n))
-            if pos < n and long[pos] == doc:
-                out.append(doc)
-                lo = pos + 1
-            else:
-                lo = pos
-            if lo >= n:
+        short_docs = np.asarray(short, dtype=np.int64)
+        return short_docs[_member(short_docs, np.asarray(long, dtype=np.int64))].tolist()
+
+    def _conjunction(self, terms: list[str]) -> np.ndarray:
+        """Documents holding every term, rarest list first."""
+        lists = sorted((self._docs(term) for term in terms), key=len)
+        result = lists[0]
+        for other in lists[1:]:
+            if not result.size:
                 break
-        return out
+            result = result[_member(result, other)]
+        return result
 
     def boolean_and(self, query: str) -> list[int]:
         """Documents containing *all* query terms.
 
         Postings are docID-sorted, so the conjunction intersects lists
-        rarest-first with galloping search — results are identical to a
-        set intersection, with sub-linear probing on skewed lists.
+        rarest-first by binary search — results are identical to a set
+        intersection, with sub-linear probing on skewed lists.
         """
         terms = normalize_query(query)
         if not terms:
             return []
-        lists = [[d for d, _ in self.reader.postings(t)] for t in terms]
-        if not all(lists):
-            return []
-        lists.sort(key=len)  # rarest first: the driver list stays small
-        result = lists[0]
-        for other in lists[1:]:
-            result = self._gallop_intersect(result, other)
-            if not result:
-                break
-        return result
+        return self._conjunction(terms).tolist()
 
     def boolean_or(self, query: str) -> list[int]:
         """Documents containing *any* query term."""
-        terms = normalize_query(query)
-        if not terms:
+        lists = [docs for docs in map(self._docs, normalize_query(query)) if docs.size]
+        if not lists:
             return []
-        return sorted(set.union(*self._doc_sets(terms)))
+        return np.flatnonzero(_union_mask(lists)).tolist()
 
     def boolean_not(self, query: str, exclude: str) -> list[int]:
         """AND of ``query`` minus documents matching any ``exclude`` term."""
-        base = set(self.boolean_and(query))
-        if not base:
+        terms = normalize_query(query)
+        if not terms:
             return []
+        base = self._conjunction(terms)
         for term in normalize_query(exclude):
-            base -= set(d for d, _ in self.reader.postings(term))
-        return sorted(base)
+            if not base.size:
+                break
+            base = base[~_member(base, self._docs(term))]
+        return base.tolist()
 
     # ------------------------------------------------------------------ #
     # Ranked retrieval
@@ -159,18 +222,16 @@ class SearchEngine:
 
     def ranked(self, query: str, k: int = 10) -> list[QueryResult]:
         """Top-k by TF-IDF with sublinear tf scaling."""
-        scores: dict[int, float] = {}
+        terms = []
         for term in normalize_query(query):
-            postings = self.reader.postings(term)
-            if not postings or self.num_docs <= 0:
+            docs, tfs = self.reader.postings_columns(term)
+            if not docs.size or self.num_docs <= 0:
                 continue
-            df = len(postings)
-            idf = math.log((self.num_docs + 1) / (df + 0.5))
+            idf = math.log((self.num_docs + 1) / (docs.size + 0.5))
             if idf <= 0:
                 continue
-            for doc, tf in postings:
-                scores[doc] = scores.get(doc, 0.0) + (1.0 + math.log(tf)) * idf
-        return _top_k(scores, k)
+            terms.append((docs, _tf_weights(tfs) * idf))
+        return _top_hits(*_sum_scores(terms), k)
 
     def ranked_bm25(
         self,
@@ -185,34 +246,38 @@ class SearchEngine:
         (cached); absent a stored length table this is exact for the
         emitted-token stream the index actually contains.
         """
-        lengths = self._doc_lengths()
-        if not lengths:
+        lengths = self._length_column()
+        documents = np.count_nonzero(lengths)
+        if not documents:
             return []
-        avg_len = sum(lengths.values()) / len(lengths)
-        scores: dict[int, float] = {}
+        avg_len = int(lengths.sum()) / documents
+        terms = []
         for term in normalize_query(query):
-            postings = self.reader.postings(term)
-            if not postings:
+            docs, tfs = self.reader.postings_columns(term)
+            if not docs.size:
                 continue
-            df = len(postings)
+            df = docs.size
             idf = math.log(1.0 + (self.num_docs - df + 0.5) / (df + 0.5))
-            for doc, tf in postings:
-                dl = lengths.get(doc, avg_len)
-                denom = tf + k1 * (1.0 - b + b * dl / avg_len)
-                scores[doc] = scores.get(doc, 0.0) + idf * tf * (k1 + 1.0) / denom
-        return _top_k(scores, k)
+            denom = tfs + k1 * (1.0 - b + b * lengths[docs] / avg_len)
+            terms.append((docs, idf * tfs * (k1 + 1.0) / denom))
+        return _top_hits(*_sum_scores(terms), k)
+
+    def _length_column(self) -> np.ndarray:
+        """Emitted-token count per document id, 0 for none (computed once, cached)."""
+        if self._lengths is None:
+            columns = [self.reader.postings_columns(t) for t in self.reader.vocabulary().values()]
+            docs = np.concatenate([np.empty(0, dtype=np.int32), *(d for d, _ in columns)])
+            tfs = np.concatenate([np.empty(0, dtype=np.int32), *(t for _, t in columns)])
+            self._lengths = np.bincount(docs, weights=tfs).astype(np.int64)
+        return self._lengths
 
     def _doc_lengths(self) -> dict[int, int]:
         """Emitted-token counts per document (computed once, cached)."""
-        cached = getattr(self, "_doc_lengths_cache", None)
-        if cached is not None:
-            return cached
-        lengths: dict[int, int] = {}
-        for term in self.reader.vocabulary():
-            for doc, tf in self.reader.postings(term):
-                lengths[doc] = lengths.get(doc, 0) + tf
-        self._doc_lengths_cache = lengths
-        return lengths
+        if self._doc_lengths_cache is None:
+            lengths = self._length_column()
+            docs = np.flatnonzero(lengths)
+            self._doc_lengths_cache = dict(zip(docs.tolist(), lengths[docs].tolist()))
+        return self._doc_lengths_cache
 
     def ranked_in_range(
         self, query: str, lo_doc: int, hi_doc: int, k: int = 10
@@ -222,15 +287,14 @@ class SearchEngine:
         Only run files overlapping the range are fetched — the §III.F
         "faster search when narrowed down to a range of document IDs".
         """
-        scores: dict[int, float] = {}
+        terms = []
         for term in normalize_query(query):
-            postings = self.reader.postings_in_range(term, lo_doc, hi_doc)
-            if not postings or self.num_docs <= 0:
+            docs, tfs = self.reader.postings_columns_in_range(term, lo_doc, hi_doc)
+            if not docs.size or self.num_docs <= 0:
                 continue
-            idf = math.log((self.num_docs + 1) / (len(postings) + 0.5))
-            for doc, tf in postings:
-                scores[doc] = scores.get(doc, 0.0) + (1.0 + math.log(tf)) * max(idf, 0.1)
-        return _top_k(scores, k)
+            idf = math.log((self.num_docs + 1) / (docs.size + 0.5))
+            terms.append((docs, _tf_weights(tfs) * max(idf, 0.1)))
+        return _top_hits(*_sum_scores(terms), k)
 
     # ------------------------------------------------------------------ #
     # Phrase retrieval (positional indexes)

@@ -15,7 +15,15 @@ from repro.dictionary.dictionary import Dictionary
 from repro.dictionary.serialize import save_dictionary, load_dictionary
 from repro.postings.doctable import DocTable
 from repro.postings.lists import PostingsList
-from repro.postings.output import DocRangeMap, RUN_CRC_BYTES, RunWriter, read_run_header
+from repro.postings.compression import encode_uvarint
+from repro.postings.output import (
+    RUN_CRC_BYTES,
+    RUN_MAGIC,
+    DocRangeMap,
+    RunFile,
+    RunWriter,
+    read_run_header,
+)
 from repro.postings.reader import PostingsReader
 from repro.robustness.errors import ChecksumError
 
@@ -32,6 +40,63 @@ def _refresh_crc(data: bytearray) -> bytes:
     body = bytes(data[:-RUN_CRC_BYTES])
     crc = zlib.crc32(body) & 0xFFFFFFFF
     return body + crc.to_bytes(RUN_CRC_BYTES, "little")
+
+
+def _varints(*values: int) -> bytes:
+    out = bytearray()
+    for value in values:
+        encode_uvarint(value, out)
+    return bytes(out)
+
+
+def _write_crafted_run(out_dir: str, rows: list[tuple[int, int, int]], payload: bytes) -> None:
+    """A one-run varbyte index whose mapping table and payload are given
+    verbatim (rows are ``(term id, payload offset, length)``), CRC valid."""
+    data = bytearray(RUN_MAGIC) + _varints(0, 7) + b"varbyte" + _varints(1, 1 << 40, len(rows))
+    for row in rows:
+        data += _varints(*row)
+    data += payload
+    data += (zlib.crc32(data) & 0xFFFFFFFF).to_bytes(RUN_CRC_BYTES, "little")
+    path = os.path.join(out_dir, "run_00000.post")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    mapping = DocRangeMap()
+    mapping.add(RunFile(path, 0, 0, (1 << 40) - 1, len(rows), len(data)))
+    mapping.save(out_dir)
+
+
+def _tiled(*lists: bytes) -> tuple[list[tuple[int, int, int]], bytes]:
+    """Rows for terms 1, 2, ... whose lists lie back to back."""
+    rows, offset = [], 0
+    for term_id, encoded in enumerate(lists, start=1):
+        rows.append((term_id, offset, len(encoded)))
+        offset += len(encoded)
+    return rows, b"".join(lists)
+
+
+_GOOD = _varints(2, 1, 1, 4, 2)  # [(0, 1), (4, 2)]
+
+#: Runs with a valid CRC whose mapping table or lists are malformed.
+_MALFORMED_RUNS = {
+    "zero gap": _tiled(_varints(2, 1, 1, 0, 1), _GOOD),
+    "zero tf": _tiled(_GOOD, _varints(1, 3, 0)),
+    "count over the bytes": _tiled(_varints(3, 1, 1, 2, 1), _GOOD),
+    "count under the bytes": _tiled(_varints(1, 1, 1, 2, 1), _GOOD),
+    "list ends inside a varint": _tiled(_GOOD[:-1] + b"\x81", _varints(1, 1, 1)),
+    "rows share bytes": ([(1, 0, len(_GOOD)), (2, 0, len(_GOOD))], _GOOD),
+    "gap between rows": ([(1, 0, len(_GOOD)), (2, len(_GOOD) + 1, len(_GOOD))],
+                         _GOOD + b"\x01" + _GOOD),
+    "bytes after the last row": ([(1, 0, len(_GOOD))], _GOOD + _varints(1, 1, 1)),
+    "term ids descend": ([(2, 0, len(_GOOD)), (1, len(_GOOD), len(_GOOD))], _GOOD * 2),
+    "doc beyond int32": _tiled(_GOOD, _varints(2, 1, 1, 1 << 31, 1)),
+    "tf beyond int32": _tiled(_varints(1, 1, 1 << 31), _GOOD),
+}
+
+_READS = {
+    "postings": lambda reader: reader.postings(1),
+    "postings_columns": lambda reader: reader.postings_columns(1),
+    "postings_in_range": lambda reader: reader.postings_in_range(1, 0, 1 << 40),
+}
 
 
 def _write_index(out_dir: str) -> None:
@@ -89,6 +154,31 @@ class TestCorruptRunFiles:
         reader = PostingsReader(str(tmp_path))
         with pytest.raises(ValueError, match="overlap"):
             reader.postings(1)
+
+    def test_overlapping_run_doc_ranges_detected_in_range(self, tmp_path):
+        writer = RunWriter(str(tmp_path))
+        mapping = DocRangeMap()
+        mapping.add(writer.write_run(0, {1: _plist([(0, 1), (10, 1)])}))
+        mapping.add(writer.write_run(1, {1: _plist([(5, 1)])}))
+        mapping.save(str(tmp_path))
+        reader = PostingsReader(str(tmp_path))
+        with pytest.raises(ValueError, match="overlap"):
+            reader.postings_in_range(1, 0, 20)
+        # A range that touches one run has nothing to splice.
+        assert reader.postings_in_range(1, 0, 4) == [(0, 1)]
+
+    @pytest.mark.parametrize("read", sorted(_READS))
+    @pytest.mark.parametrize("case", sorted(_MALFORMED_RUNS))
+    def test_malformed_run_never_reads(self, tmp_path, case, read):
+        _write_crafted_run(str(tmp_path), *_MALFORMED_RUNS[case])
+        with pytest.raises((ValueError, EOFError)):
+            _READS[read](PostingsReader(str(tmp_path)))
+
+    def test_crafted_run_reads_when_well_formed(self, tmp_path):
+        _write_crafted_run(str(tmp_path), *_tiled(_GOOD, _varints(1, 1 << 31, 1)))
+        reader = PostingsReader(str(tmp_path))
+        assert reader.postings(1) == [(0, 1), (4, 2)]
+        assert reader.postings(2) == [((1 << 31) - 1, 1)]
 
     def test_missing_run_file(self, tmp_path):
         _write_index(str(tmp_path))

@@ -235,36 +235,12 @@ class TestPostingsReader:
         assert reader.postings("absent") == []
         assert reader.vocabulary() == {"parallel": tid}
 
-
-class TestMmapReader:
-    def test_mmap_mode_identical_results(self, tmp_path):
+    def test_close_frees_the_columns(self, tmp_path):
         _write_three_runs(str(tmp_path))
-        plain = PostingsReader(str(tmp_path))
-        with PostingsReader(str(tmp_path), use_mmap=True) as mapped:
-            for term in (1, 2, 3, 99):
-                assert mapped.postings(term) == plain.postings(term)
-            assert mapped.postings_in_range(1, 5, 15) == plain.postings_in_range(1, 5, 15)
-
-    def test_close_releases_handles(self, tmp_path):
-        _write_three_runs(str(tmp_path))
-        reader = PostingsReader(str(tmp_path), use_mmap=True)
+        reader = PostingsReader(str(tmp_path))
         reader.postings(1)
         assert reader._open_runs
         reader.close()
         assert not reader._open_runs
-        # Reader remains usable: files reopen on demand.
-        assert reader.postings(2)
-
-    def test_mmap_with_engine_output(self, tiny_collection, tmp_path):
-        from repro.core.config import PlatformConfig
-        from repro.core.engine import IndexingEngine
-
-        out = str(tmp_path / "idx")
-        IndexingEngine(
-            PlatformConfig(num_parsers=2, num_cpu_indexers=1, num_gpus=0,
-                           sample_fraction=0.3)
-        ).build(tiny_collection, out)
-        with PostingsReader(out, use_mmap=True) as reader:
-            vocab = reader.vocabulary()
-            term = next(iter(vocab))
-            assert reader.postings(term)
+        # Reader remains usable: runs are decoded again on demand.
+        assert reader.postings(2) == [(3, 4), (13, 4), (23, 4)]
