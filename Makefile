@@ -1,6 +1,6 @@
 # Canonical workflows for the reproduction.
 
-.PHONY: install test test-fast test-mp chaos chaos-mp lint bench-pytest perf-smoke report examples trace-demo profile-demo critpath-demo clean
+.PHONY: install test test-fast test-mp chaos chaos-mp lint bench-pytest perf-smoke report examples trace-demo profile-demo clean
 
 install:
 	python setup.py develop
@@ -27,14 +27,13 @@ chaos:
 chaos-mp:
 	pytest tests/test_chaos_mp.py tests/test_supervise.py -v
 
-# Paper-invariant lint pack + race analyzer + protocol conformance
-# rules and model checker + typing gate (docs/STATIC_ANALYSIS.md); every
-# rule is per file, so the incremental cache re-lints only edited files.
+# Paper-invariant lint pack + race analyzer + typing gate
+# (docs/STATIC_ANALYSIS.md); every rule is per file, so the incremental cache re-lints only edited files.
 # mypy runs when installed (dev extra).  The second pass holds
 # benchmarks/ to the RPR008 clock fence: bench timing flows through
 # util/timing.py.
 lint:
-	python -m repro lint src --protocol
+	python -m repro lint src
 	python -m repro lint benchmarks --select RPR008
 
 # The repo's benchmark (BENCHMARK.json, benchmarks/perf/README.md) at
@@ -96,22 +95,6 @@ profile-demo:
 		--folded /tmp/repro_profile_demo/stacks.folded \
 		--speedscope /tmp/repro_profile_demo/profile.speedscope.json
 	python -m repro verify /tmp/repro_profile_demo/index
-
-# Critical-path analysis end to end: a multiprocess demo build, the
-# blame table + what-if projections rendered, run.critpath.json
-# schema-gated, and the Perfetto overlay with the highlighted
-# critical-path lane (docs/OBSERVABILITY.md, "Critical-path analysis").
-critpath-demo:
-	rm -rf /tmp/repro_critpath_demo
-	python -m repro generate congress /tmp/repro_critpath_demo --seed 7
-	python -m repro build /tmp/repro_critpath_demo/congress_mini \
-		/tmp/repro_critpath_demo/index --parsers 2 --cpu-indexers 2 --gpus 1 \
-		--exec multiprocess
-	python -m repro critpath /tmp/repro_critpath_demo/index \
-		--what-if ring-wait=0 \
-		--chrome /tmp/repro_critpath_demo/critpath.trace.json
-	python -c "from repro.obs.critpath_schema import load_critpath; \
-		load_critpath('/tmp/repro_critpath_demo/index/run.critpath.json')"
 
 examples:
 	python examples/quickstart.py /tmp/repro_example_qs

@@ -13,8 +13,10 @@ Commands mirror the library's workflow:
   (``--resume`` continues an interrupted build, ``--on-error`` picks the
   skip / quarantine policy for corrupt containers, ``--no-telemetry``
   skips the ``run.metrics.json`` / ``trace.json`` artifacts);
-- ``trace`` — stage-utilization report for a build's Chrome trace
-  (open the same file in Perfetto / chrome://tracing for the timeline);
+- ``trace`` — report on a build's Chrome trace: lane utilization,
+  where the engine's wall went per resource (docs/OBSERVABILITY.md,
+  "Where the engine's wall went") and stage totals (open the same file
+  in Perfetto / chrome://tracing for the timeline);
 - ``verify`` — check an index directory's checksums and cross-file
   invariants (including telemetry artifact schemas); exits non-zero on
   the first inconsistency;
@@ -25,19 +27,12 @@ Commands mirror the library's workflow:
 - ``simulate`` — the paper-scale pipeline simulation (Tables IV/VI
   numbers without touching a terabyte);
 - ``lint`` — the paper-invariant static-analysis pack
-  (docs/STATIC_ANALYSIS.md): AST rules, race analyzer, protocol
-  conformance, typing gate;
+  (docs/STATIC_ANALYSIS.md): AST rules, race analyzer, typing gate;
 - ``profile`` — report on a ``run.profile.json`` written by ``build
   --profile`` (per-lane summary + top-N self/cumulative table);
   ``--diff A B`` ranks regressed/improved functions between
   two profiles, ``--folded`` / ``--speedscope`` export flamegraph
-  formats;
-- ``critpath`` — critical-path analysis of a build's ``trace.json``
-  (docs/OBSERVABILITY.md, "Critical-path analysis"): per-resource blame
-  table and ranked what-if projections, written to
-  ``run.critpath.json``; ``--what-if RESOURCE=FACTOR`` adds a
-  projection, ``--diff A B`` compares two results, ``--chrome`` exports
-  the trace with a highlighted critical-path lane.
+  formats.
 """
 
 from __future__ import annotations
@@ -138,7 +133,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
                        help="container files per output run (default: 1)")
 
     trace = sub.add_parser(
-        "trace", help="ASCII stage-utilization report from a build's trace"
+        "trace", help="lane utilization, engine blame and stage totals "
+                      "from a build's trace"
     )
     trace.add_argument(
         "trace", help="index directory (containing trace.json) or a trace file"
@@ -204,36 +200,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     profile.add_argument("--speedscope", default=None, metavar="PATH",
                          help="also write speedscope JSON "
                               "(https://speedscope.app)")
-
-    critpath = sub.add_parser(
-        "critpath",
-        help="critical-path analysis over a build's trace.json: "
-             "per-resource blame + what-if speedup projections",
-    )
-    critpath.add_argument(
-        "target", nargs="?", default=None,
-        help="index directory (containing trace.json); omit only with --diff",
-    )
-    critpath.add_argument(
-        "--what-if", action="append", default=[], metavar="RESOURCE=SCALE",
-        help="add a projection scaling a resource's critical-path edges "
-             "(e.g. 'ring-wait=0' or 'parse=0.5'); repeatable",
-    )
-    critpath.add_argument(
-        "--diff", nargs=2, metavar=("OLD", "NEW"), default=None,
-        help="compare two run.critpath.json files (or index dirs): "
-             "per-resource blame movement instead of one report",
-    )
-    critpath.add_argument(
-        "--chrome", default=None, metavar="PATH",
-        help="also write the build's Chrome trace with the critical path "
-             "as a highlighted extra lane",
-    )
-    critpath.add_argument(
-        "--no-write", action="store_true",
-        help="report only; do not write run.critpath.json into the "
-             "index directory",
-    )
 
     lint = sub.add_parser(
         "lint", help="paper-invariant lint pack + race analyzer + typing gate"
@@ -605,66 +571,6 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _critpath_path_of(target: str) -> str:
-    """Resolve a critpath target: an index directory or the file itself."""
-    import os
-
-    from repro.obs.critpath_schema import CRITPATH_FILENAME
-
-    if os.path.isdir(target):
-        return os.path.join(target, CRITPATH_FILENAME)
-    return target
-
-
-def _cmd_critpath(args) -> int:
-    import os
-
-    from repro.obs.critpath import (
-        analyze_index_dir,
-        build_critpath_payload,
-        default_projections,
-        parse_what_if,
-        project,
-        render_critpath_diff,
-        render_critpath_report,
-        write_chrome_overlay,
-    )
-    from repro.obs.critpath_schema import CRITPATH_FILENAME, load_critpath
-    from repro.obs.schema import TRACE_FILENAME
-
-    if args.diff is not None:
-        old, new = (load_critpath(_critpath_path_of(t)) for t in args.diff)
-        print(render_critpath_diff(old, new))
-        return 0
-    if args.target is None:
-        print("error: critpath needs an index directory (or --diff OLD NEW)",
-              file=sys.stderr)
-        return 2
-
-    cp = analyze_index_dir(args.target)
-    projections = default_projections(cp)
-    extra = []
-    scales = parse_what_if(args.what_if)
-    if scales:
-        label = ", ".join(f"{r}={s:g}" for r, s in sorted(scales.items()))
-        extra.append(project(cp, scales, f"what-if {label}"))
-    payload = build_critpath_payload(
-        cp, projections, meta={"index_dir": os.path.abspath(args.target)}
-    )
-    print(render_critpath_report(payload, extra_projections=extra))
-    if not args.no_write:
-        from repro.obs.critpath_schema import write_critpath
-
-        out = os.path.join(args.target, CRITPATH_FILENAME)
-        write_critpath(out, payload)
-        print(f"\nwrote {out}")
-    if args.chrome is not None:
-        trace_path = os.path.join(args.target, TRACE_FILENAME)
-        write_chrome_overlay(payload, trace_path, args.chrome)
-        print(f"wrote highlighted Chrome trace to {args.chrome}")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit code (2 on usage errors)."""
     args = build_arg_parser().parse_args(argv)
@@ -681,7 +587,6 @@ def main(argv: list[str] | None = None) -> int:
         "simulate": _cmd_simulate,
         "lint": _cmd_lint,
         "profile": _cmd_profile,
-        "critpath": _cmd_critpath,
     }[args.command]
     try:
         return handler(args)

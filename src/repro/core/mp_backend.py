@@ -373,8 +373,8 @@ class ParseWorker:
     def _recover(self, k: int, kind: str, detail: str) -> None:
         """File ``k``'s result will not arrive: restart, poison or degrade."""
         sup, tag = self.sup, self._tag(k)
-        # `repro critpath` subtracts this span from the wait it nests in
-        # before blaming transport.
+        # `repro trace` blames the wait this span overlaps on the
+        # supervisor, not on transport.
         with self.hooks.tel.tracer.span(
             "supervisor.recover", cat="robustness", worker=WORKER_KEY, kind=kind,
         ) as tags:

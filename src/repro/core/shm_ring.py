@@ -7,8 +7,7 @@ benchmark harness (``benchmarks/perf``, which a perf PR may not edit)
 still *drives* a pair of rings for its ``shm_ring.roundtrip_mb_s`` /
 ``frames_s`` layers and scans ``/dev/shm`` with
 :func:`list_repro_segments`.  ROADMAP item 5(v): the next PR that opens
-``benchmarks/perf/`` deletes this file, the ring/segment models and
-RPR120/RPR123 in :mod:`repro.lint.protocol`, and ``tests/test_shm_ring.py``
+``benchmarks/perf/`` deletes this file and ``tests/test_shm_ring.py``
 in one go.
 
 Each ring is one ``multiprocessing.shared_memory`` segment holding a
@@ -119,10 +118,6 @@ class RingSpec:
 
     name: str
     capacity: int
-    #: Causal edge label (e.g. ``"cpu-0.task"``) for per-edge wait
-    #: attribution in `repro critpath`; ``None`` keeps telemetry
-    #: aggregate-only.  Slot-stable across worker restarts.
-    edge: str | None = None
 
 
 # ---------------------------------------------------------------------- #
@@ -263,12 +258,11 @@ def _retrack(shm: shared_memory.SharedMemory) -> None:
 class ShmRing:
     """One single-producer/single-consumer byte ring (see module doc)."""
 
-    def __init__(self, shm: shared_memory.SharedMemory, capacity: int, owner: bool,
-                 edge: str | None = None) -> None:
+    def __init__(self, shm: shared_memory.SharedMemory, capacity: int,
+                 owner: bool) -> None:
         self._shm = shm
         self._capacity = capacity
         self._owner = owner
-        self._edge = edge
         self._buf = shm.buf
         self._closed = False
         # Consumer-side reassembly of the frame currently being read:
@@ -280,8 +274,7 @@ class ShmRing:
     # -- lifecycle ------------------------------------------------------ #
 
     @classmethod
-    def create(cls, suffix: str, capacity: int,
-               edge: str | None = None) -> "ShmRing":
+    def create(cls, suffix: str, capacity: int) -> "ShmRing":
         """Create a new ring segment (engine side only)."""
         if capacity < 16:
             raise ValueError(f"ring capacity must be >= 16 bytes, got {capacity}")
@@ -290,19 +283,17 @@ class ShmRing:
         )
         _register_created(shm)
         shm.buf[:_HEADER] = b"\x00" * _HEADER
-        return cls(shm, capacity, owner=True, edge=edge)
+        return cls(shm, capacity, owner=True)
 
     @classmethod
     def attach(cls, spec: RingSpec) -> "ShmRing":
         """Attach to an engine-created ring (worker side)."""
         shm = shared_memory.SharedMemory(name=spec.name)
         _untrack(shm)
-        return cls(shm, spec.capacity, owner=False, edge=spec.edge)
+        return cls(shm, spec.capacity, owner=False)
 
     def spec(self) -> RingSpec:
-        return RingSpec(
-            name=self._shm.name, capacity=self._capacity, edge=self._edge
-        )
+        return RingSpec(name=self._shm.name, capacity=self._capacity)
 
     @property
     def name(self) -> str:
@@ -412,8 +403,6 @@ class ShmRing:
             if m is not None and wait_polls:
                 m.count("shm.ring.producer_wait_polls", wait_polls)
                 m.count("shm.ring.producer_wait_s", wait_s)
-                if self._edge is not None:
-                    m.count(f"shm.ring.edge.{self._edge}.producer_wait_s", wait_s)
 
     # -- consumer side --------------------------------------------------- #
 
@@ -449,11 +438,6 @@ class ShmRing:
                         if m is not None and wait_polls:
                             m.count("shm.ring.consumer_wait_polls", wait_polls)
                             m.count("shm.ring.consumer_wait_s", wait_s)
-                            if self._edge is not None:
-                                m.count(
-                                    f"shm.ring.edge.{self._edge}.consumer_wait_s",
-                                    wait_s,
-                                )
                         return None
                     continue
                 poll_s = _POLL_MIN_S
@@ -476,6 +460,4 @@ class ShmRing:
             if m is not None and wait_polls:
                 m.count("shm.ring.consumer_wait_polls", wait_polls)
                 m.count("shm.ring.consumer_wait_s", wait_s)
-                if self._edge is not None:
-                    m.count(f"shm.ring.edge.{self._edge}.consumer_wait_s", wait_s)
             return frame

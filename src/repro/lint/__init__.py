@@ -1,6 +1,6 @@
 """repro lint — the reproduction's static-analysis pack.
 
-Four layers, all driven by ``repro lint`` (or ``make lint``):
+Three layers, all driven by ``repro lint`` (or ``make lint``):
 
 1. **Paper-invariant rules** (RPR0xx, :mod:`repro.lint.rules`): AST checks
    that keep the codebase honest about the paper's layout and numeric
@@ -14,11 +14,7 @@ Four layers, all driven by ``repro lint`` (or ``make lint``):
    threads — the serial loop's parse-prefetch pool, the profiler's
    sampler, the fault-injection hooks they reach — for unguarded writes
    to state shared with worker threads, and lock-order cycles.
-3. **Protocol layer** (RPR120/RPR123, :mod:`repro.lint.protocol` on
-   :mod:`repro.lint.modelcheck`): conformance rules for
-   ``core/shm_ring.py`` and, with ``--protocol``, an exhaustive model
-   check of its ring and segment-ownership protocols.
-4. **Typing gate** (RPR007 plus RPR201, :mod:`repro.lint.typing_gate`):
+3. **Typing gate** (RPR007 plus RPR201, :mod:`repro.lint.typing_gate`):
    an annotation-completeness gate over the paper-critical packages,
    plus a wrapper that runs mypy when it is installed (CI installs it;
    the gate degrades gracefully offline).
@@ -33,6 +29,6 @@ assert this.
 """
 
 from repro.lint.framework import Finding, lint_paths, registered_rules
-from repro.lint import protocol, races, rules  # noqa: F401  (importing registers the rules)
+from repro.lint import races, rules  # noqa: F401  (importing registers the rules)
 
-__all__ = ["Finding", "lint_paths", "registered_rules", "protocol", "races", "rules"]
+__all__ = ["Finding", "lint_paths", "registered_rules", "races", "rules"]

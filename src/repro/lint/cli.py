@@ -1,10 +1,9 @@
 """``repro lint`` — command-line driver for the static-analysis pack.
 
-Runs the per-file rules (paper invariants, races, protocol conformance,
-RPR007) through the incremental cache, then the whole-run passes that
-only make sense without ``--select``: the race allowlist's staleness
-check (RPR103) and mypy.  ``--protocol`` adds the ring / segment model
-check.
+Runs the per-file rules (paper invariants, races, RPR007) through the
+incremental cache, then the whole-run passes that only make sense
+without ``--select``: the race allowlist's staleness check (RPR103) and
+mypy.
 
 Also runnable directly as ``python -m repro.lint.cli``; the ``repro``
 CLI's ``lint`` subcommand forwards here.  Exit codes: 0 clean, 1 findings
@@ -17,8 +16,8 @@ import argparse
 import sys
 from typing import Sequence
 
-# Importing rules/races/protocol registers every rule.
-from repro.lint import protocol, races, rules  # noqa: F401
+# Importing rules/races registers every rule.
+from repro.lint import races, rules  # noqa: F401
 from repro.lint.framework import (
     LintCache,
     format_json,
@@ -58,14 +57,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="print every registered rule and exit",
     )
     parser.add_argument(
-        "--protocol", action="store_true",
-        help="also model-check the shm ring / segment-ownership protocols",
-    )
-    parser.add_argument(
-        "--max-states", type=int, default=500_000, metavar="N",
-        help="state budget per protocol model (with --protocol)",
-    )
-    parser.add_argument(
         "--no-cache", action="store_true",
         help="ignore and do not write the incremental cache (.repro-lint-cache/)",
     )
@@ -82,7 +73,8 @@ def run(args: argparse.Namespace) -> int:
     select = None
     if args.select:
         select = [c.strip() for c in args.select.split(",") if c.strip()]
-    cache = None if args.no_cache else LintCache()
+    # RPR101's findings depend on the allowlist, so its bytes salt the cache.
+    cache = None if args.no_cache else LintCache(inputs=[races.allowlist_path()])
     try:
         lint_run = lint_paths(args.paths, select=select, cache=cache)
     except KeyError as exc:
@@ -99,10 +91,6 @@ def run(args: argparse.Namespace) -> int:
         if stale:
             lint_run.findings.extend(stale)
             lint_run.findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
-
-    protocol_reports = None
-    if args.protocol:
-        protocol_reports = protocol.verify_protocol(max_states=args.max_states)
 
     mypy_state = "skipped"
     if args.mypy != "off" and select is None:
@@ -127,44 +115,20 @@ def run(args: argparse.Namespace) -> int:
             "cache_hits": lint_run.cache_hits,
             "cache_misses": lint_run.cache_misses,
         }
-        if protocol_reports is not None:
-            extra["protocol"] = [r.to_dict() for r in protocol_reports]
         print(format_json(lint_run, extra=extra))
     else:
         print(format_text(lint_run))
         if mypy_state != "ran":
             print(f"mypy: {mypy_state}")
-        if protocol_reports is not None:
-            for report in protocol_reports:
-                res = report.result
-                families = ", ".join(
-                    f"{name}={'ok' if held else 'VIOLATED'}"
-                    for name, held in sorted(report.families.items())
-                )
-                status = "ok" if report.ok else "FAILED"
-                budget = "" if res.complete else " (state budget exhausted)"
-                print(
-                    f"protocol: {report.name}: {status}{budget} — "
-                    f"{res.states} states, {res.transitions} transitions "
-                    f"in {res.elapsed_s:.2f}s; {families}"
-                )
-                for violation in res.violations:
-                    print(violation.render())
 
-    protocol_failed = protocol_reports is not None and any(
-        not r.ok for r in protocol_reports
-    )
-    return 1 if (
-        lint_run.findings or lint_run.parse_errors or protocol_failed
-    ) else 0
+    return 1 if (lint_run.findings or lint_run.parse_errors) else 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Parse ``argv`` and run the linter; returns the exit code."""
     parser = argparse.ArgumentParser(
         prog="repro lint",
-        description="paper-invariant lint pack, race analyzer, protocol "
-                    "conformance, typing gate",
+        description="paper-invariant lint pack, race analyzer, typing gate",
     )
     add_lint_arguments(parser)
     return run(parser.parse_args(argv))

@@ -218,35 +218,35 @@ _CACHE_VERSION = 2
 class LintCache:
     """Per-file findings keyed by content hash under ``.repro-lint-cache/``.
 
-    An entry is valid when the *salt* (lint-package sources, allowlist
-    content, selected codes) and the file's content hash both match;
-    its findings and facts are then reused without parsing.  Every rule
-    judges a file by its own content, so an edit re-lints only the
-    edited file.
+    An entry is valid when the *salt* (lint-package sources, the
+    ``inputs`` files such as a custom race allowlist, selected codes)
+    and the file's content hash both match; its findings and facts are
+    then reused without parsing.  Every rule judges a file by its own
+    content, so an edit re-lints only the edited file.
     """
 
     DEFAULT_DIR = ".repro-lint-cache"
 
-    def __init__(self, root: str | None = None) -> None:
+    def __init__(self, root: str | None = None,
+                 inputs: Iterable[str] = ()) -> None:
         self.root = root or self.DEFAULT_DIR
+        self.inputs = list(inputs)
 
     # -- keys ---------------------------------------------------------- #
 
-    @staticmethod
-    def salt(codes: Iterable[str], extra: Iterable[str] = ()) -> str:
+    def salt(self, codes: Iterable[str]) -> str:
         """Hash of everything besides file content that affects findings."""
         h = hashlib.sha256(f"v{_CACHE_VERSION}".encode())
         for code in sorted(codes):
             h.update(code.encode())
         lint_dir = os.path.dirname(os.path.abspath(__file__))
-        for name in sorted(os.listdir(lint_dir)):
-            if not name.endswith((".py", ".txt")):
-                continue
-            h.update(name.encode())
-            with open(os.path.join(lint_dir, name), "rb") as fh:
+        sources = [os.path.join(lint_dir, name)
+                   for name in sorted(os.listdir(lint_dir))
+                   if name.endswith((".py", ".txt"))]
+        for path in sources + self.inputs:
+            h.update(os.path.basename(path).encode())
+            with open(path, "rb") as fh:
                 h.update(hashlib.sha256(fh.read()).digest())
-        for item in extra:
-            h.update(item.encode())
         return h.hexdigest()
 
     def _entry_path(self, salt: str, path: str) -> str:

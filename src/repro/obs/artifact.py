@@ -1,4 +1,4 @@
-"""What the ``run.{metrics,profile,critpath}.json`` validators share.
+"""What the ``run.metrics.json`` and ``run.profile.json`` validators share.
 
 Each artifact is described by a section table (``name → (required,
 expected type)``; a tuple of types means "a number") and a

@@ -8,6 +8,8 @@ Pure functions from telemetry artifacts to numbers and ASCII renderings:
   by instrumented child spans (the acceptance gate: ≥ 95%);
 - :func:`lane_utilization` / :func:`stage_totals` — the per-worker and
   per-stage aggregates behind the utilization chart;
+- :func:`engine_blame` — where the engine lane's wall went, per
+  resource (the engine lane is the build's critical path);
 - :func:`render_trace_summary` — the ``repro trace`` report, using
   :mod:`repro.util.ascii_chart` for the bars;
 - :func:`render_metrics_summary` / :func:`render_metrics_diff` — the
@@ -29,6 +31,7 @@ __all__ = [
     "interval_union_s",
     "span_coverage",
     "lane_utilization",
+    "engine_blame",
     "stage_totals",
     "render_trace_summary",
     "render_metrics_summary",
@@ -138,6 +141,85 @@ def lane_utilization(
     }
 
 
+#: The engine lane's chain spans and the resource each is filed under.
+#: ``parse.wait`` (``None``) is split by :func:`engine_blame`; any other
+#: engine-lane span (``build``, ``run_loop``, …) is a container.
+_CHAIN_RESOURCE: dict[str, str | None] = {
+    "sampling": "sampling",
+    "parse": "parse",
+    "parse.wait": None,
+    "index": "index",
+    "write_run": "flush",
+    "checkpoint": "flush",
+    "dict.combine": "merge",
+    "dict.write": "merge",
+    "simulate": "engine",
+}
+
+#: Blame pieces shorter than this are float noise (traces are in µs).
+_NOISE_S = 1e-9
+
+
+def engine_blame(
+    spans: list[Span], root_name: str = "build"
+) -> dict[str, float]:
+    """Seconds of the root span's wall per resource, heaviest first.
+
+    The engine thread collects and indexes every file in file order, so
+    its lane is the build's critical path.  Each chain span on it is
+    filed under its resource (:data:`_CHAIN_RESOURCE`); time between
+    chain spans is ``engine``.  A ``parse.wait`` is split in priority
+    order: overlap with a ``supervisor.recover`` span is ``supervisor``;
+    overlap with a look-ahead lane's ``parse_file`` is ``parse``; the
+    rest is ``transport`` under the multiprocess backend (worker
+    start-up, the parsed file crossing the process boundary) and
+    ``stall`` under serial (waiting on the prefetch pool).
+    """
+    root = _root(spans, root_name)
+    if root is None:
+        return {}
+    backend = next(
+        (s.args.get("backend") for s in spans if s.name == "run_loop"), None
+    )
+    remainder = "transport" if backend == "multiprocess" else "stall"
+    recover = [(s.start_s, s.end_s) for s in spans
+               if s.name == "supervisor.recover"]
+    busy = recover + [(s.start_s, s.end_s) for s in spans
+                      if s.name == "parse_file" and s.lane != root.lane]
+    chain = sorted(
+        (s for s in spans if s.lane == root.lane and s.name in _CHAIN_RESOURCE),
+        key=lambda s: (s.start_s, s.end_s),
+    )
+    blame: dict[str, float] = {}
+
+    def add(resource: str, seconds: float) -> None:
+        if seconds > _NOISE_S:
+            blame[resource] = blame.get(resource, 0.0) + seconds
+
+    def overlap(intervals: list[tuple[float, float]], start: float,
+                end: float) -> float:
+        return interval_union_s((max(a, start), min(b, end)) for a, b in intervals)
+
+    cursor = root.start_s
+    for span in chain:
+        start = max(span.start_s, cursor)
+        if start >= span.end_s:
+            continue  # shadowed by an earlier chain span
+        add("engine", start - cursor)
+        resource = _CHAIN_RESOURCE[span.name]
+        if resource is None:
+            held = overlap(recover, start, span.end_s)
+            waited = overlap(busy, start, span.end_s)
+            add("supervisor", held)
+            add("parse", waited - held)
+            add(remainder, span.end_s - start - waited)
+        else:
+            add(resource, span.end_s - start)
+        cursor = span.end_s
+    add("engine", root.end_s - cursor)
+    return dict(sorted(blame.items(), key=lambda kv: (-kv[1], kv[0])))
+
+
 def stage_totals(spans: list[Span]) -> dict[str, tuple[int, float]]:
     """Per span-name ``(count, total seconds)``, busiest first."""
     totals: dict[str, tuple[int, float]] = {}
@@ -150,7 +232,8 @@ def stage_totals(spans: list[Span]) -> dict[str, tuple[int, float]]:
 
 
 def render_trace_summary(spans: list[Span], root_name: str = "build") -> str:
-    """The ``repro trace`` report: coverage, lane chart, stage table."""
+    """The ``repro trace`` report: coverage, lane chart, engine blame,
+    stage table."""
     if not spans:
         return "(empty trace)"
     root = _root(spans, root_name)
@@ -169,6 +252,23 @@ def render_trace_summary(spans: list[Span], root_name: str = "build") -> str:
         lines.append("")
         lines.append("lane utilization (% of build wall time):")
         lines.append(bar_chart({k: v * 100 for k, v in util.items()}, unit="%"))
+
+    blame = engine_blame(spans, root_name)
+    if root is not None and root.duration_s > 0 and blame:
+        wall = root.duration_s
+        lines.append("")
+        lines.append(f"where the engine's wall went ({wall:.6f}s):")
+        for resource, seconds in blame.items():
+            lines.append(f"  {resource:<10} {seconds:10.6f}s  "
+                         f"{seconds / wall * 100:5.1f}%")
+        parse = [r for r in ("parse", "transport", "stall") if r in blame]
+        parse_s = sum(blame[r] for r in parse)
+        lines.append(
+            f"  the engine spent {parse_s / wall * 100:.1f}% of the build "
+            f"wall on the parse side ({' + '.join(parse) or 'none'}) and "
+            f"{blame.get('index', 0.0) / wall * 100:.1f}% in the indexers "
+            "(index)"
+        )
 
     lines.append("")
     lines.append("stage totals:")

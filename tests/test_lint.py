@@ -62,15 +62,11 @@ RULE_FIXTURES = [
     ("RPR101", fixture("rpr101_races.py"), 2),
     ("RPR102", fixture("rpr102_deadlock.py"), 1),
     ("RPR110", fixture("rpr110_mp_entry.py"), 4),
-    ("RPR120", fixture("protocol_bad", "shm_ring.py"), 2),
-    ("RPR123", fixture("protocol_bad", "shm_ring.py"), 3),
 ]
 
 # Vetted negatives: fixture sets that must produce zero findings for the
 # given codes.
 OK_FIXTURES = [
-    (["RPR120", "RPR123"],
-     [fixture("protocol_ok", "shm_ring.py")]),
     # The RPR008 carve-out: the same clock reads that fire in
     # rpr008_profile.py are exempt under an obs/ path.
     (["RPR008"],
@@ -112,7 +108,7 @@ class TestRuleFixtures:
         assert run.findings == []
 
     @pytest.mark.parametrize("codes,paths", OK_FIXTURES,
-                             ids=["protocol-ok", "rpr008-obs-carveout"])
+                             ids=["rpr008-obs-carveout"])
     def test_vetted_negatives_stay_clean(self, codes, paths):
         run = lint_paths(paths, select=codes)
         assert run.files_checked == len(paths)
@@ -182,8 +178,7 @@ class TestSelfCheck:
         codes = set(registered_rules())
         assert codes == {
             "RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006",
-            "RPR007", "RPR008", "RPR101", "RPR102", "RPR110", "RPR120",
-            "RPR123",
+            "RPR007", "RPR008", "RPR101", "RPR102", "RPR110",
         }
         for reg in registered_rules().values():
             assert reg.description, f"{reg.code} has no description"
@@ -384,6 +379,33 @@ class TestLintCache:
             assert races.stale_allowlist_findings(
                 run.files, used, str(allow)) == []
 
+    def test_custom_allowlist_is_part_of_the_cache_key(
+            self, tmp_path, monkeypatch, capsys):
+        """A warm cache must not replay RPR101 findings made under another
+        allowlist: the allowlist's content salts every entry."""
+        from repro.lint.cli import main as lint_main
+
+        mod = tmp_path / "racy_mod.py"
+        mod.write_text(_RACY_MODULE)
+        allow = tmp_path / "allow.txt"
+        allow.write_text("racy_mod.py::C.n\n")
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        monkeypatch.chdir(tmp_path)
+
+        def lint(allowlist):
+            return lint_main([str(mod), "--select", "RPR101",
+                              "--allowlist", str(allowlist)])
+
+        try:
+            assert lint(allow) == 0
+            assert lint(empty) == 1
+            allow.write_text("")  # same path, new content
+            assert lint(allow) == 1
+        finally:
+            races.set_allowlist_path(None)
+        assert "RPR101" in capsys.readouterr().out
+
     def test_cli_reports_cache_stats_and_no_cache_disables(self, tmp_path):
         mod = tmp_path / "plain.py"
         mod.write_text("A = 1\n")
@@ -394,42 +416,3 @@ class TestLintCache:
                         "--no-cache")
         payload2 = json.loads(proc2.stdout)
         assert payload2["cache_hits"] == 0
-
-
-class TestProtocolCLI:
-    """``repro lint --protocol`` — the model-checker CLI surface."""
-
-    _OK_PATH = fixture("protocol_ok", "shm_ring.py")
-
-    def test_protocol_reports_every_model_and_family(self):
-        proc = run_cli(self._OK_PATH, "--select", "RPR120", "--protocol")
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        out = proc.stdout
-        for name in ("spsc-ring", "segment-ownership"):
-            assert name in out
-        for family in ("torn-frame", "lost-frame-under-replay",
-                       "double-unlink", "heartbeat-monotonicity",
-                       "bounded-wait"):
-            assert family in out
-        assert "states" in out
-        assert "VIOLATED" not in out
-        assert "FAILED" not in out
-
-    def test_protocol_json_artifact(self):
-        proc = run_cli(self._OK_PATH, "--select", "RPR120",
-                       "--format", "json", "--protocol")
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        payload = json.loads(proc.stdout)
-        reports = payload["protocol"]
-        assert {r["model"] for r in reports} == {"spsc-ring", "segment-ownership"}
-        for r in reports:
-            assert r["complete"] is True
-            assert r["states"] > 0
-            assert all(r["families"].values()), r
-            assert r["violations"] == []
-
-    def test_exhausted_state_budget_fails_the_run(self):
-        proc = run_cli(self._OK_PATH, "--select", "RPR120",
-                       "--protocol", "--max-states", "10")
-        assert proc.returncode == 1
-        assert "state budget exhausted" in proc.stdout

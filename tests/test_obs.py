@@ -27,8 +27,14 @@ from repro.obs.schema import (
     validate_metrics,
     write_metrics,
 )
-from repro.obs.stats import interval_union_s, span_coverage, spans_from_chrome
-from repro.obs.trace import NullTracer, Tracer, load_chrome_trace
+from repro.obs.stats import (
+    engine_blame,
+    interval_union_s,
+    render_trace_summary,
+    span_coverage,
+    spans_from_chrome,
+)
+from repro.obs.trace import NullTracer, Span, Tracer, load_chrome_trace
 
 
 class TestTracer:
@@ -301,8 +307,6 @@ class TestStatsHelpers:
     def test_span_coverage_clips_to_root(self):
         t = Tracer(clock=lambda: 0.0)
         # Hand-build spans with controlled times via the dataclass.
-        from repro.obs.trace import Span
-
         spans = [
             Span("build", "build", "engine", 0.0, 10.0, 0, None),
             Span("a", "x", "w", 1.0, 4.0, 0, None),
@@ -312,6 +316,99 @@ class TestStatsHelpers:
         # union inside root: [1,6] + [9,10] = 6s of 10s
         assert span_coverage(spans, "build") == pytest.approx(0.6)
         assert span_coverage(spans, "missing-root") == 0.0
+
+
+def S(name, lane, start, end, **args):
+    return Span(name=name, cat="x", lane=lane, start_s=float(start),
+                end_s=float(end), depth=0, parent=None, args=dict(args))
+
+
+def _mp_spans():
+    """A hand-built multiprocess build: wall 10s, every second accounted.
+
+    The engine lane waits on the parse worker (``parse.wait``) and
+    indexes each file itself; the worker's ``parse_file`` spans sit on
+    the ``parser-0`` lane.  File 0's wait (0-4) starts with a supervisor
+    restart (0-1) while the worker is parsing (0-2), then waits 2s with
+    no compute; file 1's wait (5-6) overlaps its parse by 0.5s.  Then
+    write_run 7-8 + checkpoint 8-8.5, dict.write 8.5-9.5 and a 0.5s
+    epilogue.
+    """
+    return [
+        S("build", "engine", 0, 10),
+        S("run_loop", "engine", 0, 10, backend="multiprocess"),
+        S("parse.wait", "engine", 0, 4, file=0),
+        S("supervisor.recover", "engine", 0, 1, kind="worker_crash"),
+        S("index", "engine", 4, 5, file=0),
+        S("parse.wait", "engine", 5, 6, file=1),
+        S("index", "engine", 6, 7, file=1),
+        S("write_run", "engine", 7, 8, run=0),
+        S("checkpoint", "engine", 8, 8.5, run=0),
+        S("dict.write", "engine", 8.5, 9.5),
+        S("parse_file", "parser-0", 0, 2, file=0),
+        S("parse_file", "parser-0", 4, 5.5, file=1),
+    ]
+
+
+class TestEngineBlame:
+    """Where the engine lane's wall went (``repro trace``)."""
+
+    def test_blame_decomposition_on_a_multiprocess_build(self):
+        blame = engine_blame(_mp_spans())
+        assert blame["supervisor"] == pytest.approx(1.0)  # outranks parse 0-1
+        assert blame["parse"] == pytest.approx(1.5)       # 1-2 and 5-5.5
+        # 2s of file 0's wait + 0.5s of file 1's with no compute running.
+        assert blame["transport"] == pytest.approx(2.5)
+        assert blame["index"] == pytest.approx(2.0)
+        assert blame["flush"] == pytest.approx(1.5)
+        assert blame["merge"] == pytest.approx(1.0)
+        assert blame["engine"] == pytest.approx(0.5)
+        assert next(iter(blame)) == "transport"  # heaviest first
+        assert sum(blame.values()) == pytest.approx(10.0)  # the whole wall
+
+    def test_same_waits_without_workers_are_stall_in_serial(self):
+        # Serial + parse_prefetch: the engine waits on its read-ahead pool.
+        spans = [
+            S("build", "engine", 0, 4),
+            S("run_loop", "engine", 0, 4, backend="serial"),
+            S("parse.wait", "engine", 0, 2, file=0),
+            S("parse.wait", "engine", 2, 4, file=1),
+        ]
+        assert engine_blame(spans) == {"stall": pytest.approx(4.0)}
+
+    def test_supervisor_recovery_outranks_compute_overlap(self):
+        spans = [
+            S("build", "engine", 0, 4),
+            S("run_loop", "engine", 0, 4, backend="multiprocess"),
+            S("parse.wait", "engine", 0, 4, file=2),
+            S("supervisor.recover", "engine", 0, 1, action="restart"),
+            S("parse_file", "parser-0", 0, 3),
+        ]
+        blame = engine_blame(spans)
+        assert blame["supervisor"] == pytest.approx(1.0)
+        assert blame["parse"] == pytest.approx(2.0)
+        assert blame["transport"] == pytest.approx(1.0)
+
+    def test_uninstrumented_gaps_fall_to_the_engine(self):
+        spans = [
+            S("build", "engine", 0, 5),
+            S("parse", "engine", 1, 2, file=0),
+            S("index", "engine", 3, 4.5, file=0),
+        ]
+        blame = engine_blame(spans)
+        assert blame["engine"] == pytest.approx(2.5)  # 0-1, 2-3, 4.5-5 gaps
+        assert blame["parse"] == pytest.approx(1.0)
+        assert blame["index"] == pytest.approx(1.5)
+
+    def test_empty_trace_has_no_blame(self):
+        assert engine_blame([]) == {}
+
+    def test_trace_summary_states_parse_and_index_shares(self):
+        text = render_trace_summary(_mp_spans())
+        assert "where the engine's wall went (10.000000s):" in text
+        assert "  transport    2.500000s   25.0%" in text
+        assert ("the engine spent 40.0% of the build wall on the parse side "
+                "(parse + transport) and 20.0% in the indexers (index)") in text
 
 
 class TestMetricsGate:

@@ -8,6 +8,7 @@ timestamps may differ).
 
 from __future__ import annotations
 
+import hashlib
 import os
 
 import pytest
@@ -21,8 +22,14 @@ from repro.obs.schema import (
     TRACE_FILENAME,
     load_metrics,
 )
-from repro.obs.stats import lane_utilization, span_coverage, spans_from_chrome
+from repro.obs.stats import (
+    engine_blame,
+    lane_utilization,
+    span_coverage,
+    spans_from_chrome,
+)
 from repro.obs.trace import load_chrome_trace
+from repro.robustness.checkpoint import CHECKPOINT_FILENAME, MANIFEST_FILENAME
 
 
 def _config(**overrides) -> PlatformConfig:
@@ -109,7 +116,17 @@ class TestCli:
         text = capsys.readouterr().out
         assert "root span 'build'" in text
         assert "lane utilization" in text
+        assert "where the engine's wall went" in text
+        assert "in the indexers (index)" in text
         assert "stage totals:" in text
+
+    def test_engine_blame_covers_the_build_wall(self, telemetry_build):
+        _, out = telemetry_build
+        spans = spans_from_chrome(load_chrome_trace(os.path.join(out, TRACE_FILENAME)))
+        (build,) = [s for s in spans if s.name == "build"]
+        blame = engine_blame(spans)
+        assert {"sampling", "index", "flush", "merge"} <= set(blame)
+        assert sum(blame.values()) == pytest.approx(build.duration_s, abs=1e-6)
 
     def test_stats_diff(self, telemetry_build, tiny_collection, tmp_path, capsys):
         _, out = telemetry_build
@@ -142,3 +159,39 @@ class TestCli:
     def test_stats_without_target_errors(self, capsys):
         assert main(["stats"]) == 2
         assert "collection/index directory" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# The instrumentation must not change the index
+
+
+_BUILD_LOGS = {MANIFEST_FILENAME, CHECKPOINT_FILENAME,
+               METRICS_FILENAME, TRACE_FILENAME}
+
+
+def _digest(out_dir: str) -> str:
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(out_dir)):
+        if name in _BUILD_LOGS or os.path.isdir(os.path.join(out_dir, name)):
+            continue
+        h.update(name.encode())
+        with open(os.path.join(out_dir, name), "rb") as fh:
+            h.update(fh.read())
+    return h.hexdigest()
+
+
+class TestByteIdentity:
+    @pytest.mark.parametrize("backend", ["serial", "multiprocess"])
+    def test_telemetry_toggle_leaves_the_index_bytes_alone(
+            self, backend, tiny_collection, tmp_path):
+        digests = []
+        for telemetry in (True, False):
+            out = str(tmp_path / f"{backend}_{telemetry}")
+            cfg = PlatformConfig(
+                exec_backend=backend, telemetry=telemetry,
+                num_parsers=2, num_cpu_indexers=1, num_gpus=1,
+                sample_fraction=0.2, files_per_run=2,
+            )
+            IndexingEngine(cfg).build(tiny_collection, out)
+            digests.append(_digest(out))
+        assert digests[0] == digests[1]

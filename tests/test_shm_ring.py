@@ -18,7 +18,6 @@ import pytest
 
 from repro.core.shm_ring import (
     SHM_PREFIX,
-    RingSpec,
     RingTimeout,
     ShmRing,
     forget_inherited_segments,
@@ -291,19 +290,6 @@ class TestRingTelemetry:
         assert counters["shm.ring.producer_wait_polls"] >= 1
         assert counters["shm.ring.producer_wait_s"] > 0
 
-    def test_edge_labelled_ring_emits_per_edge_wait_counters(self):
-        with session(Telemetry.create()) as t:
-            r = ShmRing.create("edged", capacity=256, edge="cpu-0.result")
-            try:
-                assert r.get_frame(timeout=0.05) is None
-            finally:
-                r.unlink()
-            counters = t.metrics.snapshot()["counters"]
-        assert counters["shm.ring.edge.cpu-0.result.consumer_wait_s"] > 0
-        # Spec roundtrip carries the edge to the attaching process.
-        spec = RingSpec(name="x", capacity=256, edge="cpu-0.result")
-        assert spec.edge == "cpu-0.result"
-
     # Frames chosen so the third put wraps the head/tail boundary on a
     # 32-byte ring: 12+4 then 8+4 bytes fill to offset 28; after both
     # are consumed, the 20+4-byte frame starts at pos 28 and wraps.
@@ -341,7 +327,7 @@ class TestRingTelemetry:
         finally:
             plain.unlink()
         with session(Telemetry.create()):
-            observed = ShmRing.create("obs-wrap", capacity=32, edge="w.result")
+            observed = ShmRing.create("obs-wrap", capacity=32)
             try:
                 self._drive_wrapping(observed)
                 observed_bytes = bytes(observed._buf)
