@@ -8,8 +8,10 @@ order) and writes a single consolidated run file (run id ``0`` by
 convention) plus a fresh ``runs.map``.  The merge benchmark checks the
 <10% cost claim against the engine's build time.
 
-Every input run is CRC-verified and its header parsed (the mapping table
-as an integer array) before a byte of it is used.  What happens next
+Every input run is CRC-verified and its header parsed before a byte of it
+is used: :func:`~repro.postings.output.read_run_table_from_file` returns
+the mapping table as an integer array, already checked to ascend and to
+tile the payload.  What happens next
 depends on the codecs, not on a switch:
 
 * **varbyte in, varbyte out — a byte splice.**  A varbyte list is
@@ -63,7 +65,6 @@ from repro.postings.compression import (
 )
 from repro.postings.lists import PostingsList
 from repro.postings.output import (
-    RUN_CRC_BYTES,
     DocRangeMap,
     EncodedBlock,
     RunWriter,
@@ -78,13 +79,11 @@ _WINDOW_BYTES = 1 << 16
 
 
 class _InputRun(NamedTuple):
-    """One verified input run: open handle, mapping table, payload extent."""
+    """One verified input run: open handle and mapping table."""
 
     fh: BinaryIO
     #: ``(n_entries, 3)`` rows of ``(term_id, absolute offset, length)``.
     table: np.ndarray
-    payload_start: int
-    payload_end: int
 
 
 def merge_index(
@@ -121,8 +120,8 @@ def merge_index(
                 size = verify_run_file(run.path)  # never splice a damaged run
                 input_bytes += size
                 fh = stack.enter_context(open(run.path, "rb"))
-                _, codec_name, _, _, table, payload_start = read_run_table_from_file(fh)
-                runs.append(_InputRun(fh, table, payload_start, size - RUN_CRC_BYTES))
+                _, codec_name, _, _, table, _ = read_run_table_from_file(fh)
+                runs.append(_InputRun(fh, table))
                 codec_names.append(codec_name)
                 reg.count("merge.runs_read")
                 reg.count("merge.input_bytes", size)
@@ -233,8 +232,7 @@ def _spliced_blocks(
 ) -> Iterator[EncodedBlock]:
     """Yield the merged lists of one chunk of ``term_ids`` after another."""
     weights = np.zeros(term_ids.size, dtype=np.int64)
-    for number, run in enumerate(runs):
-        _check_table(number, run)
+    for run in runs:
         weights[np.searchsorted(term_ids, run.table[:, 0])] += run.table[:, 2]
     if not term_ids.size:
         return
@@ -261,23 +259,6 @@ def _spliced_blocks(
             pieces.append(piece)
             base += len(piece)
         yield _splice(b"".join(pieces), np.concatenate(columns, axis=1), stats)
-
-
-def _check_table(number: int, run: _InputRun) -> None:
-    """The table must list ascending terms whose lists tile the payload."""
-    term_ids, offsets, lengths = run.table.T
-    edges = np.concatenate(([run.payload_start], offsets + lengths))
-    if not (
-        (term_ids[1:] > term_ids[:-1]).all()
-        # One posting is at least a count, a gap and a tf byte.
-        and (lengths >= 3).all()
-        and (offsets == edges[:-1]).all()
-        and edges[-1] == run.payload_end
-    ):
-        raise ValueError(
-            f"input run {number}: the mapping table is not a list of ascending "
-            "term ids whose postings lists lie back to back over the payload"
-        )
 
 
 def _scan_lists(piece: bytes, table: np.ndarray, base: int) -> np.ndarray:

@@ -17,11 +17,19 @@ On-disk format of one run file::
     footer: CRC32 of everything above, 4 bytes little-endian
 
 Offsets are relative to the payload start so the header can be built after
-the payload without back-patching.  The trailing CRC32 covers header and
-payload; :class:`~repro.postings.reader.PostingsReader` refuses to serve a
-run whose checksum does not match, so a flipped byte anywhere in the file
-surfaces as a :class:`~repro.robustness.errors.ChecksumError`, never as
-silently wrong postings.  The auxiliary docID→file map the paper describes
+the payload without back-patching.  The mapping table is a sorted integer
+sequence, and three invariants are part of the format: term ids strictly
+ascend, every list is at least one byte, and the lists tile the payload —
+the first starts at offset 0, each next one where the previous ends, the
+last where the footer begins.  :func:`read_run_table` is the one parser of
+the header and checks all three, so the postings reader, the merge and
+``repro verify`` each get a table they can index by or a ``ValueError``.
+
+The trailing CRC32 covers header and payload;
+:class:`~repro.postings.reader.PostingsReader` refuses to serve a run whose
+checksum does not match, so a flipped byte anywhere in the file surfaces
+as a :class:`~repro.robustness.errors.ChecksumError`, never as silently
+wrong postings.  The auxiliary docID→file map the paper describes
 ("an auxiliary file containing the mapping of document IDs to output file
 names") is :class:`DocRangeMap`, stored as ``runs.map`` — one line per
 run: ``run_id  min_doc  max_doc  filename``, ending with a ``#crc``
@@ -35,7 +43,7 @@ import zlib
 from array import array
 from dataclasses import dataclass
 from itertools import chain
-from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -60,7 +68,7 @@ __all__ = [
     "run_filename",
     "verify_run_bytes",
     "verify_run_file",
-    "read_run_header_from_file",
+    "read_run_table",
     "read_run_table_from_file",
 ]
 
@@ -77,8 +85,6 @@ _TABLE_BLOCK_ROWS = 1 << 10
 #: posting; at this size each stays below the allocator's mmap threshold
 #: (unless one list alone is longer), so a large run leaves no large hole.
 _BLOCK_POSTINGS = 1 << 12
-
-_T = TypeVar("_T")
 
 
 def run_filename(run_id: int) -> str:
@@ -101,6 +107,15 @@ def _encode_header(
     lengths: Sequence[int],
 ) -> bytearray:
     """Everything before the payload; lists lie back to back from offset 0."""
+    term_ids = np.asarray(term_ids, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    descents = np.flatnonzero(term_ids[1:] <= term_ids[:-1])
+    if descents.size:
+        at = int(descents[0])
+        raise ValueError(
+            f"a run file needs strictly ascending term ids, "
+            f"got {term_ids[at + 1]} after {term_ids[at]}"
+        )
     header = bytearray(RUN_MAGIC)
     encode_uvarint(run_id, header)
     name_bytes = codec_name.encode("ascii")
@@ -109,8 +124,6 @@ def _encode_header(
     encode_uvarint(0 if min_doc is None else min_doc + 1, header)
     encode_uvarint(0 if max_doc is None else max_doc + 1, header)
     encode_uvarint(len(term_ids), header)
-    term_ids = np.asarray(term_ids, dtype=np.int64)
-    lengths = np.asarray(lengths, dtype=np.int64)
     offset = 0
     for lo in range(0, len(term_ids), _TABLE_BLOCK_ROWS):
         block = lengths[lo : lo + _TABLE_BLOCK_ROWS]
@@ -208,45 +221,9 @@ class RunWriter:
         return self.codec.encode(plist.postings())
 
     def write_run(self, run_id: int, lists: dict[int, PostingsList]) -> "RunFile":
-        """Compress and write all lists of a run; return its descriptor.
-
-        Plain varbyte runs are encoded in blocks of lists by one kernel;
-        every other codec encodes list by list.
-        """
-        ordered = ((term_id, lists[term_id]) for term_id in sorted(lists))
-        blocks = (
-            _varbyte_blocks(ordered) if type(self.codec) is VarByteCodec
-            else self._encoded(ordered)
-        )
-        payload = bytearray()
-        term_ids = array("q")
-        lengths = array("q")
-        min_doc: int | None = None
-        max_doc: int | None = None
-        for block_ids, block_lengths, encoded, lo, hi in blocks:
-            term_ids.extend(block_ids)
-            lengths.extend(block_lengths)
-            payload += encoded
-            min_doc = lo if min_doc is None else min(min_doc, lo)
-            max_doc = hi if max_doc is None else max(max_doc, hi)
-
-        header = _encode_header(
-            self.codec.name, run_id, min_doc, max_doc, term_ids, lengths
-        )
-        filename = run_filename(run_id)
-        path = os.path.join(self.stripe_dir(run_id), filename)
-        crc = zlib.crc32(payload, zlib.crc32(header)) & 0xFFFFFFFF
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(payload)
-            fh.write(crc.to_bytes(RUN_CRC_BYTES, "little"))
-        return RunFile(
-            path=path,
-            run_id=run_id,
-            min_doc=min_doc,
-            max_doc=max_doc,
-            entry_count=len(term_ids),
-            byte_size=len(header) + len(payload) + RUN_CRC_BYTES,
+        """Compress and write all lists of a run; return its descriptor."""
+        return self.write_run_streaming(
+            run_id, ((term_id, lists[term_id]) for term_id in sorted(lists))
         )
 
     def write_run_streaming(
@@ -254,14 +231,15 @@ class RunWriter:
     ) -> "RunFile":
         """Write a run from a ``(term_id, list)`` stream, bounded memory.
 
-        Byte-identical to :meth:`write_run` over the same content, but
-        only one term's encoded postings are resident at a time (see
-        :meth:`write_encoded_run`, which does the writing).
+        Plain varbyte lists are encoded a block of lists at a time by one
+        kernel; every other codec encodes list by list.  Either way the
+        bytes go to :meth:`write_encoded_run`, which writes the file.
 
         ``lists`` must yield term ids in strictly ascending order — the
-        same order ``write_run`` gets from sorting — so readers can rely
-        on table order.  Empty lists are skipped, as in ``write_run``.
+        order ``write_run`` gets from sorting.  Empty lists are skipped.
         """
+        if type(self.codec) is VarByteCodec:
+            return self.write_encoded_run(run_id, _varbyte_blocks(lists))
         return self.write_encoded_run(run_id, self._encoded(lists))
 
     def _encoded(
@@ -283,10 +261,9 @@ class RunWriter:
         table accumulates as two integer columns, then header, payload
         copy and trailing CRC are written in one pass.  Offsets are
         payload-relative (see the module docstring), which is what makes
-        the two-pass layout possible without back-patching.
-
-        Term ids must ascend strictly within a block and from one block
-        to the next; only the latter is checked here.
+        the two-pass layout possible without back-patching.  Term ids
+        must ascend strictly; a ``ValueError`` says where they do not,
+        and no run file is written.
         """
         filename = run_filename(run_id)
         path = os.path.join(self.stripe_dir(run_id), filename)
@@ -299,11 +276,6 @@ class RunWriter:
         try:
             with open(tmp_path, "wb") as payload_fh:
                 for block_ids, block_lengths, payload, lo, hi in blocks:
-                    if term_ids and block_ids[0] <= term_ids[-1]:
-                        raise ValueError(
-                            f"a run file needs strictly ascending term ids, "
-                            f"got {block_ids[0]} after {term_ids[-1]}"
-                        )
                     term_ids.extend(block_ids)
                     lengths.extend(block_lengths)
                     payload_fh.write(payload)
@@ -376,47 +348,6 @@ def verify_run_file(path: str) -> int:
     if stored != actual:
         raise ChecksumError(path, stored, actual)
     return size
-
-
-RunHeader = tuple[int, str, int | None, int | None, dict[int, tuple[int, int]], int]
-#: :data:`RunHeader` with the mapping table as an array; see :func:`read_run_table`.
-RunTable = tuple[int, str, int | None, int | None, np.ndarray, int]
-
-
-def _read_from_file(fh: BinaryIO, parse: Callable[[bytes], _T]) -> _T:
-    """``parse`` the header of an open run file without loading the payload.
-
-    Reads the file in growing chunks until the header (whose length is
-    only known once its entry table is decoded) parses completely; the
-    payload itself is never read.
-    """
-    data = bytearray()
-    while True:
-        piece = fh.read(_STREAM_CHUNK)
-        if piece:
-            data.extend(piece)
-            if len(data) < len(RUN_MAGIC):
-                continue  # too short to even check the magic yet
-        try:
-            return parse(bytes(data))
-        except (IndexError, EOFError):
-            # Header extends past what we buffered so far (a byte index
-            # past the buffer or a uvarint cut mid-sequence).
-            if not piece:
-                raise ValueError("truncated run file header") from None
-
-
-def read_run_header_from_file(fh: BinaryIO) -> RunHeader:
-    """:func:`read_run_header` of an open file, the payload never read.
-
-    Offsets are absolute, usable for ``seek``/``read`` splicing.
-    """
-    return _read_from_file(fh, read_run_header)
-
-
-def read_run_table_from_file(fh: BinaryIO) -> RunTable:
-    """:func:`read_run_table` of an open file, the payload never read."""
-    return _read_from_file(fh, read_run_table)
 
 
 @dataclass
@@ -514,10 +445,13 @@ class DocRangeMap:
         return mapping
 
 
-def _read_head(
-    data: bytes, collect: Callable[[Iterator[np.ndarray]], _T]
-) -> tuple[int, str, int | None, int | None, _T, int]:
-    """Parse a run header; ``collect`` makes the table from blocks of rows."""
+#: A parsed run header: ``(run_id, codec name, min_doc, max_doc, mapping
+#: table, payload start)``; see :func:`read_run_table`.
+RunTable = tuple[int, str, int | None, int | None, np.ndarray, int]
+
+
+def _parse_header(data: bytes, payload_end: int) -> RunTable:
+    """:func:`read_run_table` of a file whose payload ends at ``payload_end``."""
     if data[: len(RUN_MAGIC)] != RUN_MAGIC:
         raise ValueError("not a run file (bad magic)")
     pos = len(RUN_MAGIC)
@@ -529,12 +463,21 @@ def _read_head(
     max_plus, pos = decode_uvarint(data, pos)
     n_entries, pos = decode_uvarint(data, pos)
     payload_start = skip_uvarints(data, pos, 3 * n_entries)
+    table = np.concatenate(
+        [np.empty((0, 3), dtype=np.int64), *_table_blocks(data, pos, n_entries, payload_start)]
+    )
+    term_ids, offsets, lengths = table.T
+    if np.any(term_ids[1:] <= term_ids[:-1]):
+        raise ValueError("run mapping table term ids do not ascend")
+    ends = np.concatenate(([payload_start], offsets + lengths))
+    if np.any(lengths < 1) or np.any(offsets != ends[:-1]) or ends[-1] != payload_end:
+        raise ValueError("run mapping table does not tile the payload")
     return (
         run_id,
         codec_name,
         min_plus - 1 if min_plus else None,
         max_plus - 1 if max_plus else None,
-        collect(_table_blocks(data, pos, n_entries, payload_start)),
+        table,
         payload_start,
     )
 
@@ -557,34 +500,38 @@ def _table_blocks(
         n_entries -= rows
 
 
-def _table_array(blocks: Iterator[np.ndarray]) -> np.ndarray:
-    return np.concatenate([np.empty((0, 3), dtype=np.int64), *blocks])
-
-
-def _table_dict(blocks: Iterator[np.ndarray]) -> dict[int, tuple[int, int]]:
-    table: dict[int, tuple[int, int]] = {}
-    for block in blocks:
-        term_ids, offsets, lengths = block.T.tolist()
-        table.update(zip(term_ids, zip(offsets, lengths)))
-    return table
-
-
 def read_run_table(data: bytes) -> RunTable:
-    """Parse a run file's header, the mapping table as an integer array.
+    """Parse the header of a whole run file (``data``), its table checked.
 
     Returns ``(run_id, codec name, min_doc, max_doc, table, payload
     start)``; ``table`` is an ``(n_entries, 3)`` ``int64`` array of
-    ``(term_id, absolute offset, length)`` rows in file order.  Raises
-    ``EOFError`` when ``data`` ends before the table does.
+    ``(term_id, absolute offset, length)`` rows in file order, and it
+    holds the module docstring's invariants: ``ValueError`` otherwise.
+    Raises ``EOFError`` when ``data`` ends before the table does.
     """
-    return _read_head(data, _table_array)
+    return _parse_header(data, len(data) - RUN_CRC_BYTES)
 
 
-def read_run_header(data: bytes) -> RunHeader:
-    """Parse a run file's header.
+def read_run_table_from_file(fh: BinaryIO) -> RunTable:
+    """:func:`read_run_table` of a run file open at its start.
 
-    Returns ``(run_id, codec name, min_doc, max_doc, {term_id: (absolute
-    offset, length)}, payload start)``.  Raises ``EOFError`` when ``data``
-    ends before the mapping table does.
+    Reads the file in growing chunks until the header (whose length is
+    only known once its entry table is decoded) parses completely; the
+    payload itself is never read.  Offsets are absolute, usable for
+    ``seek``/``read`` splicing.
     """
-    return _read_head(data, _table_dict)
+    payload_end = fh.seek(0, os.SEEK_END) - RUN_CRC_BYTES
+    fh.seek(0)
+    data = bytearray()
+    while True:
+        piece = fh.read(_STREAM_CHUNK)
+        if piece:
+            data.extend(piece)
+            if len(data) < len(RUN_MAGIC):
+                continue  # too short to even check the magic yet
+        try:
+            return _parse_header(bytes(data), payload_end)
+        except EOFError:
+            # The header extends past what is buffered so far.
+            if not piece:
+                raise ValueError("truncated run file header") from None

@@ -29,7 +29,6 @@ from repro.postings.compression import (
     get_codec,
 )
 from repro.postings.output import (
-    RUN_CRC_BYTES,
     DocRangeMap,
     RunFile,
     read_run_table,
@@ -53,16 +52,6 @@ Columns = tuple[np.ndarray, np.ndarray]
 
 def _empty() -> np.ndarray:
     return np.empty(0, dtype=np.int32)
-
-
-def _check_table(table: np.ndarray, payload_start: int, payload_end: int) -> None:
-    """Term ids ascend and the lists tile the payload, each at least a byte."""
-    term_ids, offsets, lengths = table.T
-    if np.any(term_ids[1:] <= term_ids[:-1]):
-        raise ValueError("run mapping table term ids do not ascend")
-    bounds = np.concatenate(([payload_start], offsets + lengths))
-    if np.any(lengths < 1) or np.any(offsets != bounds[:-1]) or bounds[-1] != payload_end:
-        raise ValueError("run mapping table does not tile the payload")
 
 
 def _blocks(table: np.ndarray) -> list[np.ndarray]:
@@ -141,26 +130,30 @@ class _OpenRun:
     ``columns`` (``int32``, read-only) holds the ``docs`` and ``tfs`` rows
     of every list of the run back to back in table order; list ``i`` is
     ``[starts[i], starts[i + 1])`` and belongs to ``term_ids[i]``
-    (ascending).  Positional runs also keep their bytes and mapping table
+    (ascending).  ``run_id``, ``min_doc`` and ``max_doc`` are the
+    header's.  Positional runs also keep their bytes and mapping table
     for :meth:`fetch`; other runs drop them once decoded.
 
-    Opening verifies the file's trailing CRC32 first: a flipped byte
+    Opening is the one way a run is read, by the reader and by
+    ``repro verify``: first the trailing CRC32, so a flipped byte
     anywhere in the run raises
     :class:`~repro.robustness.errors.ChecksumError` before a single
-    posting is decoded.  Then the table must ascend and tile the payload,
-    and every list must decode strictly.
+    posting is decoded; then the mapping table, checked by
+    :func:`~repro.postings.output.read_run_table`; then every list,
+    decoded strictly.
     """
 
-    __slots__ = ("codec", "term_ids", "starts", "columns", "docs", "tfs", "table", "data")
+    __slots__ = (
+        "run_id", "min_doc", "max_doc", "codec", "term_ids", "starts", "columns",
+        "docs", "tfs", "table", "data",
+    )
 
-    def __init__(self, run: RunFile) -> None:
-        with open(run.path, "rb") as fh:
+    def __init__(self, path: str) -> None:
+        with open(path, "rb") as fh:
             data = fh.read()
-        verify_run_bytes(run.path, data)
-        _, codec_name, min_doc, max_doc, table, payload_start = read_run_table(data)
+        verify_run_bytes(path, data)
+        self.run_id, codec_name, self.min_doc, self.max_doc, table, _ = read_run_table(data)
         self.codec = get_codec(codec_name)
-        payload_end = len(data) - RUN_CRC_BYTES
-        _check_table(table, payload_start, payload_end)
         counts, docs, tfs = [np.empty(0, dtype=np.int64)], [_empty()], [_empty()]
         for rows in _blocks(table):
             if type(self.codec) is VarByteCodec:
@@ -182,9 +175,6 @@ class _OpenRun:
         positional = self.codec.positional
         self.table = table if positional else None
         self.data = data if positional else None
-        # Backfill lazily-loaded descriptor fields.
-        run.min_doc, run.max_doc = min_doc, max_doc
-        run.entry_count = len(table)
 
     def row(self, term_id: int) -> int | None:
         """The table row of ``term_id``, ``None`` when the run lacks it."""
@@ -302,8 +292,10 @@ class PostingsReader:
     def _run(self, run: RunFile) -> _OpenRun:
         opened = self._open_runs.get(run.run_id)
         if opened is None:
-            opened = _OpenRun(run)
-            self._open_runs[run.run_id] = opened
+            opened = self._open_runs[run.run_id] = _OpenRun(run.path)
+            # Backfill lazily-loaded descriptor fields.
+            run.min_doc, run.max_doc = opened.min_doc, opened.max_doc
+            run.entry_count = len(opened.term_ids)
         return opened
 
     def close(self) -> None:

@@ -5,8 +5,11 @@
 artifact.  Checks, in order:
 
 1. ``runs.map`` parses and its ``#crc`` line matches the body;
-2. every referenced run file exists, its trailing CRC32 matches, and its
-   header agrees with the map entry (run id, min/max doc IDs);
+2. every referenced run file exists and opens the way the postings reader
+   opens it: trailing CRC32, then the mapping table (term ids ascend, the
+   lists tile the payload), then every list decoded strictly (``run-crc``
+   or ``run-format`` otherwise); and its header agrees with the map entry
+   (run id, min/max doc IDs);
 3. run document ranges are sorted and non-overlapping (splicing partial
    lists by run order assumes this);
 4. ``doctable.tsv`` (when present) passes its ``#crc`` line and covers
@@ -31,12 +34,9 @@ import os
 from dataclasses import dataclass
 
 from repro.postings.doctable import DOCTABLE_FILENAME, DocTable
-from repro.postings.output import (
-    MAP_FILENAME,
-    DocRangeMap,
-    read_run_header,
-    verify_run_bytes,
-)
+from repro.postings.output import MAP_FILENAME, DocRangeMap
+from repro.postings.reader import _OpenRun
+from repro.robustness.errors import ChecksumError
 
 __all__ = ["Issue", "VerifyResult", "verify_index"]
 
@@ -97,7 +97,7 @@ def verify_index(index_dir: str, keep_going: bool = False) -> VerifyResult:
         found("map-crc", map_path, str(exc))
         return result  # nothing else is checkable without the map
 
-    # Per-run checks: CRC footer, header agreement with the map entry.
+    # Per-run checks: the reader's open, header agreement with the map entry.
     run_term_ids: set[int] = set()
     max_doc_seen: int | None = None
     for run in range_map.runs:
@@ -106,20 +106,17 @@ def verify_index(index_dir: str, keep_going: bool = False) -> VerifyResult:
             if found("run-missing", run.path, "referenced by runs.map but absent"):
                 return result
             continue
-        with open(run.path, "rb") as fh:
-            data = fh.read()
         try:
-            verify_run_bytes(run.path, data)
-        except ValueError as exc:
+            opened = _OpenRun(run.path)
+        except ChecksumError as exc:
             if found("run-crc", run.path, str(exc)):
                 return result
-            continue  # header fields untrustworthy past this point
-        try:
-            run_id, _, min_doc, max_doc, table, _ = read_run_header(data)
-        except (ValueError, EOFError, IndexError, UnicodeDecodeError) as exc:
-            if found("run-header", run.path, f"unparseable header: {exc}"):
+            continue
+        except (ValueError, EOFError, IndexError, KeyError) as exc:
+            if found("run-format", run.path, f"unreadable: {exc}"):
                 return result
             continue
+        run_id, min_doc, max_doc = opened.run_id, opened.min_doc, opened.max_doc
         if run_id != run.run_id:
             if found(
                 "run-id",
@@ -135,7 +132,7 @@ def verify_index(index_dir: str, keep_going: bool = False) -> VerifyResult:
                 f"{run.min_doc}..{run.max_doc}",
             ):
                 return result
-        run_term_ids.update(table)
+        run_term_ids.update(opened.term_ids.tolist())
         if run.min_doc is not None and run.max_doc is not None:
             if max_doc_seen is not None and run.min_doc <= max_doc_seen:
                 if found(

@@ -121,13 +121,6 @@ def _top_hits(docs: np.ndarray, scores: np.ndarray, k: int) -> list[QueryResult]
     ]
 
 
-def _top_k(scores: dict[int, float], k: int) -> list[QueryResult]:
-    """The ``k`` best hits of a ``{doc: score}`` map (see :func:`_top_hits`)."""
-    docs = np.fromiter(scores, dtype=np.int64, count=len(scores))
-    values = np.fromiter(scores.values(), dtype=np.float64, count=len(scores))
-    return _top_hits(docs, values, k)
-
-
 def _member(values: np.ndarray, docs: np.ndarray) -> np.ndarray:
     """Which of ``values`` the sorted ``docs`` holds: one binary search each."""
     if not docs.size:
@@ -163,17 +156,6 @@ class SearchEngine:
 
     def _docs(self, term: str) -> np.ndarray:
         return self.reader.postings_columns(term)[0]
-
-    @staticmethod
-    def _gallop_intersect(short: list[int], long: list[int]) -> list[int]:
-        """Intersect two sorted docID lists.
-
-        Each element of the shorter list is binary-searched in the longer
-        one — O(s·log l) instead of O(s+l), which matters when one term is
-        rare and the other is a near-stop word.
-        """
-        short_docs = np.asarray(short, dtype=np.int64)
-        return short_docs[_member(short_docs, np.asarray(long, dtype=np.int64))].tolist()
 
     def _conjunction(self, terms: list[str]) -> np.ndarray:
         """Documents holding every term, rarest list first."""

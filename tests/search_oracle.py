@@ -7,8 +7,11 @@ Python.  :class:`OracleSearch` is ``SearchEngine``'s boolean and ranked
 methods as they were: a per-posting ``math.log`` and ``dict.get``, a
 ``heapq.nsmallest`` top-k and a galloping intersection.  The code is the
 old code verbatim except that the reader's memory-mapped mode, which
-went with it, is gone.  ``tests/test_read_path_oracle.py`` checks the
-column reader and engine against these, results and float scores both.
+went with it, is gone, and that the mapping table comes from
+``read_run_table`` (the one header parser) as an array, made here into
+the ``{term: (offset, length)}`` dict the oracle looks up.
+``tests/test_read_path_oracle.py`` checks the column reader and engine
+against these, results and float scores both.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from repro.postings.compression import get_codec
 from repro.postings.output import (
     DocRangeMap,
     RunFile,
-    read_run_header,
+    read_run_table,
     verify_run_bytes,
 )
 from repro.search.query import QueryResult, normalize_query
@@ -38,7 +41,8 @@ class _OpenRun:
             self.data = fh.read()
         if verify:
             verify_run_bytes(run.path, bytes(self.data))
-        _, codec_name, min_doc, max_doc, self.table, _ = read_run_header(self.data)
+        _, codec_name, min_doc, max_doc, rows, _ = read_run_table(self.data)
+        self.table = {term_id: (offset, length) for term_id, offset, length in rows.tolist()}
         self.codec = get_codec(codec_name)
         self.run = run
         # Backfill lazily-loaded descriptor fields.

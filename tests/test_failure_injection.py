@@ -15,17 +15,19 @@ from repro.dictionary.dictionary import Dictionary
 from repro.dictionary.serialize import save_dictionary, load_dictionary
 from repro.postings.doctable import DocTable
 from repro.postings.lists import PostingsList
-from repro.postings.compression import encode_uvarint
+from repro.postings.compression import EliasGammaCodec, encode_uvarint, get_codec
+from repro.postings.merge import merge_index
 from repro.postings.output import (
     RUN_CRC_BYTES,
     RUN_MAGIC,
     DocRangeMap,
     RunFile,
     RunWriter,
-    read_run_header,
+    read_run_table,
 )
 from repro.postings.reader import PostingsReader
 from repro.robustness.errors import ChecksumError
+from repro.robustness.verify import verify_index
 
 
 def _plist(pairs):
@@ -49,10 +51,13 @@ def _varints(*values: int) -> bytes:
     return bytes(out)
 
 
-def _write_crafted_run(out_dir: str, rows: list[tuple[int, int, int]], payload: bytes) -> None:
-    """A one-run varbyte index whose mapping table and payload are given
-    verbatim (rows are ``(term id, payload offset, length)``), CRC valid."""
-    data = bytearray(RUN_MAGIC) + _varints(0, 7) + b"varbyte" + _varints(1, 1 << 40, len(rows))
+def _write_crafted_run(
+    out_dir: str, rows: list[tuple[int, int, int]], payload: bytes, codec: str = "varbyte"
+) -> None:
+    """A one-run index whose mapping table and payload are given verbatim
+    (rows are ``(term id, payload offset, length)``), CRC valid."""
+    name = codec.encode("ascii")
+    data = bytearray(RUN_MAGIC) + _varints(0, len(name)) + name + _varints(1, 1 << 40, len(rows))
     for row in rows:
         data += _varints(*row)
     data += payload
@@ -91,6 +96,10 @@ _MALFORMED_RUNS = {
     "doc beyond int32": _tiled(_GOOD, _varints(2, 1, 1, 1 << 31, 1)),
     "tf beyond int32": _tiled(_varints(1, 1, 1 << 31), _GOOD),
 }
+
+#: The cases only a reader into ``int32`` columns rejects: the merge keeps
+#: ``int64`` doc ids and tfs.
+_INT32_LIMIT = {"doc beyond int32", "tf beyond int32"}
 
 _READS = {
     "postings": lambda reader: reader.postings(1),
@@ -185,6 +194,50 @@ class TestCorruptRunFiles:
         os.remove(tmp_path / "run_00001.post")
         with pytest.raises(FileNotFoundError):
             PostingsReader(str(tmp_path))
+
+
+class TestMalformedRunsEverywhere:
+    """The reader, the merge and ``repro verify`` share one open path and
+    one table check, so a run one of them rejects none of them accepts."""
+
+    @pytest.mark.parametrize("case", sorted(_MALFORMED_RUNS))
+    def test_verify_flags_every_malformed_run(self, tmp_path, case):
+        _write_crafted_run(str(tmp_path), *_MALFORMED_RUNS[case])
+        result = verify_index(str(tmp_path), keep_going=True)
+        assert not result.ok
+        assert [issue.check for issue in result.issues] == ["run-format"]
+
+    @pytest.mark.parametrize("case", sorted(set(_MALFORMED_RUNS) - _INT32_LIMIT))
+    def test_merge_rejects_every_malformed_run(self, tmp_path, case):
+        src = tmp_path / "src"
+        src.mkdir()
+        _write_crafted_run(str(src), *_MALFORMED_RUNS[case])
+        with pytest.raises((ValueError, EOFError)):
+            merge_index(str(src), str(tmp_path / "dst"))
+
+    def test_well_formed_crafted_runs_verify_and_merge(self, tmp_path):
+        for codec in ("varbyte", "gamma"):
+            src = tmp_path / codec
+            src.mkdir()
+            lists = [[(0, 1), (4, 2)], [(3, 1)]]
+            encoded = [get_codec(codec).encode(postings) for postings in lists]
+            _write_crafted_run(str(src), *_tiled(*encoded), codec=codec)
+            assert verify_index(str(src)).ok
+            assert merge_index(str(src), str(tmp_path / f"{codec}.merged"))["postings"] == 3
+
+    def test_gamma_rows_that_share_bytes(self, tmp_path):
+        """The re-encoding merge used to decode the shared list twice,
+        writing 4 postings where the run holds 2."""
+        src = tmp_path / "src"
+        src.mkdir()
+        encoded = EliasGammaCodec().encode([(0, 1), (4, 2)])
+        rows = [(1, 0, len(encoded)), (2, 0, len(encoded))]
+        _write_crafted_run(str(src), rows, encoded, codec="gamma")
+        with pytest.raises(ValueError, match="mapping table"):
+            merge_index(str(src), str(tmp_path / "dst"))
+        assert [issue.check for issue in verify_index(str(src)).issues] == ["run-format"]
+        with pytest.raises(ValueError, match="mapping table"):
+            PostingsReader(str(src)).postings(1)
 
 
 class TestMissingArtifacts:
@@ -283,8 +336,8 @@ class TestHeaderParser:
         writer = RunWriter(str(tmp_path))
         run = writer.write_run(3, {9: _plist([(4, 2)])})
         data = open(run.path, "rb").read()
-        run_id, codec, min_doc, max_doc, table, payload_start = read_run_header(data)
+        run_id, codec, min_doc, max_doc, table, payload_start = read_run_table(data)
         assert run_id == 3 and codec == "varbyte"
         assert (min_doc, max_doc) == (4, 4)
-        assert set(table) == {9}
+        assert table[:, 0].tolist() == [9]
         assert payload_start < len(data)

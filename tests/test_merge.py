@@ -14,7 +14,7 @@ from repro.postings.compression import (
 )
 from repro.postings.lists import PostingsList
 from repro.postings.merge import merge_index
-from repro.postings.output import DocRangeMap, RunWriter, read_run_header_from_file
+from repro.postings.output import DocRangeMap, RunWriter, read_run_table_from_file
 from repro.postings.reader import PostingsReader
 
 
@@ -36,7 +36,7 @@ def _build_multi_run(
 
 def _merged_run_codec_name(index_dir: str) -> str:
     with open(os.path.join(index_dir, "run_00000.post"), "rb") as fh:
-        return read_run_header_from_file(fh)[1]
+        return read_run_table_from_file(fh)[1]
 
 
 class TestMerge:
@@ -154,7 +154,7 @@ class TestStreamingMerge:
     def test_header_parse_survives_chunk_boundaries(self, tmp_path, monkeypatch):
         """Regression: a header cut mid-uvarint at the chunk boundary.
 
-        ``read_run_header_from_file`` buffers the file in fixed chunks and
+        ``read_run_table_from_file`` buffers the file in fixed chunks and
         retries the parse; a chunk ending inside a uvarint raises EOFError
         (not IndexError), which used to escape and crash the merge on any
         run whose header exceeded one chunk.  Shrinking the chunk size
@@ -166,11 +166,13 @@ class TestStreamingMerge:
         _build_multi_run(src, runs=1)
         path = os.path.join(src, "run_00000.post")
         with open(path, "rb") as fh:
-            expected = output.read_run_header(fh.read())
+            expected = output.read_run_table(fh.read())
         for chunk in (1, 3, 16):
             monkeypatch.setattr(output, "_STREAM_CHUNK", chunk)
             with open(path, "rb") as fh:
-                assert output.read_run_header_from_file(fh) == expected
+                *head, table, payload_start = output.read_run_table_from_file(fh)
+            assert (*head, payload_start) == (*expected[:4], expected[5])
+            assert table.tolist() == expected[4].tolist()
 
     def test_streaming_output_identical_to_write_run(self, tmp_path):
         """write_run_streaming produces byte-identical run files."""

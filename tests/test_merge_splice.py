@@ -316,7 +316,7 @@ class TestMalformedButChecksummed:
 
 
 class TestHeaderParsing:
-    """Both header parsers, whatever the chunk and block sizes."""
+    """The one header parser, on bytes or a file, whatever the chunk and block sizes."""
 
     @pytest.mark.parametrize("chunk", [1, 3, 16, 1 << 16])
     @pytest.mark.parametrize("block_rows", [1, 7, 1 << 10])
@@ -329,24 +329,24 @@ class TestHeaderParsing:
         with open(path, "rb") as fh:
             data = fh.read()
         with open(path, "rb") as fh:
-            from_file = output.read_run_header_from_file(fh)
-        assert from_file == output.read_run_header(data)
-        run_id, codec_name, min_doc, max_doc, table, payload_start = from_file
+            *head, rows, payload_start = output.read_run_table_from_file(fh)
+        *data_head, data_rows, data_start = output.read_run_table(data)
+        assert (head, payload_start) == (data_head, data_start)
+        assert rows.tolist() == data_rows.tolist()
+        run_id, codec_name, min_doc, max_doc = head
         assert (run_id, codec_name) == (0, "varbyte")
+        assert rows.dtype.name == "int64" and rows.shape[1] == 3
         codec = VarByteCodec()
-        lists = {t: codec.decode(data[o : o + n]) for t, (o, n) in table.items()}
+        lists = {t: codec.decode(data[o : o + n]) for t, o, n in rows.tolist()}
         assert lists == {
             term: [p for p in postings if p[0] <= max_doc]
             for term, postings in expected.items()
             if postings[0][0] <= max_doc
         }
+        assert list(lists) == sorted(lists)  # file order ascends
         assert min_doc == min(p[0][0] for p in lists.values())
-        with open(path, "rb") as fh:
-            *head, rows, start = output.read_run_table_from_file(fh)
-        assert (tuple(head), start) == (from_file[:4], payload_start)
-        assert rows.dtype.name == "int64" and rows.shape == (len(table), 3)
-        assert {t: (o, n) for t, o, n in rows.tolist()} == table
-        assert list(table) == rows[:, 0].tolist()  # file order
+        assert rows[0, 1] == payload_start
+        assert rows[-1, 1] + rows[-1, 2] == len(data) - output.RUN_CRC_BYTES
 
     def test_empty_run(self, tmp_path):
         src = str(tmp_path / "src")
@@ -361,10 +361,10 @@ class TestHeaderParsing:
         _seeded_index(src, 7)
         with open(os.path.join(src, run_filename(0)), "rb") as fh:
             data = fh.read()
-        payload_start = output.read_run_header(data)[5]
+        payload_start = output.read_run_table(data)[5]
         for cut in (len(RUN_MAGIC) + 1, payload_start // 2, payload_start - 1):
             with pytest.raises(EOFError):
-                output.read_run_header(data[:cut])
+                output.read_run_table(data[:cut])
             path = tmp_path / f"cut{cut}.post"
             path.write_bytes(data[:cut])
             with open(path, "rb") as fh:

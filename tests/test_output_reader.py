@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.postings import output
 from repro.postings.compression import EliasGammaCodec, VarByteCodec, encode_uvarint
 from repro.postings.lists import PostingsList
-from repro.postings.output import DocRangeMap, RunWriter, read_run_header, run_filename
+from repro.postings.output import DocRangeMap, RunWriter, read_run_table, run_filename
 from repro.postings.reader import PostingsReader
 
 
@@ -50,9 +50,10 @@ class TestRunWriter:
         assert run.filename == run_filename(7) == "run_00007.post"
         with open(run.path, "rb") as fh:
             data = fh.read()
-        run_id, codec, min_doc, max_doc, table, _ = read_run_header(data)
+        run_id, codec, min_doc, max_doc, table, _ = read_run_table(data)
         assert (run_id, codec, min_doc, max_doc) == (7, "varbyte", 3, 9)
-        offset, length = table[42]
+        [(term_id, offset, length)] = table.tolist()
+        assert term_id == 42
         from repro.postings.compression import VarByteCodec
 
         assert VarByteCodec().decode(data[offset : offset + length]) == [(3, 1), (9, 2)]
@@ -66,12 +67,12 @@ class TestRunWriter:
         writer = RunWriter(str(tmp_path), codec=EliasGammaCodec())
         run = writer.write_run(0, {1: _plist([(2, 1)])})
         with open(run.path, "rb") as fh:
-            _, codec_name, *_ = read_run_header(fh.read())
+            _, codec_name, *_ = read_run_table(fh.read())
         assert codec_name == "gamma"
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):
-            read_run_header(b"GARBAGE!")
+            read_run_table(b"GARBAGE!")
 
 
 def _parent_run_bytes(run_id: int, lists: dict[int, PostingsList]) -> bytes:

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.config import PlatformConfig
 from repro.core.engine import IndexingEngine
 from repro.corpus.warc import write_packed_file
 from repro.corpus.collection import Collection
-from repro.search.query import SearchEngine, normalize_query
+from repro.search.query import QueryResult, SearchEngine, _member, _top_hits, normalize_query
 
 
 @pytest.fixture(scope="module")
@@ -120,12 +121,12 @@ class TestRanked:
         """Ties included: equal scores rank by ascending doc id."""
         import random
 
-        from repro.search.query import QueryResult, _top_k
-
         rng = random.Random(k)
         scores = {doc: rng.choice([0.5, 1.25, 1.25, 2.0, 7.5]) for doc in rng.sample(range(1000), 200)}
         full = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-        assert _top_k(scores, k) == [QueryResult(doc, score) for doc, score in full[:k]]
+        docs = np.array(list(scores), dtype=np.int64)
+        values = np.array(list(scores.values()))
+        assert _top_hits(docs, values, k) == [QueryResult(doc, score) for doc, score in full[:k]]
 
 
 class TestBM25:
@@ -198,11 +199,17 @@ class TestInference:
         assert inferred.num_docs == 5
 
 
+def _intersect(short: list[int], long: list[int]) -> list[int]:
+    """The conjunction's step: keep the docs of ``short`` that ``long`` holds."""
+    short_docs = np.asarray(short, dtype=np.int64)
+    return short_docs[_member(short_docs, np.asarray(long, dtype=np.int64))].tolist()
+
+
 class TestGallopingIntersection:
     """The conjunctive walk must equal a naive set intersection."""
 
     def test_known_lists(self):
-        g = SearchEngine._gallop_intersect
+        g = _intersect
         assert g([2, 5, 9], [1, 2, 3, 5, 8, 9, 12]) == [2, 5, 9]
         assert g([], [1, 2, 3]) == []
         assert g([1, 2, 3], []) == []
@@ -217,7 +224,7 @@ class TestGallopingIntersection:
             a = sorted(rng.sample(range(500), rng.randint(0, 40)))
             b = sorted(rng.sample(range(500), rng.randint(0, 200)))
             expected = sorted(set(a) & set(b))
-            assert SearchEngine._gallop_intersect(a, b) == expected, (a, b)
+            assert _intersect(a, b) == expected, (a, b)
 
     def test_boolean_and_uses_it_correctly(self, handmade_index):
         # Same results as before the optimization (cross-checked above).
