@@ -27,7 +27,7 @@ chaos:
 chaos-mp:
 	pytest tests/test_chaos_mp.py tests/test_supervise.py -v
 
-# Paper-invariant lint pack + race analyzer + typing gate
+# Paper-invariant lint pack + typing gate
 # (docs/STATIC_ANALYSIS.md); every rule is per file, so the incremental cache re-lints only edited files.
 # mypy runs when installed (dev extra).  The second pass holds
 # benchmarks/ to the RPR008 clock fence: bench timing flows through

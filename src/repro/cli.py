@@ -27,7 +27,7 @@ Commands mirror the library's workflow:
 - ``simulate`` — the paper-scale pipeline simulation (Tables IV/VI
   numbers without touching a terabyte);
 - ``lint`` — the paper-invariant static-analysis pack
-  (docs/STATIC_ANALYSIS.md): AST rules, race analyzer, typing gate;
+  (docs/STATIC_ANALYSIS.md): AST rules and the typing gate;
 - ``profile`` — report on a ``run.profile.json`` written by ``build
   --profile`` (per-lane summary + top-N self/cumulative table);
   ``--diff A B`` ranks regressed/improved functions between
@@ -202,7 +202,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                               "(https://speedscope.app)")
 
     lint = sub.add_parser(
-        "lint", help="paper-invariant lint pack + race analyzer + typing gate"
+        "lint", help="paper-invariant lint pack + typing gate"
     )
     from repro.lint.cli import add_lint_arguments
 

@@ -73,24 +73,16 @@ class PlatformConfig:
     # --- parsing (Section III.C) --------------------------------------- #
     strip_html: bool = True
     regroup: bool = True
-    #: The serial loop's read-ahead: up to this many files are
-    #: read/decompressed/parsed ahead of the indexers on a thread pool.
-    #: Output is byte-identical to a build without it.  Only the I/O and
-    #: gzip portions release the GIL, so this pays off when reads
-    #: dominate (big compressed files, slow storage) and can *cost* a
-    #: little on small hot-cache corpora where Python-bound stemming
-    #: dominates.  ``0`` (default) parses on the engine thread.
+    #: Both accept only ``0``; they exist because the frozen benchmark
+    #: harness passes them.  Parsing ahead of the indexers is
+    #: ``exec_backend="multiprocess"``, whose window is
+    #: ``repro.core.mp_backend.PARSE_AHEAD_WINDOW``.
     parse_prefetch: int = 0
-    #: No effect: validated (>= 0) and otherwise ignored.  It was the
-    #: ring backend's in-flight window; the field survives because the
-    #: frozen benchmark harness passes ``pipeline_depth=0`` (ROADMAP
-    #: item 5(v)).  The multiprocess backend's look-ahead is the module
-    #: constant ``repro.core.mp_backend.PARSE_AHEAD_WINDOW``.
     pipeline_depth: int = 0
     #: Which execution backend runs the build (docs/ARCHITECTURE.md,
     #: "Execution backends"): ``"serial"`` (default — the inline
     #: reference loop) or ``"multiprocess"`` (the same loop fed by one
-    #: supervised parse-ahead process; ``parse_prefetch`` is ignored).
+    #: supervised parse-ahead process).
     #: Both produce byte-identical output.  Overridable fleet-wide via
     #: ``REPRO_EXEC_BACKEND``; explicit values win over the environment.
     exec_backend: str = field(default_factory=_default_exec_backend)
@@ -164,10 +156,12 @@ class PlatformConfig:
             raise ValueError("need at least one output stripe")
         if self.files_per_run < 1:
             raise ValueError("need at least one file per run")
-        if self.parse_prefetch < 0:
-            raise ValueError("parse_prefetch must be >= 0")
-        if self.pipeline_depth < 0:
-            raise ValueError("pipeline_depth must be >= 0")
+        for knob in ("parse_prefetch", "pipeline_depth"):
+            if getattr(self, knob) != 0:
+                raise ValueError(
+                    f"{knob} must be 0; to parse ahead of the indexers use "
+                    'exec_backend="multiprocess"'
+                )
         if self.exec_backend not in EXEC_BACKENDS:
             raise ValueError(
                 f"exec_backend must be one of {EXEC_BACKENDS}, "

@@ -31,7 +31,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import os
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
@@ -41,7 +40,6 @@ import numpy as np
 from repro.core.config import PlatformConfig
 from repro.core.costs import CostConstants, StageCosts
 from repro.core.exec_backend import (
-    LookAhead,
     ParsedStream,
     ParseResult,
     SerialBackend,
@@ -87,7 +85,7 @@ from repro.robustness.supervise import SupervisorReport
 from repro.util.timing import Stopwatch, now
 
 if TYPE_CHECKING:
-    from concurrent.futures import Future
+    from repro.core.mp_backend import ParseWorker
 
 __all__ = ["IndexingEngine", "EngineResult", "RunBoundaryState", "WorkSplit"]
 
@@ -126,9 +124,10 @@ class EngineResult:
     run_count: int = 0
     #: Real elapsed time of the whole build (one monotonic interval).
     wall_seconds: float = 0.0
-    #: Sum of the stopwatch buckets — *CPU seconds*.  With prefetch
-    #: threads this legitimately exceeds ``wall_seconds`` (overlapping
-    #: work is counted once per worker; see :mod:`repro.util.timing`).
+    #: Sum of the stopwatch buckets: the engine thread's measured work
+    #: (sampling, parse or the wait for the parse worker, index, run
+    #: writes, dictionary epilogue).  The buckets never overlap, so this
+    #: is at most ``wall_seconds``; the gap is unmeasured engine time.
     cpu_seconds: float = 0.0
     stopwatch: Stopwatch = field(default_factory=Stopwatch)
     indexer_reports: dict[str, IndexerReport] = field(default_factory=dict)
@@ -161,9 +160,9 @@ class EngineResult:
     def measured_throughput_mbps(self) -> float:
         """Real uncompressed MB over real *wall* seconds.
 
-        Divides by :attr:`wall_seconds`, never :attr:`cpu_seconds` — a
-        prefetching build overlaps parse and index work, and dividing by
-        summed bucket time would understate it by up to the worker count.
+        Divides by :attr:`wall_seconds`, not :attr:`cpu_seconds`: the
+        stopwatch covers only the engine thread's measured stages, while
+        the wall includes everything the build spent.
         """
         if self.wall_seconds <= 0:
             return 0.0
@@ -230,16 +229,15 @@ def _parse_under_retry(
 
     ``(parsed, None, outcome)`` on success, ``(None, error, None)`` for
     a container that stays unreadable (a fatal injected fault propagates
-    — that *is* the crash).  Touches nothing shared, so the prefetch
-    pool's threads and the multiprocess backend's worker process call it
-    too; merging ``outcome`` into the robustness report is left to the
-    engine thread.
+    — that *is* the crash).  Touches nothing shared, so the multiprocess
+    backend's worker process calls it too; merging ``outcome`` into the
+    robustness report is left to the engine.
     """
 
     def call() -> ParsedFile:
         # The paper's parser-array slot for this file: stamped on the
         # batch (and the parse_file span) for round-robin accounting,
-        # while the trace lane stays per-thread.
+        # while the trace lane stays the parser's own.
         parser.parser_id = k % config.num_parsers
         return parser.parse_file(path, sequence=k)
 
@@ -463,28 +461,25 @@ class _Build:
 
     # ---- parsing ------------------------------------------------------- #
 
-    def _new_parser(self) -> Parser:
-        cfg = self.config
-        return Parser(
-            parser_id=0,
-            trie=self.trie,
-            strip_html=cfg.strip_html,
-            regroup=cfg.regroup,
-            positional=cfg.positional,
-        )
-
     def _merge_outcome(self, outcome: RetryOutcome | None) -> None:
         if outcome is not None:
             self.state.robustness.merge_outcome(outcome.retries, outcome.backoff_s)
 
     def parse_file_inline(self, k: int) -> ParseResult:
         if self._inline_parser is None:
-            self._inline_parser = self._new_parser()
+            cfg = self.config
+            self._inline_parser = Parser(
+                parser_id=0,
+                trie=self.trie,
+                strip_html=cfg.strip_html,
+                regroup=cfg.regroup,
+                positional=cfg.positional,
+            )
         return _parse_under_retry(
             self._inline_parser, self.collection.files[k], k, self.config
         )
 
-    def make_parsed_stream(self, ahead: LookAhead | None = None) -> ParsedStream:
+    def make_parsed_stream(self, ahead: ParseWorker | None = None) -> ParsedStream:
         """Yield ``(file_index, parsed, error, retry_outcome)`` in order.
 
         Every container read runs under the config's retry policy; a file
@@ -492,18 +487,15 @@ class _Build:
         ``error`` for the caller's ``on_error`` policy.  Files a resumed
         build already indexed are skipped.
 
-        With a look-ahead — ``ahead`` (the multiprocess backend's parse
-        worker) or, for ``config.parse_prefetch`` > 0, a thread pool
-        (gzip inflation and the regex scan release the GIL) — up to
-        ``window`` files are parsed ahead of the indexers: the paper's
-        parser/indexer pipeline, executed for real.  Results are always
-        consumed in file order, so indexes are byte-identical to a build
-        without it.
+        Without ``ahead`` each file is parsed inline on the engine
+        thread.  With it (the multiprocess backend's parse worker) up to
+        ``ahead.window`` files are parsed ahead of the indexers: the
+        paper's parser/indexer pipeline, executed for real.  Results are
+        always consumed in file order, so indexes are byte-identical to
+        a build without it.
         """
         watch, tracer = self.watch, self.tel.tracer
         indices = iter(range(self.start_file, len(self.collection.files)))
-        if ahead is None and self.config.parse_prefetch > 0:
-            ahead = _PrefetchPool(self)
 
         if ahead is None:
             for k in indices:
@@ -519,8 +511,8 @@ class _Build:
                 ahead.submit(k)
             while pending:
                 k = pending.popleft()
-                # The look-ahead traces its own "parse_file" spans on
-                # its own lanes; the engine lane records only the wait.
+                # The worker traces its own "parse_file" spans on its
+                # own lane; the engine lane records only the wait.
                 with watch.measure("parse"), tracer.span(
                     "parse.wait", cat="parse", file=k
                 ):
@@ -628,49 +620,6 @@ class _Build:
             if g.tokens:
                 g.visits_per_token = g.node_visits / g.tokens
         return groups[True], groups[False]
-
-
-class _PrefetchPool:
-    """``config.parse_prefetch``: the serial loop's read-ahead threads.
-
-    A :class:`~repro.core.exec_backend.LookAhead`.  Each worker *thread*
-    owns one parser and one stable trace lane (``parser-w<n>``): spans
-    on a lane never overlap, which is what Perfetto-style timeline rows
-    require.  The paper's round-robin parser slot for file ``k``
-    (``k % num_parsers``) is recorded as the ``parser`` span attribute
-    instead of rotating the lane per file.
-    """
-
-    def __init__(self, build: _Build) -> None:
-        # Imported here: a build without prefetch never pays for it.
-        from concurrent.futures import ThreadPoolExecutor
-
-        self.window = build.config.parse_prefetch
-        self._build = build
-        self._pool = ThreadPoolExecutor(max_workers=self.window)
-        self._futures: "dict[int, Future]" = {}
-        self._local = threading.local()
-        self._lanes = itertools.count()
-        self._lane_lock = threading.Lock()
-
-    def _parse(self, k: int) -> ParseResult:
-        build = self._build
-        parser = getattr(self._local, "parser", None)
-        if parser is None:
-            parser = build._new_parser()
-            with self._lane_lock:
-                parser.lane_override = f"parser-w{next(self._lanes)}"
-            self._local.parser = parser
-        return _parse_under_retry(parser, build.collection.files[k], k, build.config)
-
-    def submit(self, k: int) -> None:
-        self._futures[k] = self._pool.submit(self._parse, k)
-
-    def collect(self, k: int) -> ParseResult:
-        return self._futures.pop(k).result()
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True)
 
 
 class IndexingEngine:
@@ -970,7 +919,6 @@ class IndexingEngine:
         timings = {f"stage.{name}": s for name, s in watch.buckets.items()}
         timings["wall_seconds"] = result.wall_seconds
         timings["cpu_seconds"] = result.cpu_seconds
-        timings["measured_union_seconds"] = watch.wall()
         payload = build_payload(
             tel.metrics.snapshot(),
             timings,

@@ -8,7 +8,6 @@ the doc-ID cursor, close runs, apply error policy.  A backend decides
 ``serial``
     Everything inline on the engine thread — the default, and the
     reference implementation the other must match byte for byte.
-    ``config.parse_prefetch`` gives its loop a read-ahead thread pool.
 ``multiprocess``
     :mod:`repro.core.mp_backend`: the same loop, fed by one supervised
     parse-ahead worker *process* that returns each file in the compact
@@ -34,6 +33,7 @@ from repro.util.timing import Stopwatch
 
 if TYPE_CHECKING:
     from repro.core.engine import RunBoundaryState
+    from repro.core.mp_backend import ParseWorker
     from repro.corpus.collection import Collection
     from repro.obs.runtime import Telemetry
     from repro.parsing.parser import ParsedFile
@@ -45,7 +45,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "BuildHooks",
-    "LookAhead",
     "SerialBackend",
     "create_backend",
 ]
@@ -62,27 +61,6 @@ Tasks = list[tuple[str, int, bool, "ParsedBatch"]]
 
 #: What parsing one file yields: ``(parsed, permanent_error, retry_outcome)``.
 ParseResult = tuple["ParsedFile | None", Exception | None, "RetryOutcome | None"]
-
-
-class LookAhead(Protocol):
-    """Something that parses files ahead of the indexers.
-
-    The engine's :meth:`BuildHooks.make_parsed_stream` keeps ``window``
-    files submitted and collects them strictly in file order; the serial
-    loop's ``parse_prefetch`` thread pool and the multiprocess backend's
-    worker process are the two implementations.
-    """
-
-    window: int
-
-    def submit(self, k: int) -> None:
-        """Start parsing file ``k`` (called in file order)."""
-
-    def collect(self, k: int) -> ParseResult:
-        """Block for file ``k``'s result (the oldest submitted file)."""
-
-    def close(self) -> None:
-        """Release threads/processes; idempotent."""
 
 
 class BuildHooks(Protocol):
@@ -124,10 +102,10 @@ class BuildHooks(Protocol):
 
     def fail_gpu(self, ordinal: int, k: int) -> None: ...
 
-    def make_parsed_stream(self, ahead: LookAhead | None = None) -> ParsedStream:
+    def make_parsed_stream(self, ahead: "ParseWorker | None" = None) -> ParsedStream:
         """The files from ``start_file`` on, parsed, in file order —
-        through ``ahead`` when given, else ``config.parse_prefetch``
-        files ahead on a thread pool, else on the engine thread."""
+        through the parse worker ``ahead`` when given, else on the
+        engine thread."""
 
     def parse_file_inline(self, k: int) -> ParseResult:
         """Parse one file on the engine thread under the retry policy.

@@ -253,10 +253,9 @@ def _parse_task(k: int, path: str, tag: str) -> Reply:
 class ParseWorker:
     """The supervised parse-ahead process, as the engine's look-ahead source.
 
-    ``submit(k)`` / ``collect(k)`` / ``close()`` is the contract
-    :meth:`repro.core.engine._Build.make_parsed_stream` drives (its
-    thread-pool twin serves ``parse_prefetch``); everything else here is
-    recovery.  Engine-thread only.
+    ``window``, ``submit(k)``, ``collect(k)`` and ``close()`` are what
+    :meth:`repro.core.engine._Build.make_parsed_stream` drives;
+    everything else here is recovery.  Engine-thread only.
     """
 
     window = PARSE_AHEAD_WINDOW
@@ -445,9 +444,9 @@ class MultiprocessBackend(SerialBackend):
 
     def __init__(self, hooks: BuildHooks) -> None:
         super().__init__(hooks)
-        # Created here, before the run loop (or any look-ahead thread)
-        # starts: under ``fork`` the child is cut from a process whose
-        # only other thread is the optional sampling profiler.
+        # Created here, before the run loop starts: under ``fork`` the
+        # child is cut from a process whose only other thread is the
+        # optional sampling profiler.
         self.worker = ParseWorker(hooks)
 
     def parsed_stream(self) -> ParsedStream:

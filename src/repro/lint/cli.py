@@ -1,9 +1,7 @@
 """``repro lint`` — command-line driver for the static-analysis pack.
 
-Runs the per-file rules (paper invariants, races, RPR007) through the
-incremental cache, then the whole-run passes that only make sense
-without ``--select``: the race allowlist's staleness check (RPR103) and
-mypy.
+Runs the per-file rules (paper invariants, RPR007) through the
+incremental cache, then — only without ``--select`` — mypy.
 
 Also runnable directly as ``python -m repro.lint.cli``; the ``repro``
 CLI's ``lint`` subcommand forwards here.  Exit codes: 0 clean, 1 findings
@@ -16,8 +14,8 @@ import argparse
 import sys
 from typing import Sequence
 
-# Importing rules/races registers every rule.
-from repro.lint import races, rules  # noqa: F401
+# Importing rules registers every rule.
+from repro.lint import rules  # noqa: F401
 from repro.lint.framework import (
     LintCache,
     format_json,
@@ -45,10 +43,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="comma-separated rule codes to run (default: all)",
     )
     parser.add_argument(
-        "--allowlist", default=None, metavar="PATH",
-        help="race allowlist file (default: the package's race_allowlist.txt)",
-    )
-    parser.add_argument(
         "--mypy", choices=["auto", "on", "off"], default="auto",
         help="auto: run mypy when installed; on: require it; off: skip",
     )
@@ -69,28 +63,15 @@ def run(args: argparse.Namespace) -> int:
             print(f"{code}  {reg.name:24s} {reg.description.splitlines()[0]}")
         return 0
 
-    races.set_allowlist_path(args.allowlist)
     select = None
     if args.select:
         select = [c.strip() for c in args.select.split(",") if c.strip()]
-    # RPR101's findings depend on the allowlist, so its bytes salt the cache.
-    cache = None if args.no_cache else LintCache(inputs=[races.allowlist_path()])
+    cache = None if args.no_cache else LintCache()
     try:
         lint_run = lint_paths(args.paths, select=select, cache=cache)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-
-    # Allowlist self-validation (RPR103): an entry whose file was analyzed
-    # but that no RPR101 hit consumed is stale and must be pruned.  Like
-    # the mypy gate, this is a CLI-layer pass — it only makes sense over a
-    # full run, so --select skips it.
-    if select is None:
-        used = set(lint_run.facts.get(races.USED_ALLOWLIST_FACT, []))
-        stale = races.stale_allowlist_findings(lint_run.files, used)
-        if stale:
-            lint_run.findings.extend(stale)
-            lint_run.findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
 
     mypy_state = "skipped"
     if args.mypy != "off" and select is None:
@@ -128,7 +109,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Parse ``argv`` and run the linter; returns the exit code."""
     parser = argparse.ArgumentParser(
         prog="repro lint",
-        description="paper-invariant lint pack, race analyzer, typing gate",
+        description="paper-invariant lint pack, typing gate",
     )
     add_lint_arguments(parser)
     return run(parser.parse_args(argv))

@@ -36,9 +36,6 @@ __all__ = [
 
 _DISABLE_LINE_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Z0-9,\s]+)")
 _DISABLE_FILE_RE = re.compile(r"#\s*repro-lint:\s*disable-file=([A-Z0-9,\s]+)")
-#: Marks a function as a thread-pool / callback entry point for the race
-#: analyzer (same line as the ``def`` or the line directly above it).
-WORKER_ENTRY_RE = re.compile(r"#\s*repro-lint:\s*worker-entry")
 
 
 @dataclass(frozen=True)
@@ -110,15 +107,6 @@ class SourceFile:
         self.tree = ast.parse(text, filename=path)
         self._line_disables: dict[int, set[str]] | None = None
         self._file_disables: set[str] | None = None
-        #: Side-channel facts rules record while checking (e.g. which race
-        #: allowlist entries actually matched).  Facts are cached alongside
-        #: findings, so a cache hit replays them — analyses built on facts
-        #: (allowlist staleness) stay sound under incremental runs.
-        self.facts: dict[str, list[str]] = {}
-
-    def record_fact(self, kind: str, value: str) -> None:
-        """Record a JSON-serializable fact for this file (see ``facts``)."""
-        self.facts.setdefault(kind, []).append(value)
 
     # -- suppressions ------------------------------------------------- #
 
@@ -144,14 +132,6 @@ class SourceFile:
         if code in self._file_disables:
             return True
         return code in self._line_disables.get(line, set())
-
-    def worker_entry_lines(self) -> set[int]:
-        """Line numbers carrying a ``worker-entry`` marker."""
-        return {
-            lineno
-            for lineno, line in enumerate(self.lines, start=1)
-            if WORKER_ENTRY_RE.search(line)
-        }
 
     def in_part(self, *names: str) -> bool:
         """True when any path component equals one of ``names``."""
@@ -200,10 +180,6 @@ class LintRun:
     findings: list[Finding] = field(default_factory=list)
     files_checked: int = 0
     parse_errors: int = 0
-    #: Normalized paths of every file the run covered (hits and misses).
-    files: list[str] = field(default_factory=list)
-    #: Aggregated :attr:`SourceFile.facts` across the run.
-    facts: dict[str, list[str]] = field(default_factory=dict)
     cache_hits: int = 0
     cache_misses: int = 0
 
@@ -212,25 +188,22 @@ class LintRun:
 # Incremental cache
 # ---------------------------------------------------------------------- #
 
-_CACHE_VERSION = 2
+_CACHE_VERSION = 3
 
 
 class LintCache:
     """Per-file findings keyed by content hash under ``.repro-lint-cache/``.
 
-    An entry is valid when the *salt* (lint-package sources, the
-    ``inputs`` files such as a custom race allowlist, selected codes)
-    and the file's content hash both match; its findings and facts are
-    then reused without parsing.  Every rule judges a file by its own
+    An entry is valid when the *salt* (lint-package sources, selected
+    codes) and the file's content hash both match; its findings are then
+    reused without parsing.  Every rule judges a file by its own
     content, so an edit re-lints only the edited file.
     """
 
     DEFAULT_DIR = ".repro-lint-cache"
 
-    def __init__(self, root: str | None = None,
-                 inputs: Iterable[str] = ()) -> None:
+    def __init__(self, root: str | None = None) -> None:
         self.root = root or self.DEFAULT_DIR
-        self.inputs = list(inputs)
 
     # -- keys ---------------------------------------------------------- #
 
@@ -240,12 +213,11 @@ class LintCache:
         for code in sorted(codes):
             h.update(code.encode())
         lint_dir = os.path.dirname(os.path.abspath(__file__))
-        sources = [os.path.join(lint_dir, name)
-                   for name in sorted(os.listdir(lint_dir))
-                   if name.endswith((".py", ".txt"))]
-        for path in sources + self.inputs:
-            h.update(os.path.basename(path).encode())
-            with open(path, "rb") as fh:
+        for name in sorted(os.listdir(lint_dir)):
+            if not name.endswith(".py"):
+                continue
+            h.update(name.encode())
+            with open(os.path.join(lint_dir, name), "rb") as fh:
                 h.update(hashlib.sha256(fh.read()).digest())
         return h.hexdigest()
 
@@ -307,7 +279,6 @@ def lint_paths(
         if entry is not None:
             run.cache_hits += 1
             findings = _findings_from_json(entry["findings"])
-            facts: dict[str, list[str]] = entry["facts"]
         else:
             try:
                 sf = SourceFile(path, text)
@@ -325,20 +296,14 @@ def lint_paths(
                 for finding in _REGISTRY[code].check(sf)
                 if not sf.suppressed(finding.code, finding.line)
             ]
-            facts = sf.facts
             if cache is not None:
                 cache.store(salt, path, {
                     "content_sha": sha,
                     "findings": _findings_to_json(findings),
-                    "facts": facts,
                 })
         run.files_checked += 1
-        run.files.append(norm)
         run.findings.extend(findings)
-        for kind, values in facts.items():
-            run.facts.setdefault(kind, []).extend(values)
 
-    run.files.sort()
     run.findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     return run
 

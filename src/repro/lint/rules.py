@@ -2,8 +2,8 @@
 
 Each rule documents the invariant it protects and the paper section the
 invariant comes from.  Rules are pure AST checks over one
-:class:`~repro.lint.framework.SourceFile`; suppressions and allowlists
-are handled by the framework.
+:class:`~repro.lint.framework.SourceFile`; suppressions are handled by
+the framework.
 """
 
 from __future__ import annotations

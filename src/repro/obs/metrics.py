@@ -45,8 +45,8 @@ class Counter:
     """A monotonically increasing total.
 
     ``inc`` takes the instrument's own lock: ``value += amount`` is a
-    read-modify-write that can lose updates when parser-prefetch and
-    indexer-pool workers hit the same counter between bytecodes.
+    read-modify-write that would lose updates if two threads hit the
+    same counter between bytecodes.
     """
 
     __slots__ = ("name", "value", "_lock")
@@ -131,9 +131,8 @@ class MetricsRegistry:
     A name is bound to exactly one instrument kind for the registry's
     lifetime; asking for the same name as a different kind is a bug and
     raises immediately.  Creation is lock-protected, and every instrument
-    carries its own lock around its read-modify-write, so parser-prefetch
-    threads, indexer-pool workers and the engine thread can record
-    concurrently without losing updates.  Locks make the *totals* exact;
+    carries its own lock around its read-modify-write, so threads can
+    record concurrently without losing updates.  Locks make the *totals* exact;
     determinism additionally requires the recorded values themselves be
     seed-deterministic (see the module docstring).
     """

@@ -21,7 +21,7 @@ pieces:
 :class:`Profile`
     The merge container.  The engine owns one; its own sampler and
     the parse worker's drained deltas are absorbed into it, keyed by
-    lane (``engine``, ``parser-0``, ``engine/prefetch-w0``) with the
+    lane (``engine``, ``parser-0``) with the
     contributing pids recorded per lane — after a supervisor restart
     a lane simply carries two pids.  Worker deltas travel in the same
     replies as span/metrics deltas (see ``core/mp_backend.py``), so a
@@ -129,8 +129,19 @@ class SamplingProfiler:
         self._samples: dict[str, int] = {}
         self._frame_ids: dict[int, str] = {}  # id(code) → frame_id cache
         self._thread: threading.Thread | None = None
+        # The three fields below are shared with the sampler thread
+        # without a lock; each has one writer and a happens-before edge.
+        #
+        # Written once by the sampler thread itself, as the first
+        # statement of _run, and read only by that thread's sample loop.
         self._self_ident: int | None = None
+        # Written once in start() before Thread.start() (the edge); the
+        # sampler thread only reads it afterwards.
         self._primary_ident: int | None = None
+        # Written by start() before the sampler exists (Thread.start()
+        # is the edge) and by stop(), whose Thread.join() bounds the
+        # sampler's last read: a stale read costs at most one extra
+        # tick, never a lost or corrupted sample.
         self._stop_requested = False
 
     @property
@@ -155,7 +166,7 @@ class SamplingProfiler:
         if thread is None:
             return
         # Plain flag write: the sampler only ever reads it, and the
-        # join below is the happens-before edge (race_allowlist.txt).
+        # join below is the happens-before edge (see __init__).
         self._stop_requested = True
         thread.join(timeout=5.0)
         self._thread = None

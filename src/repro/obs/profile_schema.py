@@ -15,8 +15,8 @@ has five top-level sections:
     of attributed time; every seconds figure a report prints is
     ``count * interval_s``.
 ``lanes``
-    One entry per sampled lane (``engine``, ``cpu-0``, ``parser-1``,
-    ``engine/prefetch-w0`` …): the OS pids that contributed (more than
+    One entry per sampled lane (``engine``, ``parser-0`` …): the OS
+    pids that contributed (more than
     one after a supervisor restart) and the lane's total sample count.
 ``stacks``
     The aggregated call stacks: ``{"lane", "frames", "count"}`` with

@@ -80,7 +80,7 @@ def uninstall() -> None:
     _current = None
 
 
-def current() -> Telemetry | None:  # repro-lint: worker-entry
+def current() -> Telemetry | None:
     """The installed bundle, or ``None`` (the common, zero-cost case)."""
     return _current
 

@@ -170,18 +170,13 @@ def engine_blame(
     filed under its resource (:data:`_CHAIN_RESOURCE`); time between
     chain spans is ``engine``.  A ``parse.wait`` is split in priority
     order: overlap with a ``supervisor.recover`` span is ``supervisor``;
-    overlap with a look-ahead lane's ``parse_file`` is ``parse``; the
-    rest is ``transport`` under the multiprocess backend (worker
-    start-up, the parsed file crossing the process boundary) and
-    ``stall`` under serial (waiting on the prefetch pool).
+    overlap with the parse worker's ``parse_file`` is ``parse``; the
+    rest is ``transport`` (worker start-up, the parsed file crossing the
+    process boundary).
     """
     root = _root(spans, root_name)
     if root is None:
         return {}
-    backend = next(
-        (s.args.get("backend") for s in spans if s.name == "run_loop"), None
-    )
-    remainder = "transport" if backend == "multiprocess" else "stall"
     recover = [(s.start_s, s.end_s) for s in spans
                if s.name == "supervisor.recover"]
     busy = recover + [(s.start_s, s.end_s) for s in spans
@@ -212,7 +207,7 @@ def engine_blame(
             waited = overlap(busy, start, span.end_s)
             add("supervisor", held)
             add("parse", waited - held)
-            add(remainder, span.end_s - start - waited)
+            add("transport", span.end_s - start - waited)
         else:
             add(resource, span.end_s - start)
         cursor = span.end_s
@@ -261,7 +256,7 @@ def render_trace_summary(spans: list[Span], root_name: str = "build") -> str:
         for resource, seconds in blame.items():
             lines.append(f"  {resource:<10} {seconds:10.6f}s  "
                          f"{seconds / wall * 100:5.1f}%")
-        parse = [r for r in ("parse", "transport", "stall") if r in blame]
+        parse = [r for r in ("parse", "transport") if r in blame]
         parse_s = sum(blame[r] for r in parse)
         lines.append(
             f"  the engine spent {parse_s / wall * 100:.1f}% of the build "

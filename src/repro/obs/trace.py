@@ -17,9 +17,8 @@ Design constraints, in order:
    between runs; everything *derived* from spans therefore lives outside
    the deterministic metrics sections (see :mod:`repro.obs.schema`).
    Span *structure* (names, lanes, nesting, args) is deterministic.
-4. **Thread-correct.**  Parser prefetch threads and the engine thread
-   trace concurrently; nesting stacks are thread-local and the finished
-   list is lock-protected.
+4. **Thread-correct.**  Threads may trace concurrently; nesting stacks
+   are thread-local and the finished list is lock-protected.
 
 Spans record seconds relative to the tracer's epoch; the Chrome export
 converts to integer microseconds (the format's native unit).

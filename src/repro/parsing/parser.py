@@ -149,11 +149,12 @@ class Parser:
         self.stop_filter = stop_filter if stop_filter is not None else StopWordFilter()
         self.regroup_enabled = regroup
         self.positional = positional
-        #: Stable trace-lane identity for this parser *object*.  Worker
-        #: threads set it once at creation (e.g. ``parser-w0``) so their
-        #: spans never interleave on a lane, even though ``parser_id`` is
-        #: restamped per file for round-robin batch accounting.  ``None``
-        #: falls back to the ``parser-<id>`` lane (serial builds).
+        #: Stable trace-lane identity for this parser *object*.  The
+        #: multiprocess backend's parse worker sets it once at start-up
+        #: (``parser-0``) so its spans stay on one lane, even though
+        #: ``parser_id`` is restamped per file for round-robin batch
+        #: accounting.  ``None`` falls back to the ``parser-<id>`` lane
+        #: (serial builds).
         self.lane_override: str | None = None
         if positional and not regroup:
             raise ValueError("positional parsing requires regrouping")
@@ -247,7 +248,7 @@ class Parser:
         batch.ids, batch.docs = ids, docs
 
     def _lane(self) -> str:
-        """Trace lane for this parser thread (one timeline row each).
+        """Trace lane for this parser (one timeline row each).
 
         Negative ids are the sampling pre-pass's throwaway parsers.
         """

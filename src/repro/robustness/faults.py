@@ -138,8 +138,10 @@ class FaultInjector:
 
     Byte positions to flip and bytes to truncate derive from
     ``crc32(path) ^ seed`` so the same plan corrupts the same bytes on
-    every run — chaos tests stay reproducible.  Counters are guarded by a
-    lock because the engine's prefetch pool reads from worker threads.
+    every run — chaos tests stay reproducible.  Every hook runs on one
+    thread per process (the engine, or the parse worker, whose counts
+    come home through :meth:`merge_child_counts`); the counters keep
+    their lock all the same.
     """
 
     def __init__(self, plan: FaultPlan, sleep: Callable[[float], None] = time.sleep) -> None:
@@ -195,13 +197,11 @@ class FaultInjector:
     # Hooks called from the container read path
     # ------------------------------------------------------------------ #
 
-    def before_read(self, path: str) -> None:  # repro-lint: worker-entry
+    def before_read(self, path: str) -> None:
         """Slow / transient / fatal faults, in that order of severity.
 
-        Called from the engine's prefetch pool (worker threads) via the
-        container read path — hence the ``worker-entry`` marker for the
-        RPR101 race analyzer, which the AST cannot infer through the
-        module-level :func:`active` indirection.
+        Called by the container read path through the module-level
+        :func:`active` indirection.
         """
         for pos, spec in self._matching(path, "slow"):
             if self._claim(pos, spec, path):
@@ -216,7 +216,7 @@ class FaultInjector:
                 self._record("transient", path)
                 raise TransientReadError(path, "injected transient read error")
 
-    def corrupt_raw(self, path: str, data: bytes) -> bytes:  # repro-lint: worker-entry
+    def corrupt_raw(self, path: str, data: bytes) -> bytes:
         """Truncation / raw byte flips on the compressed stream."""
         for pos, spec in self._matching(path, "truncate"):
             if self._claim(pos, spec, path):
@@ -229,7 +229,7 @@ class FaultInjector:
                 data = _flip_one(data, self._rng_for(path))
         return data
 
-    def corrupt_inflated(self, path: str, data: bytes) -> bytes:  # repro-lint: worker-entry
+    def corrupt_inflated(self, path: str, data: bytes) -> bytes:
         """Byte flips on the decompressed stream."""
         for pos, spec in self._matching(path, "flip"):
             if self._claim(pos, spec, path) and data:
@@ -347,7 +347,7 @@ def uninstall() -> None:
     _active = None
 
 
-def active() -> FaultInjector | None:  # repro-lint: worker-entry
+def active() -> FaultInjector | None:
     """The installed injector, or ``None`` (the common, zero-cost case)."""
     return _active
 

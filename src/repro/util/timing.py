@@ -11,16 +11,10 @@ the wall clock directly (lint rule RPR008): ad-hoc ``time.perf_counter()``
 calls scattered through the engine produce timings no tracer sees and no
 stopwatch can reconcile.  Everything else calls :func:`now`.
 
-CPU seconds vs wall seconds
----------------------------
-A stopwatch bucket sums *measured durations*.  When measurements overlap —
-parser prefetch threads parsing while the engine indexes — the sum counts
-the same wall instant more than once, so ``total()`` is a *CPU-seconds*
-figure, not elapsed time.  :meth:`Stopwatch.wall` returns the union length
-of every measured interval instead, which never exceeds real elapsed time.
-``EngineResult`` surfaces both (``cpu_seconds`` / ``wall_seconds``);
-dividing throughput by the wrong one overstates a pipelined build by up to
-the worker count.
+A build's stopwatch times one thread: every :meth:`Stopwatch.measure`
+runs on the engine thread, and no two measurements nest or overlap, so
+``total()`` never exceeds the build's wall time (``EngineResult`` reports
+both as ``cpu_seconds`` / ``wall_seconds``).
 """
 
 from __future__ import annotations
@@ -70,21 +64,12 @@ class Stopwatch:
     Durations can come from real timing (:meth:`measure`) or be charged
     directly from the discrete-event simulator (:meth:`charge`); the engine
     mixes both when producing its reports.
-
-    :meth:`measure` additionally records the *interval* it measured, so
-    :meth:`wall` can report the overlap-free union — the honest elapsed
-    time when measurements ran concurrently (see the module docstring).
-    Simulated :meth:`charge` calls carry no interval and count only
-    toward :meth:`total`.
     """
 
     buckets: dict[str, float] = field(default_factory=dict)
-    #: Absolute ``(start, end)`` of every :meth:`measure` call, on the
-    #: :func:`now` clock.  Thread-safe via the GIL-atomic list append.
-    intervals: list[tuple[float, float]] = field(default_factory=list)
 
     def charge(self, name: str, seconds: float) -> None:
-        """Add ``seconds`` to the named bucket (no interval recorded)."""
+        """Add ``seconds`` to the named bucket."""
         if seconds < 0:
             raise ValueError(f"cannot charge negative time {seconds} to {name!r}")
         self.buckets[name] = self.buckets.get(name, 0.0) + seconds
@@ -96,52 +81,12 @@ class Stopwatch:
         try:
             yield
         finally:
-            end = time.perf_counter()
-            self.charge(name, end - start)
-            self.intervals.append((start, end))
+            self.charge(name, time.perf_counter() - start)
 
     def get(self, name: str) -> float:
         """Seconds accumulated under ``name`` (0.0 if absent)."""
         return self.buckets.get(name, 0.0)
 
     def total(self) -> float:
-        """Sum across all buckets — **CPU seconds**, not elapsed time.
-
-        Overlapping measurements (worker threads) each contribute their
-        full duration; use :meth:`wall` for elapsed time.
-        """
+        """Sum across all buckets."""
         return sum(self.buckets.values())
-
-    def wall(self) -> float:
-        """Union length of every measured interval — honest elapsed time.
-
-        Overlapping intervals count each wall instant once, so two
-        workers busy for the same second add one second, not two.
-        """
-        merged = 0.0
-        cur_start: float | None = None
-        cur_end = 0.0
-        for start, end in sorted(self.intervals):
-            if end <= start:
-                continue
-            if cur_start is None or start > cur_end:
-                if cur_start is not None:
-                    merged += cur_end - cur_start
-                cur_start, cur_end = start, end
-            else:
-                cur_end = max(cur_end, end)
-        if cur_start is not None:
-            merged += cur_end - cur_start
-        return merged
-
-    def merge(self, other: "Stopwatch") -> None:
-        """Fold another stopwatch's buckets *and* intervals into this one.
-
-        Bucket sums add (CPU seconds are additive); intervals concatenate,
-        so :meth:`wall` of the merged stopwatch still de-overlaps time the
-        two stopwatches measured concurrently — merging no longer turns
-        parallel work into a fictitious serial "total".
-        """
-        for name, seconds in other.buckets.items():
-            self.charge(name, seconds)
-        self.intervals.extend(other.intervals)

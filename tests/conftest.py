@@ -30,7 +30,7 @@ def deterministic_metric_sections(index_dir: str) -> dict:
     CI matrix can force it onto any build via ``REPRO_EXEC_BACKEND``),
     and ``checkpoint.bytes`` tracks the output directory's path length
     (the checkpoint pickle embeds absolute run paths).  Everything else
-    must match across backends, prefetch settings and repeated builds.
+    must match across backends and repeated builds.
     """
     payload = load_metrics(os.path.join(index_dir, METRICS_FILENAME))
     sections = {}

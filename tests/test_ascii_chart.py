@@ -107,7 +107,7 @@ class TestTraceRendererDegenerate:
 
         spans = spans_from_chrome(self._events([
             ("build", "main", 0, 0),
-            ("parse", "parser-w0", 0, 0),
+            ("parse", "parser-0", 0, 0),
             ("index", "cpu0", 0, 0),
         ]))
         assert len(spans) == 3
@@ -122,7 +122,7 @@ class TestTraceRendererDegenerate:
         from repro.obs.stats import render_trace_summary, spans_from_chrome
 
         spans = spans_from_chrome(self._events([
-            ("parse", "parser-w0", 0, 100),
+            ("parse", "parser-0", 0, 100),
         ]))
         out = render_trace_summary(spans)
         assert "no 'build' root span" in out

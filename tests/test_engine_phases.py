@@ -135,7 +135,7 @@ def test_each_collection_is_routed_once_per_build(tiny_collection, tmp_path, mon
 
 
 class TestParseUnderRetry:
-    """One helper behind the serial stream, the prefetch pool and the
+    """One helper behind the serial stream, the parse worker and the
     multiprocess backend's degraded-parser path."""
 
     K = 2

@@ -62,8 +62,7 @@ class TestResolution:
         # empty) is ignored, not an error.
         monkeypatch.setenv("REPRO_" + "PIPELINE_DEPTH", "3")
         assert PlatformConfig().pipeline_depth == 0
-        # pipeline_depth is a validated no-op field, not a switch.
-        assert _cfg(pipeline_depth=2).exec_backend == "serial"
+        assert _cfg().exec_backend == "serial"
 
     def test_env_sets_default(self, monkeypatch):
         monkeypatch.setenv(EXEC_BACKEND_ENV, "multiprocess")
@@ -88,33 +87,57 @@ class TestResolution:
             with pytest.raises(ValueError, match=re.escape(str(BACKENDS))):
                 _cfg(exec_backend=name)
 
-    def test_negative_depth_rejected(self):
-        with pytest.raises(ValueError, match="pipeline_depth"):
-            _cfg(pipeline_depth=-1)
+    def test_retired_look_ahead_knobs_accept_only_zero(self):
+        # Both survive for the frozen benchmark harness, which passes 0;
+        # the error points at the one way left to parse ahead.
+        for knob, value in (("pipeline_depth", -1), ("pipeline_depth", 2),
+                            ("parse_prefetch", 1)):
+            with pytest.raises(ValueError, match=f'{knob}.*exec_backend="multiprocess"'):
+                _cfg(**{knob: value})
 
     def test_describe_mentions_non_default_backend(self):
         assert "exec multiprocess" in _cfg(exec_backend="multiprocess").describe()
-        assert "exec" not in _cfg(pipeline_depth=2).describe()
-        assert "pipelined" not in _cfg(pipeline_depth=2).describe()
+        assert "exec" not in _cfg().describe()
+
+
+#: ``id -> (backend, config overrides)``, each checked against a serial
+#: build with the same overrides.  ``serial`` is a second serial build:
+#: run-to-run determinism.  Positions with two files a run keep the parse
+#: worker's window open across every run boundary.
+CASES = {
+    "serial": ("serial", {}),
+    "multiprocess": ("multiprocess", {}),
+    "multiprocess-positional": ("multiprocess", {"positional": True}),
+}
 
 
 class TestByteIdentity:
     @pytest.fixture(scope="class")
-    def reference_build(self, tiny_collection, tmp_path_factory):
-        out = str(tmp_path_factory.mktemp("ref") / "idx")
-        return IndexingEngine(_cfg(exec_backend="serial")).build(tiny_collection, out), out
+    def serial_builds(self, tiny_collection, tmp_path_factory):
+        """Serial reference builds by config overrides, built on first use."""
+        builds = {}
+
+        def get(**overrides):
+            key = tuple(sorted(overrides.items()))
+            if key not in builds:
+                out = str(tmp_path_factory.mktemp("ref") / "idx")
+                cfg = _cfg(exec_backend="serial", **overrides)
+                builds[key] = IndexingEngine(cfg).build(tiny_collection, out), out
+            return builds[key]
+
+        return get
 
     @pytest.fixture(scope="class")
-    def reference(self, reference_build):
-        return reference_build[1]
+    def reference(self, serial_builds):
+        return serial_builds()[1]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_backend_matches_serial(self, backend, reference_build,
+    @pytest.mark.parametrize("case", CASES)
+    def test_backend_matches_serial(self, case, serial_builds,
                                     tiny_collection, tmp_path):
-        # [serial] is a second serial build: run-to-run determinism.
-        serial, reference = reference_build
-        out = str(tmp_path / backend)
-        result = IndexingEngine(_cfg(exec_backend=backend)).build(
+        backend, overrides = CASES[case]
+        serial, reference = serial_builds(**overrides)
+        out = str(tmp_path / case)
+        result = IndexingEngine(_cfg(exec_backend=backend, **overrides)).build(
             tiny_collection, out
         )
         assert _digest(out) == _digest(reference)

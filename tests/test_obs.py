@@ -366,16 +366,6 @@ class TestEngineBlame:
         assert next(iter(blame)) == "transport"  # heaviest first
         assert sum(blame.values()) == pytest.approx(10.0)  # the whole wall
 
-    def test_same_waits_without_workers_are_stall_in_serial(self):
-        # Serial + parse_prefetch: the engine waits on its read-ahead pool.
-        spans = [
-            S("build", "engine", 0, 4),
-            S("run_loop", "engine", 0, 4, backend="serial"),
-            S("parse.wait", "engine", 0, 2, file=0),
-            S("parse.wait", "engine", 2, 4, file=1),
-        ]
-        assert engine_blame(spans) == {"stall": pytest.approx(4.0)}
-
     def test_supervisor_recovery_outranks_compute_overlap(self):
         spans = [
             S("build", "engine", 0, 4),

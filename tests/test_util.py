@@ -59,15 +59,6 @@ class TestTiming:
             sum(range(100))
         assert w.get("block") > 0.0
 
-    def test_stopwatch_merge(self):
-        a, b = Stopwatch(), Stopwatch()
-        a.charge("x", 1.0)
-        b.charge("x", 2.0)
-        b.charge("y", 3.0)
-        a.merge(b)
-        assert a.get("x") == pytest.approx(3.0)
-        assert a.get("y") == pytest.approx(3.0)
-
 
 class TestFmt:
     def test_fmt_bytes(self):
