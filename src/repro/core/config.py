@@ -193,10 +193,6 @@ class PlatformConfig:
         """Functional update, for experiment sweeps."""
         return replace(self, **changes)
 
-    @property
-    def cores_for_indexing(self) -> int:
-        return self.num_cpu_indexers
-
     def describe(self) -> str:
         """One-line summary used by benchmark headers."""
         gpu = (

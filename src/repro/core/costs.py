@@ -198,15 +198,6 @@ class StageCosts:
         )
         return spec.seconds(max(aggregate, floor_cycles) + overhead)
 
-    def gpu_transfer_seconds(self, group: GroupWork, n_gpus: int) -> float:
-        """Pre/post PCIe traffic for one group split over ``n_gpus``."""
-        if n_gpus <= 0 or group.tokens == 0:
-            return 0.0
-        spec = self.constants.gpu_spec
-        h2d = group.stream_chars + group.tokens  # length-prefixed suffixes
-        d2h = group.tokens * 8  # postings back to host
-        return spec.transfer_seconds(h2d // n_gpus) + spec.transfer_seconds(d2h // n_gpus)
-
     # ------------------------------------------------------------------ #
     # Run lifecycle (Fig 8)
     # ------------------------------------------------------------------ #

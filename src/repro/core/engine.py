@@ -33,19 +33,12 @@ import itertools
 import os
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterator
 
 import numpy as np
 
 from repro.core.config import PlatformConfig
 from repro.core.costs import CostConstants, StageCosts
-from repro.core.exec_backend import (
-    ParsedStream,
-    ParseResult,
-    SerialBackend,
-    Tasks,
-    create_backend,
-)
 from repro.core.pipeline import BuildReport, simulate_full_build
 from repro.core.workload import FileWork, GroupWork
 from repro.corpus.collection import Collection
@@ -93,6 +86,17 @@ __all__ = ["IndexingEngine", "EngineResult", "RunBoundaryState", "WorkSplit"]
 #: has already given up (or declined to try) by the time these surface, so
 #: they go straight to the ``on_error`` policy.
 _PERMANENT_READ_ERRORS = (CorruptContainerError, RetryExhausted, OSError)
+
+#: What parsing one file yields: ``(parsed, permanent_error, retry_outcome)``.
+ParseResult = tuple[ParsedFile | None, Exception | None, RetryOutcome | None]
+
+#: ``(file_index, parsed, permanent_error, retry_outcome)``, in file order.
+ParsedStream = Iterator[
+    tuple[int, ParsedFile | None, Exception | None, RetryOutcome | None]
+]
+
+#: ``(kind, indexer_index, is_popular, sub_batch)`` in dispatch order.
+Tasks = list[tuple[str, int, bool, ParsedBatch]]
 
 
 @dataclass
@@ -146,15 +150,6 @@ class EngineResult:
     #: requeued files, stalls, degradation (``None`` for serial builds,
     #: which have no process to supervise).
     supervisor: SupervisorReport | None = None
-
-    @property
-    def simulated_total_seconds(self) -> float:
-        return self.report.total_s
-
-    @property
-    def simulated_throughput_mbps(self) -> float:
-        """Modeled MB/s from the discrete-event replay (the paper's figure)."""
-        return self.report.throughput_mbps
 
     @property
     def measured_throughput_mbps(self) -> float:
@@ -252,9 +247,10 @@ def _parse_under_retry(
 class _Build:
     """One build in progress: what open → run loop → finalise share.
 
-    It is also the :class:`~repro.core.exec_backend.BuildHooks` a backend
-    drives the build through — the methods below are engine-thread only,
-    called in file order.
+    :meth:`index_stream` is the run loop, the only one: a serial build
+    feeds it files parsed inline, a multiprocess build files parsed
+    ahead by a :class:`~repro.core.mp_backend.ParseWorker`.  The methods
+    below are engine-thread only, called in file order.
     """
 
     config: PlatformConfig
@@ -285,14 +281,39 @@ class _Build:
         self.run_file_indices: list[int] = []
         self.run_first_doc = state.doc_offset
         self.run_docs = 0
-        # Set by the run loop.
-        self.backend: SerialBackend | None = None
+        # Set by the run loop of a multiprocess build.
         self.supervisor_report: SupervisorReport | None = None
         self._inline_parser: Parser | None = None
 
     def indexer_for(self, kind: str, idx: int) -> Any:
         st = self.state
         return (st.cpu_indexers if kind == "cpu" else st.gpu_indexers)[idx]
+
+    # ---- the run loop -------------------------------------------------- #
+
+    def index_stream(self, stream: ParsedStream) -> None:
+        """Index each parsed file inline and book it, closing a run at
+        every boundary; consumes ``stream`` to completion."""
+        injector, watch, tracer = self.injector, self.watch, self.tel.tracer
+        for k, parsed, error, outcome in stream:
+            if injector is not None:
+                for ordinal in injector.gpu_failures(k):
+                    self.fail_gpu(ordinal, k)
+
+            if error is not None:
+                self.handle_read_failure(k, error)
+            else:
+                assert parsed is not None
+                batch = parsed.batch
+                with watch.measure("index"), tracer.span(
+                    "index", cat="index", file=k,
+                    docs=batch.num_docs, tokens=batch.total_tokens,
+                ):
+                    pop_work, unpop_work = self.index_batch(batch, self.state.doc_offset)
+                self.record_file(k, parsed, outcome, pop_work, unpop_work)
+
+            if self.is_run_boundary(k):
+                self.close_run(k)
 
     # ---- per-file bookkeeping and run boundaries ----------------------- #
 
@@ -350,11 +371,12 @@ class _Build:
         st = self.state
         cfg = self.config
         metrics = self.tel.metrics
-        assert self.backend is not None
         with self.watch.measure("write_runs"), self.tel.tracer.span(
             "write_run", cat="output"
         ) as run_tags:
-            run_lists: dict[int, PostingsList] = self.backend.drain_run_postings()
+            run_lists: dict[int, PostingsList] = {}
+            for indexer in st.indexers:
+                run_lists.update(indexer.drain_postings())
             run_postings = sum(len(p) for p in run_lists.values())
             st.posting_count += run_postings
             run_id = k // cfg.files_per_run
@@ -488,7 +510,7 @@ class _Build:
         build already indexed are skipped.
 
         Without ``ahead`` each file is parsed inline on the engine
-        thread.  With it (the multiprocess backend's parse worker) up to
+        thread.  With it (a multiprocess build's parse worker) up to
         ``ahead.window`` files are parsed ahead of the indexers: the
         paper's parser/indexer pipeline, executed for real.  Results are
         always consumed in file order, so indexes are byte-identical to
@@ -505,26 +527,21 @@ class _Build:
                 yield (k, *result)
             return
 
-        try:
-            pending = deque(itertools.islice(indices, ahead.window))
-            for k in pending:
-                ahead.submit(k)
-            while pending:
-                k = pending.popleft()
-                # The worker traces its own "parse_file" spans on its
-                # own lane; the engine lane records only the wait.
-                with watch.measure("parse"), tracer.span(
-                    "parse.wait", cat="parse", file=k
-                ):
-                    result = ahead.collect(k)
-                self._merge_outcome(result[2])
-                nxt = next(indices, None)
-                if nxt is not None:
-                    ahead.submit(nxt)
-                    pending.append(nxt)
-                yield (k, *result)
-        finally:
-            ahead.close()
+        pending = deque(itertools.islice(indices, ahead.window))
+        for k in pending:
+            ahead.submit(k)
+        while pending:
+            k = pending.popleft()
+            # The worker traces its own "parse_file" spans on its own
+            # lane; the engine lane records only the wait.
+            with watch.measure("parse"), tracer.span("parse.wait", cat="parse", file=k):
+                result = ahead.collect(k)
+            self._merge_outcome(result[2])
+            nxt = next(indices, None)
+            if nxt is not None:
+                ahead.submit(nxt)
+                pending.append(nxt)
+            yield (k, *result)
 
     # ---- indexing ------------------------------------------------------ #
 
@@ -829,15 +846,25 @@ class IndexingEngine:
     # ------------------------------------------------------------------ #
 
     def _run_loop(self, build: _Build) -> None:
-        backend = build.backend = create_backend(self.config.exec_backend, build)
+        backend = self.config.exec_backend
+        worker: ParseWorker | None = None
+        if backend == "multiprocess":
+            # Imported lazily: the process machinery costs nothing unless
+            # selected.  Started before the run loop: under ``fork`` the
+            # child is cut from a process whose only other thread is the
+            # optional sampling profiler.
+            from repro.core.mp_backend import ParseWorker
+
+            worker = ParseWorker(build)
         with build.tel.tracer.span(
-            "run_loop", start_file=build.start_file, backend=backend.name
+            "run_loop", start_file=build.start_file, backend=backend
         ):
             try:
-                backend.run()
+                build.index_stream(build.make_parsed_stream(worker))
             finally:
-                build.supervisor_report = backend.supervisor_report()
-                backend.close()
+                if worker is not None:
+                    build.supervisor_report = worker.sup.report
+                    worker.close()
 
     # ------------------------------------------------------------------ #
     # Phase 3: finalise — dictionary epilogue (Table VI), Table V split,

@@ -1,12 +1,21 @@
 """The multiprocess execution backend: one parse-ahead worker + the serial loop.
 
+``config.exec_backend`` (CLI ``build --exec``, env ``REPRO_EXEC_BACKEND``)
+is the single execution switch.  ``serial`` parses every file inline on
+the engine thread — the default, and the reference the other must match
+byte for byte.  ``multiprocess`` hands the same run loop
+(:meth:`repro.core.engine._Build.index_stream`) a :class:`ParseWorker`
+to parse ahead; it is the only thing the choice changes, so the output
+is identical by construction (the tier-1 byte-identity tests enforce
+it).
+
 Process layout::
 
     parse worker ("parser-0")        engine process
     ─────────────────────────        ─────────────────────────────────────
     parse file k+1, k+2, …    ──▶    decode file k, index it inline,
     (read, inflate, tokenize,        record_file, close_run  — the
-    stem, regroup, encode)           :class:`SerialBackend` loop, unchanged
+    stem, regroup, encode)           serial run loop, unchanged
 
 The worker is a ``concurrent.futures.ProcessPoolExecutor(max_workers=1)``
 running :func:`repro.core.engine._parse_under_retry` on the files from
@@ -52,10 +61,10 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.core.config import PlatformConfig
-from repro.core.engine import _parse_under_retry
-from repro.core.exec_backend import BuildHooks, ParsedStream, ParseResult, SerialBackend
+from repro.core.engine import ParseResult, _parse_under_retry
 from repro.dictionary.trie import TrieTable
 from repro.obs import runtime as obs_runtime
 from repro.obs.metrics import MetricsRegistry
@@ -63,15 +72,18 @@ from repro.obs.profile import ProfileDelta, SamplingProfiler
 from repro.obs.trace import Span, Tracer
 from repro.parsing.parser import Parser
 from repro.parsing.stream_codec import (
-    decode_batch,  # noqa: F401 - harness wrap target, see MultiprocessBackend's tail
+    decode_batch,  # noqa: F401 - harness wrap target, see the end of this module
     decode_parsed_file,
-    encode_batch,  # noqa: F401 - harness wrap target, see MultiprocessBackend's tail
+    encode_batch,  # noqa: F401 - harness wrap target, see the end of this module
     encode_parsed_file,
 )
 from repro.postings.lists import PostingsList
 from repro.robustness import faults
 from repro.robustness.retry import RetryOutcome
-from repro.robustness.supervise import Supervisor, SupervisorReport, WorkerFailure
+from repro.robustness.supervise import Supervisor, WorkerFailure
+
+if TYPE_CHECKING:
+    from repro.core.engine import _Build
 
 __all__ = ["MultiprocessBackend", "ParseWorker", "PARSE_AHEAD_WINDOW", "WORKER_KEY"]
 
@@ -260,13 +272,14 @@ class ParseWorker:
 
     window = PARSE_AHEAD_WINDOW
 
-    def __init__(self, hooks: BuildHooks) -> None:
-        self.hooks = hooks
-        self.policy = hooks.config.supervisor
+    def __init__(self, build: "_Build") -> None:
+        self.build = build
+        self.policy = build.config.supervisor
         self.sup = Supervisor(self.policy)
-        method = self.policy.start_method or (
-            "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-        )
+        # ``fork`` where available (cheap, inherits the warmed
+        # interpreter), else ``spawn``; the RPR110 lint rule keeps the
+        # worker entry points spawn-safe either way.
+        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         self._ctx = multiprocessing.get_context(method)
         self._pool: ProcessPoolExecutor | None = None
         self._incarnation = 0
@@ -275,7 +288,7 @@ class ParseWorker:
         self._outstanding: dict[int, Future | None] = {}
         self._start_pool()
         self.sup.report.workers = 1
-        hooks.tel.metrics.set_gauge("supervisor.workers", 1)
+        build.tel.metrics.set_gauge("supervisor.workers", 1)
 
     # -- the look-ahead contract ---------------------------------------- #
 
@@ -287,7 +300,7 @@ class ParseWorker:
             future = self._outstanding[k]
             if future is None:
                 del self._outstanding[k]
-                return self.hooks.parse_file_inline(k)
+                return self.build.parse_file_inline(k)
             try:
                 reply = future.result(timeout=self.policy.heartbeat_timeout_s)
             except FutureTimeout:
@@ -313,14 +326,14 @@ class ParseWorker:
     def _tag(self, k: int) -> str:
         # Carries the file path (for FaultSpec.path_substring) and the
         # slot key, and doubles as the poison identity.
-        return f"{self.hooks.collection.files[k]}::{WORKER_KEY}"
+        return f"{self.build.collection.files[k]}::{WORKER_KEY}"
 
     def _send(self, k: int) -> Future | None:
         if self._pool is None:
             return None
         try:
             return self._pool.submit(
-                _parse_task, k, self.hooks.collection.files[k], self._tag(k)
+                _parse_task, k, self.build.collection.files[k], self._tag(k)
             )
         except BrokenProcessPool as exc:
             # The worker died while the engine was indexing; the verdict
@@ -331,7 +344,7 @@ class ParseWorker:
 
     def _unpack(self, reply: Reply) -> ParseResult:
         status, value, outcome, delta = reply
-        self._merge_delta(*delta)
+        self._merge_delta(delta)
         if status == "parsed":
             return decode_parsed_file(value), None, outcome
         assert isinstance(value, Exception)
@@ -342,7 +355,7 @@ class ParseWorker:
     # -- lifecycle and recovery ------------------------------------------ #
 
     def _start_pool(self) -> None:
-        h = self.hooks
+        h = self.build
         self._incarnation += 1
         self._pool = ProcessPoolExecutor(
             max_workers=1,
@@ -374,7 +387,7 @@ class ParseWorker:
         sup, tag = self.sup, self._tag(k)
         # `repro trace` blames the wait this span overlaps on the
         # supervisor, not on transport.
-        with self.hooks.tel.tracer.span(
+        with self.build.tel.tracer.span(
             "supervisor.recover", cat="robustness", worker=WORKER_KEY, kind=kind,
         ) as tags:
             self._stop_pool(kill=True)
@@ -387,16 +400,16 @@ class ParseWorker:
                 if f is not None
                 and not (f.done() and not f.cancelled() and f.exception() is None)
             ]
-            action = "restart" if sup.allow_restart(WORKER_KEY) else "degrade"
+            action = "restart" if sup.allow_restart() else "degrade"
             sup.record_failure(
                 WorkerFailure(WORKER_KEY, kind, self._incarnation, detail, tag, action)
             )
             tags["action"] = action
             if action == "degrade":
-                sup.record_degraded(WORKER_KEY, requeued=len(lost))
+                sup.record_degraded(requeued=len(lost))
             else:
-                delay = sup.restart_delay_s(WORKER_KEY)
-                sup.record_restart(WORKER_KEY, requeued=len(lost))
+                delay = sup.restart_delay_s()
+                sup.record_restart(requeued=len(lost))
                 if delay > 0:
                     time.sleep(delay)
                 self._start_pool()
@@ -405,16 +418,10 @@ class ParseWorker:
 
     # -- worker-delta folding -------------------------------------------- #
 
-    def _merge_delta(
-        self,
-        fault_counts: dict[str, int],
-        fault_events: list[tuple[str, str]],
-        metrics_delta: dict[str, dict[str, object]],
-        spans: "tuple[float, list[Span]] | None",
-        profile: "ProfileDelta | None",
-    ) -> None:
-        tel = self.hooks.tel
-        inj = self.hooks.injector
+    def _merge_delta(self, delta: Delta) -> None:
+        fault_counts, fault_events, metrics_delta, spans, profile = delta
+        tel = self.build.tel
+        inj = self.build.injector
         if inj is not None and (fault_counts or fault_events):
             inj.merge_child_counts(fault_counts, fault_events)
         if spans is not None and tel.tracer.enabled:
@@ -422,55 +429,25 @@ class ParseWorker:
             tel.tracer.absorb(worker_spans, worker_epoch)
         if profile is not None and tel.profile is not None:
             tel.profile.absorb(profile)
-        reg = tel.metrics
-        if not metrics_delta or not reg.enabled:
-            return
-        for mname, value in metrics_delta.get("counters", {}).items():
-            reg.count(mname, value)
-        for mname, value in metrics_delta.get("gauges", {}).items():
-            reg.set_gauge(mname, value)
-        for mname, hist_delta in metrics_delta.get("histograms", {}).items():
-            hist = reg.histogram(mname, tuple(hist_delta["buckets"]))
-            for i, c in enumerate(hist_delta["counts"]):
-                hist.counts[i] += c
-            hist.count += hist_delta["count"]
-            hist.total += hist_delta["sum"]
+        tel.metrics.absorb(metrics_delta)
 
 
-class MultiprocessBackend(SerialBackend):
-    """The serial loop, fed by one supervised parse-ahead process."""
+# ---------------------------------------------------------------------- #
+# Frozen-harness contact surface — delete with ROADMAP item 1(b).
+#
+# ``benchmarks/perf/tracing.py`` (which a perf PR may not edit) wraps, by
+# attribute, ``repro.core.mp_backend:{encode_batch, decode_batch,
+# decode_parsed_file}`` and ``MultiprocessBackend.drain_run_postings``
+# (looked up in the class's own ``__dict__``), and drives
+# ``repro.core.shm_ring.ShmRing`` itself.  ``decode_parsed_file`` is
+# really called above; the rest exists only so those wraps bind and a
+# traced build reports ``warnings == []`` — the layers they time
+# (``mp.encode_s``, ``mp.drain_s``, ``mp.ring_wait_s``) read 0.
+# ---------------------------------------------------------------------- #
 
-    name = "multiprocess"
 
-    def __init__(self, hooks: BuildHooks) -> None:
-        super().__init__(hooks)
-        # Created here, before the run loop starts: under ``fork`` the
-        # child is cut from a process whose only other thread is the
-        # optional sampling profiler.
-        self.worker = ParseWorker(hooks)
-
-    def parsed_stream(self) -> ParsedStream:
-        return self.hooks.make_parsed_stream(self.worker)
-
-    def supervisor_report(self) -> SupervisorReport:
-        return self.worker.sup.report
-
-    def close(self) -> None:
-        self.worker.close()
-
-    # ------------------------------------------------------------------ #
-    # Frozen-harness contact surface — delete with ROADMAP item 5(v).
-    #
-    # ``benchmarks/perf/tracing.py`` (which a perf PR may not edit) wraps,
-    # by attribute, ``repro.core.mp_backend:{encode_batch, decode_batch,
-    # decode_parsed_file}`` and ``MultiprocessBackend.drain_run_postings``
-    # (looked up in this class's own ``__dict__``), and drives
-    # ``repro.core.shm_ring.ShmRing`` itself.  ``decode_parsed_file`` is
-    # really called above; the rest exists only so those wraps bind and a
-    # traced build reports ``warnings == []`` — the layers they time
-    # (``mp.encode_s``, ``mp.drain_s``, ``mp.ring_wait_s``) read 0.
-    # ------------------------------------------------------------------ #
+class MultiprocessBackend:
+    """A wrap target only: no build constructs it."""
 
     def drain_run_postings(self) -> dict[int, PostingsList]:
-        return super().drain_run_postings()
-
+        return {}

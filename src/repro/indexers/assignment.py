@@ -135,14 +135,6 @@ class WorkAssignment:
     #: fallback indexer); unseen collections route around them.
     failed_gpus: set[int] = field(default_factory=set)
 
-    @property
-    def num_cpu(self) -> int:
-        return len(self.cpu_sets)
-
-    @property
-    def num_gpu(self) -> int:
-        return len(self.gpu_sets)
-
     def owner_of(self, cidx: int) -> tuple[str, int]:
         """``("cpu", i)`` or ``("gpu", j)`` for any collection index.
 

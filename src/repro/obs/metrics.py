@@ -18,7 +18,8 @@ determinism test explicitly excludes.
 
 The :meth:`MetricsRegistry.snapshot` / :meth:`MetricsRegistry.delta`
 pair is the benchmark-facing API: snapshot before and after a region,
-diff the two, and assert on exactly the work that region did.
+diff the two, and assert on exactly the work that region did;
+:meth:`MetricsRegistry.absorb` replays such a delta elsewhere.
 """
 
 from __future__ import annotations
@@ -267,6 +268,25 @@ class MetricsRegistry:
                     "sum": h["sum"] - prev["sum"],
                 }
         return out
+
+    def absorb(self, delta: Mapping[str, dict[str, object]]) -> None:
+        """Replay a :meth:`delta` into this registry — its inverse.
+
+        Counters add, gauges take the new value, histograms add per
+        bucket under the instrument's own lock.  The multiprocess
+        backend folds each worker reply's delta in through here.
+        """
+        for name, value in delta.get("counters", {}).items():
+            self.count(name, value)
+        for name, value in delta.get("gauges", {}).items():
+            self.set_gauge(name, value)
+        for name, h in delta.get("histograms", {}).items():
+            hist = self.histogram(name, h["buckets"])
+            with hist._lock:
+                for i, c in enumerate(h["counts"]):
+                    hist.counts[i] += c
+                hist.count += h["count"]
+                hist.total += h["sum"]
 
 
 class _NullCounter(Counter):

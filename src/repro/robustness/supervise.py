@@ -49,6 +49,7 @@ import zlib
 from dataclasses import dataclass, field
 
 from repro.obs import runtime as obs
+from repro.robustness.faults import WORKER_SLOT
 from repro.robustness.retry import RetryPolicy
 
 __all__ = [
@@ -63,7 +64,7 @@ __all__ = [
 class SupervisorPolicy:
     """Knobs of the multiprocess backend's supervision layer."""
 
-    #: Restarts allowed per worker slot before it degrades to inline
+    #: Restarts allowed before the worker slot degrades to inline
     #: execution.
     max_restarts: int = 2
     #: How long the engine waits for one file's result before the worker
@@ -78,13 +79,8 @@ class SupervisorPolicy:
         default_factory=lambda: RetryPolicy(max_attempts=3, base_delay_s=0.01)
     )
     #: Not read by any build: the frozen benchmark harness sizes its
-    #: ``ShmRing`` drive from it (ROADMAP item 5(v) deletes both).
+    #: ``ShmRing`` drive from it (ROADMAP item 1(b) deletes both).
     ring_capacity_bytes: int = 1 << 20
-    #: ``multiprocessing`` start method; ``None`` picks ``fork`` where
-    #: available (cheap, inherits the warmed interpreter) and ``spawn``
-    #: elsewhere.  The RPR110 lint rule keeps the worker entry points
-    #: spawn-safe either way.
-    start_method: str | None = None
 
     def __post_init__(self) -> None:
         if self.max_restarts < 0:
@@ -95,8 +91,6 @@ class SupervisorPolicy:
             raise ValueError("poison_threshold must be >= 1")
         if self.ring_capacity_bytes < 4096:
             raise ValueError("ring_capacity_bytes must be >= 4096")
-        if self.start_method not in (None, "fork", "spawn", "forkserver"):
-            raise ValueError(f"unknown start method {self.start_method!r}")
 
 
 @dataclass
@@ -135,28 +129,29 @@ class Supervisor:
 
     Engine-thread only: the multiprocess backend supervises *passively*,
     from inside its wait for the next parsed file, so there is no
-    monitor thread and no cross-thread state to lock.
+    monitor thread and no cross-thread state to lock.  There is one slot
+    (:data:`~repro.robustness.faults.WORKER_SLOT`), so ``report.restarts``
+    is its restart count.
     """
 
     def __init__(self, policy: SupervisorPolicy) -> None:
         self.policy = policy
         self.report = SupervisorReport()
-        self._restarts_by_worker: dict[str, int] = {}
         self._task_crashes: dict[str, int] = {}
 
     # -- decisions ------------------------------------------------------ #
 
-    def allow_restart(self, worker: str) -> bool:
-        return self._restarts_by_worker.get(worker, 0) < self.policy.max_restarts
+    def allow_restart(self) -> bool:
+        return self.report.restarts < self.policy.max_restarts
 
-    def restart_delay_s(self, worker: str) -> float:
-        """Deterministic backoff before the next restart of ``worker``.
+    def restart_delay_s(self) -> float:
+        """Deterministic backoff before the worker's next restart.
 
-        Seeded from (worker, restart ordinal), never the wall clock, so a
-        rerun of the same fault plan paces restarts identically.
+        Seeded from (slot key, restart ordinal), never the wall clock, so
+        a rerun of the same fault plan paces restarts identically.
         """
-        nth = self._restarts_by_worker.get(worker, 0)
-        rng = random.Random(zlib.crc32(worker.encode("utf-8")) ^ nth)
+        nth = self.report.restarts
+        rng = random.Random(zlib.crc32(WORKER_SLOT.encode("utf-8")) ^ nth)
         return self.policy.restart_backoff.delay_for(nth + 1, rng)
 
     def note_task_crash(self, task_tag: str) -> bool:
@@ -187,23 +182,22 @@ class Supervisor:
             action=failure.action,
         )
 
-    def record_restart(self, worker: str, requeued: int) -> None:
-        self._restarts_by_worker[worker] = self._restarts_by_worker.get(worker, 0) + 1
+    def record_restart(self, requeued: int) -> None:
         self.report.restarts += 1
         self.report.requeued += requeued
         obs.count("supervisor.restarts")
         if requeued:
             obs.count("supervisor.requeued", requeued)
-        self._instant("supervisor.restart", worker=worker, requeued=requeued)
+        self._instant("supervisor.restart", worker=WORKER_SLOT, requeued=requeued)
 
-    def record_degraded(self, worker: str, requeued: int = 0) -> None:
+    def record_degraded(self, requeued: int = 0) -> None:
         self.report.degraded += 1
         self.report.requeued += requeued
-        self.report.degraded_slots.append(worker)
+        self.report.degraded_slots.append(WORKER_SLOT)
         obs.count("supervisor.degraded")
         if requeued:
             obs.count("supervisor.requeued", requeued)
-        self._instant("supervisor.degraded", worker=worker)
+        self._instant("supervisor.degraded", worker=WORKER_SLOT)
 
     def record_poisoned(self, task_tag: str) -> None:
         self.report.poisoned += 1

@@ -1,7 +1,9 @@
-"""The execution-backend seam: resolution, and byte-identity across modes.
+"""The execution switch: resolution, and byte-identity across modes.
 
-The engine's contract (docs/ARCHITECTURE.md, "Execution backends"): the
-``serial`` and ``multiprocess`` backends produce byte-identical index
+``exec_backend`` only decides whether the engine's one run loop is fed
+by a parse-ahead worker process (docs/ARCHITECTURE.md, "The run loop
+and the execution backends"), so the ``serial`` and ``multiprocess``
+backends produce byte-identical index
 artifacts, identical work counters and identical deterministic metrics —
 only the ``supervisor.*`` instruments (absent in serial builds) and the
 wall-clock ``timings`` quarantine may differ.

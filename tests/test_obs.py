@@ -197,6 +197,12 @@ class TestMetricsRegistry:
         assert d["gauges"] == {"g": 7}
         assert d["histograms"]["h"]["counts"] == [1, 0]
         assert d["histograms"]["h"]["sum"] == 3
+        replay = MetricsRegistry()
+        replay.count("stable", 5)
+        replay.set_gauge("g", 1)
+        assert replay.snapshot() == before
+        replay.absorb(d)
+        assert replay.snapshot() == reg.snapshot()
 
     def test_null_registry_discards_everything(self):
         reg = NullRegistry()
