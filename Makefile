@@ -1,6 +1,6 @@
 # Canonical workflows for the reproduction.
 
-.PHONY: install test test-fast test-mp chaos chaos-mp lint bench-pytest perf-smoke report examples trace-demo profile-demo clean
+.PHONY: install test test-fast test-mp chaos chaos-mp lint bench-pytest perf-smoke report examples explain-demo clean
 
 install:
 	python setup.py develop
@@ -68,33 +68,21 @@ report:
 	python -m repro report --output REPORT.md
 	python tools/gen_api_docs.py
 
-# Seeded demo build with telemetry, then the ASCII reports; open
-# /tmp/repro_trace_demo/index/trace.json in Perfetto for the timeline
+# Seeded multiprocess demo build with telemetry and the sampling
+# profiler on, then `repro explain`: where the engine's wall went, the
+# lane chart, stage totals, the metrics and the top profile frames, plus
+# a folded-stack export for flamegraph.pl.  Open
+# /tmp/repro_explain_demo/index/trace.json in Perfetto for the timeline
 # (docs/OBSERVABILITY.md).
-trace-demo:
-	rm -rf /tmp/repro_trace_demo
-	python -m repro generate congress /tmp/repro_trace_demo --seed 7
-	python -m repro build /tmp/repro_trace_demo/congress_mini \
-		/tmp/repro_trace_demo/index --parsers 2 --cpu-indexers 1 --gpus 1
-	python -m repro trace /tmp/repro_trace_demo/index
-	python -m repro stats /tmp/repro_trace_demo/index
-	python -m repro verify /tmp/repro_trace_demo/index
-
-# Cross-process profiling end to end: a multiprocess build with the
-# sampling profiler on, the merged run.profile.json rendered (per-lane
-# totals + top functions), and flamegraph/speedscope exports.
-# Open /tmp/repro_profile_demo/profile.speedscope.json at
-# https://www.speedscope.app (docs/OBSERVABILITY.md, "Profiling").
-profile-demo:
-	rm -rf /tmp/repro_profile_demo
-	python -m repro generate congress /tmp/repro_profile_demo --seed 7
-	python -m repro build /tmp/repro_profile_demo/congress_mini \
-		/tmp/repro_profile_demo/index --parsers 2 --cpu-indexers 2 --gpus 1 \
+explain-demo:
+	rm -rf /tmp/repro_explain_demo
+	python -m repro generate congress /tmp/repro_explain_demo --seed 7
+	python -m repro build /tmp/repro_explain_demo/congress_mini \
+		/tmp/repro_explain_demo/index --parsers 2 --cpu-indexers 2 --gpus 1 \
 		--exec multiprocess --profile --profile-interval 0.005
-	python -m repro profile /tmp/repro_profile_demo/index \
-		--folded /tmp/repro_profile_demo/stacks.folded \
-		--speedscope /tmp/repro_profile_demo/profile.speedscope.json
-	python -m repro verify /tmp/repro_profile_demo/index
+	python -m repro explain /tmp/repro_explain_demo/index \
+		--folded /tmp/repro_explain_demo/stacks.folded
+	python -m repro verify /tmp/repro_explain_demo/index
 
 examples:
 	python examples/quickstart.py /tmp/repro_example_qs

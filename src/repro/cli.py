@@ -4,19 +4,20 @@ Commands mirror the library's workflow:
 
 - ``generate`` — materialize a synthetic mini collection (ClueWeb /
   Wikipedia / Congress profile);
-- ``stats`` — a collection directory prints its Table III row; an index
-  directory (or ``run.metrics.json``) prints the build's telemetry
-  summary; ``--diff A B`` prints per-stage timing and counter deltas
-  between two builds (``--fail-on-regress PCT`` turns the diff into a
-  gate);
+- ``stats`` — a collection directory's Table III row;
 - ``build`` — run the heterogeneous engine over a collection directory
   (``--resume`` continues an interrupted build, ``--on-error`` picks the
   skip / quarantine policy for corrupt containers, ``--no-telemetry``
-  skips the ``run.metrics.json`` / ``trace.json`` artifacts);
-- ``trace`` — report on a build's Chrome trace: lane utilization,
-  where the engine's wall went per resource (docs/OBSERVABILITY.md,
-  "Where the engine's wall went") and stage totals (open the same file
-  in Perfetto / chrome://tracing for the timeline);
+  skips the ``run.metrics.json`` / ``trace.json`` artifacts,
+  ``--profile`` writes ``run.profile.json``);
+- ``explain`` — where a build's time went, from whichever of its
+  ``trace.json``, ``run.metrics.json`` and ``run.profile.json`` exist:
+  the engine's wall per resource (docs/OBSERVABILITY.md, "Where the
+  engine's wall went"), lane utilization and stage totals; the metrics;
+  the top profile frames.  ``--diff A B`` compares two builds' timings,
+  counters, gauges and per-frame profile time; ``--folded`` exports the
+  profile's collapsed stacks for a flame graph (open ``trace.json`` in
+  Perfetto / chrome://tracing for the timeline);
 - ``verify`` — check an index directory's checksums and cross-file
   invariants (including telemetry artifact schemas); exits non-zero on
   the first inconsistency;
@@ -27,12 +28,7 @@ Commands mirror the library's workflow:
 - ``simulate`` — the paper-scale pipeline simulation (Tables IV/VI
   numbers without touching a terabyte);
 - ``lint`` — the paper-invariant static-analysis pack
-  (docs/STATIC_ANALYSIS.md): AST rules and the typing gate;
-- ``profile`` — report on a ``run.profile.json`` written by ``build
-  --profile`` (per-lane summary + top-N self/cumulative table);
-  ``--diff A B`` ranks regressed/improved functions between
-  two profiles, ``--folded`` / ``--speedscope`` export flamegraph
-  formats.
+  (docs/STATIC_ANALYSIS.md): AST rules and the typing gate.
 """
 
 from __future__ import annotations
@@ -69,26 +65,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--on-error", choices=["strict", "skip"], default="strict",
                         help="skip: drop undecodable documents instead of aborting")
 
-    stats = sub.add_parser(
-        "stats",
-        help="Table III stats of a collection, or a build's telemetry summary",
-    )
-    stats.add_argument(
-        "target", nargs="?", default=None,
-        help="collection directory (manifest.tsv) for Table III, or an "
-             "index directory / run.metrics.json for the build's metrics",
-    )
+    stats = sub.add_parser("stats", help="Table III stats of a collection")
+    stats.add_argument("collection", help="collection directory (manifest.tsv)")
     stats.add_argument("--no-html", action="store_true", help="collection is pure text")
-    stats.add_argument(
-        "--diff", nargs=2, metavar=("BEFORE", "AFTER"), default=None,
-        help="diff two run.metrics.json files (or index directories): "
-             "per-stage timings and changed counters",
-    )
-    stats.add_argument(
-        "--fail-on-regress", type=float, default=None, metavar="PCT",
-        help="with --diff: exit 1 when a timing worsens by more than "
-             "PCT percent and by more than a 10 ms noise floor",
-    )
 
     build = sub.add_parser("build", help="build inverted files")
     build.add_argument("collection", help="collection directory")
@@ -117,7 +96,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                        help="sample the engine and the parse worker process "
                             "with the deterministic-interval stack "
                             "profiler and write the merged "
-                            "run.profile.json (repro profile)")
+                            "run.profile.json (repro explain)")
     build.add_argument("--profile-interval", type=float, default=None,
                        metavar="SECONDS",
                        help="sampler tick for --profile (default 0.01)")
@@ -132,15 +111,26 @@ def build_arg_parser() -> argparse.ArgumentParser:
     build.add_argument("--files-per-run", type=int, default=None,
                        help="container files per output run (default: 1)")
 
-    trace = sub.add_parser(
-        "trace", help="lane utilization, engine blame and stage totals "
-                      "from a build's trace"
+    explain = sub.add_parser(
+        "explain", help="where a build's time went: its trace, metrics "
+                        "and profile in one report"
     )
-    trace.add_argument(
-        "trace", help="index directory (containing trace.json) or a trace file"
+    explain.add_argument(
+        "index", nargs="?", default=None,
+        help="index directory (trace.json / run.metrics.json / "
+             "run.profile.json); omit only with --diff",
     )
-    trace.add_argument("--root", default="build",
-                       help="root span name coverage is computed against")
+    explain.add_argument(
+        "--diff", nargs=2, metavar=("A", "B"), default=None,
+        help="compare two index directories: timings, counters, gauges "
+             "and per-frame profile self time",
+    )
+    explain.add_argument("--top", type=int, default=10,
+                         help="profile frames shown, and rows per --diff "
+                              "table (default 10)")
+    explain.add_argument("--folded", default=None, metavar="PATH",
+                         help="also write the profile's collapsed stacks "
+                              "(flamegraph.pl input)")
 
     verify = sub.add_parser(
         "verify", help="check an index's checksums and cross-file invariants"
@@ -174,32 +164,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--parsers", type=int, default=6)
     simulate.add_argument("--cpu-indexers", type=int, default=2)
     simulate.add_argument("--gpus", type=int, default=2)
-
-    profile = sub.add_parser(
-        "profile",
-        help="report on a run.profile.json written by build --profile",
-    )
-    profile.add_argument(
-        "target", nargs="?", default=None,
-        help="index directory (containing run.profile.json) or a profile "
-             "file; omit only with --diff",
-    )
-    profile.add_argument("--top", type=int, default=10,
-                         help="rows in the function table (default 10)")
-    profile.add_argument("--mode", choices=["self", "cum"], default="self",
-                         help="rank by self time (leaf samples) or "
-                              "cumulative time (anywhere on the stack)")
-    profile.add_argument(
-        "--diff", nargs=2, metavar=("OLD", "NEW"), default=None,
-        help="rank regressed/improved functions between two profiles "
-             "instead of reporting on one",
-    )
-    profile.add_argument("--folded", default=None, metavar="PATH",
-                         help="also write collapsed-stack text "
-                              "(flamegraph.pl / speedscope import)")
-    profile.add_argument("--speedscope", default=None, metavar="PATH",
-                         help="also write speedscope JSON "
-                              "(https://speedscope.app)")
 
     lint = sub.add_parser(
         "lint", help="paper-invariant lint pack + typing gate"
@@ -264,72 +228,11 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
-def _metrics_path_of(target: str):
-    """Resolve a stats/diff target to a ``run.metrics.json`` path, or None.
-
-    A directory holding ``manifest.tsv`` is a *collection* (Table III
-    path); a directory holding ``run.metrics.json`` is an *index*; a
-    ``.json`` file is taken as a metrics payload directly.
-    """
-    import os
-
-    from repro.obs.schema import METRICS_FILENAME
-
-    if os.path.isfile(target):
-        return target if target.endswith(".json") else None
-    if os.path.isdir(target):
-        if os.path.exists(os.path.join(target, "manifest.tsv")):
-            return None  # a collection: Table III semantics win
-        candidate = os.path.join(target, METRICS_FILENAME)
-        if os.path.exists(candidate):
-            return candidate
-    return None
-
-
 def _cmd_stats(args) -> int:
     from repro.corpus.collection import collection_statistics
     from repro.util.fmt import fmt_bytes, fmt_count
 
-    if args.diff is not None:
-        from repro.obs.schema import load_metrics
-        from repro.obs.stats import metrics_regressions, render_metrics_diff
-
-        paths = [_metrics_path_of(t) or t for t in args.diff]
-        before, after = load_metrics(paths[0]), load_metrics(paths[1])
-        print(render_metrics_diff(
-            before, after,
-            before_label=args.diff[0], after_label=args.diff[1],
-        ))
-        if args.fail_on_regress is not None:
-            regressions = metrics_regressions(
-                before, after, rel_threshold=args.fail_on_regress / 100.0
-            )
-            if regressions:
-                print(f"\n{len(regressions)} regression(s) past "
-                      f"{args.fail_on_regress:g}%:")
-                for line in regressions:
-                    print(f"  {line}")
-                return 1
-            print(f"\nno regressions past {args.fail_on_regress:g}%")
-        return 0
-    if args.fail_on_regress is not None:
-        print("error: --fail-on-regress requires --diff A B", file=sys.stderr)
-        return 2
-
-    if args.target is None:
-        print("error: stats needs a collection/index directory (or --diff A B)",
-              file=sys.stderr)
-        return 2
-
-    metrics_path = _metrics_path_of(args.target)
-    if metrics_path is not None:
-        from repro.obs.schema import load_metrics
-        from repro.obs.stats import render_metrics_summary
-
-        print(render_metrics_summary(load_metrics(metrics_path)))
-        return 0
-
-    stats = collection_statistics(_load_collection(args.target),
+    stats = collection_statistics(_load_collection(args.collection),
                                   strip_html=not args.no_html)
     print(f"collection:   {stats.name}")
     print(f"compressed:   {fmt_bytes(stats.compressed_bytes)}")
@@ -379,8 +282,8 @@ def _cmd_build(args) -> int:
     print(f"CPU/GPU token split: {result.split.cpu_tokens:,} / {result.split.gpu_tokens:,}")
     sup = result.supervisor
     if sup is not None:
-        line = (f"supervisor: {sup.workers} parse worker process, "
-                f"{sup.restarts} restart(s), {sup.requeued} requeued file(s)")
+        line = (f"supervisor: parse worker restarted {sup.restarts} time(s), "
+                f"{sup.requeued} requeued file(s)")
         if sup.degraded:
             line += ", degraded to inline parsing"
         if sup.poisoned:
@@ -389,11 +292,11 @@ def _cmd_build(args) -> int:
         for failure in sup.failures:
             print(f"  {failure.worker} incarnation {failure.incarnation} "
                   f"{failure.kind}: {failure.detail} → {failure.action}")
-    if result.metrics_path is not None:
-        print(f"telemetry: {result.metrics_path} (repro stats) + "
-              f"{result.trace_path} (repro trace / Perfetto)")
-    if result.profile_path is not None:
-        print(f"profile: {result.profile_path} (repro profile)")
+    artifacts = [p for p in (result.trace_path, result.metrics_path,
+                             result.profile_path) if p is not None]
+    if artifacts:
+        print(f"telemetry: {', '.join(artifacts)}")
+        print(f"where the time went: repro explain {args.output}")
     rb = result.robustness
     if rb.resumed_runs:
         print(f"resumed: {rb.resumed_runs} run(s) recovered from the manifest")
@@ -407,18 +310,35 @@ def _cmd_build(args) -> int:
     return 0
 
 
-def _cmd_trace(args) -> int:
-    import os
+def _cmd_explain(args) -> int:
+    from repro.obs.profile import to_folded
+    from repro.obs.profile_schema import PROFILE_FILENAME
+    from repro.obs.stats import (
+        load_build_artifacts,
+        render_explain,
+        render_explain_diff,
+    )
 
-    from repro.obs.schema import TRACE_FILENAME
-    from repro.obs.stats import render_trace_summary, spans_from_chrome
-    from repro.obs.trace import load_chrome_trace
-
-    path = args.trace
-    if os.path.isdir(path):
-        path = os.path.join(path, TRACE_FILENAME)
-    events = load_chrome_trace(path)
-    print(render_trace_summary(spans_from_chrome(events), root_name=args.root))
+    if args.diff is not None:
+        a, b = args.diff
+        print(render_explain_diff(
+            (a, b), (load_build_artifacts(a), load_build_artifacts(b)), top=args.top
+        ))
+        return 0
+    if args.index is None:
+        print("error: explain needs an index directory (or --diff A B)",
+              file=sys.stderr)
+        return 2
+    artifacts = load_build_artifacts(args.index)
+    if args.folded is not None and PROFILE_FILENAME not in artifacts:
+        print(f"error: --folded needs {PROFILE_FILENAME} in {args.index} "
+              "(build with --profile)", file=sys.stderr)
+        return 2
+    print(render_explain(args.index, artifacts, top=args.top))
+    if args.folded is not None:
+        with open(args.folded, "w", encoding="utf-8") as fh:
+            fh.write(to_folded(artifacts[PROFILE_FILENAME]))
+        print(f"wrote folded stacks to {args.folded}")
     return 0
 
 
@@ -523,54 +443,6 @@ def _cmd_lint(args) -> int:
     return run(args)
 
 
-def _profile_path_of(target: str) -> str:
-    """Resolve a profile target: an index directory or the file itself."""
-    import os
-
-    from repro.obs.profile_schema import PROFILE_FILENAME
-
-    if os.path.isdir(target):
-        return os.path.join(target, PROFILE_FILENAME)
-    return target
-
-
-def _cmd_profile(args) -> int:
-    import json
-    import os
-
-    from repro.obs.profile import (
-        render_profile_diff,
-        render_profile_report,
-        to_folded,
-        to_speedscope,
-    )
-    from repro.obs.profile_schema import load_profile
-
-    if args.diff is not None:
-        old, new = (load_profile(_profile_path_of(t)) for t in args.diff)
-        print(render_profile_diff(old, new, top=args.top, mode=args.mode))
-        return 0
-    if args.target is None:
-        print("error: profile needs an index directory / run.profile.json "
-              "(or --diff OLD NEW)", file=sys.stderr)
-        return 2
-
-    path = _profile_path_of(args.target)
-    payload = load_profile(path)
-    print(render_profile_report(payload, top=args.top, mode=args.mode))
-    if args.folded is not None:
-        with open(args.folded, "w", encoding="utf-8") as fh:
-            fh.write(to_folded(payload))
-        print(f"wrote folded stacks to {args.folded}")
-    if args.speedscope is not None:
-        name = os.path.basename(os.path.normpath(args.target))
-        with open(args.speedscope, "w", encoding="utf-8") as fh:
-            json.dump(to_speedscope(payload, name=name), fh, indent=2)
-            fh.write("\n")
-        print(f"wrote speedscope JSON to {args.speedscope}")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit code (2 on usage errors)."""
     args = build_arg_parser().parse_args(argv)
@@ -579,18 +451,17 @@ def main(argv: list[str] | None = None) -> int:
         "ingest": _cmd_ingest,
         "stats": _cmd_stats,
         "build": _cmd_build,
-        "trace": _cmd_trace,
+        "explain": _cmd_explain,
         "verify": _cmd_verify,
         "query": _cmd_query,
         "merge": _cmd_merge,
         "report": _cmd_report,
         "simulate": _cmd_simulate,
         "lint": _cmd_lint,
-        "profile": _cmd_profile,
     }[args.command]
     try:
         return handler(args)
-    except BrokenPipeError:  # e.g. `repro stats … | head`
+    except BrokenPipeError:  # e.g. `repro explain … | head`
         sys.stderr.close()  # suppress the interpreter's flush-failure noise
         return 0
     except FileNotFoundError as exc:

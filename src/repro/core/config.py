@@ -87,7 +87,7 @@ class PlatformConfig:
     #: ``REPRO_EXEC_BACKEND``; explicit values win over the environment.
     exec_backend: str = field(default_factory=_default_exec_backend)
     #: Supervision knobs for the multiprocess backend: restart budget,
-    #: stall timeout, poison threshold, start method (see
+    #: stall timeout, poison threshold, restart backoff (see
     #: :mod:`repro.robustness.supervise`).
     supervisor: SupervisorPolicy = field(default_factory=SupervisorPolicy)
 

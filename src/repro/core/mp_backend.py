@@ -92,8 +92,7 @@ __all__ = ["MultiprocessBackend", "ParseWorker", "PARSE_AHEAD_WINDOW", "WORKER_K
 #: while holding at most two encoded files (≈ 0.4 MB on the web profile).
 PARSE_AHEAD_WINDOW = 2
 
-#: The one worker slot: supervisor bookkeeping key, trace/profile lane,
-#: and what ``FaultSpec.worker`` matches against.
+#: The one worker slot: supervisor bookkeeping key and trace/profile lane.
 WORKER_KEY = faults.WORKER_SLOT
 
 #: The per-reply telemetry delta: fault counts, fault events, metrics
@@ -287,8 +286,6 @@ class ParseWorker:
         #: parsed inline (poisoned, or the slot degraded).
         self._outstanding: dict[int, Future | None] = {}
         self._start_pool()
-        self.sup.report.workers = 1
-        build.tel.metrics.set_gauge("supervisor.workers", 1)
 
     # -- the look-ahead contract ---------------------------------------- #
 
@@ -385,7 +382,7 @@ class ParseWorker:
     def _recover(self, k: int, kind: str, detail: str) -> None:
         """File ``k``'s result will not arrive: restart, poison or degrade."""
         sup, tag = self.sup, self._tag(k)
-        # `repro trace` blames the wait this span overlaps on the
+        # `repro explain` blames the wait this span overlaps on the
         # supervisor, not on transport.
         with self.build.tel.tracer.span(
             "supervisor.recover", cat="robustness", worker=WORKER_KEY, kind=kind,

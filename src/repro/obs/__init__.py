@@ -16,13 +16,13 @@ on the functional build:
   its validator (no external jsonschema dependency);
 - :mod:`repro.obs.profile` + :mod:`repro.obs.profile_schema` — a
   cross-process sampling profiler (``build --profile``) whose merged
-  view lands in ``run.profile.json`` with folded/speedscope exports
-  (``repro profile``);
+  view lands in ``run.profile.json``, with a folded-stack export;
 - :mod:`repro.obs.runtime` — process-wide installation, mirroring
   :mod:`repro.robustness.faults`, so deep layers (checkpointing, retry)
   can emit counters without threading a registry through every call;
-- :mod:`repro.obs.stats` — trace/metrics summarization for the
-  ``repro trace`` and ``repro stats`` CLI subcommands.
+- :mod:`repro.obs.stats` — ``repro explain``: one report over a
+  build's trace, metrics and profile, and one diff engine for two
+  builds.
 
 Instrumentation is **on by default** (``PlatformConfig.telemetry``) and
 collapses to near-no-ops when disabled: the null tracer hands out one
@@ -37,14 +37,7 @@ preserved.
 from __future__ import annotations
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, NullRegistry
-from repro.obs.profile import (
-    Profile,
-    SamplingProfiler,
-    render_profile_diff,
-    render_profile_report,
-    to_folded,
-    to_speedscope,
-)
+from repro.obs.profile import Profile, SamplingProfiler, to_folded
 from repro.obs.profile_schema import (
     PROFILE_FILENAME,
     PROFILE_SCHEMA_VERSION,
@@ -85,11 +78,8 @@ __all__ = [
     "load_chrome_trace",
     "load_metrics",
     "load_profile",
-    "render_profile_diff",
-    "render_profile_report",
     "session",
     "to_folded",
-    "to_speedscope",
     "uninstall",
     "validate_metrics",
     "validate_profile",

@@ -22,7 +22,7 @@ has five top-level sections:
     The aggregated call stacks: ``{"lane", "frames", "count"}`` with
     ``frames`` root-first (the collapsed-stack order).  Within a lane
     the stack counts sum to the lane's ``samples``, which is what makes
-    the folded/speedscope exports loss-free re-renderings of this file.
+    the folded export a loss-free re-rendering of this file.
 
 Unlike ``run.metrics.json`` there is no deterministic section: *every*
 value here is a wall-clock measurement by construction.  What identical
@@ -33,7 +33,7 @@ determinism test compares (call-site sets, never counts).
 
 Validation is hand-rolled (the container has no jsonschema) on the
 kernel in :mod:`repro.obs.artifact`: :func:`validate_profile` returns a
-list of human-readable problems — empty means valid.  ``repro profile``
+list of human-readable problems — empty means valid.  ``repro explain``
 and the CI profile smoke job fail on a non-empty list.
 """
 

@@ -1,4 +1,4 @@
-"""Trace and metrics summarization for ``repro trace`` / ``repro stats``.
+"""Where a build's time went: the ``repro explain`` report and its diff.
 
 Pure functions from telemetry artifacts to numbers and ASCII renderings:
 
@@ -10,23 +10,29 @@ Pure functions from telemetry artifacts to numbers and ASCII renderings:
   per-stage aggregates behind the utilization chart;
 - :func:`engine_blame` — where the engine lane's wall went, per
   resource (the engine lane is the build's critical path);
-- :func:`render_trace_summary` — the ``repro trace`` report, using
+- :func:`render_trace_summary`, :func:`render_metrics_summary` and
+  :func:`render_profile_summary` — one view per artifact, using
   :mod:`repro.util.ascii_chart` for the bars;
-- :func:`render_metrics_summary` / :func:`render_metrics_diff` — the
-  ``repro stats`` report and the two-run regression-triage diff;
-- :func:`metrics_regressions` — the ``--fail-on-regress`` gate behind
-  ``repro stats --diff``: :func:`regression_gate` over the two runs'
-  shared ``timings`` (counters and gauges are shown, never gated).
+- :func:`load_build_artifacts` / :func:`render_explain` — the
+  ``repro explain`` report over one index directory;
+- :func:`diff_table` / :func:`render_explain_diff` — ``repro explain
+  --diff``: one diff engine over ``{name: number}`` tables (metrics
+  timings, counters, gauges; profile lane and per-frame self seconds).
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping
+import os
+from typing import Any, Callable, Iterable, Mapping
 
-from repro.obs.trace import Span
+from repro.obs.profile import cumulative_seconds, self_seconds
+from repro.obs.profile_schema import PROFILE_FILENAME, load_profile
+from repro.obs.schema import METRICS_FILENAME, TRACE_FILENAME, load_metrics
+from repro.obs.trace import Span, load_chrome_trace
 from repro.util.ascii_chart import bar_chart
 
 __all__ = [
+    "ROOT_SPAN",
     "spans_from_chrome",
     "interval_union_s",
     "span_coverage",
@@ -35,9 +41,11 @@ __all__ = [
     "stage_totals",
     "render_trace_summary",
     "render_metrics_summary",
-    "render_metrics_diff",
-    "regression_gate",
-    "metrics_regressions",
+    "render_profile_summary",
+    "load_build_artifacts",
+    "render_explain",
+    "diff_table",
+    "render_explain_diff",
 ]
 
 
@@ -95,6 +103,10 @@ def interval_union_s(intervals: Iterable[tuple[float, float]]) -> float:
     return merged
 
 
+#: The engine's root span: every build's trace has exactly one.
+ROOT_SPAN = "build"
+
+
 def _root(spans: list[Span], root_name: str) -> Span | None:
     candidates = [s for s in spans if s.name == root_name]
     if not candidates:
@@ -102,7 +114,7 @@ def _root(spans: list[Span], root_name: str) -> Span | None:
     return max(candidates, key=lambda s: s.duration_s)
 
 
-def span_coverage(spans: list[Span], root_name: str = "build") -> float:
+def span_coverage(spans: list[Span], root_name: str = ROOT_SPAN) -> float:
     """Fraction of the root span's duration covered by other spans.
 
     The union of every non-root span interval, clipped to the root span,
@@ -122,7 +134,7 @@ def span_coverage(spans: list[Span], root_name: str = "build") -> float:
 
 
 def lane_utilization(
-    spans: list[Span], root_name: str = "build"
+    spans: list[Span], root_name: str = ROOT_SPAN
 ) -> dict[str, float]:
     """Per-lane busy fraction of the root span's wall time."""
     root = _root(spans, root_name)
@@ -160,9 +172,7 @@ _CHAIN_RESOURCE: dict[str, str | None] = {
 _NOISE_S = 1e-9
 
 
-def engine_blame(
-    spans: list[Span], root_name: str = "build"
-) -> dict[str, float]:
+def engine_blame(spans: list[Span]) -> dict[str, float]:
     """Seconds of the root span's wall per resource, heaviest first.
 
     The engine thread collects and indexes every file in file order, so
@@ -174,7 +184,7 @@ def engine_blame(
     rest is ``transport`` (worker start-up, the parsed file crossing the
     process boundary).
     """
-    root = _root(spans, root_name)
+    root = _root(spans, ROOT_SPAN)
     if root is None:
         return {}
     recover = [(s.start_s, s.end_s) for s in spans
@@ -226,29 +236,24 @@ def stage_totals(spans: list[Span]) -> dict[str, tuple[int, float]]:
     )
 
 
-def render_trace_summary(spans: list[Span], root_name: str = "build") -> str:
-    """The ``repro trace`` report: coverage, lane chart, engine blame,
-    stage table."""
+def render_trace_summary(spans: list[Span]) -> str:
+    """The trace view of ``repro explain``: the root span, where the
+    engine's wall went (with the parse-side and indexer shares), the
+    lane chart and the stage totals."""
     if not spans:
         return "(empty trace)"
-    root = _root(spans, root_name)
+    root = _root(spans, ROOT_SPAN)
     lines: list[str] = []
     if root is not None:
         lines.append(
             f"root span {root.name!r}: {root.duration_s:.3f}s wall, "
             f"{len(spans)} span(s), "
-            f"coverage {span_coverage(spans, root_name) * 100:.1f}%"
+            f"coverage {span_coverage(spans) * 100:.1f}%"
         )
     else:
-        lines.append(f"(no {root_name!r} root span; {len(spans)} span(s))")
+        lines.append(f"(no {ROOT_SPAN!r} root span; {len(spans)} span(s))")
 
-    util = lane_utilization(spans, root_name)
-    if util:
-        lines.append("")
-        lines.append("lane utilization (% of build wall time):")
-        lines.append(bar_chart({k: v * 100 for k, v in util.items()}, unit="%"))
-
-    blame = engine_blame(spans, root_name)
+    blame = engine_blame(spans)
     if root is not None and root.duration_s > 0 and blame:
         wall = root.duration_s
         lines.append("")
@@ -264,6 +269,12 @@ def render_trace_summary(spans: list[Span], root_name: str = "build") -> str:
             f"{blame.get('index', 0.0) / wall * 100:.1f}% in the indexers "
             "(index)"
         )
+
+    util = lane_utilization(spans)
+    if util:
+        lines.append("")
+        lines.append("lane utilization (% of build wall time):")
+        lines.append(bar_chart({k: v * 100 for k, v in util.items()}, unit="%"))
 
     lines.append("")
     lines.append("stage totals:")
@@ -326,86 +337,173 @@ def render_metrics_summary(payload: Mapping[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def render_metrics_diff(
-    before: Mapping[str, Any],
-    after: Mapping[str, Any],
-    before_label: str = "before",
-    after_label: str = "after",
-) -> str:
-    """Two-run regression triage: per-stage timing and counter deltas."""
-    lines: list[str] = [f"diff: {before_label} -> {after_label}"]
+# ---------------------------------------------------------------------- #
+# Profile rendering
+# ---------------------------------------------------------------------- #
 
-    t_before = before.get("timings") or {}
-    t_after = after.get("timings") or {}
-    stages = sorted(set(t_before) | set(t_after))
-    if stages:
-        lines.append("\nper-stage timings (s):")
-        name_w = max(len(n) for n in stages)
-        for name in stages:
-            a = t_before.get(name, 0.0)
-            b = t_after.get(name, 0.0)
-            pct = f"{(b - a) / a * 100:+7.1f}%" if a else "     new"
-            lines.append(
-                f"  {name.ljust(name_w)}  {a:10.4f}  ->  {b:10.4f}  {pct}"
-            )
 
-    for section in ("counters", "gauges"):
-        s_before = before.get(section) or {}
-        s_after = after.get(section) or {}
-        changed = [
-            name
-            for name in sorted(set(s_before) | set(s_after))
-            if s_before.get(name, 0) != s_after.get(name, 0)
-        ]
-        if changed:
-            lines.append(f"\nchanged {section}:")
-            name_w = max(len(n) for n in changed)
-            for name in changed:
-                a = s_before.get(name, 0)
-                b = s_after.get(name, 0)
-                lines.append(f"  {name.ljust(name_w)}  {a:,}  ->  {b:,}")
+def render_profile_summary(payload: Mapping[str, Any], top: int = 10) -> str:
+    """The profile view of ``repro explain``: per-lane totals and the
+    top-``top`` frames by self time, each with its cumulative time."""
+    interval = payload["interval_s"]
+    lanes = payload["lanes"]
+    total = sum(entry["samples"] for entry in lanes.values())
+    lines = [
+        f"profile: {total} sample(s) across {len(lanes)} lane(s), "
+        f"interval {interval * 1000:.1f}ms "
+        f"(~{total * interval:.3f}s attributed)"
+    ]
+    for lane in sorted(lanes):
+        entry = lanes[lane]
+        pids = ",".join(str(p) for p in entry["pids"])
+        lines.append(f"  lane {lane:<24} {entry['samples']:>7} sample(s)  pid {pids}")
 
-    if len(lines) == 1:
-        lines.append("(no differences)")
+    lines.append("")
+    lines.append(f"top {top} function(s) by self time:")
+    slf = self_seconds(payload)
+    if slf:
+        cum = cumulative_seconds(payload)
+        lines.append(f"  {'self':>9}  {'cum':>9}  frame")
+        for frame, seconds in sorted(slf.items(), key=lambda kv: (-kv[1], kv[0]))[:top]:
+            lines.append(f"  {seconds:8.3f}s  {cum[frame]:8.3f}s  {frame}")
+    else:
+        lines.append("  (no samples)")
     return "\n".join(lines)
 
 
-def regression_gate(
-    old: float, new: float, rel_threshold: float = 0.10, noise_floor: float = 0.0
-) -> bool:
-    """Did ``new`` worsen past ``max(rel_threshold · old, noise_floor)``?
+# ---------------------------------------------------------------------- #
+# ``repro explain``: one index directory, or two diffed
+# ---------------------------------------------------------------------- #
 
-    A slowdown must clear a *relative* bar (small regressions on big
-    numbers matter) **and** the noise floor (so jitter can never fail a
-    build on its own).  Values are "lower is better" seconds/counts.
+
+def load_build_artifacts(index_dir: str) -> dict[str, Any]:
+    """The telemetry artifacts present in ``index_dir``, loaded.
+
+    Keys are file names: ``trace.json`` maps to its spans,
+    ``run.metrics.json`` and ``run.profile.json`` to their payloads.
+    An absent artifact is an absent key (``--no-telemetry`` writes no
+    trace or metrics, a build without ``--profile`` no profile); a
+    damaged one raises ``ValueError``, as does a directory holding none.
     """
-    return (new - old) > max(rel_threshold * old, noise_floor)
+    if not os.path.isdir(index_dir):
+        raise NotADirectoryError(f"not an index directory: {index_dir}")
+    loaders: dict[str, Callable[[str], Any]] = {
+        TRACE_FILENAME: lambda path: spans_from_chrome(load_chrome_trace(path)),
+        METRICS_FILENAME: load_metrics,
+        PROFILE_FILENAME: load_profile,
+    }
+    found = {
+        name: load(os.path.join(index_dir, name))
+        for name, load in loaders.items()
+        if os.path.exists(os.path.join(index_dir, name))
+    }
+    if not found:
+        raise ValueError(f"{index_dir}: no {', '.join(loaders)} to explain")
+    return found
 
 
-def metrics_regressions(
-    before: Mapping[str, Any],
-    after: Mapping[str, Any],
-    rel_threshold: float = 0.10,
-    noise_floor_s: float = 0.01,
+def render_explain(index_dir: str, artifacts: Mapping[str, Any], top: int = 10) -> str:
+    """The ``repro explain`` report: a section per artifact present, and
+    one line naming the ones that are not."""
+    renderers: dict[str, Callable[[Any], str]] = {
+        TRACE_FILENAME: render_trace_summary,
+        METRICS_FILENAME: render_metrics_summary,
+        PROFILE_FILENAME: lambda payload: render_profile_summary(payload, top),
+    }
+    missing = [name for name in renderers if name not in artifacts]
+    sections = [f"(not in {index_dir}: {', '.join(missing)})"] if missing else []
+    sections += [
+        f"== {name} ==\n{render(artifacts[name])}"
+        for name, render in renderers.items()
+        if name in artifacts
+    ]
+    return "\n\n".join(sections)
+
+
+def _fmt_number(value: float) -> str:
+    return f"{value:,}" if isinstance(value, int) else f"{value:.4f}"
+
+
+def diff_table(
+    before: Mapping[str, float], after: Mapping[str, float], top: int = 10
 ) -> list[str]:
-    """Timing regressions between two ``run.metrics.json`` payloads.
+    """The one diff engine: rows for the names whose value differs.
 
-    The decision rule is :func:`regression_gate`, applied to every name
-    the two ``timings`` sections share (``stage.*``, ``wall_seconds``),
-    with ``noise_floor_s`` as the absolute floor so microsecond stages
-    cannot trip a percentage gate on scheduler jitter.  Counters and
-    gauges are work, not time: the diff shows them, the gate does not.
-
-    Names on only one side never gate (a stage appearing or vanishing is
-    a shape change for the human-readable diff, not a slowdown).
-    Returns human-readable lines, empty when nothing worsened.
+    Largest absolute change first, at most ``top`` rows and a count of
+    the rest.  A name on one side only reads ``new`` or ``gone``, never
+    as a change from zero.  Values are whatever the table holds —
+    seconds, counts — so nothing here judges better or worse.
     """
-    out: list[str] = []
-    t_before = before.get("timings") or {}
-    t_after = after.get("timings") or {}
-    for name in sorted(set(t_before) & set(t_after)):
-        a, b = float(t_before[name]), float(t_after[name])
-        if regression_gate(a, b, rel_threshold, noise_floor_s):
-            pct = f" ({(b - a) / a * 100:+.1f}%)" if a > 0 else ""
-            out.append(f"timings.{name}: {a:.4f}s -> {b:.4f}s{pct}")
-    return out
+    changed = [
+        name for name in set(before) | set(after)
+        if before.get(name) != after.get(name)
+    ]
+    changed.sort(key=lambda name: (
+        -abs(after.get(name, 0) - before.get(name, 0)), name
+    ))
+    if not changed:
+        return []
+    shown = changed[:top]
+    name_w = max(len(name) for name in shown)
+    rows = []
+    for name in shown:
+        a, b = before.get(name), after.get(name)
+        if a is None or b is None:
+            note = "new" if a is None else "gone"
+        else:
+            note = f"{(b - a) / a * 100:+.1f}%" if a else "from 0"
+        rows.append(
+            f"  {name.ljust(name_w)}  "
+            f"{'-' if a is None else _fmt_number(a):>12}  ->  "
+            f"{'-' if b is None else _fmt_number(b):>12}  {note}"
+        )
+    if len(changed) > top:
+        rows.append(f"  ... and {len(changed) - top} more")
+    return rows
+
+
+def _diff_tables(
+    artifacts: Mapping[str, Any],
+) -> dict[str, dict[str, Mapping[str, float]]]:
+    """Artifact name → the ``{name: number}`` tables ``--diff`` compares."""
+    tables: dict[str, dict[str, Mapping[str, float]]] = {}
+    metrics = artifacts.get(METRICS_FILENAME)
+    if metrics is not None:
+        tables[METRICS_FILENAME] = {
+            section: metrics.get(section) or {}
+            for section in ("timings", "counters", "gauges")
+        }
+    profile = artifacts.get(PROFILE_FILENAME)
+    if profile is not None:
+        interval = profile["interval_s"]
+        tables[PROFILE_FILENAME] = {
+            "lane seconds": {lane: entry["samples"] * interval
+                             for lane, entry in profile["lanes"].items()},
+            "self seconds": self_seconds(profile),
+        }
+    return tables
+
+
+def render_explain_diff(
+    labels: tuple[str, str],
+    artifacts: tuple[Mapping[str, Any], Mapping[str, Any]],
+    top: int = 10,
+) -> str:
+    """``repro explain --diff A B``: :func:`diff_table` over every table
+    both builds recorded; an artifact only one side has is named, not
+    diffed."""
+    before, after = (_diff_tables(a) for a in artifacts)
+    lines = [f"diff: {labels[0]} -> {labels[1]}"]
+    for artifact in dict.fromkeys([*before, *after]):
+        if artifact not in before or artifact not in after:
+            side = labels[0] if artifact in before else labels[1]
+            lines.append(f"\n{artifact}: only in {side}")
+            continue
+        for title, table in before[artifact].items():
+            rows = diff_table(table, after[artifact][title], top)
+            if rows:
+                lines.append(f"\n{title} ({artifact}):")
+                lines.extend(rows)
+    if len(lines) == 1:
+        lines.append("(no differences)")
+    return "\n".join(lines)

@@ -152,7 +152,7 @@ class Tracer:
             self.spans.extend(rebased)
 
     # ------------------------------------------------------------------ #
-    # Queries (used by repro trace / the tests)
+    # Queries (used by repro explain / the tests)
     # ------------------------------------------------------------------ #
 
     def find(self, name: str) -> list[Span]:
@@ -248,7 +248,7 @@ def load_chrome_trace(path: str) -> list[dict[str, Any]]:
 
     Returns the ``traceEvents`` list.  Raises :class:`ValueError` when
     the file is not a loadable Chrome trace (the integration tests and
-    ``repro trace`` rely on this to reject damaged artifacts).
+    ``repro explain`` rely on this to reject damaged artifacts).
     """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)

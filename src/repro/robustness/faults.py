@@ -41,7 +41,7 @@ import threading
 import time
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from repro.robustness.errors import FatalFault, TransientReadError
@@ -88,7 +88,12 @@ class FaultSpec:
     ``stage`` restricts the spec to the sampling pre-pass or the build
     loop; ``times`` bounds how many reads of a matching file are affected
     (transient faults recover after ``times`` attempts — that is what
-    makes them transient).
+    makes them transient).  Worker kinds fire in the one parse worker
+    (:data:`WORKER_SLOT`), and there ``times`` bounds the *incarnation*
+    that still fires: a restarted worker (incarnation ``times`` + 1)
+    survives, which is what lets one spec express both "crash once,
+    recover" (``times=1``) and "poison file that kills every
+    incarnation" (large ``times``).
     """
 
     kind: str
@@ -99,15 +104,6 @@ class FaultSpec:
     truncate_bytes: int = 16      # how much tail to chop
     gpu_index: int = 0            # gpu_fail: which GPU ordinal dies
     file_index: int = 0           # gpu_fail: before which file it dies
-    #: Worker faults only: substring of the worker slot key — there is
-    #: one slot, ``"parser-0"`` (:data:`WORKER_SLOT`), so ``None`` means
-    #: the same thing and anything else is rejected when the plan is
-    #: installed.  For worker kinds ``times`` bounds the *incarnation*
-    #: that still fires — a restarted worker (incarnation ``times``+1)
-    #: survives, which is what lets one spec express both "crash once,
-    #: recover" (``times=1``) and "poison file that kills every
-    #: incarnation" (large ``times``).
-    worker: str | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -145,14 +141,6 @@ class FaultInjector:
     """
 
     def __init__(self, plan: FaultPlan, sleep: Callable[[float], None] = time.sleep) -> None:
-        for spec in plan.specs:
-            # A spec aimed at a slot that cannot exist would silently
-            # never fire; refuse it when the plan is installed.
-            if spec.worker is not None and spec.worker not in WORKER_SLOT:
-                raise ValueError(
-                    f"fault spec targets worker {spec.worker!r}; the multiprocess "
-                    f"backend's only worker slot is {WORKER_SLOT!r}"
-                )
         self.plan = plan
         self._sleep = sleep
         self._lock = threading.Lock()

@@ -38,8 +38,8 @@ Every decision is counted in the deterministic metrics registry
 (``supervisor.restarts``, ``supervisor.requeued``,
 ``supervisor.heartbeat_misses``, ``supervisor.degraded``,
 ``supervisor.poisoned``) and mirrored as trace instants, so
-``repro stats`` / ``repro verify`` can surface what happened after the
-fact.
+``repro explain`` / ``repro verify`` can surface what happened after
+the fact.
 """
 
 from __future__ import annotations
@@ -109,14 +109,12 @@ class WorkerFailure:
 class SupervisorReport:
     """What supervision did during one build (returned on EngineResult)."""
 
-    workers: int = 0
     restarts: int = 0
     requeued: int = 0
     heartbeat_misses: int = 0
     degraded: int = 0
     poisoned: int = 0
     failures: list[WorkerFailure] = field(default_factory=list)
-    degraded_slots: list[str] = field(default_factory=list)
     poisoned_tasks: list[str] = field(default_factory=list)
 
     @property
@@ -193,7 +191,6 @@ class Supervisor:
     def record_degraded(self, requeued: int = 0) -> None:
         self.report.degraded += 1
         self.report.requeued += requeued
-        self.report.degraded_slots.append(WORKER_SLOT)
         obs.count("supervisor.degraded")
         if requeued:
             obs.count("supervisor.requeued", requeued)

@@ -51,7 +51,7 @@ class TestLineChart:
 
 
 class TestTraceRendererDegenerate:
-    """The ``repro trace`` renderer on pathological-but-legal traces.
+    """The trace view of ``repro explain`` on pathological-but-legal traces.
 
     These are real shapes: an aborted build writes an empty trace, a
     serial single-worker build has one lane, and a build of an empty

@@ -327,8 +327,7 @@ def test_restarted_worker_does_not_rejournal(tiny_collection, tmp_path,
     """A parse worker SIGKILLed after a boundary costs a restart and
     nothing in the journal: every insert is still recorded exactly once."""
     out = str(tmp_path / "idx")
-    spec = FaultSpec(kind="worker_crash", worker="parser-0",
-                     path_substring="file_00003", stage="build")
+    spec = FaultSpec(kind="worker_crash", path_substring="file_00003", stage="build")
     with inject(FaultPlan(seed=11, specs=(spec,))):
         result = IndexingEngine(_cfg(exec_backend="multiprocess")).build(
             tiny_collection, out

@@ -77,23 +77,22 @@ class TestCommands:
 
 
 class TestTraceDegenerate:
-    """``repro trace`` on degenerate-but-legal trace.json artifacts."""
+    """``repro explain`` on degenerate-but-legal trace.json artifacts."""
 
     @staticmethod
     def _write(tmp_path, events):
         import json
 
-        path = tmp_path / "trace.json"
-        path.write_text(json.dumps({"traceEvents": events}))
-        return str(path)
+        (tmp_path / "trace.json").write_text(json.dumps({"traceEvents": events}))
+        return str(tmp_path)
 
     def test_empty_trace_file(self, tmp_path, capsys):
-        path = self._write(tmp_path, [])
-        assert main(["trace", path]) == 0
+        index = self._write(tmp_path, [])
+        assert main(["explain", index]) == 0
         assert "(empty trace)" in capsys.readouterr().out
 
     def test_single_lane_trace_file(self, tmp_path, capsys):
-        path = self._write(tmp_path, [
+        index = self._write(tmp_path, [
             {"ph": "M", "name": "thread_name", "tid": 1, "pid": 1,
              "args": {"name": "main"}},
             {"ph": "X", "name": "build", "ts": 0, "dur": 1_000_000,
@@ -101,25 +100,24 @@ class TestTraceDegenerate:
             {"ph": "X", "name": "parse", "ts": 0, "dur": 1_000_000,
              "tid": 1, "pid": 1},
         ])
-        assert main(["trace", path]) == 0
+        assert main(["explain", index]) == 0
         out = capsys.readouterr().out
         assert "lane utilization" in out and "main" in out
 
     def test_all_zero_duration_spans_file(self, tmp_path, capsys):
-        path = self._write(tmp_path, [
+        index = self._write(tmp_path, [
             {"ph": "X", "name": "build", "ts": 0, "dur": 0, "tid": 1, "pid": 1},
             {"ph": "X", "name": "parse", "ts": 0, "dur": 0, "tid": 2, "pid": 1},
         ])
-        assert main(["trace", path]) == 0
+        assert main(["explain", index]) == 0
         out = capsys.readouterr().out
         assert "0.000s wall" in out and "stage totals:" in out
 
     def test_damaged_trace_file_rejected(self, tmp_path, capsys):
         import json
 
-        path = tmp_path / "trace.json"
-        path.write_text(json.dumps({"not_trace_events": []}))
-        assert main(["trace", str(path)]) == 2
+        (tmp_path / "trace.json").write_text(json.dumps({"not_trace_events": []}))
+        assert main(["explain", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
 
 
@@ -164,40 +162,60 @@ class TestProfileCommand:
         assert "engine" in payload["lanes"]
 
     def test_profile_report_and_exports(self, profiled_index, tmp_path, capsys):
-        import json
-        import os
-
         folded = str(tmp_path / "stacks.folded")
-        scope = str(tmp_path / "profile.speedscope.json")
-        assert main(["profile", profiled_index,
-                     "--folded", folded, "--speedscope", scope]) == 0
+        assert main(["explain", profiled_index, "--folded", folded]) == 0
         out = capsys.readouterr().out
+        assert "== run.profile.json ==" in out
         assert "profile:" in out and "sample(s)" in out
         assert "function(s) by self time:" in out
+        assert f"wrote folded stacks to {folded}" in out
         with open(folded, encoding="utf-8") as fh:
             first = fh.readline()
         assert first.rstrip().rsplit(" ", 1)[1].isdigit()
-        with open(scope, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        assert doc["$schema"].endswith("file-format-schema.json")
-        assert os.path.basename(profiled_index) == doc["name"]
 
     def test_profile_cumulative_mode(self, profiled_index, capsys):
-        assert main(["profile", profiled_index, "--mode", "cum",
-                     "--top", "3"]) == 0
-        assert "by cumulative time" in capsys.readouterr().out
+        """There is no ranking by cumulative time (its top rows were the
+        interpreter's entry frames): every frame row carries both its
+        self and its cumulative seconds, and cumulative ≥ self."""
+        assert main(["explain", profiled_index, "--top", "3"]) == 0
+        out = capsys.readouterr().out
+        table = out[out.index("top 3 function(s) by self time:"):].splitlines()
+        assert table[1].split() == ["self", "cum", "frame"]
+        rows = table[2:5]
+        assert len(rows) == 3
+        for row in rows:
+            slf, cum = (float(col.rstrip("s")) for col in row.split()[:2])
+            assert cum >= slf
 
     def test_profile_diff(self, profiled_index, capsys):
-        assert main(["profile", "--diff", profiled_index,
+        assert main(["explain", "--diff", profiled_index,
                      profiled_index]) == 0
         out = capsys.readouterr().out
-        assert "profile diff" in out
-        assert "regressed function(s):" in out
+        assert out.splitlines() == [
+            f"diff: {profiled_index} -> {profiled_index}", "(no differences)",
+        ]
 
     def test_profile_without_target_or_diff_is_usage_error(self, capsys):
-        assert main(["profile"]) == 2
+        assert main(["explain"]) == 2
         assert "error" in capsys.readouterr().err
 
     def test_profile_missing_artifact_fails(self, tmp_path, capsys):
-        assert main(["profile", str(tmp_path)]) == 2
-        assert "run.profile.json" in capsys.readouterr().err
+        """An empty directory holds nothing to explain: exit 2, naming
+        the artifacts it looked for."""
+        assert main(["explain", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "run.profile.json" in err and "trace.json" in err
+
+    def test_folded_without_a_profile_is_an_error(self, tmp_path, capsys):
+        import json
+
+        (tmp_path / "trace.json").write_text(json.dumps({"traceEvents": []}))
+        folded = tmp_path / "stacks.folded"
+        assert main(["explain", str(tmp_path), "--folded", str(folded)]) == 2
+        assert "--profile" in capsys.readouterr().err
+        assert not folded.exists()
+
+    def test_removed_commands_are_gone(self):
+        for command in ("trace", "profile"):
+            with pytest.raises(SystemExit):
+                build_arg_parser().parse_args([command, "idx"])

@@ -152,7 +152,6 @@ class TestByteIdentity:
         if backend == "multiprocess":
             assert result.supervisor is not None
             assert result.supervisor.clean
-            assert result.supervisor.workers == 1
         else:
             assert result.supervisor is None
 

@@ -12,7 +12,6 @@ import threading
 
 import pytest
 
-from repro.cli import main
 from repro.obs import runtime
 from repro.obs.metrics import (
     DEFAULT_BYTE_BUCKETS,
@@ -357,7 +356,7 @@ def _mp_spans():
 
 
 class TestEngineBlame:
-    """Where the engine lane's wall went (``repro trace``)."""
+    """Where the engine lane's wall went (``repro explain``)."""
 
     def test_blame_decomposition_on_a_multiprocess_build(self):
         blame = engine_blame(_mp_spans())
@@ -405,73 +404,6 @@ class TestEngineBlame:
         assert "  transport    2.500000s   25.0%" in text
         assert ("the engine spent 40.0% of the build wall on the parse side "
                 "(parse + transport) and 20.0% in the indexers (index)") in text
-
-
-class TestMetricsGate:
-    """``repro stats --diff --fail-on-regress`` and its decision rule."""
-
-    @staticmethod
-    def _metrics(stage_parse: float, restarts: int = 0) -> dict:
-        return {
-            "schema": "repro.run.metrics/1",
-            "meta": {},
-            "counters": {"parse.uncompressed_bytes": 1_000_000,
-                         "supervisor.restarts": restarts},
-            "gauges": {},
-            "histograms": {},
-            "timings": {
-                "stage.parse": stage_parse,
-                "wall_seconds": stage_parse * 2,
-            },
-        }
-
-    def test_regression_gate_truth_table(self):
-        from repro.obs.stats import regression_gate
-
-        # 10% bar: a 5% slip holds, a 20% slip gates.
-        assert not regression_gate(1.0, 1.05, rel_threshold=0.10)
-        assert regression_gate(1.0, 1.20, rel_threshold=0.10)
-        # the noise floor absorbs what the relative bar would flag
-        assert not regression_gate(1.0, 1.20, rel_threshold=0.10, noise_floor=0.5)
-        # improvements never gate
-        assert not regression_gate(1.0, 0.5)
-
-    def test_metrics_regressions_fires_on_stage_slowdown(self):
-        from repro.obs.stats import metrics_regressions
-
-        lines = metrics_regressions(self._metrics(1.0), self._metrics(1.5))
-        assert any("stage.parse" in ln for ln in lines)
-
-    def test_metrics_regressions_noise_floor(self):
-        from repro.obs.stats import metrics_regressions
-
-        # +50% on a microsecond stage sits under the absolute floor.
-        assert metrics_regressions(self._metrics(1e-4), self._metrics(1.5e-4)) == []
-
-    def test_metrics_regressions_gates_timings_only(self):
-        from repro.obs.stats import metrics_regressions
-
-        # Counters are work, not time: the diff shows them, the gate
-        # does not fire on them.
-        assert metrics_regressions(
-            self._metrics(1.0, restarts=0), self._metrics(1.0, restarts=12)
-        ) == []
-
-    def test_cli_fail_on_regress_exit_codes(self, tmp_path, capsys):
-        before = tmp_path / "before.json"
-        after = tmp_path / "after.json"
-        before.write_text(json.dumps(self._metrics(1.0)))
-        after.write_text(json.dumps(self._metrics(2.0)))
-        assert main(["stats", "--diff", str(before), str(after),
-                     "--fail-on-regress", "10"]) == 1
-        assert "regression(s) past 10%" in capsys.readouterr().out
-        assert main(["stats", "--diff", str(before), str(before),
-                     "--fail-on-regress", "10"]) == 0
-        assert "no regressions past 10%" in capsys.readouterr().out
-
-    def test_cli_fail_on_regress_requires_diff(self, tmp_path, capsys):
-        assert main(["stats", str(tmp_path), "--fail-on-regress", "10"]) == 2
-        assert "--diff" in capsys.readouterr().err
 
 
 class TestEmptyCollectionBuild:

@@ -104,21 +104,30 @@ class TestArtifacts:
 
 class TestCli:
     def test_stats_on_index_dir(self, telemetry_build, capsys):
+        """The metrics view moved from ``stats INDEX`` to ``explain``;
+        ``stats`` reads collections only."""
         _, out = telemetry_build
-        assert main(["stats", out]) == 0
+        assert main(["explain", out]) == 0
         text = capsys.readouterr().out
+        assert "== run.metrics.json ==" in text
         assert "counters:" in text and "build.tokens" in text
         assert "timings (wall-clock" in text
+        assert "derived measured throughput:" in text
+        assert "(not in" in text  # no --profile, so no run.profile.json
+        assert main(["stats", out]) == 2
+        assert "manifest.tsv" in capsys.readouterr().err
 
     def test_trace_report(self, telemetry_build, capsys):
         _, out = telemetry_build
-        assert main(["trace", out]) == 0
+        assert main(["explain", out]) == 0
         text = capsys.readouterr().out
+        assert "== trace.json ==" in text
         assert "root span 'build'" in text
-        assert "lane utilization" in text
-        assert "where the engine's wall went" in text
-        assert "in the indexers (index)" in text
-        assert "stage totals:" in text
+        # The blame comes first, then the lane chart, then stage totals.
+        order = [text.index(heading) for heading in (
+            "where the engine's wall went", "in the indexers (index)",
+            "lane utilization", "stage totals:")]
+        assert order == sorted(order)
 
     def test_engine_blame_covers_the_build_wall(self, telemetry_build):
         _, out = telemetry_build
@@ -132,10 +141,13 @@ class TestCli:
         _, out = telemetry_build
         other = str(tmp_path / "other")
         IndexingEngine(_config(num_gpus=0)).build(tiny_collection, other)
-        assert main(["stats", "--diff", out, other]) == 0
+        assert main(["explain", "--diff", out, other]) == 0
         text = capsys.readouterr().out
-        assert "per-stage timings" in text
-        assert "index.gpu.tokens" in text  # gpu work disappears in the diff
+        assert text.startswith(f"diff: {out} -> {other}")
+        assert "timings (run.metrics.json):" in text
+        # The GPU's work moves to the CPU indexers: both counters change.
+        counters = text[text.index("counters (run.metrics.json):"):]
+        assert "index.gpu.tokens" in counters and "index.cpu.tokens" in counters
 
     def test_verify_reports_robustness_counters(self, telemetry_build, capsys):
         _, out = telemetry_build
@@ -157,8 +169,54 @@ class TestCli:
         assert "metrics-schema" in err
 
     def test_stats_without_target_errors(self, capsys):
-        assert main(["stats"]) == 2
-        assert "collection/index directory" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["stats"])
+        assert exc.value.code == 2
+        assert "collection" in capsys.readouterr().err
+
+
+class TestExplain:
+    """``repro explain`` on real builds, each artifact on or off."""
+
+    def test_multiprocess_build_states_parse_and_index_shares(
+            self, tiny_collection, tmp_path, capsys):
+        """Unprompted, the report says what share of the wall the engine
+        waited on the parse worker (parse + transport) and what share
+        the indexers took, and the shares are the blame's."""
+        out = str(tmp_path / "mp")
+        IndexingEngine(_config(exec_backend="multiprocess")).build(
+            tiny_collection, out)
+        assert main(["explain", out]) == 0
+        text = capsys.readouterr().out
+        spans = spans_from_chrome(load_chrome_trace(os.path.join(out, TRACE_FILENAME)))
+        blame = engine_blame(spans)
+        wall = max(s.duration_s for s in spans if s.name == "build")
+        assert {"parse", "transport", "index"} <= set(blame)
+        parse_pct = (blame["parse"] + blame["transport"]) / wall * 100
+        index_pct = blame["index"] / wall * 100
+        assert (f"the engine spent {parse_pct:.1f}% of the build wall on the "
+                f"parse side (parse + transport) and {index_pct:.1f}% in the "
+                "indexers (index)") in text
+
+    def test_profile_without_telemetry(self, tiny_collection, tmp_path, capsys):
+        out = str(tmp_path / "quiet")
+        IndexingEngine(_config(telemetry=False, profile=True)).build(
+            tiny_collection, out)
+        assert main(["explain", out]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        missing = [line for line in lines if line.startswith("(not in")]
+        assert missing == [f"(not in {out}: {TRACE_FILENAME}, {METRICS_FILENAME})"]
+        assert "== run.profile.json ==" in lines
+        assert not any(line.startswith(("== trace", "== run.metrics")) for line in lines)
+
+    def test_diff_of_a_build_with_itself(self, telemetry_build, capsys):
+        _, out = telemetry_build
+        assert main(["explain", "--diff", out, out]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "(no differences)"
+
+    def test_empty_directory_exits_2(self, tmp_path, capsys):
+        assert main(["explain", str(tmp_path)]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,14 @@
 
 Four layers, mirroring the subsystem's contract:
 
-- **Sampler**: deterministic-interval capture, lane naming, drain
-  semantics, depth truncation — driven through the injectable
-  ``frames_source`` so aggregates are bit-reproducible.
+- **Sampler**: deterministic-interval capture of the primary thread
+  only, drain semantics, depth truncation — driven through the
+  injectable ``frames_source`` so aggregates are bit-reproducible.
 - **Schema**: ``run.profile.json`` round-trips and the validator
   rejects every malformation class (``write_profile`` refuses to
   persist a lie).
-- **Exports/reports**: folded text and speedscope JSON are loss-free
-  re-renderings; the report ranks functions by self time; the diff
+- **Export/reports**: folded text is a loss-free re-rendering; the
+  ``repro explain`` profile view ranks functions by self time; the diff
   localizes a regression to the offending function.
 - **Gates**: a tick costs ≤ 5% of the interval and ticks never outrun
   ``elapsed / interval`` (no wall-clock ratio decides a verdict), and a
@@ -35,13 +35,8 @@ from repro.obs.profile import (
     SamplingProfiler,
     cumulative_seconds,
     frame_id,
-    render_profile_diff,
-    render_profile_report,
     self_seconds,
     to_folded,
-    to_speedscope,
-    top_functions,
-    top_regressed,
 )
 from repro.obs.profile_schema import (
     PROFILE_FILENAME,
@@ -51,6 +46,7 @@ from repro.obs.profile_schema import (
     validate_profile,
     write_profile,
 )
+from repro.obs.stats import diff_table, render_explain_diff, render_profile_summary
 
 
 def _grab_frame():
@@ -67,8 +63,11 @@ def _grab_frame():
     return box["frame"]
 
 
-def _frames_source_for(frame, ident=201):
-    return lambda: {ident: frame}
+def _sampler(frame, ident=201, **kwargs):
+    """A sampler whose primary thread ``ident`` is parked at ``frame``."""
+    prof = SamplingProfiler(frames_source=lambda: {ident: frame}, **kwargs)
+    prof._primary_ident = ident
+    return prof
 
 
 # ---------------------------------------------------------------------------
@@ -100,32 +99,39 @@ class TestSamplingProfiler:
 
     def test_sample_once_aggregates_injected_frames(self):
         frame = _grab_frame()
-        prof = SamplingProfiler(
-            interval_s=0.01, lane="engine", frames_source=_frames_source_for(frame)
-        )
+        prof = _sampler(frame, interval_s=0.01, lane="engine")
         for _ in range(3):
             prof.sample_once()
         pid, samples, stacks = prof.drain_delta()
         assert pid == os.getpid()
-        # Unknown ident → a named sub-lane, never the bare lane.
-        assert list(samples) == ["engine/unnamed"]
-        assert samples["engine/unnamed"] == 3
+        assert samples == {"engine": 3}
         (lane, frames, count), = stacks
-        assert (lane, count) == ("engine/unnamed", 3)
+        assert (lane, count) == ("engine", 3)
         # Root-first order: the leaf is the innermost call.
         assert frames[-1].startswith("test_profile.py:codec_inner:")
         assert frames[-2].startswith("test_profile.py:ring_outer:")
 
     def test_primary_ident_maps_to_bare_lane(self):
         frame = _grab_frame()
-        prof = SamplingProfiler(
-            interval_s=0.01, lane="cpu-0",
-            frames_source=_frames_source_for(frame, ident=77),
-        )
-        prof._primary_ident = 77
+        prof = _sampler(frame, ident=77, interval_s=0.01, lane="cpu-0")
         prof.sample_once()
         _, samples, _ = prof.drain_delta()
-        assert list(samples) == ["cpu-0"]
+        assert samples == {"cpu-0": 1}
+
+    def test_only_the_primary_thread_is_sampled(self):
+        """Other threads (a process pool's queue feeder, the sampler)
+        only wait; they get no lane and no samples."""
+        frame = _grab_frame()
+        prof = SamplingProfiler(
+            lane="engine", frames_source=lambda: {77: frame, 78: frame, 79: frame}
+        )
+        prof.sample_once()  # before start(): no primary, nothing sampled
+        assert prof.drain_delta() is None
+        prof._primary_ident = 78
+        prof.sample_once()
+        _, samples, stacks = prof.drain_delta()
+        assert samples == {"engine": 1}
+        assert [(lane, n) for lane, _, n in stacks] == [("engine", 1)]
 
     def test_call_site_sets_are_reproducible(self):
         """The determinism contract: same source → identical stack keys;
@@ -133,9 +139,7 @@ class TestSamplingProfiler:
         frame = _grab_frame()
 
         def run(ticks):
-            prof = SamplingProfiler(
-                interval_s=0.01, frames_source=_frames_source_for(frame)
-            )
+            prof = _sampler(frame, interval_s=0.01)
             for _ in range(ticks):
                 prof.sample_once()
             return prof.drain_delta()
@@ -149,7 +153,7 @@ class TestSamplingProfiler:
 
     def test_drain_clears_and_empty_returns_none(self):
         frame = _grab_frame()
-        prof = SamplingProfiler(frames_source=_frames_source_for(frame))
+        prof = _sampler(frame)
         assert prof.drain_delta() is None
         prof.sample_once()
         assert prof.drain_delta() is not None
@@ -162,7 +166,7 @@ class TestSamplingProfiler:
             return deep(n - 1)
 
         frame = deep(200)
-        prof = SamplingProfiler(frames_source=_frames_source_for(frame))
+        prof = _sampler(frame)
         prof.sample_once()
         _, _, stacks = prof.drain_delta()
         (_, frames, _), = stacks
@@ -326,21 +330,20 @@ class TestAggregation:
         # put_frame appears on two stacks (leaf + under _wait).
         assert cum["repro/core/shm_ring.py:put_frame:100"] == pytest.approx(0.30)
 
-    def test_top_functions_modes_and_bad_mode(self):
-        payload = _codec_payload()
-        top_self = top_functions(payload, mode="self", n=1)
-        assert top_self[0][0] == "repro/parsing/stream_codec.py:encode_batch:227"
-        top_cum = top_functions(payload, mode="cum", n=1)
-        assert top_cum[0][0] == "repro/core/engine.py:build:10"
-        with pytest.raises(ValueError):
-            top_functions(payload, mode="wall")
-
-    def test_top_regressed_orders_by_delta(self):
-        old = {"f": 1.0, "g": 2.0, "gone": 5.0}
-        new = {"f": 3.0, "g": 2.5, "fresh": 0.5}
-        rows = top_regressed(old, new)
-        assert [r[0] for r in rows] == ["f", "fresh", "g"]
-        assert rows[0] == ("f", 1.0, 3.0, 2.0)
+    def test_diff_table_orders_by_change(self):
+        """The one diff engine: changed names only, largest absolute
+        change first, one-sided names marked instead of read from 0."""
+        old = {"f": 1.0, "g": 2.0, "same": 4.0, "gone": 5.0}
+        new = {"f": 3.0, "g": 2.5, "same": 4.0, "fresh": 0.25}
+        rows = diff_table(old, new)
+        assert [r.split()[0] for r in rows] == ["gone", "f", "g", "fresh"]
+        assert rows[1].split() == ["f", "1.0000", "->", "3.0000", "+200.0%"]
+        assert rows[0].split()[-1] == "gone" and rows[3].split()[-1] == "new"
+        assert diff_table(old, old) == []
+        assert diff_table({"n": 1_000}, {"n": 1_500})[0].split()[1:4] == [
+            "1,000", "->", "1,500"]
+        capped = diff_table(old, new, top=2)
+        assert capped[-1] == "  ... and 2 more"
 
 
 class TestExports:
@@ -355,39 +358,27 @@ class TestExports:
         )
         assert to_folded(build_profile_payload(0.01, {}, {})) == ""
 
-    def test_speedscope_document_is_loss_free(self):
-        payload = _codec_payload()
-        doc = to_speedscope(payload, name="tiny")
-        assert doc["$schema"] == "https://www.speedscope.app/file-format-schema.json"
-        assert doc["name"] == "tiny"
-        assert [p["name"] for p in doc["profiles"]] == ["cpu-0", "engine"]
-        frames = [f["name"] for f in doc["shared"]["frames"]]
-        assert len(frames) == len(set(frames))
-        for prof, lane_entries in zip(
-            doc["profiles"],
-            ([e for e in payload["stacks"] if e["lane"] == "cpu-0"],
-             [e for e in payload["stacks"] if e["lane"] == "engine"]),
-        ):
-            assert prof["type"] == "sampled"
-            assert len(prof["samples"]) == len(prof["weights"]) == len(lane_entries)
-            total = sum(e["count"] for e in lane_entries) * payload["interval_s"]
-            assert prof["endValue"] == pytest.approx(total)
-            for sample, entry in zip(prof["samples"], lane_entries):
-                assert [frames[i] for i in sample] == entry["frames"]
+
+def _explain_profile_diff(old, new):
+    return render_explain_diff(
+        ("OLD", "NEW"), ({PROFILE_FILENAME: old}, {PROFILE_FILENAME: new})
+    )
 
 
 class TestReports:
     def test_report_without_codec_samples_or_metrics(self):
         """Header, one line per lane, then the top-N table — nothing else
         (the ring backend's hot-path section went with the rings)."""
-        text = render_profile_report(_codec_payload(), top=2)
+        text = render_profile_summary(_codec_payload(), top=2)
         lines = text.splitlines()
         assert lines[0].startswith("profile: 80 sample(s) across 2 lane(s)")
         assert [line.split()[1] for line in lines[1:3]] == ["cpu-0", "engine"]
         assert "top 2 function(s) by self time:" in lines
         assert lines[-1].endswith("repro/core/shm_ring.py:put_frame:100")
+        # Both columns: put_frame has 0.20s self, 0.30s on the stack.
+        assert lines[-1].split()[:2] == ["0.200s", "0.300s"]
         empty = build_profile_payload(0.01, {"engine": 1}, {"engine": {}})
-        assert render_profile_report(empty).splitlines()[-1] == "  (no samples)"
+        assert render_profile_summary(empty).splitlines()[-1] == "  (no samples)"
 
     def test_diff_localizes_the_regressed_function(self):
         old = build_profile_payload(
@@ -398,17 +389,20 @@ class TestReports:
             0.01, {"engine": 1},
             {"engine": {("a:f:1", "slow:mod:9"): 40, ("a:f:1",): 10}},
         )
-        text = render_profile_diff(old, new)
-        assert "~0.200s -> ~0.500s attributed" in text
-        reg = text[text.index("regressed") : text.index("improved")]
-        assert "slow:mod:9" in reg
-        assert "+  0.300s" in reg
-        # The mirror direction lands in "improved".
-        back = render_profile_diff(new, old)
-        imp = back[back.index("improved") :]
-        assert "slow:mod:9" in imp
+        text = _explain_profile_diff(old, new)
+        lanes = text[text.index("lane seconds") : text.index("self seconds")]
+        assert lanes.splitlines()[1].split() == [
+            "engine", "0.2000", "->", "0.5000", "+150.0%"]
+        slf = text[text.index("self seconds") :].splitlines()
+        assert [row.split() for row in slf[1:]] == [
+            ["slow:mod:9", "0.1000", "->", "0.4000", "+300.0%"]]
+        # The mirror direction is the same row, shrinking.
+        back = _explain_profile_diff(new, old)
+        assert back.splitlines()[-1].split()[-1] == "-75.0%"
 
     def test_diff_notes_disjoint_lanes(self):
+        """A lane (and its frames) one side never sampled reads ``gone``
+        or ``new``, never as a change from zero."""
         old = build_profile_payload(
             0.01, {"engine": 1, "gpu-0": 2},
             {
@@ -423,14 +417,15 @@ class TestReports:
                 "cpu-0": {("c:k:5",): 4},
             },
         )
-        text = render_profile_diff(old, new)
-        assert "lane 'gpu-0' only in OLD" in text
-        assert "7 sample(s)" in text
-        assert "lane 'cpu-0' only in NEW" in text
-        assert "4 sample(s)" in text
-        # Identical lane sets stay note-free.
-        clean = render_profile_diff(old, old)
-        assert "only in" not in clean
+        text = _explain_profile_diff(old, new)
+        rows = {row.split()[0]: row.split() for row in text.splitlines()
+                if row.startswith("  ")}
+        assert rows["gpu-0"][1:] == ["0.0700", "->", "-", "gone"]
+        assert rows["cpu-0"][1:] == ["-", "->", "0.0400", "new"]
+        assert rows["g:k:5"][-1] == "gone" and rows["c:k:5"][-1] == "new"
+        assert "engine" not in rows and "a:f:1" not in rows  # unchanged
+        # Identical profiles have nothing to say.
+        assert _explain_profile_diff(old, old).splitlines()[-1] == "(no differences)"
 
 
 # ---------------------------------------------------------------------------
@@ -482,9 +477,9 @@ class TestOverheadGate:
     def test_profiling_costs_at_most_five_percent(self):
         """One tick costs the sampler thread ≤ 5% of the default interval
         in its own CPU time (``time.thread_time``: time it was scheduled,
-        whatever else the box is doing), sampling three live threads
-        parked forty frames deep.  Measured ≈ 30 µs against the 500 µs
-        budget, so the verdict has > 10× headroom."""
+        whatever else the box is doing), sampling a primary thread
+        parked forty frames deep while two more parked threads exist.
+        The budget is the one set when every thread was sampled."""
         from repro.obs.profile import DEFAULT_PROFILE_INTERVAL_S
 
         parked = threading.Event()
@@ -498,12 +493,12 @@ class TestOverheadGate:
 
         threads = [threading.Thread(target=park, args=(40,)) for _ in range(3)]
         prof = SamplingProfiler()
-        prof._primary_ident = threading.get_ident()
         try:
             for t in threads:
                 parked.clear()
                 t.start()
                 assert parked.wait(timeout=10.0)
+            prof._primary_ident = threads[0].ident
             prof.sample_once()  # fill the frame-id cache, as a build's first tick does
             ticks = 200
             t0 = time.thread_time()
@@ -538,7 +533,7 @@ class TestProfiledBuild:
         assert payload["interval_s"] == pytest.approx(0.002)
         assert payload["meta"]["collection"] == tiny_collection.name
         # The report renders end to end on a real artifact.
-        text = render_profile_report(payload)
+        text = render_profile_summary(payload)
         assert "function(s) by self time:" in text
 
     def test_unprofiled_build_writes_no_artifact(self, tiny_collection, tmp_path):
@@ -559,10 +554,9 @@ class TestProfiledBuild:
         )
         result = IndexingEngine(cfg).build(tiny_collection, out)
         payload = load_profile(result.profile_path)
-        lanes = set(payload["lanes"])
-        assert "engine" in lanes
-        # At least one worker lane made it across the process boundary.
-        worker_lanes = {l for l in lanes if l.split("/")[0] != "engine"}
-        assert worker_lanes, lanes
+        # One lane per process: the engine's and the parse worker's,
+        # which crossed the process boundary.  The executor's helper
+        # threads only wait and get no lane.
+        assert set(payload["lanes"]) == {"engine", "parser-0"}
         for entry in payload["lanes"].values():
             assert all(p > 0 for p in entry["pids"])
