@@ -8,12 +8,13 @@ header holds a mapping table from postings pointers to (offset, length)
 pairs, plus an auxiliary file mapping document-ID ranges to run files so a
 query restricted to a docID range touches only overlapping partial lists.
 
-- :mod:`repro.postings.compression` — gap transform + the three codecs.
+- :mod:`repro.postings.compression` — gap transform + the codecs, the one
+  owner of the list bytes (per list, and blocks of lists as columns).
 - :mod:`repro.postings.lists` — in-memory accumulation during a run.
 - :mod:`repro.postings.output` — run files with header mapping tables.
 - :mod:`repro.postings.reader` — term → merged postings across runs.
 - :mod:`repro.postings.merge` — the optional post-processing step that
-  splices partial lists into one monolithic list per term.
+  joins partial lists into one monolithic list per term.
 """
 
 from repro.postings.compression import (

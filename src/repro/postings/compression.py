@@ -10,6 +10,11 @@ The engine's post-processing step uses variable-byte encoding — the paper's
 choice ("compress them with variable bytes encoding") — while γ and Golomb
 exist for the codec ablation benchmark and for parity with the classical
 inverted-file literature cited in Section II.
+
+Every codec also encodes and decodes blocks of lists held as integer
+columns (:meth:`PostingsCodec.encode_lists` / :meth:`~PostingsCodec.decode_lists`),
+the only form the run writer, the reader and the merge use; varbyte does
+it with numpy kernels, the others by looping their per-list methods.
 """
 
 from __future__ import annotations
@@ -215,8 +220,38 @@ def from_gaps(gaps: Sequence[int]) -> list[int]:
 # ---------------------------------------------------------------------- #
 
 
+#: ``(counts, docs, tfs, positions)``: list ``i`` holds ``counts[i]``
+#: postings, its rows of the ``docs`` and ``tfs`` columns following list
+#: ``i - 1``'s; ``positions`` is every posting's ``tf`` positions back to
+#: back, or ``None`` for a codec without them.
+ListColumns = tuple[np.ndarray, np.ndarray, np.ndarray, "np.ndarray | None"]
+
+_INT32_MAX = int(np.iinfo(np.int32).max)
+_BEYOND_INT32 = "document id, term frequency or position beyond int32"
+
+
+def _int32(values: np.ndarray | Sequence[int]) -> np.ndarray:
+    """``values`` as an ``int32`` column; ``ValueError`` past its bound."""
+    if len(values) and np.max(values) > _INT32_MAX:
+        raise ValueError(_BEYOND_INT32)
+    return np.asarray(values, dtype=np.int64).astype(np.int32)
+
+
+def _check_tiling(payload_size: int, lengths: np.ndarray) -> None:
+    if int(np.sum(lengths)) != payload_size:
+        raise ValueError(f"lists of {int(np.sum(lengths))} bytes in a payload of {payload_size}")
+
+
 class PostingsCodec:
-    """Encode/decode a docID-sorted postings list."""
+    """Encode/decode a docID-sorted postings list, or a block of them.
+
+    :meth:`encode` and :meth:`decode` work on one list of ``(doc, tf)``
+    tuples; :meth:`encode_lists` and :meth:`decode_lists` on lists lying
+    back to back, held as integer columns (:data:`ListColumns`).  The block
+    methods loop the per-list ones unless a codec has kernels for them,
+    with the same bytes and verdicts; the run writer, the reader and the
+    merge call only the block methods.
+    """
 
     name = "abstract"
     #: Positional codecs carry per-occurrence positions (Ivory-style).
@@ -227,6 +262,46 @@ class PostingsCodec:
 
     def decode(self, data: bytes) -> list[Posting]:
         raise NotImplementedError
+
+    def encode_lists(
+        self,
+        counts: np.ndarray,
+        docs: np.ndarray,
+        tfs: np.ndarray,
+        positions: np.ndarray | None = None,
+    ) -> tuple[bytes, np.ndarray]:
+        """:meth:`encode` of each list, concatenated, and each one's length.
+
+        Only a positional codec reads ``positions``, and it needs them.
+        """
+        entries: list = list(zip(np.asarray(docs).tolist(), np.asarray(tfs).tolist()))
+        if self.positional:
+            if positions is None or len(positions) != int(np.sum(tfs)):
+                raise ValueError("a positional codec needs tf positions for every posting")
+            per_posting = np.split(np.asarray(positions), np.cumsum(tfs)[:-1])
+            entries = [(*entry, tuple(p.tolist())) for entry, p in zip(entries, per_posting)]
+        sizes = np.asarray(counts).tolist()
+        encoded = [self.encode(entries[end - n : end]) for n, end in zip(sizes, accumulate(sizes))]
+        return b"".join(encoded), np.array([len(e) for e in encoded], dtype=np.int64)
+
+    def decode_lists(self, payload: bytes | memoryview, lengths: np.ndarray) -> ListColumns:
+        """Inverse of :meth:`encode_lists`: ``payload`` is lists of
+        ``lengths`` bytes back to back, nothing else.
+
+        As strict as :meth:`decode` on each list, and one bound more: the
+        columns are ``int32``, and a value beyond that raises ``ValueError``.
+        """
+        _check_tiling(len(payload), lengths)
+        data = bytes(payload)
+        bounds = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))).tolist()
+        lists = [self.decode(data[a:b]) for a, b in zip(bounds, bounds[1:])]
+        entries = [entry for decoded in lists for entry in decoded]
+        return (
+            np.array([len(decoded) for decoded in lists], dtype=np.int64),
+            _int32([entry[0] for entry in entries]),
+            _int32([entry[1] for entry in entries]),
+            _int32([p for entry in entries for p in entry[2]]) if self.positional else None,
+        )
 
 
 class VarByteCodec(PostingsCodec):
@@ -293,6 +368,97 @@ class VarByteCodec(PostingsCodec):
             )
         return postings
 
+    def encode_lists(
+        self,
+        counts: np.ndarray,
+        docs: np.ndarray,
+        tfs: np.ndarray,
+        positions: np.ndarray | None = None,
+    ) -> tuple[bytes, np.ndarray]:
+        """:meth:`PostingsCodec.encode_lists` in one :func:`encode_uvarints`
+        call, with :meth:`encode`'s checks; the temporaries are a few
+        ``int64`` a posting, so the caller bounds the block."""
+        counts = np.asarray(counts, dtype=np.int64)
+        docs = np.asarray(docs, dtype=np.int64)
+        tfs = np.asarray(tfs, dtype=np.int64)
+        first = np.cumsum(counts) - counts
+        gaps = np.diff(docs, prepend=-1)
+        starts = first[counts > 0]
+        gaps[starts] = docs[starts] + 1
+        if gaps.size and int(gaps.min()) < 1:
+            raise ValueError("postings must be sorted by strictly increasing docID")
+        if tfs.size and int(tfs.min()) < 1:
+            raise ValueError(f"term frequency must be >= 1, got {int(tfs.min())}")
+        # List j's count sits before its postings' (gap, tf) pairs.
+        heads = 2 * first + np.arange(counts.size)
+        pairs = 2 * np.arange(docs.size) + np.repeat(np.arange(1, counts.size + 1), counts)
+        values = np.empty(counts.size + 2 * docs.size, dtype=np.int64)
+        values[heads], values[pairs], values[pairs + 1] = counts, gaps, tfs
+        data, value_lengths = encode_uvarints(values)
+        return data, np.add.reduceat(value_lengths, heads)
+
+    def decode_lists(
+        self, payload: bytes | memoryview, lengths: np.ndarray
+    ) -> ListColumns:
+        """:meth:`PostingsCodec.decode_lists` in one :func:`decode_uvarints` call.
+
+        As strict as :meth:`decode` on each list: ``EOFError`` when a list
+        ends inside a varint or short of its count's postings,
+        ``ValueError`` when it holds more, or a zero byte after its count
+        (a zero gap or tf, or non-canonical padding).
+        """
+        _check_tiling(len(payload), lengths)
+        if not len(lengths):
+            return super().decode_lists(payload, lengths)
+        raw = np.frombuffer(payload, dtype=np.uint8)
+        ends = np.cumsum(lengths, dtype=np.int64)
+        firsts = ends - lengths
+        if int(raw[ends - 1].max()) >= 0x80:
+            raise EOFError("truncated postings list")
+        values = decode_uvarints(payload)
+        # Every list is whole varints: count its terminators to find its values.
+        per_list = np.add.reduceat(raw < 0x80, firsts, dtype=np.int64)
+        heads = np.cumsum(per_list) - per_list
+        counts = values[heads]
+        pairs = (per_list - 1) // 2
+        bad = np.flatnonzero((counts != pairs) | (per_list % 2 == 0))
+        if bad.size:
+            i = int(bad[0])
+            if counts[i] > pairs[i]:
+                raise EOFError("truncated postings list")
+            raise ValueError(
+                f"postings list of {int(counts[i])} postings holds {int(per_list[i]) - 1} "
+                f"values, not {2 * int(counts[i])}"
+            )
+        zeros = np.flatnonzero(raw == 0)
+        if zeros.size:
+            # A zero byte may only end a count (of an empty list).
+            lists = np.searchsorted(firsts, zeros, side="right") - 1
+            count_ends = np.flatnonzero(raw < 0x80)[heads[lists]]
+            if np.any(zeros > count_ends):
+                raise ValueError("postings list holds a zero gap or term frequency")
+        body = np.ones(values.size, dtype=bool)
+        body[heads] = False
+        values = values[body]
+        gaps, tfs = values[0::2], values[1::2]
+        # A gap past 2^31 alone puts a document past int32 (and could
+        # overflow the running sum below).
+        if gaps.size and int(gaps.max()) > _INT32_MAX + 1:
+            raise ValueError(_BEYOND_INT32)
+        docs = np.cumsum(gaps)
+        listed = counts > 0
+        starts = (np.cumsum(counts) - counts)[listed]
+        docs -= np.repeat(docs[starts] - gaps[starts] + 1, counts[listed])
+        return counts, _int32(docs), _int32(tfs), None
+
+
+def _check_padding(reader: BitReader) -> None:
+    """After a bit-coded list's last posting: only the zero padding
+    :class:`BitWriter` adds may remain, fewer than eight bits."""
+    left = reader.bits_remaining
+    if left >= 8 or reader.read_bits(left):
+        raise ValueError(f"{left} bits after the last posting are not the zero padding")
+
 
 class EliasGammaCodec(PostingsCodec):
     """Elias-γ bit codec: unary length prefix + binary remainder."""
@@ -338,6 +504,7 @@ class EliasGammaCodec(PostingsCodec):
             prev += self._read_gamma(reader)
             tf = self._read_gamma(reader)
             postings.append((prev, tf))
+        _check_padding(reader)
         return postings
 
 
@@ -423,6 +590,7 @@ class GolombCodec(PostingsCodec):
             prev += self._read_golomb(reader, b)
             tf = EliasGammaCodec._read_gamma(reader)
             postings.append((prev, tf))
+        _check_padding(reader)
         return postings
 
 

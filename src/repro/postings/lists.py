@@ -72,7 +72,7 @@ class PostingsList:
     def add_posting(
         self, doc_id: int, tf: int, positions: list[int] | None = None
     ) -> None:
-        """Append a pre-counted posting (used by merges and baselines)."""
+        """Append a pre-counted posting."""
         if tf < 1:
             raise ValueError(f"term frequency must be >= 1, got {tf}")
         if self.doc_ids and doc_id <= self.doc_ids[-1]:

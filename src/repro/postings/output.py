@@ -80,9 +80,9 @@ RUN_CRC_BYTES = 4
 _STREAM_CHUNK = 1 << 16
 #: Mapping-table rows encoded or decoded in one step.
 _TABLE_BLOCK_ROWS = 1 << 10
-#: Postings after which :func:`_varbyte_blocks` closes a block.  The
-#: encoder's temporaries are a few ``int64`` per value, two values a
-#: posting; at this size each stays below the allocator's mmap threshold
+#: Postings after which :meth:`RunWriter.write_run` closes a block.  The
+#: varbyte encoder's temporaries are a few ``int64`` per value, two values
+#: a posting; at this size each stays below the allocator's mmap threshold
 #: (unless one list alone is longer), so a large run leaves no large hole.
 _BLOCK_POSTINGS = 1 << 12
 
@@ -134,53 +134,6 @@ def _encode_header(
     return header
 
 
-def _varbyte_blocks(lists: Iterable[tuple[int, PostingsList]]) -> Iterator[EncodedBlock]:
-    """The non-empty lists of the stream in plain varbyte, a block at a time.
-
-    Byte for byte what :meth:`VarByteCodec.encode` makes of each list
-    (count, then ``(gap, tf)`` pairs), with its checks, but a block of
-    whole lists goes through :func:`encode_uvarints` at once.
-    """
-    block: list[tuple[int, PostingsList]] = []
-    postings = 0
-    for term_id, plist in lists:
-        if not plist.doc_ids:
-            continue
-        block.append((term_id, plist))
-        postings += len(plist.doc_ids)
-        if postings >= _BLOCK_POSTINGS:
-            yield _varbyte_block(block, postings)
-            block, postings = [], 0
-    if block:
-        yield _varbyte_block(block, postings)
-
-
-def _varbyte_block(block: list[tuple[int, PostingsList]], postings: int) -> EncodedBlock:
-    counts = np.array([len(plist.doc_ids) for _, plist in block], dtype=np.int64)
-    docs = np.fromiter(chain.from_iterable(p.doc_ids for _, p in block), np.int64, postings)
-    tfs = np.fromiter(chain.from_iterable(p.tfs for _, p in block), np.int64, postings)
-    first = np.cumsum(counts) - counts
-    gaps = np.diff(docs, prepend=-1)
-    gaps[first] = docs[first] + 1
-    if int(gaps.min()) < 1:
-        raise ValueError("postings must be sorted by strictly increasing docID")
-    if int(tfs.min()) < 1:
-        raise ValueError(f"term frequency must be >= 1, got {int(tfs.min())}")
-    # List j's count sits before its postings' (gap, tf) pairs.
-    heads = 2 * first + np.arange(len(block))
-    pairs = 2 * np.arange(postings) + np.repeat(np.arange(1, len(block) + 1), counts)
-    values = np.empty(len(block) + 2 * postings, dtype=np.int64)
-    values[heads], values[pairs], values[pairs + 1] = counts, gaps, tfs
-    data, value_lengths = encode_uvarints(values)
-    return (
-        [term_id for term_id, _ in block],
-        np.add.reduceat(value_lengths, heads).tolist(),
-        data,
-        int(docs[first].min()),
-        int(docs[first + counts - 1].max()),
-    )
-
-
 class RunWriter:
     """Serializes one run's postings lists into a run file.
 
@@ -215,42 +168,49 @@ class RunWriter:
         """Directory ("disk") that run ``run_id`` lands on."""
         return self._stripe_dirs[run_id % self.num_stripes]
 
-    def _encode(self, plist: PostingsList) -> bytes:
-        if self.codec.positional:
-            return self.codec.encode(plist.positional_postings())
-        return self.codec.encode(plist.postings())
-
     def write_run(self, run_id: int, lists: dict[int, PostingsList]) -> "RunFile":
-        """Compress and write all lists of a run; return its descriptor."""
-        return self.write_run_streaming(
-            run_id, ((term_id, lists[term_id]) for term_id in sorted(lists))
-        )
+        """Compress and write all non-empty lists of a run; return its descriptor.
 
-    def write_run_streaming(
-        self, run_id: int, lists: Iterable[tuple[int, PostingsList]]
-    ) -> "RunFile":
-        """Write a run from a ``(term_id, list)`` stream, bounded memory.
-
-        Plain varbyte lists are encoded a block of lists at a time by one
-        kernel; every other codec encodes list by list.  Either way the
-        bytes go to :meth:`write_encoded_run`, which writes the file.
-
-        ``lists`` must yield term ids in strictly ascending order — the
-        order ``write_run`` gets from sorting.  Empty lists are skipped.
+        Lists go to the codec's :meth:`~PostingsCodec.encode_lists` as
+        columns, in term order, a block of about :data:`_BLOCK_POSTINGS`
+        postings at a time; :meth:`write_encoded_run` writes the file.
         """
-        if type(self.codec) is VarByteCodec:
-            return self.write_encoded_run(run_id, _varbyte_blocks(lists))
-        return self.write_encoded_run(run_id, self._encoded(lists))
+        return self.write_encoded_run(run_id, self._blocks(lists))
 
-    def _encoded(
-        self, lists: Iterable[tuple[int, PostingsList]]
-    ) -> Iterator[EncodedBlock]:
-        """Each non-empty list of the stream as a one-list block."""
-        for term_id, plist in lists:
+    def _blocks(self, lists: dict[int, PostingsList]) -> Iterator[EncodedBlock]:
+        block: list[tuple[int, PostingsList]] = []
+        postings = 0
+        for term_id in sorted(lists):
+            plist = lists[term_id]
             if not plist.doc_ids:
                 continue
-            encoded = self._encode(plist)
-            yield (term_id,), (len(encoded),), encoded, plist.doc_ids[0], plist.doc_ids[-1]
+            block.append((term_id, plist))
+            postings += len(plist.doc_ids)
+            if postings >= _BLOCK_POSTINGS:
+                yield self._encode_block(block, postings)
+                block, postings = [], 0
+        if block:
+            yield self._encode_block(block, postings)
+
+    def _encode_block(
+        self, block: list[tuple[int, PostingsList]], postings: int
+    ) -> EncodedBlock:
+        plists = [plist for _, plist in block]
+        counts = np.array([len(plist.doc_ids) for plist in plists], dtype=np.int64)
+        docs = np.fromiter(chain.from_iterable(p.doc_ids for p in plists), np.int64, postings)
+        tfs = np.fromiter(chain.from_iterable(p.tfs for p in plists), np.int64, postings)
+        positions = None
+        if self.codec.positional and all(p.positions is not None for p in plists):
+            per_posting = chain.from_iterable(p.positions for p in plists)
+            positions = np.fromiter(chain.from_iterable(per_posting), np.int64)
+        data, lengths = self.codec.encode_lists(counts, docs, tfs, positions)
+        return (
+            [term_id for term_id, _ in block],
+            lengths.tolist(),
+            data,
+            min(plist.doc_ids[0] for plist in plists),
+            max(plist.doc_ids[-1] for plist in plists),
+        )
 
     def write_encoded_run(
         self, run_id: int, blocks: Iterable[EncodedBlock]

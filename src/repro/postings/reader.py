@@ -22,12 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.postings.compression import (
-    PostingsCodec,
-    VarByteCodec,
-    decode_uvarints,
-    get_codec,
-)
+from repro.postings.compression import get_codec
 from repro.postings.output import (
     DocRangeMap,
     RunFile,
@@ -37,10 +32,7 @@ from repro.postings.output import (
 
 __all__ = ["PostingsReader"]
 
-#: Largest document id or term frequency a column holds.
-_INT32_MAX = int(np.iinfo(np.int32).max)
 _OVERLAP = "run files overlap in document order; output corrupt"
-_BEYOND_INT32 = "document id or term frequency beyond int32"
 
 #: Payload bytes a run is decoded in at a time: the decode's temporaries
 #: are a few ``int64`` per byte, so however large the run, they stay
@@ -60,68 +52,6 @@ def _blocks(table: np.ndarray) -> list[np.ndarray]:
         return []
     ends = np.cumsum(table[:, 2])
     return np.split(table, np.flatnonzero(np.diff((ends - 1) // _DECODE_BLOCK_BYTES)) + 1)
-
-
-def _varbyte_columns(payload: memoryview, lengths: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``(counts, docs, tfs)`` of plain varbyte lists lying back to back.
-
-    As strict as :meth:`VarByteCodec.decode` on each list: ``EOFError``
-    when a list ends inside a varint or short of its count's postings,
-    ``ValueError`` when it holds more, or a zero byte after its count
-    (a zero gap or tf, or non-canonical padding).
-    """
-    raw = np.frombuffer(payload, dtype=np.uint8)
-    ends = np.cumsum(lengths)
-    firsts = ends - lengths
-    if int(raw[ends - 1].max()) >= 0x80:
-        raise EOFError("truncated postings list")
-    values = decode_uvarints(payload)
-    # Every list is whole varints: count its terminators to find its values.
-    per_list = np.add.reduceat(raw < 0x80, firsts, dtype=np.int64)
-    heads = np.cumsum(per_list) - per_list
-    counts = values[heads]
-    pairs = (per_list - 1) // 2
-    bad = np.flatnonzero((counts != pairs) | (per_list % 2 == 0))
-    if bad.size:
-        i = int(bad[0])
-        if counts[i] > pairs[i]:
-            raise EOFError("truncated postings list")
-        raise ValueError(
-            f"postings list of {int(counts[i])} postings holds {int(per_list[i]) - 1} "
-            f"values, not {2 * int(counts[i])}"
-        )
-    zeros = np.flatnonzero(raw == 0)
-    if zeros.size:
-        # A zero byte may only end a count (of an empty list).
-        lists = np.searchsorted(firsts, zeros, side="right") - 1
-        count_ends = np.flatnonzero(raw < 0x80)[heads[lists]]
-        if np.any(zeros > count_ends):
-            raise ValueError("postings list holds a zero gap or term frequency")
-    body = np.ones(values.size, dtype=bool)
-    body[heads] = False
-    values = values[body]
-    gaps, tfs = values[0::2], values[1::2]
-    # A gap past 2^31 alone puts a document past int32 (and could
-    # overflow the running sum below).
-    if gaps.size and int(gaps.max()) > _INT32_MAX + 1:
-        raise ValueError(_BEYOND_INT32)
-    docs = np.cumsum(gaps)
-    listed = counts > 0
-    starts = (np.cumsum(counts) - counts)[listed]
-    docs -= np.repeat(docs[starts] - gaps[starts] + 1, counts[listed])
-    return counts, docs, tfs
-
-
-def _decoded_columns(
-    codec: PostingsCodec, data: bytes, table: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """``(counts, docs, tfs)`` of any codec's lists, one ``codec.decode`` each."""
-    lists = [codec.decode(data[offset : offset + length]) for _, offset, length in table.tolist()]
-    counts = np.array([len(entries) for entries in lists], dtype=np.int64)
-    total = int(counts.sum())
-    docs = np.fromiter((e[0] for entries in lists for e in entries), np.int64, total)
-    tfs = np.fromiter((e[1] for entries in lists for e in entries), np.int64, total)
-    return counts, docs, tfs
 
 
 class _OpenRun:
@@ -154,19 +84,13 @@ class _OpenRun:
         verify_run_bytes(path, data)
         self.run_id, codec_name, self.min_doc, self.max_doc, table, _ = read_run_table(data)
         self.codec = get_codec(codec_name)
-        counts, docs, tfs = [np.empty(0, dtype=np.int64)], [_empty()], [_empty()]
-        for rows in _blocks(table):
-            if type(self.codec) is VarByteCodec:
-                first, last = int(rows[0, 1]), int(rows[-1, 1] + rows[-1, 2])
-                columns = _varbyte_columns(memoryview(data)[first:last], rows[:, 2])
-            else:
-                columns = _decoded_columns(self.codec, data, rows)
-            block_counts, block_docs, block_tfs = columns
-            if block_docs.size and max(int(block_docs.max()), int(block_tfs.max())) > _INT32_MAX:
-                raise ValueError(_BEYOND_INT32)
-            counts.append(block_counts)
-            docs.append(block_docs.astype(np.int32))
-            tfs.append(block_tfs.astype(np.int32))
+        view = memoryview(data)
+        blocks = [
+            self.codec.decode_lists(view[rows[0, 1] : rows[-1, 1] + rows[-1, 2]], rows[:, 2])
+            for rows in _blocks(table)
+        ]
+        empty = (np.empty(0, dtype=np.int64), _empty(), _empty(), None)
+        counts, docs, tfs, _ = zip(empty, *blocks)
         self.term_ids = np.ascontiguousarray(table[:, 0])
         self.starts = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
         self.columns = np.stack((np.concatenate(docs), np.concatenate(tfs)))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -239,6 +240,15 @@ class TestCodecs:
         with pytest.raises(ValueError):
             codec.encode([(1, 0)])
 
+    @pytest.mark.parametrize("codec", [EliasGammaCodec(), GolombCodec()], ids=lambda c: c.name)
+    def test_bits_after_the_last_posting_rejected(self, codec):
+        """Only :class:`BitWriter`'s zero padding, under a byte, may follow."""
+        encoded = codec.encode([(0, 1), (4, 2)])
+        assert codec.decode(encoded) == [(0, 1), (4, 2)]
+        for bad in (encoded + b"\x00", encoded[:-1] + bytes([encoded[-1] | 1])):
+            with pytest.raises(ValueError, match="padding"):
+                codec.decode(bad)
+
     @settings(max_examples=60)
     @given(postings_lists, st.sampled_from(["varbyte", "gamma", "golomb"]))
     def test_round_trip_random(self, postings, name):
@@ -262,6 +272,124 @@ def _positional(data: bytes, why: str):
     """A strict-decode row for the positional codec (bare bytes rows are
     plain varbyte)."""
     return pytest.param((VarBytePositionalCodec(), data), id=f"positional-{why}")
+
+
+#: Gaps, term frequencies and position gaps on both sides of the one- and
+#: two-byte varint edges.  Every value fits four varint bytes, so no one
+#: flipped byte can make a list decode past int32 without breaking it.
+_edge = st.one_of(st.sampled_from([1, 2, 127, 128, 16383, 16384]), st.integers(1, 1 << 20))
+#: A block of lists (possibly none, possibly empty ones); a posting is
+#: ``(doc gap, tf, position gaps)`` and the positional codec's tf is the
+#: number of position gaps.
+_blocks = st.lists(
+    st.lists(st.tuples(_edge, _edge, st.lists(_edge, min_size=1, max_size=3)), max_size=6),
+    max_size=8,
+)
+
+
+def _block_lists(codec, spec):
+    """``spec`` as the per-list postings ``codec.encode`` takes."""
+    lists = []
+    for entries in spec:
+        doc, postings = -1, []
+        for gap, tf, position_gaps in entries:
+            doc += gap
+            if codec.positional:
+                positions = tuple(p - 1 for p in accumulate(position_gaps))
+                postings.append((doc, len(positions), positions))
+            else:
+                postings.append((doc, tf))
+        lists.append(postings)
+    return lists
+
+
+def _block_columns(lists):
+    """``encode_lists`` arguments for per-list postings."""
+    flat = [entry for postings in lists for entry in postings]
+    counts = np.array([len(postings) for postings in lists], dtype=np.int64)
+    docs = np.array([entry[0] for entry in flat], dtype=np.int64)
+    tfs = np.array([entry[1] for entry in flat], dtype=np.int64)
+    positions = None
+    if flat and len(flat[0]) == 3:
+        positions = np.array([p for entry in flat for p in entry[2]], dtype=np.int64)
+    return counts, docs, tfs, positions
+
+
+def _per_list_decode(codec, data, lengths):
+    """The reference for ``decode_lists``: ``decode`` list by list, and
+    the block's int32 bound on what it returns."""
+    lists, at = [], 0
+    for length in lengths:
+        lists.append(codec.decode(data[at : at + length]))
+        at += length
+    if any(max(entry[0], entry[1]) > 2**31 - 1 for postings in lists for entry in postings):
+        raise ValueError("beyond int32")
+    return lists
+
+
+class TestBlockMethods:
+    """``encode_lists`` / ``decode_lists`` against the per-list reference."""
+
+    @pytest.mark.parametrize("name", sorted(CODECS))
+    @given(spec=_blocks)
+    def test_block_equals_per_list(self, name, spec):
+        codec = get_codec(name)
+        lists = _block_lists(codec, spec)
+        encoded = [codec.encode(postings) for postings in lists]
+        counts, docs, tfs, positions = _block_columns(lists)
+        if codec.positional and positions is None:
+            positions = np.empty(0, dtype=np.int64)
+        data, lengths = codec.encode_lists(counts, docs, tfs, positions)
+        assert data == b"".join(encoded)
+        assert lengths.tolist() == [len(e) for e in encoded]
+        got_counts, got_docs, got_tfs, got_positions = codec.decode_lists(data, lengths)
+        assert got_docs.dtype == got_tfs.dtype == np.int32
+        assert got_counts.tolist() == counts.tolist()
+        assert got_docs.tolist() == docs.tolist()
+        assert got_tfs.tolist() == tfs.tolist()
+        if codec.positional:
+            assert got_positions.tolist() == positions.tolist()
+        else:
+            assert got_positions is None
+
+    @pytest.mark.parametrize("name", ["varbyte", "gamma"])
+    @given(spec=_blocks, where=st.integers(0, 1 << 16), mask=st.integers(1, 255))
+    def test_flipped_byte_raises_as_per_list_decode(self, name, spec, where, mask):
+        codec = get_codec(name)
+        lists = _block_lists(codec, spec)
+        data, lengths = codec.encode_lists(*_block_columns(lists)[:3])
+        if not data:
+            return
+        flipped = bytearray(data)
+        flipped[where % len(data)] ^= mask
+        flipped = bytes(flipped)
+        try:
+            expected = _per_list_decode(codec, flipped, lengths.tolist())
+        except (ValueError, EOFError) as exc:
+            with pytest.raises(type(exc)):
+                codec.decode_lists(flipped, lengths)
+        else:
+            got = codec.decode_lists(flipped, lengths)[:3]
+            want = _block_columns(expected)[:3]
+            assert [column.tolist() for column in got] == [column.tolist() for column in want]
+
+    def test_empty_block(self):
+        for name in CODECS:
+            codec = get_codec(name)
+            positions = np.empty(0, dtype=np.int64) if codec.positional else None
+            data, lengths = codec.encode_lists(
+                np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int64), positions
+            )
+            assert (data, lengths.tolist()) == (b"", [])
+            counts, docs, tfs, _ = codec.decode_lists(b"", lengths)
+            assert counts.size == docs.size == tfs.size == 0
+
+    def test_payload_must_be_the_lists(self):
+        for name in ("varbyte", "gamma"):
+            codec = get_codec(name)
+            one = codec.encode([(3, 1)])
+            with pytest.raises(ValueError, match="payload"):
+                codec.decode_lists(one + one, np.array([len(one)]))
 
 
 class TestVarByteDecodeIsStrict:

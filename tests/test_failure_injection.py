@@ -28,6 +28,7 @@ from repro.postings.output import (
 from repro.postings.reader import PostingsReader
 from repro.robustness.errors import ChecksumError
 from repro.robustness.verify import verify_index
+from repro.util.bitio import BitWriter
 
 
 def _plist(pairs):
@@ -81,6 +82,16 @@ def _tiled(*lists: bytes) -> tuple[list[tuple[int, int, int]], bytes]:
 
 _GOOD = _varints(2, 1, 1, 4, 2)  # [(0, 1), (4, 2)]
 
+
+def _gammas(*values: int) -> bytes:
+    writer = BitWriter()
+    for value in values:
+        EliasGammaCodec._write_gamma(writer, value)
+    return writer.getvalue()
+
+
+_GAMMA_GOOD = _gammas(3, 1, 1, 4, 2)  # [(0, 1), (4, 2)]
+
 #: Runs with a valid CRC whose mapping table or lists are malformed.
 _MALFORMED_RUNS = {
     "zero gap": _tiled(_varints(2, 1, 1, 0, 1), _GOOD),
@@ -95,11 +106,10 @@ _MALFORMED_RUNS = {
     "term ids descend": ([(2, 0, len(_GOOD)), (1, len(_GOOD), len(_GOOD))], _GOOD * 2),
     "doc beyond int32": _tiled(_GOOD, _varints(2, 1, 1, 1 << 31, 1)),
     "tf beyond int32": _tiled(_varints(1, 1, 1 << 31), _GOOD),
+    # γ(count + 1 = 2), then the codes of two postings, (0, 1) and (4, 2).
+    "gamma count under the bytes": (*_tiled(_gammas(2, 1, 1, 4, 2), _GAMMA_GOOD), "gamma"),
+    "gamma trailing byte": (*_tiled(_GAMMA_GOOD + b"\x00", _GAMMA_GOOD), "gamma"),
 }
-
-#: The cases only a reader into ``int32`` columns rejects: the merge keeps
-#: ``int64`` doc ids and tfs.
-_INT32_LIMIT = {"doc beyond int32", "tf beyond int32"}
 
 _READS = {
     "postings": lambda reader: reader.postings(1),
@@ -207,7 +217,7 @@ class TestMalformedRunsEverywhere:
         assert not result.ok
         assert [issue.check for issue in result.issues] == ["run-format"]
 
-    @pytest.mark.parametrize("case", sorted(set(_MALFORMED_RUNS) - _INT32_LIMIT))
+    @pytest.mark.parametrize("case", sorted(_MALFORMED_RUNS))
     def test_merge_rejects_every_malformed_run(self, tmp_path, case):
         src = tmp_path / "src"
         src.mkdir()

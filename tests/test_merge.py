@@ -173,20 +173,3 @@ class TestStreamingMerge:
                 *head, table, payload_start = output.read_run_table_from_file(fh)
             assert (*head, payload_start) == (*expected[:4], expected[5])
             assert table.tolist() == expected[4].tolist()
-
-    def test_streaming_output_identical_to_write_run(self, tmp_path):
-        """write_run_streaming produces byte-identical run files."""
-        lists = {}
-        for term in range(1, 9):
-            pl = PostingsList()
-            for d in range(term * 3):
-                pl.add_posting(d * 2 + term, 1 + d % 3)
-            lists[term] = pl
-        a, b = str(tmp_path / "a"), str(tmp_path / "b")
-        batch_file = RunWriter(a).write_run(0, lists)
-        stream_file = RunWriter(b).write_run_streaming(
-            0, ((t, lists[t]) for t in sorted(lists))
-        )
-        with open(batch_file.path, "rb") as fa, open(stream_file.path, "rb") as fb:
-            assert fa.read() == fb.read()
-        assert not os.path.exists(stream_file.path + ".payload.tmp")

@@ -1,10 +1,11 @@
-"""The varbyte byte splice against the decode → re-encode loop it replaces.
+"""The merge against the run writer, and against malformed runs.
 
-``merge_index`` splices encoded bytes when runs and output are plain
-varbyte and re-encodes otherwise.  The two must be indistinguishable from
-outside — same run file, same ``runs.map``, same statistics — and a run
-whose checksum holds but whose lists are malformed must raise from
-either, and from the reader: a typed error, never a wrong answer.
+``merge_index`` decodes each window of every run into columns and
+encodes the merged lists again.  Its output must be what
+``RunWriter.write_run`` writes of the merged lists — same run file, same
+``runs.map`` — and a run whose checksum holds but whose lists are
+malformed must raise from it and from the reader: a typed error, never a
+wrong answer.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ _RUNS = 6
 
 
 def _seeded_index(out_dir: str, seed: int) -> dict[int, list[tuple[int, int]]]:
-    """A six-run varbyte index with every shape the splice special-cases.
+    """A six-run varbyte index with every shape a merge of lists meets.
 
     Runs 2 and 4 are empty; terms ``0..3`` are in every other run; every
     other term is in one to three runs; lists have 1 to 60 postings;
@@ -89,54 +90,35 @@ def _digest(index_dir: str) -> str:
 
 
 class TestSpliceEqualsReencode:
+    """The merge writes what ``RunWriter.write_run`` writes of the merged lists."""
+
     @pytest.mark.parametrize("window", [1, 64, 1 << 16])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_same_files_and_stats(self, tmp_path, monkeypatch, seed, window):
         src = str(tmp_path / "src")
         expected = _seeded_index(src, seed)
         monkeypatch.setattr(merge, "_WINDOW_BYTES", window)
+        stats = merge_index(src, str(tmp_path / "merged"))
 
-        class NoPostingsList:
-            def __init__(self):
-                raise AssertionError("the splice built a PostingsList")
+        lists = {}
+        for term, postings in expected.items():
+            plist = lists[term] = PostingsList()
+            for doc, tf in postings:
+                plist.add_posting(doc, tf)
+        written = str(tmp_path / "written")
+        mapping = DocRangeMap()
+        mapping.add(RunWriter(written).write_run(0, lists))
+        mapping.save(written)
 
-        with monkeypatch.context() as patch:
-            patch.setattr(merge, "PostingsList", NoPostingsList)
-            spliced_stats = merge_index(src, str(tmp_path / "spliced"))
-
-        with monkeypatch.context() as patch:
-            patch.setattr(merge, "_can_splice", lambda run_codec, codec: False)
-            reencoded_stats = merge_index(src, str(tmp_path / "reencoded"))
-
-        assert spliced_stats == reencoded_stats
-        assert spliced_stats["terms"] == len(expected)
-        assert spliced_stats["postings"] == sum(map(len, expected.values()))
-        assert spliced_stats["peak_resident_postings"] == max(map(len, expected.values()))
-        spliced = _index_files(str(tmp_path / "spliced"))
-        assert sorted(spliced) == ["run_00000.post", "runs.map"]
-        assert spliced == _index_files(str(tmp_path / "reencoded"))
-        with PostingsReader(str(tmp_path / "spliced")) as reader:
+        assert stats["terms"] == len(expected)
+        assert stats["postings"] == sum(map(len, expected.values()))
+        assert stats["peak_resident_postings"] == max(map(len, expected.values()))
+        merged = _index_files(str(tmp_path / "merged"))
+        assert sorted(merged) == ["run_00000.post", "runs.map"]
+        assert merged == _index_files(written)
+        with PostingsReader(str(tmp_path / "merged")) as reader:
             for term, postings in expected.items():
                 assert reader.postings(term) == postings
-
-    def test_explicit_equal_codec_still_splices(self, tmp_path, monkeypatch):
-        src = str(tmp_path / "src")
-        _seeded_index(src, 4)
-        monkeypatch.setattr(merge, "_reencoded_lists", None)  # would not be callable
-        merge_index(src, str(tmp_path / "a"), codec=VarByteCodec())
-        merge_index(src, str(tmp_path / "b"))
-        assert _index_files(str(tmp_path / "a")) == _index_files(str(tmp_path / "b"))
-
-    def test_varbyte_subclass_is_reencoded(self, tmp_path, monkeypatch):
-        """Only the exact codec is spliced: a subclass may encode otherwise."""
-
-        class Shouting(VarByteCodec):
-            pass
-
-        src = str(tmp_path / "src")
-        _seeded_index(src, 4)
-        monkeypatch.setattr(merge, "_spliced_blocks", None)
-        merge_index(src, str(tmp_path / "out"), codec=Shouting())
 
     def test_no_runs(self, tmp_path):
         src, dst = str(tmp_path / "src"), str(tmp_path / "dst")
@@ -293,7 +275,7 @@ class TestMalformedButChecksummed:
             encode_uvarint(value, huge)
         run = _write_raw_run(src, 0, [(7, bytes(huge))], (0, 1))
         _save_map(src, [run])
-        with pytest.raises(ValueError, match="64 bits"):
+        with pytest.raises(ValueError, match="beyond int32"):
             merge_index(src, str(tmp_path / "dst"))
 
     def test_flipped_byte_is_a_checksum_error_before_any_splice(
@@ -307,7 +289,7 @@ class TestMalformedButChecksummed:
         data[len(data) // 2] ^= 0x01
         with open(path, "wb") as fh:
             fh.write(data)
-        monkeypatch.setattr(merge, "_spliced_blocks", None)  # must not be reached
+        monkeypatch.setattr(merge, "_merged_blocks", None)  # must not be reached
         with pytest.raises(ChecksumError):
             merge_index(src, str(tmp_path / "dst"))
         with PostingsReader(src) as reader:
