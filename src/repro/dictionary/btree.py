@@ -27,6 +27,19 @@ Insertion uses single-pass preemptive splitting, matching the paper's
 *Splitting* rule ("before accessing a B-Tree node, we check to determine
 whether this node is full").
 
+The counters describe a per-key binary search (:meth:`BTree._find_slot`
+over :meth:`BTree._compare`), but :meth:`BTree.insert` runs it on
+integers.  A node's sorted keys have non-decreasing padded caches, so
+``bisect_left`` / ``bisect_right`` of the query's cache give the *tie
+range*: the keys whose cache equals the query's.  The binary search's
+probes are then replayed by index alone.  A probe left of the tie range
+compares greater and one right of it smaller, both settled by the cache.
+A probe inside it is a cache-settled hit when the query is shorter than
+four bytes, and otherwise the one place the full string is fetched.
+``key_comparisons``, ``cache_resolved`` and ``full_string_fetches`` come
+out exactly as the per-key search counts them.  The warp-fidelity
+``find_slot_hook`` and the cache-off ablation keep the per-key search.
+
 All structural work funnels through :class:`BTreeStats`, which the CPU cost
 model and the GPU SIMT simulator consume; the instrumentation records the
 *depth* of every operation because Fig 11's declining throughput tracks the
@@ -35,6 +48,7 @@ inverse of B-tree depth.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Iterator
@@ -259,6 +273,10 @@ class BTree:
     def search(self, suffix: bytes) -> int | None:
         """Postings pointer for ``suffix``, or ``None`` if absent."""
         self.stats.searches += 1
+        if 0 in suffix:
+            # :meth:`insert` stores no key with a NUL, and the zero-padded
+            # cache would take one for the end of a shorter key.
+            return None
         query4 = _pad4(suffix)
         node = self.root
         depth = 0
@@ -289,14 +307,23 @@ class BTree:
         and relies on real term bytes never being ``0x00`` (true for any
         UTF-8 term text; enforced here so corrupt input fails loudly
         instead of colliding in the cache).
+
+        With the cache on and no slot-search hook, each node's slot is
+        found by bisecting its caches and replaying the binary-search
+        probes on integers (see the module docstring); the descent's
+        counters stay in locals and reach :attr:`stats` once, on return.
         """
         if 0 in suffix:
             raise ValueError("term suffixes may not contain NUL bytes")
+        per_key = self.find_slot_hook is not None or not self.use_string_cache
         query4 = _pad4(suffix)
+        short = len(suffix) < _CACHE_BYTES
+        max_keys = self.max_keys
+        comparisons = fetches = 0
         # Preemptive splits fire on the way down even when the suffix
         # turns out to be present, so a duplicate hit can mutate too.
         split = False
-        if self.root.nkeys == self.max_keys:
+        if len(self.root.caches) == max_keys:
             old_root = self.root
             self.root = BTreeNode(leaf=False)
             self.root.children.append(old_root)
@@ -306,44 +333,92 @@ class BTree:
         node = self.root
         depth = 0
         while True:
-            self.stats.node_visits += 1
-            slot, found = self._find_slot(suffix, query4, node)
+            if per_key:
+                slot, found = self._find_slot(suffix, query4, node)
+            else:
+                # Probes left of the tie range compare greater, right of
+                # it smaller, on the cache alone; inside it they are
+                # equal if the query is short, else a full-string fetch.
+                caches = node.caches
+                lo, hi = 0, len(caches)
+                below = bisect_left(caches, query4)
+                above = bisect_right(caches, query4, below)
+                found = False
+                while lo < hi:
+                    slot = (lo + hi) // 2
+                    comparisons += 1
+                    if slot < below:
+                        lo = slot + 1
+                    elif slot >= above:
+                        hi = slot
+                    elif short:
+                        found = True
+                        break
+                    else:
+                        fetches += 1
+                        full = self.store.get(node.string_ptrs[slot])
+                        if suffix == full:
+                            found = True
+                            break
+                        if suffix < full:
+                            hi = slot
+                        else:
+                            lo = slot + 1
+                if not found:
+                    slot = lo
             if found:
-                self.stats.duplicate_hits += 1
-                self.stats.depth_sum += depth
-                if split and self.on_mutation is not None:
-                    self.on_mutation(suffix)
-                return node.postings_ptrs[slot], False
+                term_id = node.postings_ptrs[slot]
+                break
             if node.leaf:
                 term_id = self._alloc()
-                ptr = self.store.add(suffix)
-                node.caches.insert(slot, _pad4(suffix))
-                node.string_ptrs.insert(slot, ptr)
+                node.caches.insert(slot, query4)
+                node.string_ptrs.insert(slot, self.store.add(suffix))
                 node.postings_ptrs.insert(slot, term_id)
-                # Keys shifted right to open the blank location.
-                self.stats.shifts += node.nkeys - 1 - slot
-                self.stats.inserts += 1
-                self.stats.depth_sum += depth
-                self.term_count += 1
-                if self.on_mutation is not None:
-                    self.on_mutation(suffix)
-                return term_id, True
+                break
             child = node.children[slot]
-            if child.nkeys == self.max_keys:
+            if len(child.caches) == max_keys:
                 self._split_child(node, slot)
                 split = True
-                cmp = self._compare(suffix, query4, node, slot)
+                # The median just moved up into ``slot``: one compare
+                # decides whether the query is it, or which half to take.
+                if per_key:
+                    cmp = self._compare(suffix, query4, node, slot)
+                else:
+                    comparisons += 1
+                    cache = node.caches[slot]
+                    if query4 != cache:
+                        cmp = -1 if query4 < cache else 1
+                    elif short:
+                        cmp = 0
+                    else:
+                        fetches += 1
+                        full = self.store.get(node.string_ptrs[slot])
+                        cmp = 0 if suffix == full else -1 if suffix < full else 1
                 if cmp == 0:
-                    self.stats.duplicate_hits += 1
-                    self.stats.depth_sum += depth
-                    if self.on_mutation is not None:
-                        self.on_mutation(suffix)
-                    return node.postings_ptrs[slot], False
+                    found = True
+                    term_id = node.postings_ptrs[slot]
+                    break
                 if cmp > 0:
                     slot += 1
                 child = node.children[slot]
             node = child
             depth += 1
+        stats = self.stats
+        stats.node_visits += depth + 1
+        stats.key_comparisons += comparisons
+        stats.cache_resolved += comparisons - fetches
+        stats.full_string_fetches += fetches
+        stats.depth_sum += depth
+        if found:
+            stats.duplicate_hits += 1
+        else:
+            # Keys shifted right to open the blank location.
+            stats.shifts += len(node.caches) - 1 - slot
+            stats.inserts += 1
+            self.term_count += 1
+        if (split or not found) and self.on_mutation is not None:
+            self.on_mutation(suffix)
+        return term_id, not found
 
     def _split_child(self, parent: BTreeNode, index: int) -> None:
         """Split the full child at ``parent.children[index]``.
@@ -372,7 +447,7 @@ class BTree:
         parent.string_ptrs.insert(index, median[1])
         parent.postings_ptrs.insert(index, median[2])
         parent.children.insert(index + 1, right)
-        self.stats.shifts += parent.nkeys - 1 - index
+        self.stats.shifts += len(parent.caches) - 1 - index
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -112,15 +112,18 @@ class KernelLaunch:
                 count[b] += 1
         else:
             # Dynamic round-robin: earliest-finishing block pops the queue.
+            # Block ids are unique, so the minimum is too, and replacing
+            # it in place schedules exactly what a pop and a push would.
+            # (Sorted, the initial list is already a heap.)
             heap = [(0.0, b) for b in range(nb)]
-            heapq.heapify(heap)
-            for item in items:
-                finish, b = heapq.heappop(heap)
-                compute[b] += item.compute_cycles
-                stall[b] += item.memory_stall_cycles
-                bus[b] += item.bus_cycles
+            for _, c, s, u in items:
+                finish, b = heap[0]
+                compute[b] += c
+                stall[b] += s
+                bus[b] += u
                 count[b] += 1
-                heapq.heappush(heap, (finish + item.total_cycles, b))
+                # ``total_cycles``, summed in its order: the same float.
+                heapq.heapreplace(heap, (finish + (c + s + u), b))
         return compute, stall, bus, count
 
     def run(self, items: list[WorkItem]) -> KernelResult:

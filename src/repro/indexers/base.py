@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import attrgetter
 
 import numpy as np
 
-from repro.dictionary.btree import BTree, BTreeStats
+from repro.dictionary.btree import _COUNTERS, BTree, BTreeStats
 from repro.dictionary.dictionary import DictionaryShard
 from repro.parsing.regroup import ParsedBatch
 from repro.postings.lists import PostingsAccumulator
@@ -50,11 +51,23 @@ class IndexerReport:
         self.modeled_seconds += other.modeled_seconds
 
 
+_stats = attrgetter("stats")
+_NCOUNTERS = len(BTreeStats.__dataclass_fields__)
+_INSERTS = list(BTreeStats.__dataclass_fields__).index("inserts")
+
 #: The counters a descent that finds its suffix and splits nothing moves,
 #: besides ``duplicate_hits``.
 _repeat_counters = attrgetter(
     "node_visits", "key_comparisons", "cache_resolved", "full_string_fetches", "depth_sum"
 )
+
+
+def _counters(trees: list[BTree]) -> np.ndarray:
+    """Every tree's ten counters, back to back in field order."""
+    return np.fromiter(
+        chain.from_iterable(map(_COUNTERS, map(_stats, trees))),
+        dtype=np.int64, count=_NCOUNTERS * len(trees),
+    )
 
 
 def _walk(spans, ids, suffixes: list[bytes], repeated: list[bool]) -> list[int]:
@@ -182,9 +195,14 @@ class BaseIndexer:
         assert batch.spans is not None
         if batch.positions is not None and len(batch.positions) != len(batch.ids):
             raise ValueError("positions column is not aligned with the token columns")
-        trees = [self.shard.tree_for(cidx) for cidx in batch.order[rows].tolist()]
-        before = [tree.stats.snapshot() for tree in trees]
-        terms_before = sum(tree.term_count for tree in trees)
+        owned = batch.order[rows].tolist()
+        trees = list(map(self.shard.trees.get, owned))
+        if None in trees:
+            # A collection's first batch creates its tree.  (``is None``:
+            # an empty tree is falsy.)
+            tree_for = self.shard.tree_for
+            trees = [tree_for(cidx) if tree is None else tree for cidx, tree in zip(owned, trees)]
+        before = _counters(trees)
 
         # The owned tokens, back to back in row order.  (int32 throughout:
         # a batch's columns are; the temporaries stay half the size.)
@@ -211,16 +229,16 @@ class BaseIndexer:
             None if batch.positions is None else batch.positions[take],
         )
 
-        after = [tree.stats.snapshot() for tree in trees]
-        grown = np.array(after, dtype=np.int64) - np.array(before, dtype=np.int64)
-        grown = grown.reshape(-1, len(BTreeStats.__dataclass_fields__))
+        grown = (_counters(trees) - before).reshape(-1, _NCOUNTERS)
+        total = grown.sum(axis=0).tolist()
         report = IndexerReport(
             tokens=int(batch.tokens[rows].sum()),
-            new_terms=sum(tree.term_count for tree in trees) - terms_before,
+            # A tree gains a term exactly when it counts an insert.
+            new_terms=total[_INSERTS],
             characters=int(batch.chars[rows].sum()),
             documents=int(batch.documents[rows].sum()),
             collections=len(rows),
-            btree=BTreeStats(*grown.sum(axis=0).tolist()),
+            btree=BTreeStats(*total),
         )
         return report, trees, BTreeStats(*grown.T)
 

@@ -53,6 +53,17 @@ class TestBasicOps:
         assert len(tree) == 1
         assert tree.stats.duplicate_hits == 1
 
+    def test_search_for_a_nul_suffix_finds_nothing(self):
+        # b"ab\0" and b"ab" have the same zero-padded cache; no key with a
+        # NUL can be stored, so the tie is not a hit.
+        tree = BTree()
+        tid, _ = tree.insert(b"ab")
+        tree.insert(b"")
+        assert tree.search(b"ab\x00") is None
+        assert tree.search(b"ab\x00\x00") is None
+        assert tree.search(b"\x00") is None
+        assert tree.search(b"ab") == tid
+
     def test_empty_suffix_is_a_valid_key(self):
         # Short terms strip to nothing: 'a' in collection 11 stores b"".
         tree = BTree()

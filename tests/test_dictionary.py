@@ -24,6 +24,14 @@ class TestShard:
         assert d.lookup("application") == tid
         assert d.lookup("nothere") is None
 
+    def test_lookup_with_nul_finds_nothing(self):
+        # "xyzab\0" strips to the suffix b"ab\0", whose padded cache is the
+        # stored b"ab"'s: the tie must not count as a hit.
+        d = Dictionary()
+        tid, _ = d.add_term("xyzab")
+        assert d.lookup("xyzab\x00") is None
+        assert d.lookup("xyzab") == tid
+
     def test_duplicate_same_id(self):
         d = Dictionary()
         t1, _ = d.add_term("parallel")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import random
 
 import pytest
@@ -139,6 +140,40 @@ class TestKernelLaunch:
         result = KernelLaunch(num_blocks=480).run([])
         assert result.elapsed_seconds > 0  # launch + block overhead only
         assert result.load_imbalance >= 1.0
+
+    @pytest.mark.parametrize("num_blocks", [1, 7, 30, 480])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_dynamic_schedule_matches_pop_push_loop(self, num_blocks, seed):
+        # The schedule as a heappop + heappush per item, reading
+        # ``total_cycles``: the in-place replace must give the same result,
+        # bit for bit.  Cycles drawn from a few decimals tie block finish
+        # times (the unique block id breaks them) and would not tie if the
+        # three terms were added to the finish time one by one.
+        rng = random.Random(seed)
+        cycles = (0.1, 0.2, 0.3, 0.7)
+        items = [
+            WorkItem(i, rng.choice(cycles), rng.choice(cycles), rng.choice(cycles))
+            for i in range(300)
+        ] + self._items(200, seed)
+
+        def pop_push(self, items):
+            nb = self.num_blocks
+            compute, stall, bus, count = [0.0] * nb, [0.0] * nb, [0.0] * nb, [0] * nb
+            heap = [(0.0, b) for b in range(nb)]
+            heapq.heapify(heap)
+            for item in items:
+                finish, b = heapq.heappop(heap)
+                compute[b] += item.compute_cycles
+                stall[b] += item.memory_stall_cycles
+                bus[b] += item.bus_cycles
+                count[b] += 1
+                heapq.heappush(heap, (finish + item.total_cycles, b))
+            return compute, stall, bus, count
+
+        launch = KernelLaunch(num_blocks=num_blocks)
+        expected = launch.run(items)
+        launch._assign = pop_push.__get__(launch)
+        assert launch.run(items) == expected
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
