@@ -59,7 +59,7 @@ from repro.obs.schema import METRICS_FILENAME, TRACE_FILENAME, build_payload, wr
 from repro.parsing.parser import ParsedFile, Parser
 from repro.parsing.regroup import ParsedBatch
 from repro.postings.compression import get_codec
-from repro.postings.lists import PostingsList
+from repro.postings.lists import RunPostings
 from repro.postings.doctable import DocTable
 from repro.postings.output import DocRangeMap, RunFile, RunWriter
 from repro.robustness import faults
@@ -374,13 +374,11 @@ class _Build:
         with self.watch.measure("write_runs"), self.tel.tracer.span(
             "write_run", cat="output"
         ) as run_tags:
-            run_lists: dict[int, PostingsList] = {}
-            for indexer in st.indexers:
-                run_lists.update(indexer.drain_postings())
-            run_postings = sum(len(p) for p in run_lists.values())
+            run = RunPostings.concat(indexer.drain_postings() for indexer in st.indexers)
+            run_postings = run.posting_count
             st.posting_count += run_postings
             run_id = k // cfg.files_per_run
-            run_file = self.writer.write_run(run_id, run_lists)
+            run_file = self.writer.write_run(run_id, run)
             self.range_map.add(run_file)
             st.run_count += 1
             run_tags["run"] = run_id

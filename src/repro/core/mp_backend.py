@@ -77,7 +77,7 @@ from repro.parsing.stream_codec import (
     encode_batch,  # noqa: F401 - harness wrap target, see the end of this module
     encode_parsed_file,
 )
-from repro.postings.lists import PostingsList
+from repro.postings.lists import RunPostings
 from repro.robustness import faults
 from repro.robustness.retry import RetryOutcome
 from repro.robustness.supervise import Supervisor, WorkerFailure
@@ -446,5 +446,5 @@ class ParseWorker:
 class MultiprocessBackend:
     """A wrap target only: no build constructs it."""
 
-    def drain_run_postings(self) -> dict[int, PostingsList]:
-        return {}
+    def drain_run_postings(self) -> RunPostings:
+        return RunPostings.empty()

@@ -23,7 +23,7 @@ import numpy as np
 from repro.dictionary.btree import _COUNTERS, BTree, BTreeStats
 from repro.dictionary.dictionary import DictionaryShard
 from repro.parsing.regroup import ParsedBatch
-from repro.postings.lists import PostingsAccumulator
+from repro.postings.lists import PostingsAccumulator, RunPostings
 
 __all__ = ["BaseIndexer", "IndexerReport"]
 
@@ -180,7 +180,7 @@ class BaseIndexer:
         This is the inner loop of Fig 4: every suffix is inserted into the
         collection's B-tree (getting the postings pointer, :func:`_walk`)
         and the occurrences appended under the *global* document ID, one
-        slice per term
+        chunk of postings columns per batch
         (:meth:`~repro.postings.lists.PostingsAccumulator.add_batch`).
         When the parser supplied positions, each occurrence also records
         its in-document token position.
@@ -248,7 +248,7 @@ class BaseIndexer:
 
     # ------------------------------------------------------------------ #
 
-    def drain_postings(self):
+    def drain_postings(self) -> RunPostings:
         """End-of-run handoff of accumulated postings (Fig 8)."""
         return self.accumulator.drain()
 

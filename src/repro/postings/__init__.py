@@ -31,7 +31,7 @@ from repro.postings.compression import (
     to_gaps,
 )
 from repro.postings.doctable import DocTable, DocTableRow
-from repro.postings.lists import PostingsAccumulator, PostingsList
+from repro.postings.lists import PostingsAccumulator, PostingsList, RunPostings
 from repro.postings.merge import merge_index
 from repro.postings.output import DocRangeMap, RunWriter
 from repro.postings.reader import PostingsReader
@@ -50,6 +50,7 @@ __all__ = [
     "decode_uvarint",
     "PostingsList",
     "PostingsAccumulator",
+    "RunPostings",
     "RunWriter",
     "DocRangeMap",
     "DocTable",

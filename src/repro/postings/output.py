@@ -42,7 +42,6 @@ import os
 import zlib
 from array import array
 from dataclasses import dataclass
-from itertools import chain
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -56,7 +55,7 @@ from repro.postings.compression import (
     encode_uvarints,
     skip_uvarints,
 )
-from repro.postings.lists import PostingsList
+from repro.postings.lists import RunPostings
 from repro.robustness.errors import ChecksumError
 
 __all__ = [
@@ -168,49 +167,36 @@ class RunWriter:
         """Directory ("disk") that run ``run_id`` lands on."""
         return self._stripe_dirs[run_id % self.num_stripes]
 
-    def write_run(self, run_id: int, lists: dict[int, PostingsList]) -> "RunFile":
-        """Compress and write all non-empty lists of a run; return its descriptor.
+    def write_run(self, run_id: int, run: RunPostings) -> "RunFile":
+        """Compress and write a run's lists; return its descriptor.
 
-        Lists go to the codec's :meth:`~PostingsCodec.encode_lists` as
-        columns, in term order, a block of about :data:`_BLOCK_POSTINGS`
-        postings at a time; :meth:`write_encoded_run` writes the file.
+        The columns go to the codec's :meth:`~PostingsCodec.encode_lists`
+        in slices, a block of about :data:`_BLOCK_POSTINGS` postings at a
+        time; :meth:`write_encoded_run` writes the file.
         """
-        return self.write_encoded_run(run_id, self._blocks(lists))
+        return self.write_encoded_run(run_id, self._blocks(run))
 
-    def _blocks(self, lists: dict[int, PostingsList]) -> Iterator[EncodedBlock]:
-        block: list[tuple[int, PostingsList]] = []
-        postings = 0
-        for term_id in sorted(lists):
-            plist = lists[term_id]
-            if not plist.doc_ids:
-                continue
-            block.append((term_id, plist))
-            postings += len(plist.doc_ids)
-            if postings >= _BLOCK_POSTINGS:
-                yield self._encode_block(block, postings)
-                block, postings = [], 0
-        if block:
-            yield self._encode_block(block, postings)
-
-    def _encode_block(
-        self, block: list[tuple[int, PostingsList]], postings: int
-    ) -> EncodedBlock:
-        plists = [plist for _, plist in block]
-        counts = np.array([len(plist.doc_ids) for plist in plists], dtype=np.int64)
-        docs = np.fromiter(chain.from_iterable(p.doc_ids for p in plists), np.int64, postings)
-        tfs = np.fromiter(chain.from_iterable(p.tfs for p in plists), np.int64, postings)
-        positions = None
-        if self.codec.positional and all(p.positions is not None for p in plists):
-            per_posting = chain.from_iterable(p.positions for p in plists)
-            positions = np.fromiter(chain.from_iterable(per_posting), np.int64)
-        data, lengths = self.codec.encode_lists(counts, docs, tfs, positions)
-        return (
-            [term_id for term_id, _ in block],
-            lengths.tolist(),
-            data,
-            min(plist.doc_ids[0] for plist in plists),
-            max(plist.doc_ids[-1] for plist in plists),
-        )
+    def _blocks(self, run: RunPostings) -> Iterator[EncodedBlock]:
+        ends = np.cumsum(run.counts)
+        positions = run.positions if self.codec.positional else None
+        lo = first = position = 0
+        while lo < len(ends):
+            # The list that fills the block closes it.
+            hi = min(int(np.searchsorted(ends, first + _BLOCK_POSTINGS)) + 1, len(ends))
+            last = int(ends[hi - 1])
+            docs, tfs = run.docs[first:last], run.tfs[first:last]
+            block_positions = None
+            if positions is not None:
+                block_positions = positions[position : position + int(tfs.sum())]
+                position += len(block_positions)
+            data, lengths = self.codec.encode_lists(
+                run.counts[lo:hi], docs, tfs, block_positions
+            )
+            yield (
+                run.term_ids[lo:hi].tolist(), lengths.tolist(), data,
+                int(docs.min()), int(docs.max()),
+            )
+            lo, first = hi, last
 
     def write_encoded_run(
         self, run_id: int, blocks: Iterable[EncodedBlock]

@@ -14,7 +14,6 @@ import pytest
 from repro.dictionary.dictionary import Dictionary
 from repro.dictionary.serialize import save_dictionary, load_dictionary
 from repro.postings.doctable import DocTable
-from repro.postings.lists import PostingsList
 from repro.postings.compression import EliasGammaCodec, encode_uvarint, get_codec
 from repro.postings.merge import merge_index
 from repro.postings.output import (
@@ -29,10 +28,11 @@ from repro.postings.reader import PostingsReader
 from repro.robustness.errors import ChecksumError
 from repro.robustness.verify import verify_index
 from repro.util.bitio import BitWriter
+from tests.postings_oracle import OraclePostingsList, run_of
 
 
 def _plist(pairs):
-    pl = PostingsList()
+    pl = OraclePostingsList()
     for d, tf in pairs:
         pl.add_posting(d, tf)
     return pl
@@ -123,7 +123,7 @@ def _write_index(out_dir: str) -> None:
     mapping = DocRangeMap()
     for run_id in range(2):
         mapping.add(
-            writer.write_run(run_id, {1: _plist([(run_id * 10, 1), (run_id * 10 + 3, 2)])})
+            writer.write_run(run_id, run_of({1: _plist([(run_id * 10, 1), (run_id * 10 + 3, 2)])}))
         )
     mapping.save(out_dir)
 
@@ -167,8 +167,8 @@ class TestCorruptRunFiles:
         # Two runs whose documents interleave: splicing must refuse.
         writer = RunWriter(str(tmp_path))
         mapping = DocRangeMap()
-        mapping.add(writer.write_run(0, {1: _plist([(0, 1), (10, 1)])}))
-        mapping.add(writer.write_run(1, {1: _plist([(5, 1)])}))
+        mapping.add(writer.write_run(0, run_of({1: _plist([(0, 1), (10, 1)])})))
+        mapping.add(writer.write_run(1, run_of({1: _plist([(5, 1)])})))
         mapping.save(str(tmp_path))
         reader = PostingsReader(str(tmp_path))
         with pytest.raises(ValueError, match="overlap"):
@@ -177,8 +177,8 @@ class TestCorruptRunFiles:
     def test_overlapping_run_doc_ranges_detected_in_range(self, tmp_path):
         writer = RunWriter(str(tmp_path))
         mapping = DocRangeMap()
-        mapping.add(writer.write_run(0, {1: _plist([(0, 1), (10, 1)])}))
-        mapping.add(writer.write_run(1, {1: _plist([(5, 1)])}))
+        mapping.add(writer.write_run(0, run_of({1: _plist([(0, 1), (10, 1)])})))
+        mapping.add(writer.write_run(1, run_of({1: _plist([(5, 1)])})))
         mapping.save(str(tmp_path))
         reader = PostingsReader(str(tmp_path))
         with pytest.raises(ValueError, match="overlap"):
@@ -344,7 +344,7 @@ class TestCorruptRunsMap:
 class TestHeaderParser:
     def test_header_fields_robust(self, tmp_path):
         writer = RunWriter(str(tmp_path))
-        run = writer.write_run(3, {9: _plist([(4, 2)])})
+        run = writer.write_run(3, run_of({9: _plist([(4, 2)])}))
         data = open(run.path, "rb").read()
         run_id, codec, min_doc, max_doc, table, payload_start = read_run_table(data)
         assert run_id == 3 and codec == "varbyte"

@@ -12,10 +12,10 @@ from repro.postings.compression import (
     VarByteCodec,
     VarBytePositionalCodec,
 )
-from repro.postings.lists import PostingsList
 from repro.postings.merge import merge_index
 from repro.postings.output import DocRangeMap, RunWriter, read_run_table_from_file
 from repro.postings.reader import PostingsReader
+from tests.postings_oracle import OraclePostingsList, run_of
 
 
 def _build_multi_run(
@@ -26,11 +26,11 @@ def _build_multi_run(
     for run_id in range(runs):
         lists = {}
         for term in range(1, 6):
-            pl = PostingsList()
+            pl = OraclePostingsList()
             pl.add_posting(run_id * 100 + term, term)
             pl.add_posting(run_id * 100 + term + 10, 1)
             lists[term] = pl
-        mapping.add(writer.write_run(run_id, lists))
+        mapping.add(writer.write_run(run_id, run_of(lists)))
     mapping.save(out_dir)
 
 
@@ -95,10 +95,10 @@ class TestCodecPreservation:
         writer = RunWriter(src, codec=VarBytePositionalCodec())
         mapping = DocRangeMap()
         for run_id in range(3):
-            pl = PostingsList()
+            pl = OraclePostingsList()
             pl.add_posting(run_id * 10 + 1, 2, [0, 4])
             pl.add_posting(run_id * 10 + 5, 1, [7])
-            mapping.add(writer.write_run(run_id, {1: pl}))
+            mapping.add(writer.write_run(run_id, run_of({1: pl})))
         mapping.save(src)
         merge_index(src, dst)
         assert _merged_run_codec_name(dst) == "varbyte-pos"
@@ -115,9 +115,9 @@ class TestCodecPreservation:
         mapping = DocRangeMap()
         for run_id, codec in enumerate([VarByteCodec(), GolombCodec()]):
             writer = RunWriter(src, codec=codec)
-            pl = PostingsList()
+            pl = OraclePostingsList()
             pl.add_posting(run_id * 10 + 1, 1)
-            mapping.add(writer.write_run(run_id, {1: pl}))
+            mapping.add(writer.write_run(run_id, run_of({1: pl})))
         mapping.save(src)
         with pytest.raises(ValueError, match="mixed codecs"):
             merge_index(src, dst)
@@ -133,15 +133,15 @@ class TestStreamingMerge:
         runs, heavy_docs_per_run = 4, 25
         for run_id in range(runs):
             base = run_id * 1000
-            heavy = PostingsList()
+            heavy = OraclePostingsList()
             for d in range(heavy_docs_per_run):
                 heavy.add_posting(base + d, 1)
             lists = {1: heavy}
             for term in range(2, 8):
-                pl = PostingsList()
+                pl = OraclePostingsList()
                 pl.add_posting(base + term, 1)
                 lists[term] = pl
-            mapping.add(writer.write_run(run_id, lists))
+            mapping.add(writer.write_run(run_id, run_of(lists)))
         mapping.save(src)
         stats = merge_index(src, dst)
         # Peak equals the heaviest single term's merged list — never the

@@ -21,11 +21,11 @@ from repro.dictionary.dictionary import Dictionary
 from repro.dictionary.serialize import save_dictionary
 from repro.postings import merge, output
 from repro.postings.compression import VarByteCodec, encode_uvarint
-from repro.postings.lists import PostingsList
 from repro.postings.merge import merge_index
 from repro.postings.output import RUN_MAGIC, DocRangeMap, RunWriter, run_filename
 from repro.postings.reader import PostingsReader
 from repro.robustness.errors import ChecksumError
+from tests.postings_oracle import OraclePostingsList, run_of
 
 #: Every term id below this appears in every run of a seeded index.
 _COMMON_TERMS = 4
@@ -50,13 +50,13 @@ def _seeded_index(out_dir: str, seed: int) -> dict[int, list[tuple[int, int]]]:
     }
     base = 0
     for run_id in range(_RUNS):
-        lists: dict[int, PostingsList] = {}
+        lists: dict[int, OraclePostingsList] = {}
         top = base
         if run_id not in (2, 4):
             for term in range(60):
                 if term >= _COMMON_TERMS and run_id not in homes[term]:
                     continue
-                plist = PostingsList()
+                plist = OraclePostingsList()
                 # The first doc of a list sets its first gap from the
                 # previous run's last doc: keep some under 128, push some
                 # past 16 384.
@@ -68,7 +68,7 @@ def _seeded_index(out_dir: str, seed: int) -> dict[int, list[tuple[int, int]]]:
                     doc += rng.choice([1, 1, 2, 127, 128, 16_383, 16_384, 70_000])
                 lists[term] = plist
                 top = max(top, plist.doc_ids[-1])
-        mapping.add(writer.write_run(run_id, lists))
+        mapping.add(writer.write_run(run_id, run_of(lists)))
         base = top + rng.choice([1, 100, 130, 17_000])
     mapping.save(out_dir)
     return expected
@@ -102,12 +102,12 @@ class TestSpliceEqualsReencode:
 
         lists = {}
         for term, postings in expected.items():
-            plist = lists[term] = PostingsList()
+            plist = lists[term] = OraclePostingsList()
             for doc, tf in postings:
                 plist.add_posting(doc, tf)
         written = str(tmp_path / "written")
         mapping = DocRangeMap()
-        mapping.add(RunWriter(written).write_run(0, lists))
+        mapping.add(RunWriter(written).write_run(0, run_of(lists)))
         mapping.save(written)
 
         assert stats["terms"] == len(expected)

@@ -14,13 +14,13 @@ from hypothesis import strategies as st
 
 from repro.postings import output
 from repro.postings.compression import EliasGammaCodec, VarByteCodec, encode_uvarint
-from repro.postings.lists import PostingsList
 from repro.postings.output import DocRangeMap, RunWriter, read_run_table, run_filename
 from repro.postings.reader import PostingsReader
+from tests.postings_oracle import OraclePostingsList, run_of
 
 
 def _plist(pairs):
-    pl = PostingsList()
+    pl = OraclePostingsList()
     for d, tf in pairs:
         pl.add_posting(d, tf)
     return pl
@@ -38,7 +38,7 @@ def _write_three_runs(out_dir: str) -> DocRangeMap:
         }
         if run_id == 1:
             lists[3] = _plist([(base + 7, 1)])  # term only in run 1
-        mapping.add(writer.write_run(run_id, lists))
+        mapping.add(writer.write_run(run_id, run_of(lists)))
     mapping.save(out_dir)
     return mapping
 
@@ -46,7 +46,7 @@ def _write_three_runs(out_dir: str) -> DocRangeMap:
 class TestRunWriter:
     def test_header_round_trip(self, tmp_path):
         writer = RunWriter(str(tmp_path))
-        run = writer.write_run(7, {42: _plist([(3, 1), (9, 2)])})
+        run = writer.write_run(7, run_of({42: _plist([(3, 1), (9, 2)])}))
         assert run.filename == run_filename(7) == "run_00007.post"
         with open(run.path, "rb") as fh:
             data = fh.read()
@@ -59,13 +59,13 @@ class TestRunWriter:
         assert VarByteCodec().decode(data[offset : offset + length]) == [(3, 1), (9, 2)]
 
     def test_empty_run(self, tmp_path):
-        run = RunWriter(str(tmp_path)).write_run(0, {})
+        run = RunWriter(str(tmp_path)).write_run(0, run_of({}))
         assert run.min_doc is None and run.max_doc is None
         assert run.entry_count == 0
 
     def test_alternate_codec_recorded(self, tmp_path):
         writer = RunWriter(str(tmp_path), codec=EliasGammaCodec())
-        run = writer.write_run(0, {1: _plist([(2, 1)])})
+        run = writer.write_run(0, run_of({1: _plist([(2, 1)])}))
         with open(run.path, "rb") as fh:
             _, codec_name, *_ = read_run_table(fh.read())
         assert codec_name == "gamma"
@@ -75,7 +75,7 @@ class TestRunWriter:
             read_run_table(b"GARBAGE!")
 
 
-def _parent_run_bytes(run_id: int, lists: dict[int, PostingsList]) -> bytes:
+def _parent_run_bytes(run_id: int, lists: dict[int, OraclePostingsList]) -> bytes:
     """``RunWriter.write_run`` as it was before the blocked kernel: one
     ``VarByteCodec.encode`` per list, one ``encode_uvarint`` per header value."""
     codec = VarByteCodec()
@@ -98,8 +98,8 @@ def _parent_run_bytes(run_id: int, lists: dict[int, PostingsList]) -> bytes:
     return bytes(out) + (zlib.crc32(out) & 0xFFFFFFFF).to_bytes(4, "little")
 
 
-def _raw_list(doc_ids, tfs) -> PostingsList:
-    plist = PostingsList()
+def _raw_list(doc_ids, tfs) -> OraclePostingsList:
+    plist = OraclePostingsList()
     plist.doc_ids, plist.tfs = list(doc_ids), list(tfs)
     return plist
 
@@ -129,7 +129,7 @@ class TestBlockedVarbyteEncode:
         with tempfile.TemporaryDirectory() as out_dir, \
                 mock.patch.object(output, "_BLOCK_POSTINGS", block_postings), \
                 mock.patch.object(output, "_TABLE_BLOCK_ROWS", table_rows):
-            run = RunWriter(out_dir).write_run(5, lists)
+            run = RunWriter(out_dir).write_run(5, run_of(lists))
             with open(run.path, "rb") as fh:
                 data = fh.read()
         assert data == _parent_run_bytes(5, lists)
@@ -145,12 +145,12 @@ class TestBlockedVarbyteEncode:
         with pytest.raises(ValueError):
             VarByteCodec().encode(bad.postings())
         with pytest.raises(ValueError):
-            RunWriter(str(tmp_path)).write_run(0, lists)
+            RunWriter(str(tmp_path)).write_run(0, run_of(lists))
         assert os.listdir(tmp_path) == []
 
     def test_a_later_list_may_start_before_the_previous_one_ends(self, tmp_path):
         lists = {1: _raw_list([7, 900], [1, 2]), 2: _raw_list([0, 3], [1, 1])}
-        run = RunWriter(str(tmp_path)).write_run(0, lists)
+        run = RunWriter(str(tmp_path)).write_run(0, run_of(lists))
         assert (run.min_doc, run.max_doc) == (0, 900)
         with open(run.path, "rb") as fh:
             assert fh.read() == _parent_run_bytes(0, lists)
@@ -163,10 +163,10 @@ class TestBlockedVarbyteEncode:
             term_id: _raw_list(range(term_id % 7, 900 + term_id % 7, 3), [1 + term_id % 3] * 300)
             for term_id in range(1000)
         }
-        writer = RunWriter(str(tmp_path))
+        writer, columns = RunWriter(str(tmp_path)), run_of(lists)
         tracemalloc.start()
         try:
-            run = writer.write_run(0, lists)
+            run = writer.write_run(0, columns)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -228,7 +228,7 @@ class TestPostingsReader:
         tid, _ = d.add_term("parallel")
         writer = RunWriter(str(tmp_path))
         mapping = DocRangeMap()
-        mapping.add(writer.write_run(0, {tid: _plist([(4, 2)])}))
+        mapping.add(writer.write_run(0, run_of({tid: _plist([(4, 2)])})))
         mapping.save(str(tmp_path))
         save_dictionary(d, str(tmp_path / "dictionary.bin"))
         reader = PostingsReader(str(tmp_path))

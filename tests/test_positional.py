@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import os
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,8 +14,9 @@ from repro.core.config import PlatformConfig
 from repro.core.engine import IndexingEngine
 from repro.parsing.parser import Parser
 from repro.postings.compression import VarBytePositionalCodec, get_codec
-from repro.postings.lists import PostingsList
+from repro.postings.lists import PostingsAccumulator, RunPostings
 from repro.postings.merge import merge_index
+from repro.postings.output import RunWriter
 from repro.postings.reader import PostingsReader
 from tests.parsed_stream_oracles import as_nested
 
@@ -64,40 +69,44 @@ class TestPositionalCodec:
 
 class TestPositionalLists:
     def test_occurrences_with_positions(self):
-        pl = PostingsList()
-        pl.add_occurrence(3, position=0)
-        pl.add_occurrence(3, position=7)
-        pl.add_occurrence(9, position=2)
+        acc = PostingsAccumulator()
+        acc.add_occurrence(1, 3, position=0)
+        acc.add_occurrence(1, 3, position=7)
+        acc.add_occurrence(1, 9, position=2)
+        pl = acc.lists[1]
         assert pl.positional_postings() == [(3, 2, (0, 7)), (9, 1, (2,))]
         assert pl.postings() == [(3, 2), (9, 1)]
         assert pl.is_positional
 
     def test_mixing_modes_rejected(self):
-        pl = PostingsList()
-        pl.add_occurrence(1, position=0)
-        with pytest.raises(ValueError):
-            pl.add_occurrence(2)  # missing position
-        pl2 = PostingsList()
-        pl2.add_occurrence(1)
-        with pytest.raises(ValueError):
-            pl2.add_occurrence(2, position=0)
+        """One mode a run: a plain occurrence of any term in a positional
+        run is refused, and the other way round."""
+        for first, second in [(0, None), (None, 0)]:
+            acc = PostingsAccumulator()
+            acc.add_occurrence(1, 1, position=first)
+            acc.lists
+            acc.add_occurrence(2, 2, position=second)
+            with pytest.raises(ValueError):
+                acc.lists
 
     def test_positions_must_increase_within_doc(self):
-        pl = PostingsList()
-        pl.add_occurrence(1, position=5)
+        acc = PostingsAccumulator()
+        acc.add_occurrence(1, 1, position=5)
+        acc.add_occurrence(1, 1, position=5)
         with pytest.raises(ValueError):
-            pl.add_occurrence(1, position=5)
+            acc.lists
 
-    def test_add_posting_with_positions(self):
-        pl = PostingsList()
-        pl.add_posting(4, 2, positions=[1, 8])
-        assert pl.positional_postings() == [(4, 2, (1, 8))]
+    def test_add_posting_with_positions(self, tmp_path):
+        run = RunPostings(*(np.array(c) for c in ([1], [1], [4], [2], [1, 8])))
+        assert run[1].positional_postings() == [(4, 2, (1, 8))]
+        short = RunPostings(*(np.array(c) for c in ([1], [1], [9], [2], [3])))  # tf mismatch
         with pytest.raises(ValueError):
-            pl.add_posting(9, 2, positions=[3])  # tf mismatch
+            RunWriter(str(tmp_path), codec=VarBytePositionalCodec()).write_run(0, short)
 
     def test_plain_list_has_no_positions(self):
-        pl = PostingsList()
-        pl.add_occurrence(1)
+        acc = PostingsAccumulator()
+        acc.add_occurrence(1, 1)
+        pl = acc.lists[1]
         assert not pl.is_positional
         with pytest.raises(ValueError):
             pl.positional_postings()
@@ -193,3 +202,25 @@ class TestPositionalEngine:
         assert not reader.is_positional
         with pytest.raises(ValueError):
             reader.positional_postings("anything")
+
+
+#: Recorded at the parent of the columnar postings accumulator, before any
+#: source file changed: the index a positional build writes when each run
+#: holds three files, so postings and positions cross batch seams.
+_PINNED_POSITIONAL_DIGEST = "2ecf215f6b98042f2d76c1259246454f9a8b93a3eecee23c80e482b3c8eef33d"
+
+
+def test_multi_batch_positional_index_is_pinned(tmp_path, tiny_collection):
+    out = str(tmp_path / "idx")
+    IndexingEngine(
+        PlatformConfig(num_parsers=3, num_cpu_indexers=2, num_gpus=1, sample_fraction=0.2,
+                       positional=True, files_per_run=3, telemetry=False)
+    ).build(tiny_collection, out)
+    names = sorted(n for n in os.listdir(out) if n != "build.manifest")
+    assert names == ["dictionary.bin", "doctable.tsv", "run_00000.post", "run_00001.post",
+                     "runs.map"]
+    sha = hashlib.sha256()
+    for name in names:
+        with open(os.path.join(out, name), "rb") as fh:
+            sha.update(name.encode("ascii") + b"\0" + fh.read())
+    assert sha.hexdigest() == _PINNED_POSITIONAL_DIGEST

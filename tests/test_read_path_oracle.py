@@ -18,11 +18,10 @@ from hypothesis import strategies as st
 from repro.dictionary.dictionary import Dictionary
 from repro.dictionary.serialize import save_dictionary
 from repro.postings.compression import get_codec
-from repro.postings.lists import PostingsList
 from repro.postings.output import DocRangeMap, RunWriter
 from repro.postings.reader import PostingsReader
 from repro.search.query import QueryResult, SearchEngine
-
+from tests.postings_oracle import OraclePostingsList, run_of
 from tests.search_oracle import OracleReader, OracleSearch
 
 #: Words the query pipeline maps to themselves, so a query can name them.
@@ -64,10 +63,10 @@ def _write(out_dir: str, codec_name: str, runs: list[dict]) -> None:
     for run_id, lists in enumerate(runs):
         plists = {}
         for word, postings in lists.items():
-            plist = plists[term_ids[word]] = PostingsList()
+            plist = plists[term_ids[word]] = OraclePostingsList()
             for doc, tf in postings:
                 plist.add_posting(doc, tf, list(range(tf)) if codec.positional else None)
-        mapping.add(writer.write_run(run_id, plists))
+        mapping.add(writer.write_run(run_id, run_of(plists)))
     mapping.save(out_dir)
     save_dictionary(dictionary, os.path.join(out_dir, "dictionary.bin"))
 

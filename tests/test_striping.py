@@ -8,13 +8,13 @@ import pytest
 
 from repro.core.config import PlatformConfig
 from repro.core.engine import IndexingEngine
-from repro.postings.lists import PostingsList
 from repro.postings.output import DocRangeMap, RunWriter
 from repro.postings.reader import PostingsReader
+from tests.postings_oracle import OraclePostingsList, run_of
 
 
 def _plist(pairs):
-    pl = PostingsList()
+    pl = OraclePostingsList()
     for d, tf in pairs:
         pl.add_posting(d, tf)
     return pl
@@ -24,7 +24,7 @@ class TestStripedWriter:
     def test_round_robin_placement(self, tmp_path):
         writer = RunWriter(str(tmp_path), num_stripes=3)
         for run_id in range(6):
-            writer.write_run(run_id, {1: _plist([(run_id * 10, 1)])})
+            writer.write_run(run_id, run_of({1: _plist([(run_id * 10, 1)])}))
         for run_id in range(6):
             expected_dir = os.path.join(str(tmp_path), f"disk{run_id % 3}")
             assert os.path.exists(
@@ -33,7 +33,7 @@ class TestStripedWriter:
 
     def test_single_stripe_stays_flat(self, tmp_path):
         writer = RunWriter(str(tmp_path), num_stripes=1)
-        writer.write_run(0, {1: _plist([(0, 1)])})
+        writer.write_run(0, run_of({1: _plist([(0, 1)])}))
         assert os.path.exists(tmp_path / "run_00000.post")
         assert not os.path.exists(tmp_path / "disk0")
 
@@ -41,7 +41,7 @@ class TestStripedWriter:
         writer = RunWriter(str(tmp_path), num_stripes=2)
         mapping = DocRangeMap()
         for run_id in range(4):
-            mapping.add(writer.write_run(run_id, {7: _plist([(run_id, 2)])}))
+            mapping.add(writer.write_run(run_id, run_of({7: _plist([(run_id, 2)])})))
         mapping.save(str(tmp_path))
         reader = PostingsReader(str(tmp_path))
         assert reader.postings(7) == [(0, 2), (1, 2), (2, 2), (3, 2)]
