@@ -881,28 +881,28 @@ class IndexingEngine:
             st.doc_table.save(output_dir)
         clear_checkpoint(output_dir)  # the build is durable without it now
 
-        # Bucket by the indexer's *kind*: after a GPU failover, the slot in
-        # gpu_indexers holds a CPU fallback whose work (including what the
-        # dead GPU indexed first — see GpuFailover.tokens_before_failure)
-        # counts on the CPU side.
-        split = WorkSplit()
-        for ix in indexers:
-            characters = ix.shard.string_bytes() - ix.total.new_terms
-            if ix.kind == "cpu":
-                split.cpu_tokens += ix.total.tokens
-                split.cpu_terms += ix.total.new_terms
-                split.cpu_characters += characters
-            else:
-                split.gpu_tokens += ix.total.tokens
-                split.gpu_terms += ix.total.new_terms
-                split.gpu_characters += characters
-
-        metrics = tel.metrics
-        metrics.set_gauge("dictionary.terms", dictionary.term_count())
-        metrics.set_gauge("dictionary.string_heap_bytes", dictionary.string_bytes())
-        metrics.set_gauge("split.cpu_tokens", split.cpu_tokens)
-        metrics.set_gauge("split.gpu_tokens", split.gpu_tokens)
         with tel.tracer.span("simulate", cat="model"):
+            # Bucket by the indexer's *kind*: after a GPU failover, the slot
+            # in gpu_indexers holds a CPU fallback whose work (including
+            # what the dead GPU indexed first — see
+            # GpuFailover.tokens_before_failure) counts on the CPU side.
+            split = WorkSplit()
+            for ix in indexers:
+                characters = ix.shard.string_bytes() - ix.total.new_terms
+                if ix.kind == "cpu":
+                    split.cpu_tokens += ix.total.tokens
+                    split.cpu_terms += ix.total.new_terms
+                    split.cpu_characters += characters
+                else:
+                    split.gpu_tokens += ix.total.tokens
+                    split.gpu_terms += ix.total.new_terms
+                    split.gpu_characters += characters
+            term_count = dictionary.term_count()
+            metrics = tel.metrics
+            metrics.set_gauge("dictionary.terms", term_count)
+            metrics.set_gauge("dictionary.string_heap_bytes", dictionary.string_bytes())
+            metrics.set_gauge("split.cpu_tokens", split.cpu_tokens)
+            metrics.set_gauge("split.gpu_tokens", split.gpu_tokens)
             report = simulate_full_build(st.file_works, self.config, self.costs)
 
         return EngineResult(
@@ -912,7 +912,7 @@ class IndexingEngine:
             file_works=st.file_works,
             report=report,
             split=split,
-            term_count=dictionary.term_count(),
+            term_count=term_count,
             token_count=st.token_count,
             posting_count=st.posting_count,
             document_count=st.doc_offset,

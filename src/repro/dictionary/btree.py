@@ -465,6 +465,30 @@ class BTree:
         if not node.leaf:
             yield from self._walk(node.children[node.nkeys])
 
+    def extend_in_order(
+        self, string_ptrs: list[int], postings_ptrs: list[int], node: BTreeNode | None = None
+    ) -> None:
+        """Append every key's string and postings pointer, in key order.
+
+        The column form of :meth:`items` (the dictionary writer's input):
+        a leaf extends both lists with its whole pointer lists, so only
+        the keys of inner nodes are appended one at a time.  ``node``
+        (default: the root) limits the walk to one subtree.
+        """
+        if node is None:
+            node = self.root
+        if node.leaf:
+            string_ptrs += node.string_ptrs
+            postings_ptrs += node.postings_ptrs
+            return
+        for child, string_ptr, postings_ptr in zip(
+            node.children, node.string_ptrs, node.postings_ptrs
+        ):
+            self.extend_in_order(string_ptrs, postings_ptrs, child)
+            string_ptrs.append(string_ptr)
+            postings_ptrs.append(postings_ptr)
+        self.extend_in_order(string_ptrs, postings_ptrs, node.children[-1])
+
     def height(self) -> int:
         """Edge-count height of the tree (a lone root has height 0)."""
         h = 0

@@ -28,6 +28,7 @@ __all__ = [
     "MAX_TERM_BYTES",
     "TRIE_HEIGHT",
     "TRIE_TAIL_BASE",
+    "MAX_TRIE_HEIGHT",
     "NUM_TRIE_COLLECTIONS",
     "node_layout",
 ]
@@ -96,6 +97,11 @@ TRIE_HEIGHT = 3
 #: First index of the full-prefix tail category: one special collection,
 #: ten pure-number collections, twenty-six short/special collections.
 TRIE_TAIL_BASE = 1 + 10 + 26
+
+#: Tallest supported trie: every collection index of a height-13 table
+#: (up to 37 + 26**13 < 2**63) fits a signed 64-bit integer, which the
+#: dictionary file's column codec requires.
+MAX_TRIE_HEIGHT = 13
 
 #: Total collections for the paper height: 1 + 10 + 26 + 26³ = 17,613.
 NUM_TRIE_COLLECTIONS = TRIE_TAIL_BASE + 26**TRIE_HEIGHT

@@ -35,7 +35,14 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from repro.dictionary.layout import NUM_TRIE_COLLECTIONS, TRIE_HEIGHT, TRIE_TAIL_BASE
+import numpy as np
+
+from repro.dictionary.layout import (
+    MAX_TRIE_HEIGHT,
+    NUM_TRIE_COLLECTIONS,
+    TRIE_HEIGHT,
+    TRIE_TAIL_BASE,
+)
 
 __all__ = ["TrieTable", "TrieCategory", "NUM_TRIE_COLLECTIONS"]
 
@@ -66,13 +73,13 @@ class TrieTable:
     Parameters
     ----------
     height:
-        Trie height ``h >= 1``; the paper uses 3.  The tail category then
-        has ``26**h`` entries and strips ``h`` characters.
+        Trie height ``1 <= h <= 13``; the paper uses 3.  The tail category
+        then has ``26**h`` entries and strips ``h`` characters.
     """
 
     def __init__(self, height: int = TRIE_HEIGHT) -> None:
-        if height < 1:
-            raise ValueError(f"trie height must be >= 1, got {height}")
+        if not 1 <= height <= MAX_TRIE_HEIGHT:
+            raise ValueError(f"trie height must be in [1, {MAX_TRIE_HEIGHT}], got {height}")
         self.height = height
         self._tail_base = TRIE_TAIL_BASE
         self._tail_count = 26**height
@@ -136,6 +143,32 @@ class TrieTable:
             rank, rem = divmod(rank, 26)
             chars.append(_LOWER[rem])
         return "".join(reversed(chars))
+
+    def prefix_columns(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`prefix_for` of many collections at once, as bytes.
+
+        Returns a ``(len(indices), height)`` ``uint8`` matrix whose row
+        ``i`` ends with the ASCII prefix of ``indices[i]`` (zero bytes in
+        front of a shorter one) and the prefix lengths.
+        """
+        index = np.asarray(indices, dtype=np.int64)
+        if index.size and not 0 <= int(index.min()) <= int(index.max()) < self.num_collections:
+            raise IndexError(
+                f"trie collection index out of range [0, {self.num_collections})"
+            )
+        h = self.height
+        prefixes = np.zeros((index.size, h), dtype=np.uint8)
+        digit = (index >= 1) & (index <= 10)
+        letter = (index >= 11) & (index < self._tail_base)
+        prefixes[digit, -1] = ord("0") - 1 + index[digit]
+        prefixes[letter, -1] = ord("a") - 11 + index[letter]
+        tail = index >= self._tail_base
+        rank = index[tail] - self._tail_base
+        for col in range(h - 1, -1, -1):
+            rank, letters = np.divmod(rank, 26)
+            prefixes[tail, col] = ord("a") + letters
+        lengths = np.where(index == 0, 0, np.where(tail, h, 1))
+        return prefixes, lengths
 
     def reconstruct(self, index: int, suffix: str) -> str:
         """Rebuild the original term from ``(index, suffix)``."""

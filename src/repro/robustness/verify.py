@@ -14,7 +14,9 @@ artifact.  Checks, in order:
    lists by run order assumes this);
 4. ``doctable.tsv`` (when present) passes its ``#crc`` line and covers
    every document ID the runs claim to hold;
-5. ``dictionary.bin`` (when present) passes its CRC footer and parses;
+5. ``dictionary.bin`` (when present) passes its CRC footer
+   (``dictionary-crc``) and parses as a body the writer could have
+   written (``dictionary-format`` otherwise);
 6. every term id appearing in a run header is reachable from the
    dictionary (postings that no query could ever retrieve indicate a
    damaged dictionary or a foreign run file);
@@ -171,12 +173,15 @@ def verify_index(index_dir: str, keep_going: bool = False) -> VerifyResult:
     if os.path.exists(dict_path):
         from repro.dictionary.serialize import load_dictionary
 
+        terms: dict[str, int] | None = None
         try:
             terms = load_dictionary(dict_path)
-        except (ValueError, EOFError, IndexError, UnicodeDecodeError) as exc:
+        except ChecksumError as exc:
             if found("dictionary-crc", dict_path, str(exc)):
                 return result
-            terms = None
+        except (ValueError, EOFError) as exc:
+            if found("dictionary-format", dict_path, str(exc)):
+                return result
         if terms is not None:
             result.terms_checked = len(terms)
             known_ids = set(terms.values())

@@ -289,6 +289,75 @@ class TestCorruptDictionary:
         with pytest.raises(ChecksumError):
             load_dictionary(path)
 
+    # A body with a valid CRC that the writer could not have written:
+    # ``collections`` is ``[(cidx, [(lcp, tail, term_id), ...]), ...]``.
+    @staticmethod
+    def _forged(path, collections, trailing=b"", height=3):
+        body = bytearray(b"RPRODIC1")
+        encode_uvarint(height, body)
+        encode_uvarint(len(collections), body)
+        for cidx, records in collections:
+            encode_uvarint(cidx, body)
+            encode_uvarint(len(records), body)
+            for lcp, tail, term_id in records:
+                encode_uvarint(lcp, body)
+                encode_uvarint(len(tail), body)
+                body += tail
+                encode_uvarint(term_id, body)
+        body += trailing
+        with open(path, "wb") as fh:
+            fh.write(body + (zlib.crc32(body) & 0xFFFFFFFF).to_bytes(4, "little"))
+        return path
+
+    @pytest.mark.parametrize(
+        "collections, trailing",
+        [
+            # A collection's first term shares a prefix with nothing
+            # (it used to load as {"abc": 7}).
+            ([(0, [(3, b"abc", 7)])], b""),
+            # Trailing bytes after the last collection.
+            ([(0, [(0, b"abc", 7)])], b"\x00"),
+            # The same suffix twice (the later id used to win).
+            ([(0, [(0, b"abc", 1), (0, b"abc", 2)])], b""),
+            # Suffixes in descending order.
+            ([(0, [(0, b"b", 1), (0, b"a", 2)])], b""),
+            # A repeated collection index.
+            ([(0, [(0, b"abc", 1)]), (0, [(0, b"abd", 2)])], b""),
+            # A collection index beyond the trie (it used to raise IndexError).
+            ([(10**6, [(0, b"abc", 1)])], b""),
+            # A collection with no terms (the writer skips empty trees).
+            ([(0, [])], b""),
+        ],
+        ids=[
+            "first-lcp", "trailing", "duplicate", "descending", "repeated-cidx",
+            "cidx-range", "empty-collection",
+        ],
+    )
+    def test_malformed_body_with_valid_crc_raises(self, tmp_path, collections, trailing):
+        path = self._forged(str(tmp_path / "dictionary.bin"), collections, trailing)
+        with pytest.raises(ValueError) as err:
+            load_dictionary(path)
+        assert not isinstance(err.value, ChecksumError)
+
+    def test_body_ending_mid_record_raises_eof(self, tmp_path):
+        path = self._forged(str(tmp_path / "dictionary.bin"), [(0, [(0, b"abc", 1)])])
+        data = open(path, "rb").read()[:-5]  # drop the term id and the footer
+        with open(path, "wb") as fh:
+            fh.write(data + (zlib.crc32(data) & 0xFFFFFFFF).to_bytes(4, "little"))
+        with pytest.raises(EOFError):
+            load_dictionary(path)
+
+    def test_verify_tells_format_from_crc(self, tmp_path):
+        _write_index(str(tmp_path))
+        dict_path = str(tmp_path / "dictionary.bin")
+        self._forged(dict_path, [(0, [(0, b"abc", 1)])], trailing=b"\x00")
+        assert [i.check for i in verify_index(str(tmp_path)).issues] == ["dictionary-format"]
+        data = bytearray(open(dict_path, "rb").read())
+        data[10] ^= 0x01
+        with open(dict_path, "wb") as fh:
+            fh.write(bytes(data))
+        assert [i.check for i in verify_index(str(tmp_path)).issues] == ["dictionary-crc"]
+
     def test_reader_surfaces_dictionary_corruption(self, tmp_path):
         _write_index(str(tmp_path))
         with open(tmp_path / "dictionary.bin", "wb") as fh:

@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import os
+import zlib
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dictionary import serialize
 from repro.dictionary.dictionary import Dictionary, DictionaryShard
 from repro.dictionary.serialize import load_dictionary, save_dictionary
 from repro.dictionary.trie import TrieTable
+from repro.postings.compression import decode_uvarint
+from tests import dictionary_oracle as oracle
 
 terms = st.text(
     alphabet=st.sampled_from("abcdefghijklmnopqrstuvwxyz0123456789é"),
@@ -69,3 +74,136 @@ class TestRoundTrip:
         path = str(tmp_path_factory.mktemp("ser") / "d.bin")
         save_dictionary(d, path)
         assert load_dictionary(path) == dict(d.terms())
+
+
+# --------------------------------------------------------------------------- #
+# The column codec against the per-term oracle
+# --------------------------------------------------------------------------- #
+
+_LONG_PREFIXES = ("a" * 140, "zebra" * 30, "é" * 70, "9" * 140)
+
+#: Every trie category: pure numbers, short and special-in-prefix letter
+#: terms, full-prefix terms, specials (multibyte UTF-8 included), and
+#: long terms whose shared prefix or first tail needs a two-byte varint.
+_any_term = st.one_of(
+    st.text(alphabet="0123456789", min_size=1, max_size=12),
+    st.text(alphabet="abcz", min_size=1, max_size=8),
+    st.text(alphabet="ab-.é日", min_size=1, max_size=6),
+    st.text(alphabet="-_.0aé日ü€", min_size=1, max_size=6),
+    st.builds(
+        lambda prefix, rest: (prefix + rest).encode("utf-8")[:255].decode("utf-8", "ignore"),
+        st.sampled_from(_LONG_PREFIXES),
+        st.text(alphabet="abcé", max_size=120),
+    ),
+)
+
+
+@st.composite
+def forests(draw) -> DictionaryShard:
+    """A dictionary shard: trie height 1–4, ids from ``shard << 40``
+    (up to nine varint bytes), and some empty trees."""
+    d = DictionaryShard(
+        TrieTable(height=draw(st.integers(1, 4))),
+        shard_id=draw(st.sampled_from([0, 1, 100, 1 << 22])),
+    )
+    for cidx in draw(st.lists(st.integers(0, 36), max_size=3)):
+        d.tree_for(cidx)  # created, never filled
+    for term in draw(st.lists(_any_term, max_size=60)):
+        d.add_term(term)
+    return d
+
+
+def _pair(tmp_path_factory):
+    out = tmp_path_factory.mktemp("codec")
+    return str(out / "new.bin"), str(out / "oracle.bin")
+
+
+class TestAgainstOracle:
+    @settings(max_examples=150)
+    @given(forest=forests(), block=st.sampled_from([1, 2, 5, 2048]))
+    def test_bytes_and_map_equal_the_oracle(self, tmp_path_factory, forest, block):
+        new, old = _pair(tmp_path_factory)
+        with mock.patch.object(serialize, "_BLOCK_TERMS", block):
+            nbytes = save_dictionary(forest, new)
+            oracle.save_dictionary(forest, old)
+            with open(new, "rb") as a, open(old, "rb") as b:
+                assert a.read() == b.read()
+            assert nbytes == os.path.getsize(new)
+            loaded = load_dictionary(new)
+        assert loaded == oracle.load_dictionary(old) == dict(forest.terms())
+
+    def test_more_terms_than_blocks(self, tmp_path_factory):
+        d = DictionaryShard(shard_id=100)
+        for i in range(3 * serialize._BLOCK_TERMS):
+            d.add_term(f"t{i * 7919 % 100003}")
+            d.add_term(f"{i}x")
+        new, old = _pair(tmp_path_factory)
+        save_dictionary(d, new)
+        oracle.save_dictionary(d, old)
+        with open(new, "rb") as a, open(old, "rb") as b:
+            assert a.read() == b.read()
+        assert load_dictionary(new) == dict(d.terms())
+
+
+def _field_starts(body: bytes) -> list[int]:
+    """Where each header, lcp, tail length, tail and term id of a valid
+    body starts."""
+    starts = []
+    pos = len(serialize.DICT_MAGIC)
+    _, pos = decode_uvarint(body, pos)
+    n_collections, pos = decode_uvarint(body, pos)
+    for _ in range(n_collections):
+        starts.append(pos)
+        _, pos = decode_uvarint(body, pos)
+        starts.append(pos)
+        n_terms, pos = decode_uvarint(body, pos)
+        for _ in range(n_terms):
+            starts.append(pos)
+            _, pos = decode_uvarint(body, pos)
+            starts.append(pos)
+            tail_len, pos = decode_uvarint(body, pos)
+            starts.append(pos)
+            pos += tail_len
+            starts.append(pos)
+            _, pos = decode_uvarint(body, pos)
+    return starts
+
+
+def _mutate(data, body: bytes) -> bytes:
+    """Truncate, flip, poke (set a byte at or just after a field start to
+    a boundary value) or splice ``body``."""
+    n = len(body)
+    kind = data.draw(st.sampled_from(["truncate", "flip", "poke", "poke", "splice"]))
+    if kind == "poke":
+        at = data.draw(st.sampled_from(_field_starts(body) or [n - 1]))
+        at = min(at + data.draw(st.integers(0, 2)), n - 1)
+        byte = data.draw(st.sampled_from([0, 1, 2, 3, 0x7F, 0x80, 0xFF]))
+        return body[:at] + bytes([byte]) + body[at + 1 :]
+    at = data.draw(st.integers(0, n - 1))
+    if kind == "truncate":
+        return body[:at]
+    if kind == "flip":
+        return body[:at] + bytes([body[at] ^ data.draw(st.integers(1, 255))]) + body[at + 1 :]
+    src = data.draw(st.integers(0, n - 1))
+    piece = body[src : src + data.draw(st.integers(0, 12))]
+    return body[:at] + piece + body[at + data.draw(st.integers(0, 12)) :]
+
+
+class TestFuzzedBodies:
+    @settings(max_examples=500)
+    @given(forest=forests(), data=st.data())
+    def test_loads_as_the_oracle_or_raises(self, tmp_path_factory, forest, data):
+        """A re-CRC'd mutant loads to exactly the oracle's map, or raises
+        ``ValueError`` / ``EOFError`` — never a different map, never
+        ``IndexError``."""
+        path, _ = _pair(tmp_path_factory)
+        save_dictionary(forest, path)
+        with open(path, "rb") as fh:
+            body = _mutate(data, fh.read()[: -serialize.DICT_CRC_BYTES])
+        with open(path, "wb") as fh:
+            fh.write(body + (zlib.crc32(body) & 0xFFFFFFFF).to_bytes(4, "little"))
+        try:
+            loaded = load_dictionary(path)
+        except (ValueError, EOFError):
+            return
+        assert loaded == oracle.load_dictionary(path)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -148,6 +149,21 @@ class TestHeights:
     def test_invalid_height(self):
         with pytest.raises(ValueError):
             TrieTable(height=0)
+        # 26**14 collection indices would not fit a 64-bit integer.
+        with pytest.raises(ValueError):
+            TrieTable(height=14)
+        assert TrieTable(height=13).num_collections < 2**63
+
+    @pytest.mark.parametrize("height", [1, 2, 3])
+    def test_prefix_columns_equal_prefix_for(self, height):
+        trie = TrieTable(height=height)
+        indices = np.arange(trie.num_collections)
+        prefixes, lengths = trie.prefix_columns(indices)
+        for index, row, length in zip(indices.tolist(), prefixes, lengths.tolist()):
+            assert not row[: height - length].any()
+            assert bytes(row[height - length :]).decode("ascii") == trie.prefix_for(index)
+        with pytest.raises(IndexError):
+            trie.prefix_columns(np.array([trie.num_collections]))
 
     @given(
         st.integers(min_value=1, max_value=4),
