@@ -63,7 +63,6 @@ class PlatformConfig:
     gpu_spec: GPUSpec = TESLA_C1060
     thread_blocks_per_gpu: int = 480
     gpu_schedule: str = "dynamic"  # "dynamic" | "static" (ablation E)
-    gpu_fidelity: str = "fast"  # "fast" | "warp"
 
     # --- dictionary (Section III.B) ------------------------------------ #
     trie_height: int = 3

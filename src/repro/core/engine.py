@@ -833,7 +833,6 @@ class IndexingEngine:
                     device=Device(device_id=j, spec=cfg.gpu_spec),
                     num_blocks=cfg.thread_blocks_per_gpu,
                     schedule=cfg.gpu_schedule,
-                    fidelity=cfg.gpu_fidelity,
                 )
                 for j in range(cfg.num_gpus)
             ],

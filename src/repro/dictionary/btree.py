@@ -27,18 +27,22 @@ Insertion uses single-pass preemptive splitting, matching the paper's
 *Splitting* rule ("before accessing a B-Tree node, we check to determine
 whether this node is full").
 
-The counters describe a per-key binary search (:meth:`BTree._find_slot`
-over :meth:`BTree._compare`), but :meth:`BTree.insert` runs it on
-integers.  A node's sorted keys have non-decreasing padded caches, so
-``bisect_left`` / ``bisect_right`` of the query's cache give the *tie
-range*: the keys whose cache equals the query's.  The binary search's
-probes are then replayed by index alone.  A probe left of the tie range
-compares greater and one right of it smaller, both settled by the cache.
-A probe inside it is a cache-settled hit when the query is shorter than
-four bytes, and otherwise the one place the full string is fetched.
-``key_comparisons``, ``cache_resolved`` and ``full_string_fetches`` come
-out exactly as the per-key search counts them.  The warp-fidelity
-``find_slot_hook`` and the cache-off ablation keep the per-key search.
+Every descent — :meth:`BTree.insert` and :meth:`BTree.search` alike —
+is one loop, :meth:`BTree._descend`, that finds each node's slot as a
+binary search over its keys would, but on integers.  A node's sorted keys
+have non-decreasing padded caches, so ``bisect_left`` / ``bisect_right``
+of the query's cache give the *tie range*: the keys whose cache equals
+the query's.  The binary search's probes are then replayed by index
+alone.  A probe left of the tie range compares greater and one right of
+it smaller, both settled by the cache.  A probe inside it is a
+cache-settled hit when the query is shorter than four bytes, and
+otherwise the one place the full string is fetched.  With the cache off
+the tie range is the whole node, so every probe fetches.
+``key_comparisons``, ``cache_resolved`` and ``full_string_fetches`` count
+the probes of that binary search.  The GPU's all-keys warp compare and
+reduction (Fig 7) gives the same slot; it runs literally in
+:func:`repro.gpusim.reduction.warp_find_slot` and
+:meth:`repro.dictionary.node_codec.DeviceTreeImage.search`.
 
 All structural work funnels through :class:`BTreeStats`, which the CPU cost
 model and the GPU SIMT simulator consume; the instrumentation records the
@@ -200,12 +204,6 @@ class BTree:
         self.max_keys = 2 * degree - 1
         self.use_string_cache = use_string_cache
         self.stats = BTreeStats()
-        #: Optional slot-search strategy override.  The GPU indexer's
-        #: warp-fidelity mode installs a hook that runs the Fig 7
-        #: parallel-compare + reduction instead of binary search; the hook
-        #: receives ``(tree, query, query4, node)`` and returns
-        #: ``(slot, found)`` with the same contract as ``_find_slot``.
-        self.find_slot_hook = None
         self.on_mutation = on_mutation
         self.root = BTreeNode(leaf=True)
         self.node_count = 1
@@ -216,58 +214,7 @@ class BTree:
         self._alloc = term_id_allocator
 
     # ------------------------------------------------------------------ #
-    # Comparisons
-    # ------------------------------------------------------------------ #
-
-    def _compare(self, query: bytes, query4: bytes, node: BTreeNode, i: int) -> int:
-        """Three-way compare of ``query`` against key ``i`` of ``node``.
-
-        Returns negative/zero/positive like C's ``strcmp``.  Uses the 4-byte
-        cache when it is conclusive and counts how the comparison resolved.
-        """
-        self.stats.key_comparisons += 1
-        if self.use_string_cache:
-            cache = node.caches[i]
-            if query4 != cache:
-                self.stats.cache_resolved += 1
-                return -1 if query4 < cache else 1
-            # Padded caches tie.  A zero byte in the cache means the key is
-            # shorter than four bytes and therefore fully cached: the tie is
-            # a true equality (query must share the padding-zero property).
-            if b"\x00" in cache:
-                self.stats.cache_resolved += 1
-                return 0
-            # Key is >= 4 bytes with an identical first-4 prefix: only now
-            # pay for the pointer dereference.
-        full = self.store.get(node.string_ptrs[i])
-        self.stats.full_string_fetches += 1
-        if query == full:
-            return 0
-        return -1 if query < full else 1
-
-    def _find_slot(self, query: bytes, query4: bytes, node: BTreeNode) -> tuple[int, bool]:
-        """Index of the first key >= query, plus whether it equals query.
-
-        The CPU indexer walks keys with binary search; the GPU indexer
-        compares all 31 keys with one warp (see
-        :meth:`repro.indexers.gpu.GPUIndexer`).  Both reduce to this slot.
-        """
-        if self.find_slot_hook is not None:
-            return self.find_slot_hook(self, query, query4, node)
-        lo, hi = 0, node.nkeys
-        while lo < hi:
-            mid = (lo + hi) // 2
-            cmp = self._compare(query, query4, node, mid)
-            if cmp == 0:
-                return mid, True
-            if cmp < 0:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo, False
-
-    # ------------------------------------------------------------------ #
-    # Search
+    # Search and insert
     # ------------------------------------------------------------------ #
 
     def search(self, suffix: bytes) -> int | None:
@@ -277,24 +224,7 @@ class BTree:
             # :meth:`insert` stores no key with a NUL, and the zero-padded
             # cache would take one for the end of a shorter key.
             return None
-        query4 = _pad4(suffix)
-        node = self.root
-        depth = 0
-        while True:
-            self.stats.node_visits += 1
-            slot, found = self._find_slot(suffix, query4, node)
-            if found:
-                self.stats.depth_sum += depth
-                return node.postings_ptrs[slot]
-            if node.leaf:
-                self.stats.depth_sum += depth
-                return None
-            node = node.children[slot]
-            depth += 1
-
-    # ------------------------------------------------------------------ #
-    # Insert
-    # ------------------------------------------------------------------ #
+        return self._descend(suffix, False)[0]
 
     def insert(self, suffix: bytes) -> tuple[int, bool]:
         """Insert ``suffix`` if new; return ``(postings pointer, created)``.
@@ -307,23 +237,30 @@ class BTree:
         and relies on real term bytes never being ``0x00`` (true for any
         UTF-8 term text; enforced here so corrupt input fails loudly
         instead of colliding in the cache).
-
-        With the cache on and no slot-search hook, each node's slot is
-        found by bisecting its caches and replaying the binary-search
-        probes on integers (see the module docstring); the descent's
-        counters stay in locals and reach :attr:`stats` once, on return.
         """
         if 0 in suffix:
             raise ValueError("term suffixes may not contain NUL bytes")
-        per_key = self.find_slot_hook is not None or not self.use_string_cache
+        return self._descend(suffix, True)  # type: ignore[return-value]
+
+    def _descend(self, suffix: bytes, create: bool) -> tuple[int | None, bool]:
+        """One root-to-leaf pass; return ``(postings pointer, created)``.
+
+        Each node's slot is found by bisecting its caches and replaying
+        the binary-search probes on integers (see the module docstring).
+        With ``create`` full nodes split on the way down and an absent
+        suffix is inserted; without it nothing changes but the counters,
+        and an absent suffix gives ``None``.  The descent's counters stay
+        in locals and reach :attr:`stats` once, on return.
+        """
+        cached = self.use_string_cache
         query4 = _pad4(suffix)
-        short = len(suffix) < _CACHE_BYTES
+        short = cached and len(suffix) < _CACHE_BYTES
         max_keys = self.max_keys
         comparisons = fetches = 0
         # Preemptive splits fire on the way down even when the suffix
         # turns out to be present, so a duplicate hit can mutate too.
         split = False
-        if len(self.root.caches) == max_keys:
+        if create and len(self.root.caches) == max_keys:
             old_root = self.root
             self.root = BTreeNode(leaf=False)
             self.root.children.append(old_root)
@@ -332,68 +269,68 @@ class BTree:
             split = True
         node = self.root
         depth = 0
+        term_id: int | None
         while True:
-            if per_key:
-                slot, found = self._find_slot(suffix, query4, node)
-            else:
-                # Probes left of the tie range compare greater, right of
-                # it smaller, on the cache alone; inside it they are
-                # equal if the query is short, else a full-string fetch.
-                caches = node.caches
-                lo, hi = 0, len(caches)
+            # Probes left of the tie range compare greater, right of it
+            # smaller, on the cache alone; inside it they are equal if the
+            # query is short, else a full-string fetch.
+            caches = node.caches
+            lo, hi = 0, len(caches)
+            if cached:
                 below = bisect_left(caches, query4)
                 above = bisect_right(caches, query4, below)
-                found = False
-                while lo < hi:
-                    slot = (lo + hi) // 2
-                    comparisons += 1
-                    if slot < below:
-                        lo = slot + 1
-                    elif slot >= above:
-                        hi = slot
-                    elif short:
+            else:
+                below, above = lo, hi
+            found = False
+            while lo < hi:
+                slot = (lo + hi) // 2
+                comparisons += 1
+                if slot < below:
+                    lo = slot + 1
+                elif slot >= above:
+                    hi = slot
+                elif short:
+                    found = True
+                    break
+                else:
+                    fetches += 1
+                    full = self.store.get(node.string_ptrs[slot])
+                    if suffix == full:
                         found = True
                         break
+                    if suffix < full:
+                        hi = slot
                     else:
-                        fetches += 1
-                        full = self.store.get(node.string_ptrs[slot])
-                        if suffix == full:
-                            found = True
-                            break
-                        if suffix < full:
-                            hi = slot
-                        else:
-                            lo = slot + 1
-                if not found:
-                    slot = lo
+                        lo = slot + 1
             if found:
                 term_id = node.postings_ptrs[slot]
                 break
+            slot = lo
             if node.leaf:
+                if not create:
+                    term_id = None
+                    break
                 term_id = self._alloc()
                 node.caches.insert(slot, query4)
                 node.string_ptrs.insert(slot, self.store.add(suffix))
                 node.postings_ptrs.insert(slot, term_id)
                 break
             child = node.children[slot]
-            if len(child.caches) == max_keys:
+            if len(child.caches) == max_keys and create:
                 self._split_child(node, slot)
                 split = True
                 # The median just moved up into ``slot``: one compare
                 # decides whether the query is it, or which half to take.
-                if per_key:
-                    cmp = self._compare(suffix, query4, node, slot)
+                comparisons += 1
+                cache = node.caches[slot]
+                if cached and query4 != cache:
+                    cmp = -1 if query4 < cache else 1
+                elif short:
+                    cmp = 0
                 else:
-                    comparisons += 1
-                    cache = node.caches[slot]
-                    if query4 != cache:
-                        cmp = -1 if query4 < cache else 1
-                    elif short:
-                        cmp = 0
-                    else:
-                        fetches += 1
-                        full = self.store.get(node.string_ptrs[slot])
-                        cmp = 0 if suffix == full else -1 if suffix < full else 1
+                    fetches += 1
+                    full = self.store.get(node.string_ptrs[slot])
+                    cmp = 0 if suffix == full else -1 if suffix < full else 1
                 if cmp == 0:
                     found = True
                     term_id = node.postings_ptrs[slot]
@@ -409,6 +346,8 @@ class BTree:
         stats.cache_resolved += comparisons - fetches
         stats.full_string_fetches += fetches
         stats.depth_sum += depth
+        if not create:
+            return term_id, False
         if found:
             stats.duplicate_hits += 1
         else:
@@ -455,15 +394,11 @@ class BTree:
 
     def items(self) -> Iterator[tuple[bytes, int]]:
         """In-order ``(suffix, postings pointer)`` pairs."""
-        yield from self._walk(self.root)
-
-    def _walk(self, node: BTreeNode) -> Iterator[tuple[bytes, int]]:
-        for i in range(node.nkeys):
-            if not node.leaf:
-                yield from self._walk(node.children[i])
-            yield self.store.get(node.string_ptrs[i]), node.postings_ptrs[i]
-        if not node.leaf:
-            yield from self._walk(node.children[node.nkeys])
+        string_ptrs: list[int] = []
+        postings_ptrs: list[int] = []
+        self.extend_in_order(string_ptrs, postings_ptrs)
+        get = self.store.get
+        return ((get(ptr), term_id) for ptr, term_id in zip(string_ptrs, postings_ptrs))
 
     def extend_in_order(
         self, string_ptrs: list[int], postings_ptrs: list[int], node: BTreeNode | None = None

@@ -76,8 +76,8 @@ def warp_find_slot(
 ) -> tuple[int, bool]:
     """Full Fig 7 node search: parallel compare, then reduction.
 
-    Returns ``(slot, found)`` with the same contract as the CPU binary
-    search (:meth:`repro.dictionary.btree.BTree._find_slot`): ``slot`` is
+    Returns ``(slot, found)`` as the CPU binary search of
+    :meth:`repro.dictionary.btree.BTree.search` finds them: ``slot`` is
     the index of the first key ≥ query.
 
     The reduction minimizes an encoding that ranks *equality* below

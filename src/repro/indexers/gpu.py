@@ -14,15 +14,11 @@ at a time:
 4. inserts shift larger keys right in parallel and write the node back;
    preemptive splits copy half the node into a new sibling.
 
-Two fidelity modes produce **identical indexes and identical cycle
-charges**:
-
-- ``fidelity="fast"`` (default) lets the shared ``BTree`` do slot search
-  with binary comparison while cycles are charged from the op deltas —
-  the right trade for corpus-scale runs;
-- ``fidelity="warp"`` installs a ``find_slot_hook`` that literally runs
-  :func:`~repro.gpusim.reduction.warp_find_slot` on every node visit, for
-  tests and demonstrations.
+The shared ``BTree`` finds each slot as a binary search would (bisecting
+the caches); the warp's all-keys compare and reduction gives the same
+slot and runs literally in
+:func:`~repro.gpusim.reduction.warp_find_slot` and
+:meth:`~repro.dictionary.node_codec.DeviceTreeImage.search`.
 
 Cycles are charged per batch from B-tree op deltas: every
 :class:`~repro.gpusim.warp.WarpExecutor` charge is linear in its event
@@ -47,11 +43,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.dictionary.btree import BTree, BTreeNode
 from repro.gpusim.costmodel import GPUSpec
 from repro.gpusim.device import Device
 from repro.gpusim.kernel import KernelLaunch, KernelResult, WorkItem
-from repro.gpusim.reduction import warp_find_slot
 from repro.gpusim.warp import WarpCounters, WarpExecutor
 from repro.dictionary.layout import DEVICE_CHUNK_BYTES
 from repro.indexers.base import BaseIndexer, IndexerReport
@@ -94,41 +88,16 @@ class GPUIndexer(BaseIndexer):
         device: Device | None = None,
         num_blocks: int = 480,
         schedule: str = "dynamic",
-        fidelity: str = "fast",
     ) -> None:
         super().__init__(indexer_id, shard)
         self.device = device if device is not None else Device(device_id=indexer_id)
         self.grid = KernelLaunch(self.device.spec, num_blocks, schedule)
-        if fidelity not in ("fast", "warp"):
-            raise ValueError(f"fidelity must be 'fast' or 'warp', got {fidelity!r}")
-        self.fidelity = fidelity
         self.warp_counters = WarpCounters()
 
     @property
     def lane(self) -> str:
         """GPU lanes key on the device ordinal, not the shard id."""
         return f"gpu-{self.device.device_id}"
-
-    # ------------------------------------------------------------------ #
-    # Warp-fidelity slot search (Fig 7, executed literally)
-    # ------------------------------------------------------------------ #
-
-    @staticmethod
-    def _warp_hook(tree: BTree, query: bytes, query4: bytes, node: BTreeNode):
-        """``find_slot_hook`` running the parallel compare + reduction.
-
-        The lane comparator delegates to the tree's cached comparison so
-        the cache/full-fetch statistics stay identical to binary search
-        *semantics*; the warp, of course, compares every key.
-        """
-        # Lane i's "key" is just its index; the comparator closes over the
-        # node and runs the cached compare for that slot.
-        lane_keys = list(range(node.nkeys))
-
-        def compare(q: bytes, lane: int) -> int:
-            return tree._compare(q, query4, node, lane)
-
-        return warp_find_slot(query, lane_keys, compare=compare)
 
     # ------------------------------------------------------------------ #
     # Functional indexing + cycle charging
@@ -168,15 +137,7 @@ class GPUIndexer(BaseIndexer):
         self.device.free_all()
         h2d_seconds = self.device.transfer_to_device(h2d_bytes) if h2d_bytes else 0.0
 
-        # Warp fidelity swaps the slot search of this batch's trees only.
-        hooked = [self.shard.tree_for(cidx) for cidx in owned] if self.fidelity == "warp" else []
-        for tree in hooked:
-            tree.find_slot_hook = self._warp_hook
-        try:
-            report, _, grown = self._index_rows(batch, rows, doc_offset)
-        finally:
-            for tree in hooked:
-                tree.find_slot_hook = None
+        report, _, grown = self._index_rows(batch, rows, doc_offset)
 
         # Every charge is linear in its event count: a collection's cycles
         # are its event counts times the unit costs, and the batch's summed

@@ -1,16 +1,22 @@
-"""The B-tree descent the bisect fast path replaced, kept as a test oracle.
+"""The B-tree descent the one bisect-and-replay loop replaced, kept as a
+test oracle.
 
-``BTree.insert`` now finds each node's slot by bisecting the node's
-4-byte caches and replaying the binary-search probes on integers, with
-its counters in locals.  The per-key descent it replaced lives on here
-*verbatim* — ``_compare``, ``_find_slot``, ``insert`` and ``_split_child``
-from ``repro/dictionary/btree.py`` as they were, on a subclass of the
-current tree — so the differential tests can require the new descent to
-leave exactly what the old one left: every ``BTreeStats`` field, term ids,
-node counts, items and the mutation log.
+``BTree.insert`` and ``BTree.search`` now share one descent that finds
+each node's slot by bisecting the node's 4-byte caches and replaying the
+binary-search probes on integers, with its counters in locals.  The
+per-key descent it replaced lives on here *verbatim* — ``_compare``,
+``_find_slot``, ``search``, ``insert``, ``_split_child`` and the recursive
+``items`` walk from ``repro/dictionary/btree.py`` as they were, on a
+subclass of the current tree — so the differential tests can require the
+new descent to leave exactly what the old one left: every ``BTreeStats``
+field, term ids, node counts, items, search results and the mutation log.
+The slot-search hook the old ``_find_slot`` consulted is gone with the
+GPU's warp-fidelity mode, so its two lines are dropped.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from repro.dictionary.btree import BTree, BTreeNode
 from repro.dictionary.layout import STRING_CACHE_BYTES as _CACHE_BYTES
@@ -64,8 +70,6 @@ class OracleBTree(BTree):
         compares all 31 keys with one warp (see
         :meth:`repro.indexers.gpu.GPUIndexer`).  Both reduce to this slot.
         """
-        if self.find_slot_hook is not None:
-            return self.find_slot_hook(self, query, query4, node)
         lo, hi = 0, node.nkeys
         while lo < hi:
             mid = (lo + hi) // 2
@@ -77,6 +81,28 @@ class OracleBTree(BTree):
             else:
                 lo = mid + 1
         return lo, False
+
+    def search(self, suffix: bytes) -> int | None:
+        """Postings pointer for ``suffix``, or ``None`` if absent."""
+        self.stats.searches += 1
+        if 0 in suffix:
+            # :meth:`insert` stores no key with a NUL, and the zero-padded
+            # cache would take one for the end of a shorter key.
+            return None
+        query4 = _pad4(suffix)
+        node = self.root
+        depth = 0
+        while True:
+            self.stats.node_visits += 1
+            slot, found = self._find_slot(suffix, query4, node)
+            if found:
+                self.stats.depth_sum += depth
+                return node.postings_ptrs[slot]
+            if node.leaf:
+                self.stats.depth_sum += depth
+                return None
+            node = node.children[slot]
+            depth += 1
 
     def insert(self, suffix: bytes) -> tuple[int, bool]:
         """Insert ``suffix`` if new; return ``(postings pointer, created)``.
@@ -173,3 +199,15 @@ class OracleBTree(BTree):
         parent.postings_ptrs.insert(index, median[2])
         parent.children.insert(index + 1, right)
         self.stats.shifts += parent.nkeys - 1 - index
+
+    def items(self) -> Iterator[tuple[bytes, int]]:
+        """In-order ``(suffix, postings pointer)`` pairs."""
+        yield from self._walk(self.root)
+
+    def _walk(self, node: BTreeNode) -> Iterator[tuple[bytes, int]]:
+        for i in range(node.nkeys):
+            if not node.leaf:
+                yield from self._walk(node.children[i])
+            yield self.store.get(node.string_ptrs[i]), node.postings_ptrs[i]
+        if not node.leaf:
+            yield from self._walk(node.children[node.nkeys])

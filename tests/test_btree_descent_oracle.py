@@ -1,14 +1,14 @@
-"""The bisect descent of ``BTree.insert`` against the per-key descent it
-replaced (``tests/btree_oracle.py``): the same tree, the same term ids and
-the same ten work counters on every insert sequence, not just on a corpus.
+"""The one descent of ``BTree.insert`` / ``BTree.search`` against the
+per-key descent it replaced (``tests/btree_oracle.py``): the same tree,
+the same term ids, the same search results and the same ten work
+counters on every insert sequence, not just on a corpus.
 
 The key strategy is built to make the padded 4-byte caches tie: a few
 shared prefixes (among them the empty key, keys under four bytes and
 keys of exactly four) with short tails, drawn from a small pool so that
 duplicates are common and, at low degrees, often split a full node on
-their way down.  The cache-off ablation and a tree with the GPU
-warp-fidelity hook installed are covered too: they keep the per-key
-search, and must still match.
+their way down.  The cache-off ablation runs the same loop with the tie
+range set to the whole node, and must match the per-key search too.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dictionary.btree import BTree
-from repro.indexers.gpu import GPUIndexer
 from tests.btree_oracle import OracleBTree
 
 _PREFIXES = (b"", b"a", b"ab", b"abc", b"abcd", b"abce", b"shar", b"share", b"zz\xff")
@@ -36,8 +35,6 @@ def _pair(degree: int, mode: str) -> tuple[BTree, list, BTree, list]:
     for cls in (BTree, OracleBTree):
         log: list[bytes] = []
         tree = cls(degree=degree, use_string_cache=mode != "no-cache", on_mutation=log.append)
-        if mode == "warp":
-            tree.find_slot_hook = GPUIndexer._warp_hook
         trees += [tree, log]
     return tuple(trees)
 
@@ -56,7 +53,7 @@ def _assert_same(new: BTree, new_log: list, old: BTree, old_log: list) -> None:
     pool=st.lists(keys, min_size=8, max_size=60),
     picks=st.lists(st.integers(0, 1 << 16), min_size=100, max_size=400),
     degree=st.integers(2, 16),
-    mode=st.sampled_from(["fast", "no-cache", "warp"]),
+    mode=st.sampled_from(["fast", "no-cache"]),
 )
 def test_insert_matches_per_key_descent(pool, picks, degree, mode):
     new, new_log, old, old_log = _pair(degree, mode)
@@ -64,13 +61,15 @@ def test_insert_matches_per_key_descent(pool, picks, degree, mode):
         suffix = pool[pick % len(pool)]
         assert new.insert(suffix) == old.insert(suffix)
     _assert_same(new, new_log, old, old_log)
-    for suffix in pool:
+    # Hits, misses inside cache ties ("|" is not in the key alphabet) and
+    # a NUL, which neither tree can hold.
+    for suffix in pool + [suffix + b"|" for suffix in pool] + [b"ab\x00"]:
         assert new.search(suffix) == old.search(suffix)
     assert new.stats == old.stats
 
 
 @pytest.mark.parametrize("prefix", [b"", b"ab", b"abcd"])
-@pytest.mark.parametrize("mode", ["fast", "no-cache", "warp"])
+@pytest.mark.parametrize("mode", ["fast", "no-cache"])
 def test_duplicates_that_split(mode, prefix):
     # Degree 2 holds three keys a node, and the keys tie on the cache:
     # fully cached below four bytes, fetched from four on.  The repeated

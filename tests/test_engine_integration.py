@@ -132,7 +132,6 @@ class TestConfigVariants:
             dict(num_cpu_indexers=1, num_gpus=0),
             dict(num_cpu_indexers=0, num_gpus=2),
             dict(num_cpu_indexers=2, num_gpus=0),
-            dict(num_cpu_indexers=1, num_gpus=1, gpu_fidelity="warp"),
             dict(codec="gamma"),
             dict(trie_height=2),
             dict(btree_degree=8),
@@ -140,7 +139,7 @@ class TestConfigVariants:
             dict(gpu_schedule="static"),
         ],
         ids=[
-            "1cpu", "gpu-only", "2cpu", "warp-fidelity", "gamma-codec",
+            "1cpu", "gpu-only", "2cpu", "gamma-codec",
             "trie-h2", "degree-8", "no-cache", "static-sched",
         ],
     )

@@ -307,18 +307,14 @@ def test_index_collection_matches_the_parent_loop(kind, positional):
 _KINDS = {
     "cpu": lambda shard: CPUIndexer(0, shard),
     "gpu-fast": lambda shard: GPUIndexer(0, shard),
-    "gpu-warp": lambda shard: GPUIndexer(0, shard, fidelity="warp"),
 }
 
 
-def _parent_index_batch(old, batch: ParsedBatch, doc_offset: int, warp: bool) -> None:
+def _parent_index_batch(old, batch: ParsedBatch, doc_offset: int) -> None:
     """The batch through the parent's loop: one descent per token."""
     collections, positions = as_nested(batch)
     for cidx, stream in collections.items():
-        tree = old.shard.tree_for(cidx)
-        tree.find_slot_hook = GPUIndexer._warp_hook if warp else None
         _index_collection(old, cidx, stream, doc_offset, positions[cidx] if positions else None)
-        tree.find_slot_hook = None
 
 
 def _assert_same_state(new, old) -> None:
@@ -383,7 +379,7 @@ def test_walk_equals_one_descent_per_token(kind, positional, streams):
         batch = _columns(collections, twins, positional)
         out = new.index_batch(batch, 6 * i)
         before = old.shard.stats()
-        _parent_index_batch(old, batch, 6 * i, warp=kind == "gpu-warp")
+        _parent_index_batch(old, batch, 6 * i)
         delta = np.array(old.shard.stats().snapshot()) - np.array(before.snapshot())
         assert getattr(out, "report", out).btree == BTreeStats(*delta.tolist())
         _assert_same_state(new, old)
@@ -409,7 +405,7 @@ def test_a_duplicate_hit_that_splits_is_a_mutation():
     stats = new.shard.trees[3].stats
     assert (stats.inserts, stats.duplicate_hits, stats.splits) == (3, 6, 1)
     assert new.shard.mutation_log.count(b"b") == 2  # its insert, and the splitting hit
-    _parent_index_batch(old, batch, 0, warp=False)
+    _parent_index_batch(old, batch, 0)
     _assert_same_state(new, old)
 
 

@@ -99,24 +99,6 @@ class TestGPUIndexer:
         gpu.index_batch(batch, 0)
         assert _index_of(cpu, trie) == _index_of(gpu, trie)
 
-    def test_fast_and_warp_fidelity_identical(self):
-        trie = TrieTable()
-        batch, _ = _parse_batch(TEXTS, trie=trie)
-        fast = GPUIndexer(0, DictionaryShard(trie, shard_id=0), fidelity="fast")
-        warp = GPUIndexer(1, DictionaryShard(trie, shard_id=1), fidelity="warp")
-        rf = fast.index_batch(batch, 0)
-        rw = warp.index_batch(batch, 0)
-        assert _index_of(fast, trie) == _index_of(warp, trie)
-        # Same events → identical cycle charges in both fidelity modes:
-        # cycles are exact integers, so equal, not close.
-        assert fast.warp_counters == warp.warp_counters
-        assert fast.warp_counters.total_cycles == warp.warp_counters.total_cycles
-        assert rf.work_items == rw.work_items
-        assert rf.report.modeled_seconds == rw.report.modeled_seconds
-        assert rf.report.btree.node_visits == rw.report.btree.node_visits
-        # The warp search is installed for the batch only.
-        assert all(t.find_slot_hook is None for t in warp.shard.trees.values())
-
     def test_kernel_and_transfers_reported(self):
         batch, trie = _parse_batch(TEXTS)
         gpu = GPUIndexer(0, DictionaryShard(trie))
@@ -126,10 +108,6 @@ class TestGPUIndexer:
         assert out.d2h_seconds > 0
         assert out.total_seconds >= out.kernel.elapsed_seconds
         assert len(out.work_items) == len(batch.collections)
-
-    def test_invalid_fidelity(self):
-        with pytest.raises(ValueError):
-            GPUIndexer(0, DictionaryShard(TrieTable()), fidelity="fake")
 
     def test_ownership_respected(self):
         trie = TrieTable()

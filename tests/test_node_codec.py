@@ -20,6 +20,13 @@ from repro.dictionary.node_codec import (
 from repro.gpusim.memory import SharedMemory
 
 suffixes = st.binary(min_size=0, max_size=10).filter(lambda b: 0 not in b)
+# Suffixes that tie on the 4-byte cache: a shared prefix (shorter than the
+# cache, or filling it) and a short tail over a small alphabet.
+tied = st.builds(
+    lambda prefix, tail: prefix + bytes(tail),
+    st.sampled_from([b"", b"ab", b"abcd", b"abce"]),
+    st.lists(st.sampled_from(b"ab\xff"), max_size=3),
+)
 
 
 class TestFieldOffsets:
@@ -139,15 +146,25 @@ class TestDeviceImage:
             image.node_bytes(image.node_count)
 
     @settings(max_examples=25)
-    @given(st.lists(suffixes, min_size=1, max_size=150))
-    def test_image_search_random_trees(self, words):
-        tree = BTree()
+    @given(
+        words=st.lists(st.one_of(suffixes, tied), min_size=1, max_size=150),
+        degree=st.sampled_from([2, 16]),
+    )
+    def test_image_search_random_trees(self, words, degree):
+        tree = BTree(degree=degree)
         ids = {}
         for w in words:
             ids[w], _ = tree.insert(w)
         image = DeviceTreeImage.build(tree)
         for w, tid in ids.items():
             assert image.search(w) == tid
+        # The warp compare and reduction over packed nodes (Fig 7) finds
+        # the slot the tree's binary search finds, on misses too: every
+        # proper prefix of a key and every key with a byte appended, which
+        # tie a key's cache or sort right next to it.
+        misses = {w[:k] for w in words for k in range(len(w))} | {w + b"\x01" for w in words}
+        for q in misses - ids.keys():
+            assert tree.search(q) is None and image.search(q) is None
 
 
 class TestIdRemap:
