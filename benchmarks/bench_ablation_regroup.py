@@ -40,9 +40,11 @@ def test_regroup_ablation(benchmark, cw_mini):
     )
     ungrouped, ungrouped_s = _index_batches(cw_mini, False)
 
-    # Identical dictionaries and postings either way.
+    # Identical dictionaries and B-tree work either way: each tree sees its
+    # suffixes in the same order.
     assert dict(grouped.shard.terms()).keys() == dict(ungrouped.shard.terms()).keys()
     assert grouped.total.tokens == ungrouped.total.tokens
+    assert grouped.total.btree == ungrouped.total.btree
 
     speedup = ungrouped_s / grouped_s
     rows = [

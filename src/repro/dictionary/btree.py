@@ -189,6 +189,11 @@ class BTree:
         journal's replay, see :class:`~repro.dictionary.dictionary.DictionaryShard`).
     """
 
+    __slots__ = (
+        "store", "degree", "max_keys", "use_string_cache", "stats", "on_mutation",
+        "root", "node_count", "term_count", "_alloc",
+    )
+
     def __init__(
         self,
         store: StringStore | None = None,
@@ -219,12 +224,19 @@ class BTree:
 
     def search(self, suffix: bytes) -> int | None:
         """Postings pointer for ``suffix``, or ``None`` if absent."""
-        self.stats.searches += 1
+        stats = self.stats
+        stats.searches += 1
         if 0 in suffix:
             # :meth:`insert` stores no key with a NUL, and the zero-padded
             # cache would take one for the end of a shorter key.
             return None
-        return self._descend(suffix, False)[0]
+        term_id, _, depth, comparisons, fetches, _, _ = self._descend(suffix, False)
+        stats.node_visits += depth + 1
+        stats.key_comparisons += comparisons
+        stats.cache_resolved += comparisons - fetches
+        stats.full_string_fetches += fetches
+        stats.depth_sum += depth
+        return term_id
 
     def insert(self, suffix: bytes) -> tuple[int, bool]:
         """Insert ``suffix`` if new; return ``(postings pointer, created)``.
@@ -238,35 +250,59 @@ class BTree:
         UTF-8 term text; enforced here so corrupt input fails loudly
         instead of colliding in the cache).
         """
-        if 0 in suffix:
-            raise ValueError("term suffixes may not contain NUL bytes")
-        return self._descend(suffix, True)  # type: ignore[return-value]
+        term_id, created, depth, comparisons, fetches, splits, shifts = self._descend(suffix, True)
+        stats = self.stats
+        stats.node_visits += depth + 1
+        stats.key_comparisons += comparisons
+        stats.cache_resolved += comparisons - fetches
+        stats.full_string_fetches += fetches
+        stats.depth_sum += depth
+        if created:
+            stats.inserts += 1
+        else:
+            stats.duplicate_hits += 1
+        if shifts:
+            stats.shifts += shifts
+        if splits:
+            stats.splits += splits
+        return term_id, created  # type: ignore[return-value]
 
-    def _descend(self, suffix: bytes, create: bool) -> tuple[int | None, bool]:
-        """One root-to-leaf pass; return ``(postings pointer, created)``.
+    def _descend(
+        self, suffix: bytes, create: bool
+    ) -> tuple[int | None, bool, int, int, int, int, int]:
+        """One root-to-leaf pass and what it cost.
+
+        Returns ``(postings pointer, created, depth, key comparisons,
+        full-string fetches, splits, shifts)``: the depth reached (node
+        visits are one more), the probes of the binary search and the
+        fetches among them, the nodes split on the way down and the keys
+        shifted right by those splits and by the insert.  The descent
+        writes no counter: :meth:`insert` and :meth:`search` fold the
+        counts into :attr:`stats`, and the indexers' walk folds a whole
+        span's (:func:`repro.indexers.base._walk`).
 
         Each node's slot is found by bisecting its caches and replaying
         the binary-search probes on integers (see the module docstring).
-        With ``create`` full nodes split on the way down and an absent
-        suffix is inserted; without it nothing changes but the counters,
-        and an absent suffix gives ``None``.  The descent's counters stay
-        in locals and reach :attr:`stats` once, on return.
+        With ``create`` a suffix holding a NUL raises ``ValueError``, full
+        nodes split on the way down and an absent suffix is inserted;
+        without it nothing changes and an absent suffix gives ``None``.
         """
+        if create and 0 in suffix:
+            raise ValueError("term suffixes may not contain NUL bytes")
         cached = self.use_string_cache
-        query4 = _pad4(suffix)
+        query4 = suffix[:_CACHE_BYTES].ljust(_CACHE_BYTES, b"\x00")  # _pad4, inlined
         short = cached and len(suffix) < _CACHE_BYTES
         max_keys = self.max_keys
-        comparisons = fetches = 0
+        comparisons = fetches = splits = shifts = 0
         # Preemptive splits fire on the way down even when the suffix
         # turns out to be present, so a duplicate hit can mutate too.
-        split = False
         if create and len(self.root.caches) == max_keys:
             old_root = self.root
             self.root = BTreeNode(leaf=False)
             self.root.children.append(old_root)
             self.node_count += 1
-            self._split_child(self.root, 0)
-            split = True
+            shifts += self._split_child(self.root, 0)
+            splits += 1
         node = self.root
         depth = 0
         term_id: int | None
@@ -317,8 +353,8 @@ class BTree:
                 break
             child = node.children[slot]
             if len(child.caches) == max_keys and create:
-                self._split_child(node, slot)
-                split = True
+                shifts += self._split_child(node, slot)
+                splits += 1
                 # The median just moved up into ``slot``: one compare
                 # decides whether the query is it, or which half to take.
                 comparisons += 1
@@ -340,36 +376,27 @@ class BTree:
                 child = node.children[slot]
             node = child
             depth += 1
-        stats = self.stats
-        stats.node_visits += depth + 1
-        stats.key_comparisons += comparisons
-        stats.cache_resolved += comparisons - fetches
-        stats.full_string_fetches += fetches
-        stats.depth_sum += depth
         if not create:
-            return term_id, False
-        if found:
-            stats.duplicate_hits += 1
-        else:
+            return term_id, False, depth, comparisons, fetches, 0, 0
+        created = not found
+        if created:
             # Keys shifted right to open the blank location.
-            stats.shifts += len(node.caches) - 1 - slot
-            stats.inserts += 1
+            shifts += len(node.caches) - 1 - slot
             self.term_count += 1
-        if (split or not found) and self.on_mutation is not None:
+        if (splits or created) and self.on_mutation is not None:
             self.on_mutation(suffix)
-        return term_id, not found
+        return term_id, created, depth, comparisons, fetches, splits, shifts
 
-    def _split_child(self, parent: BTreeNode, index: int) -> None:
+    def _split_child(self, parent: BTreeNode, index: int) -> int:
         """Split the full child at ``parent.children[index]``.
 
         Median key moves up into the parent; the upper ``t − 1`` keys move
-        into a new right sibling.
+        into a new right sibling.  Returns the parent's keys shifted right.
         """
         t = self.degree
         child = parent.children[index]
         right = BTreeNode(leaf=child.leaf)
         self.node_count += 1
-        self.stats.splits += 1
 
         right.caches = child.caches[t:]
         right.string_ptrs = child.string_ptrs[t:]
@@ -386,7 +413,7 @@ class BTree:
         parent.string_ptrs.insert(index, median[1])
         parent.postings_ptrs.insert(index, median[2])
         parent.children.insert(index + 1, right)
-        self.stats.shifts += len(parent.caches) - 1 - index
+        return len(parent.caches) - 1 - index
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -184,7 +184,10 @@ class DictionaryShard:
 
     def insert_suffix(self, collection_index: int, suffix: bytes) -> tuple[int, bool]:
         """Insert a pre-split suffix (the indexer hot path)."""
-        return self.tree_for(collection_index).insert(suffix)
+        tree = self.trees.get(collection_index)
+        if tree is None:
+            tree = self.tree_for(collection_index)
+        return tree.insert(suffix)
 
     def add_term(self, term: str) -> tuple[int, bool]:
         """Split a whole term through the trie and insert it."""

@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import attrgetter
 
 import numpy as np
 
-from repro.dictionary.btree import _COUNTERS, BTree, BTreeStats
+from repro.dictionary.btree import BTree, BTreeStats
 from repro.dictionary.dictionary import DictionaryShard
 from repro.parsing.regroup import ParsedBatch
 from repro.postings.lists import PostingsAccumulator, RunPostings
@@ -51,75 +49,86 @@ class IndexerReport:
         self.modeled_seconds += other.modeled_seconds
 
 
-_stats = attrgetter("stats")
 _NCOUNTERS = len(BTreeStats.__dataclass_fields__)
 _INSERTS = list(BTreeStats.__dataclass_fields__).index("inserts")
 
-#: The counters a descent that finds its suffix and splits nothing moves,
-#: besides ``duplicate_hits``.
-_repeat_counters = attrgetter(
-    "node_visits", "key_comparisons", "cache_resolved", "full_string_fetches", "depth_sum"
-)
 
+def _walk(spans, ids, suffixes: list[bytes], repeated: list[bool]) -> tuple[list[int], list[int]]:
+    """Insert every token's suffix into its span's tree; count the work.
 
-def _counters(trees: list[BTree]) -> np.ndarray:
-    """Every tree's ten counters, back to back in field order."""
-    return np.fromiter(
-        chain.from_iterable(map(_COUNTERS, map(_stats, trees))),
-        dtype=np.int64, count=_NCOUNTERS * len(trees),
-    )
+    ``spans`` yields ``(tree, start, end, has_repeats)`` over ``ids``.  Every
+    descent (:meth:`~repro.dictionary.btree.BTree._descend`) hands back
+    what it cost; a span's counts stay in locals and are folded into
+    ``tree.stats`` once, at the span's end.  A descent that finds its
+    suffix and splits no node is a pure function of (tree, suffix): while
+    the tree has gained neither a term nor a node since an entry's last
+    descent, its next occurrence would cost exactly what that descent did,
+    so it is charged that descent's counts without descending.  A descent
+    that inserts or splits forgets every recorded descent of the tree.
+    Term ids, the mutation log and every counter come out as if each token
+    had gone through :meth:`~repro.dictionary.btree.BTree.insert`.
 
-
-def _walk(spans, ids, suffixes: list[bytes], repeated: list[bool]) -> list[int]:
-    """Insert every token's suffix into its span's tree; entry id → term id.
-
-    ``spans`` yields ``(tree, start, end, has_repeats)`` over ``ids``.  A
-    descent that finds its suffix and splits no node is a pure function of
-    (tree, suffix): while the tree has gained neither a term nor a node
-    since an entry's last descent, its next occurrence would move the
-    counters by exactly what that descent did, so it is charged without
-    descending.  A descent that inserts or splits charges what is pending
-    and forgets every recorded descent of the tree.  Term ids, the
-    mutation log and every counter come out as if each token had descended.
+    Returns entry id → term id, and each span's ten counters (its growth
+    of ``tree.stats``) in :class:`BTreeStats` field order, back to back.
     """
     entry_term = [0] * len(suffixes)
+    grown: list[int] = []
     for tree, start, end, has_repeats in spans:
-        insert = tree.insert
-        if not has_repeats:
+        descend = tree._descend
+        inserts = depth_sum = comparisons = fetches = splits = shifts = 0
+        if has_repeats:
+            #: entry → (depth, comparisons, fetches) of its recorded descent.
+            recorded: dict[int, tuple[int, int, int]] = {}
             for entry in ids[start:end]:
-                entry_term[entry] = insert(suffixes[entry])[0]
-            continue
+                counts = recorded.get(entry)
+                if counts is not None:
+                    depth, probes, fetched = counts
+                    depth_sum += depth
+                    comparisons += probes
+                    fetches += fetched
+                    continue
+                entry_term[entry], created, depth, probes, fetched, split, shifted = descend(
+                    suffixes[entry], True
+                )
+                inserts += created
+                depth_sum += depth
+                comparisons += probes
+                fetches += fetched
+                shifts += shifted
+                if created or split:
+                    splits += split
+                    recorded.clear()
+                elif repeated[entry]:
+                    recorded[entry] = (depth, probes, fetched)
+        else:
+            for entry in ids[start:end]:
+                entry_term[entry], created, depth, probes, fetched, split, shifted = descend(
+                    suffixes[entry], True
+                )
+                inserts += created
+                depth_sum += depth
+                comparisons += probes
+                fetches += fetched
+                splits += split
+                shifts += shifted
+        # Every token is one insert or one duplicate hit (the walk makes no
+        # search), and each visits one node more than its depth.
+        tokens = end - start
         stats = tree.stats
-        #: entry → [repeats pending, counters before its descent, after].
-        recorded: dict[int, list] = {}
-        nodes = tree.node_count
-        for entry in ids[start:end]:
-            record = recorded.get(entry)
-            if record is not None:
-                record[0] += 1
-                continue
-            before = repeated[entry] and _repeat_counters(stats)
-            entry_term[entry], created = insert(suffixes[entry])
-            if created or tree.node_count != nodes:
-                nodes = tree.node_count
-                _charge(recorded, stats)
-                recorded.clear()
-            elif before:
-                recorded[entry] = [0, before, _repeat_counters(stats)]
-        _charge(recorded, stats)
-    return entry_term
-
-
-def _charge(recorded: dict[int, list], stats: BTreeStats) -> None:
-    """Add every pending repeat of ``recorded`` to the tree's counters."""
-    for pending, before, after in recorded.values():
-        if pending:
-            stats.duplicate_hits += pending
-            stats.node_visits += pending * (after[0] - before[0])
-            stats.key_comparisons += pending * (after[1] - before[1])
-            stats.cache_resolved += pending * (after[2] - before[2])
-            stats.full_string_fetches += pending * (after[3] - before[3])
-            stats.depth_sum += pending * (after[4] - before[4])
+        stats.inserts += inserts
+        stats.duplicate_hits += tokens - inserts
+        stats.node_visits += depth_sum + tokens
+        stats.key_comparisons += comparisons
+        stats.cache_resolved += comparisons - fetches
+        stats.full_string_fetches += fetches
+        stats.splits += splits
+        stats.shifts += shifts
+        stats.depth_sum += depth_sum
+        grown += (
+            0, inserts, tokens - inserts, depth_sum + tokens, comparisons,
+            comparisons - fetches, fetches, splits, shifts, depth_sum,
+        )
+    return entry_term, grown
 
 
 class BaseIndexer:
@@ -165,12 +174,14 @@ class BaseIndexer:
     def owns(self, collection_index: int) -> bool:
         return self.shard.owned is None or collection_index in self.shard.owned
 
-    def _owned_rows(self, batch: ParsedBatch) -> np.ndarray:
-        """Rows of the batch's collection table this indexer consumes."""
+    def _owned_rows(self, collections: np.ndarray) -> np.ndarray:
+        """Where ``collections`` (trie collection indices) names one this
+        indexer consumes: rows of a batch's collection table (``order``)
+        or, ungrouped, tokens."""
         owned = self.shard.owned
         if owned is None:
-            return np.arange(len(batch.order))
-        return np.flatnonzero(np.isin(batch.order, np.fromiter(owned, np.int32, len(owned))))
+            return np.arange(len(collections))
+        return np.flatnonzero(np.isin(collections, np.fromiter(owned, np.int32, len(owned))))
 
     def _index_rows(
         self, batch: ParsedBatch, rows: np.ndarray, doc_offset: int
@@ -189,8 +200,8 @@ class BaseIndexer:
         are the parser's per-collection counts), the trees touched and a
         :class:`BTreeStats` whose fields are *arrays*, one element per
         collection: how far each tree's counters moved.  A collection has
-        its own tree, so the counters are read once before and once after
-        the whole walk.
+        its own tree and its own span, so that is the walk's per-span
+        record; no tree's counters are read.
         """
         assert batch.spans is not None
         if batch.positions is not None and len(batch.positions) != len(batch.ids):
@@ -202,7 +213,6 @@ class BaseIndexer:
             # an empty tree is falsy.)
             tree_for = self.shard.tree_for
             trees = [tree_for(cidx) if tree is None else tree for cidx, tree in zip(owned, trees)]
-        before = _counters(trees)
 
         # The owned tokens, back to back in row order.  (int32 throughout:
         # a batch's columns are; the temporaries stay half the size.)
@@ -217,7 +227,7 @@ class BaseIndexer:
         repeated = np.bincount(ids, minlength=len(batch.entry_suffix)) > 1
         repeats = np.zeros(len(ids) + 1, dtype=np.int32)
         np.cumsum(repeated[ids], out=repeats[1:])
-        entry_term = _walk(
+        entry_term, counters = _walk(
             zip(trees, offsets.tolist(), tiled.tolist(),
                 (repeats[tiled] > repeats[offsets]).tolist()),
             memoryview(ids), batch.entry_suffix, repeated.tolist(),
@@ -229,7 +239,7 @@ class BaseIndexer:
             None if batch.positions is None else batch.positions[take],
         )
 
-        grown = (_counters(trees) - before).reshape(-1, _NCOUNTERS)
+        grown = np.array(counters, dtype=np.int64).reshape(-1, _NCOUNTERS)
         total = grown.sum(axis=0).tolist()
         report = IndexerReport(
             tokens=int(batch.tokens[rows].sum()),

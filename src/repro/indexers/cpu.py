@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.dictionary.btree import BTree, BTreeStats
 from repro.dictionary.layout import NODE_SIZE_BYTES
-from repro.indexers.base import BaseIndexer, IndexerReport
+from repro.indexers.base import _INSERTS, _NCOUNTERS, BaseIndexer, IndexerReport, _walk
 from repro.obs import runtime as obs
 from repro.parsing.regroup import ParsedBatch
 
@@ -94,7 +94,7 @@ class CPUIndexer(BaseIndexer):
             "index_batch", cat="index", lane=self.lane, file=batch.sequence,
         ) as tags:
             if batch.regrouped:
-                rows = self._owned_rows(batch)
+                rows = self._owned_rows(batch.order)
                 report, trees, grown = self._index_rows(batch, rows, doc_offset)
                 seconds = self._model_collection_seconds(trees, batch.tokens[rows], grown)
                 for s in seconds.tolist():  # left to right: float addition is not associative
@@ -115,38 +115,45 @@ class CPUIndexer(BaseIndexer):
     def _index_ungrouped(self, batch: ParsedBatch, doc_offset: int) -> IndexerReport:
         """Ablation path: tokens in document order, no regrouping.
 
-        Functionally equivalent (same dictionary, same postings) but every
-        token hops to a different collection's tree, so the model charges
-        cold-cache node visits throughout — the paper reports regrouping
-        is worth ~15× for a serial indexer.
+        Functionally equivalent (same dictionary, same postings, same
+        B-tree work) but every token hops to a different collection's
+        tree, so the model charges cold-cache node visits throughout — the
+        paper reports regrouping is worth ~15× for a serial indexer.  The
+        walk sees each token as a span of its own, so its per-span record
+        is each token's work.
         """
-        report = IndexerReport(documents=batch.num_docs)
-        touched: set[int] = set()
+        cidx_of = batch.entry_cidx[batch.ids]
+        rows = self._owned_rows(cidx_of)
+        ids = batch.ids[rows]
+        collections = cidx_of[rows].tolist()
+        tree_for = self.shard.tree_for
+        entry_term, counters = _walk(
+            ((tree_for(cidx), i, i + 1, False) for i, cidx in enumerate(collections)),
+            memoryview(ids), batch.entry_suffix, [],
+        )
+        self.accumulator.add_batch(entry_term, ids, batch.docs[rows] + doc_offset)
+        grown = np.array(counters, dtype=np.int64).reshape(-1, _NCOUNTERS)
+        total = grown.sum(axis=0).tolist()
+        suffixes = batch.entry_suffix
+        report = IndexerReport(
+            tokens=len(ids),
+            new_terms=total[_INSERTS],
+            characters=sum(len(suffixes[entry]) for entry in ids.tolist()),
+            documents=batch.num_docs,
+            collections=len(set(collections)),
+            btree=BTreeStats(*total),
+        )
         cost = self.cost
-        suffixes, collections = batch.entry_suffix, batch.entry_cidx.tolist()
-        for entry, global_doc in zip(batch.ids.tolist(), (batch.docs + doc_offset).tolist()):
-            cidx, suffix = collections[entry], suffixes[entry]
-            if not self.owns(cidx):
-                continue
-            tree = self.shard.tree_for(cidx)
-            visits_before = tree.stats.node_visits
-            fetches_before = tree.stats.full_string_fetches
-            splits_before = tree.stats.splits
-            terms_before = tree.term_count
-            term_id, _ = tree.insert(suffix)
-            self.accumulator.add_occurrence(term_id, global_doc)
-            touched.add(cidx)
-            report.tokens += 1
-            report.characters += len(suffix)
-            report.new_terms += tree.term_count - terms_before
-            visits = tree.stats.node_visits - visits_before
+        stats = BTreeStats(*grown.T)
+        for visits, fetches, splits in zip(
+            stats.node_visits.tolist(), stats.full_string_fetches.tolist(), stats.splits.tolist()
+        ):
             report.modeled_seconds += (
                 cost.per_token_s
                 + visits * cost.node_visit_cold_s * cost.ungrouped_thrash
-                + (tree.stats.full_string_fetches - fetches_before) * cost.full_fetch_s
-                + (tree.stats.splits - splits_before) * cost.split_s
+                + fetches * cost.full_fetch_s
+                + splits * cost.split_s
             )
-        report.collections = len(touched)
         return report
 
     # ------------------------------------------------------------------ #

@@ -125,7 +125,7 @@ class GPUIndexer(BaseIndexer):
         return out
 
     def _index_batch_traced(self, batch: ParsedBatch, doc_offset: int) -> GPUBatchReport:
-        rows = self._owned_rows(batch)
+        rows = self._owned_rows(batch.order)
         owned = batch.order[rows].tolist()
         tokens, chars = batch.tokens[rows], batch.chars[rows]
 

@@ -40,6 +40,7 @@ from repro.indexers.gpu import GPUIndexer
 from repro.parsing.parser import ParseMetrics, Parser
 from repro.parsing.regroup import ParsedBatch
 from tests.parsed_stream_oracles import as_nested, batch_from_collections
+from tests.walk_oracle import OracleCPUIndexer, OracleGPUIndexer
 
 _PINNED_SPEC = CollectionSpec(
     name="pinned",
@@ -383,6 +384,100 @@ def test_walk_equals_one_descent_per_token(kind, positional, streams):
         delta = np.array(old.shard.stats().snapshot()) - np.array(before.snapshot())
         assert getattr(out, "report", out).btree == BTreeStats(*delta.tolist())
         _assert_same_state(new, old)
+
+
+class _Recorded:
+    """Keeps what every ``_index_rows`` call returned (shared by copies)."""
+
+    returned: list
+
+    def _index_rows(self, batch, rows, doc_offset):
+        out = super()._index_rows(batch, rows, doc_offset)
+        self.returned.append(out)
+        return out
+
+
+_PAIRS = {
+    "cpu": (type("NewCPU", (_Recorded, CPUIndexer), {}),
+            type("OldCPU", (_Recorded, OracleCPUIndexer), {})),
+    "gpu": (type("NewGPU", (_Recorded, GPUIndexer), {}),
+            type("OldGPU", (_Recorded, OracleGPUIndexer), {})),
+}
+
+
+def _resumed(indexer, logs: list[bytes]):
+    """The indexer as a resumed build has it: the forest regrown from its logs."""
+    stub = indexer.without_forest()
+    stub.shard.rebuild(logs)
+    return stub
+
+
+@pytest.mark.parametrize("positional", [False, True], ids=["plain", "positional"])
+@pytest.mark.parametrize("kind", list(_PAIRS))
+@settings(max_examples=40)
+@given(
+    streams=_token_streams(),
+    resumes=st.lists(st.booleans(), min_size=4, max_size=4),
+    owned=st.sampled_from([None, (3,), (40, 41)]),
+)
+def test_walk_equals_the_parent_walk(kind, positional, streams, resumes, owned):
+    """The walk's own per-span counts against the parent's walk, which read
+    every touched tree's counters before and after (``tests/walk_oracle.py``),
+    batch after batch, with a resume from the mutation logs between some."""
+    degree, batches = streams
+    indexers = []
+    for cls in _PAIRS[kind]:
+        indexer = cls(0, DictionaryShard(TrieTable(), owned_collections=owned, degree=degree))
+        indexer.returned = []
+        indexers.append(indexer)
+    new, old = indexers
+    new_logs: list[bytes] = []
+    old_logs: list[bytes] = []
+    for i, ((collections, twins), resume) in enumerate(zip(batches, resumes)):
+        batch = _columns(collections, twins, positional)
+        # ``repr``: every float bit of the modeled seconds and GPU cycles.
+        assert repr(new.index_batch(batch, 6 * i)) == repr(old.index_batch(batch, 6 * i))
+        (_, trees, grown), (_, old_trees, old_grown) = new.returned[-1], old.returned[-1]
+        owned_rows = new._owned_rows(batch.order)
+        assert trees == list(map(new.shard.trees.get, batch.order[owned_rows].tolist()))
+        assert [t.node_count for t in trees] == [t.node_count for t in old_trees]
+        # The per-collection record == the parent's before/after difference.
+        assert np.array_equal(
+            np.column_stack(grown.snapshot()), np.column_stack(old_grown.snapshot())
+        )
+        new_logs.append(new.shard.take_mutation_log())
+        old_logs.append(old.shard.take_mutation_log())
+        assert new_logs[-1] == old_logs[-1]
+        _assert_same_state(new, old)  # ten counters and items per tree, postings
+        if resume:
+            new, old = _resumed(new, new_logs), _resumed(old, old_logs)
+            _assert_same_state(new, old)
+
+
+@pytest.mark.parametrize("degree", [2, 3, 16])
+def test_ungrouped_equals_the_parent_loop(degree):
+    """The document-order path now walks one-token spans: same term ids,
+    postings, counters and modeled seconds as the parent's per-token loop,
+    and a report that carries the B-tree work the parent left at zero."""
+    # Height 1: few collections, so the small degrees split their trees.
+    parser = Parser(strip_html=False, regroup=False, trie=TrieTable(height=1))
+    batch, _ = parser.parse_texts(_TEXTS * 2)
+    assert not batch.regrouped
+    new = CPUIndexer(0, DictionaryShard(parser.trie, degree=degree))
+    old = OracleCPUIndexer(0, DictionaryShard(parser.trie, degree=degree))
+    for doc_offset in (0, 10):
+        before = old.shard.stats()
+        report, old_report = new.index_batch(batch, doc_offset), old.index_batch(batch, doc_offset)
+        assert old_report.btree == BTreeStats()
+        assert repr(dataclasses.replace(report, btree=BTreeStats())) == repr(old_report)
+        delta = np.array(old.shard.stats().snapshot()) - np.array(before.snapshot())
+        assert report.btree == BTreeStats(*delta.tolist())
+        assert list(new.shard.trees) == list(old.shard.trees)
+        for cidx, tree in new.shard.trees.items():
+            assert tree.node_count == old.shard.trees[cidx].node_count
+        _assert_same_state(new, old)
+    if degree < 16:  # the pin is only worth something if nodes split
+        assert new.shard.stats().splits
 
 
 def _one_collection(tokens: list[tuple[int, bytes]], cidx: int = 3) -> ParsedBatch:

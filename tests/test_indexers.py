@@ -74,6 +74,18 @@ class TestCPUIndexer:
         # The ablation's point: same work, far worse modeled locality.
         assert rb.modeled_seconds > ra.modeled_seconds
 
+    def test_ungrouped_reports_the_same_btree_work(self):
+        """Each tree sees its suffixes in the same order either way, so the
+        document-order path does the grouped path's B-tree work, and its
+        report must say so (the ablation's modeled node visits read it)."""
+        trie = TrieTable()
+        grouped, _ = _parse_batch(TEXTS, regroup=True, trie=trie)
+        ungrouped, _ = _parse_batch(TEXTS, regroup=False, trie=trie)
+        ra = CPUIndexer(0, DictionaryShard(trie)).index_batch(grouped, 0)
+        rb = CPUIndexer(0, DictionaryShard(trie)).index_batch(ungrouped, 0)
+        assert (ra.btree.inserts, ra.btree.node_visits, ra.btree.full_string_fetches) == (21, 24, 1)
+        assert rb.btree == ra.btree  # all ten fields
+
     def test_cost_model_cache_interpolation(self):
         cost = CPUCostModel()
         hot = cost.visit_cost(tree_bytes=1024)
