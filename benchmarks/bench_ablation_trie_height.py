@@ -8,7 +8,10 @@ many small trie collections, which will be again hard to manage."
 For each height we parse the mini ClueWeb sample and report: number of
 non-empty collections, the largest collection's token share (the GPU
 serial floor), the Gini-style imbalance across collections, and the
-mean suffix length left after the strip.
+mean suffix length left after the strip.  Every span of every parsed
+batch must hold only its own collection's tokens: at height 4 collection
+indices pass 65,535, so this is the routine check of Step 5's ranking and
+regrouping at heights 1-4.
 """
 
 from __future__ import annotations
@@ -28,6 +31,9 @@ def _profile(collection, height: int, n_files: int = 4):
     tokens = 0
     for seq, path in enumerate(collection.files[:n_files]):
         parsed = parser.parse_file(path, sequence=seq)
+        batch = parsed.batch
+        for cidx, (start, end) in zip(batch.order.tolist(), batch.spans.tolist()):
+            assert (batch.entry_cidx[batch.ids[start:end]] == cidx).all(), (height, cidx)
         for cidx, tok in parsed.batch.tokens_per_collection.items():
             counts[cidx] = counts.get(cidx, 0) + tok
         for cidx, ch in parsed.batch.chars_per_collection.items():

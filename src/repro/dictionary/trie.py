@@ -67,6 +67,18 @@ class TrieSplit(NamedTuple):
     category: TrieCategory
 
 
+_new = tuple.__new__
+_SPECIAL = TrieCategory.SPECIAL
+_PURE_NUMBER = TrieCategory.PURE_NUMBER
+_SHORT_OR_SPECIAL = TrieCategory.SHORT_OR_SPECIAL
+_FULL_PREFIX = TrieCategory.FULL_PREFIX
+#: ``ord(first)`` minus these is the collection of a pure number (1..10)
+#: or of a short / special-prefix term (11..36).
+_DIGIT_BASE = ord("0") - 1
+_LETTER_BASE = ord("a") - 11
+_ORD_A = ord("a")
+
+
 class TrieTable:
     """Arithmetic implementation of the Table I trie.
 
@@ -93,29 +105,30 @@ class TrieTable:
         """Map ``term`` to ``(collection index, stored suffix, category)``.
 
         ``term`` is the post-parsing form: already lower-cased and stemmed.
+        Runs once per new surface form of a build, so the result tuple is
+        built with ``tuple.__new__`` (no ``TrieSplit.__new__`` frame) and the
+        categories are module constants.
         """
         if not term:
             raise ValueError("cannot index an empty term")
-        h = self.height
         first = term[0]
         if "0" <= first <= "9":
             if not term.strip(_DIGITS):
                 # Pure number: bucket by first digit, strip it.
-                return TrieSplit(1 + (ord(first) - ord("0")), term[1:], TrieCategory.PURE_NUMBER)
-            return TrieSplit(0, term, TrieCategory.SPECIAL)
+                return _new(TrieSplit, (ord(first) - _DIGIT_BASE, term[1:], _PURE_NUMBER))
+            return _new(TrieSplit, (0, term, _SPECIAL))
         if "a" <= first <= "z":
+            h = self.height
             head = term[:h]
             if len(term) <= h or head.strip(_LOWER):
                 # Short term, or a special character inside the prefix
                 # window: bucket by first letter, strip it.
-                return TrieSplit(
-                    11 + (ord(first) - ord("a")), term[1:], TrieCategory.SHORT_OR_SPECIAL
-                )
+                return _new(TrieSplit, (ord(first) - _LETTER_BASE, term[1:], _SHORT_OR_SPECIAL))
             rank = 0
             for c in head:
-                rank = rank * 26 + (ord(c) - ord("a"))
-            return TrieSplit(self._tail_base + rank, term[h:], TrieCategory.FULL_PREFIX)
-        return TrieSplit(0, term, TrieCategory.SPECIAL)
+                rank = rank * 26 + (ord(c) - _ORD_A)
+            return _new(TrieSplit, (self._tail_base + rank, term[h:], _FULL_PREFIX))
+        return _new(TrieSplit, (0, term, _SPECIAL))
 
     def trie_index(self, term: str) -> int:
         """Collection index only (the hot path used by the tokenizer)."""

@@ -9,7 +9,8 @@ Each parser executes five steps over one file block:
    tokens; the trie-collection index is computed as a byproduct of the same
    scan, which is why the paper's Step-5 regrouping costs ~5%.
 3. **Porter stemming** — :mod:`repro.parsing.porter`, the full 1980
-   algorithm, memoized because Zipf-distributed tokens repeat heavily.
+   algorithm, run once per distinct form: Zipf-distributed tokens repeat
+   heavily, and the parser's token cache memoizes every form.
 4. **Stop-word removal** — :mod:`repro.parsing.stopwords`.
 5. **Regrouping** — :mod:`repro.parsing.regroup` rearranges terms so that
    terms with the same trie index are contiguous and strips the prefix the

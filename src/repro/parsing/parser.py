@@ -24,8 +24,8 @@ import numpy as np
 from repro.dictionary.trie import TrieTable
 from repro.obs import runtime as obs
 from repro.parsing.docio import DocTableEntry, load_collection_file
-from repro.parsing.porter import PorterStemmer
-from repro.parsing.regroup import ParsedBatch, first_seen, regroup, tiled_spans
+from repro.parsing.porter import porter_stem
+from repro.parsing.regroup import ParsedBatch, collection_ranks, regroup, tiled_spans
 from repro.parsing.stopwords import StopWordFilter
 from repro.parsing.tokenizer import Tokenizer
 
@@ -75,44 +75,50 @@ _STOP_WORD, _TOO_LONG = -1, -2  # token-cache sentinels
 class _TokenCache(dict):  # type: ignore[type-arg]
     """Surface form → entry id, resolved the first time a form is seen.
 
-    The lower-case → length limit → stem → stop → trie-split tail runs
-    once per *distinct* token, in first-seen order (``stem_cache_misses``
-    depends on it).  An entry id indexes the parser's ``(collection,
-    suffix)`` tables; the sentinels emit nothing.
+    A new lower-case form is checked against the byte limit, stemmed,
+    checked against the stop list and trie-split in ``__missing__``'s one
+    frame; a new cased form looks up its lower case (one more frame when
+    that is new too).  So each distinct lower-case form is stemmed once:
+    ``misses`` (the parser's ``stem_cache_misses``) counts the distinct
+    forms under the limit, in whatever order they come; only the entry
+    numbering follows first-seen order.  An entry id indexes the parser's
+    ``(collection, suffix)`` tables; the sentinels emit nothing.
     """
 
     def __init__(self, parser: "Parser") -> None:
         super().__init__()
+        self.misses = 0
         # Bound once: the tail runs for every new form of a build.
-        self._too_long = parser.tokenizer.too_long
-        self._stem = parser.stemmer.stem
-        self._is_stop = parser.stop_filter.is_stop
+        self._limit = parser.tokenizer.max_token_bytes
+        self._stop_words = StopWordFilter().stemmed
         self._split = parser.trie.split
         self._append_cidx = parser._entry_cidx.append
         self._suffixes = parser._entry_suffix
 
     def __missing__(self, form: str) -> int:
         token = form.lower()
-        if token == form:
-            # One ``str`` object keys this cache and the stemmer's: a fresh
-            # ``.lower()`` copy would store the vocabulary twice.
-            token = form
-        entry = self.get(token)
-        if entry is None:
-            entry = self[token] = self._resolve(token)
+        if token != form:
+            # A cased form keys its lower case's entry.  A lower-case form
+            # keys itself: a fresh ``.lower()`` copy would store the
+            # vocabulary twice.
+            entry = self[form] = self[token]
+            return entry
+        limit = self._limit
+        if len(form) * 4 > limit and len(form.encode("utf-8")) > limit:
+            entry = _TOO_LONG
+        else:
+            self.misses += 1
+            term = porter_stem(form)
+            if not term or term in self._stop_words:
+                entry = _STOP_WORD
+            else:
+                index, suffix, _ = self._split(term)
+                self._append_cidx(index)
+                suffixes = self._suffixes
+                suffixes.append(suffix.encode("utf-8"))
+                entry = len(suffixes) - 1
         self[form] = entry
         return entry
-
-    def _resolve(self, token: str) -> int:
-        if self._too_long(token):
-            return _TOO_LONG
-        term = self._stem(token)
-        if not term or self._is_stop(term):
-            return _STOP_WORD
-        index, suffix, _ = self._split(term)
-        self._append_cidx(index)
-        self._suffixes.append(suffix.encode("utf-8"))
-        return len(self._suffixes) - 1
 
 
 class Parser:
@@ -139,14 +145,10 @@ class Parser:
         strip_html: bool = True,
         regroup: bool = True,
         positional: bool = False,
-        stemmer: PorterStemmer | None = None,
-        stop_filter: StopWordFilter | None = None,
     ) -> None:
         self.parser_id = parser_id
         self.trie = trie if trie is not None else TrieTable()
         self.tokenizer = Tokenizer(trie=self.trie, strip_html=strip_html)
-        self.stemmer = stemmer if stemmer is not None else PorterStemmer()
-        self.stop_filter = stop_filter if stop_filter is not None else StopWordFilter()
         self.regroup_enabled = regroup
         self.positional = positional
         #: Stable trace-lane identity for this parser *object*.  The
@@ -172,9 +174,10 @@ class Parser:
         """Steps 2–5 over already-loaded document texts."""
         tokenizer = self.tokenizer
         chars0 = tokenizer.chars_scanned
-        misses0 = self.stemmer.misses
+        cache = self._token_cache
+        misses0 = cache.misses
 
-        resolve = self._token_cache.__getitem__
+        resolve = cache.__getitem__
         stream = array("i")
         forms_per_doc: list[int] = []
         for text in texts:
@@ -186,15 +189,21 @@ class Parser:
         docs = np.repeat(np.arange(len(texts), dtype=np.int32), forms_per_doc)[emitted]
 
         # Batch-local entry table: the rows of the parser's table this
-        # stream uses, and the stream renumbered onto them.
-        used, ids = np.unique(resolved[emitted], return_inverse=True)
+        # stream uses, and the stream renumbered onto them.  Parser entry
+        # ids are dense in ``[0, len(table))``: a presence mask lists the
+        # used rows in order, and its running count renumbers the stream.
+        entries = resolved[emitted]
+        present = np.zeros(len(self._entry_suffix), dtype=bool)
+        present[entries] = True
+        used = np.flatnonzero(present)
+        ids = (np.cumsum(present, dtype=np.int32) - 1)[entries]
         batch = ParsedBatch(
             parser_id=self.parser_id, sequence=sequence, source_file=source_file,
             num_docs=len(texts),
             entry_cidx=np.frombuffer(self._entry_cidx, dtype=np.int32)[used],
             entry_suffix=[self._entry_suffix[i] for i in used.tolist()],
         )
-        self._assemble(batch, ids.astype(np.int32), docs)
+        self._assemble(batch, ids, docs)
 
         stopped = int(np.count_nonzero(resolved == _STOP_WORD))
         metrics = ParseMetrics(
@@ -204,7 +213,7 @@ class Parser:
             tokens_stopped=stopped,
             tokens_emitted=len(ids),
             suffix_chars=batch.total_chars,
-            stem_cache_misses=self.stemmer.misses - misses0,
+            stem_cache_misses=cache.misses - misses0,
             collections_touched=len(batch.order),
         )
         return batch, metrics
@@ -213,10 +222,10 @@ class Parser:
         """Step 5: fill ``batch``'s token columns and collection table from
         ``ids`` / ``docs``, the emitted stream in document order over the
         entry table ``batch`` already carries.  Counts are ``bincount``s,
-        never per-token bumps; regrouping is one stable sort of the columns."""
-        cidx = batch.entry_cidx[ids]
+        never per-token bumps; ranking and regrouping each take one radix
+        sort over the tokens (``collection_ranks``, ``regroup``)."""
         lengths = np.fromiter(map(len, batch.entry_suffix), np.int64, len(batch.entry_suffix))
-        batch.order, rank = first_seen(cidx)
+        batch.order, rank = collection_ranks(ids, batch.entry_cidx)
         k = len(batch.order)
         batch.tokens = np.bincount(rank, minlength=k)
         batch.chars = np.bincount(rank, weights=lengths[ids], minlength=k).astype(np.int64)
@@ -228,7 +237,7 @@ class Parser:
             with obs.tracer().span(
                 "regroup", cat="parse", lane=self._lane(), docs=batch.num_docs
             ):
-                perm, _ = regroup(cidx)
+                perm, _ = regroup(rank, batch.order)
             ids, docs = ids[perm], docs[perm]
             if batch.positions is not None:
                 batch.positions = batch.positions[perm]

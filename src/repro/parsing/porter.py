@@ -30,13 +30,14 @@ matches, fired or not: the order is part of the algorithm (``ization`` must
 be tried before ``ation``, ``ement`` before ``ment`` before ``ent``).
 
 Because token streams are Zipf-distributed, :class:`PorterStemmer` memoizes
-every word; ``misses`` counts the words stemmed through the algorithm,
-which the parser reports as ``stem_cache_misses`` to the cost model.
+every word; ``misses`` counts the words stemmed through the algorithm.
+The parser calls :func:`porter_stem` directly: its token cache already
+resolves every distinct word once, so a second memo would never hit.
 """
 
 from __future__ import annotations
 
-__all__ = ["PorterStemmer", "stem"]
+__all__ = ["PorterStemmer", "porter_stem", "stem"]
 
 
 class _ClassTable(dict[int, str]):
@@ -128,6 +129,70 @@ def _replace_first(
     return w, p
 
 
+def porter_stem(word: str) -> str:
+    """Stem a lower-case word through the algorithm, unmemoised.
+
+    The five steps over ``(w, p)``: the word and its pattern.
+    """
+    if len(word) <= 2:
+        return word
+    w, p = word, _pattern(word)
+
+    # Step 1a: sses → ss, ies → i, ss → ss, s → "".
+    if w[-1] == "s":
+        if w.endswith(("sses", "ies")):
+            w, p = w[:-2], p[:-2]
+        elif w[-2] != "s":
+            w, p = w[:-1], p[:-1]
+
+    # Step 1b: (m>0) eed → ee; (*v*) ed → "", (*v*) ing → "", then
+    # at / bl / iz → +e, *d (not l, s, z) → single letter, m=1 and *o → +e.
+    if w.endswith("eed"):
+        if p.count("vc", 0, len(w) - 3):
+            w, p = w[:-1], p[:-1]
+    elif w.endswith(("ed", "ing")):
+        k = len(w) - (2 if w[-1] == "d" else 3)
+        if "v" in p[:k]:
+            w, p = w[:k], p[:k]
+            if w.endswith(("at", "bl", "iz")):
+                w, p = w + "e", p + "v"
+            elif k >= 2 and w[-1] == w[-2] and p[-1] == "c" and w[-1] not in "lsz":
+                w, p = w[:-1], p[:-1]
+            elif p.count("vc") == 1 and p.endswith("cvc") and w[-1] not in "wxy":
+                w, p = w + "e", p + "v"
+
+    # Step 1c: (*v*) y → i.
+    if w.endswith("y") and "v" in p[:-1]:
+        w, p = w[:-1] + "i", p[:-1] + "v"
+
+    # Step 2 (m>0) and step 3 (m>0): one suffix replaced each.
+    if w.endswith(_STEP2_ENDINGS):
+        w, p = _replace_first(w, p, _STEP2_RULES)
+    if w.endswith(_STEP3_ENDINGS):
+        w, p = _replace_first(w, p, _STEP3_RULES)
+
+    # Step 4 (m>1): one suffix removed; ion only after s or t.
+    if w.endswith(_STEP4_SUFFIXES):
+        for suffix in _STEP4_SUFFIXES:
+            if w.endswith(suffix):
+                k = len(w) - len(suffix)
+                if p.count("vc", 0, k) > 1 and (suffix != "ion" or w[k - 1] in "st"):
+                    w, p = w[:k], p[:k]
+                break
+
+    # Step 5a: (m>1) e → "", (m=1 and not *o) e → "".
+    if w.endswith("e"):
+        k = len(w) - 1
+        m = p.count("vc", 0, k)
+        if m > 1 or (m == 1 and not (p.endswith("cvc", 0, k) and w[k - 1] not in "wxy")):
+            w, p = w[:k], p[:k]
+
+    # Step 5b: (m>1 and *d and *l) → single letter.
+    if w.endswith("ll") and p.count("vc") > 1:
+        w = w[:-1]
+    return w
+
+
 class PorterStemmer:
     """Memoized Porter stemmer."""
 
@@ -144,72 +209,11 @@ class PorterStemmer:
         if cached is not None:
             return cached
         self.misses += 1
-        result = self._stem_uncached(word)
+        result = porter_stem(word)
         self._cache[word] = result
         return result
 
     __call__ = stem
-
-    @staticmethod
-    def _stem_uncached(word: str) -> str:
-        """The five steps over ``(w, p)``: the word and its pattern."""
-        if len(word) <= 2:
-            return word
-        w, p = word, _pattern(word)
-
-        # Step 1a: sses → ss, ies → i, ss → ss, s → "".
-        if w[-1] == "s":
-            if w.endswith(("sses", "ies")):
-                w, p = w[:-2], p[:-2]
-            elif w[-2] != "s":
-                w, p = w[:-1], p[:-1]
-
-        # Step 1b: (m>0) eed → ee; (*v*) ed → "", (*v*) ing → "", then
-        # at / bl / iz → +e, *d (not l, s, z) → single letter, m=1 and *o → +e.
-        if w.endswith("eed"):
-            if p.count("vc", 0, len(w) - 3):
-                w, p = w[:-1], p[:-1]
-        elif w.endswith(("ed", "ing")):
-            k = len(w) - (2 if w[-1] == "d" else 3)
-            if "v" in p[:k]:
-                w, p = w[:k], p[:k]
-                if w.endswith(("at", "bl", "iz")):
-                    w, p = w + "e", p + "v"
-                elif k >= 2 and w[-1] == w[-2] and p[-1] == "c" and w[-1] not in "lsz":
-                    w, p = w[:-1], p[:-1]
-                elif p.count("vc") == 1 and p.endswith("cvc") and w[-1] not in "wxy":
-                    w, p = w + "e", p + "v"
-
-        # Step 1c: (*v*) y → i.
-        if w.endswith("y") and "v" in p[:-1]:
-            w, p = w[:-1] + "i", p[:-1] + "v"
-
-        # Step 2 (m>0) and step 3 (m>0): one suffix replaced each.
-        if w.endswith(_STEP2_ENDINGS):
-            w, p = _replace_first(w, p, _STEP2_RULES)
-        if w.endswith(_STEP3_ENDINGS):
-            w, p = _replace_first(w, p, _STEP3_RULES)
-
-        # Step 4 (m>1): one suffix removed; ion only after s or t.
-        if w.endswith(_STEP4_SUFFIXES):
-            for suffix in _STEP4_SUFFIXES:
-                if w.endswith(suffix):
-                    k = len(w) - len(suffix)
-                    if p.count("vc", 0, k) > 1 and (suffix != "ion" or w[k - 1] in "st"):
-                        w, p = w[:k], p[:k]
-                    break
-
-        # Step 5a: (m>1) e → "", (m=1 and not *o) e → "".
-        if w.endswith("e"):
-            k = len(w) - 1
-            m = p.count("vc", 0, k)
-            if m > 1 or (m == 1 and not (p.endswith("cvc", 0, k) and w[k - 1] not in "wxy")):
-                w, p = w[:k], p[:k]
-
-        # Step 5b: (m>1 and *d and *l) → single letter.
-        if w.endswith("ll") and p.count("vc") > 1:
-            w = w[:-1]
-        return w
 
 
 _DEFAULT = PorterStemmer()

@@ -12,6 +12,11 @@ table* ``entry id → (collection index, suffix bytes)`` — plus one span
 ``[start, end)`` of those rows per collection.  Stages exchange
 contiguous integer slices, never per-token containers.
 
+Step 5 is linear in the tokens: :func:`collection_ranks` ranks the
+collections by first occurrence with a radix sort of the entry ids and
+work over the entry table, and :func:`regroup` is one stable radix sort
+of those ranks (16-bit keys up to 65,536 collections a batch).
+
 Regrouping is the paper's single biggest serial-indexing win (~15× from
 temporal cache locality: a whole group hits one small B-tree that stays in
 cache).  The ablation benchmark disables it via ``Parser(regroup=False)``,
@@ -27,7 +32,7 @@ from typing import Iterator
 
 import numpy as np
 
-__all__ = ["ParsedBatch", "first_seen", "regroup", "tiled_spans"]
+__all__ = ["ParsedBatch", "collection_ranks", "regroup", "tiled_spans"]
 
 
 _int32 = partial(np.empty, 0, np.int32)
@@ -138,26 +143,57 @@ def tiled_spans(tokens: np.ndarray) -> np.ndarray:
     return np.column_stack((ends - tokens, ends))
 
 
-def first_seen(cidx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct values in order of first occurrence, and each element's rank in it."""
-    uniq, first, inverse = np.unique(cidx, return_index=True, return_inverse=True)
-    by_first = np.argsort(first)
-    rank = np.empty(len(uniq), dtype=np.intp)
-    rank[by_first] = np.arange(len(uniq))
-    return uniq[by_first], rank[inverse]
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable sort of non-empty, non-negative ``values`` on the smallest
+    unsigned type that holds them (a radix sort up to 16 bits): the
+    permutation, and which of its positions start a run of equal values."""
+    perm = np.argsort(values.astype(np.min_scalar_type(values.max())), kind="stable")
+    ordered = values[perm]
+    starts = np.ones(len(values), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    return perm, starts
 
 
-def regroup(cidx: np.ndarray) -> tuple[np.ndarray, dict[int, int]]:
+def collection_ranks(ids: np.ndarray, entry_cidx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A token column's collections in first-seen order, and each token's rank.
+
+    ``ids`` indexes the entry table ``entry_cidx``.  Linear in the tokens:
+    one stable radix sort of ``ids`` finds each entry's first token; a
+    collection is first seen with the first of its entries, which one more
+    stable sort over the entries finds; the token ranks are a gather.
+    """
+    if not len(ids):
+        return entry_cidx[:0], np.zeros(0, dtype=np.intp)
+    perm, starts = _runs(ids)
+    first_token = np.zeros(len(ids), dtype=bool)
+    first_token[perm[starts]] = True
+    entries = ids[first_token]  # each entry once, in order of first occurrence
+    cidx = entry_cidx[entries]
+    perm, starts = _runs(cidx)
+    leaders = perm[starts]  # each collection's first entry
+    leads = np.zeros(len(cidx), dtype=bool)
+    leads[leaders] = True
+    # A leader's rank is the count of leaders before it; every entry of a
+    # run takes its leader's.
+    rank = np.empty(len(cidx), dtype=np.intp)
+    rank[perm] = (np.cumsum(leads) - 1)[leaders][np.cumsum(starts) - 1]
+    entry_rank = np.zeros(len(entry_cidx), dtype=np.intp)
+    entry_rank[entries] = rank
+    return cidx[leads], entry_rank[ids]
+
+
+def regroup(rank: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, dict[int, int]]:
     """Regroup a token stream by collection: one stable sort.
 
-    ``cidx`` holds each token's collection index, documents back to back.
-    Returns ``(perm, tokens_per_collection)``: ``perm`` makes every
-    collection contiguous, collections in first-seen order (the dict's
-    order); within a collection documents and a document's tokens keep
-    their order, so the indexer's append-only postings stay docID-sorted
-    and term frequencies exact.  Self-contained (it ranks the collections
-    itself) so the step can be timed on its own.
+    ``rank`` holds each token's row in ``order``, the collections in
+    first-seen order, documents back to back.  Returns ``(perm,
+    tokens_per_collection)``: ``perm`` makes every collection contiguous,
+    collections in ``order`` (the dict's order); within a collection
+    documents and a document's tokens keep their order, so the indexer's
+    append-only postings stay docID-sorted and term frequencies exact.
+    The key is the smallest unsigned type that holds every row, so up to
+    65,536 collections the stable sort is a radix sort.
     """
-    order, rank = first_seen(cidx)
-    perm = np.argsort(rank, kind="stable")
-    return perm, dict(zip(order.tolist(), np.bincount(rank, minlength=len(order)).tolist()))
+    k = len(order)
+    perm = np.argsort(rank.astype(np.min_scalar_type(max(k - 1, 0))), kind="stable")
+    return perm, dict(zip(order.tolist(), np.bincount(rank, minlength=k).tolist()))

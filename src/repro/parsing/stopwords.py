@@ -50,14 +50,15 @@ class StopWordFilter:
             for fragment in word.replace("'", " ").split():
                 stemmed.add(fragment)
                 stemmed.add(stemmer.stem(fragment))
-        self._stemmed = frozenset(stemmed)
+        #: The stemmed stop words (the parser tests membership inline).
+        self.stemmed = frozenset(stemmed)
 
     def is_stop(self, stemmed_token: str) -> bool:
         """True if a stemmed token should be dropped."""
-        return stemmed_token in self._stemmed
+        return stemmed_token in self.stemmed
 
     def __contains__(self, stemmed_token: str) -> bool:
         return self.is_stop(stemmed_token)
 
     def __len__(self) -> int:
-        return len(self._stemmed)
+        return len(self.stemmed)

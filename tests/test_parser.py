@@ -60,22 +60,28 @@ class TestParseTexts:
         assert on.tokens_per_collection == off.tokens_per_collection
 
     def test_one_str_object_per_vocabulary_word(self):
-        """The token cache and the stemmer's cache share their key objects.
+        """A lower-case form keys the token cache by its own object.
 
-        Keying the token cache by the scanned form while stemming a fresh
-        ``.lower()`` copy stored every vocabulary string twice (+5 %
-        ``peak_rss_mb`` on ``web_serial``).
+        Storing a fresh ``.lower()`` copy next to the scanned form kept
+        every vocabulary string twice (+5 % ``peak_rss_mb`` on
+        ``web_serial``).  Nothing else holds the words: the parser stems
+        through the unmemoised algorithm.
         """
         parser = Parser(strip_html=False)
+        cache = parser._token_cache
+        # Built at run time, so neither object is an interned literal.
+        lower, upper = "".join(["zeb", "ra"]), "".join(["ZEB", "RA"])
+        cache[lower]
+        (key,) = [k for k in cache if k == "zebra"]
+        assert key is lower
+        # A mixed-case form is one more key onto the same entry, resolved
+        # (and stemmed) once.
+        misses = cache.misses
+        assert cache[upper] == cache["zebra"] and cache.misses == misses
         parser.parse_texts(["parallel Parallel indexers ZEBRA zebra"])
-        stemmed = {key: key for key in parser.stemmer._cache}
-        for form in ("parallel", "indexers", "zebra"):
-            (key,) = [k for k in parser._token_cache if k == form]
-            assert key is stemmed[form]
-        # Mixed-case forms are extra keys onto the same entries, never
-        # stemmed themselves.
-        assert "Parallel" in parser._token_cache and "Parallel" not in stemmed
-        assert parser._token_cache["Parallel"] == parser._token_cache["parallel"]
+        assert sorted(cache) == ["Parallel", "ZEBRA", "indexers", "parallel", "zebra"]
+        assert cache["Parallel"] == cache["parallel"]
+        assert not hasattr(parser, "stemmer")
 
     def test_counts_come_from_the_columns(self):
         """Over-length tokens are not raw tokens; stop words are."""
@@ -91,6 +97,20 @@ class TestParseTexts:
         _, m2 = parser.parse_texts(["reusing vocabulary words repeatedly"])
         assert m2.stem_cache_misses == 0
         assert m1.stem_cache_misses > 0
+
+    def test_stem_cache_misses_pinned(self, tiny_collection, tiny_text_collection):
+        """One stem per distinct lower-case form under the length limit,
+        counted by the parser: the literals are the memoised stemmer's."""
+        for collection, strip_html, expected in (
+            (tiny_collection, True, [419, 269, 170, 136, 226, 190]),
+            (tiny_text_collection, False, [464, 257, 159, 128, 248, 165]),
+        ):
+            parser = Parser(strip_html=strip_html)
+            misses = [
+                parser.parse_file(path, sequence=i).metrics.stem_cache_misses
+                for i, path in enumerate(collection.files)
+            ]
+            assert misses == expected
 
 
 class TestParseFile:

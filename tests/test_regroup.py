@@ -9,15 +9,19 @@ stream, the stable sort's spans must hold — same collections, same order
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.dictionary.trie import TrieTable
 from repro.parsing.parser import Parser
-from repro.parsing.regroup import ParsedBatch, first_seen, regroup
+from repro.parsing.regroup import ParsedBatch, collection_ranks, regroup
 from tests.parsed_stream_oracles import (
     OldParser,
+    ParentParser,
     as_nested,
     as_ungrouped,
+    assert_same_batch,
     old_regroup,
     stream_columns,
 )
@@ -61,12 +65,33 @@ class TestRegroup:
 
     def test_one_stable_sort(self):
         """``regroup`` itself: the permutation and the first-seen counts."""
-        cidx = np.array([7, 5, 7, 9, 5, 7], dtype=np.int32)
-        perm, tokens = regroup(cidx)
+        # Entries 0..3 lie in collections 5, 7, 9, 7; the tokens' collections
+        # are 7, 5, 7, 9, 5, 7.
+        entry_cidx = np.array([5, 7, 9, 7], dtype=np.int32)
+        ids = np.array([1, 0, 3, 2, 0, 1], dtype=np.int32)
+        order, rank = collection_ranks(ids, entry_cidx)
+        assert order.tolist() == [7, 5, 9] and rank.tolist() == [0, 1, 0, 2, 1, 0]
+        perm, tokens = regroup(rank, order)
         assert perm.tolist() == [0, 2, 5, 1, 4, 3]
         assert list(tokens.items()) == [(7, 3), (5, 2), (9, 1)]
-        order, rank = first_seen(cidx)
-        assert order.tolist() == [7, 5, 9] and rank.tolist() == [0, 1, 0, 2, 1, 0]
+
+    @pytest.mark.parametrize("k", [1, 256, 257, 65_536, 65_537])
+    def test_radix_key_edges(self, k):
+        """The sort key narrows to ``uint8`` / ``uint16`` at 256 / 65,536
+        collections; above that it is ``uint32`` and the sort is no radix
+        sort.  Every width must give the int64 stable sort's permutation."""
+        rng = np.random.default_rng(k)
+        rank = np.concatenate([np.arange(k), rng.integers(0, k, 3 * k)])
+        rng.shuffle(rank)
+        order = np.arange(10, 10 + k, dtype=np.int32)
+        perm, tokens = regroup(rank, order)
+        assert np.array_equal(perm, np.argsort(rank.astype(np.int64), kind="stable"))
+        assert list(tokens) == order.tolist() and sum(tokens.values()) == len(rank)
+        assert list(tokens.values()) == np.bincount(rank, minlength=k).tolist()
+
+    def test_collection_ranks_of_an_empty_stream(self):
+        order, rank = collection_ranks(np.empty(0, np.int32), np.empty(0, np.int32))
+        assert order.dtype == np.int32 and len(order) == len(rank) == 0
 
     def test_document_order_preserved_within_collection(self):
         docs = [(i, [(3, f"t{i}".encode())]) for i in range(10)]
@@ -222,3 +247,39 @@ def test_ablation_parser_equals_the_parent_parser(texts):
     assert as_ungrouped(batch) == doc_streams
     old_metrics.collections_touched = len(old_regroup(doc_streams)[1])
     assert metrics == old_metrics
+
+
+# --------------------------------------------------------------------------- #
+# The whole parser against the parent's columnar Step 5
+# --------------------------------------------------------------------------- #
+
+_STEP5_WORDS = st.one_of(
+    _WORDS,
+    st.sampled_from(["the", "THE", "and", "This", "having", "ourselves", "12", "0", "007"]),
+    # Random heads spread tokens over many collections at heights 3 and 4.
+    st.text(alphabet="abcdefghijklmnopqrstuvwxyzAEZ0159éß", min_size=1, max_size=9),
+)
+_STEP5_FILES = st.lists(
+    st.lists(st.lists(_STEP5_WORDS, max_size=40).map(" ".join), max_size=6),
+    min_size=1, max_size=4,
+)
+
+
+@given(
+    files=_STEP5_FILES,
+    height=st.integers(min_value=1, max_value=4),
+    regrouped=st.booleans(),
+    positional=st.booleans(),
+)
+def test_parser_equals_the_parent_step5(files, height, regrouped, positional):
+    """A sequence of files through one parser, token cache carried over:
+    every batch column (dtypes included) and ``ParseMetrics`` equal the
+    parent's ``np.unique`` / ``first_seen`` / memoised-stemmer parser."""
+    options = dict(strip_html=False, regroup=regrouped, positional=positional and regrouped)
+    new = Parser(trie=TrieTable(height), **options)
+    old = ParentParser(trie=TrieTable(height), **options)
+    for sequence, texts in enumerate(files):
+        batch, metrics = new.parse_texts(texts, sequence=sequence)
+        old_batch, old_metrics = old.parse_texts(texts, sequence=sequence)
+        assert_same_batch(batch, old_batch)
+        assert metrics == old_metrics

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.corpus.synthetic import generate_collection
 from repro.dictionary.trie import TrieTable
 from repro.parsing.docio import load_collection_file
-from repro.parsing.porter import PorterStemmer
+from repro.parsing.porter import porter_stem
 from repro.parsing.tokenizer import Tokenizer
 from tests.porter_oracle import oracle_split, oracle_stem
 
@@ -60,7 +60,7 @@ words = st.builds(
     st.sampled_from(("",) + _SUFFIXES),
 )
 
-_stem = PorterStemmer()._stem_uncached
+_stem = porter_stem
 
 
 @settings(max_examples=1000)
