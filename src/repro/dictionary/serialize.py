@@ -7,48 +7,56 @@ share prefixes; following Heinz & Zobel [4] (cited in Section II) we apply
 front-coding: each suffix stores the length of the prefix it shares with
 its predecessor plus the differing tail.
 
+A term id is ``shard << 40 | local`` (:data:`SHARD_ID_SPACE_BITS`), and
+every term of a collection comes from the shard that owns it, so the file
+stores the shard once per collection and each term's shard-local id.
+
 On-disk format::
 
-    magic  b"RPRODIC1"                8 bytes
+    magic  b"RPRODIC2"                8 bytes
     uvarint trie_height
-    uvarint n_nonempty_collections
-    per collection (ascending index):
-        uvarint collection_index
-        uvarint n_terms
-        per term (ascending suffix): uvarint lcp, uvarint tail_len,
-                                     tail bytes, uvarint term_id
+    uvarint n_blocks
+    per block (whole collections, ascending index):
+        uvarints n_collections, n_terms and the byte length of each column
+        six columns, each its values' uvarints back to back:
+            collection-index gap   per collection (the file's first from -1)
+            shard id               per collection
+            term count             per collection
+            lcp                    per term (ascending suffix)
+            tail length            per term
+            shard-local term id    per term
+        the tails, concatenated
     footer: CRC32 of everything above, 4 bytes little-endian
 
-Both directions work on columns, in blocks of whole collections of about
-:data:`_BLOCK_TERMS` terms, which bound the per-byte temporaries.  No
-step calls a Python function per term; the load's position scan is the
-one per-term loop.  The format is the one the per-term code wrote (kept
-as the oracle in ``tests/dictionary_oracle.py``): the bytes are
-identical.
+A block holds whole collections, at least :data:`_BLOCK_TERMS` terms unless
+the dictionary ends, which bounds the per-byte temporaries.  Each column is
+one :func:`encode_uvarints` / :func:`decode_uvarints` call; no step calls a
+Python function per term.  The per-term reader of this format is the
+oracle in ``tests/dictionary_oracle.py``.
 
 *Save.*  Each tree hands over its in-order string pointers and term ids a
 node at a time (:meth:`~repro.dictionary.btree.BTree.extend_in_order`).
 Per block, the trees' string heaps are joined, the LCPs come from
-byte-column compares over the joined heap, lcp / tail length / term id /
-collection headers are each one :func:`encode_uvarints` call, and one
-gather interleaves them with the tails.
+byte-column compares over the joined heap, and one gather cuts the tails
+out of the heap.  A collection whose ids span two shards raises
+``ValueError``.
 
-*Load.*  After the CRC and magic checks, one scan walks the records and
-keeps only each term's tail position (a multi-byte lcp or tail length
-takes a :func:`decode_uvarint` fallback; a varint that is only skipped
-ends on the next terminator byte, found by ``bytes.find``).  Per block,
-lcps, tail lengths and term ids are then read as arrays, the front-coded
-suffixes are rebuilt column by column in a byte matrix behind each
-collection's prefix
+*Load.*  After the CRC and magic checks (a version-1 ``RPRODIC1`` file is
+refused with a request to rebuild), each block's columns are decoded, the
+front-coded suffixes are rebuilt column by column in a byte matrix behind
+each collection's prefix
 (:meth:`~repro.dictionary.trie.TrieTable.prefix_columns`), and one UTF-8
 decode yields the terms.  The loader rejects, with ``ValueError`` (or
 ``EOFError`` for a body that ends early), every body that is not one the
-writer could have written: a trie height outside 1–13, collection
-indices that do not ascend or leave the trie, an empty collection, a
-collection's first term sharing a prefix, an lcp longer than the previous
-suffix, suffixes that do not strictly ascend, a NUL byte or invalid UTF-8
-in a term, a suffix over 255 bytes, a term id or collection index over
-nine varint bytes, and trailing bytes.
+writer could have written: a trie height outside 1–13, an empty block, a
+column that overruns the body or holds more or fewer values than its
+count, a collection-index gap of 0, a collection index beyond the trie, a
+shard id of 2**23 or more (its ids would overflow ``int64``), an empty
+collection, term counts that do not add up to the block's, a local id of
+2**40 or more, a collection's first term sharing a prefix, an lcp longer
+than the previous suffix, suffixes that do not strictly ascend, a NUL byte
+or invalid UTF-8 in a term, a suffix over 255 bytes, a varint over nine
+bytes, and trailing bytes.
 :class:`~repro.robustness.errors.ChecksumError` (a ``ValueError``)
 reports a CRC mismatch.
 """
@@ -56,24 +64,23 @@ reports a CRC mismatch.
 from __future__ import annotations
 
 import zlib
-from array import array
+from itertools import accumulate
 
 import numpy as np
 
 from repro.dictionary.btree import BTree
-from repro.dictionary.dictionary import DictionaryShard
+from repro.dictionary.dictionary import SHARD_ID_SPACE_BITS, DictionaryShard
 from repro.dictionary.layout import MAX_TERM_BYTES
 from repro.dictionary.trie import TrieTable
-from repro.postings.compression import (
-    MAX_UVARINT_BYTES,
-    decode_uvarint,
-    encode_uvarints,
-)
+from repro.postings.compression import decode_uvarints, encode_uvarints, skip_uvarints
 from repro.robustness.errors import ChecksumError
 
 __all__ = ["save_dictionary", "load_dictionary", "DICT_MAGIC", "DICT_CRC_BYTES"]
 
-DICT_MAGIC = b"RPRODIC1"
+DICT_MAGIC = b"RPRODIC2"
+#: The magic of the per-term format this one replaced; such a file is
+#: refused, not read.
+_V1_MAGIC = b"RPRODIC1"
 #: Width of the little-endian CRC32 footer trailing the dictionary blob.
 DICT_CRC_BYTES = 4
 
@@ -82,9 +89,12 @@ DICT_CRC_BYTES = 4
 #: per-byte temporaries near 100 KB.
 _BLOCK_TERMS = 2048
 
-#: ``bytes.translate`` table: 0 for a byte that ends a varint, 1 for a
-#: continuation byte.
-_CONTINUES = bytes(b >> 7 for b in range(256))
+#: Columns per block: three per collection, then three per term.
+_COLUMNS = 6
+
+#: A shard id at or above this makes ``shard << 40`` overflow ``int64``.
+_SHARD_LIMIT = 1 << (63 - SHARD_ID_SPACE_BITS)
+_LOCAL_MASK = (1 << SHARD_ID_SPACE_BITS) - 1
 
 #: Zero bytes after a block's joined string heaps, so an LCP compare may
 #: read past the last string.
@@ -98,42 +108,48 @@ _HEAP_PAD = bytes(MAX_TERM_BYTES)
 
 def save_dictionary(dictionary: DictionaryShard, path: str) -> int:
     """Serialize to ``path``; returns bytes written."""
-    trees = dictionary.trees
-    nonempty = [cidx for cidx in sorted(trees) if trees[cidx].term_count]
-    head = DICT_MAGIC + encode_uvarints(np.array([dictionary.trie.height, len(nonempty)]))[0]
+    nonempty = [(cidx, tree) for cidx, tree in sorted(dictionary.trees.items()) if tree.term_count]
+    blocks = []
+    start = count = 0
+    for i, (_, tree) in enumerate(nonempty):
+        count += tree.term_count
+        if count >= _BLOCK_TERMS or i == len(nonempty) - 1:
+            blocks.append(nonempty[start : i + 1])
+            start, count = i + 1, 0
+    head = DICT_MAGIC + encode_uvarints(np.array([dictionary.trie.height, len(blocks)]))[0]
     crc = zlib.crc32(head)
     size = len(head)
     with open(path, "wb") as fh:
         fh.write(head)
-        start = count = 0
-        for i, cidx in enumerate(nonempty):
-            count += trees[cidx].term_count
-            if count >= _BLOCK_TERMS or i == len(nonempty) - 1:
-                block = _encode_block([(c, trees[c]) for c in nonempty[start : i + 1]])
-                crc = zlib.crc32(block, crc)
-                size += len(block)
-                fh.write(block)
-                start, count = i + 1, 0
+        prev = -1
+        for trees in blocks:
+            block = _encode_block(trees, prev)
+            prev = trees[-1][0]
+            crc = zlib.crc32(block, crc)
+            size += len(block)
+            fh.write(block)
         fh.write((crc & 0xFFFFFFFF).to_bytes(DICT_CRC_BYTES, "little"))
     return size + DICT_CRC_BYTES
 
 
-def _encode_block(trees: list[tuple[int, BTree]]) -> bytes:
-    """The records of whole collections: headers and front-coded terms."""
+def _encode_block(trees: list[tuple[int, BTree]], prev: int) -> bytes:
+    """Whole collections after collection ``prev``: header, columns, tails."""
     string_ptrs: list[int] = []
     term_ids: list[int] = []
     heaps: list[bytes] = []
-    headers: list[int] = []  # collection index, term count, …
-    for cidx, tree in trees:
+    counts_list: list[int] = []
+    for _, tree in trees:
         tree.extend_in_order(string_ptrs, term_ids)
         heaps.append(tree.store.raw_bytes())
-        headers += (cidx, tree.term_count)
-    counts = np.array(headers[1::2], dtype=np.int64)
+        counts_list.append(tree.term_count)
+    cidxs = np.array([cidx for cidx, _ in trees], dtype=np.int64)
+    counts = np.array(counts_list, dtype=np.int64)
     heap_sizes = np.fromiter(map(len, heaps), dtype=np.int64, count=len(heaps))
     heap = np.frombuffer(b"".join(heaps) + _HEAP_PAD, dtype=np.uint8)
     n = len(string_ptrs)
+    firsts = _starts(counts)
     first = np.zeros(n, dtype=bool)
-    first[_starts(counts)] = True
+    first[firsts] = True
     # A string pointer addresses the Fig 6 length byte; the payload follows.
     start = np.array(string_ptrs, dtype=np.int64) + np.repeat(_starts(heap_sizes) + 1, counts)
     length = heap[start - 1].astype(np.int64)
@@ -152,41 +168,25 @@ def _encode_block(trees: list[tuple[int, BTree]]) -> bytes:
         lcp[row] = col
     tail_len = length - lcp
 
-    head_bytes, head_lens = encode_uvarints(np.array(headers, dtype=np.int64))
-    lcp_bytes, lcp_lens = encode_uvarints(lcp)
-    tail_len_bytes, tail_len_lens = encode_uvarints(tail_len)
-    id_bytes, id_lens = encode_uvarints(np.array(term_ids, dtype=np.int64))
-    # One source buffer; each term is five segments of it: the collection
-    # header (first terms only), lcp, tail length, tail, term id.
-    source = np.concatenate(
-        [heap]
-        + [
-            np.frombuffer(varints, dtype=np.uint8)
-            for varints in (head_bytes, lcp_bytes, tail_len_bytes, id_bytes)
-        ]
-    )
-    base = np.cumsum([heap.size, len(head_bytes), len(lcp_bytes), len(tail_len_bytes)])
-    head_len = np.zeros(n, dtype=np.int64)
-    head_src = np.zeros(n, dtype=np.int64)
-    head_len[first] = head_lens[0::2] + head_lens[1::2]
-    head_src[first] = base[0] + _starts(head_lens)[0::2]
-    seg_len = np.stack(
-        [head_len, lcp_lens, tail_len_lens, tail_len, id_lens], axis=1, dtype=np.int32
-    ).ravel()
-    seg_src = np.stack(
-        [
-            head_src,
-            base[1] + _starts(lcp_lens),
-            base[2] + _starts(tail_len_lens),
-            start + lcp,
-            base[3] + _starts(id_lens),
-        ],
-        axis=1,
-        dtype=np.int32,
-    ).ravel()
-    gather = np.repeat(seg_src - _starts(seg_len), seg_len)
-    gather += np.arange(gather.size, dtype=np.int32)
-    return source[gather].tobytes()
+    ids = np.array(term_ids, dtype=np.int64)
+    shards = ids[firsts] >> SHARD_ID_SPACE_BITS
+    if ((ids >> SHARD_ID_SPACE_BITS) != np.repeat(shards, counts)).any():
+        raise ValueError("a collection's term ids span two shards")
+    tail_at = np.repeat(start + lcp - _starts(tail_len), tail_len)
+    tail_at += np.arange(tail_at.size)
+    columns = [
+        encode_uvarints(column)[0]
+        for column in (
+            np.diff(cidxs, prepend=prev),
+            shards,
+            counts,
+            lcp,
+            tail_len,
+            ids & _LOCAL_MASK,
+        )
+    ]
+    header = encode_uvarints(np.array([len(trees), n, *map(len, columns)]))[0]
+    return b"".join([header, *columns, heap[tail_at].tobytes()])
 
 
 def _starts(lengths: np.ndarray) -> np.ndarray:
@@ -210,132 +210,100 @@ def load_dictionary(path: str) -> dict[str, int]:
     actual = zlib.crc32(memoryview(data)[:end]) & 0xFFFFFFFF
     if stored != actual:
         raise ChecksumError(path, stored, actual)
-    if data[: len(DICT_MAGIC)] != DICT_MAGIC:
+    magic = data[: len(DICT_MAGIC)]
+    if magic == _V1_MAGIC:
+        raise ValueError(
+            f"{path} is a version-1 dictionary ({_V1_MAGIC.decode()}); "
+            f"rebuild the index to write {DICT_MAGIC.decode()}"
+        )
+    if magic != DICT_MAGIC:
         raise ValueError(f"{path} is not a serialized dictionary (bad magic)")
     try:
-        return _decode(data, end)
+        return _decode(memoryview(data)[:end])
     except EOFError as exc:
         raise EOFError(f"{path}: {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _decode(data: bytes, end: int) -> dict[str, int]:
-    """The ``{term: term_id}`` map of the CRC-checked body ``data[:end]``."""
-    body = memoryview(data)[:end]
-    height, pos = decode_uvarint(body, len(DICT_MAGIC))
+def _decode(body: memoryview) -> dict[str, int]:
+    """The ``{term: term_id}`` map of the CRC-checked ``body``."""
+    pos = skip_uvarints(body, len(DICT_MAGIC), 2)
+    height, n_blocks = decode_uvarints(body[len(DICT_MAGIC) : pos]).tolist()
     trie = TrieTable(height=height)
-    n_collections, pos = decode_uvarint(body, pos)
-    cidx_at, counts, tails, slow = _scan(data, body, pos, n_collections)
-    if not counts:
-        return {}
-    raw = np.frombuffer(data, dtype=np.uint8)
-    cidxs = _varints_at(raw, np.frombuffer(cidx_at, dtype=np.int32), "collection index")
-    if (np.diff(cidxs) <= 0).any() or cidxs[-1] >= trie.num_collections:
-        raise ValueError(f"collection indices must strictly ascend below {trie.num_collections}")
-    tail_at = np.frombuffer(tails, dtype=np.int32)
-    count_col = np.frombuffer(counts, dtype=np.int32)
-    ends = np.cumsum(count_col, dtype=np.int64)
-    slow_col = np.array(slow, dtype=np.int64).reshape(-1, 3)
-    # Blocks of whole collections: a block ends at the collection that
-    # reaches the next multiple of the block size.
-    edges = [0, *(np.flatnonzero(np.diff(ends // _BLOCK_TERMS)) + 1).tolist(), len(counts)]
     terms: dict[str, int] = {}
-    for c0, c1 in zip(edges, edges[1:]):
-        lo, hi = int(ends[c0] - count_col[c0]), int(ends[c1 - 1])
-        patch = slow_col[(slow_col[:, 0] >= lo) & (slow_col[:, 0] < hi)] - (lo, 0, 0)
-        terms.update(
-            _decode_block(raw, tail_at[lo:hi], count_col[c0:c1], cidxs[c0:c1], patch, trie)
-        )
+    prev = -1
+    for _ in range(n_blocks):
+        pos, prev = _decode_block(body, pos, prev, trie, terms)
+    if pos != len(body):
+        raise ValueError(f"{len(body) - pos} trailing bytes after the last block")
     return terms
 
 
-def _scan(
-    data: bytes, body: memoryview, pos: int, n_collections: int
-) -> tuple[array, array, array, list[tuple[int, int, int]]]:
-    """Walk the records once.
-
-    Returns where each collection index starts, each collection's term
-    count, each term's tail position, and ``(term, lcp, tail_len)`` for
-    the terms whose lcp or tail length is a multi-byte varint.  A varint
-    that is only skipped (a collection index or a term id) ends on the
-    first terminator byte, which ``bytes.find`` locates in a translated
-    copy of ``data``; the copy is gone before the terms are built.
-    """
-    end = len(body)
-    find = data.translate(_CONTINUES).find
-    cidx_at, counts, tails = array("i"), array("i"), array("i")
-    keep = tails.append
-    slow: list[tuple[int, int, int]] = []
-    for _ in range(n_collections):
-        cidx_at.append(pos)
-        pos = find(0, pos, end) + 1
-        if not pos:
-            raise EOFError("truncated collection header")
-        n_terms = data[pos]
-        if n_terms & 0x80:
-            n_terms, pos = decode_uvarint(body, pos)
-        else:
-            pos += 1
-        if not n_terms:
-            raise ValueError("a collection has no terms")
-        for _ in range(n_terms):
-            tail_len = data[pos + 1]
-            if (data[pos] | tail_len) & 0x80:
-                lcp, pos = decode_uvarint(body, pos)
-                tail_len, pos = decode_uvarint(body, pos)
-                if lcp + tail_len > MAX_TERM_BYTES:
-                    raise ValueError(
-                        f"suffix of {lcp + tail_len} bytes exceeds the "
-                        f"{MAX_TERM_BYTES}-byte Fig 6 term limit (corrupt record?)"
-                    )
-                slow.append((len(tails), lcp, tail_len))
-            else:
-                pos += 2
-            keep(pos)
-            pos = find(0, pos + tail_len, end) + 1
-            if not pos:
-                raise EOFError("truncated term record")
-        counts.append(n_terms)
-    if pos != end:
-        raise ValueError(f"{end - pos} trailing bytes after the last collection")
-    return cidx_at, counts, tails, slow
-
-
-def _varints_at(raw: np.ndarray, at: np.ndarray, what: str) -> np.ndarray:
-    """Decode the varint starting at each position, a byte column at a time."""
-    byte = raw[at]
-    values = (byte & 0x7F).astype(np.int64)
-    live = np.flatnonzero(byte >= 0x80)
-    at = at[live]
-    shift = 7
-    while live.size:
-        if shift == 7 * MAX_UVARINT_BYTES:
-            raise ValueError(f"{what} longer than {MAX_UVARINT_BYTES} varint bytes")
-        at += 1
-        byte = raw[at]
-        values[live] |= (byte & 0x7F).astype(np.int64) << shift
-        more = byte >= 0x80
-        live, at = live[more], at[more]
-        shift += 7
-    return values
-
-
 def _decode_block(
-    raw: np.ndarray,
-    tail_at: np.ndarray,
+    body: memoryview, pos: int, prev: int, trie: TrieTable, terms: dict[str, int]
+) -> tuple[int, int]:
+    """Add the terms of the block at ``pos`` to ``terms``; returns where
+    the next block starts and the block's last collection index."""
+    head_end = skip_uvarints(body, pos, 2 + _COLUMNS)
+    n_collections, n_terms, *lengths = decode_uvarints(body[pos:head_end]).tolist()
+    if not n_collections:
+        raise ValueError("a block has no collections")
+    bounds = list(accumulate(lengths, initial=head_end))
+    if bounds[-1] > len(body):
+        raise ValueError(f"a block's columns overrun the body by {bounds[-1] - len(body)} bytes")
+    columns = []
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        column = decode_uvarints(body[lo:hi])
+        expected = n_collections if i < 3 else n_terms
+        if column.size != expected:
+            raise ValueError(f"column {i} holds {column.size} values, not {expected}")
+        columns.append(column)
+    gaps, shards, counts, lcp, tail_len, local = columns
+
+    num = trie.num_collections
+    if not gaps.all():
+        raise ValueError("a collection-index gap of 0: indices must strictly ascend")
+    if int(gaps.max()) > num:
+        raise ValueError(f"collection indices must stay below {num}")
+    cidxs = prev + np.cumsum(gaps)
+    # No gap exceeds ``num``, so a sum that wraps past int64 descends.
+    if int(cidxs[-1]) >= num or (np.diff(cidxs) <= 0).any():
+        raise ValueError(f"collection indices must stay below {num}")
+    if int(shards.max()) >= _SHARD_LIMIT:
+        raise ValueError(f"shard id {int(shards.max())} would overflow a 64-bit term id")
+    if not counts.all():
+        raise ValueError("a collection has no terms")
+    if int(counts.max()) > n_terms or int(counts.sum()) != n_terms:
+        raise ValueError(f"the term counts do not add up to the block's {n_terms} terms")
+    if int(local.max()) > _LOCAL_MASK:
+        raise ValueError(f"local term id {int(local.max())} is beyond the shard's id space")
+    # Each bounded first, so that their sum cannot overflow.
+    longest = max(int(lcp.max()), int(tail_len.max()))
+    if longest > MAX_TERM_BYTES or int((lcp + tail_len).max()) > MAX_TERM_BYTES:
+        raise ValueError(
+            f"a suffix exceeds the {MAX_TERM_BYTES}-byte Fig 6 term limit (corrupt record?)"
+        )
+    tails_end = bounds[-1] + int(tail_len.sum())
+    if tails_end > len(body):
+        raise EOFError("the tails end early")
+    tails = np.frombuffer(body[bounds[-1] : tails_end], dtype=np.uint8)
+    keys = _suffix_terms(tails, lcp, tail_len, counts, cidxs, trie)
+    ids = (np.repeat(shards, counts) << SHARD_ID_SPACE_BITS) | local
+    terms.update(zip(keys, ids.tolist()))
+    return tails_end, int(cidxs[-1])
+
+
+def _suffix_terms(
+    tails: np.ndarray,
+    lcp: np.ndarray,
+    tail_len: np.ndarray,
     counts: np.ndarray,
     cidxs: np.ndarray,
-    slow: np.ndarray,
     trie: TrieTable,
-) -> zip:
-    """``(term, term_id)`` pairs of whole collections, from their tail
-    positions in ``raw``; ``slow`` rows are ``(term, lcp, tail_len)``."""
-    m = tail_at.size
-    lcp = raw[tail_at - 2].astype(np.int64)
-    tail_len = raw[tail_at - 1].astype(np.int64)
-    lcp[slow[:, 0]] = slow[:, 1]
-    tail_len[slow[:, 0]] = slow[:, 2]
+) -> list[str]:
+    """The terms of whole collections from their front-coded suffixes."""
+    m = lcp.size
     length = lcp + tail_len
     first = np.zeros(m, dtype=bool)
     first[_starts(counts)] = True
@@ -343,24 +311,18 @@ def _decode_block(
         raise ValueError("a collection's first term shares a prefix with no predecessor")
     if (lcp[1:] > length[:-1])[~first[1:]].any():
         raise ValueError("a term shares more bytes than its predecessor has")
+    if not tails.all():
+        raise ValueError("a term contains a NUL byte")
 
     # Term bytes in a matrix: the collection prefix ends at column ``h``,
     # the suffix starts there, a zero byte follows it.
     h = trie.height
     width = h + int(length.max()) + 1
     matrix = np.zeros((m, width), dtype=np.uint8)
-    n_tail = int(tail_len.sum())
-    skip = _starts(tail_len)
-    within = np.arange(n_tail, dtype=np.int32)
-    gather = np.repeat((tail_at - skip).astype(np.int32), tail_len)
-    gather += within
-    tail_bytes = raw[gather]
-    if not tail_bytes.all():
-        raise ValueError("a term contains a NUL byte")
     rows = np.arange(m)
-    scatter = np.repeat((rows * width + h + lcp - skip).astype(np.int32), tail_len)
-    scatter += within
-    matrix.ravel()[scatter] = tail_bytes
+    scatter = np.repeat(rows * width + h + lcp - _starts(tail_len), tail_len)
+    scatter += np.arange(tails.size)
+    matrix.ravel()[scatter] = tails
     # Column j of a term that shares more than j bytes comes from the
     # nearest term above whose own tail holds column j.
     for j in range(int(lcp.max())):
@@ -376,7 +338,4 @@ def _decode_block(
     cols = np.arange(width)
     keep = cols >= (h - prefix_len[collection])[:, None]
     keep &= cols <= (h + length)[:, None]
-    keys = matrix[keep].tobytes().decode("utf-8").split("\x00")
-
-    ids = _varints_at(raw, tail_at + tail_len, "term id")
-    return zip(keys, ids.tolist())
+    return matrix[keep].tobytes().decode("utf-8").split("\x00")

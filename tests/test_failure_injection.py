@@ -11,8 +11,8 @@ import zlib
 
 import pytest
 
-from repro.dictionary.dictionary import Dictionary
-from repro.dictionary.serialize import save_dictionary, load_dictionary
+from repro.dictionary.dictionary import SHARD_ID_SPACE_BITS, Dictionary
+from repro.dictionary.serialize import DICT_MAGIC, load_dictionary, save_dictionary
 from repro.postings.doctable import DocTable
 from repro.postings.compression import EliasGammaCodec, encode_uvarint, get_codec
 from repro.postings.merge import merge_index
@@ -28,6 +28,7 @@ from repro.postings.reader import PostingsReader
 from repro.robustness.errors import ChecksumError
 from repro.robustness.verify import verify_index
 from repro.util.bitio import BitWriter
+from tests import dictionary_oracle as oracle
 from tests.postings_oracle import OraclePostingsList, run_of
 
 
@@ -290,58 +291,135 @@ class TestCorruptDictionary:
             load_dictionary(path)
 
     # A body with a valid CRC that the writer could not have written:
-    # ``collections`` is ``[(cidx, [(lcp, tail, term_id), ...]), ...]``.
+    # ``collections`` is ``[(cidx, [(lcp, tail, term_id), ...]), ...]``,
+    # all in one block, each collection's shard taken from its first id.
+    # ``edit(header, columns)`` may change the block header (counts, then
+    # column byte lengths) and the column values before they are written.
     @staticmethod
-    def _forged(path, collections, trailing=b"", height=3):
-        body = bytearray(b"RPRODIC1")
-        encode_uvarint(height, body)
-        encode_uvarint(len(collections), body)
-        for cidx, records in collections:
-            encode_uvarint(cidx, body)
-            encode_uvarint(len(records), body)
-            for lcp, tail, term_id in records:
-                encode_uvarint(lcp, body)
-                encode_uvarint(len(tail), body)
-                body += tail
-                encode_uvarint(term_id, body)
+    def _forged(path, collections, trailing=b"", height=3, edit=None):
+        records = [record for _, rs in collections for record in rs]
+        cidxs = [cidx for cidx, _ in collections]
+        columns = [
+            [b - a for a, b in zip([-1, *cidxs], cidxs)],
+            [rs[0][2] >> SHARD_ID_SPACE_BITS if rs else 0 for _, rs in collections],
+            [len(rs) for _, rs in collections],
+            [lcp for lcp, _, _ in records],
+            [len(tail) for _, tail, _ in records],
+            [term_id & ((1 << SHARD_ID_SPACE_BITS) - 1) for _, _, term_id in records],
+        ]
+
+        def varints(values):
+            out = bytearray()
+            for value in values:
+                encode_uvarint(value, out)
+            return bytes(out)
+
+        header = [len(collections), len(records), *(len(varints(c)) for c in columns)]
+        if edit is not None:
+            edit(header, columns)
+        body = b"".join(
+            [DICT_MAGIC, varints([height, 1]), varints(header), *map(varints, columns)]
+            + [tail for _, tail, _ in records]
+        )
         body += trailing
         with open(path, "wb") as fh:
             fh.write(body + (zlib.crc32(body) & 0xFFFFFFFF).to_bytes(4, "little"))
         return path
 
+    @staticmethod
+    def _overrun(header, columns):
+        header[-1] += 100  # the id column runs past the end of the body
+
+    @staticmethod
+    def _extra_value(header, columns):
+        columns[3].append(0)  # two lcps for one term
+        header[2 + 3] += 1
+
+    @staticmethod
+    def _missing_value(header, columns):
+        columns[1].clear()  # no shard id for the collection
+        header[2 + 1] = 0
+
+    @staticmethod
+    def _first_gap_zero(header, columns):
+        columns[0][0] = 0
+
+    @staticmethod
+    def _local_overflow(header, columns):
+        columns[5][0] = 1 << SHARD_ID_SPACE_BITS
+        header[-1] = 6
+
     @pytest.mark.parametrize(
-        "collections, trailing",
+        "collections, trailing, edit, reason",
         [
             # A collection's first term shares a prefix with nothing
             # (it used to load as {"abc": 7}).
-            ([(0, [(3, b"abc", 7)])], b""),
+            ([(0, [(3, b"abc", 7)])], b"", None, "first term shares a prefix"),
             # Trailing bytes after the last collection.
-            ([(0, [(0, b"abc", 7)])], b"\x00"),
+            ([(0, [(0, b"abc", 7)])], b"\x00", None, "trailing bytes"),
             # The same suffix twice (the later id used to win).
-            ([(0, [(0, b"abc", 1), (0, b"abc", 2)])], b""),
+            ([(0, [(0, b"abc", 1), (0, b"abc", 2)])], b"", None, "do not strictly ascend"),
             # Suffixes in descending order.
-            ([(0, [(0, b"b", 1), (0, b"a", 2)])], b""),
-            # A repeated collection index.
-            ([(0, [(0, b"abc", 1)]), (0, [(0, b"abd", 2)])], b""),
+            ([(0, [(0, b"b", 1), (0, b"a", 2)])], b"", None, "do not strictly ascend"),
+            # A repeated collection index (a gap of 0 after the first).
+            ([(0, [(0, b"abc", 1)]), (0, [(0, b"abd", 2)])], b"", None, "gap of 0"),
             # A collection index beyond the trie (it used to raise IndexError).
-            ([(10**6, [(0, b"abc", 1)])], b""),
+            ([(10**6, [(0, b"abc", 1)])], b"", None, "must stay below"),
             # A collection with no terms (the writer skips empty trees).
-            ([(0, [])], b""),
+            ([(0, [])], b"", None, "has no terms"),
+            # A column whose byte length overruns its block.
+            ([(0, [(0, b"abc", 1)])], b"", _overrun, "overrun"),
+            # A column holding more values than its count, and one fewer.
+            ([(0, [(0, b"abc", 1)])], b"", _extra_value, "holds 2 values, not 1"),
+            ([(0, [(0, b"abc", 1)])], b"", _missing_value, "holds 0 values, not 1"),
+            # A first collection-index gap of 0 (index -1).
+            ([(0, [(0, b"abc", 1)])], b"", _first_gap_zero, "gap of 0"),
+            # A local id at 2**40, beyond the shard's id space.
+            ([(0, [(0, b"abc", 1)])], b"", _local_overflow, "beyond the shard's id space"),
+            # A shard id at 2**23: ``shard << 40`` overflows int64.
+            ([(0, [(0, b"abc", 1 << 63)])], b"", None, "overflow a 64-bit term id"),
+            # A block with no collections (the writer writes no empty block).
+            ([], b"", None, "no collections"),
         ],
         ids=[
             "first-lcp", "trailing", "duplicate", "descending", "repeated-cidx",
-            "cidx-range", "empty-collection",
+            "cidx-range", "empty-collection", "column-overrun", "extra-value",
+            "missing-value", "gap-zero", "local-id-range", "shard-range", "empty-block",
         ],
     )
-    def test_malformed_body_with_valid_crc_raises(self, tmp_path, collections, trailing):
-        path = self._forged(str(tmp_path / "dictionary.bin"), collections, trailing)
-        with pytest.raises(ValueError) as err:
+    def test_malformed_body_with_valid_crc_raises(
+        self, tmp_path, collections, trailing, edit, reason
+    ):
+        path = self._forged(str(tmp_path / "dictionary.bin"), collections, trailing, edit=edit)
+        with pytest.raises(ValueError, match=reason) as err:
             load_dictionary(path)
         assert not isinstance(err.value, ChecksumError)
 
+    def test_forged_body_is_well_formed(self, tmp_path):
+        """``_forged`` writes what the writer writes, so each case above
+        fails on its one defect alone."""
+        d = Dictionary()
+        d.add_term("-abc")  # collection 0: no prefix
+        path = str(tmp_path / "dictionary.bin")
+        self._forged(path, [(0, [(0, b"-abc", 0)])])
+        assert load_dictionary(path) == {"-abc": 0}
+        save_dictionary(d, str(tmp_path / "written.bin"))
+        assert open(path, "rb").read() == open(tmp_path / "written.bin", "rb").read()
+
+    def test_version_one_file_asks_for_a_rebuild(self, tmp_path):
+        _write_index(str(tmp_path))
+        d = Dictionary()
+        d.add_term("abc")
+        dict_path = str(tmp_path / "dictionary.bin")
+        oracle.save_dictionary(d, dict_path)  # a CRC-valid RPRODIC1 file
+        with pytest.raises(ValueError, match="rebuild") as err:
+            load_dictionary(dict_path)
+        assert not isinstance(err.value, ChecksumError)
+        assert [i.check for i in verify_index(str(tmp_path)).issues] == ["dictionary-format"]
+
     def test_body_ending_mid_record_raises_eof(self, tmp_path):
         path = self._forged(str(tmp_path / "dictionary.bin"), [(0, [(0, b"abc", 1)])])
-        data = open(path, "rb").read()[:-5]  # drop the term id and the footer
+        data = open(path, "rb").read()[:-5]  # drop the last tail byte and the footer
         with open(path, "wb") as fh:
             fh.write(data + (zlib.crc32(data) & 0xFFFFFFFF).to_bytes(4, "little"))
         with pytest.raises(EOFError):

@@ -129,7 +129,9 @@ class TestSpliceEqualsReencode:
         assert PostingsReader(dst).postings(1) == []
 
     def test_merged_bytes_are_pinned(self, tmp_path):
-        """The digest of what the decode → re-encode merge of PR 19 wrote."""
+        """The digest of the run files the decode → re-encode merge wrote
+        before the version-2 dictionary; the dictionary is copied byte for
+        byte."""
         src, dst = str(tmp_path / "src"), str(tmp_path / "dst")
         _seeded_index(src, 5)
         dictionary = Dictionary()
@@ -138,10 +140,14 @@ class TestSpliceEqualsReencode:
         save_dictionary(dictionary, os.path.join(src, "dictionary.bin"))
         merge_index(src, dst)
         assert sorted(os.listdir(dst)) == ["dictionary.bin", "run_00000.post", "runs.map"]
+        assert _index_files(dst)["dictionary.bin"] == _index_files(src)["dictionary.bin"]
+        os.remove(os.path.join(dst, "dictionary.bin"))
         assert _digest(dst) == _PINNED_DIGEST
 
 
-_PINNED_DIGEST = "6d571b2406227ca7ba4812d5d379be16defd605b435c7a233b0ddd0fc39e34c8"
+#: ``run_00000.post`` and ``runs.map``, recorded before the version-2
+#: dictionary format (which changed only ``dictionary.bin``).
+_PINNED_DIGEST = "22fe8db922a20f9f3f4afb2c3398f7e47962038f95a4d00c6c990e40c73c6d1d"
 
 
 # ---------------------------------------------------------------------- #

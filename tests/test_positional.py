@@ -204,14 +204,18 @@ class TestPositionalEngine:
             reader.positional_postings("anything")
 
 
-#: Recorded at the parent of the columnar postings accumulator, before any
-#: source file changed: the index a positional build writes when each run
-#: holds three files, so postings and positions cross batch seams.
-_PINNED_POSITIONAL_DIGEST = "2ecf215f6b98042f2d76c1259246454f9a8b93a3eecee23c80e482b3c8eef33d"
+#: Recorded at the parent of the version-2 dictionary format, before any
+#: source file changed: the run files, ``runs.map`` and ``doctable.tsv`` a
+#: positional build writes when each run holds three files, so postings
+#: and positions cross batch seams.
+_PINNED_POSITIONAL_DIGEST = "80211590d1cab534177c852c009a71acd27385172e0fd3007f950bdf44db5716"
+#: The same build's ``dictionary.bin`` (``RPRODIC2``).
+_PINNED_DICTIONARY_DIGEST = "80e39d3c4b7979ff79ef3503eb80b4638d1cf4714d5a588f4726d1e56749eff7"
 
 
-def test_multi_batch_positional_index_is_pinned(tmp_path, tiny_collection):
-    out = str(tmp_path / "idx")
+@pytest.fixture(scope="module")
+def multi_batch_positional_index(tmp_path_factory, tiny_collection):
+    out = str(tmp_path_factory.mktemp("pinned") / "idx")
     IndexingEngine(
         PlatformConfig(num_parsers=3, num_cpu_indexers=2, num_gpus=1, sample_fraction=0.2,
                        positional=True, files_per_run=3, telemetry=False)
@@ -219,8 +223,21 @@ def test_multi_batch_positional_index_is_pinned(tmp_path, tiny_collection):
     names = sorted(n for n in os.listdir(out) if n != "build.manifest")
     assert names == ["dictionary.bin", "doctable.tsv", "run_00000.post", "run_00001.post",
                      "runs.map"]
+    return out
+
+
+def _digest(out, names):
     sha = hashlib.sha256()
     for name in names:
         with open(os.path.join(out, name), "rb") as fh:
             sha.update(name.encode("ascii") + b"\0" + fh.read())
-    assert sha.hexdigest() == _PINNED_POSITIONAL_DIGEST
+    return sha.hexdigest()
+
+
+def test_multi_batch_positional_index_is_pinned(multi_batch_positional_index):
+    names = ["doctable.tsv", "run_00000.post", "run_00001.post", "runs.map"]
+    assert _digest(multi_batch_positional_index, names) == _PINNED_POSITIONAL_DIGEST
+
+
+def test_multi_batch_positional_dictionary_is_pinned(multi_batch_positional_index):
+    assert _digest(multi_batch_positional_index, ["dictionary.bin"]) == _PINNED_DICTIONARY_DIGEST

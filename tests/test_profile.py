@@ -179,10 +179,12 @@ class TestSamplingProfiler:
         prof.start()
         with pytest.raises(RuntimeError):
             prof.start()
-        deadline = time.monotonic() + 0.2
-        x = 0
-        while time.monotonic() < deadline:
-            x += 1
+        # Spin until the sampler has recorded a sample of this thread; the
+        # clock only ends a hang, it decides no verdict.
+        guard = time.monotonic() + 60.0
+        while not prof._samples:
+            if time.monotonic() > guard:
+                pytest.fail("the sampler recorded no sample in 60 s")
         prof.stop()
         prof.stop()  # idempotent
         delta = prof.drain_delta()

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dictionary import serialize
-from repro.dictionary.dictionary import Dictionary, DictionaryShard
+from repro.dictionary.dictionary import SHARD_ID_SPACE_BITS, Dictionary, DictionaryShard
 from repro.dictionary.serialize import load_dictionary, save_dictionary
 from repro.dictionary.trie import TrieTable
 from repro.postings.compression import decode_uvarint
@@ -121,16 +121,17 @@ def _pair(tmp_path_factory):
 class TestAgainstOracle:
     @settings(max_examples=150)
     @given(forest=forests(), block=st.sampled_from([1, 2, 5, 2048]))
-    def test_bytes_and_map_equal_the_oracle(self, tmp_path_factory, forest, block):
+    def test_map_equals_the_oracles(self, tmp_path_factory, forest, block):
+        """The column format loads to the map the per-term version-1 code
+        writes and loads, and the per-term version-2 reader agrees."""
         new, old = _pair(tmp_path_factory)
         with mock.patch.object(serialize, "_BLOCK_TERMS", block):
             nbytes = save_dictionary(forest, new)
-            oracle.save_dictionary(forest, old)
-            with open(new, "rb") as a, open(old, "rb") as b:
-                assert a.read() == b.read()
             assert nbytes == os.path.getsize(new)
             loaded = load_dictionary(new)
+        oracle.save_dictionary(forest, old)
         assert loaded == oracle.load_dictionary(old) == dict(forest.terms())
+        assert oracle.read_v2(new) == loaded
 
     def test_more_terms_than_blocks(self, tmp_path_factory):
         d = DictionaryShard(shard_id=100)
@@ -140,32 +141,53 @@ class TestAgainstOracle:
         new, old = _pair(tmp_path_factory)
         save_dictionary(d, new)
         oracle.save_dictionary(d, old)
-        with open(new, "rb") as a, open(old, "rb") as b:
-            assert a.read() == b.read()
-        assert load_dictionary(new) == dict(d.terms())
+        assert load_dictionary(new) == oracle.load_dictionary(old) == dict(d.terms())
+        assert oracle.read_v2(new) == dict(d.terms())
+
+    def test_ids_cost_their_local_width(self, tmp_path_factory):
+        """A GPU shard's ids (from ``100 << 40``) take one-byte local ids,
+        where the version-1 file spent a six-byte global id per term."""
+        d = DictionaryShard(shard_id=100)
+        for i in range(100):
+            d.add_term(f"w{i:03d}")
+        new, old = _pair(tmp_path_factory)
+        assert save_dictionary(d, new) < oracle.save_dictionary(d, old) - 4 * 100
+
+    def test_a_collection_spanning_two_shards_is_refused(self, tmp_path):
+        d = DictionaryShard(shard_id=1)
+        d.add_term("apple")
+        # The next id is shard 2's.
+        d._next_id, d._id_limit = 2 << SHARD_ID_SPACE_BITS, 3 << SHARD_ID_SPACE_BITS
+        d.add_term("applied")  # the same collection as "apple"
+        with pytest.raises(ValueError, match="span two shards"):
+            save_dictionary(d, str(tmp_path / "d.bin"))
 
 
 def _field_starts(body: bytes) -> list[int]:
-    """Where each header, lcp, tail length, tail and term id of a valid
-    body starts."""
+    """Where each varint of the headers and columns, and each tail, of a
+    valid body starts."""
     starts = []
     pos = len(serialize.DICT_MAGIC)
-    _, pos = decode_uvarint(body, pos)
-    n_collections, pos = decode_uvarint(body, pos)
-    for _ in range(n_collections):
+
+    def varint() -> int:
+        nonlocal pos
         starts.append(pos)
-        _, pos = decode_uvarint(body, pos)
-        starts.append(pos)
-        n_terms, pos = decode_uvarint(body, pos)
-        for _ in range(n_terms):
-            starts.append(pos)
-            _, pos = decode_uvarint(body, pos)
-            starts.append(pos)
-            tail_len, pos = decode_uvarint(body, pos)
+        value, pos = decode_uvarint(body, pos)
+        return value
+
+    varint()
+    for _ in range(varint()):
+        varint()
+        varint()
+        columns = []
+        for length in [varint() for _ in range(6)]:
+            column_end = pos + length
+            columns.append([])
+            while pos < column_end:
+                columns[-1].append(varint())
+        for tail_len in columns[4]:
             starts.append(pos)
             pos += tail_len
-            starts.append(pos)
-            _, pos = decode_uvarint(body, pos)
     return starts
 
 
@@ -193,9 +215,9 @@ class TestFuzzedBodies:
     @settings(max_examples=500)
     @given(forest=forests(), data=st.data())
     def test_loads_as_the_oracle_or_raises(self, tmp_path_factory, forest, data):
-        """A re-CRC'd mutant loads to exactly the oracle's map, or raises
-        ``ValueError`` / ``EOFError`` — never a different map, never
-        ``IndexError``."""
+        """A re-CRC'd mutant loads to exactly the per-term reader's map, or
+        both raise ``ValueError`` / ``EOFError`` — never a different map,
+        never ``IndexError``."""
         path, _ = _pair(tmp_path_factory)
         save_dictionary(forest, path)
         with open(path, "rb") as fh:
@@ -203,7 +225,9 @@ class TestFuzzedBodies:
         with open(path, "wb") as fh:
             fh.write(body + (zlib.crc32(body) & 0xFFFFFFFF).to_bytes(4, "little"))
         try:
-            loaded = load_dictionary(path)
+            expected = oracle.read_v2(path)
         except (ValueError, EOFError):
+            with pytest.raises((ValueError, EOFError)):
+                load_dictionary(path)
             return
-        assert loaded == oracle.load_dictionary(path)
+        assert load_dictionary(path) == expected
