@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 from repro.dictionary.btree import BTree
 from repro.dictionary.layout import DEFAULT_DEGREE
-from repro.dictionary.string_store import StringStore
 
 __all__ = ["HashDictionary", "GlobalBTreeDictionary"]
 
@@ -130,7 +129,7 @@ class GlobalBTreeDictionary:
     def __init__(self, degree: int = DEFAULT_DEGREE, writer_threads: int = 1) -> None:
         if writer_threads < 1:
             raise ValueError("need at least one writer thread")
-        self.tree = BTree(store=StringStore(), degree=degree)
+        self.tree = BTree(degree=degree)
         self.writer_threads = writer_threads
         self.lock_stats = GlobalLockStats()
         self._turn = 0

@@ -12,10 +12,11 @@ The dictionary is the central coordination structure of the indexing system:
   out in device memory.
 - :mod:`repro.dictionary.btree` — the degree-16 B-tree whose 512-byte node
   layout (Table II) embeds a 4-byte string cache per key so that most
-  comparisons never dereference the string pointer.
+  comparisons never dereference the string pointer, and the forest whose
+  one heap and one counter table the trees share.
 - :mod:`repro.dictionary.dictionary` — the forest of per-collection B-trees
-  plus combine/serialize steps ("Dictionary Combine" and "Dictionary Write"
-  rows of Table VI).
+  a shard owns plus combine/serialize steps ("Dictionary Combine" and
+  "Dictionary Write" rows of Table VI).
 """
 
 from repro.dictionary.btree import BTree, BTreeNode, BTreeStats, NODE_SIZE_BYTES

@@ -44,18 +44,25 @@ reduction (Fig 7) gives the same slot; it runs literally in
 :func:`repro.gpusim.reduction.warp_find_slot` and
 :meth:`repro.dictionary.node_codec.DeviceTreeImage.search`.
 
-All structural work funnels through :class:`BTreeStats`, which the CPU cost
-model and the GPU SIMT simulator consume; the instrumentation records the
-*depth* of every operation because Fig 11's declining throughput tracks the
-inverse of B-tree depth.
+A :class:`BTree` is its root; the rest is its :class:`Forest`'s (one per
+dictionary shard): the Fig 6 heap, the id cursor, the mutation log and a
+table row per tree of node count, heap bytes and the ten
+:class:`BTreeStats` counters.  :meth:`BTree.insert` / :meth:`BTree.search`
+tally their counts per row until the table is read; the indexers' walk
+adds a batch's at once (:meth:`Forest.fold`).  The cost models read the
+counters; *depth* is kept because Fig 11's throughput tracks its inverse.
 """
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Iterator
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from repro.dictionary.layout import (
     DEFAULT_DEGREE,
@@ -69,6 +76,7 @@ __all__ = [
     "BTree",
     "BTreeNode",
     "BTreeStats",
+    "Forest",
     "DEFAULT_DEGREE",
     "NODE_SIZE_BYTES",
     "node_layout",
@@ -138,7 +146,7 @@ class BTreeNode:
     """A single 512-byte node.
 
     Python-level representation keeps parallel lists, mirroring the packed
-    arrays of the real layout; ``byte_size`` reports the modeled footprint.
+    arrays of the real layout (:func:`~repro.dictionary.node_codec.pack_node`).
     """
 
     __slots__ = ("caches", "string_ptrs", "postings_ptrs", "children", "leaf")
@@ -155,68 +163,127 @@ class BTreeNode:
         """The "valid term number" field."""
         return len(self.string_ptrs)
 
-    def byte_size(self, degree: int = DEFAULT_DEGREE) -> int:
-        """Modeled on-device size of this node (constant per Table II)."""
-        return node_layout(degree)["total"]
-
 
 def _pad4(payload: bytes) -> bytes:
     """First four bytes of ``payload``, zero-padded — the cache field."""
     return payload[:_CACHE_BYTES].ljust(_CACHE_BYTES, b"\x00")
 
 
-class BTree:
-    """B-tree over suffix byte strings with postings-pointer values.
+#: Mutation-log entry header: collection index, suffix length; the suffix
+#: bytes follow.
+LOG_ENTRY = struct.Struct("<IH")
 
-    Parameters
-    ----------
-    store:
-        Shared :class:`StringStore` holding full suffix strings.
-    term_id_allocator:
-        Zero-argument callable handing out postings pointers for new terms.
-        The :class:`~repro.dictionary.dictionary.Dictionary` passes a global
-        allocator; standalone trees default to a local counter.
-    degree:
-        Minimum degree ``t`` (paper: 16).  Exposed for the ablation bench.
-    use_string_cache:
-        Disable to reproduce the "no cache" ablation — every comparison then
-        dereferences the full string.
-    on_mutation:
-        Called with the suffix of every :meth:`insert` that changed the
-        tree — a new term, or a repeated term whose descent split a full
-        node.  Re-inserting exactly those suffixes, in order, into an
-        empty tree rebuilds this one node for node (the checkpoint
-        journal's replay, see :class:`~repro.dictionary.dictionary.DictionaryShard`).
+#: A :class:`Forest` table row: node count, heap bytes (length prefixes
+#: included), then the ten :class:`BTreeStats` counters in field order.
+#: A tree's term count is its ``inserts`` column.
+NODES, HEAP, STATS = 0, 1, 2
+_WIDTH = STATS + len(BTreeStats.__dataclass_fields__)
+TERMS = STATS + list(BTreeStats.__dataclass_fields__).index("inserts")
+
+
+def _zero_tally() -> list[int]:
+    return [0] * (_WIDTH - HEAP)
+
+
+class Forest:
+    """The storage B-trees share: string heap, id cursor, log and table.
+
+    :attr:`table` has a row per tree, in creation order.  ``degree`` is
+    every tree's ``t`` (paper: 16); ``use_string_cache=False`` is the "no
+    cache" ablation.  A :class:`~repro.dictionary.dictionary.DictionaryShard`
+    is the forest of its collections; a lone :class:`BTree` has its own.
     """
 
-    __slots__ = (
-        "store", "degree", "max_keys", "use_string_cache", "stats", "on_mutation",
-        "root", "node_count", "term_count", "_alloc",
-    )
-
-    def __init__(
-        self,
-        store: StringStore | None = None,
-        term_id_allocator: Callable[[], int] | None = None,
-        degree: int = DEFAULT_DEGREE,
-        use_string_cache: bool = True,
-        on_mutation: Callable[[bytes], None] | None = None,
-    ) -> None:
+    def __init__(self, degree: int = DEFAULT_DEGREE, use_string_cache: bool = True) -> None:
         if degree < 2:
             raise ValueError(f"B-tree degree must be >= 2, got {degree}")
-        self.store = store if store is not None else StringStore()
         self.degree = degree
         self.max_keys = 2 * degree - 1
         self.use_string_cache = use_string_cache
-        self.stats = BTreeStats()
-        self.on_mutation = on_mutation
+        self._next_id = 0
+        self._id_limit = 1 << 62
+        self._clear_forest()
+
+    def _clear_forest(self) -> None:
+        self.store = StringStore()
+        self.table = np.zeros((0, _WIDTH), dtype=np.int64)
+        #: Row → the collection index its tree was planted for.
+        self.collections: list[int] = []
+        #: :data:`LOG_ENTRY` records of every insert that changed a tree, in
+        #: order; replaying them into empty trees rebuilds every tree node
+        #: for node (the checkpoint journal).
+        self.mutation_log = bytearray()
+        #: Row → heap bytes and ten counters (field order) its inserts and
+        #: searches added since :attr:`table` was last read.
+        self._tallies: defaultdict[int, list[int]] = defaultdict(_zero_tally)
+
+    def _alloc_id(self) -> int:
+        term_id = self._next_id
+        if term_id >= self._id_limit:
+            raise OverflowError(f"{type(self).__name__}: term-id space exhausted at {term_id:#x}")
+        self._next_id += 1
+        return term_id
+
+    def _add_row(self, collection: int) -> int:
+        """A table row for a new tree of ``collection``: one leaf."""
+        row = len(self.collections)
+        if row == len(self.table):
+            table = np.zeros((max(64, 2 * row), _WIDTH), dtype=np.int64)
+            table[:, NODES] = 1
+            table[:row] = self.table
+            self.table = table
+        self.collections.append(collection)
+        return row
+
+    @property
+    def counts(self) -> np.ndarray:
+        """The rows of the planted trees, every tally added in."""
+        if self._tallies:
+            tallies, self._tallies = self._tallies, defaultdict(_zero_tally)
+            rows = np.fromiter(tallies, dtype=np.intp, count=len(tallies))
+            self.fold(rows, np.array(list(tallies.values()), dtype=np.int64))
+        return self.table[: len(self.collections)]
+
+    def fold(self, rows: np.ndarray, grown: np.ndarray) -> None:
+        """Add ``grown`` (heap bytes, ten counters) into table ``rows``."""
+        np.add.at(self.table[:, HEAP:], rows, grown)
+
+    def log_mutations(self, collections: Iterable[int], suffixes: Iterable[bytes]) -> None:
+        """Append one log entry per ``(collection, suffix)`` pair."""
+        pack = LOG_ENTRY.pack
+        self.mutation_log += b"".join([pack(c, len(s)) + s for c, s in zip(collections, suffixes)])
+
+
+def _column(index: int, doc: str) -> property:
+    """A tree's value in one column of its forest's table."""
+    return property(lambda tree: int(tree.forest.counts[tree.row, index]), doc=doc)
+
+
+class BTree:
+    """B-tree over suffix byte strings with postings-pointer values.
+
+    A root node and a row of its :class:`Forest`, which holds the strings,
+    hands out the postings pointers and keeps the counts.  Without
+    ``forest`` the tree gets a forest of its own (``degree``,
+    ``use_string_cache``); a shard plants ``collection``'s tree in itself.
+    """
+
+    __slots__ = ("forest", "row", "root")
+
+    def __init__(self, degree: int = DEFAULT_DEGREE, use_string_cache: bool = True, *,
+                 forest: Forest | None = None, collection: int = 0) -> None:
+        self.forest = forest if forest is not None else Forest(degree, use_string_cache)
+        self.row = self.forest._add_row(collection)
         self.root = BTreeNode(leaf=True)
-        self.node_count = 1
-        self.term_count = 0
-        if term_id_allocator is None:
-            counter = iter(range(1 << 62))
-            term_id_allocator = lambda: next(counter)  # noqa: E731
-        self._alloc = term_id_allocator
+
+    node_count = _column(NODES, "Nodes in the tree.")
+    term_count = _column(TERMS, "Distinct terms in the tree.")
+    heap_bytes = _column(HEAP, "Bytes of the tree's strings in the forest's heap (Fig 6).")
+
+    @property
+    def stats(self) -> BTreeStats:
+        """A copy of the tree's ten work counters."""
+        return BTreeStats(*self.forest.counts[self.row, STATS:].tolist())
 
     # ------------------------------------------------------------------ #
     # Search and insert
@@ -224,18 +291,18 @@ class BTree:
 
     def search(self, suffix: bytes) -> int | None:
         """Postings pointer for ``suffix``, or ``None`` if absent."""
-        stats = self.stats
-        stats.searches += 1
+        tally = self.forest._tallies[self.row]
+        tally[1] += 1
         if 0 in suffix:
             # :meth:`insert` stores no key with a NUL, and the zero-padded
             # cache would take one for the end of a shorter key.
             return None
         term_id, _, depth, comparisons, fetches, _, _ = self._descend(suffix, False)
-        stats.node_visits += depth + 1
-        stats.key_comparisons += comparisons
-        stats.cache_resolved += comparisons - fetches
-        stats.full_string_fetches += fetches
-        stats.depth_sum += depth
+        tally[4] += depth + 1
+        tally[5] += comparisons
+        tally[6] += comparisons - fetches
+        tally[7] += fetches
+        tally[10] += depth
         return term_id
 
     def insert(self, suffix: bytes) -> tuple[int, bool]:
@@ -243,7 +310,9 @@ class BTree:
 
         Implements the paper's three node operations — *searching*,
         *inserting* (with the right-shift of larger keys) and preemptive
-        *splitting* — in a single root-to-leaf pass.
+        *splitting* — in a single root-to-leaf pass.  An insert that
+        changed the tree — a new term, or a repeated term whose descent
+        split a full node — is logged (:attr:`Forest.mutation_log`).
 
         Keys may not contain NUL bytes: the 4-byte cache pads with zeros
         and relies on real term bytes never being ``0x00`` (true for any
@@ -251,20 +320,21 @@ class BTree:
         instead of colliding in the cache).
         """
         term_id, created, depth, comparisons, fetches, splits, shifts = self._descend(suffix, True)
-        stats = self.stats
-        stats.node_visits += depth + 1
-        stats.key_comparisons += comparisons
-        stats.cache_resolved += comparisons - fetches
-        stats.full_string_fetches += fetches
-        stats.depth_sum += depth
-        if created:
-            stats.inserts += 1
-        else:
-            stats.duplicate_hits += 1
-        if shifts:
-            stats.shifts += shifts
-        if splits:
-            stats.splits += splits
+        tally = self.forest._tallies[self.row]
+        tally[4] += depth + 1
+        tally[5] += comparisons
+        tally[6] += comparisons - fetches
+        tally[7] += fetches
+        tally[10] += depth
+        if not (created or splits):  # the common case: a duplicate hit
+            tally[3] += 1
+            return term_id, created  # type: ignore[return-value]
+        tally[3 - created] += 1  # an insert or a duplicate hit
+        tally[0] += (len(suffix) + 1) * created
+        tally[8] += splits
+        tally[9] += shifts
+        forest = self.forest
+        forest.log_mutations((forest.collections[self.row],), (suffix,))
         return term_id, created  # type: ignore[return-value]
 
     def _descend(
@@ -277,9 +347,8 @@ class BTree:
         visits are one more), the probes of the binary search and the
         fetches among them, the nodes split on the way down and the keys
         shifted right by those splits and by the insert.  The descent
-        writes no counter: :meth:`insert` and :meth:`search` fold the
-        counts into :attr:`stats`, and the indexers' walk folds a whole
-        span's (:func:`repro.indexers.base._walk`).
+        counts only new nodes; its callers count the rest
+        (:meth:`insert`, :meth:`search`, :func:`repro.indexers.base._walk`).
 
         Each node's slot is found by bisecting its caches and replaying
         the binary-search probes on integers (see the module docstring).
@@ -289,10 +358,11 @@ class BTree:
         """
         if create and 0 in suffix:
             raise ValueError("term suffixes may not contain NUL bytes")
-        cached = self.use_string_cache
+        forest = self.forest
+        cached = forest.use_string_cache
         query4 = suffix[:_CACHE_BYTES].ljust(_CACHE_BYTES, b"\x00")  # _pad4, inlined
         short = cached and len(suffix) < _CACHE_BYTES
-        max_keys = self.max_keys
+        max_keys = forest.max_keys
         comparisons = fetches = splits = shifts = 0
         # Preemptive splits fire on the way down even when the suffix
         # turns out to be present, so a duplicate hit can mutate too.
@@ -300,7 +370,7 @@ class BTree:
             old_root = self.root
             self.root = BTreeNode(leaf=False)
             self.root.children.append(old_root)
-            self.node_count += 1
+            forest.table[self.row, NODES] += 1
             shifts += self._split_child(self.root, 0)
             splits += 1
         node = self.root
@@ -330,7 +400,7 @@ class BTree:
                     break
                 else:
                     fetches += 1
-                    full = self.store.get(node.string_ptrs[slot])
+                    full = forest.store.get(node.string_ptrs[slot])
                     if suffix == full:
                         found = True
                         break
@@ -346,9 +416,9 @@ class BTree:
                 if not create:
                     term_id = None
                     break
-                term_id = self._alloc()
+                term_id = forest._alloc_id()
                 node.caches.insert(slot, query4)
-                node.string_ptrs.insert(slot, self.store.add(suffix))
+                node.string_ptrs.insert(slot, forest.store.add(suffix))
                 node.postings_ptrs.insert(slot, term_id)
                 break
             child = node.children[slot]
@@ -365,7 +435,7 @@ class BTree:
                     cmp = 0
                 else:
                     fetches += 1
-                    full = self.store.get(node.string_ptrs[slot])
+                    full = forest.store.get(node.string_ptrs[slot])
                     cmp = 0 if suffix == full else -1 if suffix < full else 1
                 if cmp == 0:
                     found = True
@@ -382,9 +452,6 @@ class BTree:
         if created:
             # Keys shifted right to open the blank location.
             shifts += len(node.caches) - 1 - slot
-            self.term_count += 1
-        if (splits or created) and self.on_mutation is not None:
-            self.on_mutation(suffix)
         return term_id, created, depth, comparisons, fetches, splits, shifts
 
     def _split_child(self, parent: BTreeNode, index: int) -> int:
@@ -393,10 +460,10 @@ class BTree:
         Median key moves up into the parent; the upper ``t − 1`` keys move
         into a new right sibling.  Returns the parent's keys shifted right.
         """
-        t = self.degree
+        t = self.forest.degree
         child = parent.children[index]
         right = BTreeNode(leaf=child.leaf)
-        self.node_count += 1
+        self.forest.table[self.row, NODES] += 1
 
         right.caches = child.caches[t:]
         right.string_ptrs = child.string_ptrs[t:]
@@ -424,7 +491,7 @@ class BTree:
         string_ptrs: list[int] = []
         postings_ptrs: list[int] = []
         self.extend_in_order(string_ptrs, postings_ptrs)
-        get = self.store.get
+        get = self.forest.store.get
         return ((get(ptr), term_id) for ptr, term_id in zip(string_ptrs, postings_ptrs))
 
     def extend_in_order(
@@ -464,20 +531,23 @@ class BTree:
         """Raise :class:`AssertionError` on any structural violation.
 
         Checked: key ordering (globally sorted in-order walk), per-node key
-        bounds, uniform leaf depth, child counts, and cache fields matching
-        the stored strings.  Used heavily by the hypothesis tests.
+        bounds, uniform leaf depth, child counts, cache fields matching
+        the stored strings, and the row's node count, term count and heap
+        bytes.  Used heavily by the hypothesis tests.
         """
         leaf_depths: set[int] = set()
+        seen = [0, 0, 0]  # nodes, keys, heap bytes
 
         def recurse(node: BTreeNode, depth: int, lo: bytes | None, hi: bytes | None) -> None:
-            assert node.nkeys <= self.max_keys, "node overflow"
+            assert node.nkeys <= self.forest.max_keys, "node overflow"
             if node is not self.root:
-                assert node.nkeys >= self.degree - 1, "node underflow"
-            keys = [self.store.get(p) for p in node.string_ptrs]
+                assert node.nkeys >= self.forest.degree - 1, "node underflow"
+            keys = [self.forest.store.get(p) for p in node.string_ptrs]
             assert keys == sorted(keys), "keys out of order inside a node"
             assert len(set(keys)) == len(keys), "duplicate keys inside a node"
             for key, cache in zip(keys, node.caches):
                 assert cache == _pad4(key), "cache field desynchronized"
+            seen[:] = seen[0] + 1, seen[1] + len(keys), seen[2] + len(keys) + sum(map(len, keys))
             if lo is not None and keys:
                 assert keys[0] > lo, "subtree violates lower bound"
             if hi is not None and keys:
@@ -493,13 +563,8 @@ class BTree:
 
         recurse(self.root, 0, None, None)
         assert len(leaf_depths) <= 1, "leaves at differing depths"
+        assert seen == [self.node_count, self.term_count, self.heap_bytes], "row out of step"
 
     def __len__(self) -> int:
         """Number of distinct terms."""
         return self.term_count
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"BTree(degree={self.degree}, terms={self.term_count}, "
-            f"nodes={self.node_count}, height={self.height()})"
-        )

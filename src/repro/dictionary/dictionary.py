@@ -8,6 +8,11 @@ unit here is a :class:`DictionaryShard` owning some collection indices; the
 engine's post-run "Dictionary Combine" step (Table VI) unions disjoint
 shards into the full :class:`Dictionary`.
 
+A shard is the unit of storage, the :class:`~repro.dictionary.btree.Forest`
+of its collections' trees: one Fig 6 heap, and one table row of counts per
+tree created.  Term and work counts are column reads, and the combine
+keeps every shard's heap and table as they are.
+
 Term identifiers double as the paper's "pointers to postings lists":
 globally unique integers allocated per shard from disjoint id spaces, so a
 combine never needs to renumber anything — exactly why the paper's combine
@@ -24,13 +29,10 @@ an identical forest with identical term ids.
 from __future__ import annotations
 
 import copy
-import struct
-from functools import partial
 from typing import Iterable, Iterator
 
-from repro.dictionary.btree import BTree, BTreeStats
+from repro.dictionary.btree import LOG_ENTRY, STATS, TERMS, BTree, BTreeStats, Forest
 from repro.dictionary.layout import DEFAULT_DEGREE
-from repro.dictionary.string_store import StringStore
 from repro.dictionary.trie import TrieTable
 
 __all__ = ["Dictionary", "DictionaryShard", "SHARD_ID_SPACE_BITS"]
@@ -38,25 +40,15 @@ __all__ = ["Dictionary", "DictionaryShard", "SHARD_ID_SPACE_BITS"]
 #: Each shard allocates term ids in ``[shard_id << 40, (shard_id+1) << 40)``.
 SHARD_ID_SPACE_BITS = 40
 
-#: Mutation-log entry header: collection index, suffix length; the suffix
-#: bytes follow.
-_LOG_ENTRY = struct.Struct("<IH")
 
-
-class DictionaryShard:
+class DictionaryShard(Forest):
     """The part of the dictionary owned by a single indexer.
 
-    Parameters
-    ----------
-    trie:
-        The shared :class:`TrieTable`; all shards must use the same table.
-    shard_id:
-        Disambiguates term-id spaces between indexers.
-    owned_collections:
-        Trie-collection indices this shard may touch, or ``None`` for all
-        (used by serial baselines and by :class:`Dictionary` itself).
-    degree, use_string_cache:
-        Forwarded to each per-collection :class:`BTree`.
+    ``trie`` is the :class:`TrieTable` all shards share; ``shard_id``
+    disambiguates term-id spaces between indexers; ``owned_collections``
+    are the trie-collection indices this shard may touch, ``None`` for all
+    (serial baselines, :class:`Dictionary`); ``degree`` and
+    ``use_string_cache`` are every per-collection :class:`BTree`'s.
     """
 
     def __init__(
@@ -67,29 +59,20 @@ class DictionaryShard:
         degree: int = DEFAULT_DEGREE,
         use_string_cache: bool = True,
     ) -> None:
+        super().__init__(degree, use_string_cache)
         self.trie = trie if trie is not None else TrieTable()
         self.shard_id = shard_id
         self.owned: frozenset[int] | None = (
             frozenset(owned_collections) if owned_collections is not None else None
         )
-        self.degree = degree
-        self.use_string_cache = use_string_cache
-        self.trees: dict[int, BTree] = {}
         self._next_id = shard_id << SHARD_ID_SPACE_BITS
         self._id_limit = (shard_id + 1) << SHARD_ID_SPACE_BITS
-        #: Forest-changing inserts since the last :meth:`take_mutation_log`.
-        self.mutation_log = bytearray()
 
-    # ------------------------------------------------------------------ #
-    # Term-id allocation
-    # ------------------------------------------------------------------ #
-
-    def _alloc_id(self) -> int:
-        term_id = self._next_id
-        if term_id >= self._id_limit:
-            raise OverflowError(f"shard {self.shard_id} exhausted its term-id space")
-        self._next_id += 1
-        return term_id
+    def _clear_forest(self) -> None:
+        super()._clear_forest()
+        self.trees: dict[int, BTree] = {}
+        #: The forests of the shards a :meth:`Dictionary.combine` kept.
+        self.merged: tuple[Forest, ...] = ()
 
     # ------------------------------------------------------------------ #
     # Tree access
@@ -104,22 +87,16 @@ class DictionaryShard:
                     f"shard {self.shard_id} does not own trie collection {collection_index}"
                 )
             self.trie._check_index(collection_index)
-            tree = BTree(
-                store=StringStore(),
-                term_id_allocator=self._alloc_id,
-                degree=self.degree,
-                use_string_cache=self.use_string_cache,
-                on_mutation=partial(self._log_mutation, collection_index),
-            )
-            self.trees[collection_index] = tree
+            tree = self.trees[collection_index] = BTree(forest=self, collection=collection_index)
         return tree
+
+    def forests(self) -> tuple[Forest, ...]:
+        """This shard's forest and those of the shards it combines."""
+        return (self, *self.merged)
 
     # ------------------------------------------------------------------ #
     # Mutation log (checkpoint journal)
     # ------------------------------------------------------------------ #
-
-    def _log_mutation(self, collection_index: int, suffix: bytes) -> None:
-        self.mutation_log += _LOG_ENTRY.pack(collection_index, len(suffix)) + suffix
 
     def take_mutation_log(self) -> bytes:
         """Hand over the log and start an empty one (one run boundary)."""
@@ -128,14 +105,11 @@ class DictionaryShard:
         return log
 
     def without_forest(self) -> "DictionaryShard":
-        """A copy with this shard's identity and id cursor but no trees.
-
-        What a checkpoint record pickles in place of the shard: the
-        forest itself is in the journalled mutation logs.
-        """
+        """A copy with this shard's identity and id cursor but no trees, heap
+        or table: what a checkpoint record pickles in place of the shard
+        (the forest itself is in the journalled mutation logs)."""
         stub = copy.copy(self)
-        stub.trees = {}
-        stub.mutation_log = bytearray()
+        stub._clear_forest()
         return stub
 
     def apply_log(self, log: bytes) -> None:
@@ -152,8 +126,8 @@ class DictionaryShard:
         """
         pos, end = 0, len(log)
         while pos < end:
-            cidx, length = _LOG_ENTRY.unpack_from(log, pos)
-            pos += _LOG_ENTRY.size
+            cidx, length = LOG_ENTRY.unpack_from(log, pos)
+            pos += LOG_ENTRY.size
             self.tree_for(cidx).insert(log[pos : pos + length])
             pos += length
 
@@ -165,18 +139,15 @@ class DictionaryShard:
         recorded it.
         """
         expected = self._next_id
-        self.trees = {}
+        self._clear_forest()
         self._next_id = self.shard_id << SHARD_ID_SPACE_BITS
         for log in logs:
             self.apply_log(log)
         self.mutation_log.clear()
         if self._next_id != expected:
             base = self.shard_id << SHARD_ID_SPACE_BITS
-            raise ValueError(
-                f"shard {self.shard_id}: mutation logs rebuild "
-                f"{self._next_id - base} terms, the log's source recorded "
-                f"{expected - base}"
-            )
+            raise ValueError(f"shard {self.shard_id}: mutation logs rebuild {self._next_id - base}"
+                             f" terms, the log's source recorded {expected - base}")
 
     # ------------------------------------------------------------------ #
     # Insertion / lookup
@@ -215,18 +186,16 @@ class DictionaryShard:
 
     def term_count(self) -> int:
         """Number of distinct terms across owned collections."""
-        return sum(len(t) for t in self.trees.values())
+        return sum(int(forest.counts[:, TERMS].sum()) for forest in self.forests())
 
     def stats(self) -> BTreeStats:
         """Aggregate work counters over all trees."""
-        total = BTreeStats()
-        for tree in self.trees.values():
-            total.merge(tree.stats)
-        return total
+        total = sum(forest.counts[:, STATS:].sum(axis=0) for forest in self.forests())
+        return BTreeStats(*total.tolist())
 
     def string_bytes(self) -> int:
         """Total term-string heap bytes across collections."""
-        return sum(t.store.byte_size for t in self.trees.values())
+        return sum(forest.store.byte_size for forest in self.forests())
 
     def check_invariants(self) -> None:
         """Structural validation of every tree (tests only)."""
@@ -251,39 +220,31 @@ class Dictionary(DictionaryShard):
         degree: int = DEFAULT_DEGREE,
         use_string_cache: bool = True,
     ) -> None:
-        super().__init__(
-            trie=trie,
-            shard_id=0,
-            owned_collections=None,
-            degree=degree,
-            use_string_cache=use_string_cache,
-        )
+        super().__init__(trie, 0, None, degree, use_string_cache)
 
     @classmethod
     def combine(cls, shards: Iterable[DictionaryShard]) -> "Dictionary":
         """Union disjoint shards into one dictionary (Table VI "Combine").
 
         Shards must share a trie table and own pairwise-disjoint collection
-        sets; the combine only moves tree references, which is why it is
-        practically free.
+        sets; the combine only moves tree references and keeps each
+        shard's heap and table as they are (:meth:`forests`), which is why
+        it is practically free.
         """
         shards = list(shards)
         if not shards:
             return cls()
         trie = shards[0].trie
-        combined = cls(
-            trie=trie,
-            degree=shards[0].degree,
-            use_string_cache=shards[0].use_string_cache,
-        )
+        combined = cls(trie, shards[0].degree, shards[0].use_string_cache)
         for shard in shards:
             if shard.trie.height != trie.height:
                 raise ValueError("cannot combine shards with different trie heights")
-            for cidx, tree in shard.trees.items():
-                if cidx in combined.trees:
-                    raise ValueError(
-                        f"trie collection {cidx} owned by more than one shard; "
-                        "shards must be disjoint"
-                    )
-                combined.trees[cidx] = tree
+            shared = combined.trees.keys() & shard.trees.keys()
+            if shared:
+                raise ValueError(
+                    f"trie collection {min(shared)} owned by more than one shard; "
+                    "shards must be disjoint"
+                )
+            combined.trees.update(shard.trees)
+        combined.merged = tuple(forest for shard in shards for forest in shard.forests())
         return combined

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import accumulate
 
 from repro.dictionary.btree import BTree, BTreeNode
 from repro.dictionary.layout import DEFAULT_DEGREE, node_layout
@@ -179,6 +180,8 @@ class DeviceTreeImage:
     def build(cls, tree: BTree, remap_ids: bool = False) -> "DeviceTreeImage":
         """Pack every node of ``tree`` (BFS order, root first).
 
+        The tree's strings, in the order they entered its forest's heap,
+        are the image's heap, and string pointers are offsets into it.
         ``remap_ids`` replaces the tree's term ids by dense device-local
         u32 slots (recorded in :attr:`postings_map`).  The engine's shard
         ids occupy 40+ bits, so packing a shard's tree *requires* the
@@ -194,32 +197,24 @@ class DeviceTreeImage:
             order.append(node)
             queue.extend(node.children)
 
-        postings_map: list[int] | None = None
-        saved: list[list[int]] | None = None
-        if remap_ids:
-            postings_map = []
-            saved = []
-            for node in order:
-                saved.append(list(node.postings_ptrs))
-                for i, term_id in enumerate(node.postings_ptrs):
-                    node.postings_ptrs[i] = len(postings_map)
-                    postings_map.append(term_id)
-        try:
-            blob = bytearray()
-            for node in order:
-                child_ids = [ids[id(c)] for c in node.children]
-                blob += pack_node(node, child_ids, tree.degree)
-        finally:
-            if saved is not None:
-                for node, original in zip(order, saved):
-                    node.postings_ptrs[:] = original
-        return cls(
-            bytes(blob),
-            tree.store.raw_bytes(),
-            root_id=0,
-            degree=tree.degree,
-            postings_map=postings_map,
-        )
+        get, degree = tree.forest.store.get, tree.forest.degree
+        shared = sorted(ptr for node in order for ptr in node.string_ptrs)
+        strings = [get(ptr) for ptr in shared]
+        local = dict(zip(shared, accumulate((len(s) + 1 for s in strings), initial=0)))
+        heap = b"".join(bytes((len(s),)) + s for s in strings)
+
+        postings_map: list[int] | None = [] if remap_ids else None
+        blob = bytearray()
+        for node in order:
+            packed = BTreeNode(leaf=node.leaf)
+            packed.caches, packed.children = node.caches, node.children
+            packed.string_ptrs = [local[ptr] for ptr in node.string_ptrs]
+            packed.postings_ptrs = node.postings_ptrs
+            if postings_map is not None:
+                packed.postings_ptrs = [len(postings_map) + i for i in range(node.nkeys)]
+                postings_map += node.postings_ptrs
+            blob += pack_node(packed, [ids[id(c)] for c in node.children], degree)
+        return cls(bytes(blob), heap, root_id=0, degree=degree, postings_map=postings_map)
 
     def term_id_of(self, device_pointer: int) -> int:
         """Resolve a device postings pointer back to the original term id."""

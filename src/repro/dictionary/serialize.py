@@ -34,12 +34,12 @@ one :func:`encode_uvarints` / :func:`decode_uvarints` call; no step calls a
 Python function per term.  The per-term reader of this format is the
 oracle in ``tests/dictionary_oracle.py``.
 
-*Save.*  Each tree hands over its in-order string pointers and term ids a
-node at a time (:meth:`~repro.dictionary.btree.BTree.extend_in_order`).
-Per block, the trees' string heaps are joined, the LCPs come from
-byte-column compares over the joined heap, and one gather cuts the tails
-out of the heap.  A collection whose ids span two shards raises
-``ValueError``.
+*Save.*  Collections and term counts come from the shards' tables, and
+the shards' heaps are joined once.  Each tree hands over its in-order
+string pointers and term ids (:meth:`~repro.dictionary.btree.BTree.extend_in_order`);
+per block, the pointers are offset into the joined heap, the LCPs come
+from byte-column compares over it, and one gather cuts out the tails.  A
+collection whose ids span two shards raises ``ValueError``.
 
 *Load.*  After the CRC and magic checks (a version-1 ``RPRODIC1`` file is
 refused with a request to rebuild), each block's columns are decoded, the
@@ -68,7 +68,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from repro.dictionary.btree import BTree
+from repro.dictionary.btree import TERMS
 from repro.dictionary.dictionary import SHARD_ID_SPACE_BITS, DictionaryShard
 from repro.dictionary.layout import MAX_TERM_BYTES
 from repro.dictionary.trie import TrieTable
@@ -96,8 +96,8 @@ _COLUMNS = 6
 _SHARD_LIMIT = 1 << (63 - SHARD_ID_SPACE_BITS)
 _LOCAL_MASK = (1 << SHARD_ID_SPACE_BITS) - 1
 
-#: Zero bytes after a block's joined string heaps, so an LCP compare may
-#: read past the last string.
+#: Zero bytes after the joined string heaps, so an LCP compare may read
+#: past the last string.
 _HEAP_PAD = bytes(MAX_TERM_BYTES)
 
 
@@ -108,50 +108,58 @@ _HEAP_PAD = bytes(MAX_TERM_BYTES)
 
 def save_dictionary(dictionary: DictionaryShard, path: str) -> int:
     """Serialize to ``path``; returns bytes written."""
-    nonempty = [(cidx, tree) for cidx, tree in sorted(dictionary.trees.items()) if tree.term_count]
+    # The forests' heaps back to back; a tree's pointers shift by its forest's heap start.
+    forests = dictionary.forests()
+    heaps = [forest.store.raw_bytes() for forest in forests]
+    heap = np.frombuffer(b"".join(heaps) + _HEAP_PAD, dtype=np.uint8)
+    bases = np.repeat(_starts(np.array([len(h) for h in heaps], dtype=np.int64)),
+                      [len(forest.collections) for forest in forests])
+    cidxs = np.concatenate([np.array(forest.collections, dtype=np.int64) for forest in forests])
+    counts = np.concatenate([forest.counts[:, TERMS] for forest in forests])
+    order = np.argsort(cidxs, kind="stable")
+    order = order[counts[order] > 0]
+    cidxs, counts, bases = cidxs[order], counts[order], bases[order]
     blocks = []
     start = count = 0
-    for i, (_, tree) in enumerate(nonempty):
-        count += tree.term_count
-        if count >= _BLOCK_TERMS or i == len(nonempty) - 1:
-            blocks.append(nonempty[start : i + 1])
+    for i, terms in enumerate(counts.tolist()):
+        count += terms
+        if count >= _BLOCK_TERMS or i == len(order) - 1:
+            blocks.append(slice(start, i + 1))
             start, count = i + 1, 0
     head = DICT_MAGIC + encode_uvarints(np.array([dictionary.trie.height, len(blocks)]))[0]
     crc = zlib.crc32(head)
     size = len(head)
+    trees = dictionary.trees
     with open(path, "wb") as fh:
         fh.write(head)
         prev = -1
-        for trees in blocks:
-            block = _encode_block(trees, prev)
-            prev = trees[-1][0]
-            crc = zlib.crc32(block, crc)
-            size += len(block)
-            fh.write(block)
+        for block in blocks:
+            string_ptrs: list[int] = []
+            term_ids: list[int] = []
+            for cidx in cidxs[block].tolist():
+                trees[cidx].extend_in_order(string_ptrs, term_ids)
+            encoded = _encode_block(
+                cidxs[block], counts[block], bases[block], string_ptrs, term_ids, heap, prev
+            )
+            prev = int(cidxs[block][-1])
+            crc = zlib.crc32(encoded, crc)
+            size += len(encoded)
+            fh.write(encoded)
         fh.write((crc & 0xFFFFFFFF).to_bytes(DICT_CRC_BYTES, "little"))
     return size + DICT_CRC_BYTES
 
 
-def _encode_block(trees: list[tuple[int, BTree]], prev: int) -> bytes:
-    """Whole collections after collection ``prev``: header, columns, tails."""
-    string_ptrs: list[int] = []
-    term_ids: list[int] = []
-    heaps: list[bytes] = []
-    counts_list: list[int] = []
-    for _, tree in trees:
-        tree.extend_in_order(string_ptrs, term_ids)
-        heaps.append(tree.store.raw_bytes())
-        counts_list.append(tree.term_count)
-    cidxs = np.array([cidx for cidx, _ in trees], dtype=np.int64)
-    counts = np.array(counts_list, dtype=np.int64)
-    heap_sizes = np.fromiter(map(len, heaps), dtype=np.int64, count=len(heaps))
-    heap = np.frombuffer(b"".join(heaps) + _HEAP_PAD, dtype=np.uint8)
+def _encode_block(cidxs: np.ndarray, counts: np.ndarray, bases: np.ndarray,
+                  string_ptrs: list[int], term_ids: list[int], heap: np.ndarray,
+                  prev: int) -> bytes:
+    """Whole collections after collection ``prev``: header, columns, tails.
+    A collection's ``string_ptrs`` address ``heap`` from its ``bases`` on."""
     n = len(string_ptrs)
     firsts = _starts(counts)
     first = np.zeros(n, dtype=bool)
     first[firsts] = True
     # A string pointer addresses the Fig 6 length byte; the payload follows.
-    start = np.array(string_ptrs, dtype=np.int64) + np.repeat(_starts(heap_sizes) + 1, counts)
+    start = np.array(string_ptrs, dtype=np.int64) + np.repeat(bases + 1, counts)
     length = heap[start - 1].astype(np.int64)
 
     # LCP with the previous suffix of the same collection, one byte column
@@ -185,7 +193,7 @@ def _encode_block(trees: list[tuple[int, BTree]], prev: int) -> bytes:
             ids & _LOCAL_MASK,
         )
     ]
-    header = encode_uvarints(np.array([len(trees), n, *map(len, columns)]))[0]
+    header = encode_uvarints(np.array([len(cidxs), n, *map(len, columns)]))[0]
     return b"".join([header, *columns, heap[tail_at].tobytes()])
 
 

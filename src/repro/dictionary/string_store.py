@@ -8,18 +8,16 @@ stored as::
 
 with the length in the first byte, which bounds terms to 255 bytes ("without
 loss of generality, we also assume that no term is longer than 255 bytes").
-The GPU indexer reads this heap in contiguous 512-byte chunks into shared
-memory (see :mod:`repro.gpusim`), so the store also exposes chunked views.
 
 Pointers are byte offsets, which keeps the functional model identical to the
-device-memory representation the CUDA kernels use.
+device-memory representation the CUDA kernels use.  One store serves every
+tree of a dictionary shard (:class:`~repro.dictionary.btree.Forest`), and
+the dictionary writer reads it as one column of bytes.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
-
-from repro.dictionary.layout import DEVICE_CHUNK_BYTES, MAX_TERM_BYTES
+from repro.dictionary.layout import MAX_TERM_BYTES
 
 __all__ = ["StringStore", "MAX_TERM_BYTES"]
 
@@ -50,35 +48,10 @@ class StringStore:
         self._count += 1
         return ptr
 
-    def add_str(self, text: str) -> int:
-        """Convenience: UTF-8 encode and store."""
-        return self.add(text.encode("utf-8"))
-
     def get(self, ptr: int) -> bytes:
         """Fetch the payload bytes at ``ptr``."""
         length = self._heap[ptr]
         return bytes(self._heap[ptr + 1 : ptr + 1 + length])
-
-    def get_str(self, ptr: int) -> str:
-        """Fetch and UTF-8 decode."""
-        return self.get(ptr).decode("utf-8")
-
-    def length(self, ptr: int) -> int:
-        """Length byte at ``ptr`` without copying the payload."""
-        return self._heap[ptr]
-
-    def chunks(self, chunk_bytes: int = DEVICE_CHUNK_BYTES) -> Iterator[bytes]:
-        """Yield the heap in contiguous chunks (the GPU staging pattern).
-
-        The CUDA indexer reads term strings from device memory in 512-byte
-        coalesced chunks into shared memory; iterating here mirrors that
-        access pattern for the simulator's cost accounting.
-        """
-        if chunk_bytes <= 0:
-            raise ValueError("chunk_bytes must be positive")
-        view = memoryview(self._heap)
-        for start in range(0, len(view), chunk_bytes):
-            yield bytes(view[start : start + chunk_bytes])
 
     def raw_bytes(self) -> bytes:
         """The heap exactly as it would sit in device memory (Fig 6)."""
@@ -92,6 +65,3 @@ class StringStore:
     def __len__(self) -> int:
         """Number of strings stored."""
         return self._count
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"StringStore(strings={self._count}, bytes={len(self._heap)})"

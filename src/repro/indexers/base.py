@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
-from repro.dictionary.btree import BTree, BTreeStats
+from repro.dictionary.btree import BTreeStats
 from repro.dictionary.dictionary import DictionaryShard
 from repro.parsing.regroup import ParsedBatch
 from repro.postings.lists import PostingsAccumulator, RunPostings
@@ -51,31 +52,40 @@ class IndexerReport:
 
 _NCOUNTERS = len(BTreeStats.__dataclass_fields__)
 _INSERTS = list(BTreeStats.__dataclass_fields__).index("inserts")
+#: A span's record: its tree's heap growth, then the ten counters.
+_RECORD = 1 + _NCOUNTERS
+_row = attrgetter("row")
 
 
-def _walk(spans, ids, suffixes: list[bytes], repeated: list[bool]) -> tuple[list[int], list[int]]:
+def _walk(
+    spans, ids, suffixes: list[bytes], repeated: list[bool]
+) -> tuple[list[int], list[int], list[int]]:
     """Insert every token's suffix into its span's tree; count the work.
 
     ``spans`` yields ``(tree, start, end, has_repeats)`` over ``ids``.  Every
     descent (:meth:`~repro.dictionary.btree.BTree._descend`) hands back
-    what it cost; a span's counts stay in locals and are folded into
-    ``tree.stats`` once, at the span's end.  A descent that finds its
-    suffix and splits no node is a pure function of (tree, suffix): while
-    the tree has gained neither a term nor a node since an entry's last
-    descent, its next occurrence would cost exactly what that descent did,
-    so it is charged that descent's counts without descending.  A descent
-    that inserts or splits forgets every recorded descent of the tree.
-    Term ids, the mutation log and every counter come out as if each token
-    had gone through :meth:`~repro.dictionary.btree.BTree.insert`.
+    what it cost, and a span's counts stay in locals.  A descent that
+    finds its suffix and splits no node is a pure function of (tree,
+    suffix): while the tree has gained neither a term nor a node since an
+    entry's last descent, its next occurrence would cost exactly what
+    that descent did, so it is charged that descent's counts without
+    descending.  A descent that inserts or splits forgets every recorded
+    descent of the tree.  Term ids, the mutation log and every counter
+    come out as if each token had gone through
+    :meth:`~repro.dictionary.btree.BTree.insert`.
 
-    Returns entry id → term id, and each span's ten counters (its growth
-    of ``tree.stats``) in :class:`BTreeStats` field order, back to back.
+    Returns entry id → term id; each span's record, back to back: the
+    bytes its new terms added to the heap (Fig 6 length bytes included),
+    then its ten counters in :class:`BTreeStats` field order; and the
+    entries whose descent inserted or split, in walk order (the mutation
+    log's).
     """
     entry_term = [0] * len(suffixes)
     grown: list[int] = []
+    mutated: list[int] = []
     for tree, start, end, has_repeats in spans:
         descend = tree._descend
-        inserts = depth_sum = comparisons = fetches = splits = shifts = 0
+        inserts = depth_sum = comparisons = fetches = splits = shifts = added = 0
         if has_repeats:
             #: entry → (depth, comparisons, fetches) of its recorded descent.
             recorded: dict[int, tuple[int, int, int]] = {}
@@ -98,6 +108,9 @@ def _walk(spans, ids, suffixes: list[bytes], repeated: list[bool]) -> tuple[list
                 if created or split:
                     splits += split
                     recorded.clear()
+                    mutated.append(entry)
+                    if created:
+                        added += len(suffixes[entry])
                 elif repeated[entry]:
                     recorded[entry] = (depth, probes, fetched)
         else:
@@ -111,24 +124,18 @@ def _walk(spans, ids, suffixes: list[bytes], repeated: list[bool]) -> tuple[list
                 fetches += fetched
                 splits += split
                 shifts += shifted
+                if created or split:
+                    mutated.append(entry)
+                    if created:
+                        added += len(suffixes[entry])
         # Every token is one insert or one duplicate hit (the walk makes no
         # search), and each visits one node more than its depth.
         tokens = end - start
-        stats = tree.stats
-        stats.inserts += inserts
-        stats.duplicate_hits += tokens - inserts
-        stats.node_visits += depth_sum + tokens
-        stats.key_comparisons += comparisons
-        stats.cache_resolved += comparisons - fetches
-        stats.full_string_fetches += fetches
-        stats.splits += splits
-        stats.shifts += shifts
-        stats.depth_sum += depth_sum
         grown += (
-            0, inserts, tokens - inserts, depth_sum + tokens, comparisons,
+            added + inserts, 0, inserts, tokens - inserts, depth_sum + tokens, comparisons,
             comparisons - fetches, fetches, splits, shifts, depth_sum,
         )
-    return entry_term, grown
+    return entry_term, grown, mutated
 
 
 class BaseIndexer:
@@ -185,7 +192,7 @@ class BaseIndexer:
 
     def _index_rows(
         self, batch: ParsedBatch, rows: np.ndarray, doc_offset: int
-    ) -> tuple[IndexerReport, list[BTree], BTreeStats]:
+    ) -> tuple[IndexerReport, np.ndarray, BTreeStats]:
         """Consume the collections ``rows``, in order.
 
         This is the inner loop of Fig 4: every suffix is inserted into the
@@ -197,11 +204,14 @@ class BaseIndexer:
         its in-document token position.
 
         Returns the batch's one report (tokens, characters and documents
-        are the parser's per-collection counts), the trees touched and a
-        :class:`BTreeStats` whose fields are *arrays*, one element per
-        collection: how far each tree's counters moved.  A collection has
-        its own tree and its own span, so that is the walk's per-span
-        record; no tree's counters are read.
+        are the parser's per-collection counts), the shard's table rows of
+        the trees touched and a :class:`BTreeStats` whose fields are
+        *arrays*, one element per collection: how far each tree's counters
+        moved.  A collection has its own tree and its own span, so that is
+        the walk's per-span record; the batch's records are added into the
+        table at once (:meth:`~repro.dictionary.btree.Forest.fold`), and
+        the walk's mutated entries are logged at once.  No tree's counters
+        are read.
         """
         assert batch.spans is not None
         if batch.positions is not None and len(batch.positions) != len(batch.ids):
@@ -227,7 +237,7 @@ class BaseIndexer:
         repeated = np.bincount(ids, minlength=len(batch.entry_suffix)) > 1
         repeats = np.zeros(len(ids) + 1, dtype=np.int32)
         np.cumsum(repeated[ids], out=repeats[1:])
-        entry_term, counters = _walk(
+        entry_term, records, mutated = _walk(
             zip(trees, offsets.tolist(), tiled.tolist(),
                 (repeats[tiled] > repeats[offsets]).tolist()),
             memoryview(ids), batch.entry_suffix, repeated.tolist(),
@@ -238,8 +248,8 @@ class BaseIndexer:
             batch.docs[take] + doc_offset,
             None if batch.positions is None else batch.positions[take],
         )
-
-        grown = np.array(counters, dtype=np.int64).reshape(-1, _NCOUNTERS)
+        tree_rows = np.fromiter(map(_row, trees), dtype=np.intp, count=len(trees))
+        grown = self._record(tree_rows, records, mutated, batch)
         total = grown.sum(axis=0).tolist()
         report = IndexerReport(
             tokens=int(batch.tokens[rows].sum()),
@@ -250,7 +260,22 @@ class BaseIndexer:
             collections=len(rows),
             btree=BTreeStats(*total),
         )
-        return report, trees, BTreeStats(*grown.T)
+        return report, tree_rows, BTreeStats(*grown.T)
+
+    def _record(
+        self, tree_rows: np.ndarray, records: list[int], mutated: list[int], batch: ParsedBatch
+    ) -> np.ndarray:
+        """Add the walk's span records into the shard's table rows
+        ``tree_rows`` and log its mutated entries; returns the spans' ten
+        counters, a row each."""
+        grown = np.array(records, dtype=np.int64).reshape(-1, _RECORD)
+        shard = self.shard
+        shard.fold(tree_rows, grown)
+        if mutated:
+            shard.log_mutations(
+                batch.entry_cidx[mutated].tolist(), map(batch.entry_suffix.__getitem__, mutated)
+            )
+        return grown[:, 1:]
 
     def index_batch(self, batch: ParsedBatch, doc_offset: int) -> IndexerReport:
         """Consume all owned collections of one parsed buffer."""

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dictionary.btree import BTree, BTreeStats
+from repro.dictionary.btree import HEAP, NODES, BTreeStats
 from repro.dictionary.layout import NODE_SIZE_BYTES
-from repro.indexers.base import _INSERTS, _NCOUNTERS, BaseIndexer, IndexerReport, _walk
+from repro.indexers.base import _INSERTS, BaseIndexer, IndexerReport, _row, _walk
 from repro.obs import runtime as obs
 from repro.parsing.regroup import ParsedBatch
 
@@ -95,8 +95,8 @@ class CPUIndexer(BaseIndexer):
         ) as tags:
             if batch.regrouped:
                 rows = self._owned_rows(batch.order)
-                report, trees, grown = self._index_rows(batch, rows, doc_offset)
-                seconds = self._model_collection_seconds(trees, batch.tokens[rows], grown)
+                report, tree_rows, grown = self._index_rows(batch, rows, doc_offset)
+                seconds = self._model_collection_seconds(tree_rows, batch.tokens[rows], grown)
                 for s in seconds.tolist():  # left to right: float addition is not associative
                     report.modeled_seconds += s
             else:
@@ -126,13 +126,14 @@ class CPUIndexer(BaseIndexer):
         rows = self._owned_rows(cidx_of)
         ids = batch.ids[rows]
         collections = cidx_of[rows].tolist()
-        tree_for = self.shard.tree_for
-        entry_term, counters = _walk(
-            ((tree_for(cidx), i, i + 1, False) for i, cidx in enumerate(collections)),
+        trees = list(map(self.shard.tree_for, collections))
+        entry_term, records, mutated = _walk(
+            ((tree, i, i + 1, False) for i, tree in enumerate(trees)),
             memoryview(ids), batch.entry_suffix, [],
         )
         self.accumulator.add_batch(entry_term, ids, batch.docs[rows] + doc_offset)
-        grown = np.array(counters, dtype=np.int64).reshape(-1, _NCOUNTERS)
+        tree_rows = np.fromiter(map(_row, trees), dtype=np.intp, count=len(trees))
+        grown = self._record(tree_rows, records, mutated, batch)
         total = grown.sum(axis=0).tolist()
         suffixes = batch.entry_suffix
         report = IndexerReport(
@@ -161,18 +162,18 @@ class CPUIndexer(BaseIndexer):
     # ------------------------------------------------------------------ #
 
     def _model_collection_seconds(
-        self, trees: list[BTree], tokens: np.ndarray, grown: BTreeStats
+        self, tree_rows: np.ndarray, tokens: np.ndarray, grown: BTreeStats
     ) -> np.ndarray:
         """Modeled seconds of each regrouped collection's work.
 
-        Elementwise over the per-collection arrays, in the order the
-        scalar formula evaluates: the same IEEE operations on the same
-        doubles, so the same bits.
+        A tree's modeled size is its nodes plus its strings, one gather
+        from the shard's table rows ``tree_rows``.  Elementwise over the
+        per-collection arrays, in the order the scalar formula evaluates:
+        the same IEEE operations on the same doubles, so the same bits.
         """
         cost = self.cost
-        tree_bytes = np.array(
-            [t.node_count * NODE_SIZE_BYTES + t.store.byte_size for t in trees], dtype=np.int64
-        )
+        counts = self.shard.counts[tree_rows]
+        tree_bytes = counts[:, NODES] * NODE_SIZE_BYTES + counts[:, HEAP]
         return (
             tokens * cost.per_token_s
             + grown.node_visits * cost.visit_cost(tree_bytes)

@@ -7,9 +7,11 @@ binary-search probes on integers, with its counters in locals.  The
 per-key descent it replaced lives on here *verbatim* — ``_compare``,
 ``_find_slot``, ``search``, ``insert``, ``_split_child`` and the recursive
 ``items`` walk from ``repro/dictionary/btree.py`` as they were, on a
-subclass of the current tree — so the differential tests can require the
-new descent to leave exactly what the old one left: every ``BTreeStats``
-field, term ids, node counts, items, search results and the mutation log.
+subclass of the per-tree ``BTree`` of ``tests/forest_oracle.py`` (whose
+counters, heap and ``on_mutation`` they write) — so the differential
+tests can require the new descent to leave exactly what the old one
+left: every ``BTreeStats`` field, term ids, node counts, items, search
+results and the mutation log.
 The slot-search hook the old ``_find_slot`` consulted is gone with the
 GPU's warp-fidelity mode, so its two lines are dropped.
 """
@@ -18,8 +20,9 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.dictionary.btree import BTree, BTreeNode
+from repro.dictionary.btree import BTreeNode
 from repro.dictionary.layout import STRING_CACHE_BYTES as _CACHE_BYTES
+from tests.forest_oracle import BTree
 
 __all__ = ["OracleBTree"]
 

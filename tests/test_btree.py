@@ -33,7 +33,7 @@ class TestNodeLayout:
 
     def test_31_keys_match_warp(self):
         tree = BTree(degree=16)
-        assert tree.max_keys == 31  # one warp = 32 threads handles a node
+        assert tree.forest.max_keys == 31  # one warp = 32 threads handles a node
 
 
 class TestBasicOps:
@@ -80,11 +80,15 @@ class TestBasicOps:
             tree.insert(w)
         assert [k for k, _ in tree.items()] == sorted(words)
 
-    def test_custom_allocator(self):
-        ids = iter([100, 200, 300])
-        tree = BTree(term_id_allocator=lambda: next(ids))
-        assert tree.insert(b"a")[0] == 100
-        assert tree.insert(b"b")[0] == 200
+    def test_trees_of_a_forest_share_its_id_cursor(self):
+        first = BTree()
+        second = BTree(forest=first.forest, collection=7)
+        assert first.insert(b"a")[0] == 0
+        assert second.insert(b"a")[0] == 1
+        assert first.insert(b"b")[0] == 2
+        assert (first.row, second.row) == (0, 1)
+        assert first.forest.collections == [0, 7]
+        assert first.term_count == 2 and second.term_count == 1
 
     def test_invalid_degree(self):
         with pytest.raises(ValueError):
@@ -201,9 +205,11 @@ class TestStats:
         a.insert(b"x")
         b.insert(b"y")
         b.insert(b"y")
-        a.stats.merge(b.stats)
-        assert a.stats.inserts == 2
-        assert a.stats.duplicate_hits == 1
+        total = a.stats
+        total.merge(b.stats)
+        assert total.inserts == 2
+        assert total.duplicate_hits == 1
+        assert a.stats.inserts == 1  # ``stats`` is a copy of the tree's row
 
 
 class TestPropertyBased:

@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import copy
+import functools
+import gc
+import pickle
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dictionary.btree import BTreeStats
 from repro.dictionary.dictionary import SHARD_ID_SPACE_BITS, Dictionary, DictionaryShard
+from repro.dictionary.string_store import StringStore
 from repro.dictionary.trie import TrieTable
 
 terms = st.text(
@@ -122,6 +130,78 @@ class TestCombine:
 
     def test_combine_empty(self):
         assert Dictionary.combine([]).term_count() == 0
+
+    def test_combine_keeps_every_shard_heap_and_table(self):
+        _, s0, s1 = self._two_shards()
+        combined = Dictionary.combine([s0, s1])
+        assert combined.forests()[1:] == (s0, s1)
+        assert combined.trees[s1.trie.split("zebra").index].forest is s1
+        assert combined.string_bytes() == s0.string_bytes() + s1.string_bytes()
+        assert combined.stats().inserts == 3
+        # A second combine keeps the first one's forests too.
+        assert Dictionary.combine([combined]).forests()[1:] == (combined, s0, s1)
+
+
+class TestForest:
+    def test_trees_share_the_shard_heap_and_table(self):
+        shard = DictionaryShard(TrieTable())
+        for term in ("application", "apple", "zebra", "apply"):
+            shard.add_term(term)
+        assert len(shard.trees) == 2 and len(shard.counts) == 2
+        assert {tree.forest for tree in shard.trees.values()} == {shard}
+        assert shard.string_bytes() == shard.store.byte_size == sum(
+            tree.heap_bytes for tree in shard.trees.values()
+        )
+        assert shard.term_count() == sum(tree.term_count for tree in shard.trees.values()) == 4
+        shard.check_invariants()
+
+    def test_the_checkpoint_stub_drops_the_forest(self):
+        """A stub rides in every checkpoint record: what it pickles may not
+        grow with the dictionary, only the id cursor's bytes may differ."""
+        small = DictionaryShard(TrieTable(), shard_id=3)
+        small.add_term("one")
+        big = DictionaryShard(TrieTable(), shard_id=3)
+        for i in range(10_000):
+            big.add_term(f"term{i}")
+        assert big.term_count() == 10_000
+        stubs = [small.without_forest(), big.without_forest()]
+        assert not stubs[1].trees and not stubs[1].store.byte_size and not len(stubs[1].counts)
+        same_cursor = copy.copy(stubs[1])
+        same_cursor._next_id = stubs[0]._next_id
+        assert pickle.dumps(same_cursor) == pickle.dumps(stubs[0])
+        assert len(pickle.dumps(stubs[1])) - len(pickle.dumps(stubs[0])) <= 8
+
+
+def test_a_build_makes_no_per_tree_store(tmp_path, monkeypatch, tiny_collection):
+    """A shard's trees share its heap and table: a build constructs no
+    ``StringStore`` or ``BTreeStats`` per tree and keeps no
+    ``functools.partial`` per tree alive (each tree once had all three)."""
+    from repro.core.config import PlatformConfig
+    from repro.core.engine import IndexingEngine
+
+    made: Counter[str] = Counter()
+    for cls in (StringStore, BTreeStats):
+
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            made[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+
+    def partials() -> int:
+        gc.collect()
+        return sum(isinstance(obj, functools.partial) for obj in gc.get_objects())
+
+    before = partials()
+    result = IndexingEngine(
+        PlatformConfig(num_parsers=2, num_cpu_indexers=1, num_gpus=1, sample_fraction=0.2,
+                       files_per_run=3, telemetry=False)
+    ).build(tiny_collection, str(tmp_path / "idx"))
+    trees = len(result.dictionary.trees)
+    assert trees > 500  # or a store per tree would not stand out
+    # A shard, a checkpoint stub or a batch may make one; a tree may not.
+    assert made["StringStore"] < trees / 10 and made["BTreeStats"] < trees / 10
+    assert partials() - before < trees / 10
 
 
 class TestProperty:

@@ -39,6 +39,7 @@ from repro.indexers.cpu import CPUIndexer
 from repro.indexers.gpu import GPUIndexer
 from repro.parsing.parser import ParseMetrics, Parser
 from repro.parsing.regroup import ParsedBatch
+from tests.forest_oracle import DictionaryShard as OracleShard
 from tests.parsed_stream_oracles import as_nested, batch_from_collections
 from tests.walk_oracle import OracleCPUIndexer, OracleGPUIndexer
 
@@ -422,12 +423,13 @@ def _resumed(indexer, logs: list[bytes]):
 )
 def test_walk_equals_the_parent_walk(kind, positional, streams, resumes, owned):
     """The walk's own per-span counts against the parent's walk, which read
-    every touched tree's counters before and after (``tests/walk_oracle.py``),
-    batch after batch, with a resume from the mutation logs between some."""
+    every touched tree's counters before and after (``tests/walk_oracle.py``)
+    in the per-tree forest (``tests/forest_oracle.py``), batch after batch,
+    with a resume from the mutation logs between some."""
     degree, batches = streams
     indexers = []
-    for cls in _PAIRS[kind]:
-        indexer = cls(0, DictionaryShard(TrieTable(), owned_collections=owned, degree=degree))
+    for cls, shard in zip(_PAIRS[kind], (DictionaryShard, OracleShard)):
+        indexer = cls(0, shard(TrieTable(), owned_collections=owned, degree=degree))
         indexer.returned = []
         indexers.append(indexer)
     new, old = indexers
@@ -437,9 +439,10 @@ def test_walk_equals_the_parent_walk(kind, positional, streams, resumes, owned):
         batch = _columns(collections, twins, positional)
         # ``repr``: every float bit of the modeled seconds and GPU cycles.
         assert repr(new.index_batch(batch, 6 * i)) == repr(old.index_batch(batch, 6 * i))
-        (_, trees, grown), (_, old_trees, old_grown) = new.returned[-1], old.returned[-1]
+        (_, tree_rows, grown), (_, old_trees, old_grown) = new.returned[-1], old.returned[-1]
         owned_rows = new._owned_rows(batch.order)
-        assert trees == list(map(new.shard.trees.get, batch.order[owned_rows].tolist()))
+        trees = list(map(new.shard.trees.get, batch.order[owned_rows].tolist()))
+        assert tree_rows.tolist() == [t.row for t in trees]
         assert [t.node_count for t in trees] == [t.node_count for t in old_trees]
         # The per-collection record == the parent's before/after difference.
         assert np.array_equal(
@@ -464,7 +467,7 @@ def test_ungrouped_equals_the_parent_loop(degree):
     batch, _ = parser.parse_texts(_TEXTS * 2)
     assert not batch.regrouped
     new = CPUIndexer(0, DictionaryShard(parser.trie, degree=degree))
-    old = OracleCPUIndexer(0, DictionaryShard(parser.trie, degree=degree))
+    old = OracleCPUIndexer(0, OracleShard(parser.trie, degree=degree))
     for doc_offset in (0, 10):
         before = old.shard.stats()
         report, old_report = new.index_batch(batch, doc_offset), old.index_batch(batch, doc_offset)
@@ -561,8 +564,8 @@ def test_modeled_seconds_are_added_left_to_right():
     parser = Parser(strip_html=False)
     batch, _ = parser.parse_texts(_TEXTS * 3)
     cpu = CPUIndexer(0, DictionaryShard(parser.trie))
-    report, trees, grown = cpu._index_rows(batch, np.arange(len(batch.order)), 0)
-    seconds = cpu._model_collection_seconds(trees, batch.tokens, grown).tolist()
+    report, tree_rows, grown = cpu._index_rows(batch, np.arange(len(batch.order)), 0)
+    seconds = cpu._model_collection_seconds(tree_rows, batch.tokens, grown).tolist()
     naive = 0.0
     for s in seconds:
         naive += s
@@ -572,9 +575,11 @@ def test_modeled_seconds_are_added_left_to_right():
     # ... and each collection's seconds are the scalar formula's, bit for bit.
     cost = cpu.cost
     rows = np.column_stack(grown.snapshot()).tolist()
+    trees = list(map(cpu.shard.trees.get, batch.order.tolist()))
+    assert tree_rows.tolist() == [tree.row for tree in trees]
     for tree, tokens, row, got in zip(trees, batch.tokens.tolist(), rows, seconds):
         delta = BTreeStats(*row)
-        tree_bytes = tree.node_count * NODE_SIZE_BYTES + tree.store.byte_size
+        tree_bytes = tree.node_count * NODE_SIZE_BYTES + tree.heap_bytes
         resident = min(1.0, cost.cache_share_bytes / tree_bytes)
         visit = resident * cost.node_visit_hot_s + (1.0 - resident) * cost.node_visit_cold_s
         assert repr(got) == repr(

@@ -113,7 +113,24 @@ class TestDeviceImage:
         image = DeviceTreeImage.build(tree)
         assert image.node_count == tree.node_count
         assert len(image.nodes) == tree.node_count * 512
-        assert image.heap == tree.store.raw_bytes()
+        assert image.heap == tree.forest.store.raw_bytes()
+
+    def test_a_tree_packs_the_same_in_a_shared_heap(self):
+        """A shard's trees share one heap; a tree's image holds its own
+        strings at the offsets a heap of its own would give them."""
+        rng = random.Random(4)
+        alone = BTree(degree=2)
+        shared = BTree(degree=2)
+        neighbour = BTree(forest=shared.forest, collection=1)
+        for _ in range(300):
+            word = bytes(rng.choices(b"abcdef", k=rng.randint(1, 6)))
+            neighbour.insert(word[::-1] + b"z")
+            assert shared.insert(word)[1] == alone.insert(word)[1]
+        assert shared.root.string_ptrs != alone.root.string_ptrs
+        # Remapped, the postings pointers are slots, so every byte agrees.
+        mine, theirs = (DeviceTreeImage.build(t, remap_ids=True) for t in (shared, alone))
+        assert (mine.nodes, mine.heap) == (theirs.nodes, theirs.heap)
+        assert DeviceTreeImage.build(shared).heap == theirs.heap
 
     def test_byte_search_equals_object_search(self):
         tree, words = self._tree()

@@ -6,6 +6,7 @@ import os
 import zlib
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,7 @@ from repro.dictionary import serialize
 from repro.dictionary.dictionary import SHARD_ID_SPACE_BITS, Dictionary, DictionaryShard
 from repro.dictionary.serialize import load_dictionary, save_dictionary
 from repro.dictionary.trie import TrieTable
-from repro.postings.compression import decode_uvarint
+from repro.postings.compression import decode_uvarint, encode_uvarints
 from tests import dictionary_oracle as oracle
 
 terms = st.text(
@@ -191,11 +192,59 @@ def _field_starts(body: bytes) -> list[int]:
     return starts
 
 
+def _blocks(body: bytes) -> list[tuple[int, list[int], list[list[int]], int]]:
+    """Each block of a valid body: where it starts, its collection and term
+    counts, its six columns' values and where it ends."""
+    pos = len(serialize.DICT_MAGIC)
+    _, pos = decode_uvarint(body, pos)
+    n_blocks, pos = decode_uvarint(body, pos)
+    blocks = []
+    for _ in range(n_blocks):
+        start = pos
+        header = []
+        for _ in range(2 + 6):
+            value, pos = decode_uvarint(body, pos)
+            header.append(value)
+        columns = []
+        for length in header[2:]:
+            column_end = pos + length
+            columns.append([])
+            while pos < column_end:
+                value, pos = decode_uvarint(body, pos)
+                columns[-1].append(value)
+        pos += sum(columns[4])  # the tails
+        blocks.append((start, header[:2], columns, pos))
+    return blocks
+
+
+#: Values at the loader's bounds: a gap or count of 0, the shard and
+#: local-id limits, the largest ``int64``.
+_BOUNDARIES = (0, 1, 1 << 23, 1 << 40, (1 << 63) - 1)
+
+
+def _rewrite(data, blocks: list, body: bytes) -> bytes:
+    """Set one value of one block column of ``body`` to a boundary,
+    re-encoding the column and the header's column length."""
+    start, counts, columns, end = data.draw(st.sampled_from(blocks))
+    tails = body[end - sum(columns[4]) : end]
+    column = columns[data.draw(st.integers(0, len(columns) - 1))]
+    if column:
+        column[data.draw(st.integers(0, len(column) - 1))] = data.draw(st.sampled_from(_BOUNDARIES))
+    encoded = [encode_uvarints(np.array(values, dtype=np.int64))[0] for values in columns]
+    header = encode_uvarints(np.array([*counts, *map(len, encoded)]))[0]
+    return body[:start] + header + b"".join(encoded) + tails + body[end:]
+
+
 def _mutate(data, body: bytes) -> bytes:
     """Truncate, flip, poke (set a byte at or just after a field start to
-    a boundary value) or splice ``body``."""
+    a boundary value), splice or rewrite (:func:`_rewrite`) ``body``."""
     n = len(body)
-    kind = data.draw(st.sampled_from(["truncate", "flip", "poke", "poke", "splice"]))
+    kind = data.draw(
+        st.sampled_from(["truncate", "flip", "poke", "poke", "splice", "rewrite", "rewrite"])
+    )
+    blocks = _blocks(body)
+    if kind == "rewrite" and blocks:
+        return _rewrite(data, blocks, body)
     if kind == "poke":
         at = data.draw(st.sampled_from(_field_starts(body) or [n - 1]))
         at = min(at + data.draw(st.integers(0, 2)), n - 1)

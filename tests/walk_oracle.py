@@ -11,7 +11,9 @@ per-collection record.  The code it replaced lives on here *verbatim*:
 touched tree's ten counters before and after the walk) and
 ``CPUIndexer._index_ungrouped`` (which read counters around every token
 and left ``report.btree`` empty), as methods of :class:`OracleCPUIndexer`
-and :class:`OracleGPUIndexer`.  The parent walk inserts through
+and :class:`OracleGPUIndexer`, with the cost model's per-tree
+``_model_collection_seconds`` they feed.  They run on the per-tree forest
+of ``tests/forest_oracle.py``, whose trees carry the counters they read.  The parent walk inserts through
 ``BTree.insert``, whose counters are unchanged, so the differential tests
 can require the new walk to leave exactly what the old one left: term
 ids, every ``BTreeStats`` field of every tree, the mutation log, node
@@ -25,11 +27,13 @@ from operator import attrgetter
 
 import numpy as np
 
-from repro.dictionary.btree import _COUNTERS, BTree, BTreeStats
+from repro.dictionary.btree import _COUNTERS, BTreeStats
+from repro.dictionary.layout import NODE_SIZE_BYTES
 from repro.indexers.base import IndexerReport
 from repro.indexers.cpu import CPUIndexer
 from repro.indexers.gpu import GPUIndexer
 from repro.parsing.regroup import ParsedBatch
+from tests.forest_oracle import BTree
 
 __all__ = ["OracleCPUIndexer", "OracleGPUIndexer"]
 
@@ -228,6 +232,26 @@ class OracleCPUIndexer(_OracleRows, CPUIndexer):
             )
         report.collections = len(touched)
         return report
+
+    def _model_collection_seconds(
+        self, trees: list[BTree], tokens: np.ndarray, grown: BTreeStats
+    ) -> np.ndarray:
+        """Modeled seconds of each regrouped collection's work.
+
+        Elementwise over the per-collection arrays, in the order the
+        scalar formula evaluates: the same IEEE operations on the same
+        doubles, so the same bits.
+        """
+        cost = self.cost
+        tree_bytes = np.array(
+            [t.node_count * NODE_SIZE_BYTES + t.store.byte_size for t in trees], dtype=np.int64
+        )
+        return (
+            tokens * cost.per_token_s
+            + grown.node_visits * cost.visit_cost(tree_bytes)
+            + grown.full_string_fetches * cost.full_fetch_s
+            + grown.splits * cost.split_s
+        )
 
 
 class OracleGPUIndexer(_OracleRows, GPUIndexer):
