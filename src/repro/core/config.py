@@ -12,7 +12,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, replace
 
+from repro.dictionary.btree import check_log_collections
 from repro.dictionary.layout import DEFAULT_DEGREE
+from repro.dictionary.trie import TrieTable
 
 from repro.gpusim.costmodel import GPUSpec, TESLA_C1060
 from repro.indexers.assignment import PopularityPolicy
@@ -149,6 +151,7 @@ class PlatformConfig:
                 )
             if not self.regroup:
                 raise ValueError("positional indexing requires regrouping")
+        check_log_collections(TrieTable(self.trie_height).num_collections)
         if self.num_parsers < 1:
             raise ValueError("need at least one parser")
         if self.output_stripes < 1:

@@ -173,6 +173,16 @@ def _pad4(payload: bytes) -> bytes:
 #: bytes follow.
 LOG_ENTRY = struct.Struct("<IH")
 
+
+def check_log_collections(num_collections: int) -> None:
+    """``ValueError`` unless every collection index below ``num_collections``
+    fits :data:`LOG_ENTRY`'s 32-bit collection field."""
+    if num_collections > 1 << 32:
+        raise ValueError(
+            f"{num_collections} trie collections overflow the mutation log's 32-bit "
+            "collection field (LOG_ENTRY): use a trie height of at most 6"
+        )
+
 #: A :class:`Forest` table row: node count, heap bytes (length prefixes
 #: included), then the ten :class:`BTreeStats` counters in field order.
 #: A tree's term count is its ``inserts`` column.

@@ -31,7 +31,15 @@ from __future__ import annotations
 import copy
 from typing import Iterable, Iterator
 
-from repro.dictionary.btree import LOG_ENTRY, STATS, TERMS, BTree, BTreeStats, Forest
+from repro.dictionary.btree import (
+    LOG_ENTRY,
+    STATS,
+    TERMS,
+    BTree,
+    BTreeStats,
+    Forest,
+    check_log_collections,
+)
 from repro.dictionary.layout import DEFAULT_DEGREE
 from repro.dictionary.trie import TrieTable
 
@@ -61,6 +69,7 @@ class DictionaryShard(Forest):
     ) -> None:
         super().__init__(degree, use_string_cache)
         self.trie = trie if trie is not None else TrieTable()
+        check_log_collections(self.trie.num_collections)
         self.shard_id = shard_id
         self.owned: frozenset[int] | None = (
             frozenset(owned_collections) if owned_collections is not None else None

@@ -8,23 +8,18 @@ document order) and writes a single consolidated run file (run id ``0`` by
 convention) plus a fresh ``runs.map``.  The merge benchmark checks the
 <10% cost claim against the engine's build time.
 
-Every input run is CRC-verified and its mapping table parsed and checked
-(:func:`~repro.postings.output.read_run_table_from_file`) before a byte of
-it is used.  Then one path serves every codec.  The term axis is cut into
-windows whose lists total about :data:`_WINDOW_BYTES` over all runs, one
-``seek`` + ``read`` a run.  The runs' codec decodes each piece into columns
-(:meth:`~repro.postings.compression.PostingsCodec.decode_lists`, the
-reader's own strict decode).  A stable sort by term keeps each term's lists
-in run order, whose documents must ascend strictly from one list to the
-next (``ValueError``, "overlap", otherwise).  The output codec encodes the
-window's merged lists in one call
-(:meth:`~repro.postings.compression.PostingsCodec.encode_lists`), so a
-merge writes what :meth:`~repro.postings.output.RunWriter.write_run` writes
-of the merged lists.
-
-Memory: the runs' mapping tables (24 bytes an entry) and one window's
-columns, never the index.  ``peak_resident_postings`` reports the length
-of the longest merged list.
+The reader runs the same combine and keeps it unencoded.  :func:`open_runs`
+CRC-verifies every run, then parses and checks its mapping table, before a
+byte of it is used.  :func:`read_windows` decodes term windows whose lists
+total about :data:`_WINDOW_BYTES` over all runs, one ``seek`` + ``read`` a
+run, with the runs' strict ``decode_lists``.  :func:`join_window` orders a
+window's lists by term, stably, so a term's lists stay in run order, whose
+documents must ascend strictly from one to the next: the merge raises
+``ValueError`` ("overlap") on a term where they do not, and encodes the
+window in one ``encode_lists`` call, so it writes what ``write_run``
+writes of the merged lists.  Memory: the runs' mapping tables (24 bytes
+an entry) and one window's columns, never the index.
+``peak_resident_postings`` reports the length of the longest merged list.
 
 Codec handling: when ``codec`` is ``None`` the merged run keeps the input
 runs' codec — positional or not — so a merge never silently re-encodes.
@@ -35,13 +30,16 @@ re-encodes the merged lists in that codec.
 from __future__ import annotations
 
 import os
+import shutil
 from contextlib import ExitStack
+from itertools import groupby
 from typing import BinaryIO, Iterator, NamedTuple
 
 import numpy as np
 
 from repro.obs import runtime as obs
 from repro.postings.compression import PostingsCodec, VarByteCodec, get_codec
+from repro.postings.lists import _spans
 from repro.postings.output import (
     DocRangeMap,
     EncodedBlock,
@@ -56,12 +54,117 @@ __all__ = ["merge_index"]
 _WINDOW_BYTES = 1 << 16
 
 
-class _InputRun(NamedTuple):
-    """One verified input run: open handle and mapping table."""
+class InputRun(NamedTuple):
+    """One verified input run: open handle, codec name and mapping table."""
 
     fh: BinaryIO
+    codec: str
     #: ``(n_entries, 3)`` rows of ``(term_id, absolute offset, length)``.
     table: np.ndarray
+
+
+class Joined(NamedTuple):
+    """A window joined: ``term_ids[i]`` (ascending) has ``counts[i]`` postings
+    of ``docs`` / ``tfs`` from ``parts[i]`` non-empty lists, which overlap in
+    document order for the terms in ``clashes``."""
+
+    term_ids: np.ndarray
+    parts: np.ndarray
+    counts: np.ndarray
+    docs: np.ndarray
+    tfs: np.ndarray
+    positions: np.ndarray | None
+    clashes: np.ndarray
+
+
+def open_runs(range_map: DocRangeMap, stack: ExitStack) -> tuple[list[InputRun], int]:
+    """Every run in run order, open in ``stack``, and their total bytes."""
+    runs: list[InputRun] = []
+    total = 0
+    for run in range_map.runs:
+        total += verify_run_file(run.path)  # never read a damaged run
+        fh = stack.enter_context(open(run.path, "rb"))
+        _, codec_name, _, _, table, _ = read_run_table_from_file(fh)
+        runs.append(InputRun(fh, codec_name, table))
+    return runs, total
+
+
+def distinct_term_ids(runs: list[InputRun]) -> np.ndarray:
+    """The sorted distinct term ids of the runs' tables."""
+    # Not np.unique: its default sort pages in numpy's SIMD sort library,
+    # 0.4 MB resident for one call.
+    term_ids = np.concatenate([np.empty(0, np.int64), *(run.table[:, 0] for run in runs)])
+    term_ids.sort(kind="stable")
+    return term_ids[np.diff(term_ids, prepend=-1) != 0]
+
+
+def read_windows(
+    runs: list[InputRun], term_ids: np.ndarray, codecs: dict[str, PostingsCodec]
+) -> Iterator[list[tuple]]:
+    """Yield each window of ``term_ids`` as pieces ``(term ids, counts, docs,
+    tfs, positions)``, one per stretch of adjacent runs of one codec."""
+    weights = np.zeros(term_ids.size, dtype=np.int64)
+    for run in runs:
+        weights[np.searchsorted(term_ids, run.table[:, 0])] += run.table[:, 2]
+    if not term_ids.size:
+        return
+    # A window ends with the term that takes the running total of list
+    # bytes past the next multiple of the window size.
+    windows = np.cumsum(weights) // _WINDOW_BYTES
+    firsts = np.concatenate(([0], np.flatnonzero(windows[1:] != windows[:-1]) + 1))
+    # Row range of every window in every run's table (term ids ascend).
+    rows = [
+        np.append(np.searchsorted(run.table[:, 0], term_ids[firsts]), len(run.table))
+        for run in runs
+    ]
+    for window in range(len(firsts)):
+        pieces = []
+        # Lists are whole, so adjacent runs of one codec decode in one call.
+        for name, group in groupby(zip(runs, rows), key=lambda item: item[0].codec):
+            tables, data = [], []
+            for run, cuts in group:
+                table = run.table[cuts[window] : cuts[window + 1]]
+                if len(table):
+                    run.fh.seek(table[0, 1])
+                    data.append(run.fh.read(table[-1, 1] + table[-1, 2] - table[0, 1]))
+                    tables.append(table)
+            if tables:
+                ids, _, lengths = np.concatenate(tables).T
+                pieces.append((ids, *codecs[name].decode_lists(b"".join(data), lengths)))
+        yield pieces
+
+
+def join_window(pieces: list[tuple], positional: bool) -> Joined:
+    """Join a window's pieces term by term; ``positional`` keeps positions."""
+    term_ids, counts, docs, tfs = (
+        np.concatenate([piece[i] for piece in pieces]) for i in range(4)
+    )
+    # Empty lists add nothing; a term none of whose lists holds a posting
+    # is left out, as the run writer leaves it out.
+    listed = counts > 0
+    starts = (np.cumsum(counts) - counts)[listed]
+    term_ids, counts = term_ids[listed], counts[listed]
+    # Stable: a term's lists stay in run order = document order.
+    order = np.argsort(term_ids, kind="stable")
+    term_ids, counts, starts = term_ids[order], counts[order], starts[order]
+    follows = term_ids[1:] == term_ids[:-1]
+    clash = follows & (docs[starts[1:]] <= docs[starts[:-1] + counts[:-1] - 1])
+    leads = np.flatnonzero(np.diff(term_ids, prepend=-1))  # term ids are >= 0
+    positions = None
+    if positional:
+        at = np.concatenate(([0], np.cumsum(tfs, dtype=np.int64)))
+        flat = np.concatenate([piece[4] for piece in pieces])
+        positions = flat[_spans(at[starts], at[starts + counts] - at[starts])]
+    postings = _spans(starts, counts)
+    return Joined(
+        term_ids[leads],
+        np.diff(leads, append=term_ids.size),
+        np.add.reduceat(counts, leads),
+        docs[postings],
+        tfs[postings],
+        positions,
+        term_ids[1:][clash],
+    )
 
 
 def merge_index(
@@ -84,27 +187,17 @@ def merge_index(
     range_map = DocRangeMap.load(input_dir)
     tracer = obs.tracer()
     reg = obs.metrics()
-
-    input_bytes = 0
     stats = {"postings": 0, "peak_resident_postings": 0}
 
     with ExitStack() as stack:
-        runs: list[_InputRun] = []
-        codec_names: list[str] = []
         with tracer.span(
             "merge.read_runs", cat="merge", lane="merge", runs=len(range_map.runs)
         ):
-            for run in range_map.runs:  # already sorted by run id = document order
-                size = verify_run_file(run.path)  # never merge a damaged run
-                input_bytes += size
-                fh = stack.enter_context(open(run.path, "rb"))
-                _, codec_name, _, _, table, _ = read_run_table_from_file(fh)
-                runs.append(_InputRun(fh, table))
-                codec_names.append(codec_name)
-                reg.count("merge.runs_read")
-                reg.count("merge.input_bytes", size)
+            runs, input_bytes = open_runs(range_map, stack)
+        reg.count("merge.runs_read", len(runs))
+        reg.count("merge.input_bytes", input_bytes)
 
-        names = sorted(set(codec_names))
+        names = sorted({run.codec for run in runs})
         if len(names) > 1:
             raise ValueError(
                 f"cannot merge runs with mixed codecs ({', '.join(names)}); "
@@ -113,15 +206,7 @@ def merge_index(
         run_codec = get_codec(names[0]) if names else VarByteCodec()
         if codec is None:
             codec = run_codec  # preserve the run codec through the merge
-        # Sorted distinct term ids.  Not np.unique: its default sort pages
-        # in numpy's SIMD sort library, 0.4 MB resident for one call.
-        term_ids = np.sort(
-            np.concatenate([np.empty(0, np.int64), *(run.table[:, 0] for run in runs)]),
-            kind="stable",
-        )
-        distinct = np.ones(term_ids.size, dtype=bool)
-        distinct[1:] = term_ids[1:] != term_ids[:-1]
-        term_ids = term_ids[distinct]
+        term_ids = distinct_term_ids(runs)
 
         os.makedirs(output_dir, exist_ok=True)
         writer = RunWriter(output_dir, codec=codec)
@@ -140,10 +225,7 @@ def merge_index(
 
     dict_src = os.path.join(input_dir, "dictionary.bin")
     if os.path.exists(dict_src) and os.path.abspath(input_dir) != os.path.abspath(output_dir):
-        with open(dict_src, "rb") as src, open(
-            os.path.join(output_dir, "dictionary.bin"), "wb"
-        ) as dst:
-            dst.write(src.read())
+        shutil.copyfile(dict_src, os.path.join(output_dir, "dictionary.bin"))
 
     return {
         "terms": len(term_ids),
@@ -155,89 +237,22 @@ def merge_index(
 
 
 def _merged_blocks(
-    runs: list[_InputRun],
+    runs: list[InputRun],
     term_ids: np.ndarray,
     run_codec: PostingsCodec,
     codec: PostingsCodec,
     stats: dict[str, int],
 ) -> Iterator[EncodedBlock]:
     """Yield the merged lists of one window of ``term_ids`` after another."""
-    weights = np.zeros(term_ids.size, dtype=np.int64)
-    for run in runs:
-        weights[np.searchsorted(term_ids, run.table[:, 0])] += run.table[:, 2]
-    if not term_ids.size:
-        return
-    # A window ends with the term that takes the running total of list
-    # bytes past the next multiple of the window size.
-    windows = np.cumsum(weights) // _WINDOW_BYTES
-    firsts = np.concatenate(([0], np.flatnonzero(windows[1:] != windows[:-1]) + 1))
-    # Row range of every window in every run's table (term ids ascend).
-    rows = [
-        np.append(np.searchsorted(run.table[:, 0], term_ids[firsts]), len(run.table))
-        for run in runs
-    ]
-    for window in range(len(firsts)):
-        pieces = []
-        for run, cuts in zip(runs, rows):
-            table = run.table[cuts[window] : cuts[window + 1]]
-            if not len(table):
-                continue
-            run.fh.seek(table[0, 1])
-            piece = run.fh.read(table[-1, 1] + table[-1, 2] - table[0, 1])
-            pieces.append((table[:, 0], *run_codec.decode_lists(piece, table[:, 2])))
-        block = _merge_window(pieces, codec, stats)
-        if block is not None:
-            yield block
+    positional = run_codec.positional
+    for pieces in read_windows(runs, term_ids, {run_codec.name: run_codec}):
+        term_ids, _, totals, docs, tfs, positions, clashes = join_window(pieces, positional)
+        if clashes.size:
+            raise ValueError("run files overlap in document order; input corrupt")
+        if not totals.size:
+            continue
+        data, lengths = codec.encode_lists(totals, docs, tfs, positions)
+        stats["postings"] += int(totals.sum())
+        stats["peak_resident_postings"] = max(stats["peak_resident_postings"], int(totals.max()))
+        yield term_ids.tolist(), lengths.tolist(), data, int(docs.min()), int(docs.max())
 
-
-def _merge_window(
-    pieces: list[tuple], codec: PostingsCodec, stats: dict[str, int]
-) -> EncodedBlock | None:
-    """Encode a window's lists, given run by run, merged term by term.
-
-    ``pieces`` holds, per run, ``(term ids, counts, docs, tfs, positions)``
-    of its lists in the window.  A term's merged list is its lists in run
-    order, whose documents must ascend strictly from one to the next.
-    """
-    term_ids, counts, docs, tfs = (
-        np.concatenate([piece[i] for piece in pieces]) for i in range(4)
-    )
-    positional = pieces[0][4] is not None
-    # Empty lists add nothing; a term none of whose lists holds a posting
-    # is left out, as the run writer leaves it out.
-    listed = counts > 0
-    starts = (np.cumsum(counts) - counts)[listed]
-    term_ids, counts = term_ids[listed], counts[listed]
-    if not counts.size:
-        return None
-    # Stable: a term's lists stay in run order = document order.
-    order = np.argsort(term_ids, kind="stable")
-    term_ids, counts, starts = term_ids[order], counts[order], starts[order]
-    lead = np.concatenate(([True], term_ids[1:] != term_ids[:-1]))
-    first_docs, last_docs = docs[starts], docs[starts + counts - 1]
-    follows = ~lead[1:]
-    if np.any(first_docs[1:][follows] <= last_docs[:-1][follows]):
-        raise ValueError("run files overlap in document order; input corrupt")
-    postings = _ranges(starts, counts)
-    positions = None
-    if positional:
-        at = np.concatenate(([0], np.cumsum(tfs, dtype=np.int64)))
-        flat = np.concatenate([piece[4] for piece in pieces])
-        positions = flat[_ranges(at[starts], at[starts + counts] - at[starts])]
-    leads = np.flatnonzero(lead)
-    totals = np.add.reduceat(counts, leads)
-    data, lengths = codec.encode_lists(totals, docs[postings], tfs[postings], positions)
-    stats["postings"] += int(totals.sum())
-    stats["peak_resident_postings"] = max(stats["peak_resident_postings"], int(totals.max()))
-    return (
-        term_ids[leads].tolist(),
-        lengths.tolist(),
-        data,
-        int(first_docs.min()),
-        int(last_docs.max()),
-    )
-
-
-def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """The indices ``starts[i] .. starts[i] + sizes[i] - 1`` for each ``i``, in turn."""
-    return np.repeat(starts - (np.cumsum(sizes) - sizes), sizes) + np.arange(int(sizes.sum()))

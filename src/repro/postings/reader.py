@@ -2,27 +2,28 @@
 
 "To retrieve a postings list for a certain term string, we look it up in
 the dictionary and use the corresponding pointer to determine the location
-of the partial postings list in each of the output files."  The reader also
-implements the paper's range-narrowed search benefit: a query restricted to
-a document-ID range only fetches partial lists from the run files whose
-ranges overlap (counted in :attr:`PostingsReader.partial_fetches` so tests
-and benchmarks can observe the saving).
-
-Postings are sorted integer sequences, so the reader holds them as integer
-columns, never as one object per posting (Pibiri & Venturini): the first
-time a run is touched, its whole payload is decoded into ``int32`` document
-and term-frequency columns, and one row index over every run's mapping
-table maps a term id to its slices of those columns.
+of the partial postings list in each of the output files."  The paper's
+other option, to "combine the partial postings lists of each term into a
+single list", the reader takes in memory: its first full lookup runs the
+merge's window join (:mod:`repro.postings.merge`) over every run and keeps
+the result unencoded, as integer columns, never as one object per posting
+(Pibiri & Venturini).  A lookup is one ``searchsorted`` and two slices.
+A query restricted to a document-ID range (the paper's range-narrowed
+search) only decodes the run files whose ranges overlap, counted in
+:attr:`PostingsReader.partial_fetches` so tests and benchmarks can observe
+the saving.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable
+from contextlib import ExitStack
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.postings.compression import get_codec
+from repro.postings.merge import distinct_term_ids, join_window, open_runs, read_windows
 from repro.postings.output import (
     DocRangeMap,
     RunFile,
@@ -43,7 +44,9 @@ Columns = tuple[np.ndarray, np.ndarray]
 
 
 def _empty() -> np.ndarray:
-    return np.empty(0, dtype=np.int32)
+    empty = np.empty(0, dtype=np.int32)
+    empty.flags.writeable = False
+    return empty
 
 
 def _blocks(table: np.ndarray) -> list[np.ndarray]:
@@ -64,7 +67,7 @@ class _OpenRun:
     header's.  Positional runs also keep their bytes and mapping table
     for :meth:`fetch`; other runs drop them once decoded.
 
-    Opening is the one way a run is read, by the reader and by
+    Opening reads one run, for range and positional lookups and for
     ``repro verify``: first the trailing CRC32, so a flipped byte
     anywhere in the run raises
     :class:`~repro.robustness.errors.ChecksumError` before a single
@@ -116,49 +119,41 @@ class _OpenRun:
         return self.codec.decode(self.data[offset : offset + length])
 
 
-class _RowIndex:
-    """Every run's non-empty lists, by term id.
+class _Index(NamedTuple):
+    """Every run's lists joined: ``term_ids[i]`` (ascending) has postings
+    ``[bounds[i], bounds[i + 1])`` of ``docs`` / ``tfs`` (read-only
+    ``int32``) from ``parts[i]`` non-empty partial lists, which overlap in
+    document order for the terms in ``overlapping``."""
 
-    ``rows[i]`` is ``(run number, start, end)`` of a list of
-    ``term_ids[i]``: ids ascend, and a term's rows are adjacent and in run
-    order (a stable argsort of all runs' table term ids).  ``overlapping``
-    holds the terms with a partial list that does not start after the
-    previous run's one ends.
-    """
+    term_ids: np.ndarray
+    bounds: np.ndarray
+    parts: np.ndarray
+    overlapping: frozenset[int]
+    docs: np.ndarray
+    tfs: np.ndarray
 
-    __slots__ = ("runs", "term_ids", "rows", "overlapping")
 
-    def __init__(self, runs: list[_OpenRun]) -> None:
-        listed = [np.flatnonzero(np.diff(opened.starts)) for opened in runs]
+def _join_runs(range_map: DocRangeMap) -> _Index:
+    """Join every run, each decoded with its own codec, as the merge does."""
+    with ExitStack() as stack:
+        runs, _ = open_runs(range_map, stack)
+        codecs = {run.codec: get_codec(run.codec) for run in runs}
+        pieces = read_windows(runs, distinct_term_ids(runs), codecs)
+        windows = [join_window(window, positional=False) for window in pieces]
 
-        def gather(column: Callable[[_OpenRun, np.ndarray], np.ndarray]) -> np.ndarray:
-            return np.concatenate(
-                [np.empty(0, dtype=np.int64)]
-                + [column(opened, rows) for opened, rows in zip(runs, listed)]
-            )
+    def column(field: str, dtype: type) -> np.ndarray:
+        joined = np.concatenate([np.empty(0, dtype), *(getattr(w, field) for w in windows)])
+        joined.flags.writeable = False
+        return joined
 
-        term_ids = gather(lambda opened, rows: opened.term_ids[rows])
-        order = np.argsort(term_ids, kind="stable")
-        self.runs = runs
-        self.term_ids = term_ids = term_ids[order]
-        # One column at a time, so no temporary is wider than one.
-        self.rows = np.empty((order.size, 3), dtype=np.int32)
-        self.rows[:, 0] = np.repeat(np.arange(len(runs)), [rows.size for rows in listed])[order]
-        self.rows[:, 1] = gather(lambda opened, rows: opened.starts[rows])[order]
-        self.rows[:, 2] = gather(lambda opened, rows: opened.starts[rows + 1])[order]
-        firsts = gather(lambda opened, rows: opened.docs[opened.starts[rows]])[order]
-        lasts = gather(lambda opened, rows: opened.docs[opened.starts[rows + 1] - 1])[order]
-        clash = (term_ids[1:] == term_ids[:-1]) & (firsts[1:] <= lasts[:-1])
-        self.overlapping = set(term_ids[1:][clash].tolist())
-
-    def parts(self, term_id: int) -> list[tuple[_OpenRun, int, int]]:
-        """``(run, start, end)`` of each of the term's lists, in run order."""
-        if term_id in self.overlapping:
-            raise ValueError(_OVERLAP)
-        found = self.rows[
-            self.term_ids.searchsorted(term_id) : self.term_ids.searchsorted(term_id, "right")
-        ].tolist()
-        return [(self.runs[number], start, end) for number, start, end in found]
+    return _Index(
+        column("term_ids", np.int64),
+        np.concatenate(([0], np.cumsum(column("counts", np.int64)))),
+        column("parts", np.int64),
+        frozenset(column("clashes", np.int64).tolist()),
+        column("docs", np.int32),
+        column("tfs", np.int32),
+    )
 
 
 class PostingsReader:
@@ -175,9 +170,10 @@ class PostingsReader:
     def __init__(self, output_dir: str) -> None:
         self.output_dir = output_dir
         self.range_map = DocRangeMap.load(output_dir)
+        #: Runs decoded one by one, for range, positional and codec reads.
         self._open_runs: dict[int, _OpenRun] = {}
         #: Built by the first full lookup.
-        self._index: _RowIndex | None = None
+        self._index: _Index | None = None
         self._term_ids: dict[str, int] | None = None
         #: Number of partial-list fetch operations performed (observability
         #: for the range-narrowing benefit).
@@ -217,13 +213,10 @@ class PostingsReader:
         opened = self._open_runs.get(run.run_id)
         if opened is None:
             opened = self._open_runs[run.run_id] = _OpenRun(run.path)
-            # Backfill lazily-loaded descriptor fields.
-            run.min_doc, run.max_doc = opened.min_doc, opened.max_doc
-            run.entry_count = len(opened.term_ids)
         return opened
 
     def close(self) -> None:
-        """Free every decoded run; the next lookup decodes them again."""
+        """Free the joined index and decoded runs; lookups build them again."""
         self._open_runs.clear()
         self._index = None
 
@@ -233,33 +226,24 @@ class PostingsReader:
     def __exit__(self, *exc: object) -> None:
         self.close()
 
-    def _join(self, parts: list[tuple[_OpenRun, int, int]]) -> Columns:
-        """Concatenate non-empty partial lists ``(run, start, end)``."""
-        self.partial_fetches += len(parts)
-        if len(parts) == 1:
-            opened, start, end = parts[0]
-            joined = opened.columns[:, start:end]
-        elif parts:
-            joined = np.concatenate(
-                [opened.columns[:, start:end] for opened, start, end in parts], axis=1
-            )
-        else:
-            return _empty(), _empty()
-        return joined[0], joined[1]
-
     def postings_columns(self, term: str | int) -> Columns:
-        """The full postings list as ``(docs, tfs)`` ``int32`` columns.
-
-        Each run's partial list is a slice of that run's columns; they are
-        spliced in run order.  A list found in one run comes back as a
-        read-only view of the reader's own columns.
-        """
+        """The full postings list as read-only ``(docs, tfs)`` ``int32`` columns:
+        two slices of the index the first call joins (``ValueError`` if the
+        term's partial lists overlap)."""
         term_id = self._resolve(term)
         if term_id is None:
             return _empty(), _empty()
-        if self._index is None:
-            self._index = _RowIndex([self._run(run) for run in self.range_map.runs])
-        return self._join(self._index.parts(term_id))
+        index = self._index
+        if index is None:
+            index = self._index = _join_runs(self.range_map)
+        i = int(index.term_ids.searchsorted(term_id))
+        if i == len(index.term_ids) or index.term_ids[i] != term_id:
+            return _empty(), _empty()
+        if term_id in index.overlapping:
+            raise ValueError(_OVERLAP)
+        self.partial_fetches += int(index.parts[i])
+        start, end = index.bounds[i : i + 2].tolist()
+        return index.docs[start:end], index.tfs[start:end]
 
     def postings(self, term: str | int) -> list[tuple[int, int]]:
         """Full postings list, spliced across runs in run order.
@@ -310,7 +294,7 @@ class PostingsReader:
         term_id = self._resolve(term)
         if term_id is None:
             return _empty(), _empty()
-        parts = []
+        parts = [np.empty((2, 0), dtype=np.int32)]
         last = -1
         for run in self.range_map.runs_overlapping(lo_doc, hi_doc):
             opened = self._run(run)
@@ -322,8 +306,9 @@ class PostingsReader:
                 if opened.docs[start] <= last:
                     raise ValueError(_OVERLAP)
                 last = opened.docs[end - 1]
-                parts.append((opened, start, end))
-        docs, tfs = self._join(parts)
+                parts.append(opened.columns[:, start:end])
+        self.partial_fetches += len(parts) - 1
+        docs, tfs = np.concatenate(parts, axis=1)
         kept = slice(docs.searchsorted(lo_doc), docs.searchsorted(hi_doc, "right"))
         return docs[kept], tfs[kept]
 

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dictionary.btree import BTreeStats
+from repro.core.config import PlatformConfig
+from repro.dictionary.btree import LOG_ENTRY, BTreeStats
 from repro.dictionary.dictionary import SHARD_ID_SPACE_BITS, Dictionary, DictionaryShard
 from repro.dictionary.string_store import StringStore
 from repro.dictionary.trie import TrieTable
@@ -88,6 +89,30 @@ class TestShard:
         d.add_term("aaab")
         stats = d.stats()
         assert stats.inserts == 2
+
+
+class TestLogCollectionField:
+    """``LOG_ENTRY`` holds a collection index in 32 bits, so a trie with
+    more collections is refused before any insert, not at the first one."""
+
+    def test_height_7_is_refused_up_front(self):
+        with pytest.raises(ValueError, match="32-bit collection field"):
+            DictionaryShard(TrieTable(height=7))
+        with pytest.raises(ValueError, match="32-bit collection field"):
+            PlatformConfig(trie_height=7)
+
+    def test_height_6_logs_and_replays_its_last_collection(self):
+        assert PlatformConfig(trie_height=6).trie_height == 6
+        shard = DictionaryShard(TrieTable(height=6))
+        last = shard.trie.num_collections - 1
+        assert shard.trie.split("zzzzzzzzz").index == last
+        term_id, created = shard.add_term("zzzzzzzzz")
+        assert created
+        log = shard.take_mutation_log()
+        assert LOG_ENTRY.unpack_from(log) == (last, len("zzz"))
+        stub = shard.without_forest()
+        stub.rebuild([log])
+        assert stub.lookup("zzzzzzzzz") == term_id
 
 
 class TestCombine:

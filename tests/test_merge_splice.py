@@ -161,11 +161,12 @@ def _write_raw_run(
     lists: list[tuple[int, bytes]],
     docs: tuple[int, int],
     table: list[tuple[int, int, int]] | None = None,
+    codec: str = "varbyte",
 ) -> output.RunFile:
     """Hand-write a run file with a valid CRC around arbitrary list bytes.
 
     ``table`` overrides the ``(term_id, offset, length)`` rows that
-    ``lists`` implies.
+    ``lists`` implies; ``codec`` is the header's codec name.
     """
     payload = b"".join(data for _, data in lists)
     if table is None:
@@ -175,8 +176,8 @@ def _write_raw_run(
             offset += len(data)
     header = bytearray(RUN_MAGIC)
     encode_uvarint(run_id, header)
-    encode_uvarint(len(b"varbyte"), header)
-    header += b"varbyte"
+    encode_uvarint(len(codec), header)
+    header += codec.encode("ascii")
     encode_uvarint(docs[0] + 1, header)
     encode_uvarint(docs[1] + 1, header)
     encode_uvarint(len(table), header)

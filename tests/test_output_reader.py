@@ -240,8 +240,20 @@ class TestPostingsReader:
         _write_three_runs(str(tmp_path))
         reader = PostingsReader(str(tmp_path))
         reader.postings(1)
-        assert reader._open_runs
+        assert reader._index is not None
         reader.close()
-        assert not reader._open_runs
-        # Reader remains usable: runs are decoded again on demand.
+        assert reader._index is None
+        # Reader remains usable: the runs are joined again on demand.
         assert reader.postings(2) == [(3, 4), (13, 4), (23, 4)]
+        assert reader._index is not None
+
+    def test_a_full_scan_holds_the_index_once(self, tmp_path):
+        """No run is kept decoded beside the joined columns, which hold
+        each posting's document and frequency in 4 bytes each."""
+        _write_three_runs(str(tmp_path))
+        reader = PostingsReader(str(tmp_path))
+        postings = sum(len(reader.postings(term)) for term in (1, 2, 3))
+        assert postings == 10
+        assert not reader._open_runs
+        columns = reader._index.docs.nbytes + reader._index.tfs.nbytes
+        assert columns == 8 * postings
