@@ -95,6 +95,11 @@ ParsedStream = Iterator[
     tuple[int, ParsedFile | None, Exception | None, RetryOutcome | None]
 ]
 
+#: A page of a build's route table: the routes of 2**10 consecutive
+#: trie collections.
+_ROUTE_PAGE_BITS = 10
+_ROUTE_PAGE_MASK = (1 << _ROUTE_PAGE_BITS) - 1
+
 #: ``(kind, indexer_index, is_popular, sub_batch)`` in dispatch order.
 Tasks = list[tuple[str, int, bool, ParsedBatch]]
 
@@ -268,12 +273,22 @@ class _Build:
         self.injector = faults.active()
         self.start_file = state.next_file_index
         self.popular_set = set(state.assignment.popular)
-        #: Where this build has routed each collection it has seen:
-        #: ``routes[route_of[cidx]]`` is ``(kind, indexer index, is popular)``.
-        #: A binding is for the program lifetime and a GPU failover
-        #: re-routes unseen collections only, so an entry never goes stale.
-        self.routes: list[tuple[str, int, bool]] = []
-        self.route_of = np.full(self.trie.num_collections, -1, dtype=np.int16)
+        #: Where this build has routed each collection it has seen, as a
+        #: route number; ``routes`` maps each ``(kind, indexer index, is
+        #: popular)`` to its number.  A binding is for the program lifetime
+        #: and a GPU failover re-routes unseen collections only, so an
+        #: entry never goes stale.
+        self.routes: dict[tuple[str, int, bool], int] = {}
+        #: The numbers, in pages of 1,024 consecutive collections (-1: not
+        #: routed yet), a page made when a batch first touches it;
+        #: ``page_at`` is where each trie page starts in ``route_of`` (-1:
+        #: nowhere).  A flat table would be 2 B per trie collection, 618 MB
+        #: at height 6; this is 4 B per 1,024 collections and 2 KB per page
+        #: touched.
+        self.page_at = np.full(
+            -(-self.trie.num_collections >> _ROUTE_PAGE_BITS), -1, dtype=np.int32
+        )
+        self.route_of = np.zeros(0, dtype=np.int16)
         self.writer = RunWriter(
             self.output_dir, codec=get_codec(cfg.codec), num_stripes=cfg.output_stripes
         )
@@ -580,16 +595,29 @@ class _Build:
             # ungrouped stream would duplicate collections across shards.
             return [("cpu", 0, False, batch)]
 
-        routes, route_of = self.routes, self.route_of
+        routes, page_at = self.routes, self.page_at
         order = batch.order
-        for cidx in order[route_of[order] < 0].tolist():
-            key = (*self.state.assignment.bind_unseen(cidx), cidx in self.popular_set)
-            if key not in routes:
-                routes.append(key)
-            route_of[cidx] = routes.index(key)
-        taken = route_of[order]
+        page = order >> _ROUTE_PAGE_BITS
+        start = page_at[page]
+        if start.min(initial=0) < 0:
+            fresh = list(dict.fromkeys(page[start < 0].tolist()))
+            end = len(self.route_of) + (len(fresh) << _ROUTE_PAGE_BITS)
+            page_at[fresh] = np.arange(len(self.route_of), end, 1 << _ROUTE_PAGE_BITS)
+            self.route_of = np.concatenate(
+                (self.route_of, np.full(end - len(self.route_of), -1, dtype=np.int16))
+            )
+            start = page_at[page]
+        at = start | order & _ROUTE_PAGE_MASK
+        taken = self.route_of[at]
+        unseen = taken < 0
+        if unseen.any():
+            bind, popular = self.state.assignment.bind_unseen, self.popular_set
+            taken[unseen] = self.route_of[at[unseen]] = [
+                routes.setdefault((*bind(cidx), cidx in popular), len(routes))
+                for cidx in order[unseen].tolist()
+            ]
         tasks: Tasks = []
-        for key, route in sorted((key, route) for route, key in enumerate(routes)):
+        for key, route in sorted(routes.items()):
             rows = np.flatnonzero(taken == route)
             if len(rows):
                 tasks.append((*key, batch.select(rows)))

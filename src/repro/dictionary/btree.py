@@ -234,16 +234,23 @@ class Forest:
         self._next_id += 1
         return term_id
 
-    def _add_row(self, collection: int) -> int:
-        """A table row for a new tree of ``collection``: one leaf."""
-        row = len(self.collections)
-        if row == len(self.table):
-            table = np.zeros((max(64, 2 * row), _WIDTH), dtype=np.int64)
+    def _add_rows(self, collections: list[int]) -> int:
+        """Table rows for new trees of ``collections``, in order, each one
+        leaf; returns the first.  The table grows at most once, to the
+        capacity that doubling it a row at a time would reach."""
+        start = len(self.collections)
+        end = start + len(collections)
+        capacity = len(self.table)
+        if end > capacity:
+            capacity = max(64, capacity)
+            while capacity < end:
+                capacity *= 2
+            table = np.zeros((capacity, _WIDTH), dtype=np.int64)
             table[:, NODES] = 1
-            table[:row] = self.table
+            table[: len(self.table)] = self.table
             self.table = table
-        self.collections.append(collection)
-        return row
+        self.collections += collections
+        return start
 
     @property
     def counts(self) -> np.ndarray:
@@ -282,9 +289,15 @@ class BTree:
 
     def __init__(self, degree: int = DEFAULT_DEGREE, use_string_cache: bool = True, *,
                  forest: Forest | None = None, collection: int = 0) -> None:
-        self.forest = forest if forest is not None else Forest(degree, use_string_cache)
-        self.row = self.forest._add_row(collection)
-        self.root = BTreeNode(leaf=True)
+        forest = forest if forest is not None else Forest(degree, use_string_cache)
+        self.forest, self.row, self.root = forest, forest._add_rows([collection]), BTreeNode(True)
+
+    @classmethod
+    def _at(cls, forest: Forest, row: int) -> "BTree":
+        """The empty tree of a row :meth:`Forest._add_rows` gave out."""
+        tree = cls.__new__(cls)
+        tree.forest, tree.row, tree.root = forest, row, BTreeNode(True)
+        return tree
 
     node_count = _column(NODES, "Nodes in the tree.")
     term_count = _column(TERMS, "Distinct terms in the tree.")

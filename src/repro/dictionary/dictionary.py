@@ -29,6 +29,7 @@ an identical forest with identical term ids.
 from __future__ import annotations
 
 import copy
+from itertools import repeat
 from typing import Iterable, Iterator
 
 from repro.dictionary.btree import (
@@ -91,13 +92,41 @@ class DictionaryShard(Forest):
         """The B-tree of a collection, creating it on first touch."""
         tree = self.trees.get(collection_index)
         if tree is None:
-            if self.owned is not None and collection_index not in self.owned:
-                raise PermissionError(
-                    f"shard {self.shard_id} does not own trie collection {collection_index}"
-                )
-            self.trie._check_index(collection_index)
-            tree = self.trees[collection_index] = BTree(forest=self, collection=collection_index)
+            self._check_collection(collection_index)
+            tree = self.trees[collection_index] = BTree._at(self, self._add_rows([collection_index]))
         return tree
+
+    def plant(self, collections: list[int]) -> list[BTree]:
+        """Create the trees of ``collections``, which have none yet, in
+        order: their table rows in one pass (one table growth at most).
+
+        A collection this shard does not own raises ``PermissionError``, one
+        outside the trie ``IndexError`` — the first in order, as a
+        :meth:`tree_for` each would — and a planted or repeated one
+        ``ValueError``; nothing is planted then.
+        """
+        owned, trees, n = self.owned, self.trees, len(collections)
+        if n and (
+            (owned is not None and not owned.issuperset(collections))
+            or min(collections) < 0 or max(collections) >= self.trie.num_collections
+        ):
+            for cidx in collections:
+                self._check_collection(cidx)
+        if not trees.keys().isdisjoint(collections) or len(set(collections)) < n:
+            raise ValueError(f"shard {self.shard_id}: a collection to plant is repeated or has a tree")
+        start = self._add_rows(collections)
+        planted = list(map(BTree._at, repeat(self, n), range(start, start + n)))
+        trees.update(zip(collections, planted))
+        return planted
+
+    def _check_collection(self, collection_index: int) -> None:
+        """``PermissionError`` unless this shard owns the collection,
+        ``IndexError`` unless the trie has it."""
+        if self.owned is not None and collection_index not in self.owned:
+            raise PermissionError(
+                f"shard {self.shard_id} does not own trie collection {collection_index}"
+            )
+        self.trie._check_index(collection_index)
 
     def forests(self) -> tuple[Forest, ...]:
         """This shard's forest and those of the shards it combines."""

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.gpusim.costmodel import GPUSpec, TESLA_C1060
-from repro.gpusim.kernel import KernelLaunch, KernelResult, WorkItem
+from repro.gpusim.kernel import KernelLaunch, KernelResult
 
 __all__ = ["Device"]
 
@@ -73,9 +75,11 @@ class Device:
     # Kernels
     # ------------------------------------------------------------------ #
 
-    def launch(self, items: list[WorkItem], kernel: KernelLaunch | None = None) -> KernelResult:
-        """Run one indexing kernel (default grid: the paper's 480 dynamic blocks)."""
-        result = (kernel if kernel is not None else KernelLaunch(self.spec)).run(items)
+    def launch(self, cycles: np.ndarray, kernel: KernelLaunch | None = None) -> KernelResult:
+        """Run one indexing kernel over the rows of ``cycles`` (an item's
+        compute, stall and bus cycles; default grid: the paper's 480
+        dynamic blocks)."""
+        result = (kernel if kernel is not None else KernelLaunch(self.spec)).run_cycles(cycles)
         self.kernel_seconds += result.elapsed_seconds
         self.launches += 1
         return result

@@ -9,10 +9,15 @@ GPU** (16 per SM).
 
 This module reproduces that machinery as a scheduling simulation:
 
-- work items (one per trie collection, carrying the warp cycle counters
-  measured by :class:`~repro.gpusim.warp.WarpExecutor`) are assigned to
-  blocks either dynamically (earliest-finishing block takes the next item)
-  or statically (``item i → block i mod B``, the ablation);
+- work items (one per trie collection: its compute, memory-stall and bus
+  cycles, a row of the matrix :meth:`KernelLaunch.run_cycles` takes) are
+  assigned to blocks either dynamically (earliest-finishing block takes
+  the next item) or statically (``item i → block i mod B``, the
+  ablation), on columns: the dynamic queue's heap loop reads only each
+  item's total, and each block's sums are ``np.bincount``s in item
+  order.  :class:`WorkItem` tuples are for callers that build items one
+  by one (:meth:`KernelLaunch.run`); the GPU indexer launches its cycle
+  matrix and makes them only when they are read;
 - blocks map round-robin onto the 30 SMs; an SM issues its resident
   blocks' compute serially but overlaps their memory stalls — the
   latency-hiding discount grows with resident blocks per SM, capped by
@@ -28,17 +33,15 @@ import heapq
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+import numpy as np
+
 from repro.gpusim.costmodel import GPUSpec, TESLA_C1060
 
 __all__ = ["WorkItem", "KernelLaunch", "KernelResult"]
 
 
 class WorkItem(NamedTuple):
-    """One trie collection's worth of warp work, in raw cycles.
-
-    A tuple, not a frozen dataclass: the GPU indexer makes one per
-    collection per batch, and this is the cheap immutable record.
-    """
+    """One trie collection's worth of warp work, in raw cycles."""
 
     key: object
     compute_cycles: float
@@ -91,71 +94,63 @@ class KernelLaunch:
 
     # ------------------------------------------------------------------ #
 
-    def _assign(self, items: list[WorkItem]) -> tuple[list[float], list[float], list[float], list[int]]:
-        """Distribute items over blocks; returns per-block cycle sums.
+    def run(self, items: list[WorkItem]) -> KernelResult:
+        """Simulate the launch of ``items``: :meth:`run_cycles` on their cycles."""
+        return self.run_cycles(np.array([item[1:] for item in items], dtype=float).reshape(-1, 3))
 
-        Returns ``(compute, stall, bus, item_count)`` per block.
-        """
-        nb = self.num_blocks
-        compute = [0.0] * nb
-        stall = [0.0] * nb
-        bus = [0.0] * nb
-        count = [0] * nb
+    def run_cycles(self, cycles: np.ndarray) -> KernelResult:
+        """Simulate the launch of one item per row of ``cycles`` — its
+        compute, memory-stall and bus cycles; returns elapsed time and
+        balance stats."""
+        spec, nb = self.spec, self.num_blocks
+        compute, stall, bus = np.asarray(cycles, dtype=float).reshape(-1, 3).T
         if self.schedule == "static":
             # The ablation: collection i is pinned to block i mod B before
             # launch, whatever its size.
-            for i, item in enumerate(items):
-                b = i % nb
-                compute[b] += item.compute_cycles
-                stall[b] += item.memory_stall_cycles
-                bus[b] += item.bus_cycles
-                count[b] += 1
+            block = np.arange(len(compute)) % nb
         else:
             # Dynamic round-robin: earliest-finishing block pops the queue.
-            # Block ids are unique, so the minimum is too, and replacing
-            # it in place schedules exactly what a pop and a push would.
-            # (Sorted, the initial list is already a heap.)
+            # Block ids are unique, so the minimum is too (a tie in finish
+            # time goes to the lower id), and replacing it in place
+            # schedules exactly what a pop and a push would.  (Sorted, the
+            # initial list is already a heap.)
             heap = [(0.0, b) for b in range(nb)]
-            for _, c, s, u in items:
+            chosen: list[int] = []
+            take = chosen.append
+            # ``total_cycles``, summed in its order: the same floats.
+            for total in (compute + stall + bus).tolist():
                 finish, b = heap[0]
-                compute[b] += c
-                stall[b] += s
-                bus[b] += u
-                count[b] += 1
-                # ``total_cycles``, summed in its order: the same float.
-                heapq.heapreplace(heap, (finish + (c + s + u), b))
-        return compute, stall, bus, count
+                take(b)
+                heapq.heapreplace(heap, (finish + total, b))
+            block = np.array(chosen, dtype=np.intp)
 
-    def run(self, items: list[WorkItem]) -> KernelResult:
-        """Simulate the launch; returns elapsed time and balance stats."""
-        spec = self.spec
-        compute, stall, bus, count = self._assign(items)
+        # Per-block sums: ``bincount`` adds each bin's weights one by one,
+        # in item order, so these are the floats a per-item loop adds up.
+        def per_block(weights: np.ndarray) -> np.ndarray:
+            return np.bincount(block, weights=weights, minlength=nb)
 
         # Hardware residency: how many of an SM's blocks overlap stalls.
-        blocks_per_sm = -(-self.num_blocks // spec.num_sms)
+        blocks_per_sm = -(-nb // spec.num_sms)
         resident = max(1, min(spec.max_blocks_per_sm, blocks_per_sm))
-
-        block_cycles = [
-            c + b + s / resident + spec.block_overhead_cycles
-            for c, s, b in zip(compute, stall, bus)
-        ]
+        block_cycles = (
+            per_block(compute) + per_block(bus) + per_block(stall) / resident
+            + spec.block_overhead_cycles
+        )
         # Blocks map round-robin onto SMs; an SM's elapsed time is the sum
         # of its blocks' effective cycles (issue slots are serial) — idle
         # blocks still pay their overhead — with a fill/drain factor that
         # shrinks as the backlog per SM grows.
-        sm_cycles = [0.0] * spec.num_sms
-        for b, cycles in enumerate(block_cycles):
-            sm_cycles[b % spec.num_sms] += cycles
-        fill_drain = 1.0 + 0.5 / max(1.0, self.num_blocks / spec.num_sms)
-        sm_cycles = [c * fill_drain for c in sm_cycles]
+        sm_cycles = (np.bincount(
+            np.arange(nb) % spec.num_sms, weights=block_cycles, minlength=spec.num_sms
+        ) * (1.0 + 0.5 / max(1.0, nb / spec.num_sms))).tolist()
 
         elapsed_cycles = max(sm_cycles) + spec.kernel_launch_cycles
         return KernelResult(
             elapsed_seconds=spec.seconds(elapsed_cycles),
             elapsed_cycles=elapsed_cycles,
-            num_blocks=self.num_blocks,
+            num_blocks=nb,
             resident_blocks_per_sm=resident,
-            block_cycles=block_cycles,
+            block_cycles=block_cycles.tolist(),
             sm_cycles=sm_cycles,
-            items_per_block=count,
+            items_per_block=np.bincount(block, minlength=nb).tolist(),
         )

@@ -57,6 +57,13 @@ _RECORD = 1 + _NCOUNTERS
 _row = attrgetter("row")
 
 
+def _added_in_order(values: np.ndarray) -> float:
+    """``values`` added left to right, as a ``+=`` loop over them would:
+    ``cumsum`` accumulates in order (``np.sum`` and, from Python 3.12,
+    ``sum()`` do not), so the total is the same float."""
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+
+
 def _walk(
     spans, ids, suffixes: list[bytes], repeated: list[bool]
 ) -> tuple[list[int], list[int], list[int]]:
@@ -217,12 +224,11 @@ class BaseIndexer:
         if batch.positions is not None and len(batch.positions) != len(batch.ids):
             raise ValueError("positions column is not aligned with the token columns")
         owned = batch.order[rows].tolist()
-        trees = list(map(self.shard.trees.get, owned))
-        if None in trees:
-            # A collection's first batch creates its tree.  (``is None``:
-            # an empty tree is falsy.)
-            tree_for = self.shard.tree_for
-            trees = [tree_for(cidx) if tree is None else tree for cidx, tree in zip(owned, trees)]
+        planted = self.shard.trees
+        # A collection's first batch creates its tree: the batch's new
+        # trees are planted at once.
+        self.shard.plant([cidx for cidx in owned if cidx not in planted])
+        trees = list(map(planted.__getitem__, owned))
 
         # The owned tokens, back to back in row order.  (int32 throughout:
         # a batch's columns are; the temporaries stay half the size.)

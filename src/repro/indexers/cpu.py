@@ -28,7 +28,9 @@ import numpy as np
 
 from repro.dictionary.btree import HEAP, NODES, BTreeStats
 from repro.dictionary.layout import NODE_SIZE_BYTES
-from repro.indexers.base import _INSERTS, BaseIndexer, IndexerReport, _row, _walk
+from repro.indexers.base import (
+    _INSERTS, BaseIndexer, IndexerReport, _added_in_order, _row, _walk,
+)
 from repro.obs import runtime as obs
 from repro.parsing.regroup import ParsedBatch
 
@@ -96,9 +98,9 @@ class CPUIndexer(BaseIndexer):
             if batch.regrouped:
                 rows = self._owned_rows(batch.order)
                 report, tree_rows, grown = self._index_rows(batch, rows, doc_offset)
-                seconds = self._model_collection_seconds(tree_rows, batch.tokens[rows], grown)
-                for s in seconds.tolist():  # left to right: float addition is not associative
-                    report.modeled_seconds += s
+                report.modeled_seconds += _added_in_order(
+                    self._model_collection_seconds(tree_rows, batch.tokens[rows], grown)
+                )
             else:
                 report = self._index_ungrouped(batch, doc_offset)
             tags["tokens"] = report.tokens

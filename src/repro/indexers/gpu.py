@@ -28,12 +28,15 @@ primitives (``_unit_costs``), the collections' cycles are their six
 event counts times those unit costs (one integer matrix product), and
 ``warp_counters`` is folded once from the batch's summed counts.
 
-The per-collection cycle totals become :class:`~repro.gpusim.kernel.WorkItem`
-entries; a simulated kernel launch (dynamic round-robin over 480 blocks)
-turns them into elapsed seconds, and PCIe transfers for input streams and
+The batch's ``(collections, 3)`` cycle matrix (compute, stall, bus) is
+the launch: a simulated kernel (dynamic round-robin over 480 blocks,
+scheduled on its columns, :meth:`~repro.gpusim.kernel.KernelLaunch.run_cycles`)
+turns it into elapsed seconds, and PCIe transfers for input streams and
 output postings are timed by the :class:`~repro.gpusim.device.Device` —
 the pre/post-processing serialization the paper calls out as the limit on
-multi-GPU scaling.
+multi-GPU scaling.  The batch's modeled seconds are the rows' totals
+added left to right, and a :class:`~repro.gpusim.kernel.WorkItem` per
+collection is built only when :attr:`GPUBatchReport.work_items` is read.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from repro.gpusim.device import Device
 from repro.gpusim.kernel import KernelLaunch, KernelResult, WorkItem
 from repro.gpusim.warp import WarpCounters, WarpExecutor
 from repro.dictionary.layout import DEVICE_CHUNK_BYTES
-from repro.indexers.base import BaseIndexer, IndexerReport
+from repro.indexers.base import BaseIndexer, IndexerReport, _added_in_order
 from repro.obs import runtime as obs
 from repro.parsing.regroup import ParsedBatch
 
@@ -62,13 +65,23 @@ _AVG_FETCH_BYTES = 8
 
 @dataclass
 class GPUBatchReport:
-    """One batch's GPU-side outcome."""
+    """One batch's GPU-side outcome.
+
+    ``collections`` are the launch's trie collections and ``cycles`` their
+    compute, stall and bus cycles, a row each.
+    """
 
     report: IndexerReport
     kernel: KernelResult | None = None
     h2d_seconds: float = 0.0
     d2h_seconds: float = 0.0
-    work_items: list[WorkItem] = field(default_factory=list)
+    collections: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int32))
+    cycles: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
+
+    @property
+    def work_items(self) -> list[WorkItem]:
+        """The launch as one :class:`WorkItem` per collection (built here)."""
+        return list(map(WorkItem, self.collections.tolist(), *self.cycles.T.tolist()))
 
     @property
     def total_seconds(self) -> float:
@@ -126,7 +139,6 @@ class GPUIndexer(BaseIndexer):
 
     def _index_batch_traced(self, batch: ParsedBatch, doc_offset: int) -> GPUBatchReport:
         rows = self._owned_rows(batch.order)
-        owned = batch.order[rows].tolist()
         tokens, chars = batch.tokens[rows], batch.chars[rows]
 
         # Pre-processing: ship this batch's owned streams to device memory
@@ -151,14 +163,14 @@ class GPUIndexer(BaseIndexer):
             grown.node_visits, grown.full_string_fetches, grown.inserts, grown.splits,
             tokens,
         ))
-        cycles = (counts @ unit_cycles).astype(float).tolist()
-        items = [WorkItem(cidx, *charged) for cidx, charged in zip(owned, cycles)]
-        for item in items:  # in collection order: float addition is not associative
-            report.modeled_seconds += spec.seconds(item.total_cycles)
+        cycles = (counts @ unit_cycles).astype(float)
+        compute, stall, bus = cycles.T
+        # ``spec.seconds(item.total_cycles)`` per collection, in order.
+        report.modeled_seconds += _added_in_order((compute + stall + bus) / spec.clock_hz)
         for unit, count in zip(units, counts.sum(axis=0).tolist()):
             self.warp_counters.merge(unit, count)
 
-        kernel = self.device.launch(items, self.grid) if items else None
+        kernel = self.device.launch(cycles, self.grid) if len(cycles) else None
         # Post-processing: postings generated this batch flow back to the
         # host for the run writer.
         d2h_bytes = report.tokens * _POSTING_BYTES
@@ -170,7 +182,8 @@ class GPUIndexer(BaseIndexer):
             kernel=kernel,
             h2d_seconds=h2d_seconds,
             d2h_seconds=d2h_seconds,
-            work_items=items,
+            collections=batch.order[rows],
+            cycles=cycles,
         )
 
     def _emit_metrics(self, out: GPUBatchReport) -> None:
@@ -182,7 +195,7 @@ class GPUIndexer(BaseIndexer):
         reg.count("btree.node_visits", report.btree.node_visits)
         reg.count("btree.node_splits", report.btree.splits)
         reg.count("btree.full_string_fetches", report.btree.full_string_fetches)
-        reg.count("gpu.work_items", len(out.work_items))
+        reg.count("gpu.work_items", len(out.cycles))
         if out.kernel is not None:
             dev = self.device.device_id
             reg.count("gpu.kernel_launches")

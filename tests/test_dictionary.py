@@ -197,6 +197,110 @@ class TestForest:
         assert len(pickle.dumps(stubs[1])) - len(pickle.dumps(stubs[0])) <= 8
 
 
+class TestPlant:
+    """``plant`` creates a batch's new trees in one pass; it must leave what
+    a ``tree_for`` per collection would."""
+
+    @staticmethod
+    def _fill(shard, collections, round_):
+        # Every planted tree gets terms (a batch plants only collections it
+        # indexes), inserted in row order as the walk does.
+        for cidx in collections:
+            tree = shard.trees[cidx]
+            for k in range(1 + cidx % 3):
+                tree.insert(f"s{cidx}x{round_}y{k}".encode())
+
+    @staticmethod
+    def _same(a, b):
+        assert a.collections == b.collections
+        assert len(a.table) == len(b.table)
+        assert (a.counts == b.counts).all()
+        assert a.trees.keys() == b.trees.keys()
+        for cidx, tree in a.trees.items():
+            other = b.trees[cidx]
+            assert tree.row == other.row and tree.forest is a and other.forest is b
+            assert list(tree.items()) == list(other.items())
+        assert a.mutation_log == b.mutation_log
+
+    def test_a_batch_equals_tree_for_one_at_a_time(self):
+        trie = TrieTable()
+        planted, one_by_one = DictionaryShard(trie), DictionaryShard(trie)
+        start = 0
+        # Batches of 0-77 new collections, across the 64- and 128-row
+        # table growths, with terms added between batches.
+        for round_, size in enumerate((3, 70, 0, 77, 1, 40)):
+            batch = [trie.num_collections - 1 - 37 * (start + i) for i in range(size)]
+            start += size
+            trees = planted.plant(batch)
+            assert [planted.trees[cidx] for cidx in batch] == trees
+            for cidx in batch:
+                one_by_one.tree_for(cidx)
+            self._fill(planted, batch, round_)
+            self._fill(one_by_one, batch, round_)
+            self._same(planted, one_by_one)
+        assert len(planted.table) == 256
+        planted.check_invariants()
+
+    def test_bad_collections_raise_as_tree_for_and_plant_nothing(self):
+        trie = TrieTable()
+        owned = DictionaryShard(trie, shard_id=2, owned_collections={11, 12, 13})
+        owned.plant([11])
+        for bad, error in (
+            ([12, 99, 13], PermissionError),  # not owned
+            ([12, 12], ValueError),  # repeated
+            ([13, 11], ValueError),  # planted already
+        ):
+            with pytest.raises(error) as raised:
+                owned.plant(bad)
+            if error is PermissionError:
+                with pytest.raises(error) as single:
+                    owned.tree_for(99)
+                assert str(raised.value) == str(single.value)
+            assert owned.collections == [11] and owned.trees.keys() == {11}
+        everything = Dictionary(trie)
+        for bad in ([5, trie.num_collections, 7], [5, -1]):
+            with pytest.raises(IndexError) as raised:
+                everything.plant(bad)
+            with pytest.raises(IndexError) as single:
+                everything.tree_for(bad[1])
+            assert str(raised.value) == str(single.value)
+            assert everything.collections == [] and not everything.trees
+            assert len(everything.table) == 0
+
+    def test_growing_the_table_keeps_the_old_rows(self):
+        shard = DictionaryShard(TrieTable())
+        first = list(range(100, 160))
+        shard.plant(first)
+        self._fill(shard, first, 0)
+        before = shard.counts.copy()
+        assert len(shard.table) == 64
+        shard.plant(list(range(200, 210)))  # rows 60-69: one growth, to 128
+        assert len(shard.table) == 128
+        assert (shard.counts[:60] == before).all()
+        assert (shard.counts[60:, 0] == 1).all() and not shard.counts[60:, 1:].any()
+        assert [shard.trees[c].row for c in first] == list(range(60))
+
+    def test_a_planted_shard_rebuilds_from_its_log(self):
+        trie = TrieTable()
+        shard = DictionaryShard(trie, shard_id=4)
+        logs = []
+        for round_, batch in enumerate(([30, 20, 10], list(range(40, 140)), [35, 36])):
+            shard.plant(batch)
+            self._fill(shard, batch, round_)
+            self._fill(shard, [20, batch[-1]], round_ + 10)  # trees planted before
+            logs.append(shard.take_mutation_log())
+        rebuilt = shard.without_forest()
+        rebuilt.rebuild(logs)
+        rebuilt.check_invariants()
+        assert rebuilt.collections == shard.collections
+        assert rebuilt._next_id == shard._next_id
+        assert dict(rebuilt.terms()) == dict(shard.terms())
+        for cidx, tree in shard.trees.items():
+            assert rebuilt.trees[cidx].row == tree.row
+            assert list(rebuilt.trees[cidx].items()) == list(tree.items())
+            assert rebuilt.trees[cidx].node_count == tree.node_count
+
+
 def test_a_build_makes_no_per_tree_store(tmp_path, monkeypatch, tiny_collection):
     """A shard's trees share its heap and table: a build constructs no
     ``StringStore`` or ``BTreeStats`` per tree and keeps no

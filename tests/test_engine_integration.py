@@ -183,3 +183,29 @@ class TestTextCollection:
         assert result.term_count > 0
         reader = PostingsReader(out)
         assert len(reader.vocabulary()) == result.term_count
+
+
+class TestRouteTable:
+    def test_a_tall_trie_costs_the_collections_seen(self, tmp_path):
+        """The engine's route table grows with the collections a build
+        touches, not with the trie: a table over all 309 M collections of a
+        height-6 trie would be 618 MB.  Allocations are counted (traced
+        peak), not timed."""
+        import tracemalloc
+
+        from repro.corpus.synthetic import CollectionSpec, SegmentSpec, generate_collection
+
+        spec = CollectionSpec(name="tall", seed=3, segments=(SegmentSpec(
+            name="main", num_files=1, docs_per_file=5, tokens_per_doc_mean=60,
+            vocab_size=2000, zipf_s=1.0, html=True,
+        ),))
+        collection = generate_collection(spec, str(tmp_path / "corpus"))
+        engine = IndexingEngine(_small_config(trie_height=6, telemetry=False))
+        tracemalloc.start()
+        try:
+            result = engine.build(collection, str(tmp_path / "idx"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.term_count > 0
+        assert peak < 16 << 20, f"traced peak {peak / 2**20:.1f} MB"

@@ -5,12 +5,14 @@ from __future__ import annotations
 import heapq
 import random
 
+import numpy as np
 import pytest
 
 from repro.gpusim.costmodel import TESLA_C1060, GPUSpec
 from repro.gpusim.device import Device
 from repro.gpusim.kernel import KernelLaunch, WorkItem
 from repro.gpusim.warp import CYCLES_PER_WARP_STEP, WarpExecutor
+from tests.kernel_oracle import ParentKernelLaunch
 
 
 class TestSpec:
@@ -145,8 +147,9 @@ class TestKernelLaunch:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_dynamic_schedule_matches_pop_push_loop(self, num_blocks, seed):
         # The schedule as a heappop + heappush per item, reading
-        # ``total_cycles``: the in-place replace must give the same result,
-        # bit for bit.  Cycles drawn from a few decimals tie block finish
+        # ``total_cycles`` and summing each block's cycles as it goes (the
+        # per-item oracle's roll-up): the column schedule must give the
+        # same result, bit for bit.  Cycles drawn from a few decimals tie block finish
         # times (the unique block id breaks them) and would not tie if the
         # three terms were added to the finish time one by one.
         rng = random.Random(seed)
@@ -156,24 +159,23 @@ class TestKernelLaunch:
             for i in range(300)
         ] + self._items(200, seed)
 
-        def pop_push(self, items):
-            nb = self.num_blocks
-            compute, stall, bus, count = [0.0] * nb, [0.0] * nb, [0.0] * nb, [0] * nb
-            heap = [(0.0, b) for b in range(nb)]
-            heapq.heapify(heap)
-            for item in items:
-                finish, b = heapq.heappop(heap)
-                compute[b] += item.compute_cycles
-                stall[b] += item.memory_stall_cycles
-                bus[b] += item.bus_cycles
-                count[b] += 1
-                heapq.heappush(heap, (finish + item.total_cycles, b))
-            return compute, stall, bus, count
+        class PopPush(ParentKernelLaunch):
+            def _assign(self, items):
+                nb = self.num_blocks
+                compute, stall, bus, count = [0.0] * nb, [0.0] * nb, [0.0] * nb, [0] * nb
+                heap = [(0.0, b) for b in range(nb)]
+                heapq.heapify(heap)
+                for item in items:
+                    finish, b = heapq.heappop(heap)
+                    compute[b] += item.compute_cycles
+                    stall[b] += item.memory_stall_cycles
+                    bus[b] += item.bus_cycles
+                    count[b] += 1
+                    heapq.heappush(heap, (finish + item.total_cycles, b))
+                return compute, stall, bus, count
 
-        launch = KernelLaunch(num_blocks=num_blocks)
-        expected = launch.run(items)
-        launch._assign = pop_push.__get__(launch)
-        assert launch.run(items) == expected
+        expected = KernelLaunch(num_blocks=num_blocks).run(items)
+        assert PopPush(num_blocks=num_blocks).run(items) == expected
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
@@ -200,7 +202,7 @@ class TestDevice:
 
     def test_launch_accumulates_time(self):
         dev = Device()
-        dev.launch([WorkItem(key=0, compute_cycles=1e6, memory_stall_cycles=0)])
-        dev.launch([WorkItem(key=1, compute_cycles=1e6, memory_stall_cycles=0)])
+        dev.launch(np.array([[1e6, 0.0, 0.0]]))  # one item: compute, stall, bus
+        dev.launch(np.array([[1e6, 0.0, 0.0]]))
         assert dev.launches == 2
         assert dev.kernel_seconds > 0
