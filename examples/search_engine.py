@@ -58,13 +58,11 @@ def main(workdir: str = "./search_data") -> None:
     # words must be *surface* forms — the engine normalizes them exactly
     # like the indexing pipeline, and stemming is not idempotent, so
     # feeding already-stemmed terms back in would double-stem.
-    import re
-
-    from repro.parsing.tokenizer import strip_markup
+    from repro.parsing.tokenizer import split_tokens, strip_markup
     from repro.search.query import normalize_query
 
     first_doc = read_packed_file(collection.files[0])[0]
-    surface = re.findall(r"[^\W_]+", strip_markup(first_doc.text).lower())
+    surface = split_tokens(strip_markup(first_doc.text).lower())
     phrase = next(
         f"{a} {b}"
         for a, b in zip(surface, surface[1:])

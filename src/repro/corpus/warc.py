@@ -77,6 +77,7 @@ class PackedDocument:
     uri: str
     text: str
     offset: int  # byte offset of the DOC header in the uncompressed stream
+    size: int  # payload bytes (UTF-8), as the DOC header states
 
 
 def write_packed_file(
@@ -166,7 +167,7 @@ def read_packed_file(path: str) -> list[PackedDocument]:
             raise
         except (ValueError, UnicodeDecodeError) as exc:
             raise CorruptContainerError(path, str(exc), offset=pos) from exc
-        docs.append(PackedDocument(uri=uri, text=text, offset=pos))
+        docs.append(PackedDocument(uri=uri, text=text, offset=pos, size=length))
         pos = payload_start + length + 1  # skip trailing newline
     return docs
 

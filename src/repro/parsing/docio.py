@@ -47,25 +47,14 @@ class LoadedFile:
 def load_collection_file(path: str) -> LoadedFile:
     """Read + decompress one container file and assign local doc IDs."""
     docs = read_packed_file(path)
-    compressed = os.path.getsize(path)
-    texts: list[str] = []
-    table: list[DocTableEntry] = []
-    uncompressed = 0
-    for local_id, doc in enumerate(docs):
-        texts.append(doc.text)
-        uncompressed += len(doc.text.encode("utf-8"))
-        table.append(
-            DocTableEntry(
-                local_doc_id=local_id,
-                source_file=os.path.basename(path),
-                uri=doc.uri,
-                offset=doc.offset,
-            )
-        )
+    source = os.path.basename(path)
     return LoadedFile(
         path=path,
-        texts=texts,
-        doc_table=table,
-        compressed_bytes=compressed,
-        uncompressed_bytes=uncompressed,
+        texts=[doc.text for doc in docs],
+        doc_table=[
+            DocTableEntry(local_doc_id=i, source_file=source, uri=doc.uri, offset=doc.offset)
+            for i, doc in enumerate(docs)
+        ],
+        compressed_bytes=os.path.getsize(path),
+        uncompressed_bytes=sum(doc.size for doc in docs),
     )

@@ -11,14 +11,13 @@ query-term order.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.parsing.porter import PorterStemmer
 from repro.parsing.stopwords import StopWordFilter
-from repro.parsing.tokenizer import Tokenizer
+from repro.parsing.tokenizer import Tokenizer, split_tokens
 from repro.postings.reader import PostingsReader
 
 __all__ = ["SearchEngine", "QueryResult", "normalize_query"]
@@ -26,7 +25,6 @@ __all__ = ["SearchEngine", "QueryResult", "normalize_query"]
 _stemmer = PorterStemmer()
 _stop = StopWordFilter()
 _too_long = Tokenizer().too_long
-_TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
 
 #: ``1 + ln(tf)`` for every tf below the table's length, from ``math.log``
 #: (``np.log`` may differ from libm by an ulp); larger tfs are computed
@@ -45,7 +43,7 @@ def normalize_query(query: str, keep_stop_words: bool = False) -> list[str]:
     already skipped them).
     """
     terms = []
-    for form in _TOKEN.findall(query):
+    for form in split_tokens(query):
         token = form.lower()
         if _too_long(token):
             continue

@@ -84,3 +84,15 @@ class TestDocIO:
         assert loaded.texts[3] == "doc 3"
         assert loaded.compressed_bytes > 0
         assert loaded.uncompressed_bytes >= sum(len(t) for t in loaded.texts)
+
+    def test_uncompressed_bytes_are_the_utf8_payloads(self, tmp_path):
+        # Two-, three- and four-byte characters: the count is bytes, not
+        # characters, and it is the size each DOC header states.
+        texts = ["plain", "café zoé", "em — dash ’ and 中文", "astral 𝔘 ok", ""]
+        path = str(tmp_path / "m.warc.gz")
+        write_packed_file(path, [(f"u://{i}", t) for i, t in enumerate(texts)])
+        sizes = [len(t.encode("utf-8")) for t in texts]
+        assert [d.size for d in read_packed_file(path)] == sizes
+        loaded = load_collection_file(path)
+        assert loaded.uncompressed_bytes == sum(sizes) > sum(map(len, texts))
+        assert {e.source_file for e in loaded.doc_table} == {"m.warc.gz"}
