@@ -267,6 +267,9 @@ class _Build:
     state: RunBoundaryState
     range_map: DocRangeMap
     manifest: BuildManifest
+    #: A multiprocess build's parse worker, started by the open phase and
+    #: already parsing from ``start_file``; the run loop closes it.
+    ahead: ParseWorker | None = None
 
     def __post_init__(self) -> None:
         state, cfg = self.state, self.config
@@ -523,11 +526,12 @@ class _Build:
         build already indexed are skipped.
 
         Without ``ahead`` each file is parsed inline on the engine
-        thread.  With it (a multiprocess build's parse worker) up to
-        ``ahead.window`` files are parsed ahead of the indexers: the
-        paper's parser/indexer pipeline, executed for real.  Results are
-        always consumed in file order, so indexes are byte-identical to
-        a build without it.
+        thread.  With it (a multiprocess build's parse worker, started at
+        ``start_file`` with its first ``ahead.window`` files submitted)
+        that many files are parsed ahead of the indexers: the paper's
+        parser/indexer pipeline, executed for real.  Results are always
+        consumed in file order, so indexes are byte-identical to a build
+        without it.
         """
         watch, tracer = self.watch, self.tel.tracer
         indices = iter(range(self.start_file, len(self.collection.files)))
@@ -540,9 +544,9 @@ class _Build:
                 yield (k, *result)
             return
 
+        assert ahead.start == self.start_file, (ahead.start, self.start_file)
+        # Already submitted when the worker started.
         pending = deque(itertools.islice(indices, ahead.window))
-        for k in pending:
-            ahead.submit(k)
         while pending:
             k = pending.popleft()
             # The worker traces its own "parse_file" spans on its own
@@ -767,13 +771,7 @@ class IndexingEngine:
         state = (
             RunBoundaryState.load(output_dir, cfg.num_cpu_indexers) if resume else None
         )
-        if state is None:
-            state = self._fresh_state(collection, fingerprint, trie, watch, tel)
-            # The journal is append-only: a previous build's must go, and
-            # go first, so no crash pairs it with the new manifest.
-            clear_checkpoint(output_dir)
-            manifest.start(fingerprint, collection.name, len(collection.files))
-        else:
+        if state is not None:
             if state.fingerprint != fingerprint:
                 raise ValueError(
                     f"checkpoint in {output_dir} was written for a different "
@@ -802,16 +800,48 @@ class IndexingEngine:
                     )
                 )
 
-        assignment = state.assignment
-        metrics = tel.metrics
-        metrics.set_gauge("assignment.popular_collections", len(assignment.popular))
-        metrics.set_gauge(
-            "assignment.gpu_collections", sum(len(s) for s in assignment.gpu_sets)
+        # The parse worker starts as soon as the start file is known and
+        # no check is left that refuses the build: a fresh build's fork,
+        # worker init and cold file 0 overlap Phase 1 sampling.
+        ahead = self._start_parse_worker(
+            collection, 0 if state is None else state.next_file_index, tel
         )
-        metrics.set_gauge("robustness.resumed_runs", state.robustness.resumed_runs)
-        return _Build(
-            cfg, collection, output_dir, tel, watch, trie, state, range_map, manifest
-        )
+        try:
+            if state is None:
+                state = self._fresh_state(collection, fingerprint, trie, watch, tel)
+                # The journal is append-only: a previous build's must go,
+                # and go first, so no crash pairs it with the new manifest.
+                clear_checkpoint(output_dir)
+                manifest.start(fingerprint, collection.name, len(collection.files))
+            assignment = state.assignment
+            metrics = tel.metrics
+            metrics.set_gauge("assignment.popular_collections", len(assignment.popular))
+            metrics.set_gauge(
+                "assignment.gpu_collections", sum(len(s) for s in assignment.gpu_sets)
+            )
+            metrics.set_gauge("robustness.resumed_runs", state.robustness.resumed_runs)
+            return _Build(
+                cfg, collection, output_dir, tel, watch, trie, state, range_map,
+                manifest, ahead,
+            )
+        except BaseException:
+            # A refused build leaves no worker behind.
+            if ahead is not None:
+                ahead.close()
+            raise
+
+    def _start_parse_worker(
+        self, collection: Collection, start: int, tel: Telemetry
+    ) -> ParseWorker | None:
+        """A multiprocess build's parse worker, parsing from file ``start``."""
+        if self.config.exec_backend != "multiprocess":
+            return None
+        # Imported lazily: the process machinery costs nothing unless
+        # selected.  Under ``fork`` the child is cut from a process whose
+        # only other thread is the optional sampling profiler.
+        from repro.core.mp_backend import ParseWorker
+
+        return ParseWorker(self.config, collection.files, start, faults.active(), tel)
 
     def _fresh_state(
         self,
@@ -871,20 +901,13 @@ class IndexingEngine:
     # ------------------------------------------------------------------ #
 
     def _run_loop(self, build: _Build) -> None:
-        backend = self.config.exec_backend
-        worker: ParseWorker | None = None
-        if backend == "multiprocess":
-            # Imported lazily: the process machinery costs nothing unless
-            # selected.  Started before the run loop: under ``fork`` the
-            # child is cut from a process whose only other thread is the
-            # optional sampling profiler.
-            from repro.core.mp_backend import ParseWorker
-
-            worker = ParseWorker(build)
+        worker = build.ahead
         with build.tel.tracer.span(
-            "run_loop", start_file=build.start_file, backend=backend
+            "run_loop", start_file=build.start_file, backend=self.config.exec_backend
         ):
             try:
+                if worker is not None:
+                    worker.parse_inline = build.parse_file_inline
                 build.index_stream(build.make_parsed_stream(worker))
             finally:
                 if worker is not None:

@@ -19,11 +19,20 @@ Process layout::
 
 The worker is a ``concurrent.futures.ProcessPoolExecutor(max_workers=1)``
 running :func:`repro.core.engine._parse_under_retry` on the files from
-``start_file`` on, :data:`PARSE_AHEAD_WINDOW` files ahead of the indexers,
-and returning each as :mod:`repro.parsing.stream_codec` bytes.  The
-engine decodes them *in file order* and runs the serial loop over them,
-so output and run boundaries are those of a serial build by
+the build's start file on, :data:`PARSE_AHEAD_WINDOW` files ahead of the
+indexers, and returning each as :mod:`repro.parsing.stream_codec` bytes.
+The engine decodes them *in file order* and runs the serial loop over
+them, so output and run boundaries are those of a serial build by
 construction: nothing is dispatched, drained, replayed or quiesced.
+
+Lifetime: the engine's open phase starts the worker as soon as it knows
+the start file and nothing left can refuse the build — a fresh build
+right before Phase 1 sampling (file 0), a resume right after the journal
+and manifest checks (the journal's next file) — and submits the first
+window at once, so the fork, the worker's init and its cold first file
+overlap the sampler.  The run loop binds the build (for inline parses)
+and closes the worker when the loop ends; an open phase that raises
+closes it itself, so no refused build leaves a process behind.
 
 One worker, whatever ``config.num_parsers`` says: parsing is the smaller
 half of a build (0.66 s against 1.0 s of index + write on the web
@@ -61,7 +70,7 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import Callable, Sequence
 
 from repro.core.config import PlatformConfig
 from repro.core.engine import ParseResult, _parse_under_retry
@@ -81,9 +90,6 @@ from repro.postings.lists import RunPostings
 from repro.robustness import faults
 from repro.robustness.retry import RetryOutcome
 from repro.robustness.supervise import Supervisor, WorkerFailure
-
-if TYPE_CHECKING:
-    from repro.core.engine import _Build
 
 __all__ = ["MultiprocessBackend", "ParseWorker", "PARSE_AHEAD_WINDOW", "WORKER_KEY"]
 
@@ -264,17 +270,38 @@ def _parse_task(k: int, path: str, tag: str) -> Reply:
 class ParseWorker:
     """The supervised parse-ahead process, as the engine's look-ahead source.
 
-    ``window``, ``submit(k)``, ``collect(k)`` and ``close()`` are what
-    :meth:`repro.core.engine._Build.make_parsed_stream` drives;
+    Constructed already parsing files ``start`` … ``start + window − 1``;
+    ``window``, ``start``, ``submit(k)``, ``collect(k)`` and ``close()``
+    are what :meth:`repro.core.engine._Build.make_parsed_stream` drives;
     everything else here is recovery.  Engine-thread only.
     """
 
     window = PARSE_AHEAD_WINDOW
 
-    def __init__(self, build: "_Build") -> None:
-        self.build = build
-        self.policy = build.config.supervisor
+    def __init__(
+        self,
+        config: PlatformConfig,
+        files: Sequence[str],
+        start: int,
+        injector: "faults.FaultInjector | None",
+        tel: obs_runtime.Telemetry,
+    ) -> None:
+        """Fork the worker and submit files ``start`` … ``start + window − 1``.
+
+        Needs no build: the engine starts it as soon as it knows where
+        the build starts, so the worker's fork, init and first files
+        overlap whatever the engine does before its run loop.
+        """
+        self.files = files
+        self.start = start
+        self.config = config
+        self.injector = injector
+        self.tel = tel
+        self.policy = config.supervisor
         self.sup = Supervisor(self.policy)
+        #: Parses a file on the engine thread (poisoned, or the slot
+        #: degraded); bound by the run loop, the only caller of collect.
+        self.parse_inline: Callable[[int], ParseResult] | None = None
         # ``fork`` where available (cheap, inherits the warmed
         # interpreter), else ``spawn``; the RPR110 lint rule keeps the
         # worker entry points spawn-safe either way.
@@ -286,6 +313,8 @@ class ParseWorker:
         #: parsed inline (poisoned, or the slot degraded).
         self._outstanding: dict[int, Future | None] = {}
         self._start_pool()
+        for k in range(start, min(start + self.window, len(files))):
+            self.submit(k)
 
     # -- the look-ahead contract ---------------------------------------- #
 
@@ -297,7 +326,8 @@ class ParseWorker:
             future = self._outstanding[k]
             if future is None:
                 del self._outstanding[k]
-                return self.build.parse_file_inline(k)
+                assert self.parse_inline is not None, "collect before the run loop"
+                return self.parse_inline(k)
             try:
                 reply = future.result(timeout=self.policy.heartbeat_timeout_s)
             except FutureTimeout:
@@ -323,15 +353,13 @@ class ParseWorker:
     def _tag(self, k: int) -> str:
         # Carries the file path (for FaultSpec.path_substring) and the
         # slot key, and doubles as the poison identity.
-        return f"{self.build.collection.files[k]}::{WORKER_KEY}"
+        return f"{self.files[k]}::{WORKER_KEY}"
 
     def _send(self, k: int) -> Future | None:
         if self._pool is None:
             return None
         try:
-            return self._pool.submit(
-                _parse_task, k, self.build.collection.files[k], self._tag(k)
-            )
+            return self._pool.submit(_parse_task, k, self.files[k], self._tag(k))
         except BrokenProcessPool as exc:
             # The worker died while the engine was indexing; the verdict
             # belongs to the collect that finds this file owed.
@@ -352,15 +380,14 @@ class ParseWorker:
     # -- lifecycle and recovery ------------------------------------------ #
 
     def _start_pool(self) -> None:
-        h = self.build
         self._incarnation += 1
         self._pool = ProcessPoolExecutor(
             max_workers=1,
             mp_context=self._ctx,
             initializer=_worker_init,
             initargs=(
-                h.config,
-                h.injector.plan if h.injector is not None else None,
+                self.config,
+                self.injector.plan if self.injector is not None else None,
                 self._incarnation,
                 os.getpid(),
             ),
@@ -384,7 +411,7 @@ class ParseWorker:
         sup, tag = self.sup, self._tag(k)
         # `repro explain` blames the wait this span overlaps on the
         # supervisor, not on transport.
-        with self.build.tel.tracer.span(
+        with self.tel.tracer.span(
             "supervisor.recover", cat="robustness", worker=WORKER_KEY, kind=kind,
         ) as tags:
             self._stop_pool(kill=True)
@@ -417,8 +444,8 @@ class ParseWorker:
 
     def _merge_delta(self, delta: Delta) -> None:
         fault_counts, fault_events, metrics_delta, spans, profile = delta
-        tel = self.build.tel
-        inj = self.build.injector
+        tel = self.tel
+        inj = self.injector
         if inj is not None and (fault_counts or fault_events):
             inj.merge_child_counts(fault_counts, fault_events)
         if spans is not None and tel.tracer.enabled:

@@ -33,6 +33,7 @@ from repro.obs.stats import (
 )
 from repro.obs.trace import Tracer, load_chrome_trace
 from repro.robustness.checkpoint import CHECKPOINT_FILENAME, MANIFEST_FILENAME
+from repro.robustness.faults import FaultPlan, FaultSpec, inject
 
 
 def _config(**overrides) -> PlatformConfig:
@@ -216,10 +217,18 @@ class TestExplain:
             self, tiny_collection, tmp_path, capsys):
         """Unprompted, the report says what share of the wall the engine
         waited on the parse worker (parse + transport) and what share
-        the indexers took, and the shares are the blame's."""
+        the indexers took, and the shares are the blame's.
+
+        The worker starts before sampling and parses ahead, so on this
+        collection it can finish every file before the engine asks for
+        it; a slow read of file 4 (in the worker, stage ``build``) makes
+        sure the engine waits on a parse."""
         out = str(tmp_path / "mp")
-        IndexingEngine(_config(exec_backend="multiprocess")).build(
-            tiny_collection, out)
+        slow = FaultSpec(kind="slow", path_substring="file_00004", stage="build",
+                         delay_s=0.1)
+        with inject(FaultPlan(specs=(slow,))):
+            IndexingEngine(_config(exec_backend="multiprocess")).build(
+                tiny_collection, out)
         assert main(["explain", out]) == 0
         text = capsys.readouterr().out
         spans = spans_from_chrome(load_chrome_trace(os.path.join(out, TRACE_FILENAME)))
