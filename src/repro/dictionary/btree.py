@@ -51,6 +51,14 @@ table row per tree of node count, heap bytes and the ten
 tally their counts per row until the table is read; the indexers' walk
 adds a batch's at once (:meth:`Forest.fold`).  The cost models read the
 counters; *depth* is kept because Fig 11's throughput tracks its inverse.
+
+The indexers' walk (:func:`repro.indexers.base._walk`) calls
+:meth:`BTree._descend` only for trees that may split in a batch.  A
+root leaf that stays under ``max_keys`` is searched for a whole batch
+at once, on arrays, with the same probes; it gains its keys through the
+node's three lists and its strings and ids through
+:meth:`Forest._alloc_ids` and the heap's
+:meth:`~repro.dictionary.string_store.StringStore.extend`.
 """
 
 from __future__ import annotations
@@ -234,6 +242,15 @@ class Forest:
         self._next_id += 1
         return term_id
 
+    def _alloc_ids(self, count: int) -> int:
+        """``count`` consecutive term ids at once; returns the first."""
+        first = self._next_id
+        if first + count > self._id_limit:
+            raise OverflowError(
+                f"{type(self).__name__}: term-id space exhausted at {self._id_limit:#x}")
+        self._next_id += count
+        return first
+
     def _add_rows(self, collections: list[int]) -> int:
         """Table rows for new trees of ``collections``, in order, each one
         leaf; returns the first.  The table grows at most once, to the
@@ -370,8 +387,10 @@ class BTree:
         visits are one more), the probes of the binary search and the
         fetches among them, the nodes split on the way down and the keys
         shifted right by those splits and by the insert.  The descent
-        counts only new nodes; its callers count the rest
-        (:meth:`insert`, :meth:`search`, :func:`repro.indexers.base._walk`).
+        counts only new nodes; its callers count the rest: :meth:`insert`,
+        :meth:`search`, and the indexers' walk for the spans whose tree
+        may split (:func:`repro.indexers.base._walk`, which replays a
+        one-leaf tree's descents on arrays instead).
 
         Each node's slot is found by bisecting its caches and replaying
         the binary-search probes on integers (see the module docstring).

@@ -192,7 +192,11 @@ class DictionaryShard(Forest):
     # ------------------------------------------------------------------ #
 
     def insert_suffix(self, collection_index: int, suffix: bytes) -> tuple[int, bool]:
-        """Insert a pre-split suffix (the indexer hot path)."""
+        """Insert a pre-split suffix: :meth:`add_term`'s second half.
+
+        Builds insert through the indexers' walk
+        (:func:`repro.indexers.base._walk`), not through here.
+        """
         tree = self.trees.get(collection_index)
         if tree is None:
             tree = self.tree_for(collection_index)

@@ -17,6 +17,8 @@ the dictionary writer reads it as one column of bytes.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.dictionary.layout import MAX_TERM_BYTES
 
 __all__ = ["StringStore", "MAX_TERM_BYTES"]
@@ -47,6 +49,24 @@ class StringStore:
         self._heap.extend(payload)
         self._count += 1
         return ptr
+
+    def extend_packed(self, packed: bytes, count: int) -> None:
+        """Append ``count`` strings already laid out as Fig 6 records
+        (length byte, then payload), back to back: :meth:`add` each."""
+        self._heap += packed
+        self._count += count
+
+    def padded(self, ptrs: np.ndarray) -> np.ndarray:
+        """The payloads at ``ptrs``, a row each of a ``uint8`` matrix as
+        wide as the longest, zero-padded."""
+        heap = np.frombuffer(self._heap, dtype=np.uint8)
+        lengths = heap[ptrs]
+        width = int(lengths.max()) if len(ptrs) else 0
+        # The length byte and ``width`` bytes at each pointer, one item each.
+        tail = np.concatenate((heap, np.zeros(width + 1, dtype=np.uint8)))
+        items = np.ndarray((len(heap),), dtype=f"V{width + 1}", buffer=tail, strides=(1,))
+        rows = items[ptrs].view(np.uint8).reshape(len(ptrs), width + 1)[:, 1:]
+        return rows * (np.arange(width) < lengths[:, None])
 
     def get(self, ptr: int) -> bytes:
         """Fetch the payload bytes at ``ptr``."""

@@ -129,19 +129,19 @@ class CPUIndexer(BaseIndexer):
         ids = batch.ids[rows]
         collections = cidx_of[rows].tolist()
         trees = list(map(self.shard.tree_for, collections))
-        entry_term, records, mutated = _walk(
-            ((tree, i, i + 1, False) for i, tree in enumerate(trees)),
-            memoryview(ids), batch.entry_suffix, [],
-        )
-        self.accumulator.add_batch(entry_term, ids, batch.docs[rows] + doc_offset)
+        spans = np.arange(len(trees) + 1, dtype=np.int32)
+        suffixes = batch.entry_suffix
+        lengths = np.fromiter(map(len, suffixes), dtype=np.int64, count=len(suffixes))
         tree_rows = np.fromiter(map(_row, trees), dtype=np.intp, count=len(trees))
+        entry_term, records, mutated = _walk(
+            self.shard, trees, tree_rows, spans[:-1], spans[1:], ids, suffixes)
+        self.accumulator.add_batch(entry_term, ids, batch.docs[rows] + doc_offset)
         grown = self._record(tree_rows, records, mutated, batch)
         total = grown.sum(axis=0).tolist()
-        suffixes = batch.entry_suffix
         report = IndexerReport(
             tokens=len(ids),
             new_terms=total[_INSERTS],
-            characters=sum(len(suffixes[entry]) for entry in ids.tolist()),
+            characters=int(lengths[ids].sum()),
             documents=batch.num_docs,
             collections=len(set(collections)),
             btree=BTreeStats(*total),

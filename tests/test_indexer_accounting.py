@@ -335,9 +335,13 @@ def _token_streams(draw):
     """Batches of ``{collection: [(doc, [suffix, ...])]}`` over an alphabet
     small enough that a degree-2..3 tree splits, and finds a suffix it
     already holds, every few tokens.  Suffixes shorter and longer than the
-    4-byte cache, some sharing it."""
+    4-byte cache, some sharing it.  Degree 16, the production one, draws
+    up to 40 suffixes, so that a 31-key leaf fills inside a span: the
+    batched walk's one-leaf spans and its token-by-token ones both run."""
+    production = draw(st.booleans())
     alphabet = [
-        (b"k%d" % i) if i % 3 else (b"shared%d" % i) for i in range(draw(st.integers(10, 30)))
+        (b"k%d" % i) if i % 3 else (b"shared%d" % i)
+        for i in range(draw(st.integers(10, 40 if production else 30)))
     ]
     suffix = st.sampled_from(alphabet)
     batches = []
@@ -351,7 +355,7 @@ def _token_streams(draw):
         # Two surface forms of one stem: a second entry per (collection, suffix).
         twins = draw(st.lists(st.booleans(), min_size=150, max_size=150))
         batches.append((collections, twins))
-    return draw(st.integers(2, 3)), batches
+    return 16 if production else draw(st.integers(2, 3)), batches
 
 
 def _columns(collections, twins, positional: bool) -> ParsedBatch:

@@ -18,6 +18,15 @@ of ``tests/forest_oracle.py``, whose trees carry the counters they read.  The pa
 can require the new walk to leave exactly what the old one left: term
 ids, every ``BTreeStats`` field of every tree, the mutation log, node
 counts, postings and the per-collection ``grown`` rows.
+
+:func:`descent_walk` is the walk that followed, kept *verbatim* too
+(``repro.indexers.base._walk`` before it descended a batch at once): one
+``BTree._descend`` per token of every span, a span's counts in locals,
+and a repeated entry charged its recorded descent while its tree gained
+neither a term nor a node.  ``tests/test_batched_walk.py`` requires the
+batched walk to return what it returned — entry → term id, every span
+record, the mutated entries in order — and to leave the same heap,
+forest table, mutation log and trees.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from repro.indexers.gpu import GPUIndexer
 from repro.parsing.regroup import ParsedBatch
 from tests.forest_oracle import BTree
 
-__all__ = ["OracleCPUIndexer", "OracleGPUIndexer"]
+__all__ = ["OracleCPUIndexer", "OracleGPUIndexer", "descent_walk"]
 
 
 # --------------------------------------------------------------------------- #
@@ -256,3 +265,89 @@ class OracleCPUIndexer(_OracleRows, CPUIndexer):
 
 class OracleGPUIndexer(_OracleRows, GPUIndexer):
     """:class:`GPUIndexer` with the parent's walk and counter reads."""
+
+
+# --------------------------------------------------------------------------- #
+# Verbatim from the parent of the batched walk: repro/indexers/base.py
+# --------------------------------------------------------------------------- #
+
+
+def descent_walk(
+    spans, ids, suffixes: list[bytes], repeated: list[bool]
+) -> tuple[list[int], list[int], list[int]]:
+    """Insert every token's suffix into its span's tree; count the work.
+
+    ``spans`` yields ``(tree, start, end, has_repeats)`` over ``ids``.  Every
+    descent (:meth:`~repro.dictionary.btree.BTree._descend`) hands back
+    what it cost, and a span's counts stay in locals.  A descent that
+    finds its suffix and splits no node is a pure function of (tree,
+    suffix): while the tree has gained neither a term nor a node since an
+    entry's last descent, its next occurrence would cost exactly what
+    that descent did, so it is charged that descent's counts without
+    descending.  A descent that inserts or splits forgets every recorded
+    descent of the tree.  Term ids, the mutation log and every counter
+    come out as if each token had gone through
+    :meth:`~repro.dictionary.btree.BTree.insert`.
+
+    Returns entry id → term id; each span's record, back to back: the
+    bytes its new terms added to the heap (Fig 6 length bytes included),
+    then its ten counters in :class:`BTreeStats` field order; and the
+    entries whose descent inserted or split, in walk order (the mutation
+    log's).
+    """
+    entry_term = [0] * len(suffixes)
+    grown: list[int] = []
+    mutated: list[int] = []
+    for tree, start, end, has_repeats in spans:
+        descend = tree._descend
+        inserts = depth_sum = comparisons = fetches = splits = shifts = added = 0
+        if has_repeats:
+            #: entry → (depth, comparisons, fetches) of its recorded descent.
+            recorded: dict[int, tuple[int, int, int]] = {}
+            for entry in ids[start:end]:
+                counts = recorded.get(entry)
+                if counts is not None:
+                    depth, probes, fetched = counts
+                    depth_sum += depth
+                    comparisons += probes
+                    fetches += fetched
+                    continue
+                entry_term[entry], created, depth, probes, fetched, split, shifted = descend(
+                    suffixes[entry], True
+                )
+                inserts += created
+                depth_sum += depth
+                comparisons += probes
+                fetches += fetched
+                shifts += shifted
+                if created or split:
+                    splits += split
+                    recorded.clear()
+                    mutated.append(entry)
+                    if created:
+                        added += len(suffixes[entry])
+                elif repeated[entry]:
+                    recorded[entry] = (depth, probes, fetched)
+        else:
+            for entry in ids[start:end]:
+                entry_term[entry], created, depth, probes, fetched, split, shifted = descend(
+                    suffixes[entry], True
+                )
+                inserts += created
+                depth_sum += depth
+                comparisons += probes
+                fetches += fetched
+                splits += split
+                shifts += shifted
+                if created or split:
+                    mutated.append(entry)
+                    if created:
+                        added += len(suffixes[entry])
+        # Every token is one insert or one duplicate hit (the walk makes no
+        # search), and each visits one node more than its depth.
+        tokens = end - start
+        grown += (
+            added + inserts, 0, inserts, tokens - inserts, depth_sum + tokens, comparisons,
+            comparisons - fetches, fetches, splits, shifts, depth_sum,
+        )
+    return entry_term, grown, mutated
