@@ -1,8 +1,8 @@
 """Ablation F — postings codecs (§II) and the post-processing merge (§III.F).
 
-Compares variable-byte (the engine's production codec), Elias-γ and
-Golomb on the *real* postings of the mini ClueWeb build: compressed
-size, encode and decode wall time.  Also checks the paper's merge claim:
+Compares variable-byte (the engine's production codec) and Elias-γ on
+the *real* postings of the mini ClueWeb build: compressed size, and the
+wall time of each codec's per-list ``encode`` and ``decode``.  Also checks the paper's merge claim:
 "we can combine the partial postings lists of each term into a single
 list in a post-processing step, with an additional cost of less than 10%
 of the total running time."

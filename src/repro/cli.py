@@ -38,6 +38,10 @@ import sys
 
 __all__ = ["main", "build_arg_parser"]
 
+#: ``sorted(repro.postings.compression.CODECS)``, spelled out so building
+#: the parser imports no engine module (``tests/test_cli.py`` pins it).
+CODEC_NAMES = ("gamma", "varbyte", "varbyte-pos")
+
 
 def build_arg_parser() -> argparse.ArgumentParser:
     """Construct the top-level argument parser with all subcommands."""
@@ -75,7 +79,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     build.add_argument("--parsers", type=int, default=6)
     build.add_argument("--cpu-indexers", type=int, default=2)
     build.add_argument("--gpus", type=int, default=2)
-    build.add_argument("--codec", default="varbyte")
+    build.add_argument("--codec", default="varbyte", choices=CODEC_NAMES)
     build.add_argument("--positional", action="store_true",
                        help="store token positions (enables phrase queries)")
     build.add_argument("--sample-fraction", type=float, default=0.01)

@@ -18,6 +18,7 @@ from repro.dictionary.trie import TrieTable
 
 from repro.gpusim.costmodel import GPUSpec, TESLA_C1060
 from repro.indexers.assignment import PopularityPolicy
+from repro.postings.compression import CODECS
 from repro.robustness.policy import ON_ERROR_POLICIES
 from repro.robustness.retry import RetryPolicy
 from repro.robustness.supervise import SupervisorPolicy
@@ -142,6 +143,8 @@ class PlatformConfig:
     quarantine_dir: str | None = None
 
     def __post_init__(self) -> None:
+        if self.codec not in CODECS:
+            raise ValueError(f"codec must be one of {sorted(CODECS)}, got {self.codec!r}")
         if self.positional:
             if self.codec == "varbyte":
                 object.__setattr__(self, "codec", "varbyte-pos")

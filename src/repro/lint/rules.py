@@ -182,13 +182,13 @@ def _encode_scope(name: str) -> bool:
 
 @rule("RPR003", "float-in-encode")
 def check_float_in_encode(sf: SourceFile) -> Iterator[Finding]:
-    """No float arithmetic in ``postings/`` and ``util/bitio.py`` encode paths.
+    """No float arithmetic in ``postings/`` encode paths.
 
     Compressed output must be bit-identical across platforms and Python
     builds; floats (true division, float literals, ``math.*``) introduce
     rounding that can silently change an emitted code.
     """
-    if not (sf.in_part("postings") or sf.path.endswith("util/bitio.py")):
+    if not sf.in_part("postings"):
         return
     for fn in _iter_functions(sf.tree):
         if not _encode_scope(fn.name):

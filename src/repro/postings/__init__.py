@@ -2,7 +2,7 @@
 
 Section II notes that "almost all the above strategies perform compression
 on the postings lists": document IDs are sorted inside each list, so gaps
-between neighbours are encoded with variable-byte, Elias-γ, or Golomb codes.
+between neighbours are encoded with variable-byte or Elias-γ codes.
 Section III.F defines the on-disk layout: one output file per *run* whose
 header holds a mapping table from postings pointers to (offset, length)
 pairs, plus an auxiliary file mapping document-ID ranges to run files so a
@@ -20,7 +20,6 @@ query restricted to a docID range touches only overlapping partial lists.
 from repro.postings.compression import (
     CODECS,
     EliasGammaCodec,
-    GolombCodec,
     PostingsCodec,
     VarByteCodec,
     VarBytePositionalCodec,
@@ -41,7 +40,6 @@ __all__ = [
     "VarByteCodec",
     "VarBytePositionalCodec",
     "EliasGammaCodec",
-    "GolombCodec",
     "CODECS",
     "get_codec",
     "to_gaps",

@@ -1,37 +1,34 @@
-"""Postings compression: d-gaps + variable-byte, Elias-γ, Golomb codecs.
+"""Postings compression: d-gaps + variable-byte and Elias-γ codecs.
 
 A postings list is a docID-sorted sequence of ``(document ID, term
 frequency)`` pairs.  Because IDs are sorted, the codecs store the *gap* to
 the previous ID (the first entry stores ``docID + 1`` so every encoded gap
-is ≥ 1, which is what γ and Golomb require).  Term frequencies are ≥ 1 and
-are stored with the same integer code as the gaps.
+is ≥ 1, which is what γ requires).  Term frequencies are ≥ 1 and are
+stored with the same integer code as the gaps.
 
 The engine's post-processing step uses variable-byte encoding — the paper's
-choice ("compress them with variable bytes encoding") — while γ and Golomb
-exist for the codec ablation benchmark and for parity with the classical
+choice ("compress them with variable bytes encoding") — while γ exists for
+the codec ablation benchmark and for parity with the classical
 inverted-file literature cited in Section II.
 
 Every codec also encodes and decodes blocks of lists held as integer
 columns (:meth:`PostingsCodec.encode_lists` / :meth:`~PostingsCodec.decode_lists`),
-the only form the run writer, the reader and the merge use; varbyte does
-it with numpy kernels, the others by looping their per-list methods.
+the only form the run writer, the reader and the merge use: varbyte does
+it with numpy kernels, γ on one ``'0'``/``'1'`` string per block, and the
+positional codec by looping its per-list methods.
 """
 
 from __future__ import annotations
 
-import math
 from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
-from repro.util.bitio import BitReader, BitWriter
-
 __all__ = [
     "PostingsCodec",
     "VarByteCodec",
     "EliasGammaCodec",
-    "GolombCodec",
     "VarBytePositionalCodec",
     "CODECS",
     "get_codec",
@@ -242,6 +239,46 @@ def _check_tiling(payload_size: int, lengths: np.ndarray) -> None:
         raise ValueError(f"lists of {int(np.sum(lengths))} bytes in a payload of {payload_size}")
 
 
+def _list_values(
+    counts: np.ndarray, docs: np.ndarray, tfs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The integers a block of lists codes, in order: each list's count,
+    then its postings' ``(gap, tf)`` pairs (the first gap is ``doc + 1``).
+    Returns them as one ``int64`` column and where each count sits;
+    ``ValueError`` as :meth:`PostingsCodec.encode` raises it."""
+    counts = np.asarray(counts, dtype=np.int64)
+    docs = np.asarray(docs, dtype=np.int64)
+    tfs = np.asarray(tfs, dtype=np.int64)
+    first = np.cumsum(counts) - counts
+    gaps = np.diff(docs, prepend=-1)
+    starts = first[counts > 0]
+    gaps[starts] = docs[starts] + 1
+    if gaps.size and int(gaps.min()) < 1:
+        raise ValueError("postings must be sorted by strictly increasing docID")
+    if tfs.size and int(tfs.min()) < 1:
+        raise ValueError(f"term frequency must be >= 1, got {int(tfs.min())}")
+    # List j's count sits before its postings' (gap, tf) pairs.
+    heads = 2 * first + np.arange(counts.size)
+    pairs = 2 * np.arange(docs.size) + np.repeat(np.arange(1, counts.size + 1), counts)
+    values = np.empty(counts.size + 2 * docs.size, dtype=np.int64)
+    values[heads], values[pairs], values[pairs + 1] = counts, gaps, tfs
+    return values, heads
+
+
+def _columns(counts: np.ndarray, gaps: np.ndarray, tfs: np.ndarray) -> ListColumns:
+    """:data:`ListColumns` of lists given as counts, gaps and tfs (each
+    list's first gap is its first ``doc + 1``); ``ValueError`` past int32."""
+    # A gap past 2^31 alone puts a document past int32 (and could
+    # overflow the running sum below).
+    if gaps.size and int(gaps.max()) > _INT32_MAX + 1:
+        raise ValueError(_BEYOND_INT32)
+    docs = np.cumsum(gaps)
+    listed = counts > 0
+    starts = (np.cumsum(counts) - counts)[listed]
+    docs -= np.repeat(docs[starts] - gaps[starts] + 1, counts[listed])
+    return counts, _int32(docs), _int32(tfs), None
+
+
 class PostingsCodec:
     """Encode/decode a docID-sorted postings list, or a block of them.
 
@@ -378,22 +415,7 @@ class VarByteCodec(PostingsCodec):
         """:meth:`PostingsCodec.encode_lists` in one :func:`encode_uvarints`
         call, with :meth:`encode`'s checks; the temporaries are a few
         ``int64`` a posting, so the caller bounds the block."""
-        counts = np.asarray(counts, dtype=np.int64)
-        docs = np.asarray(docs, dtype=np.int64)
-        tfs = np.asarray(tfs, dtype=np.int64)
-        first = np.cumsum(counts) - counts
-        gaps = np.diff(docs, prepend=-1)
-        starts = first[counts > 0]
-        gaps[starts] = docs[starts] + 1
-        if gaps.size and int(gaps.min()) < 1:
-            raise ValueError("postings must be sorted by strictly increasing docID")
-        if tfs.size and int(tfs.min()) < 1:
-            raise ValueError(f"term frequency must be >= 1, got {int(tfs.min())}")
-        # List j's count sits before its postings' (gap, tf) pairs.
-        heads = 2 * first + np.arange(counts.size)
-        pairs = 2 * np.arange(docs.size) + np.repeat(np.arange(1, counts.size + 1), counts)
-        values = np.empty(counts.size + 2 * docs.size, dtype=np.int64)
-        values[heads], values[pairs], values[pairs + 1] = counts, gaps, tfs
+        values, heads = _list_values(counts, docs, tfs)
         data, value_lengths = encode_uvarints(values)
         return data, np.add.reduceat(value_lengths, heads)
 
@@ -440,158 +462,131 @@ class VarByteCodec(PostingsCodec):
         body = np.ones(values.size, dtype=bool)
         body[heads] = False
         values = values[body]
-        gaps, tfs = values[0::2], values[1::2]
-        # A gap past 2^31 alone puts a document past int32 (and could
-        # overflow the running sum below).
-        if gaps.size and int(gaps.max()) > _INT32_MAX + 1:
-            raise ValueError(_BEYOND_INT32)
-        docs = np.cumsum(gaps)
-        listed = counts > 0
-        starts = (np.cumsum(counts) - counts)[listed]
-        docs -= np.repeat(docs[starts] - gaps[starts] + 1, counts[listed])
-        return counts, _int32(docs), _int32(tfs), None
+        return _columns(counts, values[0::2], values[1::2])
 
 
-def _check_padding(reader: BitReader) -> None:
-    """After a bit-coded list's last posting: only the zero padding
-    :class:`BitWriter` adds may remain, fewer than eight bits."""
-    left = reader.bits_remaining
-    if left >= 8 or reader.read_bits(left):
-        raise ValueError(f"{left} bits after the last posting are not the zero padding")
+def _gamma_code(value: int) -> str:
+    """γ(``value``) as ``'0'``/``'1'`` characters: as many ones as
+    ``value`` has bits after its leading one, a zero, then those bits.
+    ``value`` must be an ``int`` >= 1; the callers check."""
+    tail = bin(value)[3:]
+    return "1" * len(tail) + "0" + tail
+
+
+#: The codes of the values below 256 (97 % of a text build's), and those
+#: values by code string: lookups instead of a call, or an ``int(..., 2)``,
+#: a shift and an add, per value.
+_GAMMA_CODES = ["", *(_gamma_code(value) for value in range(1, 256))]
+_GAMMA_VALUES = {code: value for value, code in enumerate(_GAMMA_CODES) if value}
+
+
+def _pack(values: list[int], heads: list[int]) -> tuple[bytes, list[int]]:
+    """The γ lists of ``values``, list ``i`` from ``values[heads[i]]`` on:
+    each list's codes joined and zero-padded to a byte, the lists back to
+    back.  Their bytes and each list's length."""
+    codes = [_GAMMA_CODES[value] if value < 256 else _gamma_code(value) for value in values]
+    bounds = [*heads, len(codes)]
+    padded = ["".join(codes[a:b]) for a, b in zip(bounds, bounds[1:])]
+    padded = [bits + "0" * (-len(bits) % 8) for bits in padded]
+    joined = "".join(padded)
+    data = int(joined, 2).to_bytes(len(joined) >> 3, "big") if joined else b""
+    return data, [len(bits) >> 3 for bits in padded]
+
+
+def _read_gammas(bits: str, pos: int, end: int, count: int, out: list[int]) -> int:
+    """Append the ``count`` γ values at ``bits[pos:end]`` to ``out``; the
+    position past them.  ``EOFError`` when a value runs past ``end``."""
+    find = bits.find
+    append = out.append
+    known = _GAMMA_VALUES.get
+    for _ in range(count):
+        zero = find("0", pos, end)
+        stop = 2 * zero - pos + 1
+        if zero < 0 or stop > end:
+            raise EOFError("bit stream exhausted")
+        append(known(bits[pos:stop]) or int(bits[zero:stop], 2) + (1 << (zero - pos)))
+        pos = stop
+    return pos
+
+
+def _read_lists(data: bytes | memoryview, lengths: list[int], out: list[int]) -> list[int]:
+    """Decode the γ lists of ``lengths`` bytes that are ``data``, on one
+    ``'0'``/``'1'`` string: append their ``(gap, tf)`` values to ``out``
+    and return their counts.
+
+    ``EOFError`` when a list ends short of its count's postings,
+    ``ValueError`` when anything but under a byte of zero padding follows
+    its last one.
+    """
+    bits = format(int.from_bytes(data, "big"), f"0{8 * len(data)}b")
+    counts: list[int] = []
+    pos = end = 0
+    for length in lengths:
+        end += 8 * length
+        pos = _read_gammas(bits, pos, end, 1, out)
+        count = out.pop() - 1
+        pos = _read_gammas(bits, pos, end, 2 * count, out)
+        if end - pos >= 8 or bits.find("1", pos, end) != -1:
+            raise ValueError(f"{end - pos} bits after the last posting are not the zero padding")
+        counts.append(count)
+        pos = end
+    return counts
 
 
 class EliasGammaCodec(PostingsCodec):
-    """Elias-γ bit codec: unary length prefix + binary remainder."""
+    """Elias-γ bit codec: unary length prefix + binary remainder.
+
+    A list is γ(count + 1), then γ(gap) and γ(tf) per posting, most
+    significant bit first, zero-padded to a byte.  Every method codes on
+    ``'0'``/``'1'`` strings: encode joins the values' codes and converts
+    them with one ``int(bits, 2)``; decode reads each value off one string
+    of the bytes with a ``str.find`` for its unary terminator.
+    """
 
     name = "gamma"
 
-    @staticmethod
-    def _write_gamma(writer: BitWriter, value: int) -> None:
-        if value < 1:
-            raise ValueError(f"gamma can only encode integers >= 1, got {value}")
-        nbits = value.bit_length()
-        writer.write_unary(nbits - 1)
-        if nbits > 1:
-            writer.write_bits(value - (1 << (nbits - 1)), nbits - 1)
-
-    @staticmethod
-    def _read_gamma(reader: BitReader) -> int:
-        nbits = reader.read_unary() + 1
-        if nbits == 1:
-            return 1
-        return (1 << (nbits - 1)) | reader.read_bits(nbits - 1)
-
     def encode(self, postings: Sequence[Posting]) -> bytes:
-        writer = BitWriter()
-        self._write_gamma(writer, len(postings) + 1)  # γ needs values >= 1
+        values = [len(postings) + 1]  # γ needs values >= 1
         prev = -1
         for doc_id, tf in postings:
             if doc_id <= prev:
                 raise ValueError("postings must be sorted by strictly increasing docID")
             if tf < 1:
                 raise ValueError(f"term frequency must be >= 1, got {tf}")
-            self._write_gamma(writer, doc_id - prev)
-            self._write_gamma(writer, tf)
+            values += (doc_id - prev, tf)
             prev = doc_id
-        return writer.getvalue()
+        return _pack(values, [0])[0]
 
     def decode(self, data: bytes) -> list[Posting]:
-        reader = BitReader(data)
-        count = self._read_gamma(reader) - 1
-        postings: list[Posting] = []
-        prev = -1
-        for _ in range(count):
-            prev += self._read_gamma(reader)
-            tf = self._read_gamma(reader)
-            postings.append((prev, tf))
-        _check_padding(reader)
-        return postings
+        """Inverse of :meth:`encode`, as strict as :func:`_read_lists`."""
+        values: list[int] = []
+        _read_lists(data, [len(data)], values)
+        return list(zip((doc - 1 for doc in accumulate(values[0::2])), values[1::2]))
 
+    def encode_lists(
+        self,
+        counts: np.ndarray,
+        docs: np.ndarray,
+        tfs: np.ndarray,
+        positions: np.ndarray | None = None,
+    ) -> tuple[bytes, np.ndarray]:
+        """:meth:`PostingsCodec.encode_lists` on one string of codes per
+        list, with :meth:`encode`'s checks."""
+        values, heads = _list_values(counts, docs, tfs)
+        values[heads] += 1  # γ(count + 1), as encode writes it
+        data, lengths = _pack(values.tolist(), heads.tolist())
+        return data, np.array(lengths, dtype=np.int64)
 
-class GolombCodec(PostingsCodec):
-    """Golomb codec with per-list parameter selection.
-
-    The divisor ``b`` is chosen per list from the mean gap with the classic
-    ``b ≈ 0.69 · mean_gap`` rule and stored in the list header (as a γ
-    code), so decode is self-contained.  Remainders use truncated binary;
-    term frequencies use γ (they are small and not geometric).
-    """
-
-    name = "golomb"
-
-    def __init__(self, b: int | None = None) -> None:
-        #: Fixed divisor override for tests; ``None`` selects per list.
-        self.fixed_b = b
-        if b is not None and b < 1:
-            raise ValueError(f"Golomb parameter must be >= 1, got {b}")
-
-    @staticmethod
-    def optimal_b(mean_gap: float) -> int:
-        """``max(1, ceil(0.69 · mean_gap))`` — Witten/Moffat/Bell rule."""
-        return max(1, math.ceil(0.69 * mean_gap))
-
-    @staticmethod
-    def _write_golomb(writer: BitWriter, value: int, b: int) -> None:
-        if value < 1:
-            raise ValueError(f"Golomb can only encode integers >= 1, got {value}")
-        q, r = divmod(value - 1, b)
-        writer.write_unary(q)
-        # Truncated binary remainder.
-        k = (b - 1).bit_length() if b > 1 else 0
-        cutoff = (1 << k) - b
-        if b == 1:
-            return
-        if r < cutoff:
-            writer.write_bits(r, k - 1)
-        else:
-            writer.write_bits(r + cutoff, k)
-
-    @staticmethod
-    def _read_golomb(reader: BitReader, b: int) -> int:
-        q = reader.read_unary()
-        if b == 1:
-            return q + 1
-        k = (b - 1).bit_length()
-        cutoff = (1 << k) - b
-        r = reader.read_bits(k - 1) if k > 1 else 0
-        if r >= cutoff:
-            r = (r << 1) | reader.read_bits(1)
-            r -= cutoff
-        return q * b + r + 1
-
-    def encode(self, postings: Sequence[Posting]) -> bytes:
-        gaps = to_gaps([doc for doc, _ in postings])
-        if self.fixed_b is not None:
-            b = self.fixed_b
-        elif gaps:
-            # ceil(0.69 · mean gap) in exact integer arithmetic: the float
-            # round trip of optimal_b() could pick a different b on another
-            # platform and silently change the emitted stream (RPR003).
-            b = max(1, -(-(69 * sum(gaps)) // (100 * len(gaps))))
-        else:
-            b = 1
-        writer = BitWriter()
-        EliasGammaCodec._write_gamma(writer, len(postings) + 1)
-        EliasGammaCodec._write_gamma(writer, b)
-        for gap, (_, tf) in zip(gaps, postings):
-            if tf < 1:
-                raise ValueError(f"term frequency must be >= 1, got {tf}")
-            self._write_golomb(writer, gap, b)
-            EliasGammaCodec._write_gamma(writer, tf)
-        return writer.getvalue()
-
-    def decode(self, data: bytes) -> list[Posting]:
-        reader = BitReader(data)
-        count = EliasGammaCodec._read_gamma(reader) - 1
-        b = EliasGammaCodec._read_gamma(reader)
-        postings: list[Posting] = []
-        prev = -1
-        for _ in range(count):
-            prev += self._read_golomb(reader, b)
-            tf = EliasGammaCodec._read_gamma(reader)
-            postings.append((prev, tf))
-        _check_padding(reader)
-        return postings
+    def decode_lists(self, payload: bytes | memoryview, lengths: np.ndarray) -> ListColumns:
+        """:meth:`PostingsCodec.decode_lists`: as strict as :meth:`decode`
+        on each list, and ``ValueError`` past int32."""
+        _check_tiling(len(payload), lengths)
+        values: list[int] = []
+        counts = _read_lists(payload, np.asarray(lengths).tolist(), values)
+        if values and max(values) > _INT32_MAX + 1:
+            raise ValueError(_BEYOND_INT32)
+        column = np.array(values, dtype=np.int64)
+        return _columns(np.array(counts, dtype=np.int64), column[0::2], column[1::2])
 
 
 class VarBytePositionalCodec(PostingsCodec):
@@ -670,7 +665,6 @@ class VarBytePositionalCodec(PostingsCodec):
 CODECS: dict[str, type[PostingsCodec]] = {
     VarByteCodec.name: VarByteCodec,
     EliasGammaCodec.name: EliasGammaCodec,
-    GolombCodec.name: GolombCodec,
     VarBytePositionalCodec.name: VarBytePositionalCodec,
 }
 

@@ -47,6 +47,7 @@ from typing import BinaryIO, Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.postings.compression import (
+    CODECS,
     PostingsCodec,
     VarByteCodec,
     decode_uvarint,
@@ -408,6 +409,12 @@ def _parse_header(data: bytes, payload_end: int) -> RunTable:
     min_plus, pos = decode_uvarint(data, pos)
     max_plus, pos = decode_uvarint(data, pos)
     n_entries, pos = decode_uvarint(data, pos)
+    # Checked here, not at the name: a partly buffered header may hold
+    # only part of it, and reads on (EOFError) until it parses.
+    if codec_name not in CODECS:
+        raise ValueError(
+            f"run file codec {codec_name!r} is not one of {sorted(CODECS)}; rebuild the index"
+        )
     payload_start = skip_uvarints(data, pos, 3 * n_entries)
     table = np.concatenate(
         [np.empty((0, 3), dtype=np.int64), *_table_blocks(data, pos, n_entries, payload_start)]

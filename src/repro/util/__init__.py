@@ -2,8 +2,6 @@
 
 This package deliberately contains only dependency-free helpers:
 
-- :mod:`repro.util.bitio` — MSB-first bit readers/writers used by the
-  Elias-γ and Golomb postings codecs.
 - :mod:`repro.util.rng` — deterministic RNG construction so every synthetic
   corpus and every simulation is reproducible from a single integer seed.
 - :mod:`repro.util.timing` — wall-clock timers plus the simulated-time
@@ -12,14 +10,11 @@ This package deliberately contains only dependency-free helpers:
   the benchmark harnesses when printing paper-style tables.
 """
 
-from repro.util.bitio import BitReader, BitWriter
 from repro.util.fmt import fmt_bytes, fmt_count, fmt_mbps, fmt_seconds, render_table
 from repro.util.rng import derive_seed, make_rng
 from repro.util.timing import Stopwatch, Timer
 
 __all__ = [
-    "BitReader",
-    "BitWriter",
     "Timer",
     "Stopwatch",
     "make_rng",

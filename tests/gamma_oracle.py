@@ -1,21 +1,22 @@
-"""MSB-first bit-level I/O.
+"""Elias-γ before the block codec: one bit at a time through a bit I/O layer.
 
-The postings compressors (:mod:`repro.postings.compression`) need sub-byte
-codes: Elias-γ stores a unary length prefix followed by the binary remainder,
-and Golomb codes store a unary quotient followed by a truncated-binary
-remainder.  Both are classical inverted-file codecs referenced in Section II
-of the paper.
-
-The writer packs bits most-significant-bit first into a :class:`bytearray`;
-the reader consumes the same layout.  Both are pure Python but operate on a
-cached integer accumulator so the per-bit overhead stays small; the
-bulk helpers (:meth:`BitWriter.write_bits` / :meth:`BitReader.read_bits`)
-move whole fields at a time and are what the codecs actually call.
+:class:`repro.postings.compression.EliasGammaCodec` now codes a whole
+block of lists on one ``'0'/'1'`` string.  This module is the code it
+replaced, kept verbatim as the oracle it must equal
+(``tests/test_gamma_oracle.py``): the MSB-first :class:`BitWriter` /
+:class:`BitReader` that were ``repro.util.bitio``, and the per-list codec
+with its ``_write_gamma`` / ``_read_gamma`` and ``_check_padding``.  Its
+block methods are :class:`~repro.postings.compression.PostingsCodec`'s
+per-list loop.
 """
 
 from __future__ import annotations
 
-__all__ = ["BitWriter", "BitReader"]
+from typing import Sequence
+
+from repro.postings.compression import Posting, PostingsCodec
+
+__all__ = ["BitWriter", "BitReader", "OracleGammaCodec"]
 
 
 class BitWriter:
@@ -126,3 +127,59 @@ class BitReader:
     def bits_remaining(self) -> int:
         """Bits left in the buffer (includes any writer padding)."""
         return len(self._data) * 8 - self._pos
+
+
+def _check_padding(reader: BitReader) -> None:
+    """After a bit-coded list's last posting: only the zero padding
+    :class:`BitWriter` adds may remain, fewer than eight bits."""
+    left = reader.bits_remaining
+    if left >= 8 or reader.read_bits(left):
+        raise ValueError(f"{left} bits after the last posting are not the zero padding")
+
+
+class OracleGammaCodec(PostingsCodec):
+    """Elias-γ bit codec: unary length prefix + binary remainder."""
+
+    name = "gamma"
+
+    @staticmethod
+    def _write_gamma(writer: BitWriter, value: int) -> None:
+        if value < 1:
+            raise ValueError(f"gamma can only encode integers >= 1, got {value}")
+        nbits = value.bit_length()
+        writer.write_unary(nbits - 1)
+        if nbits > 1:
+            writer.write_bits(value - (1 << (nbits - 1)), nbits - 1)
+
+    @staticmethod
+    def _read_gamma(reader: BitReader) -> int:
+        nbits = reader.read_unary() + 1
+        if nbits == 1:
+            return 1
+        return (1 << (nbits - 1)) | reader.read_bits(nbits - 1)
+
+    def encode(self, postings: Sequence[Posting]) -> bytes:
+        writer = BitWriter()
+        self._write_gamma(writer, len(postings) + 1)  # γ needs values >= 1
+        prev = -1
+        for doc_id, tf in postings:
+            if doc_id <= prev:
+                raise ValueError("postings must be sorted by strictly increasing docID")
+            if tf < 1:
+                raise ValueError(f"term frequency must be >= 1, got {tf}")
+            self._write_gamma(writer, doc_id - prev)
+            self._write_gamma(writer, tf)
+            prev = doc_id
+        return writer.getvalue()
+
+    def decode(self, data: bytes) -> list[Posting]:
+        reader = BitReader(data)
+        count = self._read_gamma(reader) - 1
+        postings: list[Posting] = []
+        prev = -1
+        for _ in range(count):
+            prev += self._read_gamma(reader)
+            tf = self._read_gamma(reader)
+            postings.append((prev, tf))
+        _check_padding(reader)
+        return postings

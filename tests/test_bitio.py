@@ -1,4 +1,4 @@
-"""Bit-level I/O: the substrate under the γ and Golomb codecs."""
+"""Bit-level I/O: the substrate under the per-bit γ oracle (``tests/gamma_oracle.py``)."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.bitio import BitReader, BitWriter
+from tests.gamma_oracle import BitReader, BitWriter
 
 
 class TestBitWriter:

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
-from repro.cli import build_arg_parser, main
+from repro.cli import CODEC_NAMES, build_arg_parser, main
+from repro.core.config import PlatformConfig
+from repro.postings.compression import CODECS
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +32,31 @@ class TestParser:
         args = build_arg_parser().parse_args(["simulate"])
         assert (args.parsers, args.cpu_indexers, args.gpus) == (6, 2, 2)
         assert args.dataset == "clueweb09"
+
+
+class TestUnknownCodec:
+    """An unknown codec is refused before a build touches its output
+    directory: it once sampled and wrote ``build.manifest`` (clearing an
+    old ``checkpoint.bin``) before failing with a bare ``KeyError``."""
+
+    def test_choices_are_the_registry(self):
+        assert list(CODEC_NAMES) == sorted(CODECS)
+
+    def test_config_refuses_it(self):
+        names = r"\['gamma', 'varbyte', 'varbyte-pos'\]"
+        with pytest.raises(ValueError, match=f"codec must be one of {names}, got 'golomb'"):
+            PlatformConfig(codec="golomb")
+
+    def test_build_leaves_the_output_untouched(self, generated, tmp_path, capsys):
+        index = tmp_path / "idx"
+        index.mkdir()
+        (index / "checkpoint.bin").write_bytes(b"an earlier build's journal")
+        with pytest.raises(SystemExit) as exc:
+            main(["build", generated, str(index), "--codec", "golomb"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'golomb'" in capsys.readouterr().err
+        assert os.listdir(index) == ["checkpoint.bin"]
+        assert (index / "checkpoint.bin").read_bytes() == b"an earlier build's journal"
 
 
 class TestCommands:

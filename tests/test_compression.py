@@ -1,4 +1,4 @@
-"""Postings codecs: varbyte, Elias-γ, Golomb over d-gaps."""
+"""Postings codecs: varbyte and Elias-γ over d-gaps."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from repro.postings.compression import (
     CODECS,
     EliasGammaCodec,
-    GolombCodec,
     VarByteCodec,
     VarBytePositionalCodec,
     decode_uvarint,
@@ -25,7 +24,8 @@ from repro.postings.compression import (
     skip_uvarints,
     to_gaps,
 )
-from repro.util.bitio import BitReader, BitWriter
+from repro.postings.compression import _gamma_code, _read_gammas
+from tests.gamma_oracle import BitReader, BitWriter, OracleGammaCodec
 
 postings_lists = st.lists(
     st.tuples(st.integers(min_value=0, max_value=10), st.integers(min_value=1, max_value=50)),
@@ -37,7 +37,7 @@ postings_lists = st.lists(
     ]
 )
 
-ALL_CODECS = [VarByteCodec(), EliasGammaCodec(), GolombCodec()]
+ALL_CODECS = [VarByteCodec(), EliasGammaCodec()]
 
 
 class TestVarint:
@@ -240,9 +240,9 @@ class TestCodecs:
         with pytest.raises(ValueError):
             codec.encode([(1, 0)])
 
-    @pytest.mark.parametrize("codec", [EliasGammaCodec(), GolombCodec()], ids=lambda c: c.name)
+    @pytest.mark.parametrize("codec", [EliasGammaCodec()], ids=lambda c: c.name)
     def test_bits_after_the_last_posting_rejected(self, codec):
-        """Only :class:`BitWriter`'s zero padding, under a byte, may follow."""
+        """Only the zero padding to a byte, under a byte, may follow."""
         encoded = codec.encode([(0, 1), (4, 2)])
         assert codec.decode(encoded) == [(0, 1), (4, 2)]
         for bad in (encoded + b"\x00", encoded[:-1] + bytes([encoded[-1] | 1])):
@@ -250,15 +250,16 @@ class TestCodecs:
                 codec.decode(bad)
 
     @settings(max_examples=60)
-    @given(postings_lists, st.sampled_from(["varbyte", "gamma", "golomb"]))
+    @given(postings_lists, st.sampled_from(["varbyte", "gamma"]))
     def test_round_trip_random(self, postings, name):
         codec = get_codec(name)
         assert codec.decode(codec.encode(postings)) == postings
 
     def test_registry(self):
-        assert set(CODECS) == {"varbyte", "gamma", "golomb", "varbyte-pos"}
-        with pytest.raises(KeyError):
-            get_codec("zstd")
+        assert set(CODECS) == {"varbyte", "gamma", "varbyte-pos"}
+        for name in ("zstd", "golomb"):
+            with pytest.raises(KeyError):
+                get_codec(name)
 
     def test_gap_encoding_beats_absolute_for_dense_lists(self):
         dense = [(i, 1) for i in range(0, 2000, 2)]
@@ -327,6 +328,12 @@ def _per_list_decode(codec, data, lengths):
     return lists
 
 
+def _reference(codec):
+    """The per-list codec a block method must equal: γ's is the per-bit
+    oracle, the others' their own ``encode`` / ``decode``."""
+    return OracleGammaCodec() if codec.name == "gamma" else codec
+
+
 class TestBlockMethods:
     """``encode_lists`` / ``decode_lists`` against the per-list reference."""
 
@@ -335,7 +342,7 @@ class TestBlockMethods:
     def test_block_equals_per_list(self, name, spec):
         codec = get_codec(name)
         lists = _block_lists(codec, spec)
-        encoded = [codec.encode(postings) for postings in lists]
+        encoded = [_reference(codec).encode(postings) for postings in lists]
         counts, docs, tfs, positions = _block_columns(lists)
         if codec.positional and positions is None:
             positions = np.empty(0, dtype=np.int64)
@@ -364,7 +371,7 @@ class TestBlockMethods:
         flipped[where % len(data)] ^= mask
         flipped = bytes(flipped)
         try:
-            expected = _per_list_decode(codec, flipped, lengths.tolist())
+            expected = _per_list_decode(_reference(codec), flipped, lengths.tolist())
         except (ValueError, EOFError) as exc:
             with pytest.raises(type(exc)):
                 codec.decode_lists(flipped, lengths)
@@ -461,49 +468,39 @@ class TestVarByteDecodeIsStrict:
 
 
 class TestGamma:
+    """The γ code strings against the per-bit oracle's ``_write_gamma``."""
+
+    @staticmethod
+    def _oracle_bits(n):
+        writer = BitWriter()
+        OracleGammaCodec._write_gamma(writer, n)
+        return writer
+
     def test_gamma_code_of_one_is_single_bit(self):
-        w = BitWriter()
-        EliasGammaCodec._write_gamma(w, 1)
-        assert w.bit_length == 1
+        assert _gamma_code(1) == "0"
+        assert self._oracle_bits(1).bit_length == 1
 
     def test_gamma_lengths(self):
         # γ(n) uses 2⌊log2 n⌋ + 1 bits.
         for n, bits in [(1, 1), (2, 3), (3, 3), (4, 5), (100, 13)]:
-            w = BitWriter()
-            EliasGammaCodec._write_gamma(w, n)
-            assert w.bit_length == bits, n
+            assert len(_gamma_code(n)) == self._oracle_bits(n).bit_length == bits, n
 
     def test_gamma_rejects_zero(self):
         with pytest.raises(ValueError):
-            EliasGammaCodec._write_gamma(BitWriter(), 0)
+            OracleGammaCodec._write_gamma(BitWriter(), 0)
+        # The codec never hands a zero to its code: every value is checked.
+        with pytest.raises(ValueError):
+            EliasGammaCodec().encode([(0, 0)])
+        with pytest.raises(ValueError):
+            EliasGammaCodec().encode_lists(np.array([1]), np.array([0]), np.array([0]))
 
     @given(st.integers(min_value=1, max_value=2**30))
     def test_gamma_round_trip(self, n):
-        w = BitWriter()
-        EliasGammaCodec._write_gamma(w, n)
-        assert EliasGammaCodec._read_gamma(BitReader(w.getvalue())) == n
-
-
-class TestGolomb:
-    @given(st.integers(min_value=1, max_value=10000), st.integers(min_value=1, max_value=64))
-    def test_golomb_round_trip_any_b(self, value, b):
-        w = BitWriter()
-        GolombCodec._write_golomb(w, value, b)
-        assert GolombCodec._read_golomb(BitReader(w.getvalue()), b) == value
-
-    def test_optimal_b_rule(self):
-        assert GolombCodec.optimal_b(10.0) == 7  # ceil(0.69 * 10)
-        assert GolombCodec.optimal_b(0.1) == 1
-
-    def test_fixed_b_encodes_header(self):
-        codec = GolombCodec(b=4)
-        pl = [(3, 1), (10, 2)]
-        assert codec.decode(codec.encode(pl)) == pl
-
-    def test_invalid_b(self):
-        with pytest.raises(ValueError):
-            GolombCodec(b=0)
-
-    def test_golomb_beats_varbyte_on_small_uniform_gaps(self):
-        pl = [(i * 3, 1) for i in range(500)]
-        assert len(GolombCodec().encode(pl)) < len(VarByteCodec().encode(pl))
+        writer = self._oracle_bits(n)
+        data = writer.getvalue()
+        bits = format(int.from_bytes(data, "big"), f"0{8 * len(data)}b")
+        assert bits[: writer.bit_length] == _gamma_code(n)
+        assert OracleGammaCodec._read_gamma(BitReader(data)) == n
+        out: list[int] = []
+        assert _read_gammas(bits, 0, 8 * len(data), 1, out) == writer.bit_length
+        assert out == [n]

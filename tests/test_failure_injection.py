@@ -7,6 +7,7 @@ must surface as clear errors, never as silently wrong postings.
 from __future__ import annotations
 
 import os
+import re
 import zlib
 
 import pytest
@@ -27,8 +28,8 @@ from repro.postings.output import (
 from repro.postings.reader import PostingsReader
 from repro.robustness.errors import ChecksumError
 from repro.robustness.verify import verify_index
-from repro.util.bitio import BitWriter
 from tests import dictionary_oracle as oracle
+from tests.gamma_oracle import BitWriter, OracleGammaCodec
 from tests.postings_oracle import OraclePostingsList, run_of
 
 
@@ -87,7 +88,7 @@ _GOOD = _varints(2, 1, 1, 4, 2)  # [(0, 1), (4, 2)]
 def _gammas(*values: int) -> bytes:
     writer = BitWriter()
     for value in values:
-        EliasGammaCodec._write_gamma(writer, value)
+        OracleGammaCodec._write_gamma(writer, value)
     return writer.getvalue()
 
 
@@ -161,7 +162,7 @@ class TestCorruptRunFiles:
         # checksum (an attacker-grade consistency failure, not bit rot).
         path.write_bytes(_refresh_crc(data))
         reader = PostingsReader(str(tmp_path))
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="codec 'zzzbyte' .*rebuild the index"):
             reader.postings(1)
 
     def test_overlapping_run_doc_ranges_detected(self, tmp_path):
@@ -235,6 +236,24 @@ class TestMalformedRunsEverywhere:
             _write_crafted_run(str(src), *_tiled(*encoded), codec=codec)
             assert verify_index(str(src)).ok
             assert merge_index(str(src), str(tmp_path / f"{codec}.merged"))["postings"] == 3
+
+    @pytest.mark.parametrize("codec", ["golomb", "zstd"])
+    def test_unknown_codec_header_rejected(self, tmp_path, codec):
+        """A header naming a codec that does not exist (``golomb`` is a
+        deleted one) is a ``ValueError`` naming it, with a rebuild, from
+        the reader, the merge and ``verify`` alike -- not a ``KeyError``."""
+        src = tmp_path / "src"
+        src.mkdir()
+        _write_crafted_run(str(src), *_tiled(_GAMMA_GOOD), codec=codec)
+        match = f"codec '{codec}' .*rebuild the index"
+        for read in _READS.values():
+            with pytest.raises(ValueError, match=match):
+                read(PostingsReader(str(src)))
+        with pytest.raises(ValueError, match=match):
+            merge_index(str(src), str(tmp_path / "dst"))
+        issues = verify_index(str(src), keep_going=True).issues
+        assert [issue.check for issue in issues] == ["run-format"]
+        assert re.search(match, issues[0].detail)
 
     def test_gamma_rows_that_share_bytes(self, tmp_path):
         """The re-encoding merge used to decode the shared list twice,

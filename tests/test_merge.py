@@ -7,7 +7,7 @@ import os
 import pytest
 
 from repro.postings.compression import (
-    GolombCodec,
+    EliasGammaCodec,
     PostingsCodec,
     VarByteCodec,
     VarBytePositionalCodec,
@@ -60,7 +60,7 @@ class TestMerge:
     def test_merge_with_different_codec(self, tmp_path):
         src, dst = str(tmp_path / "src"), str(tmp_path / "dst")
         _build_multi_run(src)
-        merge_index(src, dst, codec=GolombCodec())
+        merge_index(src, dst, codec=EliasGammaCodec())
         assert PostingsReader(dst).postings(3) == PostingsReader(src).postings(3)
 
     def test_dictionary_copied(self, tmp_path):
@@ -80,14 +80,14 @@ class TestCodecPreservation:
     """Regression: ``codec=None`` must keep the run codec unconditionally.
 
     The old code only preserved the input codec when it was positional, so
-    a golomb-encoded index silently came out varbyte-encoded.
+    a γ-encoded index silently came out varbyte-encoded.
     """
 
     def test_non_positional_codec_preserved(self, tmp_path):
         src, dst = str(tmp_path / "src"), str(tmp_path / "dst")
-        _build_multi_run(src, codec=GolombCodec())
+        _build_multi_run(src, codec=EliasGammaCodec())
         merge_index(src, dst)
-        assert _merged_run_codec_name(dst) == "golomb"
+        assert _merged_run_codec_name(dst) == "gamma"
         assert PostingsReader(dst).postings(3) == PostingsReader(src).postings(3)
 
     def test_positional_codec_still_preserved(self, tmp_path):
@@ -106,14 +106,14 @@ class TestCodecPreservation:
 
     def test_explicit_codec_still_wins(self, tmp_path):
         src, dst = str(tmp_path / "src"), str(tmp_path / "dst")
-        _build_multi_run(src, codec=GolombCodec())
+        _build_multi_run(src, codec=EliasGammaCodec())
         merge_index(src, dst, codec=VarByteCodec())
         assert _merged_run_codec_name(dst) == "varbyte"
 
     def test_mixed_codec_run_set_rejected(self, tmp_path):
         src, dst = str(tmp_path / "src"), str(tmp_path / "dst")
         mapping = DocRangeMap()
-        for run_id, codec in enumerate([VarByteCodec(), GolombCodec()]):
+        for run_id, codec in enumerate([VarByteCodec(), EliasGammaCodec()]):
             writer = RunWriter(src, codec=codec)
             pl = OraclePostingsList()
             pl.add_posting(run_id * 10 + 1, 1)
