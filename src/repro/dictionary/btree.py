@@ -55,10 +55,19 @@ counters; *depth* is kept because Fig 11's throughput tracks its inverse.
 The indexers' walk (:func:`repro.indexers.base._walk`) calls
 :meth:`BTree._descend` only for trees that may split in a batch.  A
 root leaf that stays under ``max_keys`` is searched for a whole batch
-at once, on arrays, with the same probes; it gains its keys through the
-node's three lists and its strings and ids through
+at once, on arrays, with the same probes.  For that the forest keeps the
+keys of every one-node tree as three aligned columns (Table II's cache,
+string-pointer and postings-pointer arrays, one forest-wide): the cache
+as an integer, the string pointer and the term id, in ``(row << 32) |
+cache`` order, with a key count per row (:meth:`Forest.leaf_keys`).  The
+nodes stay the one storage — :meth:`BTree._descend`, :meth:`BTree.items`,
+the dictionary writer, the node codec and the log replay read only them
+— and the columns are an index over them: a row's are trusted only while
+they hold as many keys as the table counts terms, and a row behind is
+read again from its root.  The walk adds a batch's new keys to both
+(:meth:`Forest.add_leaf_keys`), and their strings and ids through
 :meth:`Forest._alloc_ids` and the heap's
-:meth:`~repro.dictionary.string_store.StringStore.extend`.
+:meth:`~repro.dictionary.string_store.StringStore.extend_packed`.
 """
 
 from __future__ import annotations
@@ -67,8 +76,9 @@ import struct
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 from operator import attrgetter
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -203,6 +213,10 @@ def _zero_tally() -> list[int]:
     return [0] * (_WIDTH - HEAP)
 
 
+_string_ptrs = attrgetter("string_ptrs")
+_postings_ptrs = attrgetter("postings_ptrs")
+
+
 class Forest:
     """The storage B-trees share: string heap, id cursor, log and table.
 
@@ -225,6 +239,14 @@ class Forest:
     def _clear_forest(self) -> None:
         self.store = StringStore()
         self.table = np.zeros((0, _WIDTH), dtype=np.int64)
+        #: The keys of one-node trees as three aligned columns, in
+        #: ``(row << 32) | cache`` order (:meth:`leaf_keys`): the 4-byte
+        #: cache as a big-endian integer, the string pointer and the term
+        #: id; and, per table row, how many keys the columns hold for it.
+        self.leaf_cache = np.zeros(0, dtype=np.uint32)
+        self.leaf_string_ptr = np.zeros(0, dtype=np.int64)
+        self.leaf_term = np.zeros(0, dtype=np.int64)
+        self._leaf_counts = np.zeros(0, dtype=np.int64)
         #: Row → the collection index its tree was planted for.
         self.collections: list[int] = []
         #: :data:`LOG_ENTRY` records of every insert that changed a tree, in
@@ -266,6 +288,8 @@ class Forest:
             table[:, NODES] = 1
             table[: len(self.table)] = self.table
             self.table = table
+            self._leaf_counts = np.append(
+                self._leaf_counts, np.zeros(capacity - len(self._leaf_counts), dtype=np.int64))
         self.collections += collections
         return start
 
@@ -286,6 +310,74 @@ class Forest:
         """Append one log entry per ``(collection, suffix)`` pair."""
         pack = LOG_ENTRY.pack
         self.mutation_log += b"".join([pack(c, len(s)) + s for c, s in zip(collections, suffixes)])
+
+    def leaf_keys(
+        self, rows: np.ndarray, roots: Callable[[np.ndarray], Iterable[BTreeNode]]
+    ) -> np.ndarray:
+        """Where the keys of the one-node trees at table ``rows`` begin in
+        the leaf columns (:attr:`leaf_cache`, :attr:`leaf_string_ptr`,
+        :attr:`leaf_term`); a row's keys follow in key order, as many as
+        its term count.
+
+        The columns index the trees' nodes, which stay the one storage.  A
+        row is current when the columns hold as many keys for it as the
+        table counts terms: the walk adds its keys to both
+        (:meth:`add_leaf_keys`), and a term added any other way —
+        :meth:`BTree.insert`, a replayed log — leaves the row behind.  A
+        row behind is read again from its root leaf, ``roots(picks)``
+        giving the roots of ``rows[picks]``.
+        """
+        behind = (self._leaf_counts[rows] != self.counts[rows, TERMS]).nonzero()[0]
+        if len(behind):
+            self._reindex(rows[behind], list(roots(behind)))
+        return self._leaf_starts()[rows]
+
+    def _leaf_starts(self) -> np.ndarray:
+        """Per table row, where its keys begin in the leaf columns."""
+        return self._leaf_counts.cumsum() - self._leaf_counts
+
+    def _reindex(self, rows: np.ndarray, roots: list[BTreeNode]) -> None:
+        """Replace the column keys of table ``rows`` with those of their
+        root leaves ``roots``."""
+        held = self._leaf_counts[rows]
+        stale = (self._leaf_starts()[rows] - (held.cumsum() - held)).repeat(held)
+        stale += np.arange(len(stale))
+        self._leaf_counts[rows] = 0
+        kept = [np.delete(column, stale) for column in self._leaf_columns()]
+        # The roots come in the caller's order; the columns' is by row.
+        order = rows.argsort(kind="stable").tolist()
+        rows, roots = rows[order], [roots[i] for i in order]
+        sizes = np.fromiter(map(len, map(_string_ptrs, roots)), dtype=np.int64, count=len(roots))
+        total = int(sizes.sum())
+        added = (
+            np.frombuffer(b"".join([b"".join(root.caches) for root in roots]), dtype=">u4"),
+            np.fromiter(chain.from_iterable(map(_string_ptrs, roots)), np.int64, total),
+            np.fromiter(chain.from_iterable(map(_postings_ptrs, roots)), np.int64, total),
+        )
+        at = self._leaf_starts()[rows].repeat(sizes)
+        self.leaf_cache, self.leaf_string_ptr, self.leaf_term = (
+            np.insert(column, at, new) for column, new in zip(kept, added))
+        self._leaf_counts[rows] = sizes
+
+    def add_leaf_keys(
+        self, rows: np.ndarray, at: np.ndarray, caches: np.ndarray, string_ptrs: np.ndarray,
+        terms: np.ndarray,
+    ) -> None:
+        """Add keys to the leaf columns: key ``i`` to the tree at table row
+        ``rows[i]``, after ``at[i]`` of the keys the columns hold for it,
+        with its cache (the 4 bytes as a big-endian integer), string
+        pointer and term id.  One row's keys come in key order."""
+        # Row r's last slot is row r + 1's first: by row, r's keys go first.
+        order = rows.argsort(kind="stable")
+        rows = rows[order]
+        where = self._leaf_starts()[rows] + at[order]
+        added = (caches[order], string_ptrs[order], terms[order])
+        self.leaf_cache, self.leaf_string_ptr, self.leaf_term = (
+            np.insert(column, where, new) for column, new in zip(self._leaf_columns(), added))
+        np.add.at(self._leaf_counts, rows, 1)
+
+    def _leaf_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.leaf_cache, self.leaf_string_ptr, self.leaf_term
 
 
 def _column(index: int, doc: str) -> property:
@@ -606,6 +698,15 @@ class BTree:
         recurse(self.root, 0, None, None)
         assert len(leaf_depths) <= 1, "leaves at differing depths"
         assert seen == [self.node_count, self.term_count, self.heap_bytes], "row out of step"
+        forest, root = self.forest, self.root
+        if root.leaf and forest._leaf_counts[self.row] == seen[1]:
+            # A current row's leaf columns are the root's three lists.
+            start = forest._leaf_starts()[self.row]
+            held = slice(start, start + seen[1])
+            assert forest.leaf_cache[held].tolist() == [
+                int.from_bytes(cache, "big") for cache in root.caches], "leaf column caches"
+            assert forest.leaf_string_ptr[held].tolist() == root.string_ptrs, "leaf column strings"
+            assert forest.leaf_term[held].tolist() == root.postings_ptrs, "leaf column terms"
 
     def __len__(self) -> int:
         """Number of distinct terms."""

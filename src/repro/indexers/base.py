@@ -64,10 +64,6 @@ _INSERTS = list(BTreeStats.__dataclass_fields__).index("inserts")
 #: A span's record: its tree's heap growth, then the ten counters.
 _RECORD = 1 + _NCOUNTERS
 _row = attrgetter("row")
-_root = attrgetter("root")
-_caches = attrgetter("caches")
-_string_ptrs = attrgetter("string_ptrs")
-_postings_ptrs = attrgetter("postings_ptrs")
 
 
 def _added_in_order(values: np.ndarray) -> float:
@@ -199,7 +195,7 @@ def _walk(
     terms[list(entry_term)] = list(entry_term.values())
     if leaves is not None:
         records[leaves.fast] = leaves.records
-        leaves.write(runs, terms)
+        leaves.write(forest, runs, terms)
     return terms, records, mutated
 
 
@@ -268,13 +264,6 @@ def _strings(rows: np.ndarray, width: int) -> np.ndarray:
     return matrix.view(f"S{width}").ravel()
 
 
-def _picks(lists: list[list[int]], which: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """Slot ``slots[i]`` of ``lists[which[i]]``."""
-    return np.fromiter(
-        map(list.__getitem__, map(lists.__getitem__, which.tolist()), slots.tolist()),
-        dtype=np.int64, count=len(slots))
-
-
 @dataclass
 class _LeafSpans:
     """The one-leaf spans of a walk, descended: what :func:`_walk` needs
@@ -305,15 +294,22 @@ class _LeafSpans:
     adding: np.ndarray
     adding_keys: np.ndarray
     #: The new keys in leaf order (spans ascend, suffixes ascend): their
-    #: numbers, leaves, slots and caches.
+    #: numbers, leaves, the leaves' table rows, how many held keys and how
+    #: many keys in all sort before each, and their caches (the 4 bytes as
+    #: big-endian integers).
     added: np.ndarray
     leaves: list[BTreeNode]
+    rows: np.ndarray
+    held_at: np.ndarray
     slots: list[int]
-    caches: list[bytes]
+    caches: np.ndarray
 
-    def write(self, runs: list[tuple[int, int, int]], entry_term: np.ndarray) -> None:
+    def write(
+        self, forest: Forest, runs: list[tuple[int, int, int]], entry_term: np.ndarray
+    ) -> None:
         """Number the new terms as :func:`_walk` allocated them (``runs``),
-        insert them into their leaves and set the spans' entries' ids."""
+        insert them into their leaves and the forest's leaf columns, and
+        set the spans' entries' ids."""
         firsts, term_ids, pointers = np.array(runs, dtype=np.int64).reshape(-1, 3).T
         per_run = np.diff(np.append(firsts, len(self.sizes)))
         heap_at = np.cumsum(self.sizes) - self.sizes
@@ -323,14 +319,16 @@ class _LeafSpans:
         new_ptr[self.creates] = heap_at + np.repeat(pointers - heap_at[firsts], per_run)
         entry_term[self.hits] = self.hit_terms
         entry_term[self.adding] = new_term[self.adding_keys]
+        string_ptrs, term_ids = new_ptr[self.added], new_term[self.added]
         # In leaf order, each new key's slot already holds every smaller key.
         for leaf, slot, cache, string_ptr, term_id in zip(
-            self.leaves, self.slots, self.caches, new_ptr[self.added].tolist(),
-            new_term[self.added].tolist(),
+            self.leaves, self.slots, self.caches.view(f"V{_CACHE_BYTES}").tolist(),
+            string_ptrs.tolist(), term_ids.tolist(),
         ):
             leaf.caches.insert(slot, cache)
             leaf.string_ptrs.insert(slot, string_ptr)
             leaf.postings_ptrs.insert(slot, term_id)
+        forest.add_leaf_keys(self.rows, self.held_at, self.caches, string_ptrs, term_ids)
 
 
 def _leaf_spans(
@@ -348,7 +346,11 @@ def _leaf_spans(
     it ties (the held keys are in that order already: spans ascend and a
     leaf's keys ascend), and a byte-string compare with each of those
     finds or places it (term bytes hold no NUL, so zero-padded
-    fixed-width order is byte order).  The distinct new suffixes are
+    fixed-width order is byte order).  The held keys are read from the
+    forest's leaf columns
+    (:meth:`~repro.dictionary.btree.Forest.leaf_keys`) by index: every
+    cache of the spans' leaves, and a string pointer and term id only
+    where a suffix ties or hits that key.  The distinct new suffixes are
     sorted and numbered, and each entry also counts the new keys of its
     span that sort before it and before / up to its cache.  The new keys
     present before an occurrence are then one ``uint64`` bit per new key:
@@ -357,9 +359,8 @@ def _leaf_spans(
     the leaf's key count, the occurrence's rank and its cache's tie
     range, and :func:`_replay` its probes.  A span that gains no key
     holds the same keys throughout, so there an entry's probes are
-    counted once and weighted by its occurrences.  Of a held key only
-    the cache is read, and its string pointer and term id where a suffix
-    ties or hits it.  ``None`` when no span qualifies.
+    counted once and weighted by its occurrences.  ``None`` when no span
+    qualifies.
     """
     sizes = ends - offsets
     # A tree of one node is a leaf, and its terms are its keys.
@@ -391,12 +392,19 @@ def _leaf_spans(
     width = -(-max(strings.itemsize, _CACHE_BYTES) // 4) * 4
     fresh_bytes = strings.astype(f"S{width}").view(np.uint8).reshape(len(used), width)
     fresh_span = entry_span[used]
-    fresh_sc = (fresh_span.astype(np.uint64) << np.uint64(32)) | fresh_bytes.view(">u4")[:, 0]
-    roots = list(map(_root, map(trees.__getitem__, spans.tolist())))
-    held = counts[rows[spans], TERMS]
+    fresh_cache = fresh_bytes.view(">u4")[:, 0]
+    fresh_sc = (fresh_span.astype(np.uint64) << np.uint64(32)) | fresh_cache
+    # The held keys, span by span: their places in the forest's leaf
+    # columns (a root is read only where its row lags its tree).
+    span_rows = rows[spans]
+    starts = forest.leaf_keys(
+        span_rows, lambda picks: [trees[span].root for span in spans[picks].tolist()])
+    held = counts[span_rows, TERMS]
     held_start = held.cumsum() - held
-    held_sc = (np.arange(len(roots)).repeat(held).astype(np.uint64) << np.uint64(32)) | (
-        np.frombuffer(b"".join(map(b"".join, map(_caches, roots))), dtype=">u4"))
+    held_index = (starts - held_start).repeat(held)
+    held_index += np.arange(len(held_index))
+    held_sc = (np.arange(len(spans), dtype=np.uint64).repeat(held) << np.uint64(32)) | (
+        forest.leaf_cache[held_index])
 
     # A used suffix lies among the held keys of its cache: compared in
     # full with each of those, it is found or placed.  A suffix under four
@@ -408,8 +416,7 @@ def _leaf_spans(
     pair = np.arange(len(used)).repeat(compared)
     tied = np.arange(len(pair)) + (lo - (compared.cumsum() - compared)).repeat(compared)
     base = held_start[fresh_span]
-    held_bytes = forest.store.padded(
-        _picks(list(map(_string_ptrs, roots)), fresh_span[pair], tied - base[pair]))
+    held_bytes = forest.store.padded(forest.leaf_string_ptr[held_index[tied]])
     width = max(width, held_bytes.shape[1])
     held_strings = _strings(held_bytes, width)
     fresh_strings = _strings(fresh_bytes, width)
@@ -434,7 +441,7 @@ def _leaf_spans(
     key_new = np.full(len(used), nkeys_new)  # past the last: a held key
     key_new[order] = first.cumsum() - 1
     new_span = fresh_span[new_entry]
-    new_count = np.bincount(new_span, minlength=len(roots))
+    new_count = np.bincount(new_span, minlength=len(spans))
     new_start = new_count.cumsum() - new_count
     new_rank = np.arange(nkeys_new) - new_start[new_span]
     # A leaf that would reach ``max_keys`` may split: the walk descends it.
@@ -452,7 +459,7 @@ def _leaf_spans(
     before_new[order] = new_rank[key_new[order]]
     # What placing the entries took is not needed past here: dropped, the
     # walk's working set stays within a batch's columns.
-    del fresh, strings, fresh_sc, held_sc, compared, pair, tied, base, held_bytes
+    del fresh, strings, fresh_sc, held_sc, held_index, compared, pair, tied, base, held_bytes
     del held_strings, fresh_strings, absent, order, first, new_sc, new_base, span_at
 
     # A fitting span that gains no key holds the same keys throughout: an
@@ -466,9 +473,9 @@ def _leaf_spans(
         held[fresh_span], at, found, lo, hi, fresh_len, cached, steady)
     weight = np.bincount(row, minlength=len(used)) * steady
     # Per candidate span: inserts, heap bytes, probes, fetches, shifts.
-    totals = np.zeros((5, len(roots)), dtype=np.int64)
-    totals[2] = np.bincount(fresh_span, weight * comparisons, len(roots))
-    totals[3] = np.bincount(fresh_span, weight * fetches, len(roots))
+    totals = np.zeros((5, len(spans)), dtype=np.int64)
+    totals[2] = np.bincount(fresh_span, weight * comparisons, len(spans))
+    totals[3] = np.bincount(fresh_span, weight * fetches, len(spans))
 
     # The occurrences of the spans that gain keys, in walk order, each
     # with its entry's row.
@@ -506,11 +513,11 @@ def _leaf_spans(
     nkeys = table[:, 6] + np.bitwise_count(present)
     comparisons, fetches = _probes(nkeys, slot, ~inserts, below, above, size, cached)
     inserted = token_span[inserts]
-    totals[0] = np.bincount(inserted, minlength=len(roots))
-    totals[1] = np.bincount(inserted, size[inserts] + 1, len(roots))
-    totals[2] += np.bincount(token_span, comparisons, len(roots)).astype(np.int64)
-    totals[3] += np.bincount(token_span, fetches, len(roots)).astype(np.int64)
-    totals[4] = np.bincount(inserted, (nkeys - slot)[inserts], len(roots))
+    totals[0] = np.bincount(inserted, minlength=len(spans))
+    totals[1] = np.bincount(inserted, size[inserts] + 1, len(spans))
+    totals[2] += np.bincount(token_span, comparisons, len(spans)).astype(np.int64)
+    totals[3] += np.bincount(token_span, fetches, len(spans)).astype(np.int64)
+    totals[4] = np.bincount(inserted, (nkeys - slot)[inserts], len(spans))
     new_terms, heap, probes, fetched, shifts = totals[:, fits]
     visits = span_size[fits]
     zero = np.zeros_like(new_terms)
@@ -542,14 +549,15 @@ def _leaf_spans(
         packed=packed,
         packed_at=[0, *records_size.cumsum().tolist()],
         hits=used[hits],
-        hit_terms=_picks(list(map(_postings_ptrs, roots)), fresh_span[hits], at[hits]),
+        hit_terms=forest.leaf_term[starts[fresh_span[hits]] + at[hits]],
         adding=used[adding],
         adding_keys=key_new[adding],
         added=added,
-        leaves=list(map(roots.__getitem__, new_span[added].tolist())),
+        leaves=[trees[span].root for span in spans[new_span[added]].tolist()],
+        rows=span_rows[new_span[added]],
+        held_at=at[new_entry[added]],
         slots=(at[new_entry] + new_rank)[added].tolist(),
-        caches=np.ascontiguousarray(fresh_bytes[new_entry[added], :_CACHE_BYTES])
-        .view(f"V{_CACHE_BYTES}").ravel().tolist(),
+        caches=fresh_cache[new_entry[added]],
     )
 
 

@@ -178,13 +178,13 @@ class Parser:
         misses0 = cache.misses
 
         resolve = cache.__getitem__
-        stream = array("i")
+        stream: list[int] = []
         forms_per_doc: list[int] = []
         for text in texts:
             forms = tokenizer.surface_forms(text)
             forms_per_doc.append(len(forms))
-            stream.extend(map(resolve, forms))
-        resolved = np.frombuffer(stream, dtype=np.int32)
+            stream += map(resolve, forms)
+        resolved = np.fromiter(stream, dtype=np.int32, count=len(stream))
         emitted = resolved >= 0
         docs = np.repeat(np.arange(len(texts), dtype=np.int32), forms_per_doc)[emitted]
 

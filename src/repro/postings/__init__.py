@@ -25,9 +25,7 @@ from repro.postings.compression import (
     VarBytePositionalCodec,
     decode_uvarint,
     encode_uvarint,
-    from_gaps,
     get_codec,
-    to_gaps,
 )
 from repro.postings.doctable import DocTable, DocTableRow
 from repro.postings.lists import PostingsAccumulator, PostingsList, RunPostings
@@ -42,8 +40,6 @@ __all__ = [
     "EliasGammaCodec",
     "CODECS",
     "get_codec",
-    "to_gaps",
-    "from_gaps",
     "encode_uvarint",
     "decode_uvarint",
     "PostingsList",

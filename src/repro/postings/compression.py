@@ -32,8 +32,6 @@ __all__ = [
     "VarBytePositionalCodec",
     "CODECS",
     "get_codec",
-    "to_gaps",
-    "from_gaps",
     "encode_uvarint",
     "decode_uvarint",
     "encode_uvarints",
@@ -179,37 +177,6 @@ def skip_uvarints(data: bytes, pos: int, count: int) -> int:
         count -= ends.size
         pos += block.size
     return pos
-
-
-# ---------------------------------------------------------------------- #
-# Gap transform
-# ---------------------------------------------------------------------- #
-
-
-def to_gaps(doc_ids: Sequence[int]) -> list[int]:
-    """Sorted docIDs → gaps, all ≥ 1 (first entry stores ``docID + 1``)."""
-    gaps: list[int] = []
-    prev = -1
-    for doc_id in doc_ids:
-        if doc_id <= prev:
-            raise ValueError(
-                f"doc ids must be strictly increasing: {doc_id} after {prev}"
-            )
-        gaps.append(doc_id - prev)
-        prev = doc_id
-    return gaps
-
-
-def from_gaps(gaps: Sequence[int]) -> list[int]:
-    """Inverse of :func:`to_gaps`."""
-    doc_ids: list[int] = []
-    prev = -1
-    for gap in gaps:
-        if gap < 1:
-            raise ValueError(f"gaps must be >= 1, got {gap}")
-        prev += gap
-        doc_ids.append(prev)
-    return doc_ids
 
 
 # ---------------------------------------------------------------------- #

@@ -14,6 +14,14 @@ of one suffix, leaves that reach ``max_keys`` inside a span (degree 2, 3
 and the production 16), roots that are no longer leaves, the cache-off
 ablation, and document-order calls where one tree recurs across
 one-token spans.
+
+The walk reads a one-leaf tree's held keys from the forest's leaf
+columns, which trust a row only while they hold as many keys as its tree
+has terms.  So between calls the draws also change trees behind the
+walk's back: a direct ``BTree.insert`` into a tree the next call walks,
+enough keys to split a tree, and a ``DictionaryShard.rebuild`` from the
+mutation log; and after every call each current row's columns must equal
+its leaf's three lists (``BTree.check_invariants``).
 """
 
 from __future__ import annotations
@@ -66,8 +74,39 @@ def _walks(draw):
             tokens = draw(st.lists(st.tuples(collection, suffix), min_size=1, max_size=30))
             spans = [(cidx, [s]) for cidx, s in tokens]
         twins = draw(st.lists(st.booleans(), min_size=1, max_size=50))
-        calls.append((spans, twins, grouped))
+        walked = st.sampled_from([cidx for cidx, _ in spans])
+        between = draw(st.one_of(
+            st.just(("none", [])),
+            st.tuples(
+                st.just("insert"), st.lists(st.tuples(walked, suffix), min_size=1, max_size=4)),
+            st.tuples(st.just("split"), walked.map(lambda cidx: [cidx])),
+            st.just(("rebuild", [])),
+        ))
+        calls.append((spans, twins, grouped, between))
     return degree, cached, grown, calls
+
+
+def _change_behind_the_walk(
+    shard: DictionaryShard, journal: list[bytes], between, call: int
+) -> None:
+    """What a draw does to a forest between walk calls: no change, direct
+    inserts, ``2 * degree`` new keys into one tree (a split), or a rebuild
+    from the mutation logs, as a resume does: ``journal`` takes the log
+    and the forest is replayed from every log taken."""
+    kind, args = between
+    if kind == "insert":
+        for cidx, suffix in args:
+            shard.tree_for(cidx).insert(suffix)
+    elif kind == "split":
+        (cidx,) = args
+        tree = shard.tree_for(cidx)
+        nodes = tree.node_count
+        for i in range(2 * shard.degree):
+            tree.insert(b"split%d.%d" % (call, i))
+        assert tree.node_count > nodes
+    elif kind == "rebuild":
+        journal.append(shard.take_mutation_log())
+        shard.rebuild(journal)
 
 
 class _Call:
@@ -152,7 +191,11 @@ def _assert_same_forest(new: DictionaryShard, old: DictionaryShard) -> None:
 def test_batched_walk_equals_the_token_walk(walks):
     degree, cached, grown, calls = walks
     new, old = _shard(degree, cached, grown), _shard(degree, cached, grown)
-    for spans, twins, grouped in calls:
+    journals: tuple[list[bytes], list[bytes]] = ([], [])
+    for number, (spans, twins, grouped, between) in enumerate(calls):
+        _change_behind_the_walk(new, journals[0], between, number)
+        _change_behind_the_walk(old, journals[1], between, number)
+        _assert_same_forest(new, old)
         call = _Call(spans, twins, grouped)
         terms, records, mutated = call.walk(new)
         expected = call.oracle(old)

@@ -19,10 +19,8 @@ from repro.postings.compression import (
     decode_uvarints,
     encode_uvarint,
     encode_uvarints,
-    from_gaps,
     get_codec,
     skip_uvarints,
-    to_gaps,
 )
 from repro.postings.compression import _gamma_code, _read_gammas
 from tests.gamma_oracle import BitReader, BitWriter, OracleGammaCodec
@@ -195,25 +193,6 @@ class TestEncodeKernel:
     def test_not_an_int64_rejected(self, values):
         with pytest.raises(TypeError):
             encode_uvarints(values)
-
-
-class TestGaps:
-    def test_round_trip(self):
-        ids = [0, 1, 5, 100]
-        assert from_gaps(to_gaps(ids)) == ids
-
-    def test_first_gap_is_doc_plus_one(self):
-        assert to_gaps([7]) == [8]
-
-    def test_unsorted_rejected(self):
-        with pytest.raises(ValueError):
-            to_gaps([5, 5])
-        with pytest.raises(ValueError):
-            to_gaps([5, 3])
-
-    def test_bad_gap_rejected(self):
-        with pytest.raises(ValueError):
-            from_gaps([0])
 
 
 class TestCodecs:
