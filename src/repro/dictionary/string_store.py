@@ -58,15 +58,18 @@ class StringStore:
 
     def padded(self, ptrs: np.ndarray) -> np.ndarray:
         """The payloads at ``ptrs``, a row each of a ``uint8`` matrix as
-        wide as the longest, zero-padded."""
+        wide as the longest, zero-padded.
+
+        Gathers only those bytes (clipped at the heap's end, zeroed past
+        each length) into a new array: no view of the heap outlives the
+        call, so the heap can still grow.
+        """
         heap = np.frombuffer(self._heap, dtype=np.uint8)
         lengths = heap[ptrs]
-        width = int(lengths.max()) if len(ptrs) else 0
-        # The length byte and ``width`` bytes at each pointer, one item each.
-        tail = np.concatenate((heap, np.zeros(width + 1, dtype=np.uint8)))
-        items = np.ndarray((len(heap),), dtype=f"V{width + 1}", buffer=tail, strides=(1,))
-        rows = items[ptrs].view(np.uint8).reshape(len(ptrs), width + 1)[:, 1:]
-        return rows * (np.arange(width) < lengths[:, None])
+        cols = np.arange(int(lengths.max()) if len(lengths) else 0)
+        rows = heap[np.minimum(np.asarray(ptrs)[:, None] + 1 + cols, len(heap) - 1)]
+        rows[cols >= lengths[:, None]] = 0
+        return rows
 
     def get(self, ptr: int) -> bytes:
         """Fetch the payload bytes at ``ptr``."""

@@ -130,6 +130,44 @@ class TrieTable:
             return _new(TrieSplit, (self._tail_base + rank, term[h:], _FULL_PREFIX))
         return _new(TrieSplit, (0, term, _SPECIAL))
 
+    def split_columns(
+        self, letters: np.ndarray, lengths: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`split` of many terms at once: their collection indices
+        and how many leading bytes each strips.
+
+        Row ``i`` of the ``uint8`` matrix ``letters`` begins with term
+        ``i``'s ``lengths[i]`` bytes (ASCII, or UTF-8: a non-ASCII
+        character is a special one either way, and only a prefix of ASCII
+        letters or digits is stripped).  The stored suffix is
+        ``letters[i, cut[i]:lengths[i]]``.
+        """
+        lengths = np.asarray(lengths, dtype=np.int64)
+        n = len(lengths)
+        if not n:
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        if int(lengths.min()) <= 0:
+            raise ValueError("cannot index an empty term")
+        h = self.height
+        live = np.arange(letters.shape[1]) < lengths[:, None]
+        digits = (letters >= ord("0")) & (letters <= ord("9"))
+        lower = (letters >= _ORD_A) & (letters <= ord("z"))
+        first = letters[:, 0].astype(np.int64)
+        number = digits[:, 0] & (digits | ~live).all(axis=1)
+        word = lower[:, 0]
+        full = word & (lengths > h) & lower[:, :h].all(axis=1)
+        index = np.zeros(n, dtype=np.int64)
+        cut = np.zeros(n, dtype=np.int64)
+        index[number] = first[number] - _DIGIT_BASE
+        index[word] = first[word] - _LETTER_BASE
+        cut[number | word] = 1
+        if full.any():
+            # The tail category ranks the first ``h`` letters base 26.
+            heads = letters[full, :h].astype(np.int64) - _ORD_A
+            index[full] = self._tail_base + heads @ (26 ** np.arange(h - 1, -1, -1))
+            cut[full] = h
+        return index, cut
+
     def trie_index(self, term: str) -> int:
         """Collection index only (the hot path used by the tokenizer)."""
         return self.split(term).index

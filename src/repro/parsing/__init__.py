@@ -10,7 +10,8 @@ Each parser executes five steps over one file block:
    scan, which is why the paper's Step-5 regrouping costs ~5%.
 3. **Porter stemming** — :mod:`repro.parsing.porter`, the full 1980
    algorithm, run once per distinct form: Zipf-distributed tokens repeat
-   heavily, and the parser's token cache memoizes every form.
+   heavily, and the parser's token cache memoizes every form, stemming the
+   new forms of a file together as columns.
 4. **Stop-word removal** — :mod:`repro.parsing.stopwords`.
 5. **Regrouping** — :mod:`repro.parsing.regroup` rearranges terms so that
    terms with the same trie index are contiguous and strips the prefix the

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
 from repro.dictionary.trie import TrieTable
 from repro.obs import runtime as obs
 from repro.parsing.docio import DocTableEntry, load_collection_file
-from repro.parsing.porter import porter_stem
+from repro.parsing.porter import porter_stem, stem_columns
 from repro.parsing.regroup import ParsedBatch, collection_ranks, regroup, tiled_spans
 from repro.parsing.stopwords import StopWordFilter
 from repro.parsing.tokenizer import Tokenizer
@@ -70,30 +71,36 @@ class ParsedFile:
 
 
 _STOP_WORD, _TOO_LONG = -1, -2  # token-cache sentinels
+#: Queued form ``q`` holds entry id ``_QUEUED - q`` until the cache settles.
+_QUEUED = -3
 
 
 class _TokenCache(dict):  # type: ignore[type-arg]
     """Surface form → entry id, resolved the first time a form is seen.
 
-    A new lower-case form is checked against the byte limit, stemmed,
-    checked against the stop list and trie-split in ``__missing__``'s one
-    frame; a new cased form looks up its lower case (one more frame when
-    that is new too).  So each distinct lower-case form is stemmed once:
-    ``misses`` (the parser's ``stem_cache_misses``) counts the distinct
-    forms under the limit, in whatever order they come; only the entry
-    numbering follows first-seen order.  An entry id indexes the parser's
-    ``(collection, suffix)`` tables; the sentinels emit nothing.
+    A new lower-case form is checked against the byte limit and queued in
+    ``__missing__``'s one frame, under a provisional id below the
+    sentinels; a new cased form keys its lower case's entry (one more frame
+    when that is new too).  :meth:`settle` then stems, stop-checks and
+    trie-splits the whole queue at once.  So each distinct lower-case form
+    is stemmed once: ``misses`` (the parser's ``stem_cache_misses``) counts
+    the distinct forms under the limit, in whatever order they come; the
+    entries are numbered in first-seen order.  An entry id indexes the
+    parser's ``(collection, suffix)`` tables; the sentinels emit nothing.
     """
 
     def __init__(self, parser: "Parser") -> None:
         super().__init__()
         self.misses = 0
-        # Bound once: the tail runs for every new form of a build.
         self._limit = parser.tokenizer.max_token_bytes
-        self._stop_words = StopWordFilter().stemmed
-        self._split = parser.trie.split
-        self._append_cidx = parser._entry_cidx.append
+        self._stop_words = StopWordFilter()
+        self._trie = parser.trie
+        self._entry_cidx = parser._entry_cidx
         self._suffixes = parser._entry_suffix
+        #: Lower-case forms waiting for :meth:`settle`, in first-seen order,
+        #: and the cased forms keyed to one of them.
+        self._queue: list[str] = []
+        self._aliases: list[str] = []
 
     def __missing__(self, form: str) -> int:
         token = form.lower()
@@ -102,23 +109,73 @@ class _TokenCache(dict):  # type: ignore[type-arg]
             # keys itself: a fresh ``.lower()`` copy would store the
             # vocabulary twice.
             entry = self[form] = self[token]
+            if entry <= _QUEUED:
+                self._aliases.append(form)
             return entry
         limit = self._limit
         if len(form) * 4 > limit and len(form.encode("utf-8")) > limit:
             entry = _TOO_LONG
         else:
             self.misses += 1
-            term = porter_stem(form)
-            if not term or term in self._stop_words:
-                entry = _STOP_WORD
-            else:
-                index, suffix, _ = self._split(term)
-                self._append_cidx(index)
-                suffixes = self._suffixes
-                suffixes.append(suffix.encode("utf-8"))
-                entry = len(suffixes) - 1
+            queue = self._queue
+            entry = _QUEUED - len(queue)
+            queue.append(form)
         self[form] = entry
         return entry
+
+    def settle(self) -> np.ndarray:
+        """Steps 3 and 4 and the trie split for every queued form: give
+        each its entry id (or the stop-word sentinel), here and in the
+        parser's tables, and return those ids in queue order.
+
+        ASCII forms go through :func:`stem_columns`,
+        :meth:`StopWordFilter.stop_columns` and :meth:`TrieTable.split_columns`
+        together; any other form through :func:`porter_stem` and
+        :meth:`TrieTable.split`.
+        """
+        forms = self._queue
+        n = len(forms)
+        if not n:
+            return np.zeros(0, dtype=np.int32)
+        ascii_ = np.fromiter(map(str.isascii, forms), dtype=bool, count=n)
+        stopped = np.ones(n, dtype=bool)
+        index = np.zeros(n, dtype=np.int64)
+        suffix = np.empty(n, dtype=object)
+
+        rows = np.flatnonzero(ascii_)
+        stems, lengths = stem_columns(list(compress(forms, ascii_)))
+        stop = (lengths == 0) | self._stop_words.stop_columns(stems)
+        stopped[rows] = stop
+        keep, stems, lengths = rows[~stop], stems[~stop], lengths[~stop]
+        index[keep], cut = self._trie.split_columns(stems, lengths)
+        width = stems.shape[1]
+        for strip in {0, 1, self._trie.height}:
+            # The suffixes that strip as many bytes, as one fixed-width
+            # column: ``tolist`` drops the zeros after each.
+            picks = cut == strip
+            if picks.any():
+                suffix[keep[picks]] = (
+                    stems[picks, strip:].view(f"S{width - strip}").ravel().tolist()
+                    if strip < width else b"")
+        for row in np.flatnonzero(~ascii_).tolist():
+            term = porter_stem(forms[row])
+            if term and not self._stop_words.is_stop(term):
+                index[row], suffix_text, _ = self._trie.split(term)
+                suffix[row] = suffix_text.encode("utf-8")
+                stopped[row] = False
+
+        entries = np.full(n, _STOP_WORD, dtype=np.int32)
+        first = len(self._suffixes)
+        kept = ~stopped
+        entries[kept] = np.arange(first, first + np.count_nonzero(kept), dtype=np.int32)
+        self._entry_cidx.extend(index[kept].tolist())
+        self._suffixes.extend(suffix[kept].tolist())
+        self.update(zip(forms, entries.tolist()))
+        aliases = self._aliases
+        queued = np.fromiter(map(self.__getitem__, aliases), dtype=np.int64, count=len(aliases))
+        self.update(zip(aliases, entries[_QUEUED - queued].tolist()))
+        self._queue, self._aliases = [], []
+        return entries
 
 
 class Parser:
@@ -180,11 +237,18 @@ class Parser:
         resolve = cache.__getitem__
         stream: list[int] = []
         forms_per_doc: list[int] = []
-        for text in texts:
-            forms = tokenizer.surface_forms(text)
-            forms_per_doc.append(len(forms))
-            stream += map(resolve, forms)
+        try:
+            for text in texts:
+                forms = tokenizer.surface_forms(text)
+                forms_per_doc.append(len(forms))
+                stream += map(resolve, forms)
+        finally:
+            # Settled even when a document raises: no queued id outlives
+            # the call.
+            entries = cache.settle()
         resolved = np.fromiter(stream, dtype=np.int32, count=len(stream))
+        queued = resolved <= _QUEUED
+        resolved[queued] = entries[_QUEUED - resolved[queued]]
         emitted = resolved >= 0
         docs = np.repeat(np.arange(len(texts), dtype=np.int32), forms_per_doc)[emitted]
 

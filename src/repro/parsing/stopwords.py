@@ -10,6 +10,8 @@ constructor precomputes.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.parsing.porter import PorterStemmer
 
 __all__ = ["STOP_WORDS", "StopWordFilter"]
@@ -35,6 +37,14 @@ STOP_WORDS: frozenset[str] = frozenset(
 )
 
 
+def _heads(rows: np.ndarray) -> np.ndarray:
+    """The first 8 bytes of each row of a ``uint8`` matrix, zero-padded,
+    as a big-endian integer."""
+    heads = np.zeros((len(rows), 8), dtype=np.uint8)
+    heads[:, : rows.shape[1]] = rows[:, :8]
+    return heads.view(">u8").ravel().astype(np.uint64)
+
+
 class StopWordFilter:
     """Membership test against the stemmed stop-word set.
 
@@ -50,12 +60,36 @@ class StopWordFilter:
             for fragment in word.replace("'", " ").split():
                 stemmed.add(fragment)
                 stemmed.add(stemmer.stem(fragment))
-        #: The stemmed stop words (the parser tests membership inline).
+        #: The stemmed stop words.
         self.stemmed = frozenset(stemmed)
+        #: The same as bytes, and their first 8 bytes, zero-padded, as
+        #: sorted big-endian integers (for :meth:`stop_columns`).
+        self._bytes = frozenset(word.encode("utf-8") for word in stemmed)
+        self._heads = np.array(
+            sorted({int.from_bytes(word[:8].ljust(8, b"\0"), "big") for word in self._bytes}),
+            dtype=np.uint64)
 
     def is_stop(self, stemmed_token: str) -> bool:
         """True if a stemmed token should be dropped."""
         return stemmed_token in self.stemmed
+
+    def stop_columns(self, stems: np.ndarray) -> np.ndarray:
+        """:meth:`is_stop` of many stems at once: the rows of a ``uint8``
+        matrix, each a stem then zeros (a stem holds no NUL).
+
+        A stem whose first 8 bytes begin no stop word is none; the few
+        others are looked up whole.
+        """
+        heads = _heads(stems)
+        if not len(self._heads):
+            return np.zeros(len(heads), dtype=bool)
+        at = np.minimum(self._heads.searchsorted(heads), len(self._heads) - 1)
+        stop = self._heads[at] == heads
+        maybe = np.flatnonzero(stop)
+        if len(maybe):
+            words = stems[maybe].view(f"S{stems.shape[1]}").ravel().tolist()
+            stop[maybe] = np.fromiter(map(self._bytes.__contains__, words), bool, len(maybe))
+        return stop
 
     def __contains__(self, stemmed_token: str) -> bool:
         return self.is_stop(stemmed_token)

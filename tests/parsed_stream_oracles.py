@@ -12,6 +12,12 @@ is :class:`ParentParser`, also verbatim.  Step 5 is now linear in the
 tokens (dense renumbering, radix sorts, an inline miss path); its batches
 must equal the old parser's column for column.
 
+The parser whose ``_TokenCache`` stemmed, stop-checked and trie-split each
+new form inside ``__missing__`` is :class:`InlineMissParser`, its cache and
+``parse_texts`` verbatim: the parser now queues new forms and settles them
+as columns once per call, and must leave the same batches, metrics, entry
+tables and cache.
+
 The builders turn the old literal shapes into columnar batches for the
 codec and indexer tests.
 """
@@ -28,7 +34,7 @@ import numpy as np
 from repro.dictionary.trie import TrieTable
 from repro.obs import runtime as obs
 from repro.parsing.parser import _STOP_WORD, _TOO_LONG, ParseMetrics, Parser
-from repro.parsing.porter import PorterStemmer
+from repro.parsing.porter import PorterStemmer, porter_stem
 from repro.parsing.regroup import ParsedBatch, tiled_spans
 from repro.parsing.stopwords import StopWordFilter
 from repro.parsing.tokenizer import strip_markup
@@ -289,6 +295,119 @@ class ParentParser(Parser):
             batch.spans = None
             batch.documents = np.zeros(k, dtype=np.int64)
         batch.ids, batch.docs = ids, docs
+
+
+# --------------------------------------------------------------------------- #
+# The inline miss path, verbatim (e0f1aa4)
+# --------------------------------------------------------------------------- #
+
+
+class InlineTokenCache(dict):  # type: ignore[type-arg]
+    """Surface form → entry id, resolved the first time a form is seen.
+
+    A new lower-case form is checked against the byte limit, stemmed,
+    checked against the stop list and trie-split in ``__missing__``'s one
+    frame; a new cased form looks up its lower case (one more frame when
+    that is new too).  So each distinct lower-case form is stemmed once:
+    ``misses`` (the parser's ``stem_cache_misses``) counts the distinct
+    forms under the limit, in whatever order they come; only the entry
+    numbering follows first-seen order.  An entry id indexes the parser's
+    ``(collection, suffix)`` tables; the sentinels emit nothing.
+    """
+
+    def __init__(self, parser: "Parser") -> None:
+        super().__init__()
+        self.misses = 0
+        # Bound once: the tail runs for every new form of a build.
+        self._limit = parser.tokenizer.max_token_bytes
+        self._stop_words = StopWordFilter().stemmed
+        self._split = parser.trie.split
+        self._append_cidx = parser._entry_cidx.append
+        self._suffixes = parser._entry_suffix
+
+    def __missing__(self, form: str) -> int:
+        token = form.lower()
+        if token != form:
+            # A cased form keys its lower case's entry.  A lower-case form
+            # keys itself: a fresh ``.lower()`` copy would store the
+            # vocabulary twice.
+            entry = self[form] = self[token]
+            return entry
+        limit = self._limit
+        if len(form) * 4 > limit and len(form.encode("utf-8")) > limit:
+            entry = _TOO_LONG
+        else:
+            self.misses += 1
+            term = porter_stem(form)
+            if not term or term in self._stop_words:
+                entry = _STOP_WORD
+            else:
+                index, suffix, _ = self._split(term)
+                self._append_cidx(index)
+                suffixes = self._suffixes
+                suffixes.append(suffix.encode("utf-8"))
+                entry = len(suffixes) - 1
+        self[form] = entry
+        return entry
+
+
+class InlineMissParser(Parser):
+    """``Parser`` with the parent's inline-miss token cache and its
+    ``parse_texts``."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._token_cache = InlineTokenCache(self)
+
+    def parse_texts(
+        self, texts: list[str], source_file: str = "<memory>", sequence: int = 0
+    ) -> tuple[ParsedBatch, ParseMetrics]:
+        """Steps 2–5 over already-loaded document texts."""
+        tokenizer = self.tokenizer
+        chars0 = tokenizer.chars_scanned
+        cache = self._token_cache
+        misses0 = cache.misses
+
+        resolve = cache.__getitem__
+        stream: list[int] = []
+        forms_per_doc: list[int] = []
+        for text in texts:
+            forms = tokenizer.surface_forms(text)
+            forms_per_doc.append(len(forms))
+            stream += map(resolve, forms)
+        resolved = np.fromiter(stream, dtype=np.int32, count=len(stream))
+        emitted = resolved >= 0
+        docs = np.repeat(np.arange(len(texts), dtype=np.int32), forms_per_doc)[emitted]
+
+        # Batch-local entry table: the rows of the parser's table this
+        # stream uses, and the stream renumbered onto them.  Parser entry
+        # ids are dense in ``[0, len(table))``: a presence mask lists the
+        # used rows in order, and its running count renumbers the stream.
+        entries = resolved[emitted]
+        present = np.zeros(len(self._entry_suffix), dtype=bool)
+        present[entries] = True
+        used = np.flatnonzero(present)
+        ids = (np.cumsum(present, dtype=np.int32) - 1)[entries]
+        batch = ParsedBatch(
+            parser_id=self.parser_id, sequence=sequence, source_file=source_file,
+            num_docs=len(texts),
+            entry_cidx=np.frombuffer(self._entry_cidx, dtype=np.int32)[used],
+            entry_suffix=[self._entry_suffix[i] for i in used.tolist()],
+        )
+        self._assemble(batch, ids, docs)
+
+        stopped = int(np.count_nonzero(resolved == _STOP_WORD))
+        metrics = ParseMetrics(
+            num_docs=len(texts),
+            chars_scanned=tokenizer.chars_scanned - chars0,
+            tokens_raw=len(ids) + stopped,
+            tokens_stopped=stopped,
+            tokens_emitted=len(ids),
+            suffix_chars=batch.total_chars,
+            stem_cache_misses=cache.misses - misses0,
+            collections_touched=len(batch.order),
+        )
+        return batch, metrics
 
 
 # --------------------------------------------------------------------------- #

@@ -1,6 +1,7 @@
 """The pattern-string stemmer and the tuple trie split against the code they
 replaced (``tests/porter_oracle.py``): equal on every input, not just on
-the published vectors.
+the published vectors.  Their columnar forms, ``stem_columns`` and
+``TrieTable.split_columns``, equal them over whole lists of words at once.
 
 The word strategy is weighted toward the rule suffixes — the pieces the
 algorithm branches on — and mixes in ``y`` runs (a ``y``'s class depends on
@@ -10,9 +11,11 @@ algorithm, special characters to the trie).
 
 from __future__ import annotations
 
+import operator
 import os
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +23,7 @@ from hypothesis import strategies as st
 from repro.corpus.synthetic import generate_collection
 from repro.dictionary.trie import TrieTable
 from repro.parsing.docio import load_collection_file
-from repro.parsing.porter import porter_stem
+from repro.parsing.porter import porter_stem, stem_columns
 from repro.parsing.tokenizer import Tokenizer
 from tests.porter_oracle import oracle_split, oracle_stem
 
@@ -99,6 +102,92 @@ def test_split_equals_oracle_at_heights_1_to_4(height, term):
     assert (split.index, split.suffix, split.category) == oracle_split(height, term)
 
 
+def _rows(letters: np.ndarray, lengths: np.ndarray) -> list[str]:
+    """Each row's first ``lengths[i]`` bytes, as ASCII text."""
+    return [bytes(row[:n]).decode("ascii") for row, n in zip(letters, lengths.tolist())]
+
+
+#: One matrix holds rows of very different lengths: mostly rule-suffix
+#: words, consonant-only stems (``m = 0``, where a step-2 rule matches and
+#: stops the walk, as in ``bization``) before each suffix, any ASCII (NUL,
+#: capitals and punctuation are consonants), and ``y`` and vowel runs up to
+#: 40 letters.
+_ASCII_WORDS = st.one_of(
+    words.filter(str.isascii).filter(bool),
+    words.filter(str.isascii).filter(bool),
+    st.builds(operator.add, st.text(alphabet="bcdfgklmnprstvz", min_size=1, max_size=3),
+              st.sampled_from(_SUFFIXES)),
+    st.text(alphabet=st.characters(max_codepoint=127), min_size=1, max_size=40),
+    st.text(alphabet="aeiouyst", min_size=1, max_size=40),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(_ASCII_WORDS, min_size=1, max_size=40))
+def test_stem_columns_equal_the_scalar_stemmer(batch):
+    letters, lengths = stem_columns(batch)
+    stems = _rows(letters, lengths)
+    assert stems == [porter_stem(word) for word in batch]
+    assert stems == [oracle_stem(word) for word in batch]
+    # Zeros after every stem.
+    assert not (letters * (np.arange(letters.shape[1]) >= lengths[:, None])).any()
+
+
+def test_stem_columns_keep_their_order_and_a_lone_word():
+    """The published vectors, one matrix, then each word on its own."""
+    batch = ["caresses", "ponies", "ties", "caress", "cats", "feed", "agreed",
+             "plastered", "motoring", "sing", "conflated", "troubled", "sized",
+             "hopping", "tanned", "falling", "hissing", "fizzed", "failing",
+             "filing", "happy", "sky", "relational", "conditional", "rational",
+             "valenci", "digitizer", "generalization", "oscillator", "bization",
+             "triplicate", "formalize", "electrical", "hopeful", "goodness",
+             "revival", "allowance", "adoption", "homologou", "probate", "rate",
+             "cease", "controll", "roll", "parallelization", "a", "is"]
+    expected = [porter_stem(word) for word in batch]
+    assert _rows(*stem_columns(batch)) == expected
+    assert [_rows(*stem_columns([word]))[0] for word in batch] == expected
+    assert stem_columns([])[0].shape == (0, 0)
+
+
+def test_stem_columns_count_past_the_16_bit_wrap():
+    """``m`` is counted over the whole matrix mod 2**16: 18,000 rows of 72,000
+    ``vc`` transitions wrap it once, and every row still reads its own."""
+    batch = ["generalizations", "hopping", "conditional"] * 6000
+    assert _rows(*stem_columns(batch)) == [porter_stem(word) for word in batch[:3]] * 6000
+
+
+#: Digits-only, letter, short and special-character terms; any byte of
+#: ``-``, a capital or a non-ASCII letter is a special character.
+_TERMS = st.one_of(
+    st.text(alphabet="0123456789", min_size=1, max_size=16),
+    st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=16),
+    st.text(alphabet="abcxyz", min_size=1, max_size=4),
+    st.text(alphabet=st.sampled_from("abcdefghijklmnopqrstuvwxyz0123456789-éßıA"),
+            min_size=1, max_size=16),
+)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from((1, 2, 3, 4, 13)), st.lists(_TERMS, max_size=30))
+def test_split_columns_equal_split(height, terms):
+    trie = TrieTable(height=height)
+    raw = [term.encode("utf-8") for term in terms]
+    lengths = np.array([len(term) for term in raw], dtype=np.int64)
+    letters = np.zeros((len(raw), max(lengths, default=0)), dtype=np.uint8)
+    for row, term in zip(letters, raw):
+        row[: len(term)] = np.frombuffer(term, dtype=np.uint8)
+    index, cut = trie.split_columns(letters, lengths)
+    splits = [trie.split(term) for term in terms]
+    assert index.tolist() == [split.index for split in splits]
+    assert [term[c:] for term, c in zip(raw, cut.tolist())] == [
+        split.suffix.encode("utf-8") for split in splits]
+
+
+def test_split_columns_refuse_an_empty_term():
+    with pytest.raises(ValueError, match="empty term"):
+        TrieTable().split_columns(np.zeros((2, 3), dtype=np.uint8), np.array([3, 0]))
+
+
 @pytest.fixture(scope="module")
 def smoke_vocabularies(tmp_path_factory):
     """Every distinct lower-case token form of the benchmark's seeded web
@@ -123,6 +212,8 @@ def test_corpus_vocabulary_stems_and_splits_as_before(smoke_vocabularies, corpus
     assert len(vocabulary) > 1000
     stems = [_stem(form) for form in vocabulary]
     assert stems == [oracle_stem(form) for form in vocabulary]
+    ascii_forms = [form for form in vocabulary if form.isascii()]
+    assert _rows(*stem_columns(ascii_forms)) == [_stem(form) for form in ascii_forms]
     trie = TrieTable()
     assert [tuple(trie.split(term)) for term in stems] == [
         oracle_split(trie.height, term) for term in stems

@@ -2,8 +2,39 @@
 
 from __future__ import annotations
 
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
 from repro.parsing.porter import stem
 from repro.parsing.stopwords import STOP_WORDS, StopWordFilter
+
+_STEMMED = sorted(StopWordFilter().stemmed)
+#: Stop words, their prefixes and extensions (``yourselv`` + ``ish`` ties
+#: ``yourselves`` on 8 bytes), and other words.
+_STEMS = st.one_of(
+    st.sampled_from(_STEMMED),
+    st.builds(lambda word, cut: word[: max(1, len(word) - cut)],
+              st.sampled_from(_STEMMED), st.integers(min_value=1, max_value=3)),
+    st.builds(lambda word, tail: word + tail, st.sampled_from(_STEMMED),
+              st.text(alphabet="aeisyz", min_size=1, max_size=4)),
+    st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789", min_size=1, max_size=12),
+)
+
+
+def _matrix(words: list[str]) -> np.ndarray:
+    """``words`` as ``uint8`` rows, each then zeros."""
+    width = max(map(len, words), default=1)
+    return np.array([word.encode("ascii") for word in words],
+                    dtype=f"S{width}").view(np.uint8).reshape(len(words), width)
+
+
+@given(st.lists(_STEMS, max_size=30))
+def test_stop_columns_equal_is_stop(words):
+    for filter_ in (StopWordFilter(), StopWordFilter(frozenset({"foo"})),
+                    StopWordFilter(frozenset())):
+        assert filter_.stop_columns(_matrix(words)).tolist() == [
+            filter_.is_stop(word) for word in words]
 
 
 class TestStopWordFilter:

@@ -1,7 +1,10 @@
-"""The Fig 6 length-prefixed string heap."""
+"""The Fig 6 length-prefixed string heap; ``padded`` reads exactly the
+payloads it is asked for, as ``get`` does one at a time, and leaves the heap
+free to grow."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -50,3 +53,29 @@ class TestStore:
         for ptr, payload in zip(ptrs, payloads):
             assert store.get(ptr) == payload
         assert len(store) == len(payloads)
+
+
+@given(
+    payloads=st.lists(st.binary(max_size=12), min_size=1, max_size=20),
+    picks=st.lists(st.integers(min_value=0), max_size=10),
+)
+def test_padded_rows_are_the_payloads_zero_padded(payloads, picks):
+    store = StringStore()
+    ptrs = [store.add(payload) for payload in payloads]
+    # Always the last string (its bytes end the heap), then any others.
+    chosen = np.array([ptrs[-1]] + [ptrs[i % len(ptrs)] for i in picks], dtype=np.int64)
+    rows = store.padded(chosen)
+    width = max(len(store.get(ptr)) for ptr in chosen.tolist())
+    assert rows.dtype == np.uint8 and rows.shape == (len(chosen), width)
+    for row, ptr in zip(rows, chosen.tolist()):
+        assert bytes(row) == store.get(ptr).ljust(width, b"\0")
+    # A copy, not a view of the heap: the heap still grows.
+    store.extend_packed(bytes([2]) + b"zz", 1)
+    assert store.get(store.byte_size - 3) == b"zz"
+
+
+def test_padded_of_no_pointers_is_empty():
+    store = StringStore()
+    store.add(b"abc")
+    assert store.padded(np.zeros(0, dtype=np.int64)).shape == (0, 0)
+    assert StringStore().padded(np.zeros(0, dtype=np.int64)).shape == (0, 0)
